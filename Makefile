@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci build test vet emvet race emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke bench-baselines
+.PHONY: ci build test vet emvet race emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke emperf-smoke bench-baselines
 
-ci: vet build race emvet emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke
+ci: vet build race emvet emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke emperf-smoke
 
 build:
 	$(GO) build ./...
@@ -75,15 +75,22 @@ dir-smoke:
 	$(GO) run ./cmd/embench -out .ci -baseline . dir > /dev/null
 	$(GO) run ./tools/jsoncheck .ci/BENCH_dir.json
 
-# The dispatch-tier study: legacy / predecode / fused superinstructions
-# must agree on every simulated observable, and the deterministic fields
-# of BENCH_jit.json (instrs, cycles, fused run structure) must match the
-# committed baseline. The emulated-MIPS fields are host wall-clock and
-# carry the "host" prefix the comparator skips.
+# The dispatch-tier study: the legacy reference stepper and the fused
+# superinstruction executor must agree on every simulated observable, and
+# the deterministic fields of BENCH_jit.json (instrs, cycles, fused run
+# structure) must match the committed baseline. The emulated-MIPS fields
+# are host wall-clock and carry the "host" prefix the comparator skips.
 jit-smoke:
 	mkdir -p .ci
 	$(GO) run ./cmd/embench -out .ci -baseline . jit > /dev/null
 	$(GO) run ./tools/jsoncheck .ci/BENCH_jit.json
+
+# bench/ is a nested module that root `go vet/test ./...` never compiles:
+# vet it and run its 1/50-scale pass of all five workloads, so a break of
+# the import surface it freezes (bench/README.md) is found here.
+emperf-smoke:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # Regenerate the committed BENCH_*.json baselines (run after a deliberate
 # model change, then commit the diff).

@@ -205,47 +205,10 @@ func BenchmarkConversionAblation(b *testing.B) {
 
 // Engineering micro-benchmarks of this implementation.
 
-func BenchmarkEmulatorStep(b *testing.B) {
-	for _, spec := range arch.AllSpecs() {
-		spec := spec
-		b.Run(spec.Name, func(b *testing.B) {
-			mem := make([]byte, 4096)
-			var code []byte
-			var err error
-			emit := func(in arch.Instr) {
-				code, err = arch.Encode(spec, code, in)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			emit(arch.Instr{Op: arch.OpMov, N: 2, Operands: [3]arch.Operand{arch.Imm(100000), arch.Reg(1)}})
-			top := uint32(len(code))
-			emit(arch.Instr{Op: arch.OpMov, N: 2, Operands: [3]arch.Operand{arch.Imm(1), arch.Reg(2)}})
-			emit(arch.Instr{Op: arch.OpSub, N: 3, Operands: [3]arch.Operand{arch.Reg(1), arch.Reg(2), arch.Reg(1)}})
-			emit(arch.Instr{Op: arch.OpBrnz, N: 1, Operands: [3]arch.Operand{arch.Reg(1)}, Target: uint16(top)})
-			emit(arch.Instr{Op: arch.OpRet})
-			b.ResetTimer()
-			instrs := 0
-			for i := 0; i < b.N; i++ {
-				cpu := arch.CPU{FP: 256, TempBase: 512}
-				tr, _, n, err := arch.Run(spec, &cpu, code, mem, 1<<30)
-				if err != nil || tr == nil || tr.Kind != arch.TrapRet {
-					b.Fatalf("%v %v", tr, err)
-				}
-				instrs += n
-			}
-			// Per-op rate: instructions of one Run over the time of one Run.
-			instrsPerOp := float64(instrs) / float64(b.N)
-			secsPerOp := b.Elapsed().Seconds() / float64(b.N)
-			b.ReportMetric(instrsPerOp/secsPerOp/1e6, "emulated-MIPS")
-		})
-	}
-}
-
-// BenchmarkEmulatorFused is the same countdown loop under fused
-// superinstruction dispatch (one compiled run per loop body, register
-// slots cached in executor locals); compare its emulated-MIPS against
-// BenchmarkEmulatorStep's predecoded rate.
+// BenchmarkEmulatorFused is the countdown loop under the emulator the
+// kernel runs: fused superinstruction dispatch (one compiled run per
+// loop body, register slots cached in executor locals), fused once and
+// run with a long-lived FusedRunner as a node does.
 func BenchmarkEmulatorFused(b *testing.B) {
 	for _, spec := range arch.AllSpecs() {
 		spec := spec
@@ -269,7 +232,7 @@ func BenchmarkEmulatorFused(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			fz := arch.Fuse(spec, pd, arch.PlanFusion(pd, nil))
+			fz := arch.Fuse(spec, pd, arch.PlanFusion(pd))
 			if fz == nil {
 				b.Fatal("countdown loop did not fuse")
 			}

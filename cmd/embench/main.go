@@ -114,7 +114,7 @@ func dirStudy(outDir string) error {
 	return checkBaseline(path)
 }
 
-// jitStudy measures the three dispatch tiers (legacy / predecode /
+// jitStudy measures the two dispatch tiers (legacy reference stepper /
 // fused superinstructions) on a compute-bound loop per ISA, writing
 // BENCH_jit.json. The simulated fields are baseline-gated; the emulated-
 // MIPS numbers are host wall-clock, carry the "host" field prefix, and

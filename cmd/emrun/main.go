@@ -3,13 +3,11 @@
 //
 // Usage:
 //
-//	emrun [-net spec] [-mode enhanced|original|batched|fastpath]
-//	      [-chaos plan] [-parallel] [-auto policy] [-dir n] [-nofuse]
-//	      [-legacy] [-trace] [-stats] file.em
+//	emrun [flags] file.em
 //
-// The network spec is a comma-separated list of machine models, e.g.
-// "sparc,vax,sun3,hp1,hp2" (default: the paper's Figure 1 network
-// sun3,hp1,sparc,vax).
+// Run emrun -h for the flags. The network spec (-net) is a comma-
+// separated list of machine models, e.g. "sparc,vax,sun3,hp1,hp2"
+// (default: the paper's Figure 1 network sun3,hp1,sparc,vax).
 package main
 
 import (
@@ -30,7 +28,6 @@ func main() {
 	vetLoad := flag.Bool("vetload", false, "nodes vet each code object's mobility metadata before loading it")
 	parallel := flag.Bool("parallel", false, "run each node on its own goroutine (identical results; see DESIGN.md §12)")
 	noSharpen := flag.Bool("nosharpen", false, "disable live-set sharpening (dead frame slots ship stale payload instead of canonical zero)")
-	noFuse := flag.Bool("nofuse", false, "disable superinstruction fusion (dispatch on the plain predecoded path)")
 	legacy := flag.Bool("legacy", false, "force the byte-at-a-time reference emulator (slowest; identical results)")
 	chaosSpec := flag.String("chaos", "", "seeded fault plan, e.g. seed=7,drop=0.05,dup=0.02,crash=1@20000:50000 (see internal/chaos)")
 	autoPolicy := flag.String("auto", "", "adaptive placement policy: greedy-colocate or load-balance (sequential engine only)")
@@ -39,9 +36,13 @@ func main() {
 	dirReplicas := flag.Int("dir", 0, "arm the replicated object directory with N replicas per shard (0: off)")
 	dirLease := flag.Int64("dir-lease", 0, "directory read-lease duration in simulated µs (0: lease-free lookups)")
 	dirNoGroup := flag.Bool("dir-nogroup", false, "disable batched group decrees (each cohort member decrees alone)")
+	flag.Usage = func() {
+		fmt.Fprintln(flag.CommandLine.Output(), "usage: emrun [flags] file.em")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: emrun [-net spec] [-mode m] [-chaos plan] [-parallel] [-auto policy] [-dir n] [-trace] [-stats] [-vetload] file.em")
+		flag.Usage()
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
@@ -70,8 +71,7 @@ func main() {
 		*dirReplicas = dcfg.Replicas
 	}
 	opts := core.Options{Mode: cm, VetOnLoad: *vetLoad, Parallel: *parallel, NoSharpen: *noSharpen,
-		NoFuse: *noFuse, LegacyDispatch: *legacy,
-		AutoPolicy: *autoPolicy, AutoPeriodMicros: *autoPeriod, DirReplicas: *dirReplicas,
+		LegacyDispatch: *legacy, AutoPolicy: *autoPolicy, AutoPeriodMicros: *autoPeriod, DirReplicas: *dirReplicas,
 		DirLeaseMicros: *dirLease, DirNoGroupDecrees: *dirNoGroup}
 	if *chaosSpec != "" {
 		plan, err := chaos.ParsePlan(*chaosSpec)
@@ -108,8 +108,8 @@ func main() {
 	if *stats {
 		fmt.Fprintf(os.Stderr, "\nsimulated time: %.1f ms\n", sys.ElapsedMS())
 		for _, n := range sys.Cluster.Nodes {
-			fmt.Fprintf(os.Stderr, "node%d %-18s [%s] instrs=%d msgs=%d/%d migrations=%d\n",
-				n.ID, n.Model.Name, n.Spec.Name, n.Instrs, n.MsgsSent, n.MsgsRecv, n.Migrations)
+			fmt.Fprintf(os.Stderr, "node%d %-18s [%s] instrs=%d step_fallback=%d msgs=%d/%d migrations=%d\n",
+				n.ID, n.Model.Name, n.Spec.Name, n.Instrs, n.StepFallbackInstrs(), n.MsgsSent, n.MsgsRecv, n.Migrations)
 		}
 		st := sys.Cluster.ConvStats()
 		fmt.Fprintf(os.Stderr, "conversion calls=%d values=%d wire payload=%d bytes\n",

@@ -1,11 +1,12 @@
-// Fused execution state and dispatch loop. fexec is the superinstruction
-// counterpart of dexec: one instance carries a whole run, with the
-// kernel-owned bases (FP, Self, TempBase, LitBase — machine instructions
-// never write them) hoisted once per RunFused call and the run's cached
-// register slots plus temp-stack depth loaded at run entry and written
-// back at run exit or before any trap delivery. Memory writes stay eager:
-// only registers and depth are cached, so the final memory image is
-// byte-identical to the legacy path by construction.
+// Fused execution state and dispatch loop. One fexec carries a whole
+// run: the kernel-owned bases (FP, Self, TempBase, LitBase — machine
+// instructions never write them) are hoisted once per Run call, and the
+// run's cached register slots plus temp-stack depth are loaded where the
+// run is entered and written back wherever it is left — its end, a
+// fault, a trap, or the slice budget expiring between two of its
+// instructions. Memory writes stay eager: only registers and depth are
+// cached, so the final memory image is byte-identical to the legacy path
+// by construction.
 
 package arch
 
@@ -18,7 +19,7 @@ type fexec struct {
 	cpu *CPU
 	mem []byte
 
-	// Hoisted per RunFused call (kernel-owned, instruction-immutable).
+	// Hoisted per Run call (kernel-owned, instruction-immutable).
 	fp       uint32
 	self     uint32
 	tempBase uint32
@@ -28,10 +29,10 @@ type fexec struct {
 	// Per-run state.
 	depth  int32     // cached cpu.TempDepth
 	npc    uint32    // next PC; branches redirect it, fallthrough pre-set
-	cycles uint64    // accumulated over the whole RunFused call
+	cycles uint64    // accumulated over the whole Run call
 	fault  FaultCode // first fault of the current instruction; 0 = none
-	trap   *Trap     // explicit trap (div-zero, bounds, nil-ref)
-	stop   bool      // terminate the run after the current closure
+	trap   *Trap     // kernel-entry trap raised by the run's last instruction
+	stop   bool      // a fault ends the run after the current closure
 	r      [fuseRegSlots]uint32
 }
 
@@ -61,10 +62,11 @@ func (e *fexec) readString(ref uint32) ([]byte, bool) {
 	return e.mem[ref+ArrDataOff : ref+ArrDataOff+n], true
 }
 
-// setFault records the first fault of the instruction (like dexec) and
-// marks the run stopped. The current closure keeps executing — Step's
-// contract lets e.g. a Mov's write run after a faulted read — and the
-// run loop delivers the fault trap once the closure returns.
+// setFault records the first fault of the instruction (later faults in
+// the same instruction do not overwrite it, like Step) and marks the run
+// stopped. The current closure keeps executing — Step's contract lets
+// e.g. a Mov's write run after a faulted read — and the run loop
+// delivers the fault trap once the closure returns.
 func (e *fexec) setFault(f FaultCode) uint32 {
 	if e.fault == 0 {
 		e.fault = f
@@ -73,19 +75,17 @@ func (e *fexec) setFault(f FaultCode) uint32 {
 	return 0
 }
 
-// fuseTrap stops the run with an explicit fault trap at next-PC npc
-// (the early-return trap cases of dexec.exec: bounds, nil-ref).
-func (e *fexec) fuseTrap(f FaultCode, npc uint32) {
-	e.trap = &Trap{Kind: TrapFault, Fault: f, PC: npc}
-	e.stop = true
-}
-
-// exec runs one fused run to completion or early stop. Returns the trap
-// (nil on normal exit or budget-free completion) and the number of
-// instructions executed. cpu.PC must equal the run head on entry.
-func (fr *fusedRun) exec(e *fexec) (*Trap, int) {
+// exec runs fr from member instruction idx for at most max instructions
+// and returns the trap that ended it (nil when it fell off the run's end
+// or max ran out) with the number of instructions executed. Whichever
+// way the run is left, cached slots and depth reconverge first, so the
+// kernel (and any migration snapshot) sees exactly the legacy-path
+// state. Entering past lo loads — and later stores unchanged — slots
+// only earlier members touch, which is harmless.
+func (fz *Fused) exec(e *fexec, fr *fusedRun, idx, max int) (*Trap, int) {
 	cpu := e.cpu
-	for i, m := range fr.regs {
+	regs := fr.regs[:fr.nreg]
+	for i, m := range regs {
 		e.r[i] = cpu.Regs[m]
 	}
 	e.depth = cpu.TempDepth
@@ -93,32 +93,31 @@ func (fr *fusedRun) exec(e *fexec) (*Trap, int) {
 	e.fault = 0
 	e.trap = nil
 	e.stop = false
-	for i := 0; i < len(fr.ops); i++ {
-		fr.ops[i](e)
+	ops := fz.ops[idx:min(int(fr.hi), idx+max)]
+	n := 0
+	for _, op := range ops {
+		op(e)
+		n++
 		if e.stop {
-			// Write-back discipline: cached slots and depth reconverge
-			// before the trap becomes visible, so the kernel (and any
-			// migration snapshot) sees exactly the legacy-path state.
-			for k, m := range fr.regs {
-				cpu.Regs[m] = e.r[k]
-			}
-			cpu.TempDepth = e.depth
-			// Like Step, a faulting instruction leaves cpu.PC at its own
-			// start; the trap's PC is the next instruction.
-			cpu.PC = fr.pcs[i]
-			tr := e.trap
-			if tr == nil {
-				tr = &Trap{Kind: TrapFault, Fault: e.fault, PC: fr.npcs[i]}
-			}
-			return tr, i + 1
+			break
 		}
 	}
-	for k, m := range fr.regs {
+	for k, m := range regs {
 		cpu.Regs[m] = e.r[k]
 	}
 	cpu.TempDepth = e.depth
-	cpu.PC = e.npc
-	return nil, len(fr.ops)
+	switch next := idx + n; {
+	case e.stop:
+		// Like Step, a faulting instruction leaves cpu.PC at its own
+		// start; the trap's PC is the next instruction.
+		cpu.PC = fz.pcOf(fr, next-1)
+		return &Trap{Kind: TrapFault, Fault: e.fault, PC: cpu.PC + fz.p.instrs[next-1].Size}, n
+	case next < int(fr.hi): // budget ran out inside the run
+		cpu.PC = fz.pcOf(fr, next)
+	default:
+		cpu.PC = e.npc
+	}
+	return e.trap, n
 }
 
 // FusedRunner executes fused programs. It exists so steady-state
@@ -128,16 +127,18 @@ func (fr *fusedRun) exec(e *fexec) (*Trap, int) {
 // runs. The zero value is ready to use. Not safe for concurrent use.
 type FusedRunner struct {
 	e fexec
-	d dexec
+	// StepFallbackInstrs counts the instructions Run handed to Step
+	// because the PC did not start a decoded instruction. It stays 0 for
+	// compiler-produced code: the fused program covers the whole grid.
+	StepFallbackInstrs uint64
 }
 
-// Run executes up to budget instructions of fz, dispatching whole runs
-// at run-head PCs and falling back to the per-instruction path (and,
-// off the decode grid, to Step) everywhere else — including when the
-// remaining budget cannot cover the next run, so budget semantics match
-// RunPredecoded exactly. Observables (traps, faults, cycles, instruction
-// counts, memory and register effects) are byte-identical to RunLegacy,
-// which the differential suite pins.
+// Run executes up to budget instructions of fz: each PC on the decode
+// grid enters its run at that member, and only a PC off the grid (inside
+// an encoding, past the end) is stepped by the reference emulator.
+// Observables (traps, faults, cycles, instruction counts, memory and
+// register effects) are byte-identical to RunLegacy, which the
+// differential suite pins.
 func (rn *FusedRunner) Run(s *Spec, fz *Fused, cpu *CPU, mem []byte, budget int) (*Trap, uint64, int, error) {
 	p := fz.p
 	e := &rn.e
@@ -146,38 +147,23 @@ func (rn *FusedRunner) Run(s *Spec, fz *Fused, cpu *CPU, mem []byte, budget int)
 	e.tempBase, e.litBase = cpu.TempBase, cpu.LitBase
 	e.mc = s.MemCycles
 	e.cycles = 0
-	d := &rn.d
-	d.s, d.cpu, d.mem = s, cpu, mem
 	for n := 0; n < budget; {
-		pc := cpu.PC
-		if int64(pc) < int64(len(fz.at)) {
-			if ri := fz.at[pc]; ri >= 0 {
-				fr := &fz.runs[ri]
-				if budget-n >= len(fr.ops) {
-					tr, did := fr.exec(e)
-					n += did
-					if tr != nil {
-						return tr, e.cycles, n, nil
-					}
-					continue
-				}
+		idx := p.indexAt(cpu.PC)
+		if idx < 0 {
+			rn.StepFallbackInstrs++
+			tr, c, err := Step(s, cpu, p.code, mem)
+			e.cycles += uint64(c)
+			n++
+			if err != nil {
+				return nil, e.cycles, n, err
 			}
+			if tr != nil {
+				return tr, e.cycles, n, nil
+			}
+			continue
 		}
-		var (
-			tr  *Trap
-			c   uint32
-			err error
-		)
-		if int64(pc) < int64(len(p.index)) && p.index[pc] >= 0 {
-			tr, c, err = d.exec(&p.instrs[p.index[pc]], pc)
-		} else {
-			tr, c, err = Step(s, cpu, p.code, mem)
-		}
-		e.cycles += uint64(c)
-		n++
-		if err != nil {
-			return nil, e.cycles, n, err
-		}
+		tr, did := fz.exec(e, &fz.runs[fz.runOf[idx]], int(idx), budget-n)
+		n += did
 		if tr != nil {
 			return tr, e.cycles, n, nil
 		}
@@ -191,4 +177,20 @@ func (rn *FusedRunner) Run(s *Spec, fz *Fused, cpu *CPU, mem []byte, budget int)
 func RunFused(s *Spec, fz *Fused, cpu *CPU, mem []byte, budget int) (*Trap, uint64, int, error) {
 	var rn FusedRunner
 	return rn.Run(s, fz, cpu, mem, budget)
+}
+
+// Run executes instructions until a trap occurs or budget instructions
+// have executed, returning the trap (nil if the budget expired), the
+// cycles consumed, and the instruction count. It is the one-shot
+// convenience for tests: predecode, plan, fuse, run. Callers that hold a
+// long-lived code object Fuse once and keep a FusedRunner. Code that
+// does not predecode cleanly runs on the legacy byte-at-a-time loop,
+// which fails at the same instruction Step would.
+func Run(s *Spec, cpu *CPU, code []byte, mem []byte, budget int) (*Trap, uint64, int, error) {
+	if p, err := Predecode(s, code); err == nil {
+		if fz := Fuse(s, p, PlanFusion(p)); fz != nil {
+			return RunFused(s, fz, cpu, mem, budget)
+		}
+	}
+	return RunLegacy(s, cpu, code, mem, budget)
 }

@@ -1,33 +1,29 @@
 // Superinstruction fusion: the paper's mobility contract only requires
 // machine-dependent state to reconverge at bus stops, so everything
-// *between* stops may be optimized freely. The predecoded dispatcher
-// (predecode.go) still pays per-instruction costs — a table lookup, a
-// call into exec, and an operand-mode switch per read/write. Fusion
-// removes them for straight-line code: PlanFusion partitions a decoded
-// function into maximal runs whose interiors contain no bus stop, no
-// branch target and no always-trapping instruction, and Fuse compiles
-// each run once into a chain of operand-pre-resolved closures that a
-// single table lookup dispatches end to end, with the run's register
-// slots cached in executor locals and written back only at run exit or
-// on a fault path (see fexec.go and DESIGN.md §16).
+// *between* stops may be optimized freely. Fusion is how the emulator
+// uses that freedom: PlanFusion tiles a decoded function into runs
+// (basic blocks that also end at every always-trapping op), and Fuse
+// compiles every instruction once into an operand-pre-resolved closure,
+// so the executor (fexec.go) dispatches a whole run per table lookup
+// with the run's register slots cached in executor locals and written
+// back only when it leaves the run (see DESIGN.md §16).
 //
-// Step remains the semantic oracle: any PC that is not a run head — a
-// migration resume mid-run, a computed jump into an encoding, a slice
-// budget too small for the next run — executes on the existing
-// per-instruction path, so observable behavior (traps, faults, cycle
-// charges, memory images, event streams) is byte-identical to RunLegacy.
+// The fused program is total over the decode grid: a run may be entered
+// at any member instruction and left after any number of them, so a
+// migration resume, a slice budget that ends mid-run and a one-
+// instruction stretch all execute here. Step (exec.go) remains the
+// semantic oracle — observable behavior (traps, faults, cycle charges,
+// memory images, event streams) is byte-identical to RunLegacy — and
+// the executor only for PCs that do not start a decoded instruction.
 
 package arch
 
 import (
 	"bytes"
 	"sync/atomic"
-)
 
-// minFuseRun is the shortest stretch worth compiling: a single
-// instruction gains nothing over the per-instruction path and would pay
-// the run entry/exit register traffic.
-const minFuseRun = 2
+	"repro/internal/ir"
+)
 
 // fuseRegSlots bounds how many distinct registers one run caches in
 // executor locals; runs touching more fall back to direct CPU-struct
@@ -57,90 +53,79 @@ type FusePlan struct {
 	Runs []PlanRun
 }
 
-// alwaysTraps reports ops that unconditionally (or, for OpPoll,
-// preemption-dependently) enter the kernel: every such site is a bus
-// stop and must terminate a run before it.
-func alwaysTraps(op Op) bool {
-	return op == OpPoll || op == OpRet || op == OpTrap || op == OpUnlq
+// endsRun reports ops that must come last in their run: branches, which
+// redirect the PC, and the ops that enter the kernel (unconditionally,
+// or for OpPoll when preemption is pending), whose trap is delivered
+// with the run's cached state already written back.
+func endsRun(op Op) bool {
+	return shapes[op].hasTarget || op == OpPoll || op == OpRet || op == OpTrap || op == OpUnlq
 }
 
-func isBranch(op Op) bool { return op == OpJmp || op == OpBrz || op == OpBrnz }
-
-// PlanFusion computes run boundaries over a predecoded function. A run
-// head is PC 0, a branch target, a bus-stop PC (stopPCs), or the first
-// instruction after a terminator; a run ends at (and includes) a branch,
-// or before a run head, an always-trapping instruction, or end of code.
+// PlanFusion tiles a predecoded function into runs: every instruction
+// belongs to exactly one. A run starts at PC 0, at a branch target, or
+// after an instruction that endsRun (which belongs to the run it ends).
+// Bus stops need no boundary of their own: a run is enterable at any
+// member, and every stop PC follows a trapping op anyway.
 // Faulting-capable instructions (memory operands, div/mod, string and
-// array ops) are allowed in interiors: the fused executor writes cached
+// array ops) are allowed anywhere: the fused executor writes cached
 // state back before delivering their trap (fexec.go).
-func PlanFusion(p *Predecoded, stopPCs []uint32) *FusePlan {
-	plan := &FusePlan{}
+func PlanFusion(p *Predecoded) *FusePlan {
 	n := len(p.instrs)
 	if n == 0 {
-		return plan
-	}
-	starts := make([]uint32, n)
-	pc := uint32(0)
-	for i := range p.instrs {
-		starts[i] = pc
-		pc += p.instrs[i].Size
+		return &FusePlan{}
 	}
 	leader := make([]bool, n)
 	leader[0] = true
 	for i := range p.instrs {
-		if isBranch(p.instrs[i].Op) {
-			if j := p.indexAt(uint32(p.instrs[i].Target)); j >= 0 {
+		in := &p.instrs[i]
+		if endsRun(in.Op) && i+1 < n {
+			leader[i+1] = true
+		}
+		if shapes[in.Op].hasTarget {
+			if j := p.indexAt(uint32(in.Target)); j >= 0 {
 				leader[j] = true
 			}
 		}
 	}
-	for _, spc := range stopPCs {
-		if j := p.indexAt(spc); j >= 0 {
-			leader[j] = true
+	nruns := 0
+	for _, l := range leader {
+		if l {
+			nruns++
 		}
 	}
-	for i := 0; i < n; {
-		if alwaysTraps(p.instrs[i].Op) {
-			i++
-			continue
+	runs := make([]PlanRun, 0, nruns)
+	pc := uint32(0)
+	for i := range p.instrs {
+		if leader[i] {
+			runs = append(runs, PlanRun{Head: pc})
 		}
-		j := i
-		for {
-			if isBranch(p.instrs[j].Op) {
-				j++ // branch terminates the run and belongs to it
-				break
-			}
-			j++
-			if j >= n || leader[j] || alwaysTraps(p.instrs[j].Op) {
-				break
-			}
-		}
-		if j-i >= minFuseRun {
-			plan.Runs = append(plan.Runs, PlanRun{Head: starts[i], N: int32(j - i)})
-		}
-		i = j
+		runs[len(runs)-1].N++
+		pc += p.instrs[i].Size
 	}
-	return plan
+	return &FusePlan{Runs: runs}
 }
 
 // Fused is one function's compiled superinstruction program: the
-// predecoded cache plus, for each planned run, a closure chain with
-// pre-resolved operands. Like Predecoded it is immutable once built and
-// safe to share across goroutines; all mutable execution state lives in
-// the caller's FusedRunner.
+// predecoded cache plus one pre-resolved closure per instruction,
+// grouped into the plan's runs. Dispatch goes PC -> instruction index
+// (the shared Predecoded.index) -> run, so nothing here is sized by code
+// bytes. Like Predecoded it is immutable once built and safe to share
+// across goroutines; all mutable execution state lives in the caller's
+// FusedRunner.
 type Fused struct {
-	p    *Predecoded
-	runs []fusedRun
-	at   []int32 // PC -> run index for run heads; -1 otherwise
+	p     *Predecoded
+	ops   []fop   // one per decoded instruction
+	runOf []int32 // instruction index -> index into runs
+	runs  []fusedRun
 }
 
-// fusedRun is one compiled run.
+// fusedRun is one compiled run: instructions [lo, hi) of the function.
 type fusedRun struct {
-	ops  []fop
-	regs []byte   // cache slot i holds machine register regs[i]
-	pcs  []uint32 // per-op start PC (fault-path CPU.PC, like Step)
-	npcs []uint32 // per-op next PC (fault-path trap PC)
-	end  uint32   // fallthrough PC after the last instruction
+	lo, hi int32
+	head   uint32 // PC of instruction lo
+	end    uint32 // fallthrough PC after instruction hi-1
+	nreg   uint8
+	regs   [fuseRegSlots]byte // cache slot i holds machine register regs[i]
 }
 
 // NumRuns reports how many runs were compiled.
@@ -150,65 +135,89 @@ func (fz *Fused) NumRuns() int { return len(fz.runs) }
 func (fz *Fused) RunLens() []int {
 	out := make([]int, len(fz.runs))
 	for i := range fz.runs {
-		out[i] = len(fz.runs[i].ops)
+		out[i] = int(fz.runs[i].hi - fz.runs[i].lo)
 	}
 	return out
 }
 
+// pcOf returns the start PC of member instruction idx of fr. Only the
+// cold exits (fault delivery, budget expiry inside a run) need it, so it
+// walks the run's encodings instead of keeping a per-instruction table.
+func (fz *Fused) pcOf(fr *fusedRun, idx int) uint32 {
+	pc := fr.head
+	for k := int(fr.lo); k < idx; k++ {
+		pc += fz.p.instrs[k].Size
+	}
+	return pc
+}
+
 // Fuse compiles a fusion plan into a fused program for one spec. s must
 // be the spec p was predecoded for (cycle charges and float codecs are
-// baked into the closures). Returns nil when the plan yields no
-// compilable run, in which case callers dispatch over p directly. Fuse
-// runs once per loaded function — re-fusing on migration re-install
-// would be pure waste, which FuseBuildCount lets tests pin.
+// baked into the closures). It returns nil — and callers run the
+// function on RunLegacy — when p is nil or plan is not a tiling of p's
+// instructions into runs whose endsRun ops come last, i.e. anything
+// PlanFusion(p) would not have produced. Fuse runs once per loaded
+// function — re-fusing on migration re-install would be pure waste,
+// which FuseBuildCount lets tests pin.
 func Fuse(s *Spec, p *Predecoded, plan *FusePlan) *Fused {
 	fuseBuilds.Add(1)
-	if p == nil || plan == nil || len(plan.Runs) == 0 {
+	if p == nil || plan == nil {
 		return nil
 	}
-	fz := &Fused{p: p, at: make([]int32, len(p.code))}
-	for i := range fz.at {
-		fz.at[i] = -1
+	n := len(p.instrs)
+	fz := &Fused{
+		p:     p,
+		ops:   make([]fop, n),
+		runOf: make([]int32, n),
+		runs:  make([]fusedRun, len(plan.Runs)),
 	}
-	for _, pr := range plan.Runs {
-		fz.compileRun(s, pr)
+	idx, pc := 0, uint32(0)
+	for ri, pr := range plan.Runs {
+		if pr.Head != pc || pr.N <= 0 || int(pr.N) > n-idx {
+			return nil
+		}
+		fr := &fz.runs[ri]
+		fr.lo, fr.head = int32(idx), pc
+		b := fuser{s: s, fr: fr}
+		for i := range b.slotOf {
+			b.slotOf[i] = -1
+		}
+		for last := idx + int(pr.N) - 1; idx <= last; idx++ {
+			in := &p.instrs[idx]
+			op := b.fuseInstr(in)
+			if op == nil || (endsRun(in.Op) && idx != last) {
+				return nil
+			}
+			fz.ops[idx] = op
+			fz.runOf[idx] = int32(ri)
+			pc += in.Size
+		}
+		fr.hi, fr.end = int32(idx), pc
 	}
-	if len(fz.runs) == 0 {
+	if idx != n {
 		return nil
 	}
 	return fz
 }
 
-func (fz *Fused) compileRun(s *Spec, pr PlanRun) {
-	idx := fz.p.indexAt(pr.Head)
-	if idx < 0 {
-		return
+// ccHolds evaluates a condition code against (lt, eq) flags.
+func ccHolds(cc byte, lt, eq bool) uint32 {
+	var r bool
+	switch int(cc) {
+	case ir.CmpEQ:
+		r = eq
+	case ir.CmpNE:
+		r = !eq
+	case ir.CmpLT:
+		r = lt
+	case ir.CmpLE:
+		r = lt || eq
+	case ir.CmpGT:
+		r = !lt && !eq
+	case ir.CmpGE:
+		r = !lt
 	}
-	b := &fuser{s: s}
-	for i := range b.slotOf {
-		b.slotOf[i] = -1
-	}
-	var fr fusedRun
-	pc := pr.Head
-	for k := 0; k < int(pr.N) && int(idx)+k < len(fz.p.instrs); k++ {
-		in := &fz.p.instrs[int(idx)+k]
-		npc := pc + in.Size
-		op := b.fuseInstr(in, npc)
-		if op == nil {
-			break // defensive: plan included an uncompilable op
-		}
-		fr.ops = append(fr.ops, op)
-		fr.pcs = append(fr.pcs, pc)
-		fr.npcs = append(fr.npcs, npc)
-		pc = npc
-	}
-	if len(fr.ops) < minFuseRun {
-		return
-	}
-	fr.end = pc
-	fr.regs = b.regs
-	fz.at[pr.Head] = int32(len(fz.runs))
-	fz.runs = append(fz.runs, fr)
+	return boolW(r)
 }
 
 // fuser compiles one run's instructions, allocating register cache slots
@@ -218,7 +227,7 @@ func (fz *Fused) compileRun(s *Spec, pr PlanRun) {
 // cannot diverge.
 type fuser struct {
 	s      *Spec
-	regs   []byte
+	fr     *fusedRun
 	slotOf [16]int8
 }
 
@@ -227,23 +236,24 @@ func (b *fuser) regSlot(r byte) int {
 	if si := b.slotOf[r]; si >= 0 {
 		return int(si)
 	}
-	if len(b.regs) >= fuseRegSlots {
+	if b.fr.nreg >= fuseRegSlots {
 		return -1
 	}
-	si := len(b.regs)
-	b.regs = append(b.regs, r)
+	si := b.fr.nreg
+	b.fr.regs[si] = r
+	b.fr.nreg++
 	b.slotOf[r] = int8(si)
-	return si
+	return int(si)
 }
 
 // rdFn/wrFn are pre-resolved operand accessors: the addressing-mode
-// switch of dexec.read/write runs once at fuse time, not per execution.
+// switch of Step's read/write runs once at fuse time, not per execution.
 type (
 	rdFn func(*fexec) uint32
 	wrFn func(*fexec, uint32)
 )
 
-// rd builds a source-operand reader with dexec.read's exact semantics
+// rd builds a source-operand reader with Step's read semantics
 // (cycle charges before the access, Pop's depth decrement before the
 // load, first-fault-wins recording).
 func (b *fuser) rd(o *Operand) rdFn {
@@ -304,8 +314,8 @@ func (b *fuser) rd(o *Operand) rdFn {
 	return func(e *fexec) uint32 { return e.setFault(FaultStack) }
 }
 
-// wr builds a destination-operand writer with dexec.write's exact
-// semantics (Push increments depth only after a successful store).
+// wr builds a destination-operand writer with Step's write semantics
+// (Push increments depth only after a successful store).
 func (b *fuser) wr(o *Operand) wrFn {
 	switch o.Mode {
 	case ModeReg:
@@ -351,12 +361,13 @@ func (b *fuser) regOperand(o *Operand) int {
 	return b.regSlot(o.Reg)
 }
 
-// fuseInstr compiles one instruction into a closure, or nil when the op
-// cannot live inside a run (always-trapping ops, unknown ops). Each
-// closure mirrors the matching dexec.exec case: operand evaluation
-// order, fault precedence, cycle charges and next-PC rules are
-// identical, which the differential tests pin.
-func (b *fuser) fuseInstr(in *Instr, npc uint32) fop {
+// fuseInstr compiles one instruction into a closure, or nil for an op
+// Step does not implement. Each closure mirrors the matching case of
+// Step's switch: operand evaluation order, fault precedence, cycle
+// charges and next-PC rules are identical, which the differential tests
+// pin. Step's early "return fault(...)" exits are all reached with no
+// operand fault pending, so setFault delivers them unchanged.
+func (b *fuser) fuseInstr(in *Instr) fop {
 	s := b.s
 	cyc := uint64(s.Cycles[in.Op])
 	switch in.Op {
@@ -432,8 +443,7 @@ func (b *fuser) fuseInstr(in *Instr, npc uint32) fop {
 					e.cycles += cyc
 					bb := e.r[s2]
 					if bb == 0 {
-						e.trap = &Trap{Kind: TrapFault, Fault: FaultDivZero, PC: npc}
-						e.stop = true
+						e.setFault(FaultDivZero)
 						return
 					}
 					e.r[sd] = uint32(int32(e.r[s1]) / int32(bb))
@@ -443,8 +453,7 @@ func (b *fuser) fuseInstr(in *Instr, npc uint32) fop {
 					e.cycles += cyc
 					bb := e.r[s2]
 					if bb == 0 {
-						e.trap = &Trap{Kind: TrapFault, Fault: FaultDivZero, PC: npc}
-						e.stop = true
+						e.setFault(FaultDivZero)
 						return
 					}
 					e.r[sd] = uint32(int32(e.r[s1]) % int32(bb))
@@ -452,7 +461,7 @@ func (b *fuser) fuseInstr(in *Instr, npc uint32) fop {
 			}
 		}
 		// General form: src2 (stack top) evaluated before src1, write
-		// suppressed after a fault, like dexec.
+		// suppressed after a fault, like Step.
 		rd2 := b.rd(&in.Operands[1])
 		rd1 := b.rd(&in.Operands[0])
 		wr := b.wr(&in.Operands[2])
@@ -473,15 +482,13 @@ func (b *fuser) fuseInstr(in *Instr, npc uint32) fop {
 				v = uint32(int32(a) * int32(bb))
 			case OpDiv:
 				if bb == 0 {
-					e.trap = &Trap{Kind: TrapFault, Fault: FaultDivZero, PC: npc}
-					e.stop = true
+					e.setFault(FaultDivZero)
 					return
 				}
 				v = uint32(int32(a) / int32(bb))
 			case OpMod:
 				if bb == 0 {
-					e.trap = &Trap{Kind: TrapFault, Fault: FaultDivZero, PC: npc}
-					e.stop = true
+					e.setFault(FaultDivZero)
 					return
 				}
 				v = uint32(int32(a) % int32(bb))
@@ -565,8 +572,7 @@ func (b *fuser) fuseInstr(in *Instr, npc uint32) fop {
 				wr(e, fl.Enc(a*bb))
 			case OpFDiv:
 				if bb == 0 {
-					e.trap = &Trap{Kind: TrapFault, Fault: FaultDivZero, PC: npc}
-					e.stop = true
+					e.setFault(FaultDivZero)
 					return
 				}
 				wr(e, fl.Enc(a/bb))
@@ -616,8 +622,7 @@ func (b *fuser) fuseInstr(in *Instr, npc uint32) fop {
 			as, ok1 := e.readString(aref)
 			bs, ok2 := e.readString(bref)
 			if !ok1 || !ok2 {
-				e.trap = &Trap{Kind: TrapFault, Fault: FaultNilRef, PC: npc}
-				e.stop = true
+				e.setFault(FaultNilRef)
 				return
 			}
 			e.cycles += uint64(min(len(as), len(bs)))
@@ -669,21 +674,21 @@ func (b *fuser) fuseInstr(in *Instr, npc uint32) fop {
 				return
 			}
 			if arr == 0 {
-				e.fuseTrap(FaultNilRef, npc)
+				e.setFault(FaultNilRef)
 				return
 			}
 			n, ok := e.ld32(arr + LenOff)
 			if !ok {
-				e.fuseTrap(FaultNilRef, npc)
+				e.setFault(FaultNilRef)
 				return
 			}
 			if idx >= n {
-				e.fuseTrap(FaultBounds, npc)
+				e.setFault(FaultBounds)
 				return
 			}
 			v, ok := e.ld32(arr + ArrDataOff + 4*idx)
 			if !ok {
-				e.fuseTrap(FaultBounds, npc)
+				e.setFault(FaultBounds)
 				return
 			}
 			wr(e, v)
@@ -702,20 +707,20 @@ func (b *fuser) fuseInstr(in *Instr, npc uint32) fop {
 				return
 			}
 			if arr == 0 {
-				e.fuseTrap(FaultNilRef, npc)
+				e.setFault(FaultNilRef)
 				return
 			}
 			n, ok := e.ld32(arr + LenOff)
 			if !ok {
-				e.fuseTrap(FaultNilRef, npc)
+				e.setFault(FaultNilRef)
 				return
 			}
 			if idx >= n {
-				e.fuseTrap(FaultBounds, npc)
+				e.setFault(FaultBounds)
 				return
 			}
 			if !e.st32(arr+ArrDataOff+4*idx, v) {
-				e.fuseTrap(FaultBounds, npc)
+				e.setFault(FaultBounds)
 			}
 		}
 
@@ -729,12 +734,12 @@ func (b *fuser) fuseInstr(in *Instr, npc uint32) fop {
 				return
 			}
 			if ref == 0 {
-				e.fuseTrap(FaultNilRef, npc)
+				e.setFault(FaultNilRef)
 				return
 			}
 			n, ok := e.ld32(ref + LenOff)
 			if !ok {
-				e.fuseTrap(FaultNilRef, npc)
+				e.setFault(FaultNilRef)
 				return
 			}
 			wr(e, n)
@@ -753,14 +758,52 @@ func (b *fuser) fuseInstr(in *Instr, npc uint32) fop {
 			}
 			str, ok := e.readString(ref)
 			if !ok {
-				e.fuseTrap(FaultNilRef, npc)
+				e.setFault(FaultNilRef)
 				return
 			}
 			if idx >= uint32(len(str)) {
-				e.fuseTrap(FaultBounds, npc)
+				e.setFault(FaultBounds)
 				return
 			}
 			wr(e, uint32(str[idx]))
+		}
+
+	// The kernel-entry ops. Each is the last instruction of its run, so
+	// e.npc is its own next PC, and leaving e.stop clear makes the run
+	// exit normally: cached state written back and cpu.PC *advanced*
+	// before the trap is delivered, as Step does for traps (a fault, by
+	// contrast, leaves cpu.PC at the faulting instruction).
+	case OpPoll:
+		tc := uint64(s.TrapCycles)
+		return func(e *fexec) {
+			e.cycles += cyc
+			if e.cpu.Preempt {
+				e.cycles += tc
+				e.trap = &Trap{Kind: TrapYield, PC: e.npc}
+			}
+		}
+
+	case OpRet:
+		tcyc := cyc + uint64(s.TrapCycles)
+		return func(e *fexec) {
+			e.cycles += tcyc
+			e.trap = &Trap{Kind: TrapRet, PC: e.npc}
+		}
+
+	case OpTrap:
+		tcyc := cyc + uint64(s.TrapCycles)
+		kind, a, bb := in.TrapKind, in.TrapA, in.TrapB
+		return func(e *fexec) {
+			e.cycles += tcyc
+			e.trap = &Trap{Kind: kind, A: a, B: bb, PC: e.npc}
+		}
+
+	case OpUnlq:
+		// No TrapCycles: the kernel performs the unlink and resumes the
+		// thread without a scheduling point (see Step).
+		return func(e *fexec) {
+			e.cycles += cyc
+			e.trap = &Trap{Kind: TrapMonExitA, PC: e.npc}
 		}
 	}
 	return nil

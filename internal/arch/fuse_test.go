@@ -13,56 +13,81 @@ func fuseCountdown(t testing.TB, s *Spec, iters uint32) ([]byte, *Predecoded, *F
 	if err != nil {
 		t.Fatal(err)
 	}
-	fz := Fuse(s, pd, PlanFusion(pd, nil))
+	fz := Fuse(s, pd, PlanFusion(pd))
 	if fz == nil {
 		t.Fatal("countdown loop did not fuse")
 	}
 	return code, pd, fz
 }
 
-// The countdown loop has exactly one fusable run: the three-instruction
-// loop body (mov, sub, brnz). The entry mov is a lone leader (below
-// minFuseRun) and ret is a bus stop.
+// The countdown loop tiles into three runs: the entry mov (the loop top
+// is a branch target, so it starts a run of its own), the three-
+// instruction loop body (mov, sub, brnz) and the ret. Every decoded
+// instruction is in a run.
 func TestFusePlanCountdown(t *testing.T) {
 	for _, s := range AllSpecs() {
 		t.Run(s.Name, func(t *testing.T) {
-			_, _, fz := fuseCountdown(t, s, 10)
-			if fz.NumRuns() != 1 {
-				t.Fatalf("runs = %d, want 1", fz.NumRuns())
+			_, pd, fz := fuseCountdown(t, s, 10)
+			lens := fz.RunLens()
+			if len(lens) != 3 || lens[0] != 1 || lens[1] != 3 || lens[2] != 1 {
+				t.Fatalf("run lengths = %v, want [1 3 1] (mov | mov, sub, brnz | ret)", lens)
 			}
-			if lens := fz.RunLens(); lens[0] != 3 {
-				t.Errorf("run length = %d, want 3 (mov, sub, brnz)", lens[0])
+			if pd.NumInstrs() != 5 {
+				t.Fatalf("decoded %d instructions, want 5", pd.NumInstrs())
 			}
 		})
 	}
 }
 
-// A bus stop inside what would otherwise be straight-line code must
-// split the run: stop PCs are where migration snapshots happen, so a
-// fused run may never cross one.
+// A trapping op in straight-line code ends its run and belongs to it:
+// its trap is delivered from the run's normal exit, with the PC advanced.
+// Stop PCs themselves are no boundary — the instruction after the poll
+// starts a run only because the poll ended one. Fuse refuses a plan that
+// would put such an op in a run's interior.
 func TestFusePlanSplitsAtStops(t *testing.T) {
 	for _, s := range AllSpecs() {
 		t.Run(s.Name, func(t *testing.T) {
-			code := buildCountdown(t, s, 10)
+			var code []byte
+			for _, in := range []Instr{
+				{Op: OpMov, N: 2, Operands: [3]Operand{Imm(1), Reg(1)}},
+				{Op: OpPoll},
+				{Op: OpMov, N: 2, Operands: [3]Operand{Imm(2), Reg(2)}},
+				{Op: OpAdd, N: 3, Operands: [3]Operand{Reg(1), Reg(2), Reg(3)}},
+				{Op: OpRet},
+			} {
+				var err error
+				if code, err = Encode(s, code, in); err != nil {
+					t.Fatal(err)
+				}
+			}
 			pd, err := Predecode(s, code)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Pretend the sub (third instruction) is a stop PC.
-			var pcs []uint32
-			pc := uint32(0)
-			for i := 0; i < pd.NumInstrs(); i++ {
-				pcs = append(pcs, pc)
-				pc += pd.instrs[i].Size
-			}
-			plan := PlanFusion(pd, []uint32{pcs[2]})
+			plan := PlanFusion(pd)
+			idx := 0
 			for _, r := range plan.Runs {
-				if r.Head < pcs[2] && r.Head+1 > pcs[2] {
-					t.Errorf("run at %#x crosses stop %#x", r.Head, pcs[2])
+				if pd.indexAt(r.Head) != int32(idx) {
+					t.Fatalf("run at %#x does not start at instruction %d: plan %v", r.Head, idx, plan.Runs)
 				}
-				if r.Head == pcs[1] && r.N > 1 {
-					t.Errorf("run at loop top spans the stop: N=%d", r.N)
+				for k := 0; k < int(r.N); k++ {
+					if last := k == int(r.N)-1; endsRun(pd.instrs[idx+k].Op) && !last {
+						t.Errorf("%v in the interior of run at %#x", pd.instrs[idx+k].Op, r.Head)
+					}
 				}
+				idx += int(r.N)
+			}
+			if idx != pd.NumInstrs() {
+				t.Errorf("plan covers %d of %d instructions", idx, pd.NumInstrs())
+			}
+			if len(plan.Runs) != 2 || plan.Runs[0].N != 2 || plan.Runs[1].N != 3 {
+				t.Errorf("plan = %v, want [mov, poll | mov, add, ret]", plan.Runs)
+			}
+			if fz := Fuse(s, pd, &FusePlan{Runs: []PlanRun{{Head: 0, N: 5}}}); fz != nil {
+				t.Error("Fuse accepted a plan with the poll inside a run")
+			}
+			if fz := Fuse(s, pd, &FusePlan{Runs: plan.Runs[:1]}); fz != nil {
+				t.Error("Fuse accepted a plan that does not cover the function")
 			}
 		})
 	}
@@ -122,8 +147,8 @@ func TestFusedMatchesLegacyToCompletion(t *testing.T) {
 // Migration resume can land on ANY PC — a run head, the middle of a run,
 // or even mid-encoding. Sweep every byte offset as a start PC and demand
 // byte-identical observables against the legacy loop. Mid-run PCs
-// exercise the per-instruction fallback; mid-encoding PCs exercise the
-// Step fallback below it.
+// exercise entry at an interior member; mid-encoding PCs exercise the
+// Step fallback.
 func TestFusedResumeSweepMatchesLegacy(t *testing.T) {
 	for _, s := range AllSpecs() {
 		t.Run(s.Name, func(t *testing.T) {
@@ -156,9 +181,9 @@ func TestFusedResumeSweepMatchesLegacy(t *testing.T) {
 	}
 }
 
-// A budget too small to cover the next whole run must fall back to the
-// per-instruction path and stop at exactly the same instruction the
-// legacy loop would.
+// A budget that runs out inside a run must leave it there, with the
+// cached state written back, at exactly the instruction the legacy loop
+// would stop at.
 func TestFusedBudgetMatchesLegacy(t *testing.T) {
 	for _, s := range AllSpecs() {
 		t.Run(s.Name, func(t *testing.T) {
@@ -186,10 +211,12 @@ func TestFusedBudgetMatchesLegacy(t *testing.T) {
 }
 
 // TestQuickFusedMatchesLegacy: random legal instruction streams, fused
-// against legacy. Streams include faulting memory modes, stack over- and
-// underflow, div-zero, branches to arbitrary targets — the fused
-// executor must reproduce every observable exactly, including fault
-// write-back of cached registers.
+// against legacy, entered at a random instruction start with a random
+// budget and preemption flag. Streams include faulting memory modes,
+// stack over- and underflow, div-zero, branches to arbitrary targets and
+// every kernel-entry op — the fused executor must reproduce every
+// observable exactly, including write-back of cached registers on the
+// fault, trap and budget exits.
 func TestQuickFusedMatchesLegacy(t *testing.T) {
 	for _, s := range AllSpecs() {
 		s := s
@@ -197,36 +224,40 @@ func TestQuickFusedMatchesLegacy(t *testing.T) {
 		for iter := 0; iter < 300; iter++ {
 			n := 2 + rng.Intn(10)
 			var code []byte
+			var starts []uint32
 			var err error
-			ok := true
-			for i := 0; i < n && ok; i++ {
+			for i := 0; i < n && err == nil; i++ {
+				starts = append(starts, uint32(len(code)))
 				code, err = Encode(s, code, genInstr(rng, s))
-				if err != nil {
-					ok = false
-				}
 			}
-			if !ok {
+			if err != nil {
 				continue
 			}
 			pd, err := Predecode(s, code)
 			if err != nil {
-				continue
+				t.Fatalf("%s iter %d: encoded stream does not predecode: %v\ncode: %x", s.Name, iter, err, code)
 			}
-			fz := Fuse(s, pd, PlanFusion(pd, nil))
+			fz := Fuse(s, pd, PlanFusion(pd))
 			if fz == nil {
-				continue
+				t.Fatalf("%s iter %d: predecoded stream did not fuse\ncode: %x", s.Name, iter, code)
 			}
+			// Small random words everywhere, so array and string headers
+			// read plausible lengths and the non-faulting paths run too.
 			mem1 := make([]byte, 1<<14)
-			mem2 := make([]byte, 1<<14)
+			for a := 0; a < len(mem1); a += 4 {
+				s.ByteOrd.PutUint32(mem1[a:], rng.Uint32()%2048)
+			}
+			mem2 := append([]byte(nil), mem1...)
 			var regs [16]uint32
 			for i := range regs {
 				regs[i] = rng.Uint32() % 1024
 			}
-			cpu1 := CPU{FP: 256, TempBase: 512, LitBase: 1024, Self: 2048,
-				TempDepth: int32(rng.Intn(4)), Regs: regs}
+			cpu1 := CPU{PC: starts[rng.Intn(n)], FP: 256, TempBase: 512, LitBase: 1024, Self: 2048,
+				TempDepth: int32(rng.Intn(4)), Regs: regs, Preempt: rng.Intn(2) == 0}
 			cpu2 := cpu1
-			tr1, cy1, n1, err1 := RunFused(s, fz, &cpu1, mem1, 64)
-			tr2, cy2, n2, err2 := RunLegacy(s, &cpu2, code, mem2, 64)
+			budget := 1 + rng.Intn(64)
+			tr1, cy1, n1, err1 := RunFused(s, fz, &cpu1, mem1, budget)
+			tr2, cy2, n2, err2 := RunLegacy(s, &cpu2, code, mem2, budget)
 			if (err1 == nil) != (err2 == nil) ||
 				(err1 != nil && err1.Error() != err2.Error()) {
 				t.Fatalf("%s iter %d: error mismatch: %v vs %v\ncode: %x", s.Name, iter, err1, err2, code)

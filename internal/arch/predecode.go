@@ -1,21 +1,11 @@
-// Predecoded execution: the per-instruction Decode in Step dominates
+// The decode grid: the per-instruction Decode in Step dominates
 // emulation cost, yet the code bytes of a loaded function never change.
-// Predecode walks a function once at load time and caches the decoded
-// instructions in a PC-indexed table; RunPredecoded then dispatches over
-// the cache with the operand-evaluation helpers hoisted into a small
-// executor struct instead of per-Step closures. Step remains the
-// reference implementation — RunPredecoded must be observationally
-// identical to RunLegacy (same traps, faults, cycle counts, memory and
-// register effects) for every input, which the differential tests assert.
+// Predecode walks a function once — at compile time for compiler output
+// — and caches the decoded instructions with a PC index; the fusion
+// planner and compiler (fuse.go) and the fused executor (fexec.go) work
+// over this cache. Step remains the reference implementation.
 
 package arch
-
-import (
-	"bytes"
-	"fmt"
-
-	"repro/internal/ir"
-)
 
 // Predecoded is an immutable instruction cache for one function's code.
 // It is safe to share across CPUs (and goroutines) once built: execution
@@ -58,402 +48,4 @@ func (p *Predecoded) indexAt(pc uint32) int32 {
 		return -1
 	}
 	return p.index[pc]
-}
-
-// dexec is the hoisted execution state for one RunPredecoded call: what
-// Step rebuilds as closures on every instruction lives here once per
-// slice. cycles and fault are reset per instruction by exec.
-type dexec struct {
-	s      *Spec
-	cpu    *CPU
-	mem    []byte
-	cycles uint32
-	fault  FaultCode // first fault of the current instruction; 0 = none
-}
-
-func (e *dexec) ld32(addr uint32) (uint32, bool) {
-	if int(addr)+4 > len(e.mem) || addr == 0 {
-		return 0, false
-	}
-	return e.s.ByteOrd.Uint32(e.mem[addr : addr+4]), true
-}
-
-func (e *dexec) st32(addr, v uint32) bool {
-	if int(addr)+4 > len(e.mem) || addr == 0 {
-		return false
-	}
-	e.s.ByteOrd.PutUint32(e.mem[addr:addr+4], v)
-	return true
-}
-
-// setFault records the first fault of the instruction, like Step's
-// setFault: later faults in the same instruction do not overwrite it.
-func (e *dexec) setFault(f FaultCode) uint32 {
-	if e.fault == 0 {
-		e.fault = f
-	}
-	return 0
-}
-
-// read evaluates a source operand (same semantics as Step's read closure,
-// including Pop's depth decrement before the load).
-func (e *dexec) read(o *Operand) uint32 {
-	cpu := e.cpu
-	switch o.Mode {
-	case ModeImm:
-		return o.Imm
-	case ModeReg:
-		return cpu.Regs[o.Reg&0xf]
-	case ModeFrame:
-		e.cycles += e.s.MemCycles
-		v, ok := e.ld32(cpu.FP + uint32(o.Disp))
-		if !ok {
-			return e.setFault(FaultStack)
-		}
-		return v
-	case ModeSelf:
-		e.cycles += e.s.MemCycles
-		v, ok := e.ld32(cpu.Self + ObjDataOff + uint32(o.Disp))
-		if !ok {
-			return e.setFault(FaultNilRef)
-		}
-		return v
-	case ModeLit:
-		e.cycles += e.s.MemCycles
-		v, ok := e.ld32(cpu.LitBase + 4*uint32(o.Disp))
-		if !ok {
-			return e.setFault(FaultNilRef)
-		}
-		return v
-	case ModePop:
-		e.cycles += e.s.MemCycles
-		if cpu.TempDepth <= 0 {
-			return e.setFault(FaultStack)
-		}
-		cpu.TempDepth--
-		v, ok := e.ld32(cpu.TempBase + 4*uint32(cpu.TempDepth))
-		if !ok {
-			return e.setFault(FaultStack)
-		}
-		return v
-	}
-	e.setFault(FaultStack)
-	return 0
-}
-
-// write stores to a destination operand (Push increments depth only after
-// a successful store, like Step's write closure).
-func (e *dexec) write(o *Operand, v uint32) {
-	cpu := e.cpu
-	switch o.Mode {
-	case ModeReg:
-		cpu.Regs[o.Reg&0xf] = v
-	case ModeFrame:
-		e.cycles += e.s.MemCycles
-		if !e.st32(cpu.FP+uint32(o.Disp), v) {
-			e.setFault(FaultStack)
-		}
-	case ModeSelf:
-		e.cycles += e.s.MemCycles
-		if !e.st32(cpu.Self+ObjDataOff+uint32(o.Disp), v) {
-			e.setFault(FaultNilRef)
-		}
-	case ModePush:
-		e.cycles += e.s.MemCycles
-		if !e.st32(cpu.TempBase+4*uint32(cpu.TempDepth), v) {
-			e.setFault(FaultStack)
-		} else {
-			cpu.TempDepth++
-		}
-	default:
-		e.setFault(FaultStack)
-	}
-}
-
-// readString fetches a string's bytes.
-func (e *dexec) readString(ref uint32) ([]byte, bool) {
-	if ref == 0 {
-		return nil, false
-	}
-	n, ok := e.ld32(ref + LenOff)
-	if !ok || int(ref)+ArrDataOff+int(n) > len(e.mem) {
-		return nil, false
-	}
-	return e.mem[ref+ArrDataOff : ref+ArrDataOff+n], true
-}
-
-// ccHolds evaluates a condition code against (lt, eq) flags.
-func ccHolds(cc byte, lt, eq bool) uint32 {
-	var r bool
-	switch int(cc) {
-	case ir.CmpEQ:
-		r = eq
-	case ir.CmpNE:
-		r = !eq
-	case ir.CmpLT:
-		r = lt
-	case ir.CmpLE:
-		r = lt || eq
-	case ir.CmpGT:
-		r = !lt && !eq
-	case ir.CmpGE:
-		r = !lt
-	}
-	if r {
-		return 1
-	}
-	return 0
-}
-
-// exec executes one predecoded instruction at pc. It mirrors Step's
-// switch case for case — same operand evaluation order, fault precedence,
-// cycle charges and PC-update rules — so the two dispatchers are
-// interchangeable mid-stream.
-func (e *dexec) exec(in *Instr, pc uint32) (*Trap, uint32, error) {
-	s, cpu := e.s, e.cpu
-	next := pc + in.Size
-	e.cycles = s.Cycles[in.Op]
-	e.fault = 0
-
-	switch in.Op {
-	case OpMov:
-		e.write(&in.Operands[1], e.read(&in.Operands[0]))
-	case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr, OpScc:
-		// With stack operands, src2 (the top) is popped before src1.
-		b := e.read(&in.Operands[1])
-		a := e.read(&in.Operands[0])
-		if e.fault == 0 {
-			var v uint32
-			switch in.Op {
-			case OpAdd:
-				v = uint32(int32(a) + int32(b))
-			case OpSub:
-				v = uint32(int32(a) - int32(b))
-			case OpMul:
-				v = uint32(int32(a) * int32(b))
-			case OpDiv:
-				if b == 0 {
-					return &Trap{Kind: TrapFault, Fault: FaultDivZero, PC: next}, e.cycles, nil
-				}
-				v = uint32(int32(a) / int32(b))
-			case OpMod:
-				if b == 0 {
-					return &Trap{Kind: TrapFault, Fault: FaultDivZero, PC: next}, e.cycles, nil
-				}
-				v = uint32(int32(a) % int32(b))
-			case OpAnd:
-				v = boolW(a != 0 && b != 0)
-			case OpOr:
-				v = boolW(a != 0 || b != 0)
-			case OpScc:
-				v = ccHolds(in.CC, int32(a) < int32(b), a == b)
-			}
-			e.write(&in.Operands[2], v)
-		}
-	case OpNeg, OpAbs, OpNot:
-		a := e.read(&in.Operands[0])
-		if e.fault == 0 {
-			var v uint32
-			switch in.Op {
-			case OpNeg:
-				v = uint32(-int32(a))
-			case OpAbs:
-				x := int32(a)
-				if x < 0 {
-					x = -x
-				}
-				v = uint32(x)
-			case OpNot:
-				v = boolW(a == 0)
-			}
-			e.write(&in.Operands[1], v)
-		}
-	case OpFAdd, OpFSub, OpFMul, OpFDiv, OpFScc:
-		b := s.Float.Dec(e.read(&in.Operands[1]))
-		a := s.Float.Dec(e.read(&in.Operands[0]))
-		if e.fault == 0 {
-			switch in.Op {
-			case OpFAdd:
-				e.write(&in.Operands[2], s.Float.Enc(a+b))
-			case OpFSub:
-				e.write(&in.Operands[2], s.Float.Enc(a-b))
-			case OpFMul:
-				e.write(&in.Operands[2], s.Float.Enc(a*b))
-			case OpFDiv:
-				if b == 0 {
-					return &Trap{Kind: TrapFault, Fault: FaultDivZero, PC: next}, e.cycles, nil
-				}
-				e.write(&in.Operands[2], s.Float.Enc(a/b))
-			case OpFScc:
-				e.write(&in.Operands[2], ccHolds(in.CC, a < b, a == b))
-			}
-		}
-	case OpFNeg:
-		a := s.Float.Dec(e.read(&in.Operands[0]))
-		if e.fault == 0 {
-			e.write(&in.Operands[1], s.Float.Enc(-a))
-		}
-	case OpCvt:
-		a := int32(e.read(&in.Operands[0]))
-		if e.fault == 0 {
-			e.write(&in.Operands[1], s.Float.Enc(float32(a)))
-		}
-	case OpSScc:
-		bref := e.read(&in.Operands[1])
-		aref := e.read(&in.Operands[0])
-		if e.fault == 0 {
-			as, ok1 := e.readString(aref)
-			bs, ok2 := e.readString(bref)
-			if !ok1 || !ok2 {
-				return &Trap{Kind: TrapFault, Fault: FaultNilRef, PC: next}, e.cycles, nil
-			}
-			e.cycles += uint32(min(len(as), len(bs)))
-			c := bytes.Compare(as, bs)
-			e.write(&in.Operands[2], ccHolds(in.CC, c < 0, c == 0))
-		}
-	case OpJmp:
-		next = uint32(in.Target)
-	case OpBrz, OpBrnz:
-		v := e.read(&in.Operands[0])
-		if e.fault == 0 {
-			if (v == 0) == (in.Op == OpBrz) {
-				next = uint32(in.Target)
-				e.cycles += 1 // taken-branch penalty
-			}
-		}
-	case OpALoad:
-		idx := e.read(&in.Operands[1])
-		arr := e.read(&in.Operands[0])
-		if e.fault == 0 {
-			if arr == 0 {
-				return &Trap{Kind: TrapFault, Fault: FaultNilRef, PC: next}, e.cycles, nil
-			}
-			n, ok := e.ld32(arr + LenOff)
-			if !ok {
-				return &Trap{Kind: TrapFault, Fault: FaultNilRef, PC: next}, e.cycles, nil
-			}
-			if idx >= n {
-				return &Trap{Kind: TrapFault, Fault: FaultBounds, PC: next}, e.cycles, nil
-			}
-			v, ok := e.ld32(arr + ArrDataOff + 4*idx)
-			if !ok {
-				return &Trap{Kind: TrapFault, Fault: FaultBounds, PC: next}, e.cycles, nil
-			}
-			e.write(&in.Operands[2], v)
-		}
-	case OpAStor:
-		v := e.read(&in.Operands[2])
-		idx := e.read(&in.Operands[1])
-		arr := e.read(&in.Operands[0])
-		if e.fault == 0 {
-			if arr == 0 {
-				return &Trap{Kind: TrapFault, Fault: FaultNilRef, PC: next}, e.cycles, nil
-			}
-			n, ok := e.ld32(arr + LenOff)
-			if !ok {
-				return &Trap{Kind: TrapFault, Fault: FaultNilRef, PC: next}, e.cycles, nil
-			}
-			if idx >= n {
-				return &Trap{Kind: TrapFault, Fault: FaultBounds, PC: next}, e.cycles, nil
-			}
-			if !e.st32(arr+ArrDataOff+4*idx, v) {
-				return &Trap{Kind: TrapFault, Fault: FaultBounds, PC: next}, e.cycles, nil
-			}
-		}
-	case OpALen, OpSLen:
-		ref := e.read(&in.Operands[0])
-		if e.fault == 0 {
-			if ref == 0 {
-				return &Trap{Kind: TrapFault, Fault: FaultNilRef, PC: next}, e.cycles, nil
-			}
-			n, ok := e.ld32(ref + LenOff)
-			if !ok {
-				return &Trap{Kind: TrapFault, Fault: FaultNilRef, PC: next}, e.cycles, nil
-			}
-			e.write(&in.Operands[1], n)
-		}
-	case OpSIdx:
-		idx := e.read(&in.Operands[1])
-		ref := e.read(&in.Operands[0])
-		if e.fault == 0 {
-			str, ok := e.readString(ref)
-			if !ok {
-				return &Trap{Kind: TrapFault, Fault: FaultNilRef, PC: next}, e.cycles, nil
-			}
-			if idx >= uint32(len(str)) {
-				return &Trap{Kind: TrapFault, Fault: FaultBounds, PC: next}, e.cycles, nil
-			}
-			e.write(&in.Operands[2], uint32(str[idx]))
-		}
-	case OpPoll:
-		if cpu.Preempt {
-			cpu.PC = next
-			return &Trap{Kind: TrapYield, PC: next}, e.cycles + s.TrapCycles, nil
-		}
-	case OpRet:
-		cpu.PC = next
-		return &Trap{Kind: TrapRet, PC: next}, e.cycles + s.TrapCycles, nil
-	case OpTrap:
-		cpu.PC = next
-		return &Trap{Kind: in.TrapKind, A: in.TrapA, B: in.TrapB, PC: next},
-			e.cycles + s.TrapCycles, nil
-	case OpUnlq:
-		// See Step: monitor exit in one non-interruptible instruction; no
-		// TrapCycles because the kernel resumes without a scheduling point.
-		cpu.PC = next
-		return &Trap{Kind: TrapMonExitA, PC: next}, e.cycles, nil
-	default:
-		return nil, 0, fmt.Errorf("%s: unimplemented op %v at %#x", s.Name, in.Op, pc)
-	}
-
-	if e.fault != 0 {
-		return &Trap{Kind: TrapFault, Fault: e.fault, PC: next}, e.cycles, nil
-	}
-	cpu.PC = next
-	return nil, e.cycles, nil
-}
-
-// RunPredecoded executes up to budget instructions from the cache,
-// falling back to Step for any PC that does not start a predecoded
-// instruction (a jump into the middle of an encoding, or past the end).
-// s must describe the same architecture p was predecoded for; passing it
-// explicitly keeps cycle accounting tied to the caller's spec instance.
-func RunPredecoded(s *Spec, p *Predecoded, cpu *CPU, mem []byte, budget int) (*Trap, uint64, int, error) {
-	e := dexec{s: s, cpu: cpu, mem: mem}
-	var cycles uint64
-	for n := 0; n < budget; n++ {
-		var (
-			tr  *Trap
-			c   uint32
-			err error
-		)
-		if pc := cpu.PC; int64(pc) < int64(len(p.index)) && p.index[pc] >= 0 {
-			tr, c, err = e.exec(&p.instrs[p.index[pc]], pc)
-		} else {
-			tr, c, err = Step(s, cpu, p.code, mem)
-		}
-		cycles += uint64(c)
-		if err != nil {
-			return nil, cycles, n + 1, err
-		}
-		if tr != nil {
-			return tr, cycles, n + 1, nil
-		}
-	}
-	return nil, cycles, budget, nil
-}
-
-// Run executes instructions until a trap occurs or budget instructions
-// have executed, returning the trap (nil if the budget expired), the
-// cycles consumed, and the instruction count. It predecodes the stream
-// and dispatches over the cache; callers that hold a long-lived code
-// object should Predecode once and call RunPredecoded instead. Code that
-// does not predecode cleanly runs on the legacy byte-at-a-time loop,
-// which fails at the same instruction Step would.
-func Run(s *Spec, cpu *CPU, code []byte, mem []byte, budget int) (*Trap, uint64, int, error) {
-	p, err := Predecode(s, code)
-	if err != nil {
-		return RunLegacy(s, cpu, code, mem, budget)
-	}
-	return RunPredecoded(s, p, cpu, mem, budget)
 }

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -25,54 +26,57 @@ func buildCountdown(t testing.TB, s *Spec, iters uint32) []byte {
 	return code
 }
 
-// Steady-state dispatch over a predecoded function must not allocate:
-// the executor state lives in one stack frame and the instruction cache
-// is read-only. (Traps allocate their *Trap — that is a kernel-entry
-// event, not steady state — so the budget expires mid-loop here.)
+// Dispatch stays allocation-free however a slice cuts the predecoded
+// grid: entering a run at an interior member and leaving it when a tiny
+// budget expires takes the same write-back exits as a whole run, with
+// nothing built per call. (Traps allocate their *Trap — that is a
+// kernel-entry event, not steady state — so the loop never finishes
+// here.)
 func TestPredecodedDispatchSteadyStateAllocs(t *testing.T) {
 	for _, s := range AllSpecs() {
 		t.Run(s.Name, func(t *testing.T) {
-			code := buildCountdown(t, s, 1_000_000)
-			pd, err := Predecode(s, code)
-			if err != nil {
-				t.Fatal(err)
-			}
+			_, _, fz := fuseCountdown(t, s, 1_000_000)
 			mem := make([]byte, 4096)
-			// The CPU lives outside the measured closure, as it does in the
-			// kernel (inside the long-lived thread structure).
+			// The CPU and the runner live outside the measured closure, as
+			// they do in the kernel (thread structure and node).
 			var cpu CPU
+			var rn FusedRunner
 			got := testing.AllocsPerRun(100, func() {
 				cpu = CPU{FP: 256, TempBase: 512}
-				tr, _, _, err := RunPredecoded(s, pd, &cpu, mem, 5000)
-				if err != nil || tr != nil {
-					t.Fatalf("unexpected stop: %v %v", tr, err)
+				for n, budget := 0, 1; n < 5000; budget = budget%7 + 1 {
+					tr, _, did, err := rn.Run(s, fz, &cpu, mem, budget)
+					if err != nil || tr != nil || did != budget {
+						t.Fatalf("unexpected stop after %d of %d: %v %v", did, budget, tr, err)
+					}
+					n += did
 				}
 			})
 			if got != 0 {
 				t.Errorf("steady-state dispatch allocates %.1f allocs/run, want 0", got)
+			}
+			if rn.StepFallbackInstrs != 0 {
+				t.Errorf("%d instructions fell back to Step on the decode grid", rn.StepFallbackInstrs)
 			}
 		})
 	}
 }
 
 // A PC that does not start a predecoded instruction (a computed jump
-// into the middle of an encoding) must fall back to Step and behave
-// exactly like the legacy loop.
+// into the middle of an encoding) is the one case the fused program does
+// not cover: the runner hands it to Step, counts it, and behaves exactly
+// like the legacy loop.
 func TestPredecodedFallbackMatchesLegacy(t *testing.T) {
 	for _, s := range AllSpecs() {
 		t.Run(s.Name, func(t *testing.T) {
-			code := buildCountdown(t, s, 3)
-			pd, err := Predecode(s, code)
-			if err != nil {
-				t.Fatal(err)
-			}
+			code, _, fz := fuseCountdown(t, s, 3)
 			// Start mid-instruction: PC 1 is inside the first mov on every
 			// ISA (smallest encoding is 4 bytes).
 			mem1 := make([]byte, 4096)
 			mem2 := make([]byte, 4096)
 			cpu1 := CPU{PC: 1, FP: 256, TempBase: 512}
 			cpu2 := cpu1
-			tr1, cy1, n1, err1 := RunPredecoded(s, pd, &cpu1, mem1, 100)
+			var rn FusedRunner
+			tr1, cy1, n1, err1 := rn.Run(s, fz, &cpu1, mem1, 100)
 			tr2, cy2, n2, err2 := RunLegacy(s, &cpu2, code, mem2, 100)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("error mismatch: %v vs %v", err1, err2)
@@ -92,34 +96,44 @@ func TestPredecodedFallbackMatchesLegacy(t *testing.T) {
 			if cpu1 != cpu2 {
 				t.Errorf("cpu state: %+v vs %+v", cpu1, cpu2)
 			}
+			if !bytes.Equal(mem1, mem2) {
+				t.Errorf("memory images differ")
+			}
+			if rn.StepFallbackInstrs == 0 {
+				t.Errorf("off-grid entry was not counted as a Step fallback")
+			}
 		})
 	}
 }
 
-// The exhaustive cross-check: run the countdown to completion under both
-// dispatchers and compare everything.
+// Run, the one-shot convenience, predecodes, plans and fuses a stream
+// and must match the legacy loop to completion; a stream that does not
+// predecode end to end (a truncated trailing encoding) still runs, on
+// the legacy loop, up to the same ret.
 func TestPredecodedMatchesLegacyToCompletion(t *testing.T) {
 	for _, s := range AllSpecs() {
 		t.Run(s.Name, func(t *testing.T) {
 			code := buildCountdown(t, s, 1000)
-			pd, err := Predecode(s, code)
-			if err != nil {
-				t.Fatal(err)
+			truncated := append(append([]byte(nil), code...), code[0])
+			if _, err := Predecode(s, truncated); err == nil {
+				t.Fatal("stream with a truncated trailing encoding predecoded")
 			}
-			mem1 := make([]byte, 4096)
-			mem2 := make([]byte, 4096)
-			cpu1 := CPU{FP: 256, TempBase: 512}
-			cpu2 := cpu1
-			tr1, cy1, n1, err1 := RunPredecoded(s, pd, &cpu1, mem1, 1<<30)
-			tr2, cy2, n2, err2 := RunLegacy(s, &cpu2, code, mem2, 1<<30)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("errors: %v %v", err1, err2)
-			}
-			if tr1 == nil || tr2 == nil || *tr1 != *tr2 {
-				t.Fatalf("traps: %+v vs %+v", tr1, tr2)
-			}
-			if cy1 != cy2 || n1 != n2 || cpu1 != cpu2 {
-				t.Errorf("state: %d/%d/%+v vs %d/%d/%+v", cy1, n1, cpu1, cy2, n2, cpu2)
+			for _, code := range [][]byte{code, truncated} {
+				mem1 := make([]byte, 4096)
+				mem2 := make([]byte, 4096)
+				cpu1 := CPU{FP: 256, TempBase: 512}
+				cpu2 := cpu1
+				tr1, cy1, n1, err1 := Run(s, &cpu1, code, mem1, 1<<30)
+				tr2, cy2, n2, err2 := RunLegacy(s, &cpu2, code, mem2, 1<<30)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("errors: %v %v", err1, err2)
+				}
+				if tr1 == nil || tr2 == nil || *tr1 != *tr2 {
+					t.Fatalf("traps: %+v vs %+v", tr1, tr2)
+				}
+				if cy1 != cy2 || n1 != n2 || cpu1 != cpu2 {
+					t.Errorf("state: %d/%d/%+v vs %d/%d/%+v", cy1, n1, cpu1, cy2, n2, cpu2)
+				}
 			}
 		})
 	}

@@ -48,6 +48,10 @@ func genInstr(rng *rand.Rand, s *Spec) Instr {
 	}
 	ops3 := []Op{OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr, OpFAdd,
 		OpFSub, OpFMul, OpFDiv, OpALoad, OpSIdx}
+	terminators := []Instr{{Op: OpPoll}, {Op: OpRet}}
+	if s.HasAtomicUnlink {
+		terminators = append(terminators, Instr{Op: OpUnlq})
+	}
 	ops2 := []Op{OpNeg, OpAbs, OpNot, OpFNeg, OpCvt, OpALen, OpSLen}
 	switch rng.Intn(8) {
 	case 0: // mov
@@ -68,6 +72,9 @@ func genInstr(rng *rand.Rand, s *Spec) Instr {
 		}
 		return in
 	case 1:
+		if rng.Intn(8) == 0 { // astor reads all three operands
+			return Instr{Op: OpAStor, N: 3, Operands: [3]Operand{anyOperand(), anyOperand(), anyOperand()}}
+		}
 		op := ops3[rng.Intn(len(ops3))]
 		return Instr{Op: op, N: 3, Operands: [3]Operand{anyOperand(), anyOperand(), dstOperand()}}
 	case 2:
@@ -75,7 +82,7 @@ func genInstr(rng *rand.Rand, s *Spec) Instr {
 		return Instr{Op: op, N: 2, Operands: [3]Operand{anyOperand(), dstOperand()}}
 	case 3:
 		cc := byte(rng.Intn(6))
-		op := []Op{OpScc, OpFScc}[rng.Intn(2)]
+		op := []Op{OpScc, OpFScc, OpSScc}[rng.Intn(3)]
 		return Instr{Op: op, CC: cc, N: 3, Operands: [3]Operand{anyOperand(), anyOperand(), dstOperand()}}
 	case 4:
 		return Instr{Op: OpJmp, Target: uint16(rng.Intn(1 << 15))}
@@ -90,7 +97,7 @@ func genInstr(rng *rand.Rand, s *Spec) Instr {
 		return Instr{Op: OpTrap, TrapKind: TrapKind(1 + rng.Intn(int(NumTrap)-2)),
 			TrapA: uint16(rng.Uint32()), TrapB: uint16(rng.Uint32())}
 	default:
-		return [...]Instr{{Op: OpPoll}, {Op: OpRet}}[rng.Intn(2)]
+		return terminators[rng.Intn(len(terminators))]
 	}
 }
 

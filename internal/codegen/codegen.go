@@ -44,19 +44,18 @@ type FuncCode struct {
 	Strings []string
 	// NumInstrs is the instruction count (differs per ISA for the same IR).
 	NumInstrs int
-	// Decoded is the predecoded instruction cache the emulator dispatches
-	// over (arch.RunPredecoded). Built here at compile time — the encoded
-	// stream is immutable from this point on — and shared by every node
-	// that loads this function. Nil for hand-built FuncCode values; the
+	// Decoded is the predecoded instruction cache the fused emulator
+	// dispatches over. Built here at compile time — the encoded stream
+	// is immutable from this point on — and shared by every node that
+	// loads this function. Nil for hand-built FuncCode values; the
 	// kernel predecodes those at load (or falls back to byte-at-a-time
 	// dispatch if the stream does not decode).
 	Decoded *arch.Predecoded
-	// Runs is the superinstruction fusion plan over Decoded: maximal
-	// straight-line stretches bounded by branch targets, bus stops and
-	// trapping instructions. Metadata only (PC + length pairs) — the
-	// kernel compiles it into closures once per loaded function
-	// (arch.Fuse). Nil for hand-built FuncCode values; the kernel plans
-	// those at load.
+	// Runs is the superinstruction fusion plan over Decoded: the
+	// function's basic blocks, also cut after every trapping
+	// instruction. Metadata only (PC + length pairs) — the kernel
+	// compiles it into closures once per loaded function (arch.Fuse).
+	// Nil for hand-built FuncCode values; the kernel plans those at load.
 	Runs *arch.FusePlan
 }
 
@@ -385,7 +384,7 @@ func compileFunc(spec *arch.Spec, obj *ir.Object, f *ir.Func, opts Options) (*Fu
 		Strings:   f.Strings,
 		NumInstrs: lo.n,
 		Decoded:   dec,
-		Runs:      arch.PlanFusion(dec, tbl.PCs()),
+		Runs:      arch.PlanFusion(dec),
 	}, nil
 }
 

@@ -94,13 +94,9 @@ type Options struct {
 	// MaxEvents bounds the simulation (0: a generous default).
 	MaxEvents uint64
 	// LegacyDispatch forces the byte-at-a-time reference emulator instead
-	// of predecoded dispatch (identical observable behavior; used by the
-	// differential tests).
+	// of fused dispatch (identical observable behavior; the triage escape
+	// hatch and the reference arm of the differential tests).
 	LegacyDispatch bool
-	// NoFuse disables superinstruction fusion, keeping dispatch on the
-	// plain predecoded path (identical observable behavior; the triage
-	// escape hatch and the middle arm of the differential tests).
-	NoFuse bool
 	// SliceInstrs overrides the scheduling-slice instruction budget
 	// (0: the kernel default). The differential tests shrink it to force
 	// constant preemption, exercising mid-run suspend/resume.
@@ -232,7 +228,6 @@ func NewSystem(prog *codegen.Program, machines []netsim.MachineModel, opts Optio
 	}
 	cfg.VetOnLoad = opts.VetOnLoad
 	cfg.LegacyDispatch = opts.LegacyDispatch
-	cfg.NoFuse = opts.NoFuse
 	if opts.SliceInstrs > 0 {
 		cfg.SliceInstrs = opts.SliceInstrs
 	}

@@ -1,13 +1,13 @@
 // Differential validation of the dispatch tiers: every example program,
 // on every ISA (homogeneous clusters) plus the heterogeneous Figure 1
 // network, must behave identically under the legacy byte-at-a-time
-// emulator (arch.Step), the predecoded instruction cache, and the fused
-// superinstruction dispatcher — same printed lines, same per-node cycle
-// and instruction counts, same faults, same final memory images, and a
-// byte-identical rendered event stream (which embeds every trap-driven
-// kernel event). A second matrix shrinks the scheduling slice so threads
-// are constantly suspended at arbitrary PCs — including PCs inside fused
-// runs — proving the mid-run per-instruction fallback is exact.
+// emulator (arch.Step) and the fused superinstruction dispatcher — same
+// printed lines, same per-node cycle and instruction counts, same
+// faults, same final memory images, and a byte-identical rendered event
+// stream (which embeds every trap-driven kernel event). A second matrix
+// shrinks the scheduling slice so threads are constantly suspended at
+// arbitrary PCs — including PCs inside fused runs — proving that leaving
+// a run mid-way and re-entering it there is exact.
 package core
 
 import (
@@ -32,14 +32,13 @@ type dispatchRun struct {
 	eventLog []byte
 }
 
-// dispatchArms enumerates the three dispatch tiers. All arms of one
+// dispatchArms enumerates the two dispatch tiers. Both arms of one
 // (program, network, slice) cell must be byte-identical.
 var dispatchArms = []struct {
 	name string
 	opts Options
 }{
 	{"fused", Options{}}, // the default path
-	{"predecode", Options{NoFuse: true}},
 	{"legacy", Options{LegacyDispatch: true}},
 }
 
@@ -154,9 +153,8 @@ func TestDispatchDifferential(t *testing.T) {
 // TestDispatchDifferentialTinySlice reruns the matrix with a 13-instruction
 // scheduling slice on the Figure 1 network. Threads are then preempted at
 // essentially every program point — in particular at PCs *inside* fused
-// runs, and at run heads with too little budget left to cover the run —
-// so each resumed slice exercises the fused dispatcher's per-instruction
-// (and mid-encoding Step) fallback before reaching the next run head.
+// runs — so nearly every slice both enters a run at an interior member
+// and leaves one through the budget write-back exit.
 // Arms are compared only within this slice size: a different slice
 // budget legitimately changes scheduling interleavings, so the tiny-
 // slice cell has its own reference arm.

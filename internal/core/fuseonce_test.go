@@ -40,14 +40,40 @@ func TestFuseOncePerLoadedFunc(t *testing.T) {
 		t.Errorf("Fuse ran %d times for %d loaded functions; migration re-install must not re-fuse", builds, loaded)
 	}
 
-	// The escape hatches must not fuse at all.
-	for _, opts := range []Options{{NoFuse: true}, {LegacyDispatch: true}} {
-		before := arch.FuseBuildCount()
-		if _, err := RunSource(string(srcBytes), Figure1Network(), opts); err != nil {
-			t.Fatal(err)
-		}
-		if d := arch.FuseBuildCount() - before; d != 0 {
-			t.Errorf("%+v: Fuse ran %d times, want 0", opts, d)
-		}
+	// The escape hatch must not fuse at all.
+	before = arch.FuseBuildCount()
+	if _, err := RunSource(string(srcBytes), Figure1Network(), Options{LegacyDispatch: true}); err != nil {
+		t.Fatal(err)
+	}
+	if d := arch.FuseBuildCount() - before; d != 0 {
+		t.Errorf("LegacyDispatch: Fuse ran %d times, want 0", d)
+	}
+}
+
+// The fused executor is total over compiled code: on every example
+// program, under default options on the Figure 1 network, no instruction
+// falls back to the reference stepper.
+func TestNoStepFallbackOnCorpus(t *testing.T) {
+	for _, pf := range examplePrograms(t) {
+		t.Run(filepath.Base(pf), func(t *testing.T) {
+			srcBytes, err := os.ReadFile(pf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := RunSource(string(srcBytes), Figure1Network(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			instrs := uint64(0)
+			for _, n := range sys.Cluster.Nodes {
+				instrs += n.Instrs
+				if fb := n.StepFallbackInstrs(); fb != 0 {
+					t.Errorf("node %d: %d of %d instructions fell back to Step", n.ID, fb, n.Instrs)
+				}
+			}
+			if instrs == 0 {
+				t.Fatal("program executed no instructions; pin is vacuous")
+			}
+		})
 	}
 }

@@ -1,9 +1,8 @@
 // The emjit dispatch study: the same compute-bound register loop run to
-// completion on every ISA under the three dispatch tiers — the legacy
-// byte-at-a-time reference emulator (arch.Step), the predecoded
-// instruction cache, and the fused superinstruction dispatcher — with
-// emulated MIPS (simulated instructions per host wall-clock second)
-// measured for each.
+// completion on every ISA under the two dispatch tiers — the legacy
+// byte-at-a-time reference emulator (arch.Step) and the fused
+// superinstruction dispatcher — with emulated MIPS (simulated
+// instructions per host wall-clock second) measured for each.
 //
 // The simulated observables (trap, cycles, instruction count, final
 // registers) are asserted identical across the tiers inside the
@@ -24,14 +23,15 @@ import (
 
 // jitIters picks the loop trip count: 6 instructions per iteration, so
 // ~150k iterations is ~0.9M simulated instructions per arm — enough to
-// swamp timer granularity while keeping the three-tier × three-ISA
+// swamp timer granularity while keeping the two-tier × three-ISA
 // matrix under a second of host time on the legacy arm.
 const jitIters = 150_000
 
 // jitLoop builds the compute kernel: an all-register multiply-accumulate
 // countdown, legal on every ISA including the register-only RISC rules
-// (immediates enter via mov). The body is one maximal fused run — six
-// instructions between the loop-top branch target and the back-branch.
+// (immediates enter via mov). The body is one fused run — six
+// instructions between the loop-top branch target and the back-branch —
+// between the one-instruction entry and ret runs.
 func jitLoop(s *arch.Spec, iters uint32) ([]byte, error) {
 	var code []byte
 	var err error
@@ -87,7 +87,7 @@ func jitTime(reps int, run func() (jitObs, error)) (jitObs, time.Duration, error
 	return obs, best, nil
 }
 
-// JitResult is one ISA's three-tier measurement.
+// JitResult is one ISA's two-tier measurement.
 type JitResult struct {
 	Arch          string
 	Instrs        int
@@ -95,7 +95,6 @@ type JitResult struct {
 	FusedRuns     int
 	FusedCoverage float64 // fraction of decoded instructions inside fused runs
 	LegacyMIPS    float64
-	PredecMIPS    float64
 	FusedMIPS     float64
 }
 
@@ -103,7 +102,7 @@ func mips(instrs int, wall time.Duration) float64 {
 	return float64(instrs) / wall.Seconds() / 1e6
 }
 
-// JitStudy measures the three dispatch tiers on every ISA.
+// JitStudy measures the two dispatch tiers on every ISA.
 func JitStudy() ([]JitResult, error) {
 	var out []JitResult
 	for _, s := range arch.AllSpecs() {
@@ -115,7 +114,7 @@ func JitStudy() ([]JitResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: predecode: %w", s.Name, err)
 		}
-		fz := arch.Fuse(s, pd, arch.PlanFusion(pd, nil))
+		fz := arch.Fuse(s, pd, arch.PlanFusion(pd))
 		if fz == nil {
 			return nil, fmt.Errorf("%s: compute loop did not fuse", s.Name)
 		}
@@ -145,19 +144,14 @@ func JitStudy() ([]JitResult, error) {
 				tr, cy, n, err := arch.RunLegacy(s, &cpu, code, mem, budget)
 				return finish(tr, &cpu, cy, n, err)
 			}},
-			{"predecode", func() (jitObs, error) {
-				cpu := arch.CPU{FP: 256, TempBase: 512}
-				tr, cy, n, err := arch.RunPredecoded(s, pd, &cpu, mem, budget)
-				return finish(tr, &cpu, cy, n, err)
-			}},
 			{"fused", func() (jitObs, error) {
 				cpu := arch.CPU{FP: 256, TempBase: 512}
 				tr, cy, n, err := rn.Run(s, fz, &cpu, mem, budget)
 				return finish(tr, &cpu, cy, n, err)
 			}},
 		}
-		var obs [3]jitObs
-		var wall [3]time.Duration
+		var obs [2]jitObs
+		var wall [2]time.Duration
 		for i, arm := range arms {
 			o, w, err := jitTime(5, arm.run)
 			if err != nil {
@@ -165,9 +159,9 @@ func JitStudy() ([]JitResult, error) {
 			}
 			obs[i], wall[i] = o, w
 		}
-		if obs[1] != obs[0] || obs[2] != obs[0] {
-			return nil, fmt.Errorf("%s: dispatch tiers disagree on observables:\nlegacy    %+v\npredecode %+v\nfused     %+v",
-				s.Name, obs[0], obs[1], obs[2])
+		if obs[1] != obs[0] {
+			return nil, fmt.Errorf("%s: dispatch tiers disagree on observables:\nlegacy %+v\nfused  %+v",
+				s.Name, obs[0], obs[1])
 		}
 		out = append(out, JitResult{
 			Arch:          s.Name,
@@ -176,8 +170,7 @@ func JitStudy() ([]JitResult, error) {
 			FusedRuns:     fz.NumRuns(),
 			FusedCoverage: float64(covered) / float64(pd.NumInstrs()),
 			LegacyMIPS:    mips(obs[0].instrs, wall[0]),
-			PredecMIPS:    mips(obs[1].instrs, wall[1]),
-			FusedMIPS:     mips(obs[2].instrs, wall[2]),
+			FusedMIPS:     mips(obs[1].instrs, wall[1]),
 		})
 	}
 	return out, nil
@@ -187,15 +180,15 @@ func JitStudy() ([]JitResult, error) {
 func FormatJit(rs []JitResult) string {
 	var b strings.Builder
 	b.WriteString("emjit dispatch study: compute-bound register loop, emulated MIPS per tier\n")
-	fmt.Fprintf(&b, "%-8s %9s %11s %6s %6s %9s %9s %9s %9s\n",
-		"arch", "instrs", "cycles", "runs", "cover", "legacy", "predec", "fused", "fd/pd")
+	fmt.Fprintf(&b, "%-8s %9s %11s %6s %6s %9s %9s %9s\n",
+		"arch", "instrs", "cycles", "runs", "cover", "legacy", "fused", "fd/lg")
 	for _, r := range rs {
-		fmt.Fprintf(&b, "%-8s %9d %11d %6d %5.0f%% %9.1f %9.1f %9.1f %8.2fx\n",
+		fmt.Fprintf(&b, "%-8s %9d %11d %6d %5.0f%% %9.1f %9.1f %8.2fx\n",
 			r.Arch, r.Instrs, r.Cycles, r.FusedRuns, 100*r.FusedCoverage,
-			r.LegacyMIPS, r.PredecMIPS, r.FusedMIPS, r.FusedMIPS/r.PredecMIPS)
+			r.LegacyMIPS, r.FusedMIPS, r.FusedMIPS/r.LegacyMIPS)
 	}
 	b.WriteString("traps, cycles, instruction counts and final registers verified identical\n" +
-		"across all three tiers on every ISA (MIPS are host wall-clock)\n")
+		"across both tiers on every ISA (MIPS are host wall-clock)\n")
 	return b.String()
 }
 
@@ -203,15 +196,13 @@ func FormatJit(rs []JitResult) string {
 // wall-clock measurements the baseline gate skips; everything else is
 // deterministic simulation output.
 type BenchJitRow struct {
-	Arch            string  `json:"arch"`
-	Instrs          int     `json:"instrs"`
-	Cycles          uint64  `json:"cycles"`
-	FusedRuns       int     `json:"fused_runs"`
-	FusedCoverage   float64 `json:"fused_coverage"`
-	HostMIPSLegacy  float64 `json:"host_mips_legacy"`
-	HostMIPSPredec  float64 `json:"host_mips_predecode"`
-	HostMIPSFused   float64 `json:"host_mips_fused"`
-	HostFusedSpeedX float64 `json:"host_speedup_fused_vs_predecode"`
+	Arch           string  `json:"arch"`
+	Instrs         int     `json:"instrs"`
+	Cycles         uint64  `json:"cycles"`
+	FusedRuns      int     `json:"fused_runs"`
+	FusedCoverage  float64 `json:"fused_coverage"`
+	HostMIPSLegacy float64 `json:"host_mips_legacy"`
+	HostMIPSFused  float64 `json:"host_mips_fused"`
 }
 
 // BenchJit is the BENCH_jit.json document.
@@ -227,14 +218,13 @@ func BenchJitDoc(rs []JitResult) BenchJit {
 	doc := BenchJit{
 		Benchmark: "jit",
 		Workload:  fmt.Sprintf("all-register multiply-accumulate countdown, %d iterations", jitIters),
-		Claim:     "fused superinstruction dispatch outruns predecode on compute-bound code with byte-identical observables",
+		Claim:     "fused superinstruction dispatch outruns the reference stepper on compute-bound code with byte-identical observables",
 	}
 	for _, r := range rs {
 		doc.Rows = append(doc.Rows, BenchJitRow{
 			Arch: r.Arch, Instrs: r.Instrs, Cycles: r.Cycles,
 			FusedRuns: r.FusedRuns, FusedCoverage: r.FusedCoverage,
-			HostMIPSLegacy: r.LegacyMIPS, HostMIPSPredec: r.PredecMIPS,
-			HostMIPSFused: r.FusedMIPS, HostFusedSpeedX: r.FusedMIPS / r.PredecMIPS,
+			HostMIPSLegacy: r.LegacyMIPS, HostMIPSFused: r.FusedMIPS,
 		})
 	}
 	return doc

@@ -123,18 +123,13 @@ type Config struct {
 	// first thread that migrates through it.
 	VetOnLoad bool
 	// LegacyDispatch forces the byte-at-a-time reference emulator
-	// (arch.Step / arch.RunLegacy) instead of the predecoded instruction
-	// cache. Observable behavior — traps, cycle counts, memory images,
-	// printed output — is identical either way; the differential tests
-	// flip this knob to prove it. The legacy path is ~7x slower.
+	// (arch.Step / arch.RunLegacy) instead of the fused program compiled
+	// at load (arch.Fuse). Observable behavior — traps, cycle counts,
+	// memory images, printed output — is identical either way; the
+	// differential tests flip this knob to prove it, and it is the one
+	// triage escape hatch. The legacy path is ~11x slower
+	// (BENCH_jit.json).
 	LegacyDispatch bool
-	// NoFuse disables superinstruction fusion (arch.Fuse), keeping
-	// dispatch on the plain predecoded path. Observable behavior is
-	// identical — fusion only changes how fast the emulator moves
-	// between bus stops — so this exists purely as a triage escape
-	// hatch, mirroring LegacyDispatch. Implied by LegacyDispatch (no
-	// predecoded cache means nothing to fuse).
-	NoFuse bool
 	// Trace, when set, receives kernel event lines (for debugging). It is
 	// installed as a text sink over the structured event stream (see
 	// internal/obs): every emitted event renders as one legacy-style line.

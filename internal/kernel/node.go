@@ -32,14 +32,12 @@ type loadedFunc struct {
 	idx     int
 	desc    uint32 // node-local code descriptor (stored in AR RetDesc words)
 	litBase uint32 // address of the literal table (one ref word per string)
-	// pd is the predecoded instruction cache runSlice dispatches over; nil
-	// forces the legacy byte-at-a-time path (Config.LegacyDispatch, or a
-	// hand-built stream that does not predecode).
-	pd *arch.Predecoded
-	// fz is the fused superinstruction program compiled from pd exactly
-	// once, here at load (Config.NoFuse disables it). Migration
-	// re-install reuses the loadedFunc via codeByOID, so a function is
-	// never re-fused no matter how many threads move through it.
+	// fz is the fused superinstruction program runSlice dispatches over,
+	// compiled exactly once, at load; nil forces the legacy byte-at-a-
+	// time path (Config.LegacyDispatch, or a hand-built stream that does
+	// not predecode). Migration re-install reuses the loadedFunc via
+	// codeByOID, so a function is never re-fused no matter how many
+	// threads move through it.
 	fz *arch.Fused
 	// plans caches compiled conversion plans per (bus stop, peer ISA); see
 	// plan.go. Lazily filled on first MD→MI conversion at each stop.
@@ -375,27 +373,18 @@ func (n *Node) loadCode(code oid.OID) (*loadedCode, error) {
 	for i, fc := range ac.Funcs {
 		lf := &loadedFunc{code: lc, fc: fc, idx: i, desc: uint32(len(n.descs))}
 		if !n.cluster.LegacyDispatch {
-			lf.pd = fc.Decoded
-			if lf.pd == nil {
+			pd, plan := fc.Decoded, fc.Runs
+			if pd == nil {
 				// Hand-built FuncCode (tests, analyzers): predecode at
-				// load; a stream that does not decode end-to-end keeps
-				// pd nil and runs on the legacy path, which reports the
+				// load; a stream that does not decode end-to-end leaves
+				// fz nil and runs on the legacy path, which reports the
 				// bad instruction if execution ever reaches it.
-				lf.pd, _ = arch.Predecode(n.Spec, fc.Code)
+				pd, _ = arch.Predecode(n.Spec, fc.Code)
 			}
-			if lf.pd != nil && !n.cluster.NoFuse {
-				plan := fc.Runs
-				if plan == nil {
-					// Hand-built FuncCode: plan here, bounding runs at
-					// this function's bus stops when it declares any.
-					var stopPCs []uint32
-					if fc.Stops != nil {
-						stopPCs = fc.Stops.PCs()
-					}
-					plan = arch.PlanFusion(lf.pd, stopPCs)
-				}
-				lf.fz = arch.Fuse(n.Spec, lf.pd, plan)
+			if pd != nil && plan == nil {
+				plan = arch.PlanFusion(pd)
 			}
+			lf.fz = arch.Fuse(n.Spec, pd, plan)
 		}
 		// Literal table: one word per string-pool entry, holding a
 		// reference to the interned string object.
@@ -557,8 +546,6 @@ func (n *Node) runSlice(f *Frag) {
 		)
 		if fz := f.fn.fz; fz != nil {
 			tr, cycles, instrs, err = n.fused.Run(n.Spec, fz, &f.CPU, n.Mem, n.cluster.SliceInstrs)
-		} else if pd := f.fn.pd; pd != nil {
-			tr, cycles, instrs, err = arch.RunPredecoded(n.Spec, pd, &f.CPU, n.Mem, n.cluster.SliceInstrs)
 		} else {
 			tr, cycles, instrs, err = arch.RunLegacy(n.Spec, &f.CPU, f.fn.fc.Code, n.Mem, n.cluster.SliceInstrs)
 		}
@@ -582,6 +569,13 @@ func (n *Node) runSlice(f *Frag) {
 		}
 	}
 }
+
+// StepFallbackInstrs reports how many of Instrs the fused executor
+// handed to the reference stepper because the PC was off the decode grid
+// — 0 for compiled programs; nonzero says which tier actually ran.
+// (Under Config.LegacyDispatch the stepper is the executor, not a
+// fallback, and this stays 0.)
+func (n *Node) StepFallbackInstrs() uint64 { return n.fused.StepFallbackInstrs }
 
 // print records one print statement's output line.
 func (n *Node) print(text string) {
