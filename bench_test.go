@@ -334,6 +334,62 @@ func BenchmarkEndToEnd(b *testing.B) {
 	}
 }
 
+// threadHopSource is the Table 1 thread (13 variables in the moving
+// activation) hopping round every machine of the network, %d hops.
+const threadHopSource = `
+object Mobile
+  operation hop(trips: Int, salt: Int) -> (r: Int)
+    var n: Int <- nodes()
+    var v1: Int <- 101
+    var v2: Int <- 202
+    var v3: Real <- 3.25
+    var v4: Bool <- true
+    var v5: String <- "thirteen"
+    var v6: Int <- 606
+    var v7: Int <- 707
+    var v8: Real <- 8.5
+    var i: Int <- 1
+    while i <= trips do
+      move self to node(i %% n)
+      i <- i + 1
+    end
+    if v4 then
+      r <- v1 + v2 + v6 + v7 + v5.size() + salt
+    end
+  end
+end Mobile
+object Main
+  process
+    var m: Mobile <- new Mobile
+    print(m.hop(%d, 1))
+  end process
+end Main
+`
+
+// Host cost of the paper's mechanism: one op is one thread hop (convert
+// out, ship, re-specialize, re-lay the stack) round the Figure 1 network.
+// Set-up is outside the timer; b.N hops run in one simulation.
+func BenchmarkThreadHop(b *testing.B) {
+	prog, err := core.Compile(fmt.Sprintf(threadHopSource, b.N))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := core.NewSystem(prog, core.Figure1Network(), core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := sys.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if got := sys.Lines(); len(got) != 1 || got[0] != "1625" {
+		b.Fatalf("workload corrupted: %v", got)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "hostns/hop")
+}
+
 // Ablations promised in DESIGN.md §6.
 
 func BenchmarkAblationBusStopDensity(b *testing.B) {

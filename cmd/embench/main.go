@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	embench [-out dir] [-baseline dir] [table1|fig1|fig2|fig3|intranode|conv|ablations|all]
+//	embench [-out dir] [-baseline dir] [-cpuprofile file] [-memprofile file] [table1|fig1|fig2|fig3|intranode|conv|ablations|all]
 //
 // The table1, fig2 and conv experiments additionally write machine-readable
 // results (BENCH_table1.json, BENCH_fig2.json, BENCH_conv.json) into -out
@@ -28,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/netsim"
+	"repro/internal/prof"
 )
 
 // baselineTol is the relative drift allowed against a committed
@@ -143,7 +144,7 @@ func shrink(string) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: embench [-out dir] [subcommand]")
+	fmt.Fprintln(os.Stderr, "usage: embench [-out dir] [-baseline dir] [-cpuprofile file] [-memprofile file] [subcommand]")
 	fmt.Fprint(os.Stderr, "subcommands: all (default)")
 	for _, s := range subcommands {
 		fmt.Fprint(os.Stderr, ", ", s.name)
@@ -155,6 +156,7 @@ func main() {
 	outDir := flag.String("out", ".", "directory for BENCH_*.json result files")
 	flag.StringVar(&baselineDir, "baseline", "",
 		"directory of committed BENCH_*.json baselines to compare against (>20% drift fails)")
+	profile := prof.Register()
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() > 1 {
@@ -174,16 +176,19 @@ func main() {
 		usage()
 		os.Exit(1)
 	}
+	stopProfile := profile.Start()
 	for _, s := range subcommands {
 		if what != "all" && what != s.name {
 			continue
 		}
 		if err := s.run(*outDir); err != nil {
+			stopProfile()
 			fmt.Fprintf(os.Stderr, "embench %s: %v\n", s.name, err)
 			os.Exit(1)
 		}
 		fmt.Println()
 	}
+	stopProfile()
 }
 
 // wrote reports a BENCH_*.json file on stderr so stdout stays a clean

@@ -18,6 +18,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/dir"
+	"repro/internal/prof"
 )
 
 func main() {
@@ -36,6 +37,7 @@ func main() {
 	dirReplicas := flag.Int("dir", 0, "arm the replicated object directory with N replicas per shard (0: off)")
 	dirLease := flag.Int64("dir-lease", 0, "directory read-lease duration in simulated µs (0: lease-free lookups)")
 	dirNoGroup := flag.Bool("dir-nogroup", false, "disable batched group decrees (each cohort member decrees alone)")
+	profile := prof.Register()
 	flag.Usage = func() {
 		fmt.Fprintln(flag.CommandLine.Output(), "usage: emrun [flags] file.em")
 		flag.PrintDefaults()
@@ -45,6 +47,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	stopProfile := profile.Start()
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "emrun:", err)
@@ -97,6 +100,7 @@ func main() {
 		os.Exit(1)
 	}
 	runErr := sys.Run()
+	stopProfile()
 	for _, line := range sys.Lines() {
 		fmt.Println(line)
 	}

@@ -48,6 +48,9 @@ func captureDispatch(t *testing.T, src string, machines []netsim.MachineModel, o
 	if err != nil {
 		t.Fatalf("run (%+v): %v", opts, err)
 	}
+	if err := sys.Cluster.CheckStacks(); err != nil {
+		t.Fatal(err)
+	}
 	r := dispatchRun{
 		lines:    sys.Lines(),
 		elapsed:  sys.ElapsedMS(),

@@ -31,6 +31,9 @@ func captureEngine(t *testing.T, src string, machines []netsim.MachineModel, par
 	if err != nil {
 		t.Fatalf("run (parallel=%v): %v", parallel, err)
 	}
+	if err := sys.Cluster.CheckStacks(); err != nil {
+		t.Fatal(err)
+	}
 	r := dispatchRun{
 		lines:    sys.Lines(),
 		elapsed:  sys.ElapsedMS(),

@@ -34,6 +34,9 @@ func captureSharpen(t *testing.T, src string, machines []netsim.MachineModel, no
 	if err != nil {
 		t.Fatalf("run (nosharpen=%v): %v", noSharpen, err)
 	}
+	if err := sys.Cluster.CheckStacks(); err != nil {
+		t.Fatal(err)
+	}
 	r := sharpenRun{payload: uint64(sys.Cluster.Net.PayloadLen)}
 	r.lines = sys.Lines()
 	r.elapsed = sys.ElapsedMS()

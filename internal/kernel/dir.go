@@ -214,7 +214,7 @@ func (n *Node) dirResolve(dp *dirProposal, chosen bool, reason string) {
 	if !chosen {
 		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 			Kind: obs.EvDirDegraded, Obj: uint32(dp.p.Slot.OID), Str: reason})
-		n.cluster.Rec.Metrics().Add("dir_degraded", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+		n.cluster.Rec.Metrics().Add("dir_degraded", n.labels, 1)
 	}
 	done := dp.done
 	dp.done = nil
@@ -255,7 +255,7 @@ func (n *Node) recvDirAccepted(src int, p *wire.DirAccepted) {
 		return
 	}
 	v := dp.p.ChosenValue()
-	lbl := obs.NodeLabels(n.ID, n.Spec.ID.String())
+	lbl := n.labels
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 		Kind: obs.EvDirDecree, Obj: uint32(slot.OID), A: uint64(slot.Epoch), B: uint64(v)})
 	n.cluster.Rec.Metrics().Add("dir_decrees", lbl, 1)
@@ -426,8 +426,7 @@ func (n *Node) dirGResolve(gp *dirGroupProposal, chosen bool, reason string) {
 			n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 				Kind: obs.EvDirDegraded, Obj: uint32(s.OID), Str: reason})
 		}
-		n.cluster.Rec.Metrics().Add("dir_degraded",
-			obs.NodeLabels(n.ID, n.Spec.ID.String()), uint64(len(gp.g.Slots)))
+		n.cluster.Rec.Metrics().Add("dir_degraded", n.labels, uint64(len(gp.g.Slots)))
 	}
 	done := gp.done
 	gp.done = nil
@@ -469,7 +468,7 @@ func (n *Node) recvDirGAccepted(src int, p *wire.DirGAccepted) {
 		return
 	}
 	vals := gp.g.ChosenValues()
-	lbl := obs.NodeLabels(n.ID, n.Spec.ID.String())
+	lbl := n.labels
 	for i, s := range gp.g.Slots {
 		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 			Kind: obs.EvDirDecree, Obj: uint32(s.OID), A: uint64(s.Epoch), B: uint64(vals[i])})
@@ -588,7 +587,7 @@ type dirLookup struct {
 // simulation can finish). done always fires exactly once; ok=false means
 // degraded or miss and the caller falls back to the forwarding chase.
 func (n *Node) dirLookupQuery(o oid.OID, timed bool, done func(ok bool, node int32, epoch uint32)) {
-	lbl := obs.NodeLabels(n.ID, n.Spec.ID.String())
+	lbl := n.labels
 	if n.cluster.dirLeasePeriod() > 0 {
 		if l, ok := n.dirLeases[o]; ok {
 			if n.now() >= l.expires {
@@ -654,7 +653,7 @@ func (n *Node) armDirLookupTimer(lk *dirLookup) {
 		delete(n.dirLooks, lk.token)
 		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 			Kind: obs.EvDirDegraded, Obj: uint32(lk.oid), Str: "lookup timeout"})
-		n.cluster.Rec.Metrics().Add("dir_degraded", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+		n.cluster.Rec.Metrics().Add("dir_degraded", n.labels, 1)
 		lk.done(false, -1, 0)
 	})
 }
@@ -669,7 +668,7 @@ func (n *Node) recvDirLookupReply(src int, p *wire.DirLookupReply) {
 	hit := uint64(0)
 	if p.Ok {
 		hit = 1
-		n.cluster.Rec.Metrics().Add("dir_lookup_hits", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+		n.cluster.Rec.Metrics().Add("dir_lookup_hits", n.labels, 1)
 		if p.Lease > 0 && n.cluster.dirLeasePeriod() > 0 {
 			n.dirLeases[p.Target] = dirLease{node: p.Node, epoch: p.Epoch,
 				expires: n.now() + netsim.Micros(p.Lease)}
@@ -755,7 +754,7 @@ func (n *Node) dirRerouteInvoke(f *Frag, recv *Obj, opName string, args []uint32
 			// it; clear the stale bit so the next invoke takes the fast
 			// path instead of re-querying the shard every call.
 			recv.LocStale = false
-			n.cluster.Rec.Metrics().Add("dir_reroutes", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+			n.cluster.Rec.Metrics().Add("dir_reroutes", n.labels, 1)
 			f.Status = FragStateReady
 			n.invokeRemote(f, recv, opName, args)
 			return
@@ -820,7 +819,7 @@ func (n *Node) dirCompactTick() {
 			if ok && n.dirRefreshProxy(o, node, epoch) {
 				n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 					Kind: obs.EvDirCompact, Obj: uint32(id), A: uint64(epoch), B: uint64(uint32(node))})
-				n.cluster.Rec.Metrics().Add("dir_compactions", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+				n.cluster.Rec.Metrics().Add("dir_compactions", n.labels, 1)
 			}
 			o.LocStale = false
 			o.chained = false

@@ -149,9 +149,14 @@ func (n *Node) Collect() (GCStats, error) {
 		}
 	}
 
-	// Sweep.
+	// Sweep, in object-table order: blocks enter the free lists — and so
+	// come back out of alloc — in an order that does not depend on Go's
+	// map iteration seed.
 	var stats GCStats
-	for id, o := range n.objects {
+	for _, o := range n.table {
+		if o == nil {
+			continue // swept by an earlier collection
+		}
 		if marked[o] {
 			stats.Live++
 			continue
@@ -160,17 +165,16 @@ func (n *Node) Collect() (GCStats, error) {
 			continue // proxies already marked above; defensive
 		}
 		size := n.sizeOf(o)
-		n.free(o.Addr, size)
+		n.free(o.Addr, size, size)
 		stats.BytesFreed += size
 		stats.Freed++
 		delete(n.byAddr, o.Addr)
-		delete(n.objects, id)
+		delete(n.objects, o.OID)
 		n.table[o.TableIdx] = nil
 	}
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 		Kind: obs.EvGCCycle, A: uint64(stats.Freed), B: uint64(stats.BytesFreed)})
-	n.cluster.Rec.Metrics().Add("gc_cycles",
-		obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+	n.cluster.Rec.Metrics().Add("gc_cycles", n.labels, 1)
 	return stats, nil
 }
 
@@ -188,12 +192,10 @@ func (n *Node) sizeOf(o *Obj) uint32 {
 
 func alignUp(v uint32) uint32 { return (v + 3) &^ 3 }
 
-// free returns a block to the size-bucketed free list.
-func (n *Node) free(addr, size uint32) {
-	if n.freeLists == nil {
-		n.freeLists = map[uint32][]uint32{}
-	}
-	n.freeLists[size] = append(n.freeLists[size], addr)
+// free returns a block to the size-bucketed free list; dirty is how many
+// of its leading bytes may be nonzero (see freeBlock).
+func (n *Node) free(addr, size, dirty uint32) {
+	n.freeLists[size] = append(n.freeLists[size], freeBlock{addr, dirty})
 }
 
 // CollectAll runs a collection on every node of the cluster.

@@ -106,7 +106,7 @@ func (n *Node) moveGroup(objs []*Obj, dest int, fix bool) {
 		Kind: obs.EvMoveGroupOut, Span: first.sp.ID, Obj: uint32(first.tx.obj.OID),
 		A: uint64(len(items)), B: uint64(dest)})
 	m := n.cluster.Rec.Metrics()
-	lbl := obs.NodeLabels(n.ID, n.Spec.ID.String())
+	lbl := n.labels
 	m.Add("group_moves", lbl, 1)
 	m.Add("group_move_objs", lbl, uint64(len(items)))
 	m.Add("group_move_frame_bytes", lbl, uint64(frameBytes))
@@ -162,8 +162,7 @@ func (n *Node) recvMoveGroup(src int, p *wire.MoveGroup) {
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 		Kind: obs.EvMoveGroupIn, Span: firstSpan,
 		A: uint64(len(p.Inner)), B: uint64(src)})
-	n.cluster.Rec.Metrics().Add("group_moves_in",
-		obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+	n.cluster.Rec.Metrics().Add("group_moves_in", n.labels, 1)
 	for _, inner := range p.Inner {
 		n.recvMove(src, inner)
 	}

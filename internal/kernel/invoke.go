@@ -130,8 +130,7 @@ func (n *Node) invokeRemote(f *Frag, recv *Obj, opName string, args []uint32) {
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 		Kind: obs.EvRemoteInvoke, Frag: f.ID, Obj: uint32(recv.OID),
 		B: uint64(recv.LastKnown), Str: opName})
-	n.cluster.Rec.Metrics().Add("remote_invokes",
-		obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+	n.cluster.Rec.Metrics().Add("remote_invokes", n.labels, 1)
 	if n.cluster.autoOn {
 		// Per-link and per-object traffic for the placement policies: which
 		// (src,dst) pairs are chatty, and which objects the traffic is about.
@@ -306,8 +305,7 @@ func (n *Node) forwardIfMoved(src int, target *Obj, p wire.Payload) bool {
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 		Kind: obs.EvProxyForward, Obj: uint32(target.OID),
 		B: uint64(target.LastKnown), Str: p.Kind().String()})
-	n.cluster.Rec.Metrics().Add("proxy_forwards",
-		obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+	n.cluster.Rec.Metrics().Add("proxy_forwards", n.labels, 1)
 	// This proxy just acted as a chain link: flag it so the directory
 	// compactor rewrites it to the decreed home.
 	target.chained = true
@@ -441,7 +439,7 @@ const maxLocateHops = 16
 
 // recvLocate answers or chases a location query (forwarding-address walk).
 func (n *Node) recvLocate(src int, p *wire.Locate) {
-	lbl := obs.NodeLabels(n.ID, n.Spec.ID.String())
+	lbl := n.labels
 	answer := func(node int32) {
 		n.cluster.Rec.Metrics().Add("locate_chase_hops", lbl, uint64(p.Hops))
 		conv := n.cluster.converterFor(n, n.cluster.Nodes[p.Origin].Spec.ID)

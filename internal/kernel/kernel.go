@@ -524,7 +524,7 @@ func (n *Node) tracef(format string, args ...any) {
 func (c *Cluster) MetricsSnapshot() obs.Snapshot {
 	reg := c.Rec.Metrics()
 	for _, n := range c.Nodes {
-		lbl := obs.NodeLabels(n.ID, n.Spec.ID.String())
+		lbl := n.labels
 		reg.SetGauge("msgs_sent", lbl, int64(n.MsgsSent))
 		reg.SetGauge("msgs_recv", lbl, int64(n.MsgsRecv))
 		reg.SetGauge("instrs", lbl, int64(n.Instrs))

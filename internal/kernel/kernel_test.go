@@ -37,11 +37,11 @@ var (
 	mSPARC = netsim.SPARCstationSLC
 )
 
-// runSrc runs src on the given models and returns the cluster.
-func runSrc(t testing.TB, src string, models []netsim.MachineModel, cfg Config) *Cluster {
+// runFaulty runs src on the given models and checks the stack-extent
+// invariant, leaving c.Faults to the caller (programs meant to fault).
+func runFaulty(t testing.TB, src string, models []netsim.MachineModel, cfg Config) *Cluster {
 	t.Helper()
-	p := compileSrc(t, src)
-	c, err := NewCluster(p, models, cfg)
+	c, err := NewCluster(compileSrc(t, src), models, cfg)
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}
@@ -49,6 +49,16 @@ func runSrc(t testing.TB, src string, models []netsim.MachineModel, cfg Config) 
 	if err := c.Run(5_000_000); err != nil {
 		t.Fatalf("run: %v\noutput so far:\n%s", err, c.OutputText())
 	}
+	if err := c.CheckStacks(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// runSrc is runFaulty for programs that must not fault.
+func runSrc(t testing.TB, src string, models []netsim.MachineModel, cfg Config) *Cluster {
+	t.Helper()
+	c := runFaulty(t, src, models, cfg)
 	for _, f := range c.Faults {
 		t.Fatalf("fault: node%d frag%08x: %s\noutput:\n%s", f.Node, f.Frag, f.Msg, c.OutputText())
 	}

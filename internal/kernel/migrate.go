@@ -50,8 +50,7 @@ func (n *Node) finishMoveOut(sp *obs.Span, o *Obj, dest int, conv wire.Converter
 		Span: sp.ID, Obj: uint32(o.OID), A: sp.ConvOutCalls, B: sp.ConvOutBytes})
 	rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvMigrateOut,
 		Span: sp.ID, Obj: uint32(o.OID), A: uint64(sp.Frags), B: uint64(dest), Str: sp.ObjKind})
-	rec.Metrics().Add("migrations_pair", fmt.Sprintf("src=%s,dst=%s",
-		n.Spec.ID, n.cluster.Nodes[dest].Spec.ID), 1)
+	rec.Metrics().Add("migrations_pair", pairLabels[n.Spec.ID][n.cluster.Nodes[dest].Spec.ID], 1)
 }
 
 // frameInfo is one activation during a stack walk (youngest first).
@@ -215,7 +214,7 @@ func (n *Node) moveObject(o *Obj, dest int, fix bool) {
 			// invocation.
 			n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 				Kind: obs.EvMoveAbort, Obj: uint32(o.OID), B: uint64(dest), Str: "degraded"})
-			n.cluster.Rec.Metrics().Add("move_degraded", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+			n.cluster.Rec.Metrics().Add("move_degraded", n.labels, 1)
 			return
 		}
 	}
@@ -494,7 +493,7 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 			// returns, and drop the local fragment.
 			tx.do(func() {
 				n.movedFrags[fr.ID] = dest
-				n.unscheduleFrag(fr)
+				n.killFrag(fr)
 			})
 		}
 		if tx.live {
@@ -584,25 +583,13 @@ func (n *Node) mintFragID() uint32 {
 	return uint32(n.ID)<<24 | n.fragCtr
 }
 
-// unscheduleFrag removes a fragment whose execution migrated away,
-// reclaiming its stack region (any local remainder pieces were relocated to
-// their own regions).
-func (n *Node) unscheduleFrag(f *Frag) {
-	f.Status = FragStateDead
-	delete(n.frags, f.ID)
-	n.free(f.stackBase, n.cluster.StackSize)
-}
-
 // adoptRemainder creates a fragment for a local remainder piece [a..b] of
 // frames, relocating its records into a fresh stack region (the records
 // above and below belonged to other pieces).
 func (n *Node) adoptRemainder(orig *Frag, frames []frameInfo, a, b int, id uint32) *Frag {
-	base, err := n.alloc(n.cluster.StackSize)
-	if err != nil {
-		panic(fmt.Sprintf("kernel: %v", err))
-	}
+	base, limit := n.allocStack()
 	nf := &Frag{ID: id, Status: FragStateBlockedCall, Link: Link{Node: -1},
-		stackBase: base, stackLimit: base + n.cluster.StackSize, waitNode: -1}
+		stackBase: base, stackLimit: limit, waitNode: -1}
 	n.frags[id] = nf
 	// Relocate oldest-first so SavedFP links point downward correctly.
 	place := base
@@ -630,6 +617,7 @@ func (n *Node) adoptRemainder(orig *Frag, frames []frameInfo, a, b int, id uint3
 		place += uint32(t.Size)
 		nf.nframes++
 	}
+	nf.stackHi = place
 	// Top of the remainder: reconstruct CPU state from the walk.
 	top := frames[a]
 	t := top.lf.fc.Template
@@ -692,7 +680,7 @@ func (n *Node) recvMove(src int, p *wire.Move) {
 			// the earlier ack may have raced a crash window.
 			n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 				Kind: obs.EvMoveDupDrop, Span: p.SpanID, Obj: uint32(p.Object), B: uint64(src)})
-			n.cluster.Rec.Metrics().Add("move_dup_drops", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+			n.cluster.Rec.Metrics().Add("move_dup_drops", n.labels, 1)
 			n.sendMsg(src, &wire.MoveAck{Object: p.Object, SpanID: p.SpanID, Epoch: p.Epoch, Ok: true})
 			return
 		}
@@ -700,7 +688,7 @@ func (n *Node) recvMove(src int, p *wire.Move) {
 			// Protocol error: refuse the install; the source's abort path
 			// restores the object there and retries or degrades.
 			n.tracef("refusing move of %v from node%d: %v", p.Object, src, err)
-			n.cluster.Rec.Metrics().Add("move_rejects", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+			n.cluster.Rec.Metrics().Add("move_rejects", n.labels, 1)
 			n.sendMsg(src, &wire.MoveAck{Object: p.Object, SpanID: p.SpanID, Epoch: p.Epoch,
 				Ok: false, Err: err.Error()})
 			return
@@ -746,7 +734,7 @@ func (n *Node) recvMove(src int, p *wire.Move) {
 			// disagreement visible instead of crashing the node.
 			n.tracef("CONFLICT: %v arrived from node%d (span %d) but is already resident",
 				p.Object, src, p.SpanID)
-			n.cluster.Rec.Metrics().Add("move_conflicts", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+			n.cluster.Rec.Metrics().Add("move_conflicts", n.labels, 1)
 			n.sendMsg(src, &wire.MoveAck{Object: p.Object, SpanID: p.SpanID, Epoch: p.Epoch, Ok: true})
 			return
 		}
@@ -838,12 +826,9 @@ func (n *Node) installArray(src int, p *wire.Move, conv wire.Converter, hints ma
 // reconstructed.
 func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 	conv wire.Converter, hints map[oid.OID]int) *Frag {
-	base, err := n.alloc(n.cluster.StackSize)
-	if err != nil {
-		panic(fmt.Sprintf("kernel: %v", err))
-	}
+	base, limit := n.allocStack()
 	f := &Frag{ID: wf.FragID, Link: Link{Node: wf.LinkNode, Frag: wf.LinkFrag},
-		stackBase: base, stackLimit: base + n.cluster.StackSize, waitNode: -1}
+		stackBase: base, stackLimit: limit, waitNode: -1}
 	n.frags[f.ID] = f
 
 	type convFrame struct {
@@ -905,9 +890,7 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 		fp := place
 		place += uint32(t.Size)
 		fps[i] = fp
-		for b := fp; b < place; b++ {
-			n.Mem[b] = 0
-		}
+		clear(n.Mem[fp:place])
 		// Control words.
 		if i == len(cfs)-1 {
 			// Oldest: caller is the fragment Link.
@@ -947,6 +930,7 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 		}
 		f.nframes++
 	}
+	f.stackHi = place
 
 	// Thread state of the top activation.
 	top := cfs[0]

@@ -89,8 +89,8 @@ type Node struct {
 	// exported pins objects whose OIDs have crossed the network (a remote
 	// node may hold references; local GC must not reclaim them).
 	exported map[oid.OID]bool
-	// freeLists holds reclaimed heap blocks by size.
-	freeLists map[uint32][]uint32
+	// freeLists holds reclaimed heap blocks by size, reused LIFO.
+	freeLists map[uint32][]freeBlock
 	inGC      bool
 	// pendingMoves are migrations deferred because an activation was part
 	// of an active object-creation chain.
@@ -178,6 +178,10 @@ type Node struct {
 	out      []OutputLine
 	faultLog []Fault
 
+	// labels is this node's metric label string ("node=0,arch=sparc"),
+	// built once: every per-node metric update reuses it.
+	labels string
+
 	// Stats.
 	MsgsSent, MsgsRecv uint64
 	Instrs             uint64
@@ -206,6 +210,8 @@ func newNode(c *Cluster, id int, m netsim.MachineModel) *Node {
 		codeByOID:  map[oid.OID]*loadedCode{},
 		movedFrags: map[uint32]int{},
 		exported:   map[oid.OID]bool{},
+		freeLists:  map[uint32][]freeBlock{},
+		labels:     obs.NodeLabels(id, spec.ID.String()),
 		callConv:   wire.NewCallConverter(),
 		batchConv:  wire.NewBatchedConverter(),
 		rawConv:    wire.NewRawConverter(),
@@ -249,17 +255,26 @@ func (n *Node) charge(cycles uint64) { n.CPU.Charge(n.now(), cycles) }
 
 // ---------------------------------------------------------------- memory
 
-// alloc carves size bytes (word aligned) from the heap, reusing reclaimed
-// blocks and falling back to a garbage collection before giving up.
+// freeBlock is one reclaimed block: its address and how many of its bytes
+// may be nonzero. The invariant — a free block is all-zero at and above
+// addr+dirty — is what lets alloc clear dirty bytes instead of the block's
+// whole size. A collector-freed heap object is dirty throughout; a retired
+// 64 KB stack region only up to the highest activation record ever placed
+// in it (Frag.stackHi), usually a few hundred bytes. Tests check the
+// invariant (Cluster.CheckStacks); nothing checks it at run time.
+type freeBlock struct{ addr, dirty uint32 }
+
+// alloc carves size bytes (word aligned) of zeroed memory from the heap,
+// reusing reclaimed blocks and falling back to a garbage collection before
+// giving up. Reuse is LIFO within a size class: allocation addresses, and
+// so node memory images, are part of the determinism contract.
 func (n *Node) alloc(size uint32) (uint32, error) {
 	size = (size + 3) &^ 3
 	if blocks := n.freeLists[size]; len(blocks) > 0 {
-		a := blocks[len(blocks)-1]
+		b := blocks[len(blocks)-1]
 		n.freeLists[size] = blocks[:len(blocks)-1]
-		for i := a; i < a+size; i++ {
-			n.Mem[i] = 0
-		}
-		return a, nil
+		clear(n.Mem[b.addr : b.addr+b.dirty])
+		return b.addr, nil
 	}
 	if int(n.heapNext)+int(size) > len(n.Mem) {
 		if !n.inGC {
@@ -276,10 +291,50 @@ func (n *Node) alloc(size uint32) (uint32, error) {
 	}
 	a := n.heapNext
 	n.heapNext += size
-	for i := a; i < a+size; i++ {
-		n.Mem[i] = 0
-	}
+	clear(n.Mem[a : a+size])
 	return a, nil
+}
+
+// allocStack carves a zeroed stack region for a new fragment.
+func (n *Node) allocStack() (base, limit uint32) {
+	base, err := n.alloc(n.cluster.StackSize)
+	if err != nil {
+		panic(fmt.Sprintf("kernel: %v", err))
+	}
+	return base, base + n.cluster.StackSize
+}
+
+// CheckStacks verifies the extent invariant on every node, for tests: each
+// free block is zero from its dirty extent to its end, and each live
+// fragment's records end at or below stackHi with zeros from there to the
+// region's limit.
+func (c *Cluster) CheckStacks() error {
+	for _, n := range c.Nodes {
+		zero := func(what string, lo, hi uint32) error {
+			for a := lo; a < hi; a++ {
+				if n.Mem[a] != 0 {
+					return fmt.Errorf("node %d: %s: nonzero byte at %#x, above its extent %#x", n.ID, what, a, lo)
+				}
+			}
+			return nil
+		}
+		for size, blocks := range n.freeLists {
+			for _, b := range blocks {
+				if err := zero("free block", b.addr+b.dirty, b.addr+size); err != nil {
+					return err
+				}
+			}
+		}
+		for _, f := range n.frags {
+			if top := n.frameTop(f); top > f.stackHi {
+				return fmt.Errorf("node %d: frag %d: frame top %#x above stackHi %#x", n.ID, f.ID, top, f.stackHi)
+			}
+			if err := zero(fmt.Sprintf("frag %d stack", f.ID), f.stackHi, f.stackLimit); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // ld32 / st32 access node memory in the node's byte order.
@@ -499,8 +554,7 @@ func (n *Node) enqueue(f *Frag) {
 	}
 	f.queued = true
 	n.runq = append(n.runq, f)
-	n.cluster.Rec.Metrics().Observe("runq_depth",
-		obs.NodeLabels(n.ID, n.Spec.ID.String()), uint64(len(n.runq)))
+	n.cluster.Rec.Metrics().Observe("runq_depth", n.labels, uint64(len(n.runq)))
 	n.schedule()
 }
 
@@ -600,7 +654,7 @@ func (n *Node) faultErr(f *Frag, cause error, msg string) {
 	}
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvFault,
 		Frag: f.ID, Str: msg})
-	n.cluster.Rec.Metrics().Add("faults", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+	n.cluster.Rec.Metrics().Add("faults", n.labels, 1)
 	// Propagate to a remote caller if one is waiting.
 	if f.Link.Node >= 0 {
 		n.sendMsg(int(f.Link.Node), &wire.Return{
@@ -611,19 +665,21 @@ func (n *Node) faultErr(f *Frag, cause error, msg string) {
 	n.killFrag(f)
 }
 
-// killFrag removes a fragment and reclaims its stack region (each live
-// fragment owns exactly one region; split remainders are relocated into
-// fresh regions by adoptRemainder).
+// killFrag removes a fragment — dead, or migrated away — and reclaims its
+// stack region, dirty up to stackHi (each live fragment owns exactly one
+// region; split remainders are relocated into fresh regions by
+// adoptRemainder).
 func (n *Node) killFrag(f *Frag) {
 	f.Status = FragStateDead
 	delete(n.frags, f.ID)
-	n.free(f.stackBase, n.cluster.StackSize)
+	n.free(f.stackBase, n.cluster.StackSize, f.stackHi-f.stackBase)
 }
 
-// releaseMonitorsOf force-releases any monitor held by f (fault cleanup).
+// releaseMonitorsOf force-releases any monitor held by f (fault cleanup),
+// in object-table order: the order waiters wake in is part of the run.
 func (n *Node) releaseMonitorsOf(f *Frag) {
-	for _, o := range n.objects {
-		if o.Mon != nil && o.Mon.Holder == f {
+	for _, o := range n.table {
+		if o != nil && o.Mon != nil && o.Mon.Holder == f {
 			n.monRelease(o)
 		}
 	}
@@ -653,6 +709,26 @@ func (n *Node) protoConvCharge(peer int, bytes int) {
 	n.charge(uint64(cycles))
 }
 
+// msgLabels[k] is the metric label of message kind k, and pairLabels[s][d]
+// that of a move from ISA s to ISA d: built once, so the per-message and
+// per-move metric updates format nothing.
+var (
+	msgLabels = func() (t [256]string) {
+		for k := range t {
+			t[k] = "msg=" + wire.MsgKind(k).String()
+		}
+		return
+	}()
+	pairLabels = func() (t [arch.NumArch][arch.NumArch]string) {
+		for s := range t {
+			for d := range t[s] {
+				t[s][d] = fmt.Sprintf("src=%s,dst=%s", arch.ID(s), arch.ID(d))
+			}
+		}
+		return
+	}()
+)
+
 // sendMsg serializes and transmits a protocol message, charging the sender.
 // It returns the serialized size and the instant the sender CPU finished
 // marshalling (transmission start; migration spans record both).
@@ -679,8 +755,8 @@ func (n *Node) sendMsgAck(dst int, p wire.Payload, onAck func()) (int, netsim.Mi
 	n.MsgsSent++
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvWireSend,
 		A: uint64(size), B: uint64(dst), Str: p.Kind().String()})
-	n.cluster.Rec.Metrics().Add("msg_bytes", "msg="+p.Kind().String(), uint64(size))
-	n.cluster.Rec.Metrics().Add("msgs", "msg="+p.Kind().String(), 1)
+	n.cluster.Rec.Metrics().Add("msg_bytes", msgLabels[p.Kind()], uint64(size))
+	n.cluster.Rec.Metrics().Add("msgs", msgLabels[p.Kind()], 1)
 	// Transmission starts once the CPU has finished marshalling.
 	if n.chaosOn() {
 		n.sendReliable(dst, buf, p.Kind().String(), onAck)
@@ -781,11 +857,4 @@ func (n *Node) deliverInner(src int, buf []byte) {
 		}
 	}
 	n.handleMsg(int(m.Src), m.Payload)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

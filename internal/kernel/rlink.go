@@ -71,7 +71,7 @@ func (n *Node) transmit(pf *pendingFrame) {
 			uint64(n.cluster.Costs.PerByteCycles)*uint64(len(pf.frame)))
 		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvRetransmit,
 			A: uint64(pf.seq), B: uint64(pf.dst), Str: pf.kind, Span: uint32(pf.attempts)})
-		n.cluster.Rec.Metrics().Add("retransmits", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+		n.cluster.Rec.Metrics().Add("retransmits", n.labels, 1)
 	}
 	n.netSend(pf.dst, pf.frame)
 	n.armRetransmit(pf)
@@ -187,7 +187,7 @@ func (n *Node) heartbeatTick() {
 			n.suspects[peer.ID] = true
 			n.cluster.Rec.Emit(obs.Event{At: int64(now), Node: int32(n.ID),
 				Kind: obs.EvNodeSuspect, B: uint64(peer.ID)})
-			n.cluster.Rec.Metrics().Add("node_suspects", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+			n.cluster.Rec.Metrics().Add("node_suspects", n.labels, 1)
 			n.failWaitersOn(peer.ID)
 			// The peer's forwarding addresses may dangle now: mark every
 			// proxy cached at it stale so directory-armed paths re-resolve
@@ -224,7 +224,7 @@ func (n *Node) crash() {
 	n.Up = false
 	n.cluster.Net.SetNodeUp(n.ID, false)
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvNodeCrash})
-	n.cluster.Rec.Metrics().Add("node_crashes", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+	n.cluster.Rec.Metrics().Add("node_crashes", n.labels, 1)
 }
 
 // restart brings a crashed node back: parked frames and stalled timers

@@ -68,8 +68,11 @@ type Frag struct {
 	CPU    arch.CPU
 	fn     *loadedFunc // function of the top activation
 	Link   Link
-	// Stack region.
-	stackBase, stackLimit uint32
+	// Stack region, and the highest record end ever placed in it: the
+	// region is all-zero in [stackHi, stackLimit), so retiring it (killFrag)
+	// hands alloc only [stackBase, stackHi) to clear. Raised where records
+	// are placed: pushFrame, installFragment, adoptRemainder.
+	stackBase, stackLimit, stackHi uint32
 	// konts are kernel continuations keyed from synthetic frames
 	// (retDescKont): object-creation chains.
 	konts []func()
@@ -95,12 +98,9 @@ func (f *Frag) topName() string {
 func (n *Node) newFrag() *Frag {
 	n.fragCtr++
 	id := uint32(n.ID)<<24 | n.fragCtr
-	base, err := n.alloc(n.cluster.StackSize)
-	if err != nil {
-		panic(fmt.Sprintf("kernel: %v", err))
-	}
+	base, limit := n.allocStack()
 	f := &Frag{ID: id, Status: FragStateReady, Link: Link{Node: -1},
-		stackBase: base, stackLimit: base + n.cluster.StackSize, waitNode: -1}
+		stackBase: base, stackLimit: limit, stackHi: base, waitNode: -1}
 	f.CPU.FP = base // empty: first frame goes at base
 	n.frags[id] = f
 	return f
@@ -125,15 +125,15 @@ func (n *Node) pushFrame(f *Frag, lf *loadedFunc, self *Obj, args []uint32,
 	retDesc, retPC uint32) error {
 	t := lf.fc.Template
 	fp := n.frameTop(f)
-	if fp+uint32(t.Size) > f.stackLimit {
+	end := fp + uint32(t.Size)
+	if end > f.stackLimit {
 		return fmt.Errorf("stack overflow in %s", lf.name())
 	}
 	n.charge(uint64(n.cluster.Costs.CallCycles) +
 		uint64(n.cluster.Costs.PerArgCycles)*uint64(len(args)))
-	// Zero the record.
-	for i := fp; i < fp+uint32(t.Size); i++ {
-		n.Mem[i] = 0
-	}
+	// Zero the record (a popped callee may have left its own here).
+	clear(n.Mem[fp:end])
+	f.stackHi = max(f.stackHi, end)
 	n.st32(fp+uint32(t.SavedFPOff), f.CPU.FP)
 	n.st32(fp+uint32(t.RetDescOff), retDesc)
 	n.st32(fp+uint32(t.RetPCOff), retPC)
@@ -615,8 +615,7 @@ func (n *Node) monAcquire(f *Frag, obj *Obj) bool {
 	m.Entry = append(m.Entry, f)
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 		Kind: obs.EvMonitorBlock, Frag: f.ID, Obj: uint32(obj.OID)})
-	n.cluster.Rec.Metrics().Add("monitor_contention",
-		obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+	n.cluster.Rec.Metrics().Add("monitor_contention", n.labels, 1)
 	return false
 }
 

@@ -155,7 +155,7 @@ func (n *Node) recvMoveAck(src int, p *wire.MoveAck) {
 			// Move whose transaction this node had already aborted (the
 			// original frame outlived the abort). Both copies now exist;
 			// flag it loudly rather than corrupt silently.
-			n.cluster.Rec.Metrics().Add("move_conflicts", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+			n.cluster.Rec.Metrics().Add("move_conflicts", n.labels, 1)
 			n.tracef("CONFLICT: node%d installed aborted move span %d of %v", src, p.SpanID, p.Object)
 		}
 		return
@@ -196,7 +196,7 @@ func (n *Node) commitMove(tx *moveTxn) {
 	tx.obj.transit = nil
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvMoveCommit,
 		Span: tx.span, Obj: uint32(tx.obj.OID), B: uint64(tx.dest)})
-	n.cluster.Rec.Metrics().Add("move_commits", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+	n.cluster.Rec.Metrics().Add("move_commits", n.labels, 1)
 	n.replayParked(tx)
 }
 
@@ -225,7 +225,7 @@ func (n *Node) abortMove(tx *moveTxn, reason string) {
 	n.resumeSuspended(tx)
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvMoveAbort,
 		Span: tx.span, Obj: uint32(tx.obj.OID), B: uint64(tx.dest), Str: reason})
-	n.cluster.Rec.Metrics().Add("move_aborts", obs.NodeLabels(n.ID, n.Spec.ID.String()), 1)
+	n.cluster.Rec.Metrics().Add("move_aborts", n.labels, 1)
 	n.replayParked(tx)
 	n.pendingMoves = append(n.pendingMoves, pendingMove{tx.obj.OID, tx.dest, tx.fix})
 	n.armMoveRetry()

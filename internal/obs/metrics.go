@@ -2,6 +2,12 @@
 // name plus a label string (e.g. "node=0,arch=sparc"). The registry is
 // snapshotable at any simulated instant; snapshots are fully sorted so that
 // identical runs serialize to identical bytes.
+//
+// A series is keyed by the (name, labels) pair itself, and callers on hot
+// paths pass label strings they built once (the kernel's per-node label,
+// its per-message-kind and per-ISA-pair tables), so an update to an
+// existing series formats, concatenates and allocates nothing. The
+// "name{labels}" form exists only as the sort order of the read side.
 
 package obs
 
@@ -9,7 +15,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -54,36 +59,45 @@ func (h *Hist) Mean() float64 {
 // of interleaving.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]uint64
-	gauges   map[string]int64
-	hists    map[string]*Hist
+	counters map[series]uint64
+	gauges   map[series]int64
+	hists    map[series]*Hist
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]uint64{},
-		gauges:   map[string]int64{},
-		hists:    map[string]*Hist{},
+		counters: map[series]uint64{},
+		gauges:   map[series]int64{},
+		hists:    map[series]*Hist{},
 	}
 }
 
-// Key builds the storage key for name and a label string. Labels must be
-// pre-sorted by the caller (the fixed call sites in the kernel use literal
-// label orders, which keeps runs comparable).
-func Key(name, labels string) string {
-	if labels == "" {
-		return name
-	}
-	return name + "{" + labels + "}"
-}
+// series identifies one metric series. Labels must be pre-sorted by the
+// caller (the fixed call sites in the kernel use literal label orders,
+// which keeps runs comparable).
+type series struct{ name, labels string }
 
-// SplitKey splits a storage key back into name and labels.
-func SplitKey(key string) (name, labels string) {
-	if i := strings.IndexByte(key, '{'); i >= 0 && strings.HasSuffix(key, "}") {
-		return key[:i], key[i+1 : len(key)-1]
+// sortedSeries returns the series of m named name (all of them when name
+// is ""), ordered by their "name{labels}" strings (bare name when
+// unlabelled) — the order every snapshot has always been serialized in,
+// which differs from ordering the pairs ('{' sorts above '_', '}' above
+// letters).
+func sortedSeries[V any](m map[series]V, name string) []series {
+	out := make([]series, 0, len(m))
+	full := make(map[series]string, len(m))
+	for k := range m {
+		if name != "" && k.name != name {
+			continue
+		}
+		out = append(out, k)
+		full[k] = k.name
+		if k.labels != "" {
+			full[k] = k.name + "{" + k.labels + "}"
+		}
 	}
-	return key, ""
+	sort.Slice(out, func(i, j int) bool { return full[out[i]] < full[out[j]] })
+	return out
 }
 
 // NodeLabels builds the standard per-node label set.
@@ -94,7 +108,7 @@ func NodeLabels(node int, arch string) string {
 // Add increments a counter.
 func (r *Registry) Add(name, labels string, delta uint64) {
 	r.mu.Lock()
-	r.counters[Key(name, labels)] += delta
+	r.counters[series{name, labels}] += delta
 	r.mu.Unlock()
 }
 
@@ -102,13 +116,13 @@ func (r *Registry) Add(name, labels string, delta uint64) {
 func (r *Registry) Counter(name, labels string) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.counters[Key(name, labels)]
+	return r.counters[series{name, labels}]
 }
 
 // SetGauge records an instantaneous value.
 func (r *Registry) SetGauge(name, labels string, v int64) {
 	r.mu.Lock()
-	r.gauges[Key(name, labels)] = v
+	r.gauges[series{name, labels}] = v
 	r.mu.Unlock()
 }
 
@@ -116,12 +130,12 @@ func (r *Registry) SetGauge(name, labels string, v int64) {
 func (r *Registry) Gauge(name, labels string) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.gauges[Key(name, labels)]
+	return r.gauges[series{name, labels}]
 }
 
 // Observe records a histogram observation.
 func (r *Registry) Observe(name, labels string, v uint64) {
-	k := Key(name, labels)
+	k := series{name, labels}
 	r.mu.Lock()
 	h := r.hists[k]
 	if h == nil {
@@ -133,23 +147,16 @@ func (r *Registry) Observe(name, labels string, v uint64) {
 }
 
 // CountersPrefix returns every counter whose metric name equals name,
-// sorted by storage key (deterministic). The policy engine uses it to read
+// in snapshot order (deterministic). The policy engine uses it to read
 // labelled counter families (e.g. per-link invocation traffic) without
 // serializing a full snapshot.
 func (r *Registry) CountersPrefix(name string) []CounterPoint {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	keys := make([]string, 0, 8)
-	for k := range r.counters {
-		if n, _ := SplitKey(k); n == name {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
+	keys := sortedSeries(r.counters, name)
 	out := make([]CounterPoint, 0, len(keys))
 	for _, k := range keys {
-		n, labels := SplitKey(k)
-		out = append(out, CounterPoint{Name: n, Labels: labels, Value: r.counters[k]})
+		out = append(out, CounterPoint{Name: k.name, Labels: k.labels, Value: r.counters[k]})
 	}
 	return out
 }
@@ -193,30 +200,13 @@ func (r *Registry) Snapshot(at int64) Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := Snapshot{AtMicros: at}
-	keys := make([]string, 0, len(r.counters))
-	for k := range r.counters {
-		keys = append(keys, k)
+	for _, k := range sortedSeries(r.counters, "") {
+		s.Counters = append(s.Counters, CounterPoint{Name: k.name, Labels: k.labels, Value: r.counters[k]})
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		name, labels := SplitKey(k)
-		s.Counters = append(s.Counters, CounterPoint{Name: name, Labels: labels, Value: r.counters[k]})
+	for _, k := range sortedSeries(r.gauges, "") {
+		s.Gauges = append(s.Gauges, GaugePoint{Name: k.name, Labels: k.labels, Value: r.gauges[k]})
 	}
-	keys = keys[:0]
-	for k := range r.gauges {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		name, labels := SplitKey(k)
-		s.Gauges = append(s.Gauges, GaugePoint{Name: name, Labels: labels, Value: r.gauges[k]})
-	}
-	keys = keys[:0]
-	for k := range r.hists {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range sortedSeries(r.hists, "") {
 		h := r.hists[k]
 		last := 0
 		for i, b := range h.Buckets {
@@ -224,9 +214,8 @@ func (r *Registry) Snapshot(at int64) Snapshot {
 				last = i + 1
 			}
 		}
-		name, labels := SplitKey(k)
 		s.Histograms = append(s.Histograms, HistPoint{
-			Name: name, Labels: labels, Count: h.Count, Sum: h.Sum, Max: h.Max,
+			Name: k.name, Labels: k.labels, Count: h.Count, Sum: h.Sum, Max: h.Max,
 			Buckets: append([]uint64(nil), h.Buckets[:last]...),
 		})
 	}

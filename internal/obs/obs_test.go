@@ -105,6 +105,54 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 	}
 }
 
+// Series are keyed by (name, labels) but serialized in the order of their
+// "name{labels}" strings, which is not the order of the pairs: '{' sorts
+// above '_', and '}' above every letter.
+func TestRegistrySnapshotOrderIsKeyStringOrder(t *testing.T) {
+	reg := NewRegistry()
+	for _, k := range [][2]string{{"msgs", "msg=move"}, {"msgs_sent", "node=0"}, {"msgs", ""},
+		{"msgs", "msg=movereq"}, {"link", "a=1"}, {"link", "a=10"}} {
+		reg.Add(k[0], k[1], 1)
+	}
+	want := []string{"link{a=10}", "link{a=1}", "msgs", "msgs_sent{node=0}", "msgs{msg=movereq}", "msgs{msg=move}"}
+	var got []string
+	for _, c := range reg.Snapshot(0).Counters {
+		k := c.Name
+		if c.Labels != "" {
+			k += "{" + c.Labels + "}"
+		}
+		got = append(got, k)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("snapshot order = %v, want %v", got, want)
+	}
+	got = nil
+	for _, c := range reg.CountersPrefix("msgs") {
+		got = append(got, c.Labels)
+	}
+	if strings.Join(got, " ") != " msg=movereq msg=move" {
+		t.Errorf("CountersPrefix(msgs) labels = %q", got)
+	}
+}
+
+// An update to an existing series builds no key string: 0 allocations.
+func TestRegistryUpdateAllocatesNothing(t *testing.T) {
+	reg := NewRegistry()
+	labels := NodeLabels(3, "sparc")
+	update := func() {
+		reg.Add("msgs", labels, 1)
+		reg.Observe("runq_depth", labels, 5)
+		reg.SetGauge("instrs", labels, 42)
+	}
+	update() // create the series
+	if got := testing.AllocsPerRun(200, update); got != 0 {
+		t.Errorf("Add+Observe+SetGauge on existing series = %v allocs/run, want 0", got)
+	}
+	if reg.Counter("msgs", labels) != 202 || reg.Gauge("instrs", labels) != 42 {
+		t.Errorf("updates lost: %+v", reg.Snapshot(0))
+	}
+}
+
 func TestSpanLifecycle(t *testing.T) {
 	r := NewRecorder(2, 8)
 	s := r.BeginSpan(1000, 0, 1, 0xabc, "plain")
