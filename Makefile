@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci build test vet emvet race emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke emperf-smoke bench-baselines
+.PHONY: ci build test vet emvet race emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke emperf-smoke emperf-pairs bench-baselines
 
 ci: vet build race emvet emtrace-smoke benchjson-smoke bench-smoke chaos-smoke par-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke emperf-smoke
 
@@ -91,6 +91,15 @@ jit-smoke:
 emperf-smoke:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
+
+# The emperf ledger's measuring protocol (EXPERIMENTS.md): build the
+# benchmark from `git archive $(REF)` and from the working tree, run N
+# alternating pairs of one workload, print medians, quartiles, pairs won:
+#   make emperf-pairs W=chaos_tour [N=10] [REF=HEAD]
+N ?= 10
+REF ?= HEAD
+emperf-pairs:
+	$(GO) run ./tools/pairbench -w $(W) -n $(N) -ref $(REF)
 
 # Regenerate the committed BENCH_*.json baselines (run after a deliberate
 # model change, then commit the diff).

@@ -7,12 +7,14 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/bridge"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/interp"
@@ -370,11 +372,107 @@ end Main
 // out, ship, re-specialize, re-lay the stack) round the Figure 1 network.
 // Set-up is outside the timer; b.N hops run in one simulation.
 func BenchmarkThreadHop(b *testing.B) {
-	prog, err := core.Compile(fmt.Sprintf(threadHopSource, b.N))
+	sys := threadHopSystem(b, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := sys.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	checkThreadHops(b, sys)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "hostns/hop")
+}
+
+func threadHopSystem(tb testing.TB, hops int) *core.System {
+	prog, err := core.Compile(fmt.Sprintf(threadHopSource, hops))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sys, err := core.NewSystem(prog, core.Figure1Network(), core.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys
+}
+
+func checkThreadHops(tb testing.TB, sys *core.System) {
+	if got := sys.Lines(); len(got) != 1 || got[0] != "1625" {
+		tb.Fatalf("workload corrupted: %v", got)
+	}
+}
+
+// TestThreadHopAllocBudget pins the move path's share of the allocation
+// budget (DESIGN.md §11): a hop of the Table 1 thread allocates at most 25
+// objects on the host, end to end (45 before the move scratch, the value
+// event heap and the runner-owned trap). Bootstrap, code loading and plan
+// compilation are amortized over the run's 5000 hops.
+func TestThreadHopAllocBudget(t *testing.T) {
+	const hops = 5000
+	sys := threadHopSystem(t, hops)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	checkThreadHops(t, sys)
+	if got := float64(after.Mallocs-before.Mallocs) / hops; got > 25 {
+		t.Errorf("%.1f allocs per thread hop, want <= 25", got)
+	}
+}
+
+// Host cost of the event core alone: one op schedules an event and runs the
+// next, with a few dozen pending (the depth the workloads run at).
+func BenchmarkSimEvent(b *testing.B) {
+	sim := netsim.NewSim()
+	noop := func() {}
+	for i := 0; i < 32; i++ {
+		sim.AtNode(i%4, netsim.Micros(i), noop)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.AtNode(i%4, netsim.Micros(40+i%7), noop)
+		sim.Step()
+	}
+}
+
+// reliableFrameSource makes %d remote invocations of a one-instruction
+// operation: under a chaos plan each is two reliable frames.
+const reliableFrameSource = `
+object Svc
+  operation bump(x: Int) -> (r: Int)
+    r <- x + 1
+  end
+end Svc
+object Main
+  process
+    var s: Svc <- new Svc
+    move s to node(1)
+    var i: Int <- 0
+    var acc: Int <- 0
+    while i < %d do
+      acc <- s.bump(acc)
+      i <- i + 1
+    end
+    print(acc)
+  end process
+end Main
+`
+
+// Host cost of the reliable link: one op is one LData→LAck cycle — a CRC'd
+// data frame sent, delivered in order, acknowledged and retired — under a
+// chaos plan that injects nothing (so no frame is ever retransmitted). The
+// cycles come in pairs, the Invoke and the Return of b.N/2 remote
+// invocations, and include the kernel's handling of both messages.
+func BenchmarkReliableFrame(b *testing.B) {
+	calls := (b.N + 1) / 2
+	prog, err := core.Compile(fmt.Sprintf(reliableFrameSource, calls))
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := core.NewSystem(prog, core.Figure1Network(), core.Options{})
+	sys, err := core.NewSystem(prog, []netsim.MachineModel{netsim.SPARCstationSLC, netsim.VAXstation2000},
+		core.Options{Chaos: &chaos.Plan{Seed: 1}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -384,10 +482,14 @@ func BenchmarkThreadHop(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.StopTimer()
-	if got := sys.Lines(); len(got) != 1 || got[0] != "1625" {
+	if got := sys.Lines(); len(got) != 1 || got[0] != strconv.Itoa(calls) {
 		b.Fatalf("workload corrupted: %v", got)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "hostns/hop")
+	for _, c := range sys.MetricsSnapshot().Counters {
+		if c.Name == "retransmits" && c.Value != 0 {
+			b.Fatalf("%d retransmissions under a plan that injects nothing", c.Value)
+		}
+	}
 }
 
 // Ablations promised in DESIGN.md §6.

@@ -32,6 +32,7 @@ type fexec struct {
 	cycles uint64    // accumulated over the whole Run call
 	fault  FaultCode // first fault of the current instruction; 0 = none
 	trap   *Trap     // kernel-entry trap raised by the run's last instruction
+	tbuf   Trap      // where trap points: the executor owns its trap
 	stop   bool      // a fault ends the run after the current closure
 	r      [fuseRegSlots]uint32
 }
@@ -75,6 +76,13 @@ func (e *fexec) setFault(f FaultCode) uint32 {
 	return 0
 }
 
+// raise records the kernel-entry trap of the run's last instruction, in the
+// executor's own Trap: a poll, ret or trap allocates nothing.
+func (e *fexec) raise(kind TrapKind, a, b uint16) {
+	e.tbuf = Trap{Kind: kind, A: a, B: b, PC: e.npc}
+	e.trap = &e.tbuf
+}
+
 // exec runs fr from member instruction idx for at most max instructions
 // and returns the trap that ended it (nil when it fell off the run's end
 // or max ran out) with the number of instructions executed. Whichever
@@ -111,7 +119,8 @@ func (fz *Fused) exec(e *fexec, fr *fusedRun, idx, max int) (*Trap, int) {
 		// Like Step, a faulting instruction leaves cpu.PC at its own
 		// start; the trap's PC is the next instruction.
 		cpu.PC = fz.pcOf(fr, next-1)
-		return &Trap{Kind: TrapFault, Fault: e.fault, PC: cpu.PC + fz.p.instrs[next-1].Size}, n
+		e.tbuf = Trap{Kind: TrapFault, Fault: e.fault, PC: cpu.PC + fz.p.instrs[next-1].Size}
+		return &e.tbuf, n
 	case next < int(fr.hi): // budget ran out inside the run
 		cpu.PC = fz.pcOf(fr, next)
 	default:
@@ -138,7 +147,9 @@ type FusedRunner struct {
 // an encoding, past the end) is stepped by the reference emulator.
 // Observables (traps, faults, cycles, instruction counts, memory and
 // register effects) are byte-identical to RunLegacy, which the
-// differential suite pins.
+// differential suite pins. The returned Trap (nil when no trap fired)
+// belongs to the runner and is valid until its next Run: callers consume
+// it before running again, as the kernel's trap dispatcher does.
 func (rn *FusedRunner) Run(s *Spec, fz *Fused, cpu *CPU, mem []byte, budget int) (*Trap, uint64, int, error) {
 	p := fz.p
 	e := &rn.e

@@ -779,7 +779,7 @@ func (b *fuser) fuseInstr(in *Instr) fop {
 			e.cycles += cyc
 			if e.cpu.Preempt {
 				e.cycles += tc
-				e.trap = &Trap{Kind: TrapYield, PC: e.npc}
+				e.raise(TrapYield, 0, 0)
 			}
 		}
 
@@ -787,7 +787,7 @@ func (b *fuser) fuseInstr(in *Instr) fop {
 		tcyc := cyc + uint64(s.TrapCycles)
 		return func(e *fexec) {
 			e.cycles += tcyc
-			e.trap = &Trap{Kind: TrapRet, PC: e.npc}
+			e.raise(TrapRet, 0, 0)
 		}
 
 	case OpTrap:
@@ -795,7 +795,7 @@ func (b *fuser) fuseInstr(in *Instr) fop {
 		kind, a, bb := in.TrapKind, in.TrapA, in.TrapB
 		return func(e *fexec) {
 			e.cycles += tcyc
-			e.trap = &Trap{Kind: kind, A: a, B: bb, PC: e.npc}
+			e.raise(kind, a, bb)
 		}
 
 	case OpUnlq:
@@ -803,7 +803,7 @@ func (b *fuser) fuseInstr(in *Instr) fop {
 		// thread without a scheduling point (see Step).
 		return func(e *fexec) {
 			e.cycles += cyc
-			e.trap = &Trap{Kind: TrapMonExitA, PC: e.npc}
+			e.raise(TrapMonExitA, 0, 0)
 		}
 	}
 	return nil

@@ -1,0 +1,111 @@
+package kernel
+
+import (
+	"testing"
+
+	"repro/internal/chaos"
+	"repro/internal/netsim"
+	"repro/internal/wire"
+)
+
+// The kernel's share of the allocation budget (DESIGN.md §11): a scheduler
+// pass on a loaded node, and the life of one reliable link frame.
+
+// twoSpinnersSrc keeps two compute-bound threads runnable on one node, so
+// every slice ends in a poll that yields to the other.
+const twoSpinnersSrc = `
+object A
+  process
+    var i: Int <- 0
+    while i < 100000000 do
+      i <- i + 1
+    end
+  end process
+end A
+object B
+  process
+    var i: Int <- 0
+    while i < 100000000 do
+      i <- i + 1
+    end
+  end process
+end B
+`
+
+// One scheduler event on a loaded node — schedPass pops the run queue, the
+// slice runs to its poll, the yield trap re-enqueues the thread and
+// schedule arms the next pass — allocates nothing: the trap is the
+// runner's, the pass func is bound once, and the queue keeps its capacity.
+func TestYieldEnqueueSchedPassAllocatesNothing(t *testing.T) {
+	c, err := NewCluster(compileSrc(t, twoSpinnersSrc), []netsim.MachineModel{mSPARC}, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start(nil)
+	for i := 0; i < 1000; i++ { // past bootstrap and code loading
+		c.Sim.Step()
+	}
+	n := c.Nodes[0]
+	before := n.Instrs
+	got := testing.AllocsPerRun(1000, func() {
+		if !c.Sim.Step() {
+			t.Fatal("simulation ran dry")
+		}
+	})
+	if got != 0 {
+		t.Errorf("poll-yield → enqueue → schedPass = %v allocs/event, want 0", got)
+	}
+	if len(n.frags) != 2 || n.Instrs == before || len(c.Faults) != 0 {
+		t.Fatalf("fixture is not two live spinners: %d frags, %d instrs run, faults %v",
+			len(n.frags), n.Instrs-before, c.Faults)
+	}
+}
+
+// One reliable frame's life — sent, delivered, acknowledged, its ack
+// received, the frame retired and its timer fired dead — allocates the
+// three things that outlive the send: the pendingFrame, its exact-size
+// retransmission copy and its one timer func. The events, both CRCs, both
+// parses and the ack's marshalling allocate nothing. Node 1 answers with
+// only its link layer (the payload here is not a protocol message).
+func TestReliableFrameLifeAllocatesThree(t *testing.T) {
+	c, err := NewCluster(compileSrc(t, `object Main
+  process
+    print(1)
+  end process
+end Main`), []netsim.MachineModel{mSPARC, mVAX}, chaosConfig(&chaos.Plan{Seed: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start(nil)
+	if err := c.Run(100_000); err != nil { // quiesce; abandons the heartbeat ticks
+		t.Fatal(err)
+	}
+	n0, n1 := c.Nodes[0], c.Nodes[1]
+	acked := 0
+	c.Net.Attach(1, func(src int, buf []byte) {
+		lf, err := wire.ParseLinkFrame(buf)
+		if err != nil || lf.Kind != wire.LData {
+			t.Fatalf("node 1 received %+v, %v; want a data frame", lf, err)
+		}
+		acked++
+		n1.sendLinkAck(src, lf.Seq)
+	})
+	inner := make([]byte, 48)
+	life := func() {
+		n0.sendReliable(1, inner, "test", nil)
+		if err := c.Run(1000); err != nil {
+			t.Fatal(err)
+		}
+		if len(n0.unacked) != 0 {
+			t.Fatal("frame still unacked after the run quiesced")
+		}
+	}
+	life() // warm: queue, buffer pool, ack scratch, map buckets
+	got := testing.AllocsPerRun(200, life)
+	if got > 3 {
+		t.Errorf("one reliable frame sent, acked and retired = %v allocs, want <= 3", got)
+	}
+	if acked != 202 {
+		t.Errorf("node 1 acknowledged %d frames, want 202", acked)
+	}
+}

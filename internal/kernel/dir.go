@@ -25,6 +25,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dir"
@@ -61,8 +62,7 @@ func (c *Cluster) armDir() {
 		c.dirPlace[s] = dir.PlaceReplicas(s, c.dirCfg.Replicas, len(c.Nodes), cost)
 	}
 	for _, n := range c.Nodes {
-		n := n
-		c.Sim.AtNodeWeak(n.ID, c.dirCompactPeriod(), n.dirCompactTick)
+		n.every(c.dirCompactPeriod(), n.dirCompactTick)
 	}
 }
 
@@ -789,10 +789,9 @@ func (n *Node) invalidateLocationsAt(peer int) {
 // dirCompactTick is the background chain compactor: each tick it refreshes
 // a bounded batch of flagged proxies (chained through by traffic, or
 // location-stale after a suspicion) from the directory, rewriting them to
-// the decreed home so forwarding chains truncate to ≤1 hop. Weakly
-// self-re-arming, like heartbeats.
+// the decreed home so forwarding chains truncate to ≤1 hop. A weak
+// periodic tick, like heartbeats.
 func (n *Node) dirCompactTick() {
-	n.sched.AtWeak(n.cluster.dirCompactPeriod(), n.dirCompactTick)
 	if !n.Up {
 		return
 	}
@@ -802,7 +801,7 @@ func (n *Node) dirCompactTick() {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	if len(ids) > dirCompactBatch {
 		ids = ids[:dirCompactBatch]
 	}
@@ -982,7 +981,7 @@ func (n *Node) restartDir() {
 			gtoks = append(gtoks, tok)
 		}
 	}
-	sort.Slice(gtoks, func(i, j int) bool { return gtoks[i] < gtoks[j] })
+	slices.Sort(gtoks)
 	for _, tok := range gtoks {
 		gp := n.dirGProps[tok]
 		gp.stalledTimer = false
@@ -994,7 +993,7 @@ func (n *Node) restartDir() {
 			toks = append(toks, tok)
 		}
 	}
-	sort.Slice(toks, func(i, j int) bool { return toks[i] < toks[j] })
+	slices.Sort(toks)
 	for _, tok := range toks {
 		lk := n.dirLooks[tok]
 		lk.stalledTimer = false

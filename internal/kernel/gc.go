@@ -19,7 +19,7 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/ir"
@@ -62,13 +62,13 @@ func (n *Node) Collect() (GCStats, error) {
 	for id := range n.frags {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		f := n.frags[id]
 		if f.fn == nil {
 			continue
 		}
-		frames, err := n.walkFrames(f)
+		frames, err := n.walkFrames(f, nil)
 		if err != nil {
 			return GCStats{}, fmt.Errorf("gc: %w", err)
 		}

@@ -362,8 +362,7 @@ func (c *Cluster) armChaos(plan *chaos.Plan) error {
 		}
 	}
 	for _, n := range c.Nodes {
-		n := n
-		c.Sim.AtNodeWeak(n.ID, plan.HeartbeatPeriod(), n.heartbeatTick)
+		n.every(plan.HeartbeatPeriod(), n.heartbeatTick)
 	}
 	return nil
 }

@@ -15,7 +15,7 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/busstop"
@@ -53,6 +53,16 @@ func (n *Node) finishMoveOut(sp *obs.Span, o *Obj, dest int, conv wire.Converter
 	rec.Metrics().Add("migrations_pair", pairLabels[n.Spec.ID][n.cluster.Nodes[dest].Spec.ID], 1)
 }
 
+// convFrame is one activation converted to this node's machine words on
+// its way in (installFragment), before placement.
+type convFrame struct {
+	lf    *loadedFunc
+	vars  []uint32
+	temps []uint32
+	stop  busstop.Info
+	entry bool
+}
+
 // frameInfo is one activation during a stack walk (youngest first).
 type frameInfo struct {
 	lf    *loadedFunc
@@ -80,9 +90,11 @@ func tempKindAt(stop busstop.Info, j int) ir.VK {
 }
 
 // walkFrames walks f's activation records through templates, reconstructing
-// each frame's register view by unwinding the callee-save areas.
-func (n *Node) walkFrames(f *Frag) ([]frameInfo, error) {
-	var frames []frameInfo
+// each frame's register view by unwinding the callee-save areas. It returns
+// buf extended by f's frames, youngest first (a nil buf allocates; movePlain
+// passes its scratch).
+func (n *Node) walkFrames(f *Frag, buf []frameInfo) ([]frameInfo, error) {
+	frames, start := buf, len(buf)
 	regs := f.CPU.Regs
 	lf := f.fn
 	fp := f.CPU.FP
@@ -146,8 +158,8 @@ func (n *Node) walkFrames(f *Frag) ([]frameInfo, error) {
 	}
 	// Pinned: kernel-continuation frames and their callers cannot migrate
 	// (the continuation is node-local state).
-	for i := range frames {
-		if frames[i].kont || (i > 0 && frames[i-1].kont) {
+	for i := start; i < len(frames); i++ {
+		if frames[i].kont || (i > start && frames[i-1].kont) {
 			frames[i].pinned = true
 		}
 	}
@@ -292,6 +304,53 @@ func (n *Node) moveImmutable(o *Obj, dest int) {
 	n.Migrations++
 }
 
+// moveScratch is the node's working storage for building and installing
+// moves. Nothing in it outlives the move that filled it — what must (a
+// deferred commit operation's view of a stack, under a chaos plan) is copied
+// out — so each slice is truncated and refilled move after move and a
+// steady stream of moves allocates none of them. It grows on demand;
+// nothing is pre-sized.
+type moveScratch struct {
+	fragIDs []uint32
+	frames  []frameInfo // the walked stacks of every fragment that moves, back to back
+	runs    [][2]int    // their runs of frames inside the object, back to back
+	plans   []fragPlan
+	segs    []moveSeg
+	ids     []uint32
+	refs    []wire.Value // every shipped value, for hint collection
+	// frags and acts back the outgoing Move's Frags and their Acts. The Move
+	// is marshalled before movePlain returns, except inside a moveGroup,
+	// whose members are marshalled together when the collector closes: a
+	// cohort's moves share the two arenas until then (see movePlain).
+	frags []wire.Fragment
+	acts  []wire.MIActivation
+	// Install side (installFragment): converted frames, and one arena for
+	// their variable, temporary and frame-pointer words.
+	cfs   []convFrame
+	words []uint32
+}
+
+// reset empties a scratch slice for refilling, dropping what it referenced.
+func reset[T any](s []T) []T {
+	clear(s)
+	return s[:0]
+}
+
+// fragPlan is one fragment with frames inside the moving object: its walked
+// stack and the maximal runs [i, j] of consecutive frames that move.
+type fragPlan struct {
+	frag   *Frag
+	frames []frameInfo
+	runs   [][2]int
+}
+
+// moveSeg is one piece of a fragment's stack [a, b] (youngest first): the
+// stack splits into alternating pieces that move and pieces that stay.
+type moveSeg struct {
+	moved bool
+	a, b  int
+}
+
 // movePlain implements full object + thread migration. Under a chaos plan
 // it runs as the prepare phase of a two-phase commit: marshalling is
 // read-only and every destructive completion is deferred onto the move
@@ -304,29 +363,31 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 	conv := n.cluster.converterFor(n, peer)
 	prev := conv.Stats()
 
-	// Deterministic fragment order.
-	fragIDs := make([]uint32, 0, len(n.frags))
-	for id := range n.frags {
-		fragIDs = append(fragIDs, id)
+	mv := &n.mv
+	mv.frames, mv.runs, mv.plans = reset(mv.frames), mv.runs[:0], reset(mv.plans)
+	mv.refs = reset(mv.refs)
+	if n.collect == nil {
+		mv.frags, mv.acts = reset(mv.frags), reset(mv.acts)
 	}
-	sort.Slice(fragIDs, func(i, j int) bool { return fragIDs[i] < fragIDs[j] })
 
-	type fragPlan struct {
-		frag   *Frag
-		frames []frameInfo
-		runs   [][2]int
+	// Deterministic fragment order.
+	mv.fragIDs = mv.fragIDs[:0]
+	for id := range n.frags {
+		mv.fragIDs = append(mv.fragIDs, id)
 	}
-	var plans []fragPlan
-	for _, id := range fragIDs {
+	slices.Sort(mv.fragIDs)
+
+	for _, id := range mv.fragIDs {
 		fr := n.frags[id]
 		if fr.fn == nil {
 			continue
 		}
-		frames, err := n.walkFrames(fr)
+		walked, err := n.walkFrames(fr, mv.frames)
 		if err != nil {
 			panic(fmt.Sprintf("kernel: node %d: %v", n.ID, err))
 		}
-		var runs [][2]int
+		frames := walked[len(mv.frames):]
+		runStart := len(mv.runs)
 		i := 0
 		for i < len(frames) {
 			if frames[i].self != o {
@@ -344,10 +405,13 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 					return
 				}
 			}
-			runs = append(runs, [2]int{i, j})
+			mv.runs = append(mv.runs, [2]int{i, j})
 			i = j + 1
 		}
-		if len(runs) > 0 {
+		// The walk stays in the arena only if the fragment moves (either
+		// way the arena keeps any capacity the walk grew it to).
+		mv.frames = walked[:len(mv.frames)]
+		if runs := mv.runs[runStart:]; len(runs) > 0 {
 			if fr.Status == FragStateInTransit {
 				// Another object's in-flight move holds deferred stack
 				// restructuring over this fragment; retry once it resolves.
@@ -355,7 +419,8 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 				n.armMoveRetry()
 				return
 			}
-			plans = append(plans, fragPlan{frag: fr, frames: frames, runs: runs})
+			mv.frames = walked
+			mv.plans = append(mv.plans, fragPlan{frag: fr, frames: frames, runs: runs})
 		}
 	}
 
@@ -363,90 +428,64 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 	// above never reach here, so no abandoned spans).
 	sp := n.beginMoveSpan(o, dest, "plain")
 
-	// Build wire fragments and restructure local stacks.
-	var wireFrags []wire.Fragment
+	// Build wire fragments and restructure local stacks. Commit operations
+	// may run long after this move's scratch has been refilled (a live
+	// transaction defers them to the destination's ack), so they capture
+	// values and copies, never the scratch slices.
+	fragStart := len(mv.frags)
 	pieceIDOf := map[*Frag]uint32{} // original fragment -> wire id of its top piece
-	var refs []wire.Value           // every shipped value, for hint collection
-	for _, plan := range plans {
+	for _, plan := range mv.plans {
 		fr, frames := plan.frag, plan.frames
 		m := len(frames)
-		// Walk runs youngest-to-oldest, building moved pieces and local
-		// remainder pieces.
-		type localPiece struct {
-			frag *Frag // nil until materialized
-			a, b int
-		}
-		// Partition [0..m) into alternating segments.
-		var segs []struct {
-			moved bool
-			a, b  int
-		}
+		// Partition [0..m) into alternating segments, youngest first.
+		segs := mv.segs[:0]
 		cursor := 0
 		for _, r := range plan.runs {
 			if r[0] > cursor {
-				segs = append(segs, struct {
-					moved bool
-					a, b  int
-				}{false, cursor, r[0] - 1})
+				segs = append(segs, moveSeg{false, cursor, r[0] - 1})
 			}
-			segs = append(segs, struct {
-				moved bool
-				a, b  int
-			}{true, r[0], r[1]})
+			segs = append(segs, moveSeg{true, r[0], r[1]})
 			cursor = r[1] + 1
 		}
 		if cursor < m {
-			segs = append(segs, struct {
-				moved bool
-				a, b  int
-			}{false, cursor, m - 1})
+			segs = append(segs, moveSeg{false, cursor, m - 1})
 		}
-		// Materialize fragments for each segment. The topmost segment keeps
-		// fr's identity; others get fresh IDs. Local remainder pieces are
-		// stack surgery, so they materialize as (possibly deferred) commit
+		mv.segs = segs
+		// Name a fragment for each segment. The topmost segment keeps fr's
+		// identity; others get fresh IDs. Local remainder pieces are stack
+		// surgery, so they materialize as (possibly deferred) commit
 		// operations; the ids are minted eagerly for the wire links.
-		ids := make([]uint32, len(segs))
-		frs := make([]*Frag, len(segs))
-		for si := range segs {
+		ids := mv.ids[:0]
+		for si, seg := range segs {
 			if si == 0 {
-				ids[si] = fr.ID
-				if !segs[si].moved {
-					frs[si] = fr
-				}
-			} else {
-				ids[si] = n.mintFragID()
-				if !segs[si].moved {
-					si := si
-					tx.do(func() {
-						frs[si] = n.adoptRemainder(fr, frames, segs[si].a, segs[si].b, ids[si])
-					})
-				}
+				ids = append(ids, fr.ID)
+				continue
+			}
+			id := n.mintFragID()
+			ids = append(ids, id)
+			if !seg.moved {
+				piece := slices.Clone(frames[seg.a : seg.b+1])
+				tx.do(func() { n.adoptRemainder(piece, id) })
 			}
 		}
+		mv.ids = ids
 		// Links: each segment links to the one below; the bottom segment
 		// inherits fr's original Link — captured before any segment mutates
 		// fr.Link (the topmost unmoved segment reassigns it below).
 		origLink := fr.Link
-		linkOf := func(si int) wire.Fragment {
-			var l wire.Fragment
-			if si == len(segs)-1 {
-				l.LinkNode = origLink.Node
-				l.LinkFrag = origLink.Frag
-			} else if segs[si+1].moved {
-				l.LinkNode = int32(dest)
-				l.LinkFrag = ids[si+1]
-			} else {
-				l.LinkNode = int32(n.ID)
-				l.LinkFrag = ids[si+1]
+		linkOf := func(si int) Link {
+			switch {
+			case si == len(segs)-1:
+				return origLink
+			case segs[si+1].moved:
+				return Link{Node: int32(dest), Frag: ids[si+1]}
 			}
-			return l
+			return Link{Node: int32(n.ID), Frag: ids[si+1]}
 		}
 		for si, seg := range segs {
 			lk := linkOf(si)
 			if seg.moved {
-				wf := wire.Fragment{
-					FragID: ids[si], LinkNode: lk.LinkNode, LinkFrag: lk.LinkFrag,
-				}
+				wf := wire.Fragment{FragID: ids[si], LinkNode: lk.Node, LinkFrag: lk.Frag}
 				if si == 0 {
 					wf.Executing = true
 					wf.Status, wf.CondIndex = wireStatus(fr)
@@ -454,37 +493,40 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 				} else {
 					wf.Status = wire.FragBlockedCall
 				}
+				actStart := len(mv.acts)
 				for k := seg.a; k <= seg.b; k++ {
 					act, vs := n.marshalFrame(conv, peer, frames[k])
 					n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 						Kind: obs.EvThreadStop, Span: sp.ID, Frag: fr.ID,
 						Obj: uint32(o.OID), A: uint64(act.Stop), Str: frames[k].lf.name()})
-					wf.Acts = append(wf.Acts, act)
-					refs = append(refs, vs...)
+					mv.acts = append(mv.acts, act)
+					mv.refs = append(mv.refs, vs...)
 					sp.Acts++
 				}
-				wireFrags = append(wireFrags, wf)
+				wf.Acts = mv.acts[actStart:len(mv.acts):len(mv.acts)]
+				mv.frags = append(mv.frags, wf)
 			} else if si > 0 {
 				// Interior/lower remainder: waits for the piece above to
 				// return into it. Its records are relocated and its bottom
-				// cut by the adoptRemainder commit op above.
-				si := si
+				// cut by the adoptRemainder commit op above, which also
+				// entered it in n.frags under its minted id.
+				id := ids[si]
 				tx.do(func() {
-					lfr := frs[si]
-					lfr.Link = Link{Node: lk.LinkNode, Frag: lk.LinkFrag}
+					lfr := n.frags[id]
+					lfr.Link = lk
 					lfr.Status = FragStateBlockedCall
 				})
 			} else {
 				// Top remainder piece: records stay in place; cut the
 				// oldest frame's caller — it now returns via Link.
-				bot := frames[seg.b]
+				bot := &frames[seg.b]
+				retDesc, word := bot.fp+uint32(bot.lf.fc.Template.RetDescOff), uint32(descNone)
+				if bot.kont {
+					word |= kontFlag
+				}
 				tx.do(func() {
-					fr.Link = Link{Node: lk.LinkNode, Frag: lk.LinkFrag}
-					kf := uint32(0)
-					if bot.kont {
-						kf = kontFlag
-					}
-					n.st32(bot.fp+uint32(bot.lf.fc.Template.RetDescOff), descNone|kf)
+					fr.Link = lk
+					n.st32(retDesc, word)
 				})
 			}
 		}
@@ -502,6 +544,7 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 			tx.suspend(fr)
 		}
 	}
+	wireFrags := mv.frags[fragStart:len(mv.frags):len(mv.frags)]
 
 	// Object data.
 	tmpl := o.Code.oc.Template
@@ -513,7 +556,7 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 		}
 		data[i] = v
 	}
-	refs = append(refs, data...)
+	mv.refs = append(mv.refs, data...)
 
 	// Monitor state: map holder/queues to shipped piece IDs.
 	o.Epoch++
@@ -538,7 +581,7 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 			msg.CondQueues = append(msg.CondQueues, wq)
 		}
 	}
-	msg.Hints = n.collectHints(refs)
+	msg.Hints = n.collectHints(mv.refs)
 	n.chargeConv(conv, prev)
 	n.finishMoveOut(sp, o, dest, conv, prev)
 
@@ -583,25 +626,26 @@ func (n *Node) mintFragID() uint32 {
 	return uint32(n.ID)<<24 | n.fragCtr
 }
 
-// adoptRemainder creates a fragment for a local remainder piece [a..b] of
-// frames, relocating its records into a fresh stack region (the records
-// above and below belonged to other pieces).
-func (n *Node) adoptRemainder(orig *Frag, frames []frameInfo, a, b int, id uint32) *Frag {
+// adoptRemainder creates a fragment for a local remainder piece of a walked
+// stack (frames, youngest first), relocating its records into a fresh stack
+// region (the records above and below belonged to other pieces).
+func (n *Node) adoptRemainder(frames []frameInfo, id uint32) {
 	base, limit := n.allocStack()
 	nf := &Frag{ID: id, Status: FragStateBlockedCall, Link: Link{Node: -1},
 		stackBase: base, stackLimit: limit, waitNode: -1}
 	n.frags[id] = nf
 	// Relocate oldest-first so SavedFP links point downward correctly.
 	place := base
-	newFPs := make([]uint32, b-a+1)
-	for k := b; k >= a; k-- {
-		fi := frames[k]
+	oldest := len(frames) - 1
+	newFPs := make([]uint32, len(frames))
+	for k := oldest; k >= 0; k-- {
+		fi := &frames[k]
 		t := fi.lf.fc.Template
 		copy(n.Mem[place:place+uint32(t.Size)], n.Mem[fi.fp:fi.fp+uint32(t.Size)])
-		newFPs[k-a] = place
+		newFPs[k] = place
 		// Fix the saved-FP word: oldest points at base (unused), others at
 		// the record below.
-		if k == b {
+		if k == oldest {
 			n.st32(place+uint32(t.SavedFPOff), base)
 			// Cut the caller: the piece below this remainder is reached
 			// through the fragment Link, not a local record.
@@ -611,7 +655,7 @@ func (n *Node) adoptRemainder(orig *Frag, frames []frameInfo, a, b int, id uint3
 			}
 			n.st32(place+uint32(t.RetDescOff), descNone|kf)
 		} else {
-			n.st32(place+uint32(t.SavedFPOff), newFPs[k+1-a])
+			n.st32(place+uint32(t.SavedFPOff), newFPs[k+1])
 		}
 		n.st32(place+uint32(t.TempBaseOff), place+uint32(t.TempOff))
 		place += uint32(t.Size)
@@ -619,7 +663,7 @@ func (n *Node) adoptRemainder(orig *Frag, frames []frameInfo, a, b int, id uint3
 	}
 	nf.stackHi = place
 	// Top of the remainder: reconstruct CPU state from the walk.
-	top := frames[a]
+	top := &frames[0]
 	t := top.lf.fc.Template
 	nf.fn = top.lf
 	nf.CPU.Regs = top.regs
@@ -629,7 +673,6 @@ func (n *Node) adoptRemainder(orig *Frag, frames []frameInfo, a, b int, id uint3
 	nf.CPU.TempBase = newFPs[0] + uint32(t.TempOff)
 	nf.CPU.TempDepth = int32(top.stop.TempDepth)
 	nf.CPU.LitBase = top.lf.litBase
-	return nf
 }
 
 func (n *Node) mustAddr(o *Obj) uint32 {
@@ -831,17 +874,22 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 		stackBase: base, stackLimit: limit, waitNode: -1}
 	n.frags[f.ID] = f
 
-	type convFrame struct {
-		lf    *loadedFunc
-		vars  []uint32
-		temps []uint32
-		stop  busstop.Info
-		entry bool
-	}
 	// Convert youngest first (wire order), through the cached plan for
-	// (function, stop, sender ISA) — see plan.go.
+	// (function, stop, sender ISA) — see plan.go. The converted words live
+	// in the node's scratch: they are in node memory by the time this
+	// returns.
 	peer := n.cluster.Nodes[src].Spec.ID
-	cfs := make([]convFrame, len(wf.Acts))
+	mv := &n.mv
+	need := len(wf.Acts) // a frame pointer each, besides the values
+	for i := range wf.Acts {
+		need += len(wf.Acts[i].Vars) + len(wf.Acts[i].Temps)
+	}
+	words := slices.Grow(mv.words[:0], need)
+	carve := func(k int) []uint32 {
+		words = words[:len(words)+k]
+		return words[len(words)-k:]
+	}
+	cfs := reset(mv.cfs)
 	for i := range wf.Acts {
 		a := &wf.Acts[i]
 		lc, err := n.loadCode(a.CodeOID)
@@ -852,7 +900,7 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 		pl := n.planFor(lf, a.Stop, peer)
 		cf := convFrame{lf: lf, stop: pl.stop, entry: pl.entry}
 		if len(a.Vars) > 0 {
-			cf.vars = make([]uint32, len(a.Vars))
+			cf.vars = carve(len(a.Vars))
 		}
 		for vi, v := range a.Vars {
 			w, err := n.unwireClassValue(conv, pl.vars[vi].class, v, hints, src)
@@ -862,7 +910,7 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 			cf.vars[vi] = w
 		}
 		if len(a.Temps) > 0 {
-			cf.temps = make([]uint32, len(a.Temps))
+			cf.temps = carve(len(a.Temps))
 		}
 		for ti, v := range a.Temps {
 			w, err := n.unwireClassValue(conv, pl.tempClassAt(ti), v, hints, src)
@@ -871,8 +919,9 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 			}
 			cf.temps[ti] = w
 		}
-		cfs[i] = cf
+		cfs = append(cfs, cf)
 	}
+	mv.cfs = cfs
 
 	// Relocation/placement pass: lay records out oldest first, simulating
 	// the register file to rebuild callee-save areas, exactly inverse to
@@ -880,7 +929,8 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 	objAddr := n.mustAddr(obj)
 	var regs [16]uint32
 	place := base
-	fps := make([]uint32, len(cfs))
+	fps := carve(len(cfs))
+	mv.words = words
 	for i := len(cfs) - 1; i >= 0; i-- {
 		cf := cfs[i]
 		t := cf.lf.fc.Template

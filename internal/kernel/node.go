@@ -76,6 +76,9 @@ type Node struct {
 	oidCtr  uint32
 	runq    []*Frag
 	schedOn bool
+	// schedPassFn is n.schedPass bound once (a method value allocates each
+	// time it is taken, and schedule takes it for every pass).
+	schedPassFn func()
 
 	codeByOID map[oid.OID]*loadedCode
 	descs     []*loadedFunc
@@ -95,6 +98,8 @@ type Node struct {
 	// pendingMoves are migrations deferred because an activation was part
 	// of an active object-creation chain.
 	pendingMoves []pendingMove
+	// mv is the reusable working storage of movePlain and installFragment.
+	mv moveScratch
 	// collect, while non-nil, redirects dispatchMove's sends into a group
 	// collector so a whole cohort rides one batched MoveGroup frame (see
 	// group.go).
@@ -127,6 +132,9 @@ type Node struct {
 	// lastFrame is the pendingFrame of the most recent sendReliable call,
 	// so the move protocol can locate the frame backing a just-sent Move.
 	lastFrame *pendingFrame
+	// ackBuf is the scratch a link ack is marshalled into (netsim.Send
+	// copies the frame, so one buffer serves every ack).
+	ackBuf []byte
 
 	// Replicated-directory state, live only when Config.DirReplicas > 0
 	// (see dir.go). dirAcc/dirStore are this node's replica roles (acceptor
@@ -235,6 +243,7 @@ func newNode(c *Cluster, id int, m netsim.MachineModel) *Node {
 		dirLeases: map[oid.OID]dirLease{},
 	}
 	n.sched = c.Sim.NodeSched(id)
+	n.schedPassFn = n.schedPass
 	return n
 }
 
@@ -565,7 +574,20 @@ func (n *Node) schedule() {
 	}
 	n.schedOn = true
 	delay := n.CPU.FreeAt - n.now()
-	n.sched.At(delay, n.schedPass)
+	n.sched.At(delay, n.schedPassFn)
+}
+
+// every runs tick each period on n's timeline for the rest of the run, as
+// weak events — background ticks (heartbeats, the directory compactor)
+// never keep a finished simulation alive — re-arming before each run with
+// the one func bound here.
+func (n *Node) every(period netsim.Micros, tick func()) {
+	var fire func()
+	fire = func() {
+		n.sched.AtWeak(period, fire)
+		tick()
+	}
+	n.cluster.Sim.AtNodeWeak(n.ID, period, fire)
 }
 
 // schedPass runs one scheduling slice.
@@ -574,8 +596,13 @@ func (n *Node) schedPass() {
 	if len(n.runq) == 0 || !n.Up {
 		return
 	}
+	// Pop by copying down: re-slicing from the head would shed capacity
+	// (append then re-grows the queue for ever) and pin the popped *Frag.
 	f := n.runq[0]
-	n.runq = n.runq[1:]
+	last := len(n.runq) - 1
+	copy(n.runq, n.runq[1:])
+	n.runq[last] = nil
+	n.runq = n.runq[:last]
 	f.queued = false
 	if f.Status != FragStateReady {
 		// Killed or blocked while queued.

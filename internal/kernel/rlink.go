@@ -14,7 +14,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -40,7 +40,14 @@ type pendingFrame struct {
 	// onAck fires once when the frame is first acknowledged (the move
 	// protocol's delivery hook).
 	onAck func()
+	// timer is the frame's retransmission check, bound once: every arming
+	// schedules this same func.
+	timer func()
 }
+
+// heartbeatFrame is the one heartbeat every node sends every peer every
+// tick: an empty LRaw frame, constant, so it is marshalled once.
+var heartbeatFrame = wire.LinkFrame{Kind: wire.LRaw}.Marshal()
 
 func linkKey(dst int, seq uint32) uint64 { return uint64(uint32(dst))<<32 | uint64(seq) }
 
@@ -49,8 +56,9 @@ func linkKey(dst int, seq uint32) uint64 { return uint64(uint32(dst))<<32 | uint
 func (n *Node) sendReliable(dst int, inner []byte, kind string, onAck func()) *pendingFrame {
 	n.outSeq[dst]++
 	seq := n.outSeq[dst]
-	lf := &wire.LinkFrame{Kind: wire.LData, Seq: seq, Inner: inner}
+	lf := wire.LinkFrame{Kind: wire.LData, Seq: seq, Inner: inner}
 	pf := &pendingFrame{dst: dst, seq: seq, frame: lf.Marshal(), kind: kind, onAck: onAck}
+	pf.timer = func() { n.retransmitCheck(pf) }
 	n.unacked[linkKey(dst, seq)] = pf
 	n.lastFrame = pf
 	n.transmit(pf)
@@ -97,29 +105,34 @@ func (n *Node) armRetransmit(pf *pendingFrame) {
 	if wait := n.CPU.FreeAt - n.now(); wait > 0 {
 		rto += wait
 	}
-	n.sched.At(rto, func() {
-		if pf.acked || pf.stalled {
-			return
-		}
-		if !n.Up {
-			// Fired while crashed: park; restart re-arms.
-			pf.stalled = true
-			return
-		}
-		if pf.attempts >= plan.Retries() && n.suspects[pf.dst] {
-			// The peer looks dead: park until it is heard from again.
-			pf.stalled = true
-			return
-		}
-		n.transmit(pf)
-	})
+	n.sched.At(rto, pf.timer)
+}
+
+// retransmitCheck is pf's timer body: resend unless the frame was acked or
+// must park.
+func (n *Node) retransmitCheck(pf *pendingFrame) {
+	if pf.acked || pf.stalled {
+		return
+	}
+	if !n.Up {
+		// Fired while crashed: park; restart re-arms.
+		pf.stalled = true
+		return
+	}
+	if pf.attempts >= n.cluster.Chaos.Retries() && n.suspects[pf.dst] {
+		// The peer looks dead: park until it is heard from again.
+		pf.stalled = true
+		return
+	}
+	n.transmit(pf)
 }
 
 // sendLinkAck acknowledges one LData sequence number (fire-and-forget; a
 // lost ack is recovered by the sender's retransmission, which is re-acked).
 func (n *Node) sendLinkAck(dst int, seq uint32) {
 	n.charge(uint64(n.cluster.Costs.SyscallCycles))
-	n.netSend(dst, (&wire.LinkFrame{Kind: wire.LAck, Seq: seq}).Marshal())
+	n.ackBuf = wire.LinkFrame{Kind: wire.LAck, Seq: seq}.AppendTo(n.ackBuf[:0])
+	n.netSend(dst, n.ackBuf)
 }
 
 // recvAck retires an unacked frame and fires its delivery hook.
@@ -157,7 +170,7 @@ func (n *Node) reviveStalled(match func(*pendingFrame) bool) {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	for _, k := range keys {
 		pf := n.unacked[k]
 		pf.stalled = false
@@ -165,24 +178,21 @@ func (n *Node) reviveStalled(match func(*pendingFrame) bool) {
 	}
 }
 
-// heartbeatTick is the per-node liveness beacon and suspicion sweep. It
-// self-re-arms as a weak event — heartbeats never keep a finished
-// simulation alive — and keeps ticking (without sending) while the node is
-// down so the cadence survives a restart.
+// heartbeatTick is the per-node liveness beacon and suspicion sweep, run
+// every heartbeat period. It keeps ticking (without sending) while the node
+// is down so the cadence survives a restart.
 func (n *Node) heartbeatTick() {
 	plan := n.cluster.Chaos
-	n.sched.AtWeak(plan.HeartbeatPeriod(), n.heartbeatTick)
 	if !n.Up {
 		return
 	}
-	hb := (&wire.LinkFrame{Kind: wire.LRaw}).Marshal()
 	now := n.now()
 	for _, peer := range n.cluster.Nodes {
 		if peer.ID == n.ID {
 			continue
 		}
 		n.charge(uint64(n.cluster.Costs.SyscallCycles))
-		n.netSend(peer.ID, hb)
+		n.netSend(peer.ID, heartbeatFrame)
 		if !n.suspects[peer.ID] && now-n.lastHeard[peer.ID] > plan.SuspectTimeout() {
 			n.suspects[peer.ID] = true
 			n.cluster.Rec.Emit(obs.Event{At: int64(now), Node: int32(n.ID),
@@ -207,7 +217,7 @@ func (n *Node) failWaitersOn(peer int) {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	for _, id := range ids {
 		f := n.frags[id]
 		n.faultErr(f, ErrNodeDown,
@@ -251,7 +261,7 @@ func (n *Node) restart() {
 			spans = append(spans, span)
 		}
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i] < spans[j] })
+	slices.Sort(spans)
 	for _, span := range spans {
 		tx := n.pendingCommits[span]
 		tx.stalledTimer = false

@@ -216,7 +216,7 @@ func (n *Node) abortMove(tx *moveTxn, reason string) {
 		noop := &wire.Msg{Src: int32(n.ID), Dst: int32(pf.dst), Seq: n.nextSeq(),
 			Payload: &wire.MoveAck{Object: tx.obj.OID, SpanID: tx.span, Epoch: tx.obj.Epoch,
 				Ok: false, Err: "aborted"}}
-		pf.frame = (&wire.LinkFrame{Kind: wire.LData, Seq: pf.seq, Inner: noop.Marshal()}).Marshal()
+		pf.frame = wire.LinkFrame{Kind: wire.LData, Seq: pf.seq, Inner: noop.Marshal()}.Marshal()
 		pf.kind = "moveack"
 	}
 	tx.obj.Epoch--

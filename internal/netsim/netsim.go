@@ -18,7 +18,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"sync/atomic"
 )
@@ -40,13 +39,23 @@ const (
 	classDelivery = int8(1)
 )
 
+// event is one queued piece of work, stored by value in the heap: either a
+// locally scheduled closure (fn) or a frame delivery, which carries its
+// (network, src, handler, buffer) itself so that a frame in flight costs no
+// closure. The destination of a delivery is the owning node.
 type event struct {
-	at    Micros
+	at  Micros
+	seq uint64
+	fn  func() // local work; nil for a frame delivery
+
+	net *Network // delivery: the network the frame arrives on
+	h   Handler  // delivery: the destination's handler at send time
+	buf []byte   // delivery: network-owned scratch copy of the payload
+	src int32    // delivery: sending node
+
 	node  int32 // owning node; -1 for setup/cluster events (sequential only)
 	class int8  // classLocal or classDelivery
-	seq   uint64
 	weak  bool
-	fn    func()
 }
 
 // less is the canonical event order both engines share: time, then node
@@ -67,18 +76,62 @@ func (e *event) less(o *event) bool {
 	return e.seq < o.seq
 }
 
-type eventHeap []*event
+// eventHeap is a binary min-heap of event values ordered by less: the one
+// queue type of both engines. The order is total (no two events compare
+// equal), so the pop sequence is a function of the pushed set alone, not of
+// the heap's internal layout. Push and pop move a hole instead of swapping
+// and allocate nothing once the backing array has grown.
+type eventHeap []event
 
-func (h eventHeap) Len() int            { return len(h) }
-func (h eventHeap) Less(i, j int) bool  { return h[i].less(h[j]) }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+func (h *eventHeap) push(e event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.less(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = e
+	*h = q
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top, e := q[0], q[n]
+	q[n] = event{} // the vacated slot must not pin a closure or buffer
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && q[c+1].less(&q[c]) {
+				c++
+			}
+			if !q[c].less(&e) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = e
+	}
+	*h = q
+	return top
+}
+
+// drop empties the heap, zeroing the entries so their closures and carried
+// delivery buffers become garbage instead of staying pinned by the backing
+// array.
+func (h *eventHeap) drop() {
+	clear(*h)
+	*h = (*h)[:0]
 }
 
 // Sim is the event queue and clock.
@@ -124,18 +177,20 @@ func (s *Sim) AtNode(node int, delay Micros, fn func()) { s.schedule(int32(node)
 func (s *Sim) AtNodeWeak(node int, delay Micros, fn func()) { s.schedule(int32(node), delay, fn, true) }
 
 func (s *Sim) schedule(node int32, delay Micros, fn func(), weak bool) {
-	s.scheduleClass(node, classLocal, delay, fn, weak)
-}
-
-func (s *Sim) scheduleClass(node int32, class int8, delay Micros, fn func(), weak bool) {
 	if delay < 0 {
 		delay = 0
 	}
+	s.push(event{at: s.now + delay, node: node, class: classLocal, weak: weak, fn: fn})
+}
+
+// push stamps e with the next scheduling sequence number and queues it.
+func (s *Sim) push(e event) {
 	s.seq++
-	if !weak {
+	e.seq = s.seq
+	if !e.weak {
 		s.strong++
 	}
-	heap.Push(&s.queue, &event{at: s.now + delay, node: node, class: class, seq: s.seq, weak: weak, fn: fn})
+	s.queue.push(e)
 }
 
 // Step runs the next event; it reports whether one was run.
@@ -143,13 +198,17 @@ func (s *Sim) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.queue).(*event)
+	e := s.queue.pop()
 	s.now = e.at
 	s.events++
 	if !e.weak {
 		s.strong--
 	}
-	e.fn()
+	if e.fn != nil {
+		e.fn()
+	} else {
+		e.net.arrive(s.now, &e.net.bufs, &e)
+	}
 	return true
 }
 
@@ -174,14 +233,8 @@ func (s *Sim) Run(maxEvents uint64) error {
 }
 
 // dropAbandoned clears the weak events left behind when the simulation
-// quiesces, so their closures (and anything they capture, such as pooled
-// delivery buffers) become garbage instead of staying pinned by the queue.
-func (s *Sim) dropAbandoned() {
-	for _, e := range s.queue {
-		e.fn = nil
-	}
-	s.queue = s.queue[:0]
-}
+// quiesces.
+func (s *Sim) dropAbandoned() { s.queue.drop() }
 
 // PendingEvents reports how many events are still queued (after Run this
 // counts only abandoned work; the quiesce path clears it to zero).
@@ -284,12 +337,13 @@ type Network struct {
 	extraLat map[uint64]Micros
 
 	mediumFree Micros
-	handlers   map[int]Handler
-	// down[i] marks node i crashed. Indexed, not a map, so that during a
-	// parallel run node i's own crash/restart events and its delivery
-	// closures (the only writers and readers of entry i) never share
+	// handlers[i] is node i's frame handler (nil: not attached) and down[i]
+	// marks node i crashed. Indexed, not maps: a Send costs no hashing, and
+	// during a parallel run node i's own crash/restart events and its
+	// deliveries (the only writers and readers of entry i) never share
 	// memory with another node's entry.
-	down []bool
+	handlers []Handler
+	down     []bool
 
 	// Observer, when set, sees every frame the medium carries (the
 	// observability recorder implements it; see internal/obs).
@@ -323,7 +377,7 @@ type Network struct {
 
 	// bufs recycles delivery buffers by power-of-two size class. Send
 	// copies each payload into a scratch buffer (senders may reuse their
-	// marshal buffer immediately), and deliver returns the scratch to the
+	// marshal buffer immediately), and arrive returns the scratch to the
 	// freelist after the handler runs — handlers fully consume the frame
 	// synchronously — so steady-state traffic does not allocate per frame.
 	// This pool is only touched by the sequential engine (one goroutine);
@@ -378,10 +432,6 @@ func (p *bufPool) release(buf []byte) {
 	}
 }
 
-// grabBuf and releaseBuf are the sequential engine's pool accessors.
-func (n *Network) grabBuf(payload []byte) []byte { return n.bufs.grab(payload) }
-func (n *Network) releaseBuf(buf []byte)         { n.bufs.release(buf) }
-
 // Verdict is a fault-injection decision for one frame in flight. The zero
 // Verdict delivers the frame normally.
 type Verdict struct {
@@ -431,26 +481,27 @@ func NewNetwork(sim *Sim) *Network {
 		LatencyMicros: 200, // interface + propagation + interrupt latency
 		MinFrameBytes: 64,
 		OverheadBytes: 18 + 20 + 8, // Ethernet + IP + UDP-ish headers
-		handlers:      map[int]Handler{},
 	}
 }
 
 // Attach registers the frame handler for node id.
 func (n *Network) Attach(node int, h Handler) {
+	n.growNodes(node)
 	n.handlers[node] = h
-	n.growDown(node)
 }
 
-func (n *Network) growDown(node int) {
+// growNodes extends the per-node tables to cover node.
+func (n *Network) growNodes(node int) {
 	for len(n.down) <= node {
 		n.down = append(n.down, false)
+		n.handlers = append(n.handlers, nil)
 	}
 }
 
 // SetNodeUp marks node id up or down. Frames addressed to a down node are
 // discarded at delivery time (the sender cannot tell; fail-stop model).
 func (n *Network) SetNodeUp(node int, up bool) {
-	n.growDown(node)
+	n.growNodes(node)
 	n.down[node] = !up
 }
 
@@ -529,13 +580,12 @@ func (n *Network) arbitrate(sendAt, earliest Micros, xmit Micros, size, payloadL
 // after the shared medium frees up; the frame then serializes at the medium
 // rate and the per-frame latency elapses before delivery.
 func (n *Network) Send(src, dst int, payload []byte, earliest Micros) error {
-	if _, ok := n.handlers[dst]; !ok {
+	if dst < 0 || dst >= len(n.handlers) || n.handlers[dst] == nil {
 		return fmt.Errorf("netsim: no node %d attached", dst)
 	}
 	if p := n.sim.par; p != nil {
 		return n.sendParallel(p, src, dst, payload, earliest)
 	}
-	h := n.handlers[dst]
 	size, xmit := n.frameSize(len(payload))
 	if n.Observer != nil {
 		n.Observer.OnFrame(int64(n.sim.Now()), src, dst, len(payload), size, int64(xmit))
@@ -548,17 +598,16 @@ func (n *Network) Send(src, dst int, payload []byte, earliest Micros) error {
 	if v.Drop {
 		atomic.AddUint64(&n.Lost, 1)
 	} else {
-		buf := n.grabBuf(payload)
+		buf := n.bufs.grab(payload)
 		corrupt(buf, v)
-		n.deliver(deliverAt+v.ExtraDelay, src, dst, h, buf)
+		n.sim.push(n.delivery(deliverAt+v.ExtraDelay, src, dst, buf))
 	}
 	if v.Dup {
 		n.Dups++
 		// The duplicate gets its own copy of the (uncorrupted) payload:
 		// both copies are released independently after their handlers run,
 		// so they must never share a pooled buffer.
-		dup := n.grabBuf(payload)
-		n.deliver(deliverAt+dupDelay(v), src, dst, h, dup)
+		n.sim.push(n.delivery(deliverAt+dupDelay(v), src, dst, n.bufs.grab(payload)))
 	}
 	return nil
 }
@@ -584,24 +633,31 @@ func dupDelay(v Verdict) Micros {
 	return v.DupDelay
 }
 
-// deliver schedules a frame's arrival; frames addressed to a node that is
-// down at the delivery instant vanish. buf is a scratch buffer owned by
-// the network: it is recycled once the handler returns, so handlers must
-// not retain it (they copy whatever outlives the call — Unmarshal copies
-// strings, the chaos link layer copies held frames).
-func (n *Network) deliver(at Micros, src, dst int, h Handler, buf []byte) {
-	n.sim.scheduleClass(int32(dst), classDelivery, at-n.sim.now, func() {
-		if !n.NodeUp(dst) {
-			atomic.AddUint64(&n.Lost, 1)
-			if n.OnLost != nil {
-				n.OnLost(n.sim.Now(), src, dst)
-			}
-			n.releaseBuf(buf)
-			return
+// delivery builds the event for a frame's arrival at dst. buf is a scratch
+// buffer owned by the network, recycled once the handler returns.
+func (n *Network) delivery(at Micros, src, dst int, buf []byte) event {
+	return event{at: at, node: int32(dst), class: classDelivery,
+		net: n, h: n.handlers[dst], src: int32(src), buf: buf}
+}
+
+// arrive runs a delivery event — the one delivery routine of both engines.
+// A frame addressed to a node that is down at the delivery instant
+// vanishes. Either way the scratch buffer goes back to pool, the pool of
+// the event loop running the event (the network's own under the sequential
+// engine, the destination runner's under the parallel one), so handlers
+// must not retain it: they copy whatever outlives the call — Unmarshal
+// copies strings, the chaos link layer copies held frames.
+func (n *Network) arrive(now Micros, pool *bufPool, e *event) {
+	src, dst := int(e.src), int(e.node)
+	if !n.NodeUp(dst) {
+		atomic.AddUint64(&n.Lost, 1)
+		if n.OnLost != nil {
+			n.OnLost(now, src, dst)
 		}
-		h(src, buf)
-		n.releaseBuf(buf)
-	}, false)
+	} else {
+		e.h(src, e.buf)
+	}
+	pool.release(e.buf)
 }
 
 // ResetCounters zeroes the traffic counters.

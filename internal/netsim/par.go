@@ -22,7 +22,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"sync"
@@ -60,21 +59,26 @@ type nodeRunner struct {
 	sends  uint64 // per-src send index
 	reqs   []sendReq
 	// pool recycles delivery buffers, touched only by this runner's
-	// goroutine: sends grab from the sending runner's pool, and the
-	// delivery closure releases into the destination runner's pool after
-	// the handler runs. Buffers therefore migrate along traffic — a
-	// request/response exchange refills both ends — and steady-state
-	// parallel traffic allocates no per-frame buffers, matching the
-	// sequential engine's pooling.
+	// goroutine: sends grab from the sending runner's pool, and arrive
+	// releases into the destination runner's pool after the handler runs.
+	// Buffers therefore migrate along traffic — a request/response
+	// exchange refills both ends — and steady-state parallel traffic
+	// allocates no per-frame buffers, matching the sequential engine's
+	// pooling.
 	pool bufPool
 
 	start chan Micros // window end; closing it stops the goroutine
 	done  chan struct{}
 }
 
-func (r *nodeRunner) nextSeq() uint64 {
+// push stamps e with this node's next sequence number and queues it.
+func (r *nodeRunner) push(e event) {
 	r.seq++
-	return r.seq
+	e.seq = r.seq
+	if !e.weak {
+		r.strong++
+	}
+	r.heap.push(e)
 }
 
 // at schedules fn on this runner's own queue (called from the runner's
@@ -83,10 +87,7 @@ func (r *nodeRunner) at(class int8, delay Micros, fn func(), weak bool) {
 	if delay < 0 {
 		delay = 0
 	}
-	if !weak {
-		r.strong++
-	}
-	heap.Push(&r.heap, &event{at: r.now + delay, node: int32(r.id), class: class, seq: r.nextSeq(), weak: weak, fn: fn})
+	r.push(event{at: r.now + delay, node: int32(r.id), class: class, weak: weak, fn: fn})
 }
 
 // head returns the earliest pending event time, or ok=false when idle.
@@ -102,25 +103,20 @@ func (r *nodeRunner) head() (Micros, bool) {
 func (r *nodeRunner) run() {
 	for w := range r.start {
 		for len(r.heap) > 0 && r.heap[0].at < w {
-			e := heap.Pop(&r.heap).(*event)
+			e := r.heap.pop()
 			r.now = e.at
 			r.ran++
 			if !e.weak {
 				r.strong--
 			}
-			e.fn()
+			if e.fn != nil {
+				e.fn()
+			} else {
+				e.net.arrive(r.now, &r.pool, &e)
+			}
 		}
 		r.done <- struct{}{}
 	}
-}
-
-// abandon drops any leftover (weak) events at quiesce, mirroring the
-// sequential engine's dropAbandoned.
-func (r *nodeRunner) abandon() {
-	for _, e := range r.heap {
-		e.fn = nil
-	}
-	r.heap = r.heap[:0]
 }
 
 // parRun is one parallel execution: the runners plus the shared network.
@@ -209,11 +205,11 @@ func (p *parRun) flushSends() {
 	}
 }
 
-// insertDelivery queues a frame arrival on the destination runner. The
-// closure mirrors the sequential deliver: a down destination discards the
-// frame. Either way the scratch buffer is released into the destination
-// runner's pool — the closure runs on that runner's goroutine, so the
-// single-owner rule holds even though the buffer was grabbed by the sender.
+// insertDelivery queues a frame arrival on the destination runner: the same
+// delivery event the sequential engine schedules, so it runs through the
+// same Network.arrive — on the destination runner's goroutine, releasing
+// the scratch buffer into that runner's pool even though the sender's pool
+// supplied it.
 func (p *parRun) insertDelivery(src, dst int, at Micros, buf []byte) {
 	r := p.runners[dst]
 	if at < r.now {
@@ -221,21 +217,7 @@ func (p *parRun) insertDelivery(src, dst int, at Micros, buf []byte) {
 		// but guard it loudly rather than silently reordering time.
 		panic(fmt.Sprintf("netsim: delivery at %dµs behind node %d clock %dµs", at, dst, r.now))
 	}
-	n := p.net
-	h := n.handlers[dst]
-	r.strong++
-	heap.Push(&r.heap, &event{at: at, node: int32(dst), class: classDelivery, seq: r.nextSeq(), fn: func() {
-		if !n.NodeUp(dst) {
-			atomic.AddUint64(&n.Lost, 1)
-			if n.OnLost != nil {
-				n.OnLost(r.now, src, dst)
-			}
-			r.pool.release(buf)
-			return
-		}
-		h(src, buf)
-		r.pool.release(buf)
-	}})
+	r.push(p.net.delivery(at, src, dst, buf))
 }
 
 // RunParallel drives the simulation to completion with one goroutine per
@@ -275,13 +257,16 @@ func (s *Sim) RunParallel(net *Network, numNodes int, maxEvents uint64) error {
 		if e.node < 0 || int(e.node) >= numNodes {
 			return fmt.Errorf("netsim: pending event owned by no node (node %d); schedule via AtNode before RunParallel", e.node)
 		}
+		// The event keeps the sequence number the sequential clock gave it
+		// (runner counters continue from s.seq), and a pending delivery
+		// moves over whole: it will arrive through the runner's pool.
 		r := p.runners[e.node]
-		heap.Push(&r.heap, e)
+		r.heap.push(e)
 		if !e.weak {
 			r.strong++
 		}
 	}
-	s.queue = s.queue[:0]
+	s.queue.drop()
 	s.strong = 0
 	s.par = p
 
@@ -331,8 +316,9 @@ func (p *parRun) drive(maxEvents uint64) error {
 			}
 		}
 		if strong == 0 {
+			// Leftover weak events are abandoned, as in dropAbandoned.
 			for _, r := range p.runners {
-				r.abandon()
+				r.heap.drop()
 			}
 			return nil
 		}

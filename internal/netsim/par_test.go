@@ -28,12 +28,23 @@ func TestRunExactBudget(t *testing.T) {
 }
 
 // TestRunClearsAbandonedWeak: weak events left behind at quiesce must be
-// dropped from the queue (their closures released), not stay pinned.
+// dropped from the queue, and nothing the queue ever held may stay pinned
+// by its backing array — neither an abandoned closure nor the buffer a
+// delivered frame carried.
 func TestRunClearsAbandonedWeak(t *testing.T) {
 	s := NewSim()
-	s.At(10, func() {})
+	net := NewNetwork(s)
+	net.Attach(0, func(int, []byte) {})
+	net.Attach(1, func(int, []byte) {})
+	s.At(10, func() {
+		for i := 0; i < 4; i++ {
+			if err := net.Send(0, 1, []byte{1, 2, 3}, 0); err != nil {
+				t.Errorf("send: %v", err)
+			}
+		}
+	})
 	var weakRan bool
-	s.AtWeak(100, func() { weakRan = true })
+	s.AtWeak(100_000, func() { weakRan = true })
 	if err := s.Run(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -42,6 +53,60 @@ func TestRunClearsAbandonedWeak(t *testing.T) {
 	}
 	if got := s.PendingEvents(); got != 0 {
 		t.Errorf("pending events after quiesce = %d, want 0", got)
+	}
+	assertHeapZeroed(t, s.queue)
+
+	// drop on its own: an abandoned entry that carries a buffer.
+	var h eventHeap
+	h.push(net.delivery(5, 0, 1, make([]byte, 8)))
+	h.push(event{at: 7, fn: func() {}, weak: true})
+	h.drop()
+	if len(h) != 0 {
+		t.Errorf("dropped heap holds %d events", len(h))
+	}
+	assertHeapZeroed(t, h)
+}
+
+// assertHeapZeroed checks every slot of the heap's backing array past its
+// length: popped and dropped entries must have been cleared.
+func assertHeapZeroed(t *testing.T, h eventHeap) {
+	t.Helper()
+	for i, e := range h[len(h):cap(h)] {
+		if e.fn != nil || e.buf != nil || e.h != nil || e.net != nil {
+			t.Errorf("vacated queue slot %d still references fn/buf/handler/network: %+v", len(h)+i, keyOf(e))
+		}
+	}
+}
+
+// TestRunParallelDeliversPendingFrame: a frame sent under the sequential
+// clock is a delivery event on the shared queue; sharding the queue onto the
+// node runners must carry it over whole, to be delivered by the destination
+// runner, not dropped.
+func TestRunParallelDeliversPendingFrame(t *testing.T) {
+	s := NewSim()
+	net := NewNetwork(s)
+	var got []byte
+	net.Attach(0, func(int, []byte) {})
+	net.Attach(1, func(src int, payload []byte) {
+		if src != 0 {
+			t.Errorf("delivered from node %d, want 0", src)
+		}
+		got = append(got, payload...)
+	})
+	if err := net.Send(0, 1, []byte{0xab, 0xcd}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if s.PendingEvents() != 1 {
+		t.Fatalf("pending events before the run = %d, want the one delivery", s.PendingEvents())
+	}
+	if err := s.RunParallel(net, 2, 100); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "\xab\xcd" {
+		t.Errorf("delivered payload % x, want ab cd", got)
+	}
+	if s.Events() != 1 || net.Lost != 0 {
+		t.Errorf("events %d lost %d, want 1 and 0", s.Events(), net.Lost)
 	}
 }
 

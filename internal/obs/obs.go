@@ -349,10 +349,11 @@ type Recorder struct {
 	rings   []ring
 	cluster ring // events with Node < 0 (cluster-level text)
 	spanMu  sync.Mutex
-	spans   map[uint32]*Span
-	spanSeq []uint64 // per-node span creation counters
-	reg     *Registry
-	sink    func(string)
+	// spans[lane][idx] is the idx-th span opened by source node lane; a
+	// span's id encodes both (see BeginSpan), so lookup is two indexings.
+	spans [][]*Span
+	reg   *Registry
+	sink  func(string)
 }
 
 // NewRecorder returns a recorder for n nodes with per-node rings of ringCap
@@ -366,11 +367,10 @@ func NewRecorder(n, ringCap int) *Recorder {
 		ringCap = 0
 	}
 	r := &Recorder{
-		nodes:   make([]NodeInfo, n),
-		rings:   make([]ring, n),
-		spans:   map[uint32]*Span{},
-		spanSeq: make([]uint64, n+1),
-		reg:     NewRegistry(),
+		nodes: make([]NodeInfo, n),
+		rings: make([]ring, n),
+		spans: make([][]*Span, max(n, 1)),
+		reg:   NewRegistry(),
 	}
 	for i := range r.rings {
 		r.rings[i].buf = make([]Event, 0, ringCap)

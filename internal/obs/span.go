@@ -75,31 +75,31 @@ func (s *Span) String() string {
 // engines. Only the table itself is locked (source and destination touch a
 // span's fields at causally ordered instants, never concurrently).
 func (r *Recorder) BeginSpan(at int64, src, dst int32, obj uint32, objKind string) *Span {
-	stride := uint32(len(r.nodes))
-	if stride == 0 {
-		stride = 1
-	}
+	stride := uint32(len(r.spans))
 	lane := uint32(0)
 	if src >= 0 && int(src) < len(r.nodes) {
 		lane = uint32(src)
 	}
 	r.spanMu.Lock()
-	idx := r.spanSeq[lane]
-	r.spanSeq[lane]++
-	s := &Span{ID: uint32(idx)*stride + lane + 1, Obj: obj, Src: src, Dst: dst,
+	idx := uint32(len(r.spans[lane]))
+	s := &Span{ID: idx*stride + lane + 1, Obj: obj, Src: src, Dst: dst,
 		ObjKind: objKind, Start: at}
-	r.spans[s.ID] = s
+	r.spans[lane] = append(r.spans[lane], s)
 	r.spanMu.Unlock()
 	return s
 }
 
 // Span resolves a span id (nil when unknown — e.g. id 0, or a Move decoded
-// from a foreign stream).
+// from a foreign stream) by inverting BeginSpan's id arithmetic.
 func (r *Recorder) Span(id uint32) *Span {
+	stride := uint32(len(r.spans))
+	lane, idx := (id-1)%stride, (id-1)/stride
 	r.spanMu.Lock()
-	s := r.spans[id]
-	r.spanMu.Unlock()
-	return s
+	defer r.spanMu.Unlock()
+	if id == 0 || int(idx) >= len(r.spans[lane]) {
+		return nil
+	}
+	return r.spans[lane][idx]
 }
 
 // Spans returns every span opened so far, ordered by (Start, Src, ID) —
@@ -107,9 +107,9 @@ func (r *Recorder) Span(id uint32) *Span {
 // identical under the parallel one.
 func (r *Recorder) Spans() []*Span {
 	r.spanMu.Lock()
-	out := make([]*Span, 0, len(r.spans))
-	for _, s := range r.spans {
-		out = append(out, s)
+	var out []*Span
+	for _, lane := range r.spans {
+		out = append(out, lane...)
 	}
 	r.spanMu.Unlock()
 	sort.Slice(out, func(i, j int) bool {

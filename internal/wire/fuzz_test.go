@@ -7,6 +7,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 )
 
@@ -87,6 +88,32 @@ func TestLinkFrameRoundtrip(t *testing.T) {
 		}
 		if got.Kind != f.Kind || got.Seq != f.Seq || !bytes.Equal(got.Inner, f.Inner) {
 			t.Fatalf("kind 0x%02x: roundtrip mismatch: %+v != %+v", kind, got, f)
+		}
+	}
+}
+
+// The envelope's bytes are fixed: [kind][seq BE][crc BE][inner], CRC-32
+// (IEEE) over kind, seq and inner. The vectors were computed outside this
+// package's codec (Python's zlib.crc32).
+func TestLinkFrameWireFormatVector(t *testing.T) {
+	for _, c := range []struct {
+		f    LinkFrame
+		want string
+	}{
+		{LinkFrame{Kind: LData, Seq: 0x01020304, Inner: []byte("emerald")}, "d101020304f3f24d3f656d6572616c64"},
+		{LinkFrame{Kind: LAck, Seq: 77}, "d20000004d3d7ae609"},
+		{LinkFrame{Kind: LRaw}, "d3000000000877f294"},
+	} {
+		want, _ := hex.DecodeString(c.want)
+		if got := c.f.Marshal(); !bytes.Equal(got, want) {
+			t.Errorf("Marshal(%+v) = %x, want %x", c.f, got, want)
+		}
+		if got := c.f.AppendTo([]byte{0xee}); !bytes.Equal(got[1:], want) || got[0] != 0xee {
+			t.Errorf("AppendTo(%+v) after one byte = %x, want ee%x", c.f, got, want)
+		}
+		got, err := ParseLinkFrame(want)
+		if err != nil || got.Kind != c.f.Kind || got.Seq != c.f.Seq || !bytes.Equal(got.Inner, c.f.Inner) {
+			t.Errorf("ParseLinkFrame(%x) = %+v, %v; want %+v", want, got, err, c.f)
 		}
 	}
 }

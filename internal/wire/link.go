@@ -7,6 +7,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 )
@@ -36,44 +37,79 @@ type LinkFrame struct {
 // linkHeaderBytes is the envelope overhead.
 const linkHeaderBytes = 1 + 4 + 4
 
+// BadFrameReason says which check a rejected link frame failed.
+type BadFrameReason uint8
+
+const (
+	BadFrameShort BadFrameReason = iota // Got = frame length, Want = header length
+	BadFrameKind                        // Got = the unknown kind byte
+	BadFrameCRC                         // Got = CRC computed, Want = CRC the frame carries
+)
+
 // ErrBadFrame reports a link frame that failed structural or CRC checks.
-type ErrBadFrame struct{ Reason string }
-
-func (e *ErrBadFrame) Error() string { return "wire: bad link frame: " + e.Reason }
-
-func linkCRC(kind byte, seq uint32, inner []byte) uint32 {
-	h := crc32.NewIEEE()
-	h.Write([]byte{kind, byte(seq >> 24), byte(seq >> 16), byte(seq >> 8), byte(seq)})
-	h.Write(inner)
-	return h.Sum32()
+// It carries the numbers, not a message: the kernel drops bad frames
+// silently, so the text is formatted only if someone asks for it.
+type ErrBadFrame struct {
+	Reason    BadFrameReason
+	Got, Want uint32
 }
 
-// Marshal serializes the frame.
-func (f *LinkFrame) Marshal() []byte {
-	e := &Enc{}
-	e.U8(f.Kind)
-	e.U32(f.Seq)
-	e.U32(linkCRC(f.Kind, f.Seq, f.Inner))
-	e.buf = append(e.buf, f.Inner...)
-	return e.Bytes()
+func (e *ErrBadFrame) Error() string {
+	switch e.Reason {
+	case BadFrameShort:
+		return fmt.Sprintf("wire: bad link frame: short frame (%d bytes)", e.Got)
+	case BadFrameKind:
+		return fmt.Sprintf("wire: bad link frame: unknown kind 0x%02x", e.Got)
+	}
+	return fmt.Sprintf("wire: bad link frame: crc mismatch (got %08x, frame says %08x)", e.Got, e.Want)
 }
 
-// ParseLinkFrame parses and verifies a link frame. A short buffer, unknown
-// kind byte or CRC mismatch yields *ErrBadFrame — under chaos the caller
-// drops such frames silently and lets retransmission recover.
-func ParseLinkFrame(buf []byte) (*LinkFrame, error) {
+// crcOff is where the CRC sits in a frame: after the kind and seq it covers.
+const crcOff = 1 + 4
+
+// linkCRC checksums a frame's covered bytes in place: its first crcOff
+// bytes (kind, seq) and inner. It reads the header where it already lies —
+// hash/crc32 calls its kernel through a func value, so a header assembled
+// on the stack would escape to the heap, one allocation per frame.
+func linkCRC(frame, inner []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(frame[:crcOff]), crc32.IEEETable, inner)
+}
+
+// AppendTo appends the serialized frame to dst and returns the extended
+// slice. Frames that are sent and forgotten (acks) are built this way in a
+// sender-owned scratch buffer: netsim.Send copies what it carries.
+func (f LinkFrame) AppendTo(dst []byte) []byte {
+	at := len(dst)
+	dst = append(dst, f.Kind,
+		byte(f.Seq>>24), byte(f.Seq>>16), byte(f.Seq>>8), byte(f.Seq), 0, 0, 0, 0)
+	crc := linkCRC(dst[at:], f.Inner)
+	binary.BigEndian.PutUint32(dst[at+crcOff:], crc)
+	return append(dst, f.Inner...)
+}
+
+// Marshal serializes the frame into a new buffer of exactly its size (a
+// reliable frame is retained for retransmission).
+func (f LinkFrame) Marshal() []byte {
+	return f.AppendTo(make([]byte, 0, linkHeaderBytes+len(f.Inner)))
+}
+
+// ParseLinkFrame parses and verifies a link frame; Inner aliases buf. A
+// short buffer, unknown kind byte or CRC mismatch yields *ErrBadFrame —
+// under chaos the caller drops such frames silently and lets retransmission
+// recover.
+func ParseLinkFrame(buf []byte) (LinkFrame, error) {
 	if len(buf) < linkHeaderBytes {
-		return nil, &ErrBadFrame{Reason: fmt.Sprintf("short frame (%d bytes)", len(buf))}
+		return LinkFrame{}, &ErrBadFrame{Reason: BadFrameShort, Got: uint32(len(buf)), Want: linkHeaderBytes}
 	}
-	f := &LinkFrame{Kind: buf[0]}
+	f := LinkFrame{Kind: buf[0]}
 	if f.Kind != LData && f.Kind != LAck && f.Kind != LRaw {
-		return nil, &ErrBadFrame{Reason: fmt.Sprintf("unknown kind 0x%02x", f.Kind)}
+		return LinkFrame{}, &ErrBadFrame{Reason: BadFrameKind, Got: uint32(f.Kind)}
 	}
-	f.Seq = uint32(buf[1])<<24 | uint32(buf[2])<<16 | uint32(buf[3])<<8 | uint32(buf[4])
-	crc := uint32(buf[5])<<24 | uint32(buf[6])<<16 | uint32(buf[7])<<8 | uint32(buf[8])
+	f.Seq = binary.BigEndian.Uint32(buf[1:])
+	crc := binary.BigEndian.Uint32(buf[crcOff:])
 	f.Inner = buf[linkHeaderBytes:]
-	if got := linkCRC(f.Kind, f.Seq, f.Inner); got != crc {
-		return nil, &ErrBadFrame{Reason: fmt.Sprintf("crc mismatch (got %08x, frame says %08x)", got, crc)}
+	if got := linkCRC(buf, f.Inner); got != crc {
+		return LinkFrame{}, &ErrBadFrame{Reason: BadFrameCRC, Got: got, Want: crc}
 	}
 	return f, nil
 }
