@@ -42,9 +42,7 @@ func BenchmarkTable1(b *testing.B) {
 				var simMS float64
 				var calls uint64
 				for i := 0; i < b.N; i++ {
-					cfg := kernel.DefaultConfig()
-					cfg.Mode = mode
-					cl, err := kernel.NewCluster(prog, []netsim.MachineModel{pair.A, pair.B}, cfg)
+					cl, err := kernel.NewCluster(prog, []netsim.MachineModel{pair.A, pair.B}, kernel.Config{Mode: mode})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -184,10 +182,8 @@ func BenchmarkConversionAblation(b *testing.B) {
 			var simMS float64
 			var calls uint64
 			for i := 0; i < b.N; i++ {
-				cfg := kernel.DefaultConfig()
-				cfg.Mode = mode
 				cl, err := kernel.NewCluster(prog,
-					[]netsim.MachineModel{netsim.SPARCstationSLC, netsim.SPARCstationSLC}, cfg)
+					[]netsim.MachineModel{netsim.SPARCstationSLC, netsim.SPARCstationSLC}, kernel.Config{Mode: mode})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -532,10 +528,9 @@ func BenchmarkAblationHomogeneousFastPath(b *testing.B) {
 	}
 	var simMS float64
 	for i := 0; i < b.N; i++ {
-		cfg := kernel.DefaultConfig()
-		cfg.Mode = kernel.ModeEnhancedFastPath
 		cl, err := kernel.NewCluster(prog,
-			[]netsim.MachineModel{netsim.SPARCstationSLC, netsim.SPARCstationSLC}, cfg)
+			[]netsim.MachineModel{netsim.SPARCstationSLC, netsim.SPARCstationSLC},
+			kernel.Config{Mode: kernel.ModeEnhancedFastPath})
 		if err != nil {
 			b.Fatal(err)
 		}

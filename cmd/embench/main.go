@@ -156,7 +156,7 @@ func main() {
 	outDir := flag.String("out", ".", "directory for BENCH_*.json result files")
 	flag.StringVar(&baselineDir, "baseline", "",
 		"directory of committed BENCH_*.json baselines to compare against (>20% drift fails)")
-	profile := prof.Register()
+	profile := prof.Register(flag.CommandLine)
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() > 1 {
@@ -174,6 +174,10 @@ func main() {
 	if !known {
 		fmt.Fprintf(os.Stderr, "embench: unknown subcommand %q\n", what)
 		usage()
+		os.Exit(1)
+	}
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		fmt.Fprintln(os.Stderr, "embench:", err)
 		os.Exit(1)
 	}
 	stopProfile := profile.Start()

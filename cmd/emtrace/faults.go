@@ -8,9 +8,8 @@
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"sort"
 	"strings"
 
@@ -41,28 +40,9 @@ func newFaultTally() *faultTally {
 	}
 }
 
-func faultsMain() {
-	netSpec := flag.String("net", "sun3,hp1,sparc,vax", "comma-separated machine list ("+core.MachineNames+")")
-	mode := flag.String("mode", "enhanced", "conversion mode: enhanced, original, batched, fastpath")
-	chaosSpec := flag.String("chaos", "", "seeded fault plan, e.g. seed=7,drop=0.05,crash=1@20ms:60ms")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: emtrace faults [-net spec] [-mode m] -chaos plan file.em")
-		os.Exit(2)
-	}
-	sys, err := runUnder(*netSpec, *mode, *chaosSpec, flag.Arg(0))
-	if err != nil && sys == nil {
-		for _, line := range core.Diagnostics(err) {
-			fmt.Fprintln(os.Stderr, "emtrace:", line)
-		}
-		os.Exit(1)
-	}
-	// A run that faulted (e.g. a crash that never restarts takes its
-	// threads down with it) still has a trace worth summarizing.
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "emtrace: run ended with fault:", err)
-	}
-
+// printFaults tallies the run's event log per node and prints the
+// reconciliation.
+func printFaults(w io.Writer, sys *core.System) {
 	tallies := make([]*faultTally, len(sys.Cluster.Nodes))
 	for i := range tallies {
 		tallies[i] = newFaultTally()
@@ -100,17 +80,17 @@ func faultsMain() {
 		}
 	}
 
-	fmt.Printf("chaos fault/recovery reconciliation (%.1f ms simulated)\n\n", sys.ElapsedMS())
+	fmt.Fprintf(w, "chaos fault/recovery reconciliation (%.1f ms simulated)\n\n", sys.ElapsedMS())
 	for i, n := range sys.Cluster.Nodes {
 		t := tallies[i]
-		fmt.Printf("node%d %-18s [%s]\n", n.ID, n.Model.Name, n.Spec.Name)
-		fmt.Printf("  injected : %s\n", kvLine(t.injected, "none"))
+		fmt.Fprintf(w, "node%d %-18s [%s]\n", n.ID, n.Model.Name, n.Spec.Name)
+		fmt.Fprintf(w, "  injected : %s\n", kvLine(t.injected, "none"))
 		lost := kvLine(t.linkDrops, "0")
-		fmt.Printf("  recovered: retransmits=%d link-rejects=%s dup-moves-dropped=%d\n",
+		fmt.Fprintf(w, "  recovered: retransmits=%d link-rejects=%s dup-moves-dropped=%d\n",
 			t.retrans, lost, t.dupDrops)
-		fmt.Printf("  liveness : crashes=%d restarts=%d suspects=%d recovers=%d thread-faults=%d\n",
+		fmt.Fprintf(w, "  liveness : crashes=%d restarts=%d suspects=%d recovers=%d thread-faults=%d\n",
 			t.crashes, t.restarts, t.suspects, t.recovers, t.faultsIn)
-		fmt.Printf("  moves    : commits=%d aborts=%s\n", t.commits, kvLine(t.aborts, "0"))
+		fmt.Fprintf(w, "  moves    : commits=%d aborts=%s\n", t.commits, kvLine(t.aborts, "0"))
 	}
 
 	// Cluster-wide reconciliation: every injected fault should correspond
@@ -131,8 +111,8 @@ func faultsMain() {
 		}
 		total.dupDrops += t.dupDrops
 	}
-	fmt.Printf("\ntotal injected : %s\n", kvLine(total.injected, "none"))
-	fmt.Printf("total recovered: retransmits=%d link-rejects=%s move-commits=%d move-aborts=%s dup-moves-dropped=%d\n",
+	fmt.Fprintf(w, "\ntotal injected : %s\n", kvLine(total.injected, "none"))
+	fmt.Fprintf(w, "total recovered: retransmits=%d link-rejects=%s move-commits=%d move-aborts=%s dup-moves-dropped=%d\n",
 		total.retrans, kvLine(total.linkDrops, "0"), total.commits, kvLine(total.aborts, "0"), total.dupDrops)
 }
 

@@ -6,83 +6,106 @@
 //
 // Usage:
 //
-//	emtrace [-net spec] [-mode enhanced|original|batched|fastpath]
-//	        [-chaos plan] [-chrome out.json] [-metrics out.json]
-//	        [-text] [-spans] file.em
-//	emtrace faults [-net spec] [-mode m] [-chaos plan] file.em
+//	emtrace [flags] file.em
+//	emtrace faults [flags] file.em
 //
-// With no export flags, emtrace prints the span table. The faults
-// subcommand runs the program under a chaos plan and prints a per-node
-// reconciliation of injected faults against the protocol's recovery
-// actions. All output is deterministic: the same program on the same
-// network with the same plan produces identical bytes on every run.
+// Both forms take every run-shaping flag emrun takes (core.RegisterFlags:
+// network, mode, chaos plan, directory, placement policy, engine — see
+// DESIGN.md "Configuration"), so any run can be traced as it was run;
+// emtrace -h lists them beside the export flags. With no export flags,
+// emtrace prints the span table. The faults subcommand runs the program
+// under a chaos plan and prints a per-node reconciliation of injected
+// faults against the protocol's recovery actions. All output is
+// deterministic: the same program on the same network with the same plan
+// produces identical bytes on every run.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
 
-func main() {
-	if len(os.Args) > 1 && os.Args[1] == "faults" {
-		os.Args = append(os.Args[:1], os.Args[2:]...)
-		faultsMain()
-		return
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 && args[0] == "faults" {
+		sys, code := simulate(newFlagSet("emtrace faults", stderr), args[1:])
+		if sys == nil {
+			return code
+		}
+		// A run that faulted (e.g. a crash that never restarts takes its
+		// threads down with it) still has a trace worth summarizing.
+		printFaults(stdout, sys)
+		return 0
 	}
-	netSpec := flag.String("net", "sun3,hp1,sparc,vax", "comma-separated machine list ("+core.MachineNames+")")
-	mode := flag.String("mode", "enhanced", "conversion mode: enhanced, original, batched, fastpath")
-	chaosSpec := flag.String("chaos", "", "seeded fault plan, e.g. seed=7,drop=0.05 (see internal/chaos)")
-	chromeOut := flag.String("chrome", "", "write a Chrome trace-event JSON timeline to this file")
-	metricsOut := flag.String("metrics", "", "write a flat JSON metrics snapshot to this file")
-	text := flag.Bool("text", false, "print the structured event log as text to stdout")
-	spans := flag.Bool("spans", false, "print the migration-span table (default when no other output is selected)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: emtrace [faults] [-net spec] [-mode m] [-chaos plan] [-chrome out.json] [-metrics out.json] [-text] [-spans] file.em")
-		os.Exit(2)
+	fs := newFlagSet("emtrace", stderr)
+	chromeOut := fs.String("chrome", "", "write a Chrome trace-event JSON timeline to this file")
+	metricsOut := fs.String("metrics", "", "write a flat JSON metrics snapshot to this file")
+	text := fs.Bool("text", false, "print the structured event log as text to stdout")
+	spans := fs.Bool("spans", false, "print the migration-span table (default when no other output is selected)")
+	sys, code := simulate(fs, args)
+	if sys == nil || code != 0 {
+		return code
 	}
-	if err := run(*netSpec, *mode, *chaosSpec, *chromeOut, *metricsOut, *text, *spans, flag.Arg(0)); err != nil {
+	if err := export(sys, *chromeOut, *metricsOut, *text, *spans, stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "emtrace:", err)
+		return 1
+	}
+	return 0
+}
+
+func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: %s [flags] file.em\n", name)
+		fs.PrintDefaults()
+	}
+	return fs
+}
+
+// simulate registers the run flags on fs beside the caller's own, parses
+// args, and compiles and runs the program they name. Failures are reported
+// on fs's output and returned as an exit status (0 after -h, 2 for a bad command
+// line, 1 otherwise); the System is nil unless the program ran, and non-nil
+// with status 1 when the run itself ended in a fault.
+func simulate(fs *flag.FlagSet, args []string) (*core.System, int) {
+	runFlags := core.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, 0
+		}
+		return nil, 2
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return nil, 2
+	}
+	machines, opts, err := runFlags.Resolve()
+	var src []byte
+	if err == nil {
+		src, err = os.ReadFile(fs.Arg(0))
+	}
+	var sys *core.System
+	if err == nil {
+		sys, err = core.RunSource(string(src), machines, opts)
+	}
+	if err != nil {
 		for _, line := range core.Diagnostics(err) {
-			fmt.Fprintln(os.Stderr, "emtrace:", line)
+			fmt.Fprintln(fs.Output(), "emtrace:", line)
 		}
-		os.Exit(1)
+		return sys, 1
 	}
+	return sys, 0
 }
 
-// runUnder compiles and runs file on the given network under an optional
-// chaos plan (shared by the default mode and the faults subcommand).
-func runUnder(netSpec, mode, chaosSpec, file string) (*core.System, error) {
-	machines, err := core.ParseNetwork(netSpec)
-	if err != nil {
-		return nil, err
-	}
-	cm, err := core.ParseMode(mode)
-	if err != nil {
-		return nil, err
-	}
-	opts := core.Options{Mode: cm}
-	if chaosSpec != "" {
-		if opts.Chaos, err = chaos.ParsePlan(chaosSpec); err != nil {
-			return nil, err
-		}
-	}
-	src, err := os.ReadFile(file)
-	if err != nil {
-		return nil, err
-	}
-	return core.RunSource(string(src), machines, opts)
-}
-
-func run(netSpec, mode, chaosSpec, chromeOut, metricsOut string, text, spans bool, file string) error {
-	sys, err := runUnder(netSpec, mode, chaosSpec, file)
-	if err != nil {
-		return err
-	}
+func export(sys *core.System, chromeOut, metricsOut string, text, spans bool, stdout, stderr io.Writer) error {
 	rec := sys.Recorder()
 	if chromeOut != "" {
 		if err := writeFile(chromeOut, func(f *os.File) error {
@@ -90,7 +113,7 @@ func run(netSpec, mode, chaosSpec, chromeOut, metricsOut string, text, spans boo
 		}); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "emtrace: wrote %s (%d spans, %d events)\n",
+		fmt.Fprintf(stderr, "emtrace: wrote %s (%d spans, %d events)\n",
 			chromeOut, len(rec.Spans()), len(rec.Events()))
 	}
 	if metricsOut != "" {
@@ -100,16 +123,16 @@ func run(netSpec, mode, chaosSpec, chromeOut, metricsOut string, text, spans boo
 		}); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "emtrace: wrote %s\n", metricsOut)
+		fmt.Fprintf(stderr, "emtrace: wrote %s\n", metricsOut)
 	}
 	if text {
-		os.Stdout.Write(obs.EventLog(rec))
+		stdout.Write(obs.EventLog(rec))
 	}
 	if spans || (chromeOut == "" && metricsOut == "" && !text) {
-		fmt.Print(obs.FormatSpans(rec))
+		fmt.Fprint(stdout, obs.FormatSpans(rec))
 	}
 	if d := rec.Dropped(); d > 0 {
-		fmt.Fprintf(os.Stderr, "emtrace: %d events evicted from full rings (raise kernel.Config.EventRingCap for full streams)\n", d)
+		fmt.Fprintf(stderr, "emtrace: %d events evicted from full rings (the ring size is core.Options.EventRingCap; it has no flag — set it from Go for full streams)\n", d)
 	}
 	return nil
 }

@@ -49,8 +49,10 @@ func TestAutoPolicyValidation(t *testing.T) {
 	if _, err := NewSystem(prog, Figure1Network(), Options{AutoPolicy: "nope"}); err == nil {
 		t.Error("unknown policy accepted")
 	}
-	if _, err := NewSystem(prog, Figure1Network(), Options{AutoPolicy: "greedy-colocate", Parallel: true}); err == nil {
-		t.Error("auto + parallel accepted; the policy tick needs the sequential engine")
+	// The engine check lives beside the engine, in kernel.NewCluster.
+	_, err = NewSystem(prog, Figure1Network(), Options{AutoPolicy: "greedy-colocate", Parallel: true})
+	if err == nil || !strings.Contains(err.Error(), "sequential engine") {
+		t.Errorf("auto + parallel: err = %v; the policy tick needs the sequential engine", err)
 	}
 }
 

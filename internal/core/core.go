@@ -13,9 +13,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
 
-	"repro/internal/chaos"
 	"repro/internal/codegen"
 	"repro/internal/ir"
 	"repro/internal/kernel"
@@ -81,83 +79,15 @@ func CompileInfo(src string) (*types.Info, *codegen.Program, error) {
 	return info, p, nil
 }
 
-// Options configures a System.
-type Options struct {
-	// Mode selects original (homogeneous-only) vs enhanced conversion.
-	Mode kernel.ConvMode
-	// VetOnLoad makes every node statically vet a code object's mobility
-	// metadata before loading it (see internal/vet), refusing programs
-	// whose metadata would corrupt a migrating thread.
-	VetOnLoad bool
-	// Placement maps root objects to nodes (nil: all on node 0).
-	Placement func(objName string, rootIdx int) int
-	// MaxEvents bounds the simulation (0: a generous default).
-	MaxEvents uint64
-	// LegacyDispatch forces the byte-at-a-time reference emulator instead
-	// of fused dispatch (identical observable behavior; the triage escape
-	// hatch and the reference arm of the differential tests).
-	LegacyDispatch bool
-	// SliceInstrs overrides the scheduling-slice instruction budget
-	// (0: the kernel default). The differential tests shrink it to force
-	// constant preemption, exercising mid-run suspend/resume.
-	SliceInstrs int
-	// Trace receives kernel event lines.
-	Trace func(string)
-	// Chaos, when non-nil, injects a seeded deterministic fault plan
-	// (frame drops, duplicates, delays, corruption, node crashes and
-	// link partitions) and switches the kernel's migration protocol to
-	// its crash-tolerant mode (see internal/chaos and DESIGN.md §10).
-	Chaos *chaos.Plan
-	// Parallel runs each node's events on its own goroutine, using the
-	// network's minimum link latency as conservative lookahead. Observable
-	// results (printed output, faults, events, spans, metrics, simulated
-	// time) are identical to the sequential engine; see DESIGN.md §12.
-	Parallel bool
-	// AutoPolicy arms the adaptive-placement subsystem (internal/auto)
-	// with the named policy (see auto.Names). The static facts the policy
-	// needs — group-migration cohorts and immobile-reach pinned classes —
-	// are computed here with internal/pta and handed to the kernel as
-	// class-name lists. Placement requires the sequential engine: the
-	// policy tick is a cluster-level simulation event.
-	AutoPolicy string
-	// AutoPeriodMicros overrides the policy tick period (0: the kernel
-	// default).
-	AutoPeriodMicros int64
-	// AutoNoBatch disables cohort batching: each placement decision moves
-	// only the named object (the control arm of the batching experiment).
-	AutoNoBatch bool
-	// NoSharpen disables live-set sharpening (Config.SharpenLiveSets):
-	// statically dead frame slots then ship their stale payload instead of
-	// the canonical zero. Observable behavior is identical either way; the
-	// flag exists as the escape hatch and for the differential tests.
-	NoSharpen bool
-	// DirReplicas arms the replicated object directory (internal/dir) with
-	// this many replicas per shard (clamped to the node count). 0 — the
-	// default — leaves the directory off and every run byte-identical to
-	// the pre-directory kernel.
-	DirReplicas int
-	// DirCompactPeriodMicros overrides the directory compactor tick period
-	// (0: the kernel default).
-	DirCompactPeriodMicros int64
-	// DirLeaseMicros, when > 0 with the directory armed, makes shard
-	// replicas grant that many simulated microseconds of read lease on
-	// each lookup hit, letting repeat locates skip the shard query. 0 —
-	// the default — keeps lookups lease-free.
-	DirLeaseMicros int64
-	// DirNoGroupDecrees disables batched group decrees: every member of a
-	// migrated cohort commits its location record in its own single-slot
-	// decree round (the pre-batching wire pattern).
-	DirNoGroupDecrees bool
-	// LinkLatencies adds per-link extra latency (simulated microseconds)
-	// on top of the uniform network latency, giving the topology a
-	// locality structure the directory's replica placement can exploit.
-	LinkLatencies []kernel.LinkLatency
-}
+// Options describes one run. It is kernel.Config itself — one declaration
+// per knob, zero value = the shipped system — so a literal written for
+// NewSystem is the very value the kernel takes; RegisterFlags gives the
+// user-settable fields their command-line spelling.
+type Options = kernel.Config
 
 // System is a compiled program loaded on a simulated network.
 type System struct {
 	Cluster *kernel.Cluster
-	opts    Options
 }
 
 // Figure1Network returns the paper's sample network (Figure 1): Sun-3,
@@ -171,115 +101,27 @@ func Figure1Network() []netsim.MachineModel {
 	}
 }
 
-// machineSpecs maps CLI machine names to their models (shared by the emrun
-// and emtrace drivers).
-var machineSpecs = map[string]netsim.MachineModel{
-	"sparc": netsim.SPARCstationSLC,
-	"sun3":  netsim.Sun3_100,
-	"hp1":   netsim.HP9000_433s,
-	"hp2":   netsim.HP9000_385,
-	"vax":   netsim.VAXstation2000,
-}
-
-// MachineNames is the accepted -net machine list, for usage messages.
-const MachineNames = "sparc, sun3, hp1, hp2, vax"
-
-// ParseNetwork parses a comma-separated machine list (e.g. "sparc,vax")
-// into machine models.
-func ParseNetwork(spec string) ([]netsim.MachineModel, error) {
-	var machines []netsim.MachineModel
-	for _, name := range strings.Split(spec, ",") {
-		m, ok := machineSpecs[strings.TrimSpace(name)]
-		if !ok {
-			return nil, fmt.Errorf("unknown machine %q (have %s)", name, MachineNames)
-		}
-		machines = append(machines, m)
-	}
-	return machines, nil
-}
-
-// ParseMode parses a conversion-mode name (enhanced, original, batched,
-// fastpath).
-func ParseMode(name string) (kernel.ConvMode, error) {
-	switch name {
-	case "enhanced":
-		return kernel.ModeEnhanced, nil
-	case "original":
-		return kernel.ModeOriginal, nil
-	case "batched":
-		return kernel.ModeEnhancedBatched, nil
-	case "fastpath":
-		return kernel.ModeEnhancedFastPath, nil
-	}
-	return 0, fmt.Errorf("unknown mode %q (have enhanced, original, batched, fastpath)", name)
-}
-
-// NewSystem loads prog onto a cluster of the given machines.
+// NewSystem loads prog onto a cluster of the given machines. When a
+// placement policy is named it first computes the static facts the policy
+// needs (AutoFacts), so the kernel stays free of the analysis.
 func NewSystem(prog *codegen.Program, machines []netsim.MachineModel, opts Options) (*System, error) {
-	cfg := kernel.DefaultConfig()
-	cfg.Mode = opts.Mode
-	cfg.Trace = opts.Trace
-	if opts.Parallel {
-		// The text sink is a plain callback with no locking; under the
-		// parallel engine events are emitted from node goroutines, so the
-		// sink is deferred: Run replays the merged event stream after the
-		// run instead of rendering lines as they happen.
-		cfg.Trace = nil
-	}
-	cfg.VetOnLoad = opts.VetOnLoad
-	cfg.LegacyDispatch = opts.LegacyDispatch
-	if opts.SliceInstrs > 0 {
-		cfg.SliceInstrs = opts.SliceInstrs
-	}
-	cfg.Chaos = opts.Chaos
-	cfg.SharpenLiveSets = !opts.NoSharpen
-	cfg.DirReplicas = opts.DirReplicas
-	cfg.DirCompactPeriodMicros = opts.DirCompactPeriodMicros
-	cfg.DirLeaseMicros = opts.DirLeaseMicros
-	cfg.DirNoGroupDecrees = opts.DirNoGroupDecrees
-	cfg.LinkLatencies = opts.LinkLatencies
 	if opts.AutoPolicy != "" {
-		if opts.Parallel {
-			return nil, fmt.Errorf("core: adaptive placement (-auto) requires the sequential engine")
-		}
-		cohorts, pinned, err := AutoFacts(prog)
-		if err != nil {
+		var err error
+		if opts.AutoCohorts, opts.AutoPinned, err = AutoFacts(prog); err != nil {
 			return nil, fmt.Errorf("core: placement analysis: %w", err)
 		}
-		cfg.AutoPolicy = opts.AutoPolicy
-		cfg.AutoPeriodMicros = opts.AutoPeriodMicros
-		cfg.AutoNoBatch = opts.AutoNoBatch
-		cfg.AutoCohorts = cohorts
-		cfg.AutoPinned = pinned
 	}
-	cl, err := kernel.NewCluster(prog, machines, cfg)
+	cl, err := kernel.NewCluster(prog, machines, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &System{Cluster: cl, opts: opts}, nil
+	return &System{Cluster: cl}, nil
 }
 
 // Run boots the program and drives the simulation until it quiesces.
 func (s *System) Run() error {
-	s.Cluster.Start(s.opts.Placement)
-	limit := s.opts.MaxEvents
-	if limit == 0 {
-		limit = 50_000_000
-	}
-	var err error
-	if s.opts.Parallel {
-		err = s.Cluster.RunParallel(limit)
-		if s.opts.Trace != nil {
-			// Deferred text sink: replay the canonically merged event
-			// stream in the exact format the live sink renders.
-			for _, e := range s.Cluster.Rec.Events() {
-				s.opts.Trace(fmt.Sprintf("[%8dµs] %s", e.At, e.Text()))
-			}
-		}
-	} else {
-		err = s.Cluster.Run(limit)
-	}
-	if err != nil {
+	s.Cluster.Start(s.Cluster.Placement)
+	if err := s.Cluster.Run(s.Cluster.MaxEvents); err != nil {
 		return err
 	}
 	if len(s.Cluster.Faults) > 0 {

@@ -1,6 +1,6 @@
 // Differential validation of live-set sharpening: every example program,
 // on every ISA plus the heterogeneous Figure 1 network, must behave
-// identically with Config.SharpenLiveSets on (the default) and off —
+// identically with sharpening on (the default) and off (Config.NoSharpen) —
 // same printed lines, simulated time, faults, per-node cycle/instruction
 // counts, final memory images, wire payload bytes and rendered event
 // stream. Sharpening substitutes canonical zeros for pta-dead slots

@@ -69,12 +69,11 @@ type BusStopDensityResult struct {
 // loop-bottom polls on one SPARC node.
 func BusStopDensity() (*BusStopDensityResult, error) {
 	machines := []netsim.MachineModel{netsim.SPARCstationSLC}
-	cfg := kernel.DefaultConfig()
-	with, _, err := runSimMS(Fig2Workload, codegen.Options{}, cfg, machines)
+	with, _, err := runSimMS(Fig2Workload, codegen.Options{}, kernel.Config{}, machines)
 	if err != nil {
 		return nil, err
 	}
-	without, _, err := runSimMS(Fig2Workload, codegen.Options{OmitLoopPolls: true}, cfg, machines)
+	without, _, err := runSimMS(Fig2Workload, codegen.Options{OmitLoopPolls: true}, kernel.Config{}, machines)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +146,7 @@ func RegisterHomes() ([]RegisterHomesResult, error) {
 	var out []RegisterHomesResult
 	for _, v := range variants {
 		opts := codegen.Options{Specs: v.specs}
-		cfg := kernel.DefaultConfig()
+		var cfg kernel.Config
 		if v.specs != nil {
 			cfg.SpecOverride = func(id arch.ID) *arch.Spec {
 				for _, s := range v.specs {

@@ -190,9 +190,7 @@ func IntraNode(m netsim.MachineModel) (*IntraNodeResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := kernel.DefaultConfig()
-		cfg.Mode = mode
-		cl, err := kernel.NewCluster(prog, models, cfg)
+		cl, err := kernel.NewCluster(prog, models, kernel.Config{Mode: mode})
 		if err != nil {
 			return nil, err
 		}
@@ -272,10 +270,8 @@ func ConversionStudy() ([]ConvResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := kernel.DefaultConfig()
-		cfg.Mode = mode
 		cl, err := kernel.NewCluster(prog,
-			[]netsim.MachineModel{netsim.SPARCstationSLC, netsim.SPARCstationSLC}, cfg)
+			[]netsim.MachineModel{netsim.SPARCstationSLC, netsim.SPARCstationSLC}, kernel.Config{Mode: mode})
 		if err != nil {
 			return nil, err
 		}

@@ -103,7 +103,7 @@ func shrinkOne(name, src string) (*ShrinkRow, error) {
 
 	cl, err := kernel.NewCluster(prog, []netsim.MachineModel{
 		netsim.Sun3_100, netsim.HP9000_433s, netsim.SPARCstationSLC, netsim.VAXstation2000,
-	}, kernel.DefaultConfig())
+	}, kernel.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ end B
 // schedule arms the next pass — allocates nothing: the trap is the
 // runner's, the pass func is bound once, and the queue keeps its capacity.
 func TestYieldEnqueueSchedPassAllocatesNothing(t *testing.T) {
-	c, err := NewCluster(compileSrc(t, twoSpinnersSrc), []netsim.MachineModel{mSPARC}, DefaultConfig())
+	c, err := NewCluster(compileSrc(t, twoSpinnersSrc), []netsim.MachineModel{mSPARC}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

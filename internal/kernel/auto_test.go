@@ -69,9 +69,7 @@ end Main
 const chattyWant = "main up false\ncaller done sum=1680"
 
 func autoConfig() Config {
-	cfg := DefaultConfig()
-	cfg.AutoPolicy = "greedy-colocate"
-	cfg.AutoCohorts = [][]string{{"Service", "Stats"}}
+	cfg := Config{AutoPolicy: "greedy-colocate", AutoCohorts: [][]string{{"Service", "Stats"}}}
 	return cfg
 }
 
@@ -150,7 +148,7 @@ func TestAutoGroupMoveChaosExactlyOnce(t *testing.T) {
 // no placement events, no policy-feed metrics, and no decision log.
 func TestAutoOffLeavesNoTrace(t *testing.T) {
 	models := []netsim.MachineModel{mSun3, mSPARC}
-	c := runSrc(t, chattySrc, models, DefaultConfig())
+	c := runSrc(t, chattySrc, models, Config{})
 	if got := c.OutputText(); got != chattyWant {
 		t.Fatalf("output = %q, want %q", got, chattyWant)
 	}

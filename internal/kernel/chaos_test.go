@@ -31,8 +31,7 @@ func kilroySrc(t testing.TB) string {
 }
 
 func chaosConfig(plan *chaos.Plan) Config {
-	cfg := DefaultConfig()
-	cfg.Chaos = plan
+	cfg := Config{Chaos: plan}
 	return cfg
 }
 
@@ -61,7 +60,7 @@ func TestChaosKilroyIdentical(t *testing.T) {
 	src := kilroySrc(t)
 	models := []netsim.MachineModel{mSun3, mHP1, mSPARC, mVAX}
 
-	base := runSrc(t, src, models, DefaultConfig())
+	base := runSrc(t, src, models, Config{})
 	baseOut := base.OutputText()
 	elapsed := base.Sim.Now()
 
@@ -317,7 +316,7 @@ func TestValidateMoveRejects(t *testing.T) {
 func TestChaosAggressiveDupSmoke(t *testing.T) {
 	src := kilroySrc(t)
 	models := []netsim.MachineModel{mSun3, mHP1, mSPARC, mVAX}
-	base := runSrc(t, src, models, DefaultConfig())
+	base := runSrc(t, src, models, Config{})
 
 	plan := func() *chaos.Plan {
 		return &chaos.Plan{Seed: 11, Dup: 0.5, Corrupt: 0.05}

@@ -165,7 +165,7 @@ func TestDirPartitionHealDecreeLiveness(t *testing.T) {
 	src := kilroySrc(t)
 	models := []netsim.MachineModel{mSun3, mHP1, mSPARC, mVAX}
 
-	base := runSrc(t, src, models, DefaultConfig())
+	base := runSrc(t, src, models, Config{})
 	elapsed := base.Sim.Now()
 
 	plan := func() *chaos.Plan {

@@ -224,7 +224,7 @@ func TestLocateChaseHopBudgetBoundary(t *testing.T) {
 	for i := range models {
 		models[i] = mSPARC
 	}
-	c := runSrc(t, probeSrc, models, DefaultConfig())
+	c := runSrc(t, probeSrc, models, Config{})
 	chain := make([]int, 0, 17)
 	for i := 2; i <= 17; i++ {
 		chain = append(chain, i)

@@ -22,9 +22,7 @@ import (
 
 // dirConfig arms the directory with r replicas per shard.
 func dirConfig(r int, plan *chaos.Plan) Config {
-	cfg := DefaultConfig()
-	cfg.DirReplicas = r
-	cfg.Chaos = plan
+	cfg := Config{DirReplicas: r, Chaos: plan}
 	return cfg
 }
 
@@ -42,7 +40,7 @@ func dirCounter(c *Cluster, name string) uint64 {
 func TestDirOffLeavesNoTrace(t *testing.T) {
 	src := kilroySrc(t)
 	models := []netsim.MachineModel{mSun3, mHP1, mSPARC, mVAX}
-	c := runSrc(t, src, models, DefaultConfig())
+	c := runSrc(t, src, models, Config{})
 	for _, cp := range c.Rec.Metrics().Snapshot(0).Counters {
 		if strings.HasPrefix(cp.Name, "dir_") {
 			t.Errorf("directory-off run recorded %s=%d", cp.Name, cp.Value)
@@ -63,7 +61,7 @@ func TestDirKilroySameOutput(t *testing.T) {
 	src := kilroySrc(t)
 	models := []netsim.MachineModel{mSun3, mHP1, mSPARC, mVAX}
 
-	base := runSrc(t, src, models, DefaultConfig())
+	base := runSrc(t, src, models, Config{})
 	elapsed := base.Sim.Now()
 
 	on := runSrc(t, src, models, dirConfig(3, nil))
@@ -167,7 +165,7 @@ end Main
 // exactly-once installs and byte-identical reruns.
 func TestDirChainCrashRecovery(t *testing.T) {
 	models := []netsim.MachineModel{mSPARC, mVAX, mSun3, mHP1}
-	base := runSrc(t, chainSrc, models, DefaultConfig())
+	base := runSrc(t, chainSrc, models, Config{})
 	want := base.PrintedLines()
 	elapsed := base.Sim.Now()
 

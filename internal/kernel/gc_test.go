@@ -9,7 +9,7 @@ import (
 // runAndCollect runs src on one SPARC node and collects afterwards.
 func runAndCollect(t *testing.T, src string, models []netsim.MachineModel) (*Cluster, GCStats) {
 	t.Helper()
-	c := runSrc(t, src, models, DefaultConfig())
+	c := runSrc(t, src, models, Config{})
 	stats, err := c.CollectAll()
 	if err != nil {
 		t.Fatalf("collect: %v", err)
@@ -82,7 +82,7 @@ end Main
 
 func TestGCKeepsReachableChains(t *testing.T) {
 	p := compileSrc(t, gcProbeSrc)
-	c, err := NewCluster(p, []netsim.MachineModel{mSPARC}, DefaultConfig())
+	c, err := NewCluster(p, []netsim.MachineModel{mSPARC}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ object Main
     print(keep.get())
   end process
 end Main
-`, []netsim.MachineModel{mSPARC, mVAX}, DefaultConfig())
+`, []netsim.MachineModel{mSPARC, mVAX}, Config{})
 	// After the run, node1 holds the Box with no local thread referencing
 	// it — only Main's slot on node0 does. Collecting node1 must keep it.
 	before := c.Nodes[1].HeapObjects()
@@ -207,7 +207,7 @@ object Main
 end Main
 `
 	p := compileSrc(t, src)
-	c, err := NewCluster(p, []netsim.MachineModel{mSun3}, DefaultConfig())
+	c, err := NewCluster(p, []netsim.MachineModel{mSun3}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ object Main
     print("done")
   end process
 end Main
-`, []netsim.MachineModel{mSPARC}, DefaultConfig())
+`, []netsim.MachineModel{mSPARC}, Config{})
 	n := c.Nodes[0]
 	heapBefore := n.heapNext
 	if _, err := n.Collect(); err != nil {

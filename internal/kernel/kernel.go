@@ -104,14 +104,29 @@ func DefaultCosts() Costs {
 	}
 }
 
-// Config configures a cluster.
+// Config describes one run. The zero value is the shipped system, so
+// callers set only what they change; NewCluster resolves the zero sizing
+// fields (withDefaults) and the cluster's embedded Config then holds the
+// values in force. core.Options is this type and core.RegisterFlags the one
+// place a field gets a command-line spelling (DESIGN.md §17 lists them all).
 type Config struct {
-	Mode      ConvMode
+	Mode ConvMode // zero: ModeEnhanced, the paper's system
+	// Costs is the kernel-side cycle cost model (zero: DefaultCosts).
 	Costs     Costs
-	MemBytes  int
-	StackSize uint32
-	// SliceInstrs bounds one scheduling slice (instructions).
+	MemBytes  int    // per node (0: 8 MB)
+	StackSize uint32 // per thread (0: 64 KB)
+	// SliceInstrs bounds one scheduling slice in instructions (0: 200000).
+	// The differential tests shrink it to force constant preemption.
 	SliceInstrs int
+	// MaxEvents is the event budget core.System.Run hands to Run (0: 50
+	// million); exhausting it is an error.
+	MaxEvents uint64
+	// Placement maps root objects to nodes for core.System.Run (nil: all
+	// on node 0).
+	Placement func(objName string, rootIdx int) int
+	// Parallel makes Run drive each node's events on its own goroutine,
+	// with results identical to the sequential engine (DESIGN.md §12).
+	Parallel bool
 	// SpecOverride substitutes custom architecture specs (register-home
 	// ablations); nil uses arch.SpecOf. The program must have been compiled
 	// with the same specs.
@@ -133,6 +148,7 @@ type Config struct {
 	// Trace, when set, receives kernel event lines (for debugging). It is
 	// installed as a text sink over the structured event stream (see
 	// internal/obs): every emitted event renders as one legacy-style line.
+	// Under Parallel the sink is deferred (see Run).
 	Trace func(string)
 	// EventRingCap bounds each node's retained-event ring (0 selects
 	// obs.DefaultRingCap, negative disables event retention).
@@ -156,31 +172,35 @@ type Config struct {
 	// DefaultAutoPeriodMicros).
 	AutoPeriodMicros int64
 	// AutoCohorts are class-name groups that migrate together, computed by
-	// internal/pta group-cohort analysis (core translates site labels to
-	// class names so the kernel needs no pta dependency).
+	// internal/pta group-cohort analysis (core.NewSystem fills them in,
+	// translating site labels to class names so the kernel needs no pta
+	// dependency).
 	AutoCohorts [][]string
 	// AutoPinned are class names the policy must never schedule (the
-	// immobile-reach pinned constraint from internal/pta).
+	// immobile-reach pinned constraint from internal/pta; filled in by
+	// core.NewSystem).
 	AutoPinned []string
 	// AutoNoBatch makes each policy decision move only the named object
-	// instead of its whole cohort in one batched transfer. Escape hatch and
-	// the control arm of the batching experiment (embench auto).
+	// instead of its whole cohort in one batched transfer. The control arm
+	// of the batching experiment (embench auto); no flag.
 	AutoNoBatch bool
-	// SharpenLiveSets uses the per-stop LiveVars masks the compiler embeds
-	// in bus-stop tables to canonicalize statically dead int/real frame
-	// slots (substituting the canonical zero word) while marshalling. The
-	// wire format, converter call sequence, simulated charges and event
-	// stream are byte-identical to the unsharpened path — only the payload
-	// bits of words no execution can read change — so this is on by
-	// default; cmd/emrun's -nosharpen flag clears it.
-	SharpenLiveSets bool
+	// NoSharpen disables live-set sharpening: the per-stop LiveVars masks
+	// the compiler embeds in bus-stop tables normally canonicalize
+	// statically dead int/real frame slots (substituting the canonical zero
+	// word) while marshalling; set, those slots ship their stale payload.
+	// The wire format, converter call sequence, simulated charges and event
+	// stream are byte-identical either way — only the payload bits of words
+	// no execution can read change. The control arm of the sharpening
+	// differential; no flag.
+	NoSharpen bool
 	// DirReplicas, when > 0, arms the replicated object directory (emdir,
 	// internal/dir): every move commit drives a single-decree Paxos round
 	// recording the object's new home across that many replicas of its
-	// shard, locates consult the directory first (one shard query instead
-	// of a forwarding-address walk), and a background compactor rewrites
-	// stale proxies. 0 (the default) keeps both engines byte-identical to a
-	// directory-free build — no extra messages, metrics, events or timers.
+	// shard (clamped to the node count), locates consult the directory
+	// first (one shard query instead of a forwarding-address walk), and a
+	// background compactor rewrites stale proxies. 0 (the default) keeps
+	// both engines byte-identical to a directory-free build — no extra
+	// messages, metrics, events or timers.
 	DirReplicas int
 	// DirCompactPeriodMicros is the per-node compactor tick period (0
 	// selects DefaultDirCompactMicros).
@@ -194,9 +214,8 @@ type Config struct {
 	// to the lease-free directory.
 	DirLeaseMicros int64
 	// DirNoGroupDecrees disables batched group decrees: each member of a
-	// MoveGroup cohort then drives its own single-object decree round, as
-	// before. Escape hatch and the control arm of the batching experiment
-	// (embench dir).
+	// MoveGroup cohort then drives its own single-object decree round. The
+	// control arm of the batching experiment (embench dir); no flag.
 	DirNoGroupDecrees bool
 	// LinkLatencies adds per-link extra propagation latency to the netsim
 	// topology (on top of the network's shared LatencyMicros; see
@@ -206,24 +225,32 @@ type Config struct {
 	LinkLatencies []LinkLatency
 }
 
+// withDefaults resolves the zero-valued sizing fields.
+func (cfg Config) withDefaults() Config {
+	if cfg.Costs == (Costs{}) {
+		cfg.Costs = DefaultCosts()
+	}
+	if cfg.MemBytes == 0 {
+		cfg.MemBytes = 8 << 20
+	}
+	if cfg.StackSize == 0 {
+		cfg.StackSize = 64 << 10
+	}
+	if cfg.SliceInstrs <= 0 {
+		cfg.SliceInstrs = 200000
+	}
+	if cfg.MaxEvents == 0 {
+		cfg.MaxEvents = 50_000_000
+	}
+	return cfg
+}
+
 // LinkLatency is one latency-skewed link of the cluster topology: extra
 // microseconds of propagation latency between nodes A and B, both
 // directions, on top of the shared per-frame latency.
 type LinkLatency struct {
 	A, B        int
 	ExtraMicros int64
-}
-
-// DefaultConfig returns the standard configuration.
-func DefaultConfig() Config {
-	return Config{
-		Mode:            ModeEnhanced,
-		Costs:           DefaultCosts(),
-		MemBytes:        8 << 20,
-		StackSize:       64 << 10,
-		SliceInstrs:     200000,
-		SharpenLiveSets: true,
-	}
 }
 
 // OutputLine is one print statement's output.
@@ -260,10 +287,10 @@ type Cluster struct {
 	Output []OutputLine
 	Faults []Fault
 
-	// parallel is set while RunParallel drives the cluster: printed lines
-	// and faults shard into per-node logs (merged afterwards) instead of
-	// appending to the shared slices above.
-	parallel bool
+	// sharded is set while Run drives the cluster on the parallel engine:
+	// printed lines and faults shard into per-node logs (merged afterwards)
+	// instead of appending to the shared slices above.
+	sharded bool
 
 	// Adaptive-placement state (see auto.go); autoOn gates the policy-feed
 	// metrics so policy-disabled runs stay byte-identical.
@@ -288,6 +315,10 @@ func NewCluster(prog *codegen.Program, models []netsim.MachineModel, cfg Config)
 	if len(models) == 0 {
 		return nil, fmt.Errorf("kernel: need at least one node")
 	}
+	if cfg.AutoPolicy != "" && cfg.Parallel {
+		return nil, fmt.Errorf("kernel: adaptive placement (-auto) requires the sequential engine")
+	}
+	cfg = cfg.withDefaults()
 	if cfg.Mode == ModeOriginal {
 		for _, m := range models[1:] {
 			if m.Arch != models[0].Arch {
@@ -303,7 +334,10 @@ func NewCluster(prog *codegen.Program, models []netsim.MachineModel, cfg Config)
 		CodeSrv: codesrv.New(prog),
 		Rec:     obs.NewRecorder(len(models), cfg.EventRingCap),
 	}
-	if cfg.Trace != nil {
+	if cfg.Trace != nil && !cfg.Parallel {
+		// The text sink is a plain callback with no locking; under the
+		// parallel engine events are emitted from node goroutines, so Run
+		// replays the merged event stream afterwards instead.
 		c.Rec.SetTextSink(cfg.Trace)
 	}
 	c.Net = netsim.NewNetwork(c.Sim)
@@ -418,18 +452,26 @@ func (c *Cluster) StartRoots(roots []string, placement func(objName string, root
 	}
 }
 
-// Run drives the simulation to completion (or the event budget).
-func (c *Cluster) Run(maxEvents uint64) error { return c.Sim.Run(maxEvents) }
-
-// RunParallel drives the simulation with one goroutine per node, using the
-// network's minimum link latency as conservative lookahead. Observable
-// results — printed lines, faults, events, spans, metrics, per-node
-// counters — are identical to Run; see DESIGN.md §12 for the argument.
-func (c *Cluster) RunParallel(maxEvents uint64) error {
-	c.parallel = true
+// Run drives the simulation to completion (or the event budget) on the
+// engine Config.Parallel selects. The parallel engine runs one goroutine
+// per node; its observable results — printed lines, faults, events, spans,
+// metrics, per-node counters — are identical to the sequential engine's
+// (DESIGN.md §12 has the argument).
+func (c *Cluster) Run(maxEvents uint64) error {
+	if !c.Parallel {
+		return c.Sim.Run(maxEvents)
+	}
+	c.sharded = true
 	err := c.Sim.RunParallel(c.Net, len(c.Nodes), maxEvents)
-	c.parallel = false
+	c.sharded = false
 	c.mergeShards()
+	if c.Trace != nil {
+		// Deferred text sink: replay the canonically merged event stream
+		// in the exact format the live sink renders.
+		for _, e := range c.Rec.Events() {
+			c.Trace(fmt.Sprintf("[%8dµs] %s", e.At, e.Text()))
+		}
+	}
 	return err
 }
 

@@ -69,7 +69,7 @@ func runSrc(t testing.TB, src string, models []netsim.MachineModel, cfg Config) 
 func expectOutput(t *testing.T, src string, want ...string) {
 	t.Helper()
 	for _, m := range []netsim.MachineModel{mVAX, mSun3, mSPARC} {
-		c := runSrc(t, src, []netsim.MachineModel{m}, DefaultConfig())
+		c := runSrc(t, src, []netsim.MachineModel{m}, Config{})
 		got := c.PrintedLines()
 		if len(got) != len(want) {
 			t.Fatalf("%s: got %d lines, want %d:\n%s", m.Name, len(got), len(want), c.OutputText())
@@ -322,7 +322,7 @@ object Main
     print(nodes(), " ", thisnode(), " ", node(1), " ", thisnode() == node(0))
   end process
 end Main
-`, []netsim.MachineModel{mSPARC, mVAX}, DefaultConfig())
+`, []netsim.MachineModel{mSPARC, mVAX}, Config{})
 	if got := c.OutputText(); got != "2 node0 node1 true" {
 		t.Errorf("output = %q", got)
 	}
@@ -367,7 +367,7 @@ end Main`, "out of range"},
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := compileSrc(t, tc.src)
-			c, err := NewCluster(p, []netsim.MachineModel{mSPARC}, DefaultConfig())
+			c, err := NewCluster(p, []netsim.MachineModel{mSPARC}, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -406,8 +406,8 @@ object Main
   end process
 end Main
 `
-	c1 := runSrc(t, src, []netsim.MachineModel{mSun3}, DefaultConfig())
-	c2 := runSrc(t, src, []netsim.MachineModel{mSun3}, DefaultConfig())
+	c1 := runSrc(t, src, []netsim.MachineModel{mSun3}, Config{})
+	c2 := runSrc(t, src, []netsim.MachineModel{mSun3}, Config{})
 	if c1.OutputText() != c2.OutputText() {
 		t.Errorf("nondeterministic output:\n%s\nvs\n%s", c1.OutputText(), c2.OutputText())
 	}
@@ -429,7 +429,7 @@ object Main
     print(t1 > t0)
   end process
 end Main
-`, []netsim.MachineModel{mVAX}, DefaultConfig())
+`, []netsim.MachineModel{mVAX}, Config{})
 	if c.OutputText() != "true" {
 		t.Errorf("time did not advance: %s", c.OutputText())
 	}
@@ -469,7 +469,7 @@ end Main
 `
 	var outs []string
 	for _, m := range []netsim.MachineModel{mVAX, mSun3, mSPARC} {
-		c := runSrc(t, src, []netsim.MachineModel{m}, DefaultConfig())
+		c := runSrc(t, src, []netsim.MachineModel{m}, Config{})
 		outs = append(outs, c.OutputText())
 	}
 	if outs[0] != outs[1] || outs[1] != outs[2] {

@@ -63,7 +63,7 @@ func TestRemoteInvocationAcrossArchPairs(t *testing.T) {
 	want := []string{"true", "hi:5:2.5", "ho:7:1"}
 	for _, ms := range archPairs() {
 		t.Run(pairName(ms), func(t *testing.T) {
-			c := runSrc(t, remoteSrc, ms, DefaultConfig())
+			c := runSrc(t, remoteSrc, ms, Config{})
 			got := c.PrintedLines()
 			if len(got) != len(want) {
 				t.Fatalf("lines: %v", got)
@@ -125,7 +125,7 @@ func TestThreadMigrationAcrossHeterogeneousNodes(t *testing.T) {
 	want := []string{"18 5 abcd true node0node1node2 23", "node2"}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
-			c := runSrc(t, threadMoveSrc, tc.models, DefaultConfig())
+			c := runSrc(t, threadMoveSrc, tc.models, Config{})
 			got := c.PrintedLines()
 			if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 				t.Errorf("output = %v, want %v", got, want)
@@ -170,8 +170,8 @@ object Main
 end Main
 `, mv, mv2)
 	}
-	base := runSrc(t, prog(false), []netsim.MachineModel{mSPARC}, DefaultConfig())
-	moved := runSrc(t, prog(true), []netsim.MachineModel{mSPARC, mVAX, mSun3}, DefaultConfig())
+	base := runSrc(t, prog(false), []netsim.MachineModel{mSPARC}, Config{})
+	moved := runSrc(t, prog(true), []netsim.MachineModel{mSPARC, mVAX, mSun3}, Config{})
 	if base.OutputText() != moved.OutputText() {
 		t.Errorf("moved run differs: %q vs %q", moved.OutputText(), base.OutputText())
 	}
@@ -205,7 +205,7 @@ object Main
     print(locate(x), " ", locate(y))
   end process
 end Main
-`, []netsim.MachineModel{mVAX, mSun3, mSPARC}, DefaultConfig())
+`, []netsim.MachineModel{mVAX, mSun3, mSPARC}, Config{})
 	got := c.PrintedLines()
 	want := []string{"node0->node2", "node2 node1"}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
@@ -254,7 +254,7 @@ object Main
     print(locate(victim))
   end process
 end Main
-`, []netsim.MachineModel{mSPARC, mVAX, mSun3}, DefaultConfig())
+`, []netsim.MachineModel{mSPARC, mVAX, mSun3}, Config{})
 	got := c.PrintedLines()
 	if len(got) != 2 || got[0] != "42" {
 		t.Fatalf("output = %v", got)
@@ -297,7 +297,7 @@ object Main
     print(locate(b1), " ", locate(b2))
   end process
 end Main
-`, []netsim.MachineModel{mVAX, mSPARC, mSun3}, DefaultConfig())
+`, []netsim.MachineModel{mVAX, mSPARC, mSun3}, Config{})
 	got := c.PrintedLines()
 	if len(got) != 3 {
 		t.Fatalf("output = %v", got)
@@ -333,7 +333,7 @@ object Main
     print(locate(o))
   end process
 end Main
-`, []netsim.MachineModel{mSPARC, mVAX}, DefaultConfig())
+`, []netsim.MachineModel{mSPARC, mVAX}, Config{})
 	got := c.PrintedLines()
 	want := []string{"node1", "node1 9", "node0 9", "node1"}
 	for i := range want {
@@ -387,7 +387,7 @@ object Main
     g.unlock()
   end process
 end Main
-`, []netsim.MachineModel{mSPARC, mSun3}, DefaultConfig())
+`, []netsim.MachineModel{mSPARC, mSun3}, Config{})
 	if got := c.OutputText(); got != "passed at node1" {
 		t.Errorf("output = %q", got)
 	}
@@ -409,7 +409,7 @@ object Main
     print(a[2], " ", locate(a))
   end process
 end Main
-`, []netsim.MachineModel{mVAX, mSPARC}, DefaultConfig())
+`, []netsim.MachineModel{mVAX, mSPARC}, Config{})
 	got := c.PrintedLines()
 	want := []string{"node1", "11 4", "11 node0"}
 	for i := range want {
@@ -440,7 +440,7 @@ object Main
     print(k.tour())
   end process
 end Main
-`, hetero4(), DefaultConfig())
+`, hetero4(), Config{})
 	if got := c.OutputText(); got != "node0 node1 node2 node3 " {
 		t.Errorf("tour = %q", got)
 	}
@@ -448,8 +448,7 @@ end Main
 
 func TestConversionStatsDifferByMode(t *testing.T) {
 	run := func(mode ConvMode, models []netsim.MachineModel) *Cluster {
-		cfg := DefaultConfig()
-		cfg.Mode = mode
+		cfg := Config{Mode: mode}
 		return runSrc(t, threadMoveSrc, models, cfg)
 	}
 	homog := []netsim.MachineModel{mSPARC, mSPARC, mSPARC}
@@ -476,8 +475,7 @@ func TestConversionStatsDifferByMode(t *testing.T) {
 
 func TestOriginalModeRejectsHeterogeneous(t *testing.T) {
 	p := compileSrc(t, "object Main\n process\n end process\nend Main")
-	cfg := DefaultConfig()
-	cfg.Mode = ModeOriginal
+	cfg := Config{Mode: ModeOriginal}
 	if _, err := NewCluster(p, []netsim.MachineModel{mVAX, mSPARC}, cfg); err == nil {
 		t.Fatal("original mode must reject heterogeneous clusters")
 	}
@@ -504,7 +502,7 @@ object Main
     print(locate(d))
   end process
 end Main
-`, []netsim.MachineModel{mVAX, mSPARC}, DefaultConfig())
+`, []netsim.MachineModel{mVAX, mSPARC}, Config{})
 	got := c.PrintedLines()
 	want0 := fmt.Sprintf("%d", 25*26/2+1)
 	if len(got) != 2 || got[0] != want0 || got[1] != "node1" {
@@ -541,7 +539,7 @@ object Main
     print(locate(x))
   end process
 end Main
-`, []netsim.MachineModel{mSPARC, mVAX}, DefaultConfig())
+`, []netsim.MachineModel{mSPARC, mVAX}, Config{})
 	got := c.PrintedLines()
 	// c(6) = 106 -> b: 1060 -> a: 1061
 	if len(got) != 2 || got[0] != "1061" || got[1] != "node1" {

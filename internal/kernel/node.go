@@ -161,7 +161,7 @@ type Node struct {
 	// MarshaledVarSlots counts frame-variable slots this node marshaled
 	// onto the wire; CanonicalizedVarSlots counts the subset whose payload
 	// was replaced by the canonical zero because the stop's LiveVars mask
-	// proved them dead (Config.SharpenLiveSets). Plain counters, not obs
+	// proved them dead (unless Config.NoSharpen). Plain counters, not obs
 	// metrics: they are read by tests and embench, and must not perturb
 	// allocation counts or the event stream.
 	MarshaledVarSlots     uint64
@@ -661,7 +661,7 @@ func (n *Node) StepFallbackInstrs() uint64 { return n.fused.StepFallbackInstrs }
 // print records one print statement's output line.
 func (n *Node) print(text string) {
 	line := OutputLine{Node: n.ID, At: n.now(), Text: text}
-	if n.cluster.parallel {
+	if n.cluster.sharded {
 		n.out = append(n.out, line)
 	} else {
 		n.cluster.Output = append(n.cluster.Output, line)
@@ -674,7 +674,7 @@ func (n *Node) fault(f *Frag, msg string) { n.faultErr(f, nil, msg) }
 // faultErr is fault with a typed cause (e.g. ErrNodeDown).
 func (n *Node) faultErr(f *Frag, cause error, msg string) {
 	rec := Fault{Node: n.ID, At: n.now(), Frag: f.ID, Msg: msg, Err: cause}
-	if n.cluster.parallel {
+	if n.cluster.sharded {
 		n.faultLog = append(n.faultLog, rec)
 	} else {
 		n.cluster.Faults = append(n.cluster.Faults, rec)

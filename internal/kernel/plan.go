@@ -13,7 +13,7 @@
 // converter call sequence (which feeds the simulated conversion cost via
 // chargeConv), the wire bytes, and the resulting memory images must be
 // identical to the template-interpreting path. The one sanctioned
-// deviation is live-set sharpening (Config.SharpenLiveSets): slots the
+// deviation is live-set sharpening (off under Config.NoSharpen): slots the
 // stop's LiveVars mask proves dead ship the canonical zero instead of
 // their stale payload. That substitutes the input word of the same
 // converter call — sequence, sizes, charges and events are untouched,
@@ -123,7 +123,7 @@ func (n *Node) planFor(lf *loadedFunc, stopNum uint16, peer arch.ID) *convPlan {
 			pl.temps[i] = classOf(k)
 		}
 		pl.result = classOf(stop.ResultKind)
-		if n.cluster.SharpenLiveSets {
+		if !n.cluster.NoSharpen {
 			// Slots >= 64 are outside the mask and stay live; entry frames
 			// never reach here (no stop, nothing is dead before first run).
 			for v := range pl.vars {

@@ -153,8 +153,7 @@ func warmPlanRoundtrip(t *testing.T, cfg Config) (n *Node, pl *convPlan, want, b
 // on both sides of MI for identical codecs, identity for ints) — the
 // alloc pin is not measuring a path that silently stopped converting.
 func TestWarmPlanConversionAllocs(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SharpenLiveSets = false
+	cfg := Config{NoSharpen: true}
 	_, _, want, back, allocs := warmPlanRoundtrip(t, cfg)
 	if allocs > 1 {
 		t.Errorf("warm MD→MI→MD conversion allocates %.1f allocs/run, want <= 1", allocs)
@@ -171,7 +170,7 @@ func TestWarmPlanConversionAllocs(t *testing.T) {
 // canonical zero of its class — and the fixture must actually exercise
 // that (at least one dead slot, never a pointer one).
 func TestWarmPlanConversionAllocsSharpened(t *testing.T) {
-	n, pl, want, back, allocs := warmPlanRoundtrip(t, DefaultConfig())
+	n, pl, want, back, allocs := warmPlanRoundtrip(t, Config{})
 	if allocs > 1 {
 		t.Errorf("sharpened warm conversion allocates %.1f allocs/run, want <= 1", allocs)
 	}

@@ -30,7 +30,7 @@ object Main
     print(sum)
   end process
 end Main
-`, []netsim.MachineModel{mSPARC, mVAX}, DefaultConfig())
+`, []netsim.MachineModel{mSPARC, mVAX}, Config{})
 	if got := c.OutputText(); got != "10" {
 		t.Fatalf("output = %q", got)
 	}
@@ -59,7 +59,7 @@ object Main
     print(e.ping(3))
   end process
 end Main
-`, []netsim.MachineModel{mSPARC, mSun3}, DefaultConfig())
+`, []netsim.MachineModel{mSPARC, mSun3}, Config{})
 	if got := c.OutputText(); got != "2\n3\n4" {
 		t.Fatalf("output = %q", got)
 	}
@@ -96,7 +96,7 @@ object Main
     print(rd.read(d))
   end process
 end Main
-`, []netsim.MachineModel{mSPARC, mHP1}, DefaultConfig())
+`, []netsim.MachineModel{mSPARC, mHP1}, Config{})
 	if got := c.OutputText(); got != "99" {
 		t.Fatalf("output = %q", got)
 	}
@@ -130,7 +130,7 @@ object Main
     print(locate(o))
   end process
 end Main
-`, []netsim.MachineModel{mSPARC, mVAX, mSun3, mHP1}, DefaultConfig())
+`, []netsim.MachineModel{mSPARC, mVAX, mSun3, mHP1}, Config{})
 	got := c.PrintedLines()
 	if len(got) != 3 || got[0] != "1" || got[1] != "2" || got[2] != "node3" {
 		t.Fatalf("output = %v", got)
@@ -147,7 +147,7 @@ end Main
 // wire is real serialized bytes; payload counters must match non-trivial
 // traffic for a migration-heavy run.
 func TestWirePayloadIsNetworkFormat(t *testing.T) {
-	c := runSrc(t, threadMoveSrc, []netsim.MachineModel{mVAX, mSun3, mSPARC}, DefaultConfig())
+	c := runSrc(t, threadMoveSrc, []netsim.MachineModel{mVAX, mSun3, mSPARC}, Config{})
 	if c.Net.PayloadLen == 0 || c.Net.Frames == 0 {
 		t.Fatal("no wire traffic recorded")
 	}
@@ -177,7 +177,7 @@ object Main
     print("main again")
   end process
 end Main
-`, []netsim.MachineModel{mSPARC}, DefaultConfig())
+`, []netsim.MachineModel{mSPARC}, Config{})
 	got := c.PrintedLines()
 	if len(got) != 3 {
 		t.Fatalf("output = %v", got)

@@ -32,7 +32,7 @@ end Main
 // the partial clear (up to the recorded extent) has to equal the full one.
 func TestStackRegionReusedAfterDeepRecursionReadsZero(t *testing.T) {
 	for _, m := range []netsim.MachineModel{mVAX, mSun3, mSPARC} {
-		c := runSrc(t, deepThenShallowSrc, []netsim.MachineModel{m}, DefaultConfig())
+		c := runSrc(t, deepThenShallowSrc, []netsim.MachineModel{m}, Config{})
 		n := c.Nodes[0]
 		free := n.freeLists[c.StackSize]
 		if len(free) == 0 {
@@ -64,7 +64,7 @@ func TestStackRegionReusedAfterDeepRecursionReadsZero(t *testing.T) {
 // its records still on the stack.
 func TestStackRegionReusedAfterFaultReadsZero(t *testing.T) {
 	src := strings.Replace(deepThenShallowSrc, "r <- a + b", "var nowhere: Node <- node(99)", 1)
-	c := runFaulty(t, src, []netsim.MachineModel{mSPARC}, DefaultConfig())
+	c := runFaulty(t, src, []netsim.MachineModel{mSPARC}, Config{})
 	if len(c.Faults) != 1 {
 		t.Fatalf("faults = %+v, want the one out-of-range node()", c.Faults)
 	}
@@ -80,7 +80,7 @@ func TestStackRegionReusedAfterFaultReadsZero(t *testing.T) {
 // Steady-state fragment churn allocates the Frag and nothing else: the
 // region comes off the free list, its extent rides beside its address.
 func TestFragChurnAllocatesOnlyTheFrag(t *testing.T) {
-	c := runSrc(t, deepThenShallowSrc, []netsim.MachineModel{mSPARC}, DefaultConfig())
+	c := runSrc(t, deepThenShallowSrc, []netsim.MachineModel{mSPARC}, Config{})
 	n := c.Nodes[0]
 	if got := testing.AllocsPerRun(500, func() { n.killFrag(n.newFrag()) }); got != 1 {
 		t.Errorf("newFrag+killFrag = %v allocs/run, want 1 (the Frag)", got)
@@ -111,8 +111,7 @@ end Main
 // later allocation address: it must follow the object table, not Go's map
 // iteration order.
 func TestGCSweepOrderDeterministic(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MemBytes = 192 << 10
+	cfg := Config{MemBytes: 192 << 10}
 	var firstMem, firstLog []byte
 	for run := 0; run < 5; run++ {
 		c := runSrc(t, gcChurnSrc, []netsim.MachineModel{mSPARC}, cfg)
@@ -193,7 +192,7 @@ end Main
 func TestFaultReleasesMonitorsInTableOrder(t *testing.T) {
 	var firstLog []byte
 	for run := 0; run < 5; run++ {
-		c := runFaulty(t, faultHoldingTwoSrc, []netsim.MachineModel{mSPARC}, DefaultConfig())
+		c := runFaulty(t, faultHoldingTwoSrc, []netsim.MachineModel{mSPARC}, Config{})
 		if len(c.Faults) != 1 {
 			t.Fatalf("faults = %+v, want exactly the holder's", c.Faults)
 		}

@@ -100,7 +100,7 @@ func TestMigrationChurnUnderMonitorLoad(t *testing.T) {
 	const workers, increments, moves = 3, 40, 12
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
-			c := runSrc(t, churnSrc(workers, increments, moves), tc.models, DefaultConfig())
+			c := runSrc(t, churnSrc(workers, increments, moves), tc.models, Config{})
 			got := c.OutputText()
 			// The Closer's own bumps push the count past workers*increments;
 			// the exact final value depends on scheduling but must be at
@@ -134,8 +134,8 @@ func TestMigrationChurnUnderMonitorLoad(t *testing.T) {
 func TestChurnDeterministic(t *testing.T) {
 	models := []netsim.MachineModel{mSPARC, mVAX, mSun3}
 	src := churnSrc(2, 25, 8)
-	a := runSrc(t, src, models, DefaultConfig())
-	b := runSrc(t, src, models, DefaultConfig())
+	a := runSrc(t, src, models, Config{})
+	b := runSrc(t, src, models, Config{})
 	if a.OutputText() != b.OutputText() || a.Sim.Now() != b.Sim.Now() {
 		t.Errorf("nondeterminism: %q@%d vs %q@%d",
 			a.OutputText(), a.Sim.Now(), b.OutputText(), b.Sim.Now())
@@ -173,7 +173,7 @@ object Main
     print(p == m)
   end process
 end Main
-`, []netsim.MachineModel{mSun3, mVAX}, DefaultConfig())
+`, []netsim.MachineModel{mSun3, mVAX}, Config{})
 	lines := c.PrintedLines()
 	found := false
 	for _, l := range lines {
@@ -220,7 +220,7 @@ object Main
     print(total)
   end process
 end Main
-`, []netsim.MachineModel{mSPARC, mVAX, mSun3, mHP1}, DefaultConfig())
+`, []netsim.MachineModel{mSPARC, mVAX, mSun3, mHP1}, Config{})
 	// Each bee: 6 hops -> 600 + id; sum = 6*600 + 0+1+..+5 = 3615.
 	if got := c.OutputText(); got != "3615" {
 		t.Errorf("output = %q, want 3615", got)
@@ -242,7 +242,7 @@ object Main
   end process
 end Main
 `)
-	c, err := NewCluster(p, []netsim.MachineModel{mSPARC, mVAX}, DefaultConfig())
+	c, err := NewCluster(p, []netsim.MachineModel{mSPARC, mVAX}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ object Main
     print(w.report())
   end process
 end Main
-`, []netsim.MachineModel{mSPARC, mVAX}, DefaultConfig())
+`, []netsim.MachineModel{mSPARC, mVAX}, Config{})
 	// The move is deferred past `initially`, so `home` records node0 and
 	// the object ends up on node1 afterwards.
 	if got := c.OutputText(); got != "created on node0, lives on node1" {
@@ -359,7 +359,7 @@ object Main
     print(s.done(), " ", locate(s), " ", m == nil)
   end process
 end Main
-`, []netsim.MachineModel{mSPARC, mSun3}, DefaultConfig())
+`, []netsim.MachineModel{mSPARC, mSun3}, Config{})
 	got := c.OutputText()
 	if got != "true node1 false" {
 		t.Errorf("output = %q, want creation completed then move", got)

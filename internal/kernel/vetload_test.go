@@ -50,8 +50,7 @@ func tamperCounter(t *testing.T, c *Cluster) {
 // the direct load path and as a fault in a full run.
 func TestVetOnLoadRefusesTamperedTable(t *testing.T) {
 	prog := compileSrc(t, vetLoadSrc)
-	cfg := DefaultConfig()
-	cfg.VetOnLoad = true
+	cfg := Config{VetOnLoad: true}
 	c, err := NewCluster(prog, []netsim.MachineModel{mVAX}, cfg)
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
@@ -85,8 +84,7 @@ func TestVetOnLoadRefusesTamperedTable(t *testing.T) {
 // TestVetOnLoadAcceptsCleanProgram: the gate must not reject honest code,
 // on any architecture.
 func TestVetOnLoadAcceptsCleanProgram(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.VetOnLoad = true
+	cfg := Config{VetOnLoad: true}
 	c := runSrc(t, vetLoadSrc, []netsim.MachineModel{mVAX, mSPARC, mSun3}, cfg)
 	if got := c.OutputText(); got != "n=1" {
 		t.Errorf("output %q, want %q", got, "n=1")
@@ -98,7 +96,7 @@ func TestVetOnLoadAcceptsCleanProgram(t *testing.T) {
 // cheap way to notice).
 func TestVetOnLoadOffByDefault(t *testing.T) {
 	prog := compileSrc(t, vetLoadSrc)
-	c, err := NewCluster(prog, []netsim.MachineModel{mVAX}, DefaultConfig())
+	c, err := NewCluster(prog, []netsim.MachineModel{mVAX}, Config{})
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}

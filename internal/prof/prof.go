@@ -13,15 +13,15 @@ import (
 // Flags holds the two profile destinations ("" = off).
 type Flags struct{ cpu, mem *string }
 
-// Register adds -cpuprofile and -memprofile to the command line.
-func Register() Flags {
+// Register adds -cpuprofile and -memprofile to fs.
+func Register(fs *flag.FlagSet) Flags {
 	return Flags{
-		cpu: flag.String("cpuprofile", "", "write a CPU profile to `file` (read with go tool pprof)"),
-		mem: flag.String("memprofile", "", "write an allocation profile to `file` when the run ends"),
+		cpu: fs.String("cpuprofile", "", "write a CPU profile to `file` (read with go tool pprof)"),
+		mem: fs.String("memprofile", "", "write an allocation profile to `file` when the run ends"),
 	}
 }
 
-// Start begins the CPU profile, if asked for; call it after flag.Parse.
+// Start begins the CPU profile, if asked for; call it after fs.Parse.
 // The returned stop ends it and writes the allocation profile, and must be
 // called before the process exits (os.Exit runs no defers).
 func (f Flags) Start() (stop func()) {
