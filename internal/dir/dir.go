@@ -17,7 +17,9 @@
 // exchange over the simulated network (internal/kernel/dir.go) so directory
 // traffic is charged and fault-injected like any other kernel traffic. The
 // protocol shape follows the classic single-decree synod (cf. the paxos lab
-// exemplar named in ROADMAP.md): prepare/promise, accept/accepted, learn.
+// exemplar named in ROADMAP.md): prepare/promise, accept/accepted, learn —
+// except that a slot's only proposer skips prepare/promise in its first
+// round (see round.Start).
 package dir
 
 import (
@@ -242,91 +244,144 @@ const (
 	phaseDone
 )
 
-// Proposal is the proposer side of one decree: the source node of a move
-// drives it after the destination acknowledges the install. The kernel owns
-// message exchange and timeouts; this struct owns ballots, quorum counting
-// and value adoption.
-type Proposal struct {
-	Slot   Slot
-	Value  int32 // the home node this proposer wants recorded
+// round is the ballot and quorum bookkeeping one decree's proposer keeps,
+// shared by the single-slot and the group proposal.
+type round struct {
 	Quorum int
+	Ballot uint64 // current ballot, valid after Start
 
-	self     int32  // proposer node id, disambiguates ballots
-	Ballot   uint64 // current ballot, valid after Start
+	self     int32 // proposer node id, disambiguates ballots
 	attempt  uint32
 	maxSeen  uint64 // highest ballot observed in nacks
 	phase    int
 	promises int
 	accepts  int
-	accBal   uint64 // highest accepted ballot among promises
-	accNode  int32  // its value
 	progress uint64 // counts every reply that advanced the current round
 }
 
-// NewProposal builds a proposal for slot with the given desired value.
-func NewProposal(slot Slot, value, self int32, quorum int) *Proposal {
-	return &Proposal{Slot: slot, Value: value, Quorum: quorum, self: self, accNode: -1}
-}
-
-// Start begins the next prepare round and returns its ballot. Ballots embed
-// the proposer id so concurrent proposers never collide, and each restart
-// jumps past every ballot observed in nacks.
-func (p *Proposal) Start() uint64 {
+// Start begins the next round and returns its ballot. Ballots embed the
+// proposer id so concurrent proposers never collide, and each restart jumps
+// past every ballot observed in nacks.
+//
+// The first round starts in the accept phase: a slot (oid, epoch) is
+// proposed only by the node that held the object at epoch-1, with a value
+// fixed before it proposes, so nothing can have been accepted under a lower
+// ballot and a first-round prepare could only ever hear "nothing accepted"
+// (the textbook phase-1 elision for the owner of the lowest ballot). Every
+// retry round runs the full prepare/promise/accept exchange under a
+// strictly higher ballot, so an accept the first round planted on a
+// minority is re-adopted like any other. The acceptor rule is unchanged.
+func (r *round) Start() uint64 {
 	for {
-		p.attempt++
-		b := uint64(p.attempt)<<16 | uint64(uint16(p.self+1))
-		if b > p.maxSeen {
-			p.Ballot = b
+		r.attempt++
+		b := uint64(r.attempt)<<16 | uint64(uint16(r.self+1))
+		if b > r.maxSeen {
+			r.Ballot = b
 			break
 		}
-		if p.maxSeen>>16 > uint64(p.attempt) {
-			p.attempt = uint32(p.maxSeen >> 16)
+		if r.maxSeen>>16 > uint64(r.attempt) {
+			r.attempt = uint32(r.maxSeen >> 16)
 		}
 	}
-	p.phase = phasePrepare
-	p.promises = 0
-	p.accepts = 0
-	p.accBal = 0
-	p.accNode = -1
-	return p.Ballot
+	r.phase = phasePrepare
+	if r.attempt == 1 {
+		r.phase = phaseAccept
+	}
+	r.promises = 0
+	r.accepts = 0
+	return r.Ballot
 }
 
-// Attempt reports how many prepare rounds have started.
-func (p *Proposal) Attempt() int { return int(p.attempt) }
+// Attempt reports how many rounds have started.
+func (r *round) Attempt() int { return int(r.attempt) }
+
+// Preparing reports whether the current round is in its prepare phase: the
+// driver fans out prepares for it, accepts otherwise.
+func (r *round) Preparing() bool { return r.phase == phasePrepare }
 
 // Progress counts replies that advanced the current round. A timeout driver
 // can compare snapshots of it to tell a round that is merely slower than
 // the timeout window (replies still arriving — leave the ballot alone) from
 // one that is truly stuck (nothing arrived — restart with a higher ballot).
-func (p *Proposal) Progress() uint64 { return p.progress }
+func (r *round) Progress() uint64 { return r.progress }
 
 // Done reports whether the decree has been chosen.
-func (p *Proposal) Done() bool { return p.phase == phaseDone }
+func (r *round) Done() bool { return r.phase == phaseDone }
+
+// onPromise counts one promise (or notes a nack) for the given ballot. It
+// reports whether the reply belongs to the live prepare round (the caller
+// then merges its accepted state) and whether it completed the quorum.
+func (r *round) onPromise(ballot uint64, ok bool, promised uint64) (live, quorum bool) {
+	if !ok {
+		r.maxSeen = max(r.maxSeen, promised)
+		return false, false
+	}
+	if r.phase != phasePrepare || ballot != r.Ballot {
+		return false, false // stale round
+	}
+	r.progress++
+	r.promises++
+	if r.promises < r.Quorum {
+		return true, false
+	}
+	r.phase = phaseAccept
+	return true, true
+}
+
+// OnAccepted processes one accepted (or nack) reply. It returns true
+// exactly once, when a quorum has accepted and the decree is chosen.
+func (r *round) OnAccepted(ballot uint64, ok bool, promised uint64) bool {
+	if !ok {
+		r.maxSeen = max(r.maxSeen, promised)
+		return false
+	}
+	if r.phase != phaseAccept || ballot != r.Ballot {
+		return false
+	}
+	r.progress++
+	r.accepts++
+	if r.accepts < r.Quorum {
+		return false
+	}
+	r.phase = phaseDone
+	return true
+}
+
+// Proposal is the proposer side of one decree: the source node of a move
+// drives it after the destination acknowledges the install. The kernel owns
+// message exchange and timeouts; this struct owns ballots, quorum counting
+// and value adoption.
+type Proposal struct {
+	round
+	Slot  Slot
+	Value int32 // the home node this proposer wants recorded
+
+	accBal  uint64 // highest accepted ballot among promises
+	accNode int32  // its value
+}
+
+// NewProposal builds a proposal for slot with the given desired value.
+func NewProposal(slot Slot, value, self int32, quorum int) *Proposal {
+	return &Proposal{round: round{Quorum: quorum, self: self}, Slot: slot, Value: value}
+}
+
+// Start begins the next round (see round.Start), forgetting what earlier
+// rounds' promises reported.
+func (p *Proposal) Start() uint64 {
+	p.accBal, p.accNode = 0, -1
+	return p.round.Start()
+}
 
 // OnPromise processes one promise (or nack) for the given ballot. It
 // returns true exactly once, when the quorum of promises is reached and the
 // proposer should broadcast accept(Ballot, ChosenValue).
 func (p *Proposal) OnPromise(ballot uint64, ok bool, accBal uint64, accNode int32, promised uint64) bool {
-	if !ok {
-		if promised > p.maxSeen {
-			p.maxSeen = promised
-		}
-		return false
-	}
-	if p.phase != phasePrepare || ballot != p.Ballot {
-		return false // stale round
-	}
-	if accBal > p.accBal {
+	live, quorum := p.onPromise(ballot, ok, promised)
+	if live && accBal > p.accBal {
 		p.accBal = accBal
 		p.accNode = accNode
 	}
-	p.progress++
-	p.promises++
-	if p.promises < p.Quorum {
-		return false
-	}
-	p.phase = phaseAccept
-	return true
+	return quorum
 }
 
 // ChosenValue is the value to propose in the accept phase: any value a
@@ -336,27 +391,6 @@ func (p *Proposal) ChosenValue() int32 {
 		return p.accNode
 	}
 	return p.Value
-}
-
-// OnAccepted processes one accepted (or nack) reply. It returns true
-// exactly once, when a quorum has accepted and the decree is chosen.
-func (p *Proposal) OnAccepted(ballot uint64, ok bool, promised uint64) bool {
-	if !ok {
-		if promised > p.maxSeen {
-			p.maxSeen = promised
-		}
-		return false
-	}
-	if p.phase != phaseAccept || ballot != p.Ballot {
-		return false
-	}
-	p.progress++
-	p.accepts++
-	if p.accepts < p.Quorum {
-		return false
-	}
-	p.phase = phaseDone
-	return true
 }
 
 // GroupProposal drives one multi-object decree round: a batched MoveGroup
@@ -369,20 +403,12 @@ func (p *Proposal) OnAccepted(ballot uint64, ok bool, promised uint64) bool {
 // its acceptor check, and the prepare reply carries per-slot accepted
 // values so a retry after a partial earlier round adopts them slot by slot.
 type GroupProposal struct {
+	round
 	Slots  []Slot
 	Values []int32 // desired home per slot, parallel to Slots
-	Quorum int
 
-	self     int32
-	Ballot   uint64
-	attempt  uint32
-	maxSeen  uint64
-	phase    int
-	promises int
-	accepts  int
-	accBals  []uint64 // highest accepted ballot seen per slot
-	accVals  []int32  // its value
-	progress uint64
+	accBals []uint64 // highest accepted ballot seen per slot
+	accVals []int32  // its value
 }
 
 // NewGroupProposal builds a group proposal over the given slots and homes,
@@ -400,78 +426,36 @@ func NewGroupProposal(slots []Slot, values []int32, self int32, quorum int) *Gro
 		ss[i] = slots[k]
 		vs[i] = values[k]
 	}
-	g := &GroupProposal{Slots: ss, Values: vs, Quorum: quorum, self: self}
-	g.accBals = make([]uint64, len(ss))
-	g.accVals = make([]int32, len(ss))
-	for i := range g.accVals {
-		g.accVals[i] = -1
-	}
-	return g
+	return &GroupProposal{round: round{Quorum: quorum, self: self}, Slots: ss, Values: vs,
+		accBals: make([]uint64, len(ss)), accVals: make([]int32, len(ss))}
 }
 
-// Start begins the next prepare round and returns its ballot (same ballot
-// scheme as Proposal.Start).
+// Start begins the next round (see round.Start), forgetting what earlier
+// rounds' promises reported.
 func (g *GroupProposal) Start() uint64 {
-	for {
-		g.attempt++
-		b := uint64(g.attempt)<<16 | uint64(uint16(g.self+1))
-		if b > g.maxSeen {
-			g.Ballot = b
-			break
-		}
-		if g.maxSeen>>16 > uint64(g.attempt) {
-			g.attempt = uint32(g.maxSeen >> 16)
-		}
-	}
-	g.phase = phasePrepare
-	g.promises = 0
-	g.accepts = 0
 	for i := range g.accBals {
-		g.accBals[i] = 0
-		g.accVals[i] = -1
+		g.accBals[i], g.accVals[i] = 0, -1
 	}
-	return g.Ballot
+	return g.round.Start()
 }
-
-// Attempt reports how many prepare rounds have started.
-func (g *GroupProposal) Attempt() int { return int(g.attempt) }
-
-// Progress counts replies that advanced the current round (see
-// Proposal.Progress).
-func (g *GroupProposal) Progress() uint64 { return g.progress }
-
-// Done reports whether the group decree has been chosen.
-func (g *GroupProposal) Done() bool { return g.phase == phaseDone }
 
 // OnPromise processes one group promise (or nack). accBals/accVals are the
 // replica's per-slot accepted state, parallel to Slots; nil on a nack.
 // Returns true exactly once, at promise quorum.
 func (g *GroupProposal) OnPromise(ballot uint64, ok bool, accBals []uint64, accVals []int32, promised uint64) bool {
-	if !ok {
-		if promised > g.maxSeen {
-			g.maxSeen = promised
-		}
-		return false
-	}
-	if g.phase != phasePrepare || ballot != g.Ballot {
-		return false
-	}
-	if len(accBals) != len(g.Slots) || len(accVals) != len(g.Slots) {
+	if ok && (len(accBals) != len(g.Slots) || len(accVals) != len(g.Slots)) {
 		return false // malformed reply; ignore
 	}
-	for i := range g.Slots {
-		if accBals[i] > g.accBals[i] {
-			g.accBals[i] = accBals[i]
-			g.accVals[i] = accVals[i]
+	live, quorum := g.onPromise(ballot, ok, promised)
+	if live {
+		for i := range g.Slots {
+			if accBals[i] > g.accBals[i] {
+				g.accBals[i] = accBals[i]
+				g.accVals[i] = accVals[i]
+			}
 		}
 	}
-	g.progress++
-	g.promises++
-	if g.promises < g.Quorum {
-		return false
-	}
-	g.phase = phaseAccept
-	return true
+	return quorum
 }
 
 // ChosenValues is the per-slot value vector for the accept phase: any
@@ -486,25 +470,4 @@ func (g *GroupProposal) ChosenValues() []int32 {
 		out[i] = g.Values[i]
 	}
 	return out
-}
-
-// OnAccepted processes one group accepted (or nack) reply. Returns true
-// exactly once, at accept quorum.
-func (g *GroupProposal) OnAccepted(ballot uint64, ok bool, promised uint64) bool {
-	if !ok {
-		if promised > g.maxSeen {
-			g.maxSeen = promised
-		}
-		return false
-	}
-	if g.phase != phaseAccept || ballot != g.Ballot {
-		return false
-	}
-	g.progress++
-	g.accepts++
-	if g.accepts < g.Quorum {
-		return false
-	}
-	g.phase = phaseDone
-	return true
 }

@@ -82,11 +82,26 @@ func TestStoreLearnMonotoneEpoch(t *testing.T) {
 	}
 }
 
+// retryBallot burns the owner's accept-first round (as a silent timeout
+// window would) and returns the ballot of the first retry round, which runs
+// the full prepare/promise/accept exchange.
+func retryBallot(start func() uint64) uint64 {
+	first := start()
+	b := start()
+	if b <= first {
+		panic("retry ballot not strictly higher")
+	}
+	return b
+}
+
 func TestProposalHappyPath(t *testing.T) {
 	p := NewProposal(Slot{OID: 5, Epoch: 2}, 3, 0, 2)
-	b := p.Start()
-	if b == 0 {
-		t.Fatalf("zero ballot")
+	b := retryBallot(p.Start)
+	if !p.Preparing() {
+		t.Fatalf("retry round did not start in the prepare phase")
+	}
+	if p.OnAccepted(b, true, 0) {
+		t.Fatalf("accepted counted before the promise quorum")
 	}
 	if p.OnPromise(b, true, 0, -1, 0) {
 		t.Fatalf("quorum after one promise")
@@ -110,7 +125,7 @@ func TestProposalHappyPath(t *testing.T) {
 
 func TestProposalAdoptsAcceptedValue(t *testing.T) {
 	p := NewProposal(Slot{OID: 5, Epoch: 2}, 3, 0, 2)
-	b := p.Start()
+	b := retryBallot(p.Start)
 	p.OnPromise(b, true, 7, 1, 0) // a replica already accepted value 1 at ballot 7
 	p.OnPromise(b, true, 0, -1, 0)
 	if v := p.ChosenValue(); v != 1 {
@@ -122,22 +137,25 @@ func TestProposalRestartJumpsNacks(t *testing.T) {
 	p := NewProposal(Slot{OID: 5, Epoch: 2}, 3, 0, 2)
 	b := p.Start()
 	// Nacked: someone promised a much higher ballot.
-	if p.OnPromise(b, false, 0, -1, 99<<16) {
+	if p.OnAccepted(b, false, 99<<16) {
 		t.Fatalf("nack advanced phase")
 	}
 	b2 := p.Start()
 	if b2 <= 99<<16 {
 		t.Fatalf("restart ballot %d did not jump past nacked ballot", b2)
 	}
+	if !p.Preparing() {
+		t.Fatalf("a restart past a nack must prepare")
+	}
 	// Stale replies from the old round are ignored.
-	if p.OnPromise(b, true, 0, -1, 0) {
-		t.Fatalf("stale-round promise counted")
+	if p.OnPromise(b, true, 0, -1, 0) || p.OnAccepted(b, true, 0) {
+		t.Fatalf("stale-round reply counted")
+	}
+	if p.OnPromise(b2, true, 0, -1, 0) {
+		t.Fatalf("quorum after one promise of the retry round")
 	}
 	if !p.OnPromise(b2, true, 0, -1, 0) || p.Done() {
-		// first promise of round 2; need one more
-		if p.Done() {
-			t.Fatalf("done too early")
-		}
+		t.Fatalf("retry round: no promise quorum, or done before any accept")
 	}
 }
 
@@ -251,7 +269,7 @@ func TestGroupProposalSortsAndChooses(t *testing.T) {
 			t.Fatalf("canonical order %v %v", g.Slots, g.Values)
 		}
 	}
-	b := g.Start()
+	b := retryBallot(g.Start)
 	none := []uint64{0, 0, 0}
 	noneV := []int32{-1, -1, -1}
 	if g.OnPromise(b, true, none, noneV, 0) {
@@ -276,7 +294,7 @@ func TestGroupProposalSortsAndChooses(t *testing.T) {
 
 func TestGroupProposalAdoptsPerSlot(t *testing.T) {
 	g := NewGroupProposal([]Slot{{OID: 1, Epoch: 1}, {OID: 2, Epoch: 1}}, []int32{3, 3}, 0, 2)
-	b := g.Start()
+	b := retryBallot(g.Start)
 	// One replica already accepted value 1 for the second slot at ballot 7.
 	g.OnPromise(b, true, []uint64{0, 7}, []int32{-1, 1}, 0)
 	g.OnPromise(b, true, []uint64{0, 0}, []int32{-1, -1}, 0)
@@ -289,7 +307,7 @@ func TestGroupProposalAdoptsPerSlot(t *testing.T) {
 func TestGroupProposalNackAndRestart(t *testing.T) {
 	g := NewGroupProposal([]Slot{{OID: 1, Epoch: 1}, {OID: 2, Epoch: 1}}, []int32{3, 3}, 0, 2)
 	b := g.Start()
-	if g.OnPromise(b, false, nil, nil, 50<<16) {
+	if g.OnAccepted(b, false, 50<<16) {
 		t.Fatalf("nack advanced phase")
 	}
 	b2 := g.Start()
@@ -306,5 +324,119 @@ func TestGroupProposalNackAndRestart(t *testing.T) {
 	g.OnPromise(b2, true, []uint64{0, 0}, []int32{-1, -1}, 0)
 	if !g.OnPromise(b2, true, []uint64{0, 0}, []int32{-1, -1}, 0) {
 		t.Fatalf("no quorum after two fresh promises")
+	}
+}
+
+// TestOwnerRoundSkipsPrepare: the slot's only proposer opens with the accept
+// phase — three acceptors that never saw a prepare accept its lowest ballot
+// and the decree is chosen in one round trip. A promise for that ballot
+// (there is no prepare it could answer) is ignored.
+func TestOwnerRoundSkipsPrepare(t *testing.T) {
+	p := NewProposal(Slot{OID: 5, Epoch: 2}, 3, 1, 2)
+	b := p.Start()
+	if p.Preparing() || p.Attempt() != 1 {
+		t.Fatalf("first round: preparing=%v attempt=%d, want accept phase of attempt 1", p.Preparing(), p.Attempt())
+	}
+	if p.OnPromise(b, true, 0, -1, 0) || p.Progress() != 0 {
+		t.Fatalf("a promise advanced a round that sent no prepare")
+	}
+	accs := make([]Acceptor, 3)
+	chosen := false
+	for i := range accs {
+		ok, promised := accs[i].Accept(b, p.ChosenValue())
+		if !ok {
+			t.Fatalf("fresh acceptor %d refused the owner's ballot (promised %d)", i, promised)
+		}
+		if p.OnAccepted(b, ok, promised) {
+			if chosen {
+				t.Fatalf("chosen reported twice")
+			}
+			chosen = true
+		}
+	}
+	if !chosen || !p.Done() || p.ChosenValue() != 3 {
+		t.Fatalf("chosen=%v done=%v value=%d after three accepts", chosen, p.Done(), p.ChosenValue())
+	}
+}
+
+// TestRetryAdoptsMinorityAccept: the owner's first-round accept lands on one
+// replica of three and the rest of the round is lost. The retry must run
+// prepare/promise under a strictly higher ballot, hear the planted value
+// from that replica and re-propose it — so the value a late first-round
+// reply could still report chosen is the only one the slot can ever hold —
+// and the stale first-round accept is refused once the promise is out.
+func TestRetryAdoptsMinorityAccept(t *testing.T) {
+	accs := make([]Acceptor, 3)
+	first := NewProposal(Slot{OID: 5, Epoch: 2}, 1, 0, 2)
+	b1 := first.Start()
+	if ok, _ := accs[2].Accept(b1, first.ChosenValue()); !ok {
+		t.Fatalf("planting the first-round accept failed")
+	}
+	// The retrying proposer wants 3 here only to make adoption visible; in
+	// the kernel the same proposer retries with the same value.
+	p := NewProposal(Slot{OID: 5, Epoch: 2}, 3, 0, 2)
+	p.Start()
+	b2 := p.Start()
+	if b2 <= b1 || !p.Preparing() {
+		t.Fatalf("retry ballot %d (first %d), preparing=%v", b2, b1, p.Preparing())
+	}
+	quorum := false
+	for i := 1; i < 3; i++ { // replicas 1 and 2 answer; 0 stays silent
+		ok, promised, accBal, accNode := accs[i].Prepare(b2)
+		quorum = p.OnPromise(b2, ok, accBal, accNode, promised)
+	}
+	if !quorum || p.Preparing() {
+		t.Fatalf("no promise quorum from two of three replicas")
+	}
+	if v := p.ChosenValue(); v != 1 {
+		t.Fatalf("retry proposes %d, want the planted value 1", v)
+	}
+	if ok, _ := accs[1].Accept(b1, 1); ok {
+		t.Fatalf("a first-round accept was taken after the retry's promise")
+	}
+	for i := 1; i < 3; i++ {
+		ok, promised := accs[i].Accept(b2, p.ChosenValue())
+		p.OnAccepted(b2, ok, promised)
+	}
+	if !p.Done() {
+		t.Fatalf("retry round did not reach chosen")
+	}
+}
+
+// TestGroupOwnerRoundAndPerSlotRetry is the group variant: accept-first on
+// attempt 1 with every slot's own value, and a retry that adopts slot by
+// slot what a first round planted on a minority.
+func TestGroupOwnerRoundAndPerSlotRetry(t *testing.T) {
+	slots := []Slot{{OID: 1, Epoch: 1}, {OID: 2, Epoch: 1}}
+	g := NewGroupProposal(slots, []int32{3, 3}, 0, 2)
+	b1 := g.Start()
+	if g.Preparing() {
+		t.Fatalf("group first round started in the prepare phase")
+	}
+	if cv := g.ChosenValues(); cv[0] != 3 || cv[1] != 3 {
+		t.Fatalf("owner round proposes %v, want own values [3 3]", cv)
+	}
+	if g.OnAccepted(b1, true, 0) || !g.OnAccepted(b1, true, 0) || !g.Done() {
+		t.Fatalf("owner round did not choose at the accept quorum")
+	}
+
+	// A first round whose accept reached one replica for the second slot only.
+	accs := [3][2]Acceptor{}
+	accs[2][1].Accept(b1, 1)
+	r := NewGroupProposal(slots, []int32{3, 3}, 0, 2)
+	r.Start()
+	b2 := r.Start()
+	if b2 <= b1 || !r.Preparing() {
+		t.Fatalf("group retry ballot %d (first %d), preparing=%v", b2, b1, r.Preparing())
+	}
+	for i := 1; i < 3; i++ {
+		bals, vals := make([]uint64, 2), make([]int32, 2)
+		for s := range slots {
+			_, _, bals[s], vals[s] = accs[i][s].Prepare(b2)
+		}
+		r.OnPromise(b2, true, bals, vals, 0)
+	}
+	if cv := r.ChosenValues(); r.Preparing() || cv[0] != 3 || cv[1] != 1 {
+		t.Fatalf("group retry: preparing=%v proposes %v, want [3 1]", r.Preparing(), cv)
 	}
 }

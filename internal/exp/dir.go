@@ -39,6 +39,9 @@ type DirResult struct {
 	GroupDecrees  uint64  // batched group rounds run
 	GroupSlots    uint64  // member slots committed by those rounds
 	DecreeBytes   uint64  // wire bytes of all decree protocol messages
+	PrepareRounds uint64  // decree rounds that ran prepare/promise (retries only)
+	DirMsgs       uint64  // directory protocol messages on the wire, lookups included
+	Moves         uint64  // object and thread moves (the migrations gauge)
 }
 
 // dirDecreeKinds are the wire kinds whose msg_bytes add up to DecreeBytes —
@@ -120,7 +123,8 @@ func dirArm(label, src string, opts core.Options) (DirResult, error) {
 	for _, k := range dirDecreeKinds {
 		decreeKind["msg="+k] = true
 	}
-	for _, c := range sys.MetricsSnapshot().Counters {
+	snap := sys.MetricsSnapshot()
+	for _, c := range snap.Counters {
 		switch c.Name {
 		case "remote_invokes":
 			r.RemoteInvokes += c.Value
@@ -144,10 +148,21 @@ func dirArm(label, src string, opts core.Options) (DirResult, error) {
 			r.GroupDecrees += c.Value
 		case "dir_group_slots":
 			r.GroupSlots += c.Value
+		case "dir_prepare_rounds":
+			r.PrepareRounds += c.Value
 		case "msg_bytes":
 			if decreeKind[c.Labels] {
 				r.DecreeBytes += c.Value
 			}
+		case "msgs":
+			if strings.HasPrefix(c.Labels, "msg=dir") {
+				r.DirMsgs += c.Value
+			}
+		}
+	}
+	for _, g := range snap.Gauges {
+		if g.Name == "migrations" {
+			r.Moves += uint64(g.Value)
 		}
 	}
 	net := sys.Cluster.Net
@@ -195,18 +210,39 @@ func FormatDir(rows []DirResult, desc string) string {
 	var b strings.Builder
 	b.WriteString("Replicated directory overhead on a migration-heavy tour\n")
 	b.WriteString(desc + "\n")
-	fmt.Fprintf(&b, "%-12s %9s %7s %9s %7s %6s %6s %8s %7s %5s %5s %5s %7s\n",
-		"config", "sim time", "frames", "bytes", "remote", "fwd", "chase", "decrees", "lookups", "degr", "lease", "gdecr", "decrB")
+	fmt.Fprintf(&b, "%-12s %9s %7s %9s %7s %6s %6s %8s %7s %5s %5s %5s %7s %5s %7s %6s\n",
+		"config", "sim time", "frames", "bytes", "remote", "fwd", "chase", "decrees", "lookups", "degr", "lease", "gdecr", "decrB", "prep", "dirF/mv", "x off")
+	off := map[string]float64{} // fault-plan suffix -> the directory-off arm's sim time
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %7.1fms %7d %9d %7d %6d %6d %8d %7d %5d %5d %5d %7d\n",
+		if plan, ok := strings.CutPrefix(r.Config, "off/"); ok {
+			off[plan] = r.SimMS
+		}
+	}
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-12s %7.1fms %7d %9d %7d %6d %6d %8d %7d %5d %5d %5d %7d %5d",
 			r.Config, r.SimMS, r.Frames, r.WireBytes, r.RemoteInvokes,
 			r.ProxyForwards, r.ChaseHops, r.Decrees, r.Lookups, r.Degraded,
-			r.LeaseHits, r.GroupDecrees, r.DecreeBytes)
+			r.LeaseHits, r.GroupDecrees, r.DecreeBytes, r.PrepareRounds)
+		if r.Moves > 0 {
+			fmt.Fprintf(&b, " %7.2f", float64(r.DirMsgs)/float64(r.Moves))
+		} else {
+			fmt.Fprintf(&b, " %7s", "-")
+		}
+		_, plan, _ := strings.Cut(r.Config, "/")
+		if base := off[plan]; base > 0 {
+			fmt.Fprintf(&b, " %5.2fx\n", r.SimMS/base)
+		} else {
+			fmt.Fprintf(&b, " %6s\n", "-")
+		}
 	}
 	b.WriteString("fwd = proxy-chain forwards; chase = locate hops walked;\n")
 	b.WriteString("decrees/lookups/degr = directory consensus, shard queries, fallbacks;\n")
 	b.WriteString("lease = lookups served from a cached read lease; gdecr = batched\n")
-	b.WriteString("group rounds; decrB = wire bytes of all decree protocol messages.\n")
+	b.WriteString("group rounds; decrB = wire bytes of all decree protocol messages;\n")
+	b.WriteString("prep = decree rounds that ran prepare/promise (retries; 0 when no\n")
+	b.WriteString("round timed out); dirF/mv = directory messages on the wire per move;\n")
+	b.WriteString("x off = sim time over the directory-off arm under the same fault plan\n")
+	b.WriteString("(ROADMAP emdir-lean wants dirF/mv <= 5 and dir3/clean <= 1.5x).\n")
 	return b.String()
 }
 
@@ -228,6 +264,9 @@ type BenchDirRow struct {
 	GroupDecrees  uint64  `json:"group_decrees"`
 	GroupSlots    uint64  `json:"group_slots"`
 	DecreeBytes   uint64  `json:"decree_bytes"`
+	PrepareRounds uint64  `json:"prepare_rounds"`
+	DirMsgs       uint64  `json:"dir_msgs"`
+	Moves         uint64  `json:"moves"`
 }
 
 // BenchDir is the BENCH_dir.json document.
@@ -254,6 +293,7 @@ func BenchDirDoc(rows []DirResult, desc string) BenchDir {
 			Compactions: r.Compactions, LeaseHits: r.LeaseHits,
 			LeaseExpired: r.LeaseExpired, GroupDecrees: r.GroupDecrees,
 			GroupSlots: r.GroupSlots, DecreeBytes: r.DecreeBytes,
+			PrepareRounds: r.PrepareRounds, DirMsgs: r.DirMsgs, Moves: r.Moves,
 		})
 	}
 	return doc

@@ -153,23 +153,39 @@ func (n *Node) dirPropose(o oid.OID, epoch uint32, home int32, done func(chosen 
 		dp.done = append(dp.done, done)
 	}
 	n.dirProps[slot] = dp
-	n.dirPrepareRound(dp)
+	n.dirRound(dp)
 }
 
-// dirPrepareRound starts the next prepare round: a fresh ballot to every
-// replica of the slot's shard. With a single-replica set containing this
-// node the whole decree resolves synchronously inside the first dirSend, so
-// the fan-out re-checks that the proposal is still the live one.
-func (n *Node) dirPrepareRound(dp *dirProposal) {
-	slot := dp.p.Slot
-	ballot := dp.p.Start()
+// dirRound starts the decree's next round under a fresh ballot and fans
+// out the phase dir.Proposal.Start landed in: the accept straight away in
+// the owner's first round, a prepare in every retry round (whose promise
+// quorum then sends the accept from recvDirPromise).
+func (n *Node) dirRound(dp *dirProposal) {
+	dp.p.Start()
+	if dp.p.Preparing() {
+		n.cluster.Rec.Metrics().Add("dir_prepare_rounds", n.labels, 1)
+	}
+	n.dirFanOut(dp)
+	n.armDirTimer(dp)
+}
+
+// dirFanOut sends the current phase's request to every replica of the
+// slot's shard. With a single-replica set containing this node the whole
+// decree resolves synchronously inside the first dirSend, so the fan-out
+// re-checks that the proposal is still the live one.
+func (n *Node) dirFanOut(dp *dirProposal) {
+	slot, prepare := dp.p.Slot, dp.p.Preparing()
 	for _, r := range dp.replicas {
 		if n.dirProps[slot] != dp {
 			return
 		}
-		n.dirSend(r, &wire.DirPrepare{Target: slot.OID, Epoch: slot.Epoch, Ballot: ballot})
+		if prepare {
+			n.dirSend(r, &wire.DirPrepare{Target: slot.OID, Epoch: slot.Epoch, Ballot: dp.p.Ballot})
+		} else {
+			n.dirSend(r, &wire.DirAccept{Target: slot.OID, Epoch: slot.Epoch,
+				Ballot: dp.p.Ballot, Node: dp.p.ChosenValue()})
+		}
 	}
-	n.armDirTimer(dp)
 }
 
 // armDirTimer watches one decree round (chaos only — without faults every
@@ -204,7 +220,7 @@ func (n *Node) armDirTimer(dp *dirProposal) {
 			n.dirResolve(dp, false, "decree attempts exhausted")
 			return
 		}
-		n.dirPrepareRound(dp)
+		n.dirRound(dp)
 	})
 }
 
@@ -230,16 +246,8 @@ func (n *Node) recvDirPromise(src int, p *wire.DirPromise) {
 	if dp == nil || dp.p.Done() {
 		return
 	}
-	if !dp.p.OnPromise(p.Ballot, p.Ok, p.AccBallot, p.AccNode, p.Promised) {
-		return
-	}
-	v := dp.p.ChosenValue()
-	for _, r := range dp.replicas {
-		if n.dirProps[slot] != dp {
-			return
-		}
-		n.dirSend(r, &wire.DirAccept{Target: slot.OID, Epoch: slot.Epoch,
-			Ballot: dp.p.Ballot, Node: v})
+	if dp.p.OnPromise(p.Ballot, p.Ok, p.AccBallot, p.AccNode, p.Promised) {
+		n.dirFanOut(dp)
 	}
 }
 
@@ -369,21 +377,36 @@ func (n *Node) dirProposeGroup(slots []dir.Slot, homes []int32, done func(chosen
 		gp.done = append(gp.done, done)
 	}
 	n.dirGProps[gp.token] = gp
-	n.dirGPrepareRound(gp)
+	n.dirGRound(gp)
 }
 
-// dirGPrepareRound starts the next group prepare round: one fresh ballot
-// covering every member slot, to every replica of the shared shard.
-func (n *Node) dirGPrepareRound(gp *dirGroupProposal) {
-	ballot := gp.g.Start()
-	refs := dirSlotRefs(gp.g.Slots)
+// dirGRound starts the group decree's next round: one fresh ballot covering
+// every member slot, accept-first in the owner's first round and prepare-
+// first in every retry, exactly like dirRound.
+func (n *Node) dirGRound(gp *dirGroupProposal) {
+	gp.g.Start()
+	if gp.g.Preparing() {
+		n.cluster.Rec.Metrics().Add("dir_prepare_rounds", n.labels, 1)
+	}
+	n.dirGFanOut(gp)
+	n.armDirGTimer(gp)
+}
+
+// dirGFanOut sends the current phase's group request to every replica of
+// the shared shard.
+func (n *Node) dirGFanOut(gp *dirGroupProposal) {
+	refs, vals, prepare := dirSlotRefs(gp.g.Slots), gp.g.ChosenValues(), gp.g.Preparing()
 	for _, r := range gp.replicas {
 		if n.dirGProps[gp.token] != gp {
 			return
 		}
-		n.dirSend(r, &wire.DirGPrepare{Token: gp.token, Ballot: ballot, Slots: refs})
+		if prepare {
+			n.dirSend(r, &wire.DirGPrepare{Token: gp.token, Ballot: gp.g.Ballot, Slots: refs})
+		} else {
+			n.dirSend(r, &wire.DirGAccept{Token: gp.token, Ballot: gp.g.Ballot,
+				Slots: refs, Nodes: vals})
+		}
 	}
-	n.armDirGTimer(gp)
 }
 
 // armDirGTimer watches one group round, with the same
@@ -413,7 +436,7 @@ func (n *Node) armDirGTimer(gp *dirGroupProposal) {
 			n.dirGResolve(gp, false, "group decree attempts exhausted")
 			return
 		}
-		n.dirGPrepareRound(gp)
+		n.dirGRound(gp)
 	})
 }
 
@@ -442,17 +465,8 @@ func (n *Node) recvDirGPromise(src int, p *wire.DirGPromise) {
 	if gp == nil || gp.g.Done() {
 		return
 	}
-	if !gp.g.OnPromise(p.Ballot, p.Ok, p.AccBallots, p.AccNodes, p.Promised) {
-		return
-	}
-	vals := gp.g.ChosenValues()
-	refs := dirSlotRefs(gp.g.Slots)
-	for _, r := range gp.replicas {
-		if n.dirGProps[p.Token] != gp {
-			return
-		}
-		n.dirSend(r, &wire.DirGAccept{Token: gp.token, Ballot: gp.g.Ballot,
-			Slots: refs, Nodes: vals})
+	if gp.g.OnPromise(p.Ballot, p.Ok, p.AccBallots, p.AccNodes, p.Promised) {
+		n.dirGFanOut(gp)
 	}
 }
 

@@ -8,6 +8,7 @@ package kernel
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/chaos"
@@ -85,16 +86,17 @@ func TestDirGroupDecreeBatches(t *testing.T) {
 }
 
 // TestDirGroupDecreeChaosReplay: crash the proposer one microsecond after
-// its group prepare leaves, and keep it down across the round window so
-// the group timer fires while crashed and restartDir must re-arm it. The
-// decree must still resolve chosen (the acceptor's promise rides the
-// reliable link through the outage), and the same seed must reproduce a
-// byte-identical event log — the stalled group slots replay in order.
+// the first frame of its group round leaves (the owner round's accept), and
+// keep it down across the round window so the group timer fires while
+// crashed and restartDir must re-arm it. The decree must still resolve
+// chosen (the replica's accepted reply rides the reliable link through the
+// outage), and the same seed must reproduce a byte-identical event log —
+// the stalled group slots replay in order.
 func TestDirGroupDecreeChaosReplay(t *testing.T) {
 	models := []netsim.MachineModel{mSun3, mSPARC}
 	// The round window must exceed the loaded link's round trip (the hot
 	// caller saturates the medium, ~40ms one way), or ballot churn degrades
-	// the decree before any promise lands.
+	// the decree before any reply lands.
 	basePlan := func() *chaos.Plan { return &chaos.Plan{Seed: 11, CommitTimeout: 150_000} }
 	cfg := func(p *chaos.Plan) Config {
 		c := autoConfig()
@@ -104,28 +106,28 @@ func TestDirGroupDecreeChaosReplay(t *testing.T) {
 	}
 
 	// Scout run (same seed, no crash — identical up to the crash instant):
-	// find when the group prepare goes out.
+	// find when the group round's first frame goes out.
 	scout := runSrc(t, chattySrc, models, cfg(basePlan()))
 	if got := scout.OutputText(); got != chattyWant {
 		t.Fatalf("scout output = %q, want %q", got, chattyWant)
 	}
-	var prepAt int64
+	var roundAt int64
 	for _, e := range scout.Rec.Events() {
-		if e.Kind == obs.EvWireSend && e.Str == "dirgprepare" {
-			prepAt = e.At
+		if e.Kind == obs.EvWireSend && slices.Contains(groupDecreeKinds, e.Str) {
+			roundAt = e.At
 			break
 		}
 	}
-	if prepAt == 0 {
+	if roundAt == 0 {
 		t.Fatal("scout run never started a group decree")
 	}
 
 	plan := func() *chaos.Plan {
 		p := basePlan()
-		// Down from just after the prepare until past the 150ms round
+		// Down from just after that frame until past the 150ms round
 		// window (the timer fires crashed), back inside the 400ms
 		// suspicion timeout.
-		p.Crashes = []chaos.Crash{{Node: 0, At: netsim.Micros(prepAt) + 1, RestartAt: netsim.Micros(prepAt) + 250_000}}
+		p.Crashes = []chaos.Crash{{Node: 0, At: netsim.Micros(roundAt) + 1, RestartAt: netsim.Micros(roundAt) + 250_000}}
 		return p
 	}
 

@@ -396,6 +396,7 @@ func (c *Cluster) armChaos(plan *chaos.Plan) error {
 		}
 	}
 	for _, n := range c.Nodes {
+		n.lastSent = make([]netsim.Micros, len(c.Nodes))
 		n.every(plan.HeartbeatPeriod(), n.heartbeatTick)
 	}
 	return nil

@@ -116,9 +116,12 @@ type Node struct {
 	// the next expected sequence number and the out-of-order hold buffer.
 	inNext map[int]uint32
 	inBuf  map[int]map[uint32][]byte
-	// lastHeard / suspects drive heartbeat-based crash suspicion.
+	// lastHeard / suspects drive heartbeat-based crash suspicion; lastSent
+	// (per destination, sized by armChaos) is when this node last put any
+	// link frame on the wire, so heartbeats go out on idle links only.
 	lastHeard map[int]netsim.Micros
 	suspects  map[int]bool
+	lastSent  []netsim.Micros
 	// seenSpans deduplicates Move deliveries by SpanID so an object is
 	// never installed twice; pendingCommits are this node's outbound moves
 	// awaiting a MoveAck; abortedSpans tombstones aborted move spans to
@@ -797,6 +800,7 @@ func (n *Node) sendMsgAck(dst int, p wire.Payload, onAck func()) (int, netsim.Mi
 // netSend puts one raw frame on the medium (chaos paths; no protocol
 // charges — callers account their own link-level costs).
 func (n *Node) netSend(dst int, frame []byte) {
+	n.lastSent[dst] = n.now()
 	if err := n.cluster.Net.Send(n.ID, dst, frame, n.CPU.FreeAt); err != nil {
 		panic(fmt.Sprintf("kernel: %v", err))
 	}

@@ -45,8 +45,9 @@ type pendingFrame struct {
 	timer func()
 }
 
-// heartbeatFrame is the one heartbeat every node sends every peer every
-// tick: an empty LRaw frame, constant, so it is marshalled once.
+// heartbeatFrame is the one heartbeat a node sends a peer on a tick that
+// finds their link idle: an empty LRaw frame, constant, so it is marshalled
+// once.
 var heartbeatFrame = wire.LinkFrame{Kind: wire.LRaw}.Marshal()
 
 func linkKey(dst int, seq uint32) uint64 { return uint64(uint32(dst))<<32 | uint64(seq) }
@@ -180,7 +181,11 @@ func (n *Node) reviveStalled(match func(*pendingFrame) bool) {
 
 // heartbeatTick is the per-node liveness beacon and suspicion sweep, run
 // every heartbeat period. It keeps ticking (without sending) while the node
-// is down so the cadence survives a restart.
+// is down so the cadence survives a restart. Only idle links beat: every
+// valid link frame — data, ack, retransmission — is liveness evidence at the
+// receiver (deliver calls heard before it looks at the kind), so a peer
+// this node sent anything to within the last period needs no beacon. A
+// live peer is therefore heard from at least every two periods, loss aside.
 func (n *Node) heartbeatTick() {
 	plan := n.cluster.Chaos
 	if !n.Up {
@@ -191,8 +196,11 @@ func (n *Node) heartbeatTick() {
 		if peer.ID == n.ID {
 			continue
 		}
-		n.charge(uint64(n.cluster.Costs.SyscallCycles))
-		n.netSend(peer.ID, heartbeatFrame)
+		if now-n.lastSent[peer.ID] >= plan.HeartbeatPeriod() {
+			n.charge(uint64(n.cluster.Costs.SyscallCycles))
+			n.netSend(peer.ID, heartbeatFrame)
+			n.cluster.Rec.Metrics().Add("heartbeats", n.labels, 1)
+		}
 		if !n.suspects[peer.ID] && now-n.lastHeard[peer.ID] > plan.SuspectTimeout() {
 			n.suspects[peer.ID] = true
 			n.cluster.Rec.Emit(obs.Event{At: int64(now), Node: int32(n.ID),
