@@ -5,12 +5,13 @@
 // proxy pointing through the dead node. emdir replaces the chain as the
 // primary location mechanism with sharded ownership records — OID → (home
 // node, epoch) — replicated across a small replica set and updated by one
-// single-decree Paxos round per move commit. Each move of an object is its
-// own consensus instance, keyed by the (oid, epoch) slot the move's epoch
-// bump created, so decrees from different moves never collide and a decree
-// is immutable once chosen. After a crash/restart a locate is one shard
-// query instead of a forwarding-address walk; the chase survives only as
-// the degraded-mode fallback.
+// Paxos round per move commit (one round for a whole cohort of objects that
+// move together: see Proposal). Each move of an object is its own consensus
+// instance, keyed by the (oid, epoch) slot the move's epoch bump created, so
+// decrees from different moves never collide and a decree is immutable once
+// chosen. After a crash/restart a locate is one shard query instead of a
+// forwarding-address walk; the chase survives only as the degraded-mode
+// fallback.
 //
 // This package holds the pure protocol state machines — acceptor, learner
 // store, proposer — with no I/O and no time: the kernel drives message
@@ -23,7 +24,9 @@
 package dir
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/oid"
@@ -166,21 +169,26 @@ type Record struct {
 	Epoch uint32
 }
 
-// Acceptor is the per-slot acceptor state held by each replica.
+// Acceptor is the per-slot acceptor state held by each replica; the zero
+// value is a fresh acceptor.
 type Acceptor struct {
 	Promised uint64 // highest ballot promised
 	AccBal   uint64 // ballot of the accepted value, 0 if none
-	AccNode  int32  // accepted value (home node)
+	AccNode  int32  // accepted value (home node), meaningful when AccBal > 0
 }
 
 // Prepare handles a prepare(ballot) request. On success it promises the
 // ballot and reports any previously accepted (ballot, value) so the
-// proposer can adopt it; on failure it reports the ballot that blocked.
+// proposer can adopt it — (0, -1) when nothing was; on failure it reports
+// the ballot that blocked.
 func (a *Acceptor) Prepare(ballot uint64) (ok bool, promised, accBal uint64, accNode int32) {
 	if ballot <= a.Promised {
 		return false, a.Promised, 0, -1
 	}
 	a.Promised = ballot
+	if a.AccBal == 0 {
+		return true, ballot, 0, -1
+	}
 	return true, ballot, a.AccBal, a.AccNode
 }
 
@@ -244,8 +252,7 @@ const (
 	phaseDone
 )
 
-// round is the ballot and quorum bookkeeping one decree's proposer keeps,
-// shared by the single-slot and the group proposal.
+// round is the ballot and quorum bookkeeping one decree's proposer keeps.
 type round struct {
 	Quorum int
 	Ballot uint64 // current ballot, valid after Start
@@ -347,127 +354,89 @@ func (r *round) OnAccepted(ballot uint64, ok bool, promised uint64) bool {
 	return true
 }
 
-// Proposal is the proposer side of one decree: the source node of a move
-// drives it after the destination acknowledges the install. The kernel owns
-// message exchange and timeouts; this struct owns ballots, quorum counting
-// and value adoption.
+// Accepted is a replica's accepted state for one slot, as a promise reports
+// it: the value Node accepted under Ballot, or Ballot 0 for nothing yet.
+type Accepted struct {
+	Ballot uint64
+	Node   int32
+}
+
+// Entry is one slot of a proposal: the home this proposer wants recorded
+// for it and the highest-ballot accepted state the current round's promises
+// reported.
+type Entry struct {
+	Slot  Slot
+	Value int32
+
+	acc Accepted
+}
+
+// Proposal is the proposer side of one decree over a list of slots that
+// share one shard replica set: a move's source node drives it once the
+// destination has the object, a MoveGroup cohort's source drives one for the
+// whole cohort, and a single-object decree is the list of length 1. The
+// slots commit under one ballot with one set of protocol messages; each
+// still has exactly one proposer (the move source that created it), so the
+// list only amortizes messages and per-slot safety is the single-decree
+// argument. A replica promises or accepts the list only when every slot
+// passes its acceptor check, and a promise carries per-slot accepted state
+// so a retry after a partial earlier round adopts it slot by slot. The
+// kernel owns message exchange and timeouts; this struct owns ballots,
+// quorum counting and value adoption.
 type Proposal struct {
 	round
-	Slot  Slot
-	Value int32 // the home node this proposer wants recorded
-
-	accBal  uint64 // highest accepted ballot among promises
-	accNode int32  // its value
+	// Entries are in canonical slot order (the order every replica and every
+	// rerun observes); the first slot keys the proposal at its proposer.
+	Entries []Entry
 }
 
-// NewProposal builds a proposal for slot with the given desired value.
-func NewProposal(slot Slot, value, self int32, quorum int) *Proposal {
-	return &Proposal{round: round{Quorum: quorum, self: self}, Slot: slot, Value: value}
+// NewProposal builds a proposal over entries (each slot with the home to
+// record for it), which it takes over and sorts into canonical order.
+func NewProposal(entries []Entry, self int32, quorum int) Proposal {
+	slices.SortFunc(entries, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.Slot.OID, b.Slot.OID), cmp.Compare(a.Slot.Epoch, b.Slot.Epoch))
+	})
+	return Proposal{round: round{Quorum: quorum, self: self}, Entries: entries}
 }
+
+// Key is the slot the proposer files this proposal under and replies echo.
+func (p *Proposal) Key() Slot { return p.Entries[0].Slot }
 
 // Start begins the next round (see round.Start), forgetting what earlier
 // rounds' promises reported.
 func (p *Proposal) Start() uint64 {
-	p.accBal, p.accNode = 0, -1
+	for i := range p.Entries {
+		p.Entries[i].acc = Accepted{}
+	}
 	return p.round.Start()
 }
 
-// OnPromise processes one promise (or nack) for the given ballot. It
-// returns true exactly once, when the quorum of promises is reached and the
-// proposer should broadcast accept(Ballot, ChosenValue).
-func (p *Proposal) OnPromise(ballot uint64, ok bool, accBal uint64, accNode int32, promised uint64) bool {
+// OnPromise processes one promise (or nack) for the given ballot; acc is the
+// replica's accepted state per slot, parallel to Entries. It returns true
+// exactly once, when the quorum of promises is reached and the proposer
+// should broadcast the accept with each slot's Chosen value.
+func (p *Proposal) OnPromise(ballot uint64, ok bool, acc []Accepted, promised uint64) bool {
+	if len(acc) != len(p.Entries) {
+		return false // not an answer to this proposal's prepare; ignore
+	}
 	live, quorum := p.onPromise(ballot, ok, promised)
-	if live && accBal > p.accBal {
-		p.accBal = accBal
-		p.accNode = accNode
-	}
-	return quorum
-}
-
-// ChosenValue is the value to propose in the accept phase: any value a
-// quorum member already accepted wins over our own (the synod invariant).
-func (p *Proposal) ChosenValue() int32 {
-	if p.accBal > 0 && p.accNode >= 0 {
-		return p.accNode
-	}
-	return p.Value
-}
-
-// GroupProposal drives one multi-object decree round: a batched MoveGroup
-// cohort's location records, all sharing one shard replica set, commit
-// under a single ballot with one set of prepare/accept messages instead of
-// one round per member. Each slot still has exactly one proposer (the move
-// source that created it), so per-slot safety reduces to the single-decree
-// argument; the group exists purely to amortize the protocol messages. A
-// replica promises or accepts a group only when every member slot passes
-// its acceptor check, and the prepare reply carries per-slot accepted
-// values so a retry after a partial earlier round adopts them slot by slot.
-type GroupProposal struct {
-	round
-	Slots  []Slot
-	Values []int32 // desired home per slot, parallel to Slots
-
-	accBals []uint64 // highest accepted ballot seen per slot
-	accVals []int32  // its value
-}
-
-// NewGroupProposal builds a group proposal over the given slots and homes,
-// sorted into canonical slot order (the order every replica and every
-// rerun observes).
-func NewGroupProposal(slots []Slot, values []int32, self int32, quorum int) *GroupProposal {
-	idx := make([]int, len(slots))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return slots[idx[i]].Less(slots[idx[j]]) })
-	ss := make([]Slot, len(slots))
-	vs := make([]int32, len(slots))
-	for i, k := range idx {
-		ss[i] = slots[k]
-		vs[i] = values[k]
-	}
-	return &GroupProposal{round: round{Quorum: quorum, self: self}, Slots: ss, Values: vs,
-		accBals: make([]uint64, len(ss)), accVals: make([]int32, len(ss))}
-}
-
-// Start begins the next round (see round.Start), forgetting what earlier
-// rounds' promises reported.
-func (g *GroupProposal) Start() uint64 {
-	for i := range g.accBals {
-		g.accBals[i], g.accVals[i] = 0, -1
-	}
-	return g.round.Start()
-}
-
-// OnPromise processes one group promise (or nack). accBals/accVals are the
-// replica's per-slot accepted state, parallel to Slots; nil on a nack.
-// Returns true exactly once, at promise quorum.
-func (g *GroupProposal) OnPromise(ballot uint64, ok bool, accBals []uint64, accVals []int32, promised uint64) bool {
-	if ok && (len(accBals) != len(g.Slots) || len(accVals) != len(g.Slots)) {
-		return false // malformed reply; ignore
-	}
-	live, quorum := g.onPromise(ballot, ok, promised)
 	if live {
-		for i := range g.Slots {
-			if accBals[i] > g.accBals[i] {
-				g.accBals[i] = accBals[i]
-				g.accVals[i] = accVals[i]
+		for i, a := range acc {
+			if a.Ballot > p.Entries[i].acc.Ballot {
+				p.Entries[i].acc = a
 			}
 		}
 	}
 	return quorum
 }
 
-// ChosenValues is the per-slot value vector for the accept phase: any
-// value a quorum member already accepted wins over our own, slot by slot.
-func (g *GroupProposal) ChosenValues() []int32 {
-	out := make([]int32, len(g.Slots))
-	for i := range g.Slots {
-		if g.accBals[i] > 0 && g.accVals[i] >= 0 {
-			out[i] = g.accVals[i]
-			continue
-		}
-		out[i] = g.Values[i]
+// Chosen is the value to propose for Entries[i] in the accept phase: any
+// value a quorum member already accepted wins over our own (the synod
+// invariant), slot by slot.
+func (p *Proposal) Chosen(i int) int32 {
+	e := &p.Entries[i]
+	if e.acc.Ballot > 0 && e.acc.Node >= 0 {
+		return e.acc.Node
 	}
-	return out
+	return e.Value
 }

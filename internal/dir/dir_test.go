@@ -36,10 +36,10 @@ func TestReplicaSetWraps(t *testing.T) {
 }
 
 func TestAcceptorPromiseOrdering(t *testing.T) {
-	var a Acceptor
-	ok, _, accBal, _ := a.Prepare(10)
-	if !ok || accBal != 0 {
-		t.Fatalf("first prepare refused")
+	var a Acceptor // the zero value is a fresh acceptor: nothing accepted is (0, -1)
+	ok, _, accBal, accNode := a.Prepare(10)
+	if !ok || accBal != 0 || accNode != -1 {
+		t.Fatalf("first prepare: ok=%v accBal=%d accNode=%d", ok, accBal, accNode)
 	}
 	if ok, promised, _, _ := a.Prepare(5); ok || promised != 10 {
 		t.Fatalf("lower prepare accepted (ok=%v promised=%d)", ok, promised)
@@ -48,7 +48,7 @@ func TestAcceptorPromiseOrdering(t *testing.T) {
 		t.Fatalf("accept at promised ballot refused")
 	}
 	// A later prepare must surface the accepted value.
-	ok, _, accBal, accNode := a.Prepare(20)
+	ok, _, accBal, accNode = a.Prepare(20)
 	if !ok || accBal != 10 || accNode != 2 {
 		t.Fatalf("prepare(20) = ok=%v accBal=%d accNode=%d", ok, accBal, accNode)
 	}
@@ -94,8 +94,42 @@ func retryBallot(start func() uint64) uint64 {
 	return b
 }
 
+// one builds the length-1 proposal a single-object move drives.
+func one(slot Slot, value, self int32, quorum int) Proposal {
+	return NewProposal([]Entry{{Slot: slot, Value: value}}, self, quorum)
+}
+
+// list builds the multi-slot proposal of a MoveGroup cohort: slots[i]'s
+// object recorded at values[i].
+func list(slots []Slot, values []int32, self int32, quorum int) Proposal {
+	es := make([]Entry, len(slots))
+	for i := range es {
+		es[i] = Entry{Slot: slots[i], Value: values[i]}
+	}
+	return NewProposal(es, self, quorum)
+}
+
+// none is the promise tail of a replica that has accepted nothing for any of
+// n slots.
+func none(n int) []Accepted {
+	acc := make([]Accepted, n)
+	for i := range acc {
+		acc[i].Node = -1
+	}
+	return acc
+}
+
+// chosenAll is the accept phase's value vector.
+func chosenAll(p *Proposal) []int32 {
+	out := make([]int32, len(p.Entries))
+	for i := range out {
+		out[i] = p.Chosen(i)
+	}
+	return out
+}
+
 func TestProposalHappyPath(t *testing.T) {
-	p := NewProposal(Slot{OID: 5, Epoch: 2}, 3, 0, 2)
+	p := one(Slot{OID: 5, Epoch: 2}, 3, 0, 2)
 	b := retryBallot(p.Start)
 	if !p.Preparing() {
 		t.Fatalf("retry round did not start in the prepare phase")
@@ -103,13 +137,13 @@ func TestProposalHappyPath(t *testing.T) {
 	if p.OnAccepted(b, true, 0) {
 		t.Fatalf("accepted counted before the promise quorum")
 	}
-	if p.OnPromise(b, true, 0, -1, 0) {
+	if p.OnPromise(b, true, none(1), 0) {
 		t.Fatalf("quorum after one promise")
 	}
-	if !p.OnPromise(b, true, 0, -1, 0) {
+	if !p.OnPromise(b, true, none(1), 0) {
 		t.Fatalf("no quorum after two promises")
 	}
-	if v := p.ChosenValue(); v != 3 {
+	if v := p.Chosen(0); v != 3 {
 		t.Fatalf("chose %d, want own value 3", v)
 	}
 	if p.OnAccepted(b, true, 0) {
@@ -124,17 +158,17 @@ func TestProposalHappyPath(t *testing.T) {
 }
 
 func TestProposalAdoptsAcceptedValue(t *testing.T) {
-	p := NewProposal(Slot{OID: 5, Epoch: 2}, 3, 0, 2)
+	p := one(Slot{OID: 5, Epoch: 2}, 3, 0, 2)
 	b := retryBallot(p.Start)
-	p.OnPromise(b, true, 7, 1, 0) // a replica already accepted value 1 at ballot 7
-	p.OnPromise(b, true, 0, -1, 0)
-	if v := p.ChosenValue(); v != 1 {
+	p.OnPromise(b, true, []Accepted{{Ballot: 7, Node: 1}}, 0) // a replica already accepted value 1 at ballot 7
+	p.OnPromise(b, true, none(1), 0)
+	if v := p.Chosen(0); v != 1 {
 		t.Fatalf("chose %d, want adopted value 1", v)
 	}
 }
 
 func TestProposalRestartJumpsNacks(t *testing.T) {
-	p := NewProposal(Slot{OID: 5, Epoch: 2}, 3, 0, 2)
+	p := one(Slot{OID: 5, Epoch: 2}, 3, 0, 2)
 	b := p.Start()
 	// Nacked: someone promised a much higher ballot.
 	if p.OnAccepted(b, false, 99<<16) {
@@ -148,20 +182,20 @@ func TestProposalRestartJumpsNacks(t *testing.T) {
 		t.Fatalf("a restart past a nack must prepare")
 	}
 	// Stale replies from the old round are ignored.
-	if p.OnPromise(b, true, 0, -1, 0) || p.OnAccepted(b, true, 0) {
+	if p.OnPromise(b, true, none(1), 0) || p.OnAccepted(b, true, 0) {
 		t.Fatalf("stale-round reply counted")
 	}
-	if p.OnPromise(b2, true, 0, -1, 0) {
+	if p.OnPromise(b2, true, none(1), 0) {
 		t.Fatalf("quorum after one promise of the retry round")
 	}
-	if !p.OnPromise(b2, true, 0, -1, 0) || p.Done() {
+	if !p.OnPromise(b2, true, none(1), 0) || p.Done() {
 		t.Fatalf("retry round: no promise quorum, or done before any accept")
 	}
 }
 
 func TestProposalDistinctBallotsPerNode(t *testing.T) {
-	a := NewProposal(Slot{OID: 1, Epoch: 1}, 0, 0, 1).Start()
-	b := NewProposal(Slot{OID: 1, Epoch: 1}, 0, 1, 1).Start()
+	pa, pb := one(Slot{OID: 1, Epoch: 1}, 0, 0, 1), one(Slot{OID: 1, Epoch: 1}, 0, 1, 1)
+	a, b := pa.Start(), pb.Start()
 	if a == b {
 		t.Fatalf("two proposers issued the same ballot %d", a)
 	}
@@ -261,24 +295,25 @@ func TestGroupProposalSortsAndChooses(t *testing.T) {
 	// values kept parallel.
 	slots := []Slot{{OID: 9, Epoch: 1}, {OID: 3, Epoch: 2}, {OID: 3, Epoch: 1}}
 	vals := []int32{2, 3, 1}
-	g := NewGroupProposal(slots, vals, 0, 2)
+	g := list(slots, vals, 0, 2)
 	wantSlots := []Slot{{OID: 3, Epoch: 1}, {OID: 3, Epoch: 2}, {OID: 9, Epoch: 1}}
 	wantVals := []int32{1, 3, 2}
 	for i := range wantSlots {
-		if g.Slots[i] != wantSlots[i] || g.Values[i] != wantVals[i] {
-			t.Fatalf("canonical order %v %v", g.Slots, g.Values)
+		if g.Entries[i].Slot != wantSlots[i] || g.Entries[i].Value != wantVals[i] {
+			t.Fatalf("canonical order %+v", g.Entries)
 		}
 	}
 	b := retryBallot(g.Start)
-	none := []uint64{0, 0, 0}
-	noneV := []int32{-1, -1, -1}
-	if g.OnPromise(b, true, none, noneV, 0) {
+	if g.Key() != wantSlots[0] {
+		t.Fatalf("keyed by %+v, want the first canonical slot", g.Key())
+	}
+	if g.OnPromise(b, true, none(3), 0) {
 		t.Fatalf("quorum after one promise")
 	}
-	if !g.OnPromise(b, true, none, noneV, 0) {
+	if !g.OnPromise(b, true, none(3), 0) {
 		t.Fatalf("no quorum after two promises")
 	}
-	cv := g.ChosenValues()
+	cv := chosenAll(&g)
 	for i := range wantVals {
 		if cv[i] != wantVals[i] {
 			t.Fatalf("chose %v, want own values %v", cv, wantVals)
@@ -293,19 +328,19 @@ func TestGroupProposalSortsAndChooses(t *testing.T) {
 }
 
 func TestGroupProposalAdoptsPerSlot(t *testing.T) {
-	g := NewGroupProposal([]Slot{{OID: 1, Epoch: 1}, {OID: 2, Epoch: 1}}, []int32{3, 3}, 0, 2)
+	g := list([]Slot{{OID: 1, Epoch: 1}, {OID: 2, Epoch: 1}}, []int32{3, 3}, 0, 2)
 	b := retryBallot(g.Start)
 	// One replica already accepted value 1 for the second slot at ballot 7.
-	g.OnPromise(b, true, []uint64{0, 7}, []int32{-1, 1}, 0)
-	g.OnPromise(b, true, []uint64{0, 0}, []int32{-1, -1}, 0)
-	cv := g.ChosenValues()
+	g.OnPromise(b, true, []Accepted{{Node: -1}, {Ballot: 7, Node: 1}}, 0)
+	g.OnPromise(b, true, none(2), 0)
+	cv := chosenAll(&g)
 	if cv[0] != 3 || cv[1] != 1 {
 		t.Fatalf("chose %v, want [3 1]", cv)
 	}
 }
 
 func TestGroupProposalNackAndRestart(t *testing.T) {
-	g := NewGroupProposal([]Slot{{OID: 1, Epoch: 1}, {OID: 2, Epoch: 1}}, []int32{3, 3}, 0, 2)
+	g := list([]Slot{{OID: 1, Epoch: 1}, {OID: 2, Epoch: 1}}, []int32{3, 3}, 0, 2)
 	b := g.Start()
 	if g.OnAccepted(b, false, 50<<16) {
 		t.Fatalf("nack advanced phase")
@@ -315,14 +350,14 @@ func TestGroupProposalNackAndRestart(t *testing.T) {
 		t.Fatalf("restart ballot %d did not jump past nack", b2)
 	}
 	// Stale and malformed replies are ignored.
-	if g.OnPromise(b, true, []uint64{0, 0}, []int32{-1, -1}, 0) {
+	if g.OnPromise(b, true, none(2), 0) {
 		t.Fatalf("stale-round promise counted")
 	}
-	if g.OnPromise(b2, true, []uint64{0}, []int32{-1}, 0) {
+	if g.OnPromise(b2, true, none(1), 0) {
 		t.Fatalf("short reply counted")
 	}
-	g.OnPromise(b2, true, []uint64{0, 0}, []int32{-1, -1}, 0)
-	if !g.OnPromise(b2, true, []uint64{0, 0}, []int32{-1, -1}, 0) {
+	g.OnPromise(b2, true, none(2), 0)
+	if !g.OnPromise(b2, true, none(2), 0) {
 		t.Fatalf("no quorum after two fresh promises")
 	}
 }
@@ -332,18 +367,18 @@ func TestGroupProposalNackAndRestart(t *testing.T) {
 // and the decree is chosen in one round trip. A promise for that ballot
 // (there is no prepare it could answer) is ignored.
 func TestOwnerRoundSkipsPrepare(t *testing.T) {
-	p := NewProposal(Slot{OID: 5, Epoch: 2}, 3, 1, 2)
+	p := one(Slot{OID: 5, Epoch: 2}, 3, 1, 2)
 	b := p.Start()
 	if p.Preparing() || p.Attempt() != 1 {
 		t.Fatalf("first round: preparing=%v attempt=%d, want accept phase of attempt 1", p.Preparing(), p.Attempt())
 	}
-	if p.OnPromise(b, true, 0, -1, 0) || p.Progress() != 0 {
+	if p.OnPromise(b, true, none(1), 0) || p.Progress() != 0 {
 		t.Fatalf("a promise advanced a round that sent no prepare")
 	}
 	accs := make([]Acceptor, 3)
 	chosen := false
 	for i := range accs {
-		ok, promised := accs[i].Accept(b, p.ChosenValue())
+		ok, promised := accs[i].Accept(b, p.Chosen(0))
 		if !ok {
 			t.Fatalf("fresh acceptor %d refused the owner's ballot (promised %d)", i, promised)
 		}
@@ -354,8 +389,8 @@ func TestOwnerRoundSkipsPrepare(t *testing.T) {
 			chosen = true
 		}
 	}
-	if !chosen || !p.Done() || p.ChosenValue() != 3 {
-		t.Fatalf("chosen=%v done=%v value=%d after three accepts", chosen, p.Done(), p.ChosenValue())
+	if !chosen || !p.Done() || p.Chosen(0) != 3 {
+		t.Fatalf("chosen=%v done=%v value=%d after three accepts", chosen, p.Done(), p.Chosen(0))
 	}
 }
 
@@ -367,14 +402,14 @@ func TestOwnerRoundSkipsPrepare(t *testing.T) {
 // and the stale first-round accept is refused once the promise is out.
 func TestRetryAdoptsMinorityAccept(t *testing.T) {
 	accs := make([]Acceptor, 3)
-	first := NewProposal(Slot{OID: 5, Epoch: 2}, 1, 0, 2)
+	first := one(Slot{OID: 5, Epoch: 2}, 1, 0, 2)
 	b1 := first.Start()
-	if ok, _ := accs[2].Accept(b1, first.ChosenValue()); !ok {
+	if ok, _ := accs[2].Accept(b1, first.Chosen(0)); !ok {
 		t.Fatalf("planting the first-round accept failed")
 	}
 	// The retrying proposer wants 3 here only to make adoption visible; in
 	// the kernel the same proposer retries with the same value.
-	p := NewProposal(Slot{OID: 5, Epoch: 2}, 3, 0, 2)
+	p := one(Slot{OID: 5, Epoch: 2}, 3, 0, 2)
 	p.Start()
 	b2 := p.Start()
 	if b2 <= b1 || !p.Preparing() {
@@ -383,19 +418,19 @@ func TestRetryAdoptsMinorityAccept(t *testing.T) {
 	quorum := false
 	for i := 1; i < 3; i++ { // replicas 1 and 2 answer; 0 stays silent
 		ok, promised, accBal, accNode := accs[i].Prepare(b2)
-		quorum = p.OnPromise(b2, ok, accBal, accNode, promised)
+		quorum = p.OnPromise(b2, ok, []Accepted{{Ballot: accBal, Node: accNode}}, promised)
 	}
 	if !quorum || p.Preparing() {
 		t.Fatalf("no promise quorum from two of three replicas")
 	}
-	if v := p.ChosenValue(); v != 1 {
+	if v := p.Chosen(0); v != 1 {
 		t.Fatalf("retry proposes %d, want the planted value 1", v)
 	}
 	if ok, _ := accs[1].Accept(b1, 1); ok {
 		t.Fatalf("a first-round accept was taken after the retry's promise")
 	}
 	for i := 1; i < 3; i++ {
-		ok, promised := accs[i].Accept(b2, p.ChosenValue())
+		ok, promised := accs[i].Accept(b2, p.Chosen(0))
 		p.OnAccepted(b2, ok, promised)
 	}
 	if !p.Done() {
@@ -408,12 +443,12 @@ func TestRetryAdoptsMinorityAccept(t *testing.T) {
 // slot what a first round planted on a minority.
 func TestGroupOwnerRoundAndPerSlotRetry(t *testing.T) {
 	slots := []Slot{{OID: 1, Epoch: 1}, {OID: 2, Epoch: 1}}
-	g := NewGroupProposal(slots, []int32{3, 3}, 0, 2)
+	g := list(slots, []int32{3, 3}, 0, 2)
 	b1 := g.Start()
 	if g.Preparing() {
 		t.Fatalf("group first round started in the prepare phase")
 	}
-	if cv := g.ChosenValues(); cv[0] != 3 || cv[1] != 3 {
+	if cv := chosenAll(&g); cv[0] != 3 || cv[1] != 3 {
 		t.Fatalf("owner round proposes %v, want own values [3 3]", cv)
 	}
 	if g.OnAccepted(b1, true, 0) || !g.OnAccepted(b1, true, 0) || !g.Done() {
@@ -423,20 +458,20 @@ func TestGroupOwnerRoundAndPerSlotRetry(t *testing.T) {
 	// A first round whose accept reached one replica for the second slot only.
 	accs := [3][2]Acceptor{}
 	accs[2][1].Accept(b1, 1)
-	r := NewGroupProposal(slots, []int32{3, 3}, 0, 2)
+	r := list(slots, []int32{3, 3}, 0, 2)
 	r.Start()
 	b2 := r.Start()
 	if b2 <= b1 || !r.Preparing() {
 		t.Fatalf("group retry ballot %d (first %d), preparing=%v", b2, b1, r.Preparing())
 	}
 	for i := 1; i < 3; i++ {
-		bals, vals := make([]uint64, 2), make([]int32, 2)
+		acc := make([]Accepted, 2)
 		for s := range slots {
-			_, _, bals[s], vals[s] = accs[i][s].Prepare(b2)
+			_, _, acc[s].Ballot, acc[s].Node = accs[i][s].Prepare(b2)
 		}
-		r.OnPromise(b2, true, bals, vals, 0)
+		r.OnPromise(b2, true, acc, 0)
 	}
-	if cv := r.ChosenValues(); r.Preparing() || cv[0] != 3 || cv[1] != 1 {
+	if cv := chosenAll(&r); r.Preparing() || cv[0] != 3 || cv[1] != 1 {
 		t.Fatalf("group retry: preparing=%v proposes %v, want [3 1]", r.Preparing(), cv)
 	}
 }

@@ -44,12 +44,8 @@ type DirResult struct {
 	Moves         uint64  // object and thread moves (the migrations gauge)
 }
 
-// dirDecreeKinds are the wire kinds whose msg_bytes add up to DecreeBytes —
-// the single-slot round plus the batched group round.
-var dirDecreeKinds = []string{
-	"dirprepare", "dirpromise", "diraccept", "diraccepted", "dirlearn",
-	"dirgprepare", "dirgpromise", "dirgaccept", "dirgaccepted", "dirglearn",
-}
+// dirDecreeKinds are the wire kinds whose msg_bytes add up to DecreeBytes.
+var dirDecreeKinds = []string{"dirprepare", "dirpromise", "diraccept", "diraccepted", "dirlearn"}
 
 // dirWorkload is the study's fixed tour: three couriers bouncing between
 // nodes 0-2 with an invocation after every move, then fifteen repeat

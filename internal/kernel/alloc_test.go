@@ -109,3 +109,71 @@ end Main`), []netsim.MachineModel{mSPARC, mVAX}, chaosConfig(&chaos.Plan{Seed: 1
 		t.Errorf("node 1 acknowledged %d frames, want 202", acked)
 	}
 }
+
+// One directory decree over one slot, start to finish — proposed by a node
+// that is one of the slot's three replicas, accepted by all three, chosen,
+// learned, and the proposal retired. Chaos-off that is 19 allocations: the
+// proposal and its entry list; one accept and one learn value shared by the
+// whole fan-out; an accepted per replica; and a decoded Msg and payload for
+// each of the six remote receipts. Acceptors are map values and there is no
+// completion closure. Under a plan the decree timer's func and
+// the commit list add two, and each of the six remote messages is a reliable
+// frame (3 each, pinned above). The slack is for the Enc pool: a miss costs
+// the encoder and its buffer, and under -race sync.Pool drops a quarter of
+// what is returned to it, six sends a decree. (26 and 47 before the single
+// and the cohort protocol became one; 29 and 49 under -race.)
+func TestDirDecreeAllocBudget(t *testing.T) {
+	const poolSlack = 4
+	for _, tc := range []struct {
+		name   string
+		plan   *chaos.Plan
+		budget float64
+	}{
+		{"chaos-off", nil, 19},
+		{"plan", &chaos.Plan{Seed: 1}, 39},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCluster(compileSrc(t, `object Main
+  process
+    print(1)
+  end process
+end Main`), []netsim.MachineModel{mSPARC, mVAX, mSun3, mHP1}, dirConfig(3, tc.plan))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start(nil)
+			if err := c.Run(100_000); err != nil { // quiesce; abandons the weak ticks
+				t.Fatal(err)
+			}
+			n0 := c.Nodes[0]
+			o := &Obj{OID: 4} // shard 0 of 4: replicas 0, 1, 2
+			tx := &moveTxn{obj: o, dest: 1, live: tc.plan != nil}
+			if set := n0.dirReplicasOf(o.OID); len(set) != 3 || set[0] != 0 {
+				t.Fatalf("replica set %v, want three replicas led by the proposer", set)
+			}
+			decree := func() {
+				o.Epoch++ // every move opens a fresh slot
+				n0.dirPropose([]*moveTxn{tx})
+				if err := c.Run(1000); err != nil {
+					t.Fatal(err)
+				}
+				if len(n0.dirProps) != 0 {
+					t.Fatal("decree still unresolved after the run quiesced")
+				}
+			}
+			decree() // warm: queues, buffer pools, map buckets
+			got := testing.AllocsPerRun(200, decree)
+			if got > tc.budget+poolSlack {
+				t.Errorf("one decree = %v allocs, want <= %v + %v of pool slack", got, tc.budget, poolSlack)
+			}
+			if d := dirCounter(c, "dir_decrees"); d != 202 || dirCounter(c, "dir_degraded") != 0 {
+				t.Errorf("%d decrees chosen, want 202 and none degraded", d)
+			}
+			for _, r := range n0.dirReplicasOf(o.OID) {
+				if rec, ok := c.Nodes[r].dirStore.Lookup(o.OID); !ok || rec.Epoch != o.Epoch || rec.Node != 1 {
+					t.Errorf("replica %d holds %+v, want node 1 at epoch %d", r, rec, o.Epoch)
+				}
+			}
+		})
+	}
+}

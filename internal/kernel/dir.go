@@ -1,7 +1,8 @@
 // Replicated object directory (emdir), active only when Config.DirReplicas
-// > 0. Every committed move drives one single-decree Paxos round (see
-// internal/dir) recording the object's new home across the replicas of its
-// shard; locates and stale-proxy re-resolution consult the directory first,
+// > 0. Every committed move drives one Paxos round (see internal/dir)
+// recording the object's new home across the replicas of its shard — one
+// round, one proposer path, whether the decree covers a single move or the
+// members of a MoveGroup cohort that share a replica set; locates and stale-proxy re-resolution consult the directory first,
 // and a per-node background compactor rewrites chained proxies so
 // forwarding chains shrink to ≤1 hop. All directory traffic travels as
 // ordinary protocol messages through sendMsg — charged, observed and
@@ -26,7 +27,6 @@ package kernel
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/dir"
 	"repro/internal/netsim"
@@ -38,7 +38,8 @@ import (
 // DefaultDirCompactMicros is the default compactor tick period.
 const DefaultDirCompactMicros = 200000 // 200 simulated ms
 
-// dirMaxAttempts bounds decree prepare rounds before degrading.
+// dirMaxAttempts bounds a decree's rounds — the owner's accept-first round
+// and the two-phase retries after it — before degrading.
 const dirMaxAttempts = 3
 
 // dirCompactBatch bounds proxies refreshed per compactor tick.
@@ -123,37 +124,46 @@ func (n *Node) dirSend(dst int, p wire.Payload) {
 // ------------------------------------------------------------- proposer
 
 // dirProposal is the kernel side of one decree the local node is driving:
-// the pure synod state plus replica fan-out and completion callbacks.
+// the pure synod state plus replica fan-out and the moves waiting on it.
 type dirProposal struct {
-	p        *dir.Proposal
+	dir.Proposal
 	replicas []int
-	// done callbacks fire once, when the decree resolves (chosen or
-	// degraded); the move commit gates on them under chaos.
-	done []func(chosen bool)
+	// commit holds the moves whose two-phase commit gates on this decree
+	// (under chaos only): they commit once it resolves, chosen or degraded.
+	commit []*moveTxn
 	// stalledTimer: the round timer fired while this node was down;
 	// restart re-arms it.
 	stalledTimer bool
 }
 
-// dirPropose starts (or joins) the decree recording object o at home as of
-// epoch. done, if non-nil, fires when the decree resolves.
-func (n *Node) dirPropose(o oid.OID, epoch uint32, home int32, done func(chosen bool)) {
-	slot := dir.Slot{OID: o, Epoch: epoch}
-	if dp, ok := n.dirProps[slot]; ok {
-		if done != nil {
-			dp.done = append(dp.done, done)
-		}
-		return
+// dirPropose starts the decree recording the moves txs at their destination
+// — one move, or the members of a MoveGroup cohort whose shards replicate on
+// one node set (dirProposeCohort splits a cohort so). The proposal is filed
+// under its first slot: a slot has one proposer and one proposal, so that is
+// unique. Under chaos the moves are positively acked and still pending, and
+// commit when the decree resolves; chaos-off they committed at dispatch,
+// delivery is certain, and the decree is fire-and-forget.
+func (n *Node) dirPropose(txs []*moveTxn) {
+	es := make([]dir.Entry, len(txs))
+	for i, tx := range txs {
+		es[i] = dir.Entry{Slot: dir.Slot{OID: tx.obj.OID, Epoch: tx.obj.Epoch}, Value: int32(tx.dest)}
 	}
 	dp := &dirProposal{
-		p:        dir.NewProposal(slot, home, int32(n.ID), n.cluster.dirCfg.Quorum()),
-		replicas: n.dirReplicasOf(o),
+		Proposal: dir.NewProposal(es, int32(n.ID), n.cluster.dirCfg.Quorum()),
+		replicas: n.dirReplicasOf(txs[0].obj.OID),
 	}
-	if done != nil {
-		dp.done = append(dp.done, done)
+	live, joined := n.dirProps[dp.Key()]
+	if joined {
+		dp = live // the decree is already in flight
+	} else {
+		n.dirProps[dp.Key()] = dp
 	}
-	n.dirProps[slot] = dp
-	n.dirRound(dp)
+	if txs[0].live {
+		dp.commit = append(dp.commit, txs...)
+	}
+	if !joined {
+		n.dirRound(dp)
+	}
 }
 
 // dirRound starts the decree's next round under a fresh ballot and fans
@@ -161,30 +171,39 @@ func (n *Node) dirPropose(o oid.OID, epoch uint32, home int32, done func(chosen 
 // the owner's first round, a prepare in every retry round (whose promise
 // quorum then sends the accept from recvDirPromise).
 func (n *Node) dirRound(dp *dirProposal) {
-	dp.p.Start()
-	if dp.p.Preparing() {
+	dp.Start()
+	if dp.Preparing() {
 		n.cluster.Rec.Metrics().Add("dir_prepare_rounds", n.labels, 1)
 	}
 	n.dirFanOut(dp)
 	n.armDirTimer(dp)
 }
 
-// dirFanOut sends the current phase's request to every replica of the
-// slot's shard. With a single-replica set containing this node the whole
-// decree resolves synchronously inside the first dirSend, so the fan-out
-// re-checks that the proposal is still the live one.
+// dirSlots is the proposal's slot list in wire form, each slot with the
+// value the accept phase proposes for it.
+func dirSlots(dp *dirProposal) (l wire.DirList) {
+	for i, e := range dp.Entries {
+		l.Append(wire.DirEntry{Slot: e.Slot, Node: dp.Chosen(i)})
+	}
+	return l
+}
+
+// dirFanOut sends the current phase's request — one message value, shared —
+// to every replica of the slots' shard. With a single-replica set containing
+// this node the whole decree resolves synchronously inside the first
+// dirSend, so the fan-out re-checks that the proposal is still the live one.
 func (n *Node) dirFanOut(dp *dirProposal) {
-	slot, prepare := dp.p.Slot, dp.p.Preparing()
+	var req wire.Payload
+	if dp.Preparing() {
+		req = &wire.DirPrepare{Ballot: dp.Ballot, Slots: dirSlots(dp)}
+	} else {
+		req = &wire.DirAccept{Ballot: dp.Ballot, Slots: dirSlots(dp)}
+	}
 	for _, r := range dp.replicas {
-		if n.dirProps[slot] != dp {
+		if n.dirProps[dp.Key()] != dp {
 			return
 		}
-		if prepare {
-			n.dirSend(r, &wire.DirPrepare{Target: slot.OID, Epoch: slot.Epoch, Ballot: dp.p.Ballot})
-		} else {
-			n.dirSend(r, &wire.DirAccept{Target: slot.OID, Epoch: slot.Epoch,
-				Ballot: dp.p.Ballot, Node: dp.p.ChosenValue()})
-		}
+		n.dirSend(r, req)
 	}
 }
 
@@ -199,368 +218,151 @@ func (n *Node) armDirTimer(dp *dirProposal) {
 	if !n.chaosOn() {
 		return
 	}
-	attempt := dp.p.Attempt()
-	progress := dp.p.Progress()
+	attempt := dp.Attempt()
+	progress := dp.Progress()
 	n.sched.At(n.cluster.Chaos.CommitWindow(), func() {
-		if n.dirProps[dp.p.Slot] != dp || dp.p.Done() {
+		if n.dirProps[dp.Key()] != dp || dp.Done() {
 			return
 		}
 		if !n.Up {
 			dp.stalledTimer = true
 			return
 		}
-		if dp.p.Attempt() != attempt {
+		if dp.Attempt() != attempt {
 			return // a newer round owns the live timer
 		}
-		if dp.p.Progress() != progress {
+		if dp.Progress() != progress {
 			n.armDirTimer(dp)
 			return
 		}
 		if attempt >= dirMaxAttempts {
-			n.dirResolve(dp, false, "decree attempts exhausted")
+			n.dirResolve(dp, false)
 			return
 		}
 		n.dirRound(dp)
 	})
 }
 
-// dirResolve finishes a decree (chosen or degraded) and fires the waiters.
-func (n *Node) dirResolve(dp *dirProposal, chosen bool, reason string) {
-	delete(n.dirProps, dp.p.Slot)
+// dirResolve finishes a decree (chosen or degraded) and commits the moves
+// waiting on it — degraded too: availability of the move protocol is
+// preserved and the forwarding-address chase covers the stale record.
+func (n *Node) dirResolve(dp *dirProposal, chosen bool) {
+	delete(n.dirProps, dp.Key())
 	if !chosen {
-		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
-			Kind: obs.EvDirDegraded, Obj: uint32(dp.p.Slot.OID), Str: reason})
-		n.cluster.Rec.Metrics().Add("dir_degraded", n.labels, 1)
+		for _, e := range dp.Entries {
+			n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
+				Kind: obs.EvDirDegraded, Obj: uint32(e.Slot.OID), Str: "decree attempts exhausted"})
+		}
+		n.cluster.Rec.Metrics().Add("dir_degraded", n.labels, uint64(len(dp.Entries)))
 	}
-	done := dp.done
-	dp.done = nil
-	for _, f := range done {
-		f(chosen)
+	// Release the waiting moves, provided each is still pending (the commit
+	// timer cannot have aborted it: a delivered, acked move retires the
+	// timer; this is belt and braces).
+	txs := dp.commit
+	dp.commit = nil
+	for _, tx := range txs {
+		if cur, live := n.pendingCommits[tx.span]; live && cur == tx {
+			n.commitMove(tx)
+		}
 	}
 }
 
-// recvDirPromise counts one promise; on quorum it broadcasts the accept.
+// recvDirPromise counts one promise; on quorum it broadcasts the accept
+// with the per-slot value vector.
 func (n *Node) recvDirPromise(src int, p *wire.DirPromise) {
-	slot := dir.Slot{OID: p.Target, Epoch: p.Epoch}
-	dp := n.dirProps[slot]
-	if dp == nil || dp.p.Done() {
+	dp := n.dirProps[p.Slot]
+	if dp == nil || dp.Done() {
 		return
 	}
-	if dp.p.OnPromise(p.Ballot, p.Ok, p.AccBallot, p.AccNode, p.Promised) {
+	if dp.OnPromise(p.Ballot, p.Ok, p.Acc, p.Promised) {
 		n.dirFanOut(dp)
 	}
 }
 
-// recvDirAccepted counts one accept; on quorum the decree is chosen: the
-// proposer announces it to every replica and releases the waiters.
+// recvDirAccepted counts one accept; on quorum every slot's decree is
+// chosen at once: the proposer announces them to every replica and releases
+// the waiters.
 func (n *Node) recvDirAccepted(src int, p *wire.DirAccepted) {
-	slot := dir.Slot{OID: p.Target, Epoch: p.Epoch}
-	dp := n.dirProps[slot]
-	if dp == nil {
+	dp := n.dirProps[p.Slot]
+	if dp == nil || !dp.OnAccepted(p.Ballot, p.Ok, p.Promised) {
 		return
 	}
-	if !dp.p.OnAccepted(p.Ballot, p.Ok, p.Promised) {
-		return
+	learn := &wire.DirLearn{Slots: dirSlots(dp)}
+	for _, e := range learn.Slots.All() {
+		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
+			Kind: obs.EvDirDecree, Obj: uint32(e.Slot.OID), A: uint64(e.Slot.Epoch), B: uint64(e.Node)})
+		n.dirInvalidateLease(e.Slot.OID, e.Slot.Epoch)
 	}
-	v := dp.p.ChosenValue()
-	lbl := n.labels
-	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
-		Kind: obs.EvDirDecree, Obj: uint32(slot.OID), A: uint64(slot.Epoch), B: uint64(v)})
-	n.cluster.Rec.Metrics().Add("dir_decrees", lbl, 1)
-	n.cluster.Rec.Metrics().Add("dir_decree_rounds", lbl, uint64(dp.p.Attempt()))
-	n.dirInvalidateLease(slot.OID, slot.Epoch)
+	m, lbl, slots := n.cluster.Rec.Metrics(), n.labels, uint64(len(dp.Entries))
+	m.Add("dir_decrees", lbl, slots)
+	m.Add("dir_decree_rounds", lbl, uint64(dp.Attempt()))
+	if slots > 1 {
+		m.Add("dir_group_decrees", lbl, 1)
+		m.Add("dir_group_slots", lbl, slots)
+	}
 	for _, r := range dp.replicas {
-		n.dirSend(r, &wire.DirLearn{Target: slot.OID, Epoch: slot.Epoch, Node: v})
+		n.dirSend(r, learn)
 	}
-	n.dirResolve(dp, true, "")
+	n.dirResolve(dp, true)
 }
 
 // ------------------------------------------------------------- replica
 
-// recvDirPrepare answers a prepare from this node's acceptor state.
+// recvDirPrepare answers a prepare from this node's acceptor state: every
+// slot must promise the ballot for the list to promise. Slots promised
+// before a blocking one keep their (higher) promise — promising more never
+// violates safety, and the proposer's retry ballot will clear the bar
+// everywhere.
 func (n *Node) recvDirPrepare(src int, p *wire.DirPrepare) {
-	slot := dir.Slot{OID: p.Target, Epoch: p.Epoch}
-	a := n.dirAcc[slot]
-	if a == nil {
-		a = &dir.Acceptor{AccNode: -1}
-		n.dirAcc[slot] = a
-	}
-	ok, promised, accBal, accNode := a.Prepare(p.Ballot)
-	n.dirSend(src, &wire.DirPromise{Target: p.Target, Epoch: p.Epoch, Ballot: p.Ballot,
-		Ok: ok, Promised: promised, AccBallot: accBal, AccNode: accNode})
-}
-
-// recvDirAccept answers an accept from this node's acceptor state.
-func (n *Node) recvDirAccept(src int, p *wire.DirAccept) {
-	slot := dir.Slot{OID: p.Target, Epoch: p.Epoch}
-	a := n.dirAcc[slot]
-	if a == nil {
-		a = &dir.Acceptor{AccNode: -1}
-		n.dirAcc[slot] = a
-	}
-	ok, promised := a.Accept(p.Ballot, p.Node)
-	n.dirSend(src, &wire.DirAccepted{Target: p.Target, Epoch: p.Epoch, Ballot: p.Ballot,
-		Ok: ok, Promised: promised})
-}
-
-// recvDirLearn applies a chosen decree to this replica's record store. The
-// slot is decided, so its acceptor scratch state retires; each move of one
-// object uses a fresh slot, and only the move's source proposes for it, so
-// the slot can never be reopened.
-func (n *Node) recvDirLearn(src int, p *wire.DirLearn) {
-	n.dirStore.Learn(p.Target, p.Node, p.Epoch)
-	delete(n.dirAcc, dir.Slot{OID: p.Target, Epoch: p.Epoch})
-	n.dirInvalidateLease(p.Target, p.Epoch)
-}
-
-// dirAcceptor returns (creating on demand) this replica's acceptor for a
-// slot.
-func (n *Node) dirAcceptor(slot dir.Slot) *dir.Acceptor {
-	a := n.dirAcc[slot]
-	if a == nil {
-		a = &dir.Acceptor{AccNode: -1}
-		n.dirAcc[slot] = a
-	}
-	return a
-}
-
-// ------------------------------------------------- batched group decrees
-//
-// A MoveGroup cohort's location records commit in ONE multi-object quorum
-// round: one DirGPrepare/DirGAccept fan-out covers every member slot
-// instead of one single-decree round per member, cutting decree wire bytes
-// per migrated object. Safety needs no new argument — each slot still has
-// exactly one proposer (the cohort's source), the group just shares the
-// ballot and the messages. The timers, degrade bound and crash/restart
-// replay mirror the single-decree driver.
-
-// dirGroupProposal is the kernel side of one group decree this node is
-// driving.
-type dirGroupProposal struct {
-	g        *dir.GroupProposal
-	replicas []int
-	token    uint32
-	done     []func(chosen bool)
-	// stalledTimer: the round timer fired while this node was down;
-	// restart re-arms it (in token order, after the single-decree slots).
-	stalledTimer bool
-}
-
-// dirSlotRefs converts protocol slots to their wire form.
-func dirSlotRefs(slots []dir.Slot) []wire.DirSlotRef {
-	refs := make([]wire.DirSlotRef, len(slots))
-	for i, s := range slots {
-		refs[i] = wire.DirSlotRef{Target: s.OID, Epoch: s.Epoch}
-	}
-	return refs
-}
-
-// dirProposeGroup starts the batched decree recording each slots[i]'s
-// object at homes[i]. Every slot must map to the same shard replica set
-// (the cohort groupers guarantee it); a group of one degenerates to the
-// single-decree path. done, if non-nil, fires when the group resolves.
-func (n *Node) dirProposeGroup(slots []dir.Slot, homes []int32, done func(chosen bool)) {
+	slots := p.Slots.All()
 	if len(slots) == 0 {
 		return
 	}
-	if len(slots) == 1 {
-		n.dirPropose(slots[0].OID, slots[0].Epoch, homes[0], done)
-		return
-	}
-	n.dirGTok++
-	gp := &dirGroupProposal{
-		g:        dir.NewGroupProposal(slots, homes, int32(n.ID), n.cluster.dirCfg.Quorum()),
-		replicas: n.dirReplicasOf(slots[0].OID),
-		token:    n.dirGTok,
-	}
-	if done != nil {
-		gp.done = append(gp.done, done)
-	}
-	n.dirGProps[gp.token] = gp
-	n.dirGRound(gp)
-}
-
-// dirGRound starts the group decree's next round: one fresh ballot covering
-// every member slot, accept-first in the owner's first round and prepare-
-// first in every retry, exactly like dirRound.
-func (n *Node) dirGRound(gp *dirGroupProposal) {
-	gp.g.Start()
-	if gp.g.Preparing() {
-		n.cluster.Rec.Metrics().Add("dir_prepare_rounds", n.labels, 1)
-	}
-	n.dirGFanOut(gp)
-	n.armDirGTimer(gp)
-}
-
-// dirGFanOut sends the current phase's group request to every replica of
-// the shared shard.
-func (n *Node) dirGFanOut(gp *dirGroupProposal) {
-	refs, vals, prepare := dirSlotRefs(gp.g.Slots), gp.g.ChosenValues(), gp.g.Preparing()
-	for _, r := range gp.replicas {
-		if n.dirGProps[gp.token] != gp {
-			return
+	reply := &wire.DirPromise{Slot: slots[0].Slot, Ballot: p.Ballot, Ok: true,
+		Acc: make([]dir.Accepted, len(slots))}
+	for i, s := range slots {
+		a := n.dirAcc[s.Slot]
+		ok, promised, accBal, accNode := a.Prepare(p.Ballot)
+		n.dirAcc[s.Slot] = a
+		reply.Acc[i] = dir.Accepted{Ballot: accBal, Node: accNode}
+		if !ok {
+			reply.Ok = false
+			reply.Promised = max(reply.Promised, promised)
 		}
-		if prepare {
-			n.dirSend(r, &wire.DirGPrepare{Token: gp.token, Ballot: gp.g.Ballot, Slots: refs})
-		} else {
-			n.dirSend(r, &wire.DirGAccept{Token: gp.token, Ballot: gp.g.Ballot,
-				Slots: refs, Nodes: vals})
-		}
-	}
-}
-
-// armDirGTimer watches one group round, with the same
-// progress-or-retry-or-degrade policy as the single-decree timer.
-func (n *Node) armDirGTimer(gp *dirGroupProposal) {
-	if !n.chaosOn() {
-		return
-	}
-	attempt := gp.g.Attempt()
-	progress := gp.g.Progress()
-	n.sched.At(n.cluster.Chaos.CommitWindow(), func() {
-		if n.dirGProps[gp.token] != gp || gp.g.Done() {
-			return
-		}
-		if !n.Up {
-			gp.stalledTimer = true
-			return
-		}
-		if gp.g.Attempt() != attempt {
-			return // a newer round owns the live timer
-		}
-		if gp.g.Progress() != progress {
-			n.armDirGTimer(gp)
-			return
-		}
-		if attempt >= dirMaxAttempts {
-			n.dirGResolve(gp, false, "group decree attempts exhausted")
-			return
-		}
-		n.dirGRound(gp)
-	})
-}
-
-// dirGResolve finishes a group decree (chosen or degraded) and fires the
-// waiters.
-func (n *Node) dirGResolve(gp *dirGroupProposal, chosen bool, reason string) {
-	delete(n.dirGProps, gp.token)
-	if !chosen {
-		for _, s := range gp.g.Slots {
-			n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
-				Kind: obs.EvDirDegraded, Obj: uint32(s.OID), Str: reason})
-		}
-		n.cluster.Rec.Metrics().Add("dir_degraded", n.labels, uint64(len(gp.g.Slots)))
-	}
-	done := gp.done
-	gp.done = nil
-	for _, f := range done {
-		f(chosen)
-	}
-}
-
-// recvDirGPromise counts one group promise; on quorum it broadcasts the
-// group accept with the per-slot value vector.
-func (n *Node) recvDirGPromise(src int, p *wire.DirGPromise) {
-	gp := n.dirGProps[p.Token]
-	if gp == nil || gp.g.Done() {
-		return
-	}
-	if gp.g.OnPromise(p.Ballot, p.Ok, p.AccBallots, p.AccNodes, p.Promised) {
-		n.dirGFanOut(gp)
-	}
-}
-
-// recvDirGAccepted counts one group accept; on quorum every member decree
-// is chosen at once: per-slot decree events and learns, one group round's
-// worth of messages.
-func (n *Node) recvDirGAccepted(src int, p *wire.DirGAccepted) {
-	gp := n.dirGProps[p.Token]
-	if gp == nil {
-		return
-	}
-	if !gp.g.OnAccepted(p.Ballot, p.Ok, p.Promised) {
-		return
-	}
-	vals := gp.g.ChosenValues()
-	lbl := n.labels
-	for i, s := range gp.g.Slots {
-		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
-			Kind: obs.EvDirDecree, Obj: uint32(s.OID), A: uint64(s.Epoch), B: uint64(vals[i])})
-		n.dirInvalidateLease(s.OID, s.Epoch)
-	}
-	n.cluster.Rec.Metrics().Add("dir_decrees", lbl, uint64(len(gp.g.Slots)))
-	n.cluster.Rec.Metrics().Add("dir_decree_rounds", lbl, uint64(gp.g.Attempt()))
-	n.cluster.Rec.Metrics().Add("dir_group_decrees", lbl, 1)
-	n.cluster.Rec.Metrics().Add("dir_group_slots", lbl, uint64(len(gp.g.Slots)))
-	learn := &wire.DirGLearn{Slots: dirSlotRefs(gp.g.Slots), Nodes: vals}
-	for _, r := range gp.replicas {
-		n.dirSend(r, learn)
-	}
-	n.dirGResolve(gp, true, "")
-}
-
-// recvDirGPrepare answers a group prepare: every member slot must promise
-// the ballot for the group to promise. Slots promised before a blocking
-// one keep their (higher) promise — promising more never violates
-// safety, and the proposer's retry ballot will clear the bar everywhere.
-func (n *Node) recvDirGPrepare(src int, p *wire.DirGPrepare) {
-	ok := true
-	var blocked uint64
-	accBals := make([]uint64, len(p.Slots))
-	accNodes := make([]int32, len(p.Slots))
-	for i, s := range p.Slots {
-		a := n.dirAcceptor(dir.Slot{OID: s.Target, Epoch: s.Epoch})
-		sok, promised, accBal, accNode := a.Prepare(p.Ballot)
-		if !sok {
-			ok = false
-			if promised > blocked {
-				blocked = promised
-			}
-			continue
-		}
-		accBals[i] = accBal
-		accNodes[i] = accNode
-	}
-	reply := &wire.DirGPromise{Token: p.Token, Ballot: p.Ballot, Ok: ok, Promised: blocked}
-	if ok {
-		reply.AccBallots = accBals
-		reply.AccNodes = accNodes
 	}
 	n.dirSend(src, reply)
 }
 
-// recvDirGAccept answers a group accept: every member slot must accept for
-// the group to accept (partial accepts are safe — a slot's value can only
-// be adopted by this same proposer's retry).
-func (n *Node) recvDirGAccept(src int, p *wire.DirGAccept) {
-	if len(p.Nodes) != len(p.Slots) {
-		return // malformed (corrupt frame survived CRC); drop
-	}
-	ok := true
-	var blocked uint64
-	for i, s := range p.Slots {
-		a := n.dirAcceptor(dir.Slot{OID: s.Target, Epoch: s.Epoch})
-		sok, promised := a.Accept(p.Ballot, p.Nodes[i])
-		if !sok {
-			ok = false
-			if promised > blocked {
-				blocked = promised
-			}
-		}
-	}
-	n.dirSend(src, &wire.DirGAccepted{Token: p.Token, Ballot: p.Ballot, Ok: ok, Promised: blocked})
-}
-
-// recvDirGLearn applies a chosen group decree member by member, exactly
-// like the equivalent run of single learns.
-func (n *Node) recvDirGLearn(src int, p *wire.DirGLearn) {
-	if len(p.Nodes) != len(p.Slots) {
+// recvDirAccept answers an accept: every slot must accept for the list to
+// accept (partial accepts are safe — a slot's value can only be adopted by
+// this same proposer's retry).
+func (n *Node) recvDirAccept(src int, p *wire.DirAccept) {
+	slots := p.Slots.All()
+	if len(slots) == 0 {
 		return
 	}
-	for i, s := range p.Slots {
-		n.dirStore.Learn(s.Target, p.Nodes[i], s.Epoch)
-		delete(n.dirAcc, dir.Slot{OID: s.Target, Epoch: s.Epoch})
-		n.dirInvalidateLease(s.Target, s.Epoch)
+	reply := &wire.DirAccepted{Slot: slots[0].Slot, Ballot: p.Ballot, Ok: true}
+	for _, s := range slots {
+		a := n.dirAcc[s.Slot]
+		ok, promised := a.Accept(p.Ballot, s.Node)
+		n.dirAcc[s.Slot] = a
+		if !ok {
+			reply.Ok = false
+			reply.Promised = max(reply.Promised, promised)
+		}
+	}
+	n.dirSend(src, reply)
+}
+
+// recvDirLearn applies a chosen decree to this replica's record store, slot
+// by slot. A decided slot's acceptor scratch state retires; each move of one
+// object uses a fresh slot, and only the move's source proposes for it, so
+// the slot can never be reopened.
+func (n *Node) recvDirLearn(src int, p *wire.DirLearn) {
+	for _, s := range p.Slots.All() {
+		n.dirStore.Learn(s.Slot.OID, s.Node, s.Slot.Epoch)
+		delete(n.dirAcc, s.Slot)
+		n.dirInvalidateLease(s.Slot.OID, s.Slot.Epoch)
 	}
 }
 
@@ -840,55 +642,47 @@ func (n *Node) dirCompactTick() {
 	}
 }
 
-// -------------------------------------------------- move-commit ordering
+// -------------------------------------------------- cohort decrees
 
-// dirProposeMove drives the decree for a positively-acked move and commits
-// the transaction when the decree resolves — chosen or degraded — provided
-// the span is still pending (the commit timer cannot have aborted it: a
-// delivered, acked move retires the timer; this is belt and braces).
-func (n *Node) dirProposeMove(tx *moveTxn) {
-	span := tx.span
-	n.dirPropose(tx.obj.OID, tx.obj.Epoch, int32(tx.dest), func(chosen bool) {
-		if cur, live := n.pendingCommits[span]; !live || cur != tx {
-			return
+// dirProposeCohort drives the decrees of a MoveGroup cohort's moves, one per
+// shard replica set: members whose shards replicate on the same node set
+// share one decree round instead of opening one each.
+func (n *Node) dirProposeCohort(txs []*moveTxn) {
+	for len(txs) > 0 {
+		set := n.dirReplicasOf(txs[0].obj.OID)
+		var same, rest []*moveTxn
+		for _, tx := range txs {
+			if slices.Equal(n.dirReplicasOf(tx.obj.OID), set) {
+				same = append(same, tx)
+			} else {
+				rest = append(rest, tx)
+			}
 		}
-		n.commitMove(tx)
-	})
-}
-
-// dirReplicaKey identifies o's shard replica set for cohort grouping: two
-// members batch into one group decree exactly when their shards replicate
-// on the same node set. Membership is what matters — placement orders the
-// same set differently per shard anchor — so the key is sorted.
-func (n *Node) dirReplicaKey(o oid.OID) string {
-	replicas := n.dirReplicasOf(o)
-	sorted := make([]int, len(replicas))
-	copy(sorted, replicas)
-	sort.Ints(sorted)
-	return fmt.Sprint(sorted)
+		n.dirPropose(same)
+		txs = rest
+	}
 }
 
 // dirGroupBatch collects one MoveGroup cohort's in-flight transactions
-// under chaos so their decrees ride batched group rounds: members' MoveAcks
-// arrive back to back (the whole cohort installs in one frame event), the
-// batch waits until every member resolves — positively acked, refused or
-// aborted — then proposes one group decree per replica set over the acked
-// members. Each member's commit still gates on its decree resolving, like
-// the single-object path.
+// under chaos so their decrees ride shared rounds: members' MoveAcks arrive
+// back to back (the whole cohort installs in one frame event), the batch
+// waits until every member resolves — positively acked, refused or aborted —
+// then proposes the acked members as a cohort. Each member's commit still
+// gates on its decree resolving, like the single-object path.
 type dirGroupBatch struct {
 	outstanding int
 	ready       []*moveTxn
 }
 
 // dirBatchAcked records one positively-acked member; the last resolution
-// triggers the batched proposals.
+// triggers the cohort's proposals.
 func (n *Node) dirBatchAcked(tx *moveTxn) {
 	b := tx.dirBatch
 	tx.dirBatch = nil
 	b.ready = append(b.ready, tx)
 	b.outstanding--
 	if b.outstanding == 0 {
-		n.dirBatchPropose(b)
+		n.dirProposeCohort(b.ready)
 	}
 }
 
@@ -901,74 +695,8 @@ func (n *Node) dirBatchDrop(tx *moveTxn) {
 	}
 	tx.dirBatch = nil
 	b.outstanding--
-	if b.outstanding == 0 && len(b.ready) > 0 {
-		n.dirBatchPropose(b)
-	}
-}
-
-// dirBatchPropose groups the batch's acked members by replica set and
-// drives one group decree per set (singles degenerate), committing each
-// member when its group resolves.
-func (n *Node) dirBatchPropose(b *dirGroupBatch) {
-	var order []string
-	groups := map[string][]*moveTxn{}
-	for _, tx := range b.ready {
-		key := n.dirReplicaKey(tx.obj.OID)
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], tx)
-	}
-	for _, key := range order {
-		txs := groups[key]
-		if len(txs) == 1 {
-			n.dirProposeMove(txs[0])
-			continue
-		}
-		slots := make([]dir.Slot, len(txs))
-		homes := make([]int32, len(txs))
-		for i, tx := range txs {
-			slots[i] = dir.Slot{OID: tx.obj.OID, Epoch: tx.obj.Epoch}
-			homes[i] = int32(tx.dest)
-		}
-		n.dirProposeGroup(slots, homes, func(chosen bool) {
-			for _, tx := range txs {
-				if cur, live := n.pendingCommits[tx.span]; !live || cur != tx {
-					continue
-				}
-				n.commitMove(tx)
-			}
-		})
-	}
-}
-
-// dirCohortPropose drives the chaos-off fire-and-forget decrees for a
-// MoveGroup cohort, batched per shard replica set: members whose shards
-// replicate on the same node set share one group decree round instead of
-// opening one single-slot decree each.
-func (n *Node) dirCohortPropose(cohort []groupItem, dest int) {
-	var order []string
-	groups := map[string][]groupItem{}
-	for _, it := range cohort {
-		key := n.dirReplicaKey(it.msg.Object)
-		if _, ok := groups[key]; !ok {
-			order = append(order, key)
-		}
-		groups[key] = append(groups[key], it)
-	}
-	for _, key := range order {
-		its := groups[key]
-		if len(its) == 1 {
-			n.dirPropose(its[0].msg.Object, its[0].msg.Epoch, int32(dest), nil)
-			continue
-		}
-		slots := make([]dir.Slot, len(its))
-		homes := make([]int32, len(its))
-		for i, it := range its {
-			slots[i] = dir.Slot{OID: it.msg.Object, Epoch: it.msg.Epoch}
-			homes[i] = int32(dest)
-		}
-		n.dirProposeGroup(slots, homes, nil)
+	if b.outstanding == 0 {
+		n.dirProposeCohort(b.ready)
 	}
 }
 
@@ -986,20 +714,6 @@ func (n *Node) restartDir() {
 		dp := n.dirProps[slot]
 		dp.stalledTimer = false
 		n.armDirTimer(dp)
-	}
-	// Stalled group decrees re-arm after the single slots, in token order —
-	// tokens are minted in proposal order, so reruns replay identically.
-	gtoks := make([]uint32, 0, len(n.dirGProps))
-	for tok, gp := range n.dirGProps {
-		if gp.stalledTimer {
-			gtoks = append(gtoks, tok)
-		}
-	}
-	slices.Sort(gtoks)
-	for _, tok := range gtoks {
-		gp := n.dirGProps[tok]
-		gp.stalledTimer = false
-		n.armDirGTimer(gp)
 	}
 	toks := make([]uint32, 0, len(n.dirLooks))
 	for tok, lk := range n.dirLooks {

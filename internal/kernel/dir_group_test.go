@@ -1,6 +1,6 @@
-// Batched group-decree tests: a MoveGroup cohort's location records must
-// commit in one multi-object quorum round (fewer decree messages than one
-// round per member), survive a crash/restart with the group round in
+// Cohort-decree tests: a MoveGroup cohort's location records must commit as
+// one multi-slot list in one quorum round (fewer decree messages than one
+// round per member), survive a crash/restart with that round in
 // flight — byte-identical reruns included — and decrees stalled by a
 // network partition must resolve chosen once the partition heals.
 
@@ -8,12 +8,12 @@ package kernel
 
 import (
 	"bytes"
-	"slices"
 	"testing"
 
 	"repro/internal/chaos"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // decreeMsgCount sums the per-kind message counters for the given wire
@@ -32,8 +32,20 @@ func decreeMsgCount(c *Cluster, kinds ...string) uint64 {
 	return total
 }
 
-var singleDecreeKinds = []string{"dirprepare", "dirpromise", "diraccept", "diraccepted", "dirlearn"}
-var groupDecreeKinds = []string{"dirgprepare", "dirgpromise", "dirgaccept", "dirgaccepted", "dirglearn"}
+var decreeKinds = []string{"dirprepare", "dirpromise", "diraccept", "diraccepted", "dirlearn"}
+
+// oneSlotBytes is the frame size of a decree message over one slot; a larger
+// frame of the same kind carries a cohort's list.
+func oneSlotBytes(msg func(wire.DirList) wire.Payload) uint64 {
+	var one wire.DirList
+	one.Append(wire.DirEntry{})
+	return uint64(len((&wire.Msg{Payload: msg(one)}).Marshal()))
+}
+
+var (
+	singleAcceptBytes  = oneSlotBytes(func(l wire.DirList) wire.Payload { return &wire.DirAccept{Slots: l} })
+	singlePrepareBytes = oneSlotBytes(func(l wire.DirList) wire.Payload { return &wire.DirPrepare{Slots: l} })
+)
 
 // TestDirGroupDecreeBatches: the {Service, Stats} cohort moves as one
 // MoveGroup, so with the directory armed its two location records must
@@ -78,8 +90,8 @@ func TestDirGroupDecreeBatches(t *testing.T) {
 	if d1, d2 := dirCounter(grouped, "dir_decrees"), dirCounter(control, "dir_decrees"); d1 != d2 {
 		t.Errorf("decree counts diverge: grouped %d, control %d", d1, d2)
 	}
-	gm := decreeMsgCount(grouped, singleDecreeKinds...) + decreeMsgCount(grouped, groupDecreeKinds...)
-	cm := decreeMsgCount(control, singleDecreeKinds...)
+	gm := decreeMsgCount(grouped, decreeKinds...)
+	cm := decreeMsgCount(control, decreeKinds...)
 	if gm >= cm {
 		t.Errorf("grouped arm sent %d decree messages, control %d; batching saved nothing", gm, cm)
 	}
@@ -113,7 +125,7 @@ func TestDirGroupDecreeChaosReplay(t *testing.T) {
 	}
 	var roundAt int64
 	for _, e := range scout.Rec.Events() {
-		if e.Kind == obs.EvWireSend && slices.Contains(groupDecreeKinds, e.Str) {
+		if e.Kind == obs.EvWireSend && e.Str == "diraccept" && e.A > singleAcceptBytes {
 			roundAt = e.At
 			break
 		}
@@ -154,6 +166,65 @@ func TestDirGroupDecreeChaosReplay(t *testing.T) {
 	log1, log2 := obs.EventLog(c1.Rec), obs.EventLog(c2.Rec)
 	if !bytes.Equal(log1, log2) {
 		t.Errorf("same seed produced different event logs (%d vs %d bytes)", len(log1), len(log2))
+	}
+}
+
+// TestDirNoGroupDecreesChaosPerMember: DirNoGroupDecrees selects list
+// length and nothing else, under a chaos plan too. With it set no batch
+// forms: every cohort member proposes its own one-slot decree the instant
+// its own MoveAck arrives, before the next member's is even received. With
+// it clear the cohort waits for its last MoveAck and sends one accept
+// carrying every slot.
+func TestDirNoGroupDecreesChaosPerMember(t *testing.T) {
+	models := []netsim.MachineModel{mSun3, mSPARC}
+	run := func(noGroup bool) (c *Cluster, acks, accepts []obs.Event) {
+		cfg := autoConfig()
+		cfg.DirReplicas = 2
+		cfg.DirNoGroupDecrees = noGroup
+		cfg.Chaos = &chaos.Plan{Seed: 11, CommitTimeout: 150_000}
+		c = runSrc(t, chattySrc, models, cfg)
+		if got := c.OutputText(); got != chattyWant {
+			t.Fatalf("noGroup=%v output = %q, want %q", noGroup, got, chattyWant)
+		}
+		dirFinalRecordsMatchResidency(t, c)
+		grouped := false // only the cohort's transfer is of interest
+		for _, e := range c.Rec.Events() {
+			switch {
+			case e.Kind == obs.EvMoveGroupOut:
+				grouped = true
+			case !grouped || e.Node != 0:
+			case e.Kind == obs.EvWireRecv && e.Str == "moveack":
+				acks = append(acks, e)
+			case e.Kind == obs.EvWireSend && e.Str == "diraccept":
+				accepts = append(accepts, e)
+			}
+		}
+		if len(acks) != 2 {
+			t.Fatalf("noGroup=%v: the source received %d MoveAcks, want the cohort's 2", noGroup, len(acks))
+		}
+		return c, acks, accepts
+	}
+
+	c, acks, accepts := run(true)
+	if g := dirCounter(c, "dir_group_decrees"); g != 0 {
+		t.Errorf("control arm ran %d multi-slot decrees", g)
+	}
+	if len(accepts) != 2 {
+		t.Fatalf("control arm sent %d accepts, want one per member", len(accepts))
+	}
+	for i, a := range accepts {
+		if a.At != acks[i].At || a.A != singleAcceptBytes {
+			t.Errorf("member %d: accept of %d bytes at %dµs, want a one-slot accept (%d bytes) on its own MoveAck at %dµs",
+				i, a.A, a.At, singleAcceptBytes, acks[i].At)
+		}
+	}
+
+	c, acks, accepts = run(false)
+	if g := dirCounter(c, "dir_group_decrees"); g != 1 {
+		t.Errorf("batching arm ran %d multi-slot decrees, want 1", g)
+	}
+	if len(accepts) != 1 || accepts[0].At != acks[1].At || accepts[0].A <= singleAcceptBytes {
+		t.Errorf("batching arm accepts %+v, want one multi-slot accept on the last MoveAck at %dµs", accepts, acks[1].At)
 	}
 }
 

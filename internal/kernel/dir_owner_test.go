@@ -45,7 +45,7 @@ func TestDirDecreeMessageCount(t *testing.T) {
 			t.Errorf("%s messages = %d, want %d (one per remote replica per decree)", k, got, remote)
 		}
 	}
-	for _, k := range []string{"dirprepare", "dirpromise", "dirgprepare", "dirgpromise"} {
+	for _, k := range []string{"dirprepare", "dirpromise"} {
 		if got := decreeMsgCount(c, k); got != 0 {
 			t.Errorf("%s messages = %d, want 0 on an uncontended run", k, got)
 		}
@@ -194,6 +194,66 @@ func TestDirForcedPrepareFallback(t *testing.T) {
 	if !bytes.Equal(obs.EventLog(c1.Rec), obs.EventLog(c2.Rec)) {
 		t.Error("same plan produced different event logs")
 	}
+
+	// The same fallback over a cohort's list: five replicas shared by every
+	// shard, the three that are neither the cohort's source nor its
+	// destination down across the owner round of the {Service, Stats}
+	// decree. The retry's prepare, promises and accept carry both slots, and
+	// each slot re-adopts what the first round planted.
+	t.Run("cohort", func(t *testing.T) {
+		models := []netsim.MachineModel{mSun3, mSPARC, mSPARC, mSPARC, mSPARC}
+		const window = netsim.Micros(150_000) // above the loaded link's round trip
+		cfg := func(crashAt netsim.Micros) Config {
+			c := autoConfig()
+			c.DirReplicas = 5
+			c.Chaos = &chaos.Plan{Seed: 11, CommitTimeout: window}
+			for v := 2; crashAt > 0 && v < 5; v++ {
+				c.Chaos.Crashes = append(c.Chaos.Crashes,
+					chaos.Crash{Node: v, At: crashAt, RestartAt: crashAt + 5*window/2})
+			}
+			return c
+		}
+		scout := runSrc(t, chattySrc, models, cfg(0))
+		var acceptAt int64
+		for _, e := range scout.Rec.Events() {
+			if e.Kind == obs.EvWireSend && e.Str == "diraccept" && e.A > singleAcceptBytes {
+				acceptAt = e.At
+				break
+			}
+		}
+		if scout.OutputText() != chattyWant || acceptAt == 0 || dirCounter(scout, "dir_prepare_rounds") != 0 {
+			t.Fatalf("scout: output %q, cohort accept at %d, %d prepare rounds", scout.OutputText(),
+				acceptAt, dirCounter(scout, "dir_prepare_rounds"))
+		}
+
+		c1 := runSrc(t, chattySrc, models, cfg(netsim.Micros(acceptAt)+1))
+		if got := c1.OutputText(); got != chattyWant {
+			t.Fatalf("output = %q, want %q", got, chattyWant)
+		}
+		if countKind(c1, obs.EvNodeCrash) != 3 || countKind(c1, obs.EvNodeRestart) != 3 {
+			t.Fatal("the three replica crash/restarts never happened")
+		}
+		cohortPrepare := false
+		for _, e := range c1.Rec.Events() {
+			if e.Kind == obs.EvWireSend && e.Str == "dirprepare" && e.A > singlePrepareBytes {
+				cohortPrepare = true
+			}
+		}
+		if !cohortPrepare || decreeMsgCount(c1, "dirpromise") == 0 {
+			t.Error("no multi-slot dirprepare (or no promise) on the wire: the cohort's retry skipped phase 1")
+		}
+		if g, d := dirCounter(c1, "dir_group_decrees"), dirCounter(c1, "dir_degraded"); g == 0 || d != 0 {
+			t.Errorf("dir_group_decrees = %d, dir_degraded = %d; the cohort's fallback must resolve chosen", g, d)
+		}
+		assertOneHomePerSlot(t, c1)
+		assertExactlyOnceInstalls(t, c1)
+		dirFinalRecordsMatchResidency(t, c1)
+
+		c2 := runSrc(t, chattySrc, models, cfg(netsim.Micros(acceptAt)+1))
+		if !bytes.Equal(obs.EventLog(c1.Rec), obs.EventLog(c2.Rec)) {
+			t.Error("same plan produced different event logs")
+		}
+	})
 }
 
 // assertOneHomePerSlot checks the consensus invariant over every node's

@@ -48,7 +48,7 @@ func (n *Node) dispatchMove(dest int, msg *wire.Move, tx *moveTxn, sp *obs.Span,
 		// Chaos-off the commit just ran inline and delivery is certain, so
 		// the directory decree is fire-and-forget; chaos-on it waits for
 		// the destination's positive MoveAck (recvMoveAck).
-		n.dirPropose(msg.Object, msg.Epoch, int32(dest), nil)
+		n.dirPropose([]*moveTxn{tx})
 	}
 	if tx.live {
 		n.beginTransit(tx, sp.ID)
@@ -112,30 +112,28 @@ func (n *Node) moveGroup(objs []*Obj, dest int, fix bool) {
 	m.Add("group_move_frame_bytes", lbl, uint64(frameBytes))
 	m.Add("group_move_member_bytes", lbl, uint64(memberBytes))
 	batching := n.cluster.dirOn && !n.cluster.Config.DirNoGroupDecrees
-	var cohort []groupItem
+	var cohort []*moveTxn
 	for _, it := range items {
 		it.tx.do(it.commit)
 		if n.cluster.dirOn && !it.tx.live {
 			if batching {
-				// Chaos-off the whole cohort's decrees batch into group
-				// rounds, fired after the loop so members sharing a shard
-				// replica set ride one prepare/accept exchange.
-				cohort = append(cohort, it)
+				// Chaos-off the whole cohort's decrees fire after the loop,
+				// so members sharing a shard replica set ride one round.
+				cohort = append(cohort, it.tx)
 				continue
 			}
 			// Same chaos-off fire-and-forget decree as dispatchMove.
-			n.dirPropose(it.msg.Object, it.msg.Epoch, int32(dest), nil)
+			n.dirPropose([]*moveTxn{it.tx})
 		}
 	}
-	if len(cohort) > 0 {
-		n.dirCohortPropose(cohort, dest)
-	}
+	n.dirProposeCohort(cohort)
 	// Under chaos every member transaction pins to the batch's single frame
 	// (lastFrame after the one send above): per-member MoveAcks resolve the
 	// transactions independently, and an abort's filler swap is idempotent
 	// across members sharing the frame. With group decrees on, the live
 	// members also share one dirGroupBatch: their decrees wait for the last
-	// member's MoveAck and then batch per replica set.
+	// member's MoveAck and then go out as a cohort, one per replica set;
+	// off, each member proposes alone on its own MoveAck.
 	var batch *dirGroupBatch
 	if batching {
 		batch = &dirGroupBatch{}

@@ -277,16 +277,6 @@ func (n *Node) handleMsg(src int, p wire.Payload) {
 		n.recvDirAccepted(src, p)
 	case *wire.DirLearn:
 		n.recvDirLearn(src, p)
-	case *wire.DirGPrepare:
-		n.recvDirGPrepare(src, p)
-	case *wire.DirGPromise:
-		n.recvDirGPromise(src, p)
-	case *wire.DirGAccept:
-		n.recvDirGAccept(src, p)
-	case *wire.DirGAccepted:
-		n.recvDirGAccepted(src, p)
-	case *wire.DirGLearn:
-		n.recvDirGLearn(src, p)
 	case *wire.DirLookup:
 		n.recvDirLookup(src, p)
 	case *wire.DirLookupReply:

@@ -194,13 +194,13 @@ type Config struct {
 	// differential; no flag.
 	NoSharpen bool
 	// DirReplicas, when > 0, arms the replicated object directory (emdir,
-	// internal/dir): every move commit drives a single-decree Paxos round
-	// recording the object's new home across that many replicas of its
-	// shard (clamped to the node count), locates consult the directory
-	// first (one shard query instead of a forwarding-address walk), and a
-	// background compactor rewrites stale proxies. 0 (the default) keeps
-	// both engines byte-identical to a directory-free build — no extra
-	// messages, metrics, events or timers.
+	// internal/dir): every move commit drives a Paxos round recording the
+	// object's new home across that many replicas of its shard (clamped to
+	// the node count), locates consult the directory first (one shard query
+	// instead of a forwarding-address walk), and a background compactor
+	// rewrites stale proxies. 0 (the default) keeps both engines
+	// byte-identical to a directory-free build — no extra messages,
+	// metrics, events or timers.
 	DirReplicas int
 	// DirCompactPeriodMicros is the per-node compactor tick period (0
 	// selects DefaultDirCompactMicros).
@@ -213,9 +213,10 @@ type Config struct {
 	// by peer suspicion. 0 (the default) keeps lookup behavior identical
 	// to the lease-free directory.
 	DirLeaseMicros int64
-	// DirNoGroupDecrees disables batched group decrees: each member of a
-	// MoveGroup cohort then drives its own single-object decree round. The
-	// control arm of the batching experiment (embench dir); no flag.
+	// DirNoGroupDecrees keeps every decree's slot list at length 1: each
+	// member of a MoveGroup cohort then drives its own decree round instead
+	// of sharing one with the members on its replica set. The control arm
+	// of the batching experiment (embench dir); no flag.
 	DirNoGroupDecrees bool
 	// LinkLatencies adds per-link extra propagation latency to the netsim
 	// topology (on top of the network's shared LatencyMicros; see

@@ -142,19 +142,16 @@ type Node struct {
 	// Replicated-directory state, live only when Config.DirReplicas > 0
 	// (see dir.go). dirAcc/dirStore are this node's replica roles (acceptor
 	// per decree slot, learner record store); dirProps are decrees this
-	// node is driving as a move source; dirLooks are its outstanding lookup
-	// queries keyed by token.
-	dirAcc   map[dir.Slot]*dir.Acceptor
+	// node is driving as a move source, keyed by first slot; dirLooks are
+	// its outstanding lookup queries keyed by token.
+	dirAcc   map[dir.Slot]dir.Acceptor
 	dirStore *dir.Store
 	dirProps map[dir.Slot]*dirProposal
 	dirLooks map[uint32]*dirLookup
 	dirTok   uint32
-	// dirGProps are batched group decrees this node is driving as a
-	// MoveGroup source, keyed by a node-local group token; dirLeases are
-	// read leases granted by shard replicas (Config.DirLeaseMicros > 0),
-	// letting repeat lookups of a stable object skip the shard query.
-	dirGProps map[uint32]*dirGroupProposal
-	dirGTok   uint32
+	// dirLeases are read leases granted by shard replicas
+	// (Config.DirLeaseMicros > 0), letting repeat lookups of a stable
+	// object skip the shard query.
 	dirLeases map[oid.OID]dirLease
 
 	callConv  *wire.CallConverter
@@ -238,11 +235,10 @@ func newNode(c *Cluster, id int, m netsim.MachineModel) *Node {
 		pendingCommits: map[uint32]*moveTxn{},
 		abortedSpans:   map[uint32]bool{},
 
-		dirAcc:    map[dir.Slot]*dir.Acceptor{},
+		dirAcc:    map[dir.Slot]dir.Acceptor{},
 		dirStore:  dir.NewStore(),
 		dirProps:  map[dir.Slot]*dirProposal{},
 		dirLooks:  map[uint32]*dirLookup{},
-		dirGProps: map[uint32]*dirGroupProposal{},
 		dirLeases: map[oid.OID]dirLease{},
 	}
 	n.sched = c.Sim.NodeSched(id)

@@ -50,8 +50,8 @@ type moveTxn struct {
 	// stalledTimer: the commit timer fired while the source was down.
 	stalledTimer bool
 	// dirBatch groups this transaction with the rest of its MoveGroup
-	// cohort so the directory commits the whole cohort in batched group
-	// decrees (nil for solo moves or when group decrees are disabled).
+	// cohort so the directory commits the whole cohort in shared decree
+	// rounds (nil for solo moves or when group decrees are disabled).
 	dirBatch *dirGroupBatch
 	// dirPending: the transaction has been handed to the directory; a
 	// duplicate positive MoveAck (the destination re-acks replayed Moves)
@@ -174,7 +174,7 @@ func (n *Node) recvMoveAck(src int, p *wire.MoveAck) {
 				n.dirBatchAcked(tx)
 				return
 			}
-			n.dirProposeMove(tx)
+			n.dirPropose([]*moveTxn{tx})
 			return
 		}
 		n.commitMove(tx)

@@ -8,12 +8,21 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"testing"
+
+	"repro/internal/dir"
 )
 
-// seedMsgs returns one marshalled Msg of every payload kind.
-func seedMsgs() [][]byte {
-	payloads := []Payload{
+// seedPayloads holds at least one payload of every message kind
+// (TestSeedCorpusCoversEveryKind), the decree kinds at list lengths 0, 1
+// and 3.
+func seedPayloads() []Payload {
+	slot := dir.Slot{OID: 7, Epoch: 2}
+	one := dirList(DirEntry{Slot: slot, Node: 1})
+	three := dirList(DirEntry{Slot: slot, Node: 1}, DirEntry{Slot: dir.Slot{OID: 8, Epoch: 1}, Node: 1},
+		DirEntry{Slot: dir.Slot{OID: 9, Epoch: 5}, Node: 1})
+	return []Payload{
 		&Invoke{Target: 7, OpName: "tour", Origin: 1, CallerFrag: 0x01000002,
 			Args:  []Value{{Kind: WInt, Bits: 42}, {Kind: WString, Str: []byte("hi")}},
 			Hints: []LocHint{{OID: 9, Node: 2}}},
@@ -34,13 +43,59 @@ func seedMsgs() [][]byte {
 		&LocateReply{Target: 7, Node: 2, ReplyFrag: 1},
 		&UpdateLoc{Target: 7, Node: 2, Epoch: 4},
 		&MoveAck{Object: 7, SpanID: 11, Epoch: 2, Ok: false, Err: "bad piece index"},
+		&MoveGroup{Inner: []*Move{{Object: 7, CodeOID: 3, Epoch: 2, SpanID: 11},
+			{Object: 8, CodeOID: 3, Epoch: 1, Data: []Value{{Kind: WInt, Bits: 9}}, SpanID: 12}}},
+		&DirPrepare{Ballot: 2<<16 | 1}, &DirPrepare{Ballot: 2<<16 | 1, Slots: one},
+		&DirPrepare{Ballot: 2<<16 | 1, Slots: three},
+		&DirPromise{Slot: slot, Ballot: 2<<16 | 1, Promised: 3<<16 | 2},
+		&DirPromise{Slot: slot, Ballot: 2<<16 | 1, Ok: true, Acc: []dir.Accepted{{Ballot: 1<<16 | 1, Node: 1}}},
+		&DirPromise{Slot: slot, Ballot: 2<<16 | 1, Ok: true, Acc: []dir.Accepted{{Node: -1}, {Ballot: 1<<16 | 1, Node: 1}, {Node: -1}}},
+		&DirAccept{Ballot: 1<<16 | 1}, &DirAccept{Ballot: 1<<16 | 1, Slots: one},
+		&DirAccept{Ballot: 1<<16 | 1, Slots: three},
+		&DirAccepted{Slot: slot, Ballot: 1<<16 | 1, Ok: true},
+		&DirLearn{}, &DirLearn{Slots: one}, &DirLearn{Slots: three},
+		&DirLookup{Target: 7, Token: 4},
+		&DirLookupReply{Target: 7, Token: 4, Ok: true, Node: 1, Epoch: 2, Lease: 500},
 	}
+}
+
+// seedMsgs returns the seed payloads as marshalled Msgs, plus decree
+// messages with malformed tails: ragged accept, learn and prepare lists, and
+// a promise one entry short of its prepare.
+func seedMsgs() [][]byte {
 	var out [][]byte
-	for i, p := range payloads {
+	for i, p := range seedPayloads() {
 		m := &Msg{Src: 0, Dst: 1, Seq: uint32(i), Payload: p}
-		out = append(out, m.Marshal())
+		b := m.Marshal()
+		out = append(out, b)
+		switch p.(type) {
+		case *DirPrepare, *DirAccept, *DirLearn:
+			out = append(out, b[:len(b)-5])
+		case *DirPromise:
+			out = append(out, b[:len(b)-dirAccBytes])
+		}
 	}
 	return out
+}
+
+// TestSeedCorpusCoversEveryKind keeps the corpus what its comment says: it
+// walks MsgKind from 1 until String() runs out of names and fails on a kind
+// with no seed, so a new wire kind cannot ship unfuzzed.
+func TestSeedCorpusCoversEveryKind(t *testing.T) {
+	seeded := map[MsgKind]bool{}
+	for _, p := range seedPayloads() {
+		seeded[p.Kind()] = true
+	}
+	kinds := 0
+	for k := MsgKind(1); k.String() != fmt.Sprintf("msg(%d)", byte(k)); k++ {
+		kinds++
+		if !seeded[k] {
+			t.Errorf("no fuzz seed for message kind %d (%s)", byte(k), k)
+		}
+	}
+	if len(seeded) != kinds {
+		t.Errorf("%d named kinds but %d seeded: a seed's kind has no name", kinds, len(seeded))
+	}
 }
 
 func FuzzMsgDecode(f *testing.F) {

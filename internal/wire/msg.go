@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/dir"
 	"repro/internal/oid"
 )
 
@@ -169,6 +170,22 @@ func (d *Dec) Count(minElemBytes int) int {
 	return n
 }
 
+// Tail reports how many elemBytes-sized entries fill the rest of the
+// message, for lists that ride uncounted as a message's tail. A remainder
+// that is not a whole number of entries is a decode error, which bounds the
+// list by the buffer the way Count bounds a counted one.
+func (d *Dec) Tail(elemBytes int) int {
+	if d.err != nil {
+		return 0
+	}
+	rest := len(d.buf) - d.off
+	if rest%elemBytes != 0 {
+		d.err = fmt.Errorf("wire: ragged tail: %d bytes left for %d-byte entries", rest, elemBytes)
+		return 0
+	}
+	return rest / elemBytes
+}
+
 // Minimum encoded sizes of counted-list elements (for Count).
 const (
 	minValueBytes    = 5  // kind byte + 4 bytes of bits or length
@@ -226,23 +243,18 @@ const (
 	MUnfixReq                       // unfix/refix control for a remote object
 	MMoveAck                        // destination's install ack for a Move (2PC)
 	MMoveGroup                      // batched cohort move: several Moves in one frame
-	// Directory protocol (emdir): one single-decree Paxos instance per
-	// (oid, epoch) move-commit slot, plus the replicated lookup service.
-	// New kinds append here so older captures stay decodable.
-	MDirPrepare                    // proposer → replica: prepare(slot, ballot)
-	MDirPromise                    // replica → proposer: promise or nack
-	MDirAccept                     // proposer → replica: accept(slot, ballot, home)
-	MDirAccepted                   // replica → proposer: accepted or nack
-	MDirLearn                      // proposer → replica: decree chosen, learn record
-	MDirLookup                     // client → replica: where does OID live?
-	MDirLookupReply                // replica → client: record (or miss)
-	// Batched group decrees: a MoveGroup cohort's location records commit
-	// under one ballot with one set of prepare/accept messages.
-	MDirGPrepare                   // proposer → replica: prepare(slots, ballot)
-	MDirGPromise                   // replica → proposer: group promise or nack
-	MDirGAccept                    // proposer → replica: accept(slots, ballot, homes)
-	MDirGAccepted                  // replica → proposer: group accepted or nack
-	MDirGLearn                     // proposer → replica: group decree chosen
+	// Directory protocol (emdir): one Paxos instance per (oid, epoch)
+	// move-commit slot, plus the replicated lookup service. A decree message
+	// carries a list of slots sharing one ballot — one slot for a single
+	// move, a MoveGroup cohort's slots otherwise. New kinds append here so
+	// older captures stay decodable.
+	MDirPrepare     // proposer → replica: prepare(ballot, slots)
+	MDirPromise     // replica → proposer: promise or nack
+	MDirAccept      // proposer → replica: accept(ballot, slots with homes)
+	MDirAccepted    // replica → proposer: accepted or nack
+	MDirLearn       // proposer → replica: decree chosen, learn records
+	MDirLookup      // client → replica: where does OID live?
+	MDirLookupReply // replica → client: record (or miss)
 )
 
 func (k MsgKind) String() string {
@@ -281,16 +293,6 @@ func (k MsgKind) String() string {
 		return "dirlookup"
 	case MDirLookupReply:
 		return "dirlookupreply"
-	case MDirGPrepare:
-		return "dirgprepare"
-	case MDirGPromise:
-		return "dirgpromise"
-	case MDirGAccept:
-		return "dirgaccept"
-	case MDirGAccepted:
-		return "dirgaccepted"
-	case MDirGLearn:
-		return "dirglearn"
 	}
 	return fmt.Sprintf("msg(%d)", byte(k))
 }
@@ -409,26 +411,6 @@ func Unmarshal(buf []byte) (*Msg, error) {
 		m.Payload = p
 	case MDirLookupReply:
 		p := &DirLookupReply{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MDirGPrepare:
-		p := &DirGPrepare{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MDirGPromise:
-		p := &DirGPromise{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MDirGAccept:
-		p := &DirGAccept{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MDirGAccepted:
-		p := &DirGAccepted{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MDirGLearn:
-		p := &DirGLearn{}
 		p.unmarshal(&d)
 		m.Payload = p
 	default:
@@ -949,49 +931,119 @@ func (p *MoveGroup) unmarshal(d *Dec) {
 	}
 }
 
-// DirPrepare opens a decree round: the proposer (a move's source node)
-// asks a replica of the object's shard to promise ballot for the
-// (Target, Epoch) slot.
+// DirEntry is one slot of a decree message and the home node decreed for
+// it (a DirPrepare names slots only and encodes no Node).
+type DirEntry struct {
+	Slot dir.Slot
+	Node int32
+}
+
+// DirList is the slot list of a decree message, in the proposal's canonical
+// slot order. Almost every decree covers a single object, so a list of one
+// is held inline and longer lists sit behind one pointer: a slice header
+// here would lift every decree message into the next allocation size class.
+// The zero value is the empty list.
+type DirList struct {
+	one  [1]DirEntry
+	n    uint32
+	more *[]DirEntry // all n entries, once n > 1
+}
+
+// Append adds e to the end of the list.
+func (l *DirList) Append(e DirEntry) {
+	switch l.n {
+	case 0:
+		l.one[0] = e
+	case 1:
+		l.more = &[]DirEntry{l.one[0], e}
+	default:
+		*l.more = append(*l.more, e)
+	}
+	l.n++
+}
+
+// All returns the entries in order. The slice aliases the list.
+func (l *DirList) All() []DirEntry {
+	if l.more != nil {
+		return *l.more
+	}
+	return l.one[:l.n]
+}
+
+// Encoded sizes of one list entry, without and with its home node.
+const (
+	dirSlotBytes  = 8
+	dirEntryBytes = 12
+	dirAccBytes   = 12 // one dir.Accepted in a promise
+)
+
+// marshal writes the list as the tail of the message: entry after entry
+// until the payload ends, no count — so a decree over one slot costs exactly
+// its fixed fields.
+func (l *DirList) marshal(e *Enc, homes bool) {
+	for _, s := range l.All() {
+		e.OID(s.Slot.OID)
+		e.U32(s.Slot.Epoch)
+		if homes {
+			e.I32(s.Node)
+		}
+	}
+}
+
+func (l *DirList) unmarshal(d *Dec, homes bool) {
+	size := dirSlotBytes
+	if homes {
+		size = dirEntryBytes
+	}
+	for n := d.Tail(size); n > 0; n-- {
+		s := DirEntry{Slot: dir.Slot{OID: d.OID(), Epoch: d.U32()}}
+		if homes {
+			s.Node = d.I32()
+		}
+		l.Append(s)
+	}
+}
+
+// DirPrepare opens a retry round of a decree: the proposer (the source node
+// of the moves that created the slots) asks a replica of the slots' shared
+// shard replica set to promise one ballot for all of them.
 type DirPrepare struct {
-	Target oid.OID
-	Epoch  uint32
 	Ballot uint64
+	Slots  DirList
 }
 
 // Kind implements Payload.
 func (p *DirPrepare) Kind() MsgKind { return MDirPrepare }
 
 func (p *DirPrepare) marshal(e *Enc) {
-	e.OID(p.Target)
-	e.U32(p.Epoch)
 	e.U64(p.Ballot)
+	p.Slots.marshal(e, false)
 }
 
 func (p *DirPrepare) unmarshal(d *Dec) {
-	p.Target = d.OID()
-	p.Epoch = d.U32()
 	p.Ballot = d.U64()
+	p.Slots.unmarshal(d, false)
 }
 
-// DirPromise answers a DirPrepare. Ok carries the replica's previously
-// accepted (ballot, home) for the slot so the proposer can adopt it; !Ok
-// is a nack carrying the higher ballot that blocked.
+// DirPromise answers a DirPrepare. Slot echoes the prepare's first slot,
+// which keys the proposal at its proposer. Ok means every slot promised;
+// !Ok is a nack carrying the highest ballot that blocked one. Acc, the tail
+// of the message, is the replica's accepted state per slot, parallel to the
+// prepare's list, so the proposer can adopt it slot by slot.
 type DirPromise struct {
-	Target    oid.OID
-	Epoch     uint32
-	Ballot    uint64 // the prepare ballot being answered
-	Ok        bool
-	Promised  uint64 // on nack: the ballot the replica is holding for
-	AccBallot uint64 // on ok: accepted ballot (0 = none)
-	AccNode   int32  // on ok: accepted home node (-1 = none)
+	Slot     dir.Slot
+	Ballot   uint64 // the prepare ballot being answered
+	Ok       bool
+	Promised uint64
+	Acc      []dir.Accepted
 }
 
 // Kind implements Payload.
 func (p *DirPromise) Kind() MsgKind { return MDirPromise }
 
 func (p *DirPromise) marshal(e *Enc) {
-	e.OID(p.Target)
-	e.U32(p.Epoch)
+	e.OID(p.Slot.OID)
+	e.U32(p.Slot.Epoch)
 	e.U64(p.Ballot)
 	if p.Ok {
 		e.U8(1)
@@ -999,61 +1051,61 @@ func (p *DirPromise) marshal(e *Enc) {
 		e.U8(0)
 	}
 	e.U64(p.Promised)
-	e.U64(p.AccBallot)
-	e.I32(p.AccNode)
+	for _, a := range p.Acc {
+		e.U64(a.Ballot)
+		e.I32(a.Node)
+	}
 }
 
 func (p *DirPromise) unmarshal(d *Dec) {
-	p.Target = d.OID()
-	p.Epoch = d.U32()
+	p.Slot = dir.Slot{OID: d.OID(), Epoch: d.U32()}
 	p.Ballot = d.U64()
 	p.Ok = d.U8() != 0
 	p.Promised = d.U64()
-	p.AccBallot = d.U64()
-	p.AccNode = d.I32()
+	if n := d.Tail(dirAccBytes); n > 0 {
+		p.Acc = make([]dir.Accepted, n)
+		for i := range p.Acc {
+			p.Acc[i] = dir.Accepted{Ballot: d.U64(), Node: d.I32()}
+		}
+	}
 }
 
-// DirAccept asks a replica to accept the decree value (the object's new
-// home node) at the prepared ballot.
+// DirAccept asks a replica to accept each slot's decree value (the object's
+// new home node) under one ballot. The list rides along so the replica side
+// stays stateless between phases.
 type DirAccept struct {
-	Target oid.OID
-	Epoch  uint32
 	Ballot uint64
-	Node   int32 // the home node being decreed
+	Slots  DirList
 }
 
 // Kind implements Payload.
 func (p *DirAccept) Kind() MsgKind { return MDirAccept }
 
 func (p *DirAccept) marshal(e *Enc) {
-	e.OID(p.Target)
-	e.U32(p.Epoch)
 	e.U64(p.Ballot)
-	e.I32(p.Node)
+	p.Slots.marshal(e, true)
 }
 
 func (p *DirAccept) unmarshal(d *Dec) {
-	p.Target = d.OID()
-	p.Epoch = d.U32()
 	p.Ballot = d.U64()
-	p.Node = d.I32()
+	p.Slots.unmarshal(d, true)
 }
 
-// DirAccepted answers a DirAccept.
+// DirAccepted answers a DirAccept: every slot accepted, or a nack with the
+// highest blocking ballot. Slot echoes the accept's first slot.
 type DirAccepted struct {
-	Target   oid.OID
-	Epoch    uint32
+	Slot     dir.Slot
 	Ballot   uint64
 	Ok       bool
-	Promised uint64 // on nack: the blocking ballot
+	Promised uint64
 }
 
 // Kind implements Payload.
 func (p *DirAccepted) Kind() MsgKind { return MDirAccepted }
 
 func (p *DirAccepted) marshal(e *Enc) {
-	e.OID(p.Target)
-	e.U32(p.Epoch)
+	e.OID(p.Slot.OID)
+	e.U32(p.Slot.Epoch)
 	e.U64(p.Ballot)
 	if p.Ok {
 		e.U8(1)
@@ -1064,36 +1116,26 @@ func (p *DirAccepted) marshal(e *Enc) {
 }
 
 func (p *DirAccepted) unmarshal(d *Dec) {
-	p.Target = d.OID()
-	p.Epoch = d.U32()
+	p.Slot = dir.Slot{OID: d.OID(), Epoch: d.U32()}
 	p.Ballot = d.U64()
 	p.Ok = d.U8() != 0
 	p.Promised = d.U64()
 }
 
-// DirLearn announces a chosen decree to a replica: object Target lives at
-// Node as of Epoch. Learns are idempotent (replicas apply only strictly
-// newer epochs), so the proposer broadcasts them unreliably-at-least-once.
+// DirLearn announces a chosen decree to a replica: each entry's object lives
+// at its Node as of its slot's epoch. Learns are idempotent (replicas apply
+// only strictly newer epochs, entry by entry), so the proposer broadcasts
+// them unreliably-at-least-once.
 type DirLearn struct {
-	Target oid.OID
-	Epoch  uint32
-	Node   int32
+	Slots DirList
 }
 
 // Kind implements Payload.
 func (p *DirLearn) Kind() MsgKind { return MDirLearn }
 
-func (p *DirLearn) marshal(e *Enc) {
-	e.OID(p.Target)
-	e.U32(p.Epoch)
-	e.I32(p.Node)
-}
+func (p *DirLearn) marshal(e *Enc) { p.Slots.marshal(e, true) }
 
-func (p *DirLearn) unmarshal(d *Dec) {
-	p.Target = d.OID()
-	p.Epoch = d.U32()
-	p.Node = d.I32()
-}
+func (p *DirLearn) unmarshal(d *Dec) { p.Slots.unmarshal(d, true) }
 
 // DirLookup asks a replica of the target's shard for its ownership record.
 // Token correlates the reply with the asker's pending query.
@@ -1153,216 +1195,6 @@ func (p *DirLookupReply) unmarshal(d *Dec) {
 	p.Node = d.I32()
 	p.Epoch = d.U32()
 	p.Lease = d.U32()
-}
-
-// DirSlotRef names one (oid, epoch) decree slot inside a group message.
-type DirSlotRef struct {
-	Target oid.OID
-	Epoch  uint32
-}
-
-// minSlotRefBytes is the encoded size of one DirSlotRef (for Count).
-const minSlotRefBytes = 8
-
-func marshalSlotRefs(e *Enc, ss []DirSlotRef) {
-	e.U16(uint16(len(ss)))
-	for _, s := range ss {
-		e.OID(s.Target)
-		e.U32(s.Epoch)
-	}
-}
-
-func unmarshalSlotRefs(d *Dec) []DirSlotRef {
-	n := d.Count(minSlotRefBytes)
-	if n == 0 {
-		return nil
-	}
-	out := make([]DirSlotRef, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, DirSlotRef{Target: d.OID(), Epoch: d.U32()})
-		if d.Err() != nil {
-			return nil
-		}
-	}
-	return out
-}
-
-// DirGPrepare opens a batched group decree round: the proposer (the source
-// of a MoveGroup cohort) asks a replica shared by every member slot to
-// promise one ballot for all of them. Token correlates the replies with
-// the proposer's pending group.
-type DirGPrepare struct {
-	Token  uint32
-	Ballot uint64
-	Slots  []DirSlotRef
-}
-
-// Kind implements Payload.
-func (p *DirGPrepare) Kind() MsgKind { return MDirGPrepare }
-
-func (p *DirGPrepare) marshal(e *Enc) {
-	e.U32(p.Token)
-	e.U64(p.Ballot)
-	marshalSlotRefs(e, p.Slots)
-}
-
-func (p *DirGPrepare) unmarshal(d *Dec) {
-	p.Token = d.U32()
-	p.Ballot = d.U64()
-	p.Slots = unmarshalSlotRefs(d)
-}
-
-// DirGPromise answers a DirGPrepare. Ok means every member slot promised;
-// AccBallots/AccNodes then carry the replica's per-slot accepted state,
-// parallel to the prepare's slot list. !Ok is a nack carrying the highest
-// ballot that blocked any member.
-type DirGPromise struct {
-	Token      uint32
-	Ballot     uint64
-	Ok         bool
-	Promised   uint64
-	AccBallots []uint64
-	AccNodes   []int32
-}
-
-// Kind implements Payload.
-func (p *DirGPromise) Kind() MsgKind { return MDirGPromise }
-
-func (p *DirGPromise) marshal(e *Enc) {
-	e.U32(p.Token)
-	e.U64(p.Ballot)
-	if p.Ok {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-	e.U64(p.Promised)
-	e.U16(uint16(len(p.AccBallots)))
-	for _, b := range p.AccBallots {
-		e.U64(b)
-	}
-	e.U16(uint16(len(p.AccNodes)))
-	for _, n := range p.AccNodes {
-		e.I32(n)
-	}
-}
-
-func (p *DirGPromise) unmarshal(d *Dec) {
-	p.Token = d.U32()
-	p.Ballot = d.U64()
-	p.Ok = d.U8() != 0
-	p.Promised = d.U64()
-	nb := d.Count(8)
-	for i := 0; i < nb; i++ {
-		p.AccBallots = append(p.AccBallots, d.U64())
-		if d.Err() != nil {
-			return
-		}
-	}
-	nn := d.Count(4)
-	for i := 0; i < nn; i++ {
-		p.AccNodes = append(p.AccNodes, d.I32())
-		if d.Err() != nil {
-			return
-		}
-	}
-}
-
-// DirGAccept asks a replica to accept the whole group's values (one home
-// node per member slot) at the prepared ballot. The slot list rides along
-// so the replica side stays stateless between phases, like the
-// single-decree protocol.
-type DirGAccept struct {
-	Token  uint32
-	Ballot uint64
-	Slots  []DirSlotRef
-	Nodes  []int32
-}
-
-// Kind implements Payload.
-func (p *DirGAccept) Kind() MsgKind { return MDirGAccept }
-
-func (p *DirGAccept) marshal(e *Enc) {
-	e.U32(p.Token)
-	e.U64(p.Ballot)
-	marshalSlotRefs(e, p.Slots)
-	e.U16(uint16(len(p.Nodes)))
-	for _, n := range p.Nodes {
-		e.I32(n)
-	}
-}
-
-func (p *DirGAccept) unmarshal(d *Dec) {
-	p.Token = d.U32()
-	p.Ballot = d.U64()
-	p.Slots = unmarshalSlotRefs(d)
-	nn := d.Count(4)
-	for i := 0; i < nn; i++ {
-		p.Nodes = append(p.Nodes, d.I32())
-		if d.Err() != nil {
-			return
-		}
-	}
-}
-
-// DirGAccepted answers a DirGAccept: every member slot accepted, or a nack
-// with the blocking ballot.
-type DirGAccepted struct {
-	Token    uint32
-	Ballot   uint64
-	Ok       bool
-	Promised uint64
-}
-
-// Kind implements Payload.
-func (p *DirGAccepted) Kind() MsgKind { return MDirGAccepted }
-
-func (p *DirGAccepted) marshal(e *Enc) {
-	e.U32(p.Token)
-	e.U64(p.Ballot)
-	if p.Ok {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-	e.U64(p.Promised)
-}
-
-func (p *DirGAccepted) unmarshal(d *Dec) {
-	p.Token = d.U32()
-	p.Ballot = d.U64()
-	p.Ok = d.U8() != 0
-	p.Promised = d.U64()
-}
-
-// DirGLearn announces a chosen group decree: member slot i's object lives
-// at Nodes[i] as of its slot epoch. Like DirLearn, learns are idempotent
-// and applied per member.
-type DirGLearn struct {
-	Slots []DirSlotRef
-	Nodes []int32
-}
-
-// Kind implements Payload.
-func (p *DirGLearn) Kind() MsgKind { return MDirGLearn }
-
-func (p *DirGLearn) marshal(e *Enc) {
-	marshalSlotRefs(e, p.Slots)
-	e.U16(uint16(len(p.Nodes)))
-	for _, n := range p.Nodes {
-		e.I32(n)
-	}
-}
-
-func (p *DirGLearn) unmarshal(d *Dec) {
-	p.Slots = unmarshalSlotRefs(d)
-	nn := d.Count(4)
-	for i := 0; i < nn; i++ {
-		p.Nodes = append(p.Nodes, d.I32())
-		if d.Err() != nil {
-			return
-		}
-	}
 }
 
 // PayloadSize returns the encoded size of p alone (without the Msg

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/arch"
+	"repro/internal/dir"
 	"repro/internal/oid"
 )
 
@@ -261,17 +262,26 @@ func TestMoveReqLocateRoundtrips(t *testing.T) {
 	}
 }
 
+// dirList builds a decree message's slot list.
+func dirList(es ...DirEntry) (l DirList) {
+	for _, e := range es {
+		l.Append(e)
+	}
+	return l
+}
+
 func TestDirMessageRoundtrips(t *testing.T) {
+	slot := dir.Slot{OID: 9, Epoch: 3}
 	for _, p := range []Payload{
-		&DirPrepare{Target: 9, Epoch: 3, Ballot: 0x1_0002_0003},
-		&DirPromise{Target: 9, Epoch: 3, Ballot: 0x1_0002_0003, Ok: true,
-			Promised: 0x1_0002_0003, AccBallot: 0x10001, AccNode: 2},
-		&DirPromise{Target: 9, Epoch: 3, Ballot: 0x10001, Ok: false,
-			Promised: 0x20001, AccNode: -1},
-		&DirAccept{Target: 9, Epoch: 3, Ballot: 0x1_0002_0003, Node: 2},
-		&DirAccepted{Target: 9, Epoch: 3, Ballot: 0x1_0002_0003, Ok: true,
+		&DirPrepare{Ballot: 0x1_0002_0003, Slots: dirList(DirEntry{Slot: slot})},
+		&DirPromise{Slot: slot, Ballot: 0x1_0002_0003, Ok: true,
+			Promised: 0x1_0002_0003, Acc: []dir.Accepted{{Ballot: 0x10001, Node: 2}}},
+		&DirPromise{Slot: slot, Ballot: 0x10001, Ok: false,
+			Promised: 0x20001, Acc: []dir.Accepted{{Node: -1}}},
+		&DirAccept{Ballot: 0x1_0002_0003, Slots: dirList(DirEntry{Slot: slot, Node: 2})},
+		&DirAccepted{Slot: slot, Ballot: 0x1_0002_0003, Ok: true,
 			Promised: 0x1_0002_0003},
-		&DirLearn{Target: 9, Epoch: 3, Node: 2},
+		&DirLearn{Slots: dirList(DirEntry{Slot: slot, Node: 2})},
 		&DirLookup{Target: 9, Token: 41},
 		&DirLookupReply{Target: 9, Token: 41, Ok: true, Node: 2, Epoch: 3},
 		&DirLookupReply{Target: 9, Token: 42, Node: -1},
@@ -352,22 +362,104 @@ func TestWireSize(t *testing.T) {
 }
 
 func TestDirGroupMessageRoundtrips(t *testing.T) {
-	slots := []DirSlotRef{{Target: 9, Epoch: 3}, {Target: 12, Epoch: 1}}
+	first := dir.Slot{OID: 9, Epoch: 3}
+	slots := dirList(DirEntry{Slot: first}, DirEntry{Slot: dir.Slot{OID: 12, Epoch: 1}})
+	homes := dirList(DirEntry{Slot: first, Node: 2}, DirEntry{Slot: dir.Slot{OID: 12, Epoch: 1}})
 	for _, p := range []Payload{
-		&DirGPrepare{Token: 7, Ballot: 0x1_0002_0003, Slots: slots},
-		&DirGPromise{Token: 7, Ballot: 0x1_0002_0003, Ok: true,
-			Promised: 0x1_0002_0003, AccBallots: []uint64{0, 0x10001}, AccNodes: []int32{-1, 2}},
-		&DirGPromise{Token: 7, Ballot: 0x10001, Ok: false, Promised: 0x20001},
-		&DirGAccept{Token: 7, Ballot: 0x1_0002_0003, Slots: slots, Nodes: []int32{2, 0}},
-		&DirGAccepted{Token: 7, Ballot: 0x1_0002_0003, Ok: true, Promised: 0x1_0002_0003},
-		&DirGAccepted{Token: 8, Ballot: 0x10001, Ok: false, Promised: 0x30001},
-		&DirGLearn{Slots: slots, Nodes: []int32{2, 0}},
-		&DirGPrepare{Token: 9, Ballot: 0x10001}, // empty slot list survives
+		&DirPrepare{Ballot: 0x1_0002_0003, Slots: slots},
+		&DirPromise{Slot: first, Ballot: 0x1_0002_0003, Ok: true,
+			Promised: 0x1_0002_0003, Acc: []dir.Accepted{{Node: -1}, {Ballot: 0x10001, Node: 2}}},
+		&DirPromise{Slot: first, Ballot: 0x10001, Ok: false, Promised: 0x20001},
+		&DirAccept{Ballot: 0x1_0002_0003, Slots: homes},
+		&DirAccepted{Slot: first, Ballot: 0x1_0002_0003, Ok: true, Promised: 0x1_0002_0003},
+		&DirAccepted{Slot: dir.Slot{OID: 8}, Ballot: 0x10001, Ok: false, Promised: 0x30001},
+		&DirLearn{Slots: homes},
+		&DirPrepare{Ballot: 0x10001}, // empty slot list survives
 	} {
 		m := &Msg{Src: 1, Dst: 0, Seq: 1, Payload: p}
 		got := roundtripMsg(t, m)
 		if !reflect.DeepEqual(m, got) {
 			t.Errorf("%T roundtrip mismatch:\n%+v\n%+v", p, m.Payload, got.Payload)
+		}
+	}
+	// A list grown past one entry reads back in order, and a list of one
+	// stays inline.
+	if es := homes.All(); len(es) != 2 || es[0].Node != 2 || es[1].Slot.OID != 12 {
+		t.Errorf("two-entry list reads %+v", es)
+	}
+	if one := dirList(DirEntry{Slot: first}); len(one.All()) != 1 || one.more != nil {
+		t.Errorf("one-entry list is not inline: %+v", one)
+	}
+}
+
+// TestDirPayloadSizeVector pins the decree payload sizes. The lists ride as
+// uncounted tails, so a decree over one slot costs exactly what the
+// single-slot messages always did (every simulated time and byte count of a
+// directory run depends on it), and each further slot adds one entry.
+func TestDirPayloadSizeVector(t *testing.T) {
+	nslots := func(n int) (l DirList, acc []dir.Accepted) {
+		for i := 0; i < n; i++ {
+			l.Append(DirEntry{Slot: dir.Slot{OID: oid.OID(9 + i), Epoch: 3}, Node: 2})
+			acc = append(acc, dir.Accepted{Node: -1})
+		}
+		return l, acc
+	}
+	for _, c := range []struct {
+		name     string
+		msg      func(l DirList, acc []dir.Accepted) Payload
+		one, per int
+	}{
+		{"prepare", func(l DirList, _ []dir.Accepted) Payload { return &DirPrepare{Ballot: 1 << 16, Slots: l} }, 16, 8},
+		{"promise", func(l DirList, acc []dir.Accepted) Payload {
+			return &DirPromise{Slot: l.All()[0].Slot, Ballot: 1 << 16, Ok: true, Acc: acc}
+		}, 37, 12},
+		{"accept", func(l DirList, _ []dir.Accepted) Payload { return &DirAccept{Ballot: 1 << 16, Slots: l} }, 20, 12},
+		{"accepted", func(l DirList, _ []dir.Accepted) Payload {
+			return &DirAccepted{Slot: l.All()[0].Slot, Ballot: 1 << 16, Ok: true}
+		}, 25, 0},
+		{"learn", func(l DirList, _ []dir.Accepted) Payload { return &DirLearn{Slots: l} }, 12, 12},
+	} {
+		for _, n := range []int{1, 3} {
+			want := c.one + (n-1)*c.per
+			if got := PayloadSize(c.msg(nslots(n))); got != want {
+				t.Errorf("%s over %d slots encodes to %d bytes, want %d", c.name, n, got, want)
+			}
+		}
+	}
+}
+
+// TestDirRaggedTailRejected: a decree list has no count field, so the
+// decoder's guard against a corrupt length is that the tail must be a whole
+// number of entries — anything else is a decode error, never a panic or a
+// half-read entry. A promise tail of whole entries but the wrong count
+// decodes; the proposer ignores it (dir.Proposal.OnPromise).
+func TestDirRaggedTailRejected(t *testing.T) {
+	slot := dir.Slot{OID: 9, Epoch: 3}
+	three := dirList(DirEntry{Slot: slot, Node: 2}, DirEntry{Slot: dir.Slot{OID: 10, Epoch: 1}, Node: 2},
+		DirEntry{Slot: dir.Slot{OID: 11, Epoch: 1}, Node: 2})
+	for _, c := range []struct {
+		p     Payload
+		entry int // encoded bytes per tail entry
+	}{
+		{&DirPrepare{Ballot: 1 << 16, Slots: three}, 8},
+		{&DirAccept{Ballot: 1 << 16, Slots: three}, 12},
+		{&DirLearn{Slots: three}, 12},
+		{&DirPromise{Slot: slot, Ballot: 1 << 16, Ok: true, Acc: make([]dir.Accepted, 3)}, 12},
+	} {
+		p, entry := c.p, c.entry
+		whole := (&Msg{Src: 1, Dst: 0, Seq: 1, Payload: p}).Marshal()
+		for cut := 1; cut < entry; cut++ {
+			if _, err := Unmarshal(whole[:len(whole)-cut]); err == nil {
+				t.Errorf("%T with %d bytes cut off its tail decoded", p, cut)
+			}
+		}
+		short, err := Unmarshal(whole[:len(whole)-entry])
+		if err != nil {
+			t.Errorf("%T with one whole entry cut off: %v", p, err)
+			continue
+		}
+		if pr, ok := short.Payload.(*DirPromise); ok && len(pr.Acc) != 2 {
+			t.Errorf("short promise tail decoded to %d entries, want 2", len(pr.Acc))
 		}
 	}
 }
