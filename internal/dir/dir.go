@@ -150,18 +150,14 @@ type Slot struct {
 	Epoch uint32
 }
 
-// Less orders slots for deterministic iteration.
-func (s Slot) Less(t Slot) bool {
-	if s.OID != t.OID {
-		return s.OID < t.OID
-	}
-	return s.Epoch < t.Epoch
+// Compare orders slots canonically — by object, then epoch — for
+// deterministic iteration.
+func (s Slot) Compare(t Slot) int {
+	return cmp.Or(cmp.Compare(s.OID, t.OID), cmp.Compare(s.Epoch, t.Epoch))
 }
 
 // SortSlots sorts a slot slice in canonical order.
-func SortSlots(ss []Slot) {
-	sort.Slice(ss, func(i, j int) bool { return ss[i].Less(ss[j]) })
-}
+func SortSlots(ss []Slot) { slices.SortFunc(ss, Slot.Compare) }
 
 // Record is one ownership record: where an object lives as of an epoch.
 type Record struct {
@@ -393,9 +389,7 @@ type Proposal struct {
 // NewProposal builds a proposal over entries (each slot with the home to
 // record for it), which it takes over and sorts into canonical order.
 func NewProposal(entries []Entry, self int32, quorum int) Proposal {
-	slices.SortFunc(entries, func(a, b Entry) int {
-		return cmp.Or(cmp.Compare(a.Slot.OID, b.Slot.OID), cmp.Compare(a.Slot.Epoch, b.Slot.Epoch))
-	})
+	slices.SortFunc(entries, func(a, b Entry) int { return a.Slot.Compare(b.Slot) })
 	return Proposal{round: round{Quorum: quorum, self: self}, Entries: entries}
 }
 

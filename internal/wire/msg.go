@@ -977,13 +977,19 @@ const (
 	dirAccBytes   = 12 // one dir.Accepted in a promise
 )
 
+func marshalSlot(e *Enc, s dir.Slot) {
+	e.OID(s.OID)
+	e.U32(s.Epoch)
+}
+
+func unmarshalSlot(d *Dec) dir.Slot { return dir.Slot{OID: d.OID(), Epoch: d.U32()} }
+
 // marshal writes the list as the tail of the message: entry after entry
 // until the payload ends, no count — so a decree over one slot costs exactly
 // its fixed fields.
 func (l *DirList) marshal(e *Enc, homes bool) {
 	for _, s := range l.All() {
-		e.OID(s.Slot.OID)
-		e.U32(s.Slot.Epoch)
+		marshalSlot(e, s.Slot)
 		if homes {
 			e.I32(s.Node)
 		}
@@ -996,7 +1002,7 @@ func (l *DirList) unmarshal(d *Dec, homes bool) {
 		size = dirEntryBytes
 	}
 	for n := d.Tail(size); n > 0; n-- {
-		s := DirEntry{Slot: dir.Slot{OID: d.OID(), Epoch: d.U32()}}
+		s := DirEntry{Slot: unmarshalSlot(d)}
 		if homes {
 			s.Node = d.I32()
 		}
@@ -1042,8 +1048,7 @@ type DirPromise struct {
 func (p *DirPromise) Kind() MsgKind { return MDirPromise }
 
 func (p *DirPromise) marshal(e *Enc) {
-	e.OID(p.Slot.OID)
-	e.U32(p.Slot.Epoch)
+	marshalSlot(e, p.Slot)
 	e.U64(p.Ballot)
 	if p.Ok {
 		e.U8(1)
@@ -1058,7 +1063,7 @@ func (p *DirPromise) marshal(e *Enc) {
 }
 
 func (p *DirPromise) unmarshal(d *Dec) {
-	p.Slot = dir.Slot{OID: d.OID(), Epoch: d.U32()}
+	p.Slot = unmarshalSlot(d)
 	p.Ballot = d.U64()
 	p.Ok = d.U8() != 0
 	p.Promised = d.U64()
@@ -1104,8 +1109,7 @@ type DirAccepted struct {
 func (p *DirAccepted) Kind() MsgKind { return MDirAccepted }
 
 func (p *DirAccepted) marshal(e *Enc) {
-	e.OID(p.Slot.OID)
-	e.U32(p.Slot.Epoch)
+	marshalSlot(e, p.Slot)
 	e.U64(p.Ballot)
 	if p.Ok {
 		e.U8(1)
@@ -1116,7 +1120,7 @@ func (p *DirAccepted) marshal(e *Enc) {
 }
 
 func (p *DirAccepted) unmarshal(d *Dec) {
-	p.Slot = dir.Slot{OID: d.OID(), Epoch: d.U32()}
+	p.Slot = unmarshalSlot(d)
 	p.Ballot = d.U64()
 	p.Ok = d.U8() != 0
 	p.Promised = d.U64()
