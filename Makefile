@@ -21,8 +21,10 @@ test:
 race:
 	$(GO) test -race ./...
 
+# vet also holds the tree to gofmt: any file `gofmt -l` names fails the gate.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 emvet:
 	$(GO) run ./cmd/emvet examples/programs/*.em
@@ -95,10 +97,12 @@ bench-baselines:
 	$(GO) run ./cmd/embench dir > /dev/null
 	$(GO) run ./cmd/embench jit > /dev/null
 
-# The wire decoder fuzz seeds (bounds-checked frame/message parsing) must
-# hold; full fuzzing runs separately with -fuzz.
+# The fuzz seeds of the wire decoder (bounds-checked frame/message parsing)
+# and of the -chaos plan grammar must hold; full fuzzing runs separately with
+# -fuzz.
 fuzz-smoke:
 	$(GO) test -run FuzzMsgDecode ./internal/wire
+	$(GO) test -run FuzzParsePlan ./internal/chaos
 
 # The points-to object-graph report must build for the whole corpus, find
 # at least one group-migration cohort in producer_consumer, and be

@@ -61,14 +61,14 @@ type Plan struct {
 
 // Defaults.
 const (
-	defHeartbeat   = netsim.Micros(50_000)
-	defSuspect     = netsim.Micros(400_000)
-	defCommit      = netsim.Micros(1_000_000)
-	defRTOBase     = netsim.Micros(20_000)
-	defRTOMax      = netsim.Micros(320_000)
-	defMaxRetrans  = 10
-	defMoveRetry   = netsim.Micros(300_000)
-	defDelayBound  = netsim.Micros(1_000)
+	defHeartbeat  = netsim.Micros(50_000)
+	defSuspect    = netsim.Micros(400_000)
+	defCommit     = netsim.Micros(1_000_000)
+	defRTOBase    = netsim.Micros(20_000)
+	defRTOMax     = netsim.Micros(320_000)
+	defMaxRetrans = 10
+	defMoveRetry  = netsim.Micros(300_000)
+	defDelayBound = netsim.Micros(1_000)
 )
 
 // HeartbeatPeriod returns the effective heartbeat period.
@@ -221,11 +221,15 @@ func parseProb(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if v < 0 || v >= 1 {
+	if !(v >= 0 && v < 1) { // NaN is outside too
 		return 0, fmt.Errorf("probability %v outside [0,1)", v)
 	}
 	return v, nil
 }
+
+// maxDuration bounds a parsed duration: a simulated year, far past any run
+// and small enough that every microsecond count is an exact float64.
+const maxDuration = netsim.Micros(365 * 24 * 3600 * 1e6)
 
 // parseDuration parses "1s", "300ms", "200us", "200µs" or a bare
 // microsecond count.
@@ -245,8 +249,8 @@ func parseDuration(s string) (netsim.Micros, error) {
 	if err != nil {
 		return 0, err
 	}
-	if v < 0 {
-		return 0, fmt.Errorf("negative duration")
+	if !(v >= 0 && v*scale <= float64(maxDuration)) { // NaN and Inf too
+		return 0, fmt.Errorf("duration outside [0, 1 year]")
 	}
 	return netsim.Micros(v * scale), nil
 }
@@ -314,7 +318,9 @@ func parsePartition(s string) (Partition, error) {
 	return Partition{A: a, B: b, From: from, Until: until}, nil
 }
 
-// String renders the plan compactly (for traces and CLI echo).
+// String renders the plan in the ParsePlan grammar, canonically: fields in a
+// fixed order, durations in whole microseconds, zero (defaulted) fields
+// omitted. Parsing the result gives back an equal plan.
 func (p *Plan) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed=%d", p.Seed)
@@ -324,8 +330,11 @@ func (p *Plan) String() string {
 	if p.Dup > 0 {
 		fmt.Fprintf(&b, ",dup=%g", p.Dup)
 	}
-	if p.Delay > 0 {
-		fmt.Fprintf(&b, ",delay=%g:%dus", p.Delay, p.DelayBound())
+	if p.Delay > 0 || p.DelayMicros > 0 {
+		fmt.Fprintf(&b, ",delay=%g", p.Delay)
+		if p.DelayMicros > 0 {
+			fmt.Fprintf(&b, ":%dus", p.DelayMicros)
+		}
 	}
 	if p.Corrupt > 0 {
 		fmt.Fprintf(&b, ",corrupt=%g", p.Corrupt)
@@ -338,6 +347,18 @@ func (p *Plan) String() string {
 	}
 	for _, pt := range p.Partitions {
 		fmt.Fprintf(&b, ",partition=%d-%d@%dus:%dus", pt.A, pt.B, pt.From, pt.Until)
+	}
+	for _, t := range []struct {
+		key string
+		d   netsim.Micros
+	}{{"hb", p.HeartbeatEvery}, {"suspect", p.SuspectAfter}, {"commit", p.CommitTimeout},
+		{"rto", p.RTOBase}, {"rtomax", p.RTOMax}, {"retrymove", p.MoveRetry}} {
+		if t.d > 0 {
+			fmt.Fprintf(&b, ",%s=%dus", t.key, t.d)
+		}
+	}
+	if p.MaxRetrans != 0 {
+		fmt.Fprintf(&b, ",retries=%d", p.MaxRetrans)
 	}
 	return b.String()
 }

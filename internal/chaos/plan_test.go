@@ -42,6 +42,9 @@ func TestParsePlanErrors(t *testing.T) {
 		"partition=0-1@5ms:5ms",
 		"hb=-3ms",
 		"retries=x",
+		"drop=NaN",      // not a probability
+		"hb=Infs",       // not a duration
+		"commit=1e300s", // overflows microseconds
 	} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted invalid input", bad)
@@ -78,7 +81,8 @@ func TestPlanDefaults(t *testing.T) {
 }
 
 func TestPlanStringRoundtrip(t *testing.T) {
-	p1, err := ParsePlan("seed=9,drop=0.1,dup=0.05,delay=0.02:500us,corrupt=0.01,crash=1@1000us:2000us")
+	p1, err := ParsePlan("seed=9,drop=0.1,dup=0.05,delay=0.02:500us,corrupt=0.01,crash=1@1000us:2000us," +
+		"partition=0-1@10ms:20ms,hb=25ms,suspect=200ms,commit=500ms,rto=10ms,rtomax=160ms,retries=8,retrymove=250ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +93,35 @@ func TestPlanStringRoundtrip(t *testing.T) {
 	if !reflect.DeepEqual(p1, p2) {
 		t.Errorf("roundtrip mismatch:\ngot  %+v\nwant %+v", p2, p1)
 	}
+}
+
+// FuzzParsePlan: the -chaos flag is typed by people, so ParsePlan returns a
+// plan or an error on any input — it never panics — and a plan it accepts
+// survives its own canonical rendering: String() parses back to an equal
+// plan, every field included. `make fuzz-smoke` replays the seeds.
+func FuzzParsePlan(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "seed=9,drop=0.1,dup=0.05,delay=0.02:500us,corrupt=0.01,crash=1@1000us:2000us",
+		"seed=42,drop=0.05,dup=0.03,delay=0.02:2ms,corrupt=0.01,crash=2@120ms:320ms,crash=1@1s," +
+			"partition=0-1@10ms:20ms,hb=25ms,suspect=200ms,commit=500ms,rto=10ms,rtomax=160ms,retries=8,retrymove=250ms",
+		"delay=0.5", "delay=0:3ms", "hb=1.5µs, retries=-2 ,,seed=0", "partition=0--2@1:2",
+		"drop=NaN", "hb=Infs", "commit=1e300s", "crash=1@5ms:0", "drop=-0", "bogus", "zoom=1", "drop=1.5",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p1, err := ParsePlan(s)
+		if err != nil {
+			return
+		}
+		p2, err := ParsePlan(p1.String())
+		if err != nil {
+			t.Fatalf("ParsePlan(%q) renders as %q, which does not parse: %v", s, p1, err)
+		}
+		if !reflect.DeepEqual(p1, p2) {
+			t.Fatalf("ParsePlan(%q) = %+v renders as %q, which parses to %+v", s, p1, p1, p2)
+		}
+	})
 }
 
 // verdicts feeds a fixed synthetic frame sequence to an injector and

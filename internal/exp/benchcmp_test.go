@@ -61,8 +61,8 @@ func TestCompareBenchJSONStructure(t *testing.T) {
 func TestCompareBenchJSONSkipsHostFields(t *testing.T) {
 	base := []byte(`{"instrs":1000,"host_mips_fused":12.5}`)
 	for _, fresh := range []string{
-		`{"instrs":1000,"host_mips_fused":99.9}`, // wild drift
-		`{"instrs":1000}`,                        // absent in fresh
+		`{"instrs":1000,"host_mips_fused":99.9}`,                // wild drift
+		`{"instrs":1000}`,                                       // absent in fresh
 		`{"instrs":1000,"host_mips_fused":12.5,"host_cpus":64}`, // novel host field
 	} {
 		if err := CompareBenchJSON([]byte(fresh), base, 0.20); err != nil {

@@ -68,18 +68,7 @@ func TestYieldEnqueueSchedPassAllocatesNothing(t *testing.T) {
 // parses and the ack's marshalling allocate nothing. Node 1 answers with
 // only its link layer (the payload here is not a protocol message).
 func TestReliableFrameLifeAllocatesThree(t *testing.T) {
-	c, err := NewCluster(compileSrc(t, `object Main
-  process
-    print(1)
-  end process
-end Main`), []netsim.MachineModel{mSPARC, mVAX}, chaosConfig(&chaos.Plan{Seed: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start(nil)
-	if err := c.Run(100_000); err != nil { // quiesce; abandons the heartbeat ticks
-		t.Fatal(err)
-	}
+	c := quiescedCluster(t, []netsim.MachineModel{mSPARC, mVAX}, chaosConfig(&chaos.Plan{Seed: 1}))
 	n0, n1 := c.Nodes[0], c.Nodes[1]
 	acked := 0
 	c.Net.Attach(1, func(src int, buf []byte) {
@@ -112,16 +101,15 @@ end Main`), []netsim.MachineModel{mSPARC, mVAX}, chaosConfig(&chaos.Plan{Seed: 1
 
 // One directory decree over one slot, start to finish — proposed by a node
 // that is one of the slot's three replicas, accepted by all three, chosen,
-// learned, and the proposal retired. Chaos-off that is 19 allocations: the
-// proposal and its entry list; one accept and one learn value shared by the
-// whole fan-out; an accepted per replica; and a decoded Msg and payload for
-// each of the six remote receipts. Acceptors are map values and there is no
-// completion closure. Under a plan the decree timer's func and
-// the commit list add two, and each of the six remote messages is a reliable
-// frame (3 each, pinned above). The slack is for the Enc pool: a miss costs
-// the encoder and its buffer, and under -race sync.Pool drops a quarter of
-// what is returned to it, six sends a decree. (26 and 47 before the single
-// and the cohort protocol became one; 29 and 49 under -race.)
+// learned, and the proposal retired. Chaos-off that is 2 allocations, the
+// proposal (its one-slot message list inside it) and its entry list: the
+// accept, the learn and the three accepted replies are built on their
+// senders' stacks and decoded into their receivers' inboxes, acceptors are
+// map values and there is no completion closure. Under a plan the decree
+// timer's func and the commit list add two, and each of the six remote
+// messages is a reliable frame (3 each, pinned above). The slack is for the
+// Enc pool: a miss costs the encoder and its buffer, and under -race
+// sync.Pool drops a quarter of what is returned to it, six sends a decree.
 func TestDirDecreeAllocBudget(t *testing.T) {
 	const poolSlack = 4
 	for _, tc := range []struct {
@@ -129,22 +117,11 @@ func TestDirDecreeAllocBudget(t *testing.T) {
 		plan   *chaos.Plan
 		budget float64
 	}{
-		{"chaos-off", nil, 19},
-		{"plan", &chaos.Plan{Seed: 1}, 39},
+		{"chaos-off", nil, 2},
+		{"plan", &chaos.Plan{Seed: 1}, 22},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := NewCluster(compileSrc(t, `object Main
-  process
-    print(1)
-  end process
-end Main`), []netsim.MachineModel{mSPARC, mVAX, mSun3, mHP1}, dirConfig(3, tc.plan))
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Start(nil)
-			if err := c.Run(100_000); err != nil { // quiesce; abandons the weak ticks
-				t.Fatal(err)
-			}
+			c := quiescedCluster(t, []netsim.MachineModel{mSPARC, mVAX, mSun3, mHP1}, dirConfig(3, tc.plan))
 			n0 := c.Nodes[0]
 			o := &Obj{OID: 4} // shard 0 of 4: replicas 0, 1, 2
 			tx := &moveTxn{obj: o, dest: 1, live: tc.plan != nil}

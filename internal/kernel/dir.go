@@ -128,6 +128,11 @@ func (n *Node) dirSend(dst int, p wire.Payload) {
 type dirProposal struct {
 	dir.Proposal
 	replicas []int
+	// slots is the slot list in message form, refilled for every fan-out (a
+	// retry round may have adopted other values). one backs it for the
+	// usual decree over a single object, which then allocates no list.
+	slots []wire.DirEntry
+	one   [1]wire.DirEntry
 	// commit holds the moves whose two-phase commit gates on this decree
 	// (under chaos only): they commit once it resolves, chosen or degraded.
 	commit []*moveTxn
@@ -152,6 +157,7 @@ func (n *Node) dirPropose(txs []*moveTxn) {
 		Proposal: dir.NewProposal(es, int32(n.ID), n.cluster.dirCfg.Quorum()),
 		replicas: n.dirReplicasOf(txs[0].obj.OID),
 	}
+	dp.slots = dp.one[:0]
 	live, joined := n.dirProps[dp.Key()]
 	if joined {
 		dp = live // the decree is already in flight
@@ -181,11 +187,12 @@ func (n *Node) dirRound(dp *dirProposal) {
 
 // dirSlots is the proposal's slot list in wire form, each slot with the
 // value the accept phase proposes for it.
-func dirSlots(dp *dirProposal) (l wire.DirList) {
+func dirSlots(dp *dirProposal) []wire.DirEntry {
+	dp.slots = dp.slots[:0]
 	for i, e := range dp.Entries {
-		l.Append(wire.DirEntry{Slot: e.Slot, Node: dp.Chosen(i)})
+		dp.slots = append(dp.slots, wire.DirEntry{Slot: e.Slot, Node: dp.Chosen(i)})
 	}
-	return l
+	return dp.slots
 }
 
 // dirFanOut sends the current phase's request — one message value, shared —
@@ -288,7 +295,7 @@ func (n *Node) recvDirAccepted(src int, p *wire.DirAccepted) {
 		return
 	}
 	learn := &wire.DirLearn{Slots: dirSlots(dp)}
-	for _, e := range learn.Slots.All() {
+	for _, e := range learn.Slots {
 		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 			Kind: obs.EvDirDecree, Obj: uint32(e.Slot.OID), A: uint64(e.Slot.Epoch), B: uint64(e.Node)})
 		n.dirInvalidateLease(e.Slot.OID, e.Slot.Epoch)
@@ -314,13 +321,12 @@ func (n *Node) recvDirAccepted(src int, p *wire.DirAccepted) {
 // violates safety, and the proposer's retry ballot will clear the bar
 // everywhere.
 func (n *Node) recvDirPrepare(src int, p *wire.DirPrepare) {
-	slots := p.Slots.All()
-	if len(slots) == 0 {
+	if len(p.Slots) == 0 {
 		return
 	}
-	reply := &wire.DirPromise{Slot: slots[0].Slot, Ballot: p.Ballot, Ok: true,
-		Acc: make([]dir.Accepted, len(slots))}
-	for i, s := range slots {
+	reply := &wire.DirPromise{Slot: p.Slots[0].Slot, Ballot: p.Ballot, Ok: true,
+		Acc: make([]dir.Accepted, len(p.Slots))}
+	for i, s := range p.Slots {
 		a := n.dirAcc[s.Slot]
 		ok, promised, accBal, accNode := a.Prepare(p.Ballot)
 		n.dirAcc[s.Slot] = a
@@ -337,12 +343,11 @@ func (n *Node) recvDirPrepare(src int, p *wire.DirPrepare) {
 // accept (partial accepts are safe — a slot's value can only be adopted by
 // this same proposer's retry).
 func (n *Node) recvDirAccept(src int, p *wire.DirAccept) {
-	slots := p.Slots.All()
-	if len(slots) == 0 {
+	if len(p.Slots) == 0 {
 		return
 	}
-	reply := &wire.DirAccepted{Slot: slots[0].Slot, Ballot: p.Ballot, Ok: true}
-	for _, s := range slots {
+	reply := &wire.DirAccepted{Slot: p.Slots[0].Slot, Ballot: p.Ballot, Ok: true}
+	for _, s := range p.Slots {
 		a := n.dirAcc[s.Slot]
 		ok, promised := a.Accept(p.Ballot, s.Node)
 		n.dirAcc[s.Slot] = a
@@ -359,7 +364,7 @@ func (n *Node) recvDirAccept(src int, p *wire.DirAccept) {
 // object uses a fresh slot, and only the move's source proposes for it, so
 // the slot can never be reopened.
 func (n *Node) recvDirLearn(src int, p *wire.DirLearn) {
-	for _, s := range p.Slots.All() {
+	for _, s := range p.Slots {
 		n.dirStore.Learn(s.Slot.OID, s.Node, s.Slot.Epoch)
 		delete(n.dirAcc, s.Slot)
 		n.dirInvalidateLease(s.Slot.OID, s.Slot.Epoch)

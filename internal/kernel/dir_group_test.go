@@ -36,15 +36,13 @@ var decreeKinds = []string{"dirprepare", "dirpromise", "diraccept", "diraccepted
 
 // oneSlotBytes is the frame size of a decree message over one slot; a larger
 // frame of the same kind carries a cohort's list.
-func oneSlotBytes(msg func(wire.DirList) wire.Payload) uint64 {
-	var one wire.DirList
-	one.Append(wire.DirEntry{})
-	return uint64(len((&wire.Msg{Payload: msg(one)}).Marshal()))
+func oneSlotBytes(msg func([]wire.DirEntry) wire.Payload) uint64 {
+	return uint64(len((&wire.Msg{Payload: msg(make([]wire.DirEntry, 1))}).Marshal()))
 }
 
 var (
-	singleAcceptBytes  = oneSlotBytes(func(l wire.DirList) wire.Payload { return &wire.DirAccept{Slots: l} })
-	singlePrepareBytes = oneSlotBytes(func(l wire.DirList) wire.Payload { return &wire.DirPrepare{Slots: l} })
+	singleAcceptBytes  = oneSlotBytes(func(l []wire.DirEntry) wire.Payload { return &wire.DirAccept{Slots: l} })
+	singlePrepareBytes = oneSlotBytes(func(l []wire.DirEntry) wire.Payload { return &wire.DirPrepare{Slots: l} })
 )
 
 // TestDirGroupDecreeBatches: the {Service, Stats} cohort moves as one

@@ -282,7 +282,7 @@ func (n *Node) handleMsg(src int, p wire.Payload) {
 	case *wire.DirLookupReply:
 		n.recvDirLookupReply(src, p)
 	default:
-		panic(fmt.Sprintf("kernel: node %d: unhandled message %T", n.ID, p))
+		panic(fmt.Sprintf("kernel: node %d: unhandled message kind %v", n.ID, wire.KindOf(p)))
 	}
 }
 
@@ -294,7 +294,7 @@ func (n *Node) forwardIfMoved(src int, target *Obj, p wire.Payload) bool {
 	}
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 		Kind: obs.EvProxyForward, Obj: uint32(target.OID),
-		B: uint64(target.LastKnown), Str: p.Kind().String()})
+		B: uint64(target.LastKnown), Str: wire.KindOf(p).String()})
 	n.cluster.Rec.Metrics().Add("proxy_forwards", n.labels, 1)
 	// This proxy just acted as a chain link: flag it so the directory
 	// compactor rewrites it to the decreed home.
@@ -324,10 +324,12 @@ func (n *Node) recvInvoke(src int, p *wire.Invoke) {
 		return
 	}
 	if target.transit != nil {
-		// Mid-move: park the whole invocation and re-deliver it to
-		// ourselves once the move resolves (forwarding if it committed).
+		// Mid-move: park a copy of the whole invocation (p itself dies with
+		// this handler) and re-deliver it to ourselves once the move
+		// resolves (forwarding if it committed).
+		q := p.Clone()
 		target.transit.parked = append(target.transit.parked,
-			func() { n.recvInvoke(src, p) })
+			func() { n.recvInvoke(src, q) })
 		return
 	}
 	if target.Kind == ObjArray {
@@ -483,8 +485,9 @@ func (n *Node) recvUnfixReq(src int, p *wire.UnfixReq) {
 		return
 	}
 	if target.transit != nil {
+		q := *p // p dies with this handler
 		target.transit.parked = append(target.transit.parked,
-			func() { n.recvUnfixReq(src, p) })
+			func() { n.recvUnfixReq(src, &q) })
 		return
 	}
 	target.Fixed = false

@@ -179,6 +179,11 @@ type Node struct {
 	// fixed-width, so the numbering scheme does not affect sizes or
 	// timings.
 	msgSeq uint32
+	// inbox is what every received message is decoded into. A payload a
+	// handler is given lives there (or, for a directory message this node
+	// sent itself, on its sender's stack) and is valid until the handler
+	// returns: a handler that keeps one copies it first (DESIGN.md §11).
+	inbox wire.Inbox
 	// out and faultLog shard printed lines and runtime faults per node
 	// during a parallel run; Cluster.mergeShards folds them into
 	// Cluster.Output/Faults in canonical order after the run. Sequential
@@ -767,7 +772,8 @@ func (n *Node) sendMsg(dst int, p wire.Payload) (int, netsim.Micros) {
 // destination link-acknowledges it. Chaos-off, onAck is ignored (delivery
 // is certain) and the bytes on the wire are exactly the legacy format.
 func (n *Node) sendMsgAck(dst int, p wire.Payload, onAck func()) (int, netsim.Micros) {
-	m := &wire.Msg{Src: int32(n.ID), Dst: int32(dst), Seq: n.nextSeq(), Payload: p}
+	m := wire.Msg{Src: int32(n.ID), Dst: int32(dst), Seq: n.nextSeq(), Payload: p}
+	k := wire.KindOf(p)
 	// Marshal into a pooled scratch buffer: netsim.Send copies the payload
 	// into its own delivery buffer and the chaos link layer copies it into
 	// the retransmission frame, so the scratch can be released as soon as
@@ -780,12 +786,12 @@ func (n *Node) sendMsgAck(dst int, p wire.Payload, onAck func()) (int, netsim.Mi
 	n.protoConvCharge(dst, size)
 	n.MsgsSent++
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvWireSend,
-		A: uint64(size), B: uint64(dst), Str: p.Kind().String()})
-	n.cluster.Rec.Metrics().Add("msg_bytes", msgLabels[p.Kind()], uint64(size))
-	n.cluster.Rec.Metrics().Add("msgs", msgLabels[p.Kind()], 1)
+		A: uint64(size), B: uint64(dst), Str: k.String()})
+	n.cluster.Rec.Metrics().Add("msg_bytes", msgLabels[k], uint64(size))
+	n.cluster.Rec.Metrics().Add("msgs", msgLabels[k], 1)
 	// Transmission starts once the CPU has finished marshalling.
 	if n.chaosOn() {
-		n.sendReliable(dst, buf, p.Kind().String(), onAck)
+		n.sendReliable(dst, buf, k.String(), onAck)
 	} else if err := n.cluster.Net.Send(n.ID, dst, buf, n.CPU.FreeAt); err != nil {
 		panic(fmt.Sprintf("kernel: %v", err))
 	}
@@ -864,18 +870,19 @@ func (n *Node) deliver(src int, buf []byte) {
 	n.inNext[src] = next
 }
 
-// deliverInner processes one protocol message (post link layer under chaos).
+// deliverInner processes one protocol message (post link layer under chaos),
+// decoded into the node's inbox: nothing of it outlives the handler.
 func (n *Node) deliverInner(src int, buf []byte) {
 	n.charge(uint64(n.cluster.Costs.RecvCycles) +
 		uint64(n.cluster.Costs.PerByteCycles)*uint64(len(buf)))
 	n.protoConvCharge(src, len(buf))
 	n.MsgsRecv++
-	m, err := wire.Unmarshal(buf)
+	m, err := n.inbox.Decode(buf)
 	if err != nil {
 		panic(fmt.Sprintf("kernel: node %d: bad message from %d: %v", n.ID, src, err))
 	}
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvWireRecv,
-		A: uint64(len(buf)), B: uint64(src), Str: m.Payload.Kind().String()})
+		A: uint64(len(buf)), B: uint64(src), Str: wire.KindOf(m.Payload).String()})
 	if mv, ok := m.Payload.(*wire.Move); ok {
 		n.cluster.Rec.SpanArrived(mv.SpanID, int64(n.now()))
 	} else if mg, ok := m.Payload.(*wire.MoveGroup); ok {

@@ -61,12 +61,11 @@ func TestMarshalAllocs(t *testing.T) {
 	}
 }
 
-// Full marshal + unmarshal of the representative Move. The decode side
-// shares one Value arena across all value lists of the message, so decoding
-// is pinned at the 7 allocations it makes (Msg, payload, arena, frags,
-// acts, and two var/temp headers) — the kernel's receive path, and what
-// the benchmark reports as wire.roundtrip_allocs — and the whole roundtrip
-// at 8: Marshal's returned copy on top.
+// Full marshal + unmarshal of the representative Move into values the
+// caller owns. Every list of one kind shares an arena, so the decode is
+// pinned at the 6 allocations it makes (Msg, payload, value arena, string
+// arena, frags, acts) — what the benchmark reports as wire.roundtrip_allocs
+// — and the whole roundtrip at 7: Marshal's returned copy on top.
 func TestRoundtripAllocs(t *testing.T) {
 	msg := allocTestMsg()
 	e := GetEnc(256)
@@ -77,8 +76,8 @@ func TestRoundtripAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got != 7 {
-		t.Errorf("MarshalTo+Unmarshal allocates %.1f allocs/run, want 7", got)
+	if got != 6 {
+		t.Errorf("MarshalTo+Unmarshal allocates %.1f allocs/run, want 6", got)
 	}
 	got = testing.AllocsPerRun(100, func() {
 		if _, err := Unmarshal(msg.Marshal()); err != nil {
@@ -86,8 +85,31 @@ func TestRoundtripAllocs(t *testing.T) {
 		}
 	})
 	// AllocsPerRun averages: a rare Enc-pool miss does not move it.
-	if got != 8 {
-		t.Errorf("Marshal+Unmarshal allocates %.1f allocs/run, want 8", got)
+	if got != 7 {
+		t.Errorf("Marshal+Unmarshal allocates %.1f allocs/run, want 7", got)
+	}
+}
+
+// The kernel's receive path: an Inbox that has seen a message shape decodes
+// it again without allocating — header, payload, every list and string are
+// the inbox's own. Only a MoveGroup still allocates, its inner Moves.
+func TestInboxDecodeAllocatesNothing(t *testing.T) {
+	var in Inbox
+	for _, p := range seedPayloads() {
+		buf := (&Msg{Src: 0, Dst: 1, Seq: 7, Payload: p}).Marshal()
+		want := 0.0
+		if g, ok := p.(*MoveGroup); ok {
+			want = float64(len(g.Inner))
+		}
+		decode := func() {
+			if _, err := in.Decode(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		decode() // warm: the kind's value and the arenas it needs
+		if got := testing.AllocsPerRun(100, decode); got != want {
+			t.Errorf("decoding %v into a warm inbox allocates %.1f allocs/run, want %v", KindOf(p), got, want)
+		}
 	}
 }
 

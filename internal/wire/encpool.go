@@ -10,8 +10,8 @@ package wire
 import "sync"
 
 const (
-	encMinClassBits = 8                                 // smallest class: 256 B
-	encMaxClassBits = 15                                // largest class: 32 KB
+	encMinClassBits = 8  // smallest class: 256 B
+	encMaxClassBits = 15 // largest class: 32 KB
 	encNumClasses   = encMaxClassBits - encMinClassBits + 1
 )
 

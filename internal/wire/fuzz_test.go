@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/dir"
@@ -19,9 +20,9 @@ import (
 // and 3.
 func seedPayloads() []Payload {
 	slot := dir.Slot{OID: 7, Epoch: 2}
-	one := dirList(DirEntry{Slot: slot, Node: 1})
-	three := dirList(DirEntry{Slot: slot, Node: 1}, DirEntry{Slot: dir.Slot{OID: 8, Epoch: 1}, Node: 1},
-		DirEntry{Slot: dir.Slot{OID: 9, Epoch: 5}, Node: 1})
+	one := []DirEntry{{Slot: slot, Node: 1}}
+	three := []DirEntry{{Slot: slot, Node: 1}, {Slot: dir.Slot{OID: 8, Epoch: 1}, Node: 1},
+		{Slot: dir.Slot{OID: 9, Epoch: 5}, Node: 1}}
 	return []Payload{
 		&Invoke{Target: 7, OpName: "tour", Origin: 1, CallerFrag: 0x01000002,
 			Args:  []Value{{Kind: WInt, Bits: 42}, {Kind: WString, Str: []byte("hi")}},
@@ -84,7 +85,7 @@ func seedMsgs() [][]byte {
 func TestSeedCorpusCoversEveryKind(t *testing.T) {
 	seeded := map[MsgKind]bool{}
 	for _, p := range seedPayloads() {
-		seeded[p.Kind()] = true
+		seeded[KindOf(p)] = true
 	}
 	kinds := 0
 	for k := MsgKind(1); k.String() != fmt.Sprintf("msg(%d)", byte(k)); k++ {
@@ -112,21 +113,66 @@ func FuzzMsgDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{byte(MMove)})
+	var in Inbox // shared by every input: what the last one left must not show
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Unmarshal must return (msg, nil) or (nil, err) — never panic.
-		if m, err := Unmarshal(data); err == nil {
-			// A successfully decoded message must re-marshal without
-			// panicking (canonical bytes may differ: flags re-normalize).
-			_ = m.Marshal()
-		}
-		// Same for the link envelope; a valid frame's inner bytes go back
-		// through Unmarshal like the kernel's receive path does.
-		if lf, err := ParseLinkFrame(data); err == nil {
-			if m, err := Unmarshal(lf.Inner); err == nil {
-				_ = m.Marshal()
+		decodes := func(data []byte) {
+			m, err := Unmarshal(data)
+			if err != nil {
+				return
+			}
+			// A decoded message re-marshals (canonical bytes may differ from
+			// the input: flags re-normalize) to bytes that decode to the same
+			// message, whether into fresh values or into a used inbox.
+			again, err := Unmarshal(m.Marshal())
+			if err != nil || !reflect.DeepEqual(m, again) {
+				t.Fatalf("decode(encode(m)) = %+v, %v; want m = %+v", again, err, m)
+			}
+			if got, err := in.Decode(data); err != nil || !reflect.DeepEqual(m, got) {
+				t.Fatalf("inbox decode = %+v, %v; fresh decode = %+v", got, err, m)
 			}
 		}
+		decodes(data)
+		// Same for the link envelope; a valid frame's inner bytes go back
+		// through the decoder like the kernel's receive path does.
+		if lf, err := ParseLinkFrame(data); err == nil {
+			decodes(lf.Inner)
+		}
 	})
+}
+
+// TestTrailingBytesRejected: a message fills its buffer exactly. The kinds
+// with list tails always read to the end; every other kind must say so when
+// bytes are left over.
+func TestTrailingBytesRejected(t *testing.T) {
+	for _, p := range seedPayloads() {
+		buf := append((&Msg{Src: 0, Dst: 1, Seq: 1, Payload: p}).Marshal(), 0xde, 0xad, 0xbe, 0xef)
+		if m, err := Unmarshal(buf); err == nil {
+			t.Errorf("%v followed by 4 stray bytes decoded to %+v", KindOf(p), m.Payload)
+		}
+	}
+}
+
+// TestInboxReuseLeavesNoTrace: for every ordered pair (A, B) of seed
+// payloads, decoding A and then B into one inbox gives exactly what a fresh
+// decode of B gives — no list tail, string or flag of A (or of an earlier
+// message of B's kind) survives in the reused values and arenas.
+func TestInboxReuseLeavesNoTrace(t *testing.T) {
+	msgs := seedMsgs()
+	var in Inbox
+	for _, a := range msgs {
+		for _, b := range msgs {
+			_, _ = in.Decode(a) // malformed seeds too: a failed decode is also a predecessor
+			want, wantErr := Unmarshal(b)
+			got, err := in.Decode(b)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("inbox decode of %x: %v; fresh decode: %v", b, err, wantErr)
+			}
+			if err == nil && !reflect.DeepEqual(got, want) {
+				t.Fatalf("after %x, inbox decode of %x =\n%+v, fresh decode =\n%+v", a, b, got.Payload, want.Payload)
+			}
+		}
+	}
 }
 
 func TestLinkFrameRoundtrip(t *testing.T) {
@@ -198,16 +244,16 @@ func TestDecCountRejectsOversizedLists(t *testing.T) {
 	e.I32(0)
 	e.I32(1)
 	e.U32(0)
-	e.OID(7)        // Object
-	e.OID(3)        // CodeOID
-	e.U32(1)        // Epoch
-	e.U8(0)         // flags
-	e.U8(0)         // elem kind
-	e.U16(0)        // Data
-	e.U32(0)        // MonHolder
-	e.U16(0)        // EntryQueue
-	e.U16(0)        // CondQueues
-	e.U16(0xffff)   // Frags count: lies
+	e.U32(7)      // Object
+	e.U32(3)      // CodeOID
+	e.U32(1)      // Epoch
+	e.U8(0)       // flags
+	e.U8(0)       // elem kind
+	e.U16(0)      // Data
+	e.U32(0)      // MonHolder
+	e.U16(0)      // EntryQueue
+	e.U16(0)      // CondQueues
+	e.U16(0xffff) // Frags count: lies
 	if _, err := Unmarshal(e.Bytes()); err == nil {
 		t.Fatal("oversized fragment count accepted")
 	}

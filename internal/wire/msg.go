@@ -6,8 +6,10 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/dir"
 	"repro/internal/oid"
@@ -43,9 +45,6 @@ func (e *Enc) Str(s []byte) {
 	e.buf = append(e.buf, s...)
 }
 
-// OID appends an object identifier.
-func (e *Enc) OID(o oid.OID) { e.U32(uint32(o)) }
-
 // Value appends a tagged wire value.
 func (e *Enc) Value(v Value) {
 	e.U8(byte(v.Kind))
@@ -65,28 +64,70 @@ func (e *Enc) Values(vs []Value) {
 }
 
 // Dec decodes network-byte-order buffers. The first error sticks; check
-// Err after decoding.
+// Err after decoding. Every list and byte string it returns is carved from
+// an arena the decoder owns, so a decoder that is reused (an Inbox's)
+// allocates nothing once its arenas have grown to the traffic.
 type Dec struct {
-	buf []byte
-	off int
-	err error
-	// vals is the shared backing arena for every Values list decoded from
-	// this buffer (see Values).
-	vals []Value
+	buf    []byte
+	off    int
+	err    error
+	vals   arena[Value]
+	strs   arena[byte]
+	hints  arena[LocHint]
+	slots  arena[DirEntry]
+	accs   arena[dir.Accepted]
+	ids    arena[uint32]   // a Move's entry and condition queues
+	queues arena[[]uint32] // its CondQueues
+	frags  arena[Fragment]
+	acts   arena[MIActivation]
+	moves  arena[*Move] // a MoveGroup's Inner
+}
+
+// arena hands out the lists decoded from one buffer as slices of one backing
+// array, which the next buffer's lists reuse. The slices have clamped
+// capacity, so appending to one cannot clobber another.
+type arena[T any] []T
+
+// carve returns a list of n elements (nil for none). When the backing array
+// is full a new one replaces it — lists already carved keep the old one —
+// of capacity n, or most if the caller knows the buffer's later lists need
+// more, and at least twice the old: a reused arena settles at a size that
+// holds a whole message.
+func (a *arena[T]) carve(n, most int) []T {
+	if n == 0 {
+		return nil
+	}
+	if len(*a)+n > cap(*a) {
+		*a = make([]T, 0, max(n, most, 2*cap(*a)))
+	}
+	*a = (*a)[:len(*a)+n]
+	return (*a)[len(*a)-n : len(*a) : len(*a)]
 }
 
 // NewDec returns a decoder over buf.
 func NewDec(buf []byte) *Dec { return &Dec{buf: buf} }
 
+// reset points the decoder at a new buffer. What it returned for the last
+// one is dead from here on: the arenas are reused.
+func (d *Dec) reset(buf []byte) {
+	d.buf, d.off, d.err = buf, 0, nil
+	d.vals, d.strs, d.hints, d.slots, d.accs = d.vals[:0], d.strs[:0], d.hints[:0], d.slots[:0], d.accs[:0]
+	d.ids, d.queues, d.frags, d.acts, d.moves = d.ids[:0], d.queues[:0], d.frags[:0], d.acts[:0], d.moves[:0]
+}
+
 // Err returns the sticky error.
 func (d *Dec) Err() error { return d.err }
 
+// ErrTruncated is the error of a read past the end of the buffer. It is a
+// fixed value so that take formats nothing and inlines into the fixed-width
+// readers; the decode entry adds where the message ran out.
+var ErrTruncated = errors.New("wire: truncated message")
+
 func (d *Dec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if d.off+n > len(d.buf) {
-		d.err = fmt.Errorf("wire: truncated message at offset %d (+%d > %d)", d.off, n, len(d.buf))
+	if d.err != nil || d.off+n > len(d.buf) {
+		if d.err == nil {
+			d.err = ErrTruncated
+		}
 		return nil
 	}
 	b := d.buf[d.off : d.off+n]
@@ -103,28 +144,29 @@ func (d *Dec) U8() byte {
 	return b[0]
 }
 func (d *Dec) U16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
+	if b := d.take(2); b != nil {
+		return binary.BigEndian.Uint16(b)
 	}
-	return uint16(b[0])<<8 | uint16(b[1])
+	return 0
 }
 func (d *Dec) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
+	if b := d.take(4); b != nil {
+		return binary.BigEndian.Uint32(b)
 	}
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
+	return 0
 }
 func (d *Dec) I32() int32 { return int32(d.U32()) }
 
 func (d *Dec) U64() uint64 {
-	hi := d.U32()
-	return uint64(hi)<<32 | uint64(d.U32())
+	if b := d.take(8); b != nil {
+		return binary.BigEndian.Uint64(b)
+	}
+	return 0
 }
 
-// Str reads a length-prefixed byte string.
-func (d *Dec) Str() []byte {
+// strRef reads a length-prefixed byte string in place: the result aliases
+// the buffer being decoded.
+func (d *Dec) strRef() []byte {
 	n := d.U32()
 	if d.err != nil {
 		return nil
@@ -133,11 +175,28 @@ func (d *Dec) Str() []byte {
 		d.err = fmt.Errorf("wire: string length %d exceeds message", n)
 		return nil
 	}
-	return append([]byte(nil), d.take(int(n))...)
+	return d.take(int(n))
 }
 
-// OID reads an object identifier.
-func (d *Dec) OID() oid.OID { return oid.OID(d.U32()) }
+// Str reads a length-prefixed byte string into the decoder's string arena
+// (nil for an empty string). A new arena is sized by what is left of the
+// buffer, which bounds every string still to come, so one buffer's strings
+// cost at most one allocation together.
+func (d *Dec) Str() []byte {
+	b := d.strRef()
+	s := d.strs.carve(len(b), len(b)+len(d.buf)-d.off)
+	copy(s, b)
+	return s
+}
+
+// str reads a length-prefixed string into *s, keeping the string already
+// there when it has the same bytes: a reused payload whose operation name
+// repeats costs no allocation.
+func (d *Dec) str(s *string) {
+	if b := d.strRef(); string(b) != *s {
+		*s = string(b)
+	}
+}
 
 // Value reads a tagged wire value.
 func (d *Dec) Value() Value {
@@ -196,34 +255,163 @@ const (
 )
 
 // Values reads a counted list of values (nil for an empty list, matching
-// the zero value of the encoding side). All lists decoded from one Dec
-// share a single backing arena — a Move's Data, Vars and Temps cost one
-// allocation together instead of one each. The returned slices have
-// clamped capacity, so appending to one cannot clobber another.
+// the zero value of the encoding side). All lists decoded from one buffer
+// share the value arena — a Move's Data, Vars and Temps cost one allocation
+// together instead of one each — so a new arena is sized for every list
+// still to come: remaining bytes bound the total value count (Count enforces
+// the same bound per list), and the n*4+8 cap keeps a short list with a long
+// string tail from over-allocating.
 func (d *Dec) Values() []Value {
 	n := d.Count(minValueBytes)
-	if n == 0 {
+	vs := d.vals.carve(n, min((len(d.buf)-d.off)/minValueBytes, n*4+8))
+	for i := range vs {
+		vs[i] = d.Value()
+	}
+	if d.err != nil {
 		return nil
 	}
-	if d.vals == nil {
-		// Size the arena for every list in the message: remaining bytes
-		// bound the total value count (Count enforces the same bound per
-		// list). The n*4+8 cap keeps a short list with a long string tail
-		// from over-allocating.
-		c := (len(d.buf) - d.off) / minValueBytes
-		if c > n*4+8 {
-			c = n*4 + 8
-		}
-		d.vals = make([]Value, 0, c)
+	return vs
+}
+
+// ---------------------------------------------------------------- codec
+
+// codec walks a payload's field list in one direction: with e set it appends
+// each field to e, otherwise it reads each field from d. A message kind
+// states its wire layout once, as the sequence of codec calls in its fields
+// method; encoding (Msg.MarshalTo), decoding into a fresh value (Unmarshal)
+// and decoding into a receiver's Inbox all run that one description.
+type codec struct {
+	e *Enc
+	d *Dec
+}
+
+// code is the codec's one branch on direction for the kinds of field Enc and
+// Dec already know.
+func code[T any](c *codec, v *T, enc func(*Enc, T), dec func(*Dec) T) {
+	if c.e != nil {
+		enc(c.e, *v)
+	} else {
+		*v = dec(c.d)
 	}
-	start := len(d.vals)
-	for i := 0; i < n; i++ {
-		d.vals = append(d.vals, d.Value())
-		if d.err != nil {
-			return nil
+}
+
+func (c *codec) u8(v *byte)        { code(c, v, (*Enc).U8, (*Dec).U8) }
+func (c *codec) u16(v *uint16)     { code(c, v, (*Enc).U16, (*Dec).U16) }
+func (c *codec) u32(v *uint32)     { code(c, v, (*Enc).U32, (*Dec).U32) }
+func (c *codec) i32(v *int32)      { code(c, v, (*Enc).I32, (*Dec).I32) }
+func (c *codec) u64(v *uint64)     { code(c, v, (*Enc).U64, (*Dec).U64) }
+func (c *codec) value(v *Value)    { code(c, v, (*Enc).Value, (*Dec).Value) }
+func (c *codec) values(v *[]Value) { code(c, v, (*Enc).Values, (*Dec).Values) }
+func (c *codec) oid(v *oid.OID)    { c.u32((*uint32)(v)) }
+
+func (c *codec) bool(v *bool) {
+	switch {
+	case c.e == nil:
+		*v = c.d.U8() != 0
+	case *v:
+		c.e.U8(1)
+	default:
+		c.e.U8(0)
+	}
+}
+
+func (c *codec) str(v *string) {
+	if c.e != nil {
+		c.e.U32(uint32(len(*v)))
+		c.e.buf = append(c.e.buf, *v...)
+	} else {
+		c.d.str(v)
+	}
+}
+
+// flags is three bools packed into one byte, lowest bit first.
+func (c *codec) flags(b0, b1, b2 *bool) {
+	if c.e == nil {
+		f := c.d.U8()
+		*b0, *b1, *b2 = f&1 != 0, f&2 != 0, f&4 != 0
+		return
+	}
+	var f byte
+	for i, b := range [...]*bool{b0, b1, b2} {
+		if *b {
+			f |= 1 << i
 		}
 	}
-	return d.vals[start:len(d.vals):len(d.vals)]
+	c.e.U8(f)
+}
+
+// count codes the length of a counted list: it writes n, or reads the length
+// of a list whose elements take at least minBytes each (see Dec.Count).
+func (c *codec) count(n, minBytes int) int {
+	if c.e != nil {
+		c.e.U16(uint16(n))
+		return n
+	}
+	return c.d.Count(minBytes)
+}
+
+// fragIDs is a counted list of fragment ids (a monitor queue of a Move).
+func (c *codec) fragIDs(v *[]uint32) {
+	n := c.count(len(*v), 4)
+	if c.e == nil {
+		*v = c.d.ids.carve(n, n)
+	}
+	for i := range *v {
+		c.u32(&(*v)[i])
+	}
+}
+
+// hints is a counted list of location hints.
+func (c *codec) hints(v *[]LocHint) {
+	n := c.count(len(*v), minHintBytes)
+	if c.e == nil {
+		*v = c.d.hints.carve(n, n)
+	}
+	for i := range *v {
+		c.oid(&(*v)[i].OID)
+		c.i32(&(*v)[i].Node)
+	}
+}
+
+func (c *codec) slot(v *dir.Slot) {
+	c.oid(&v.OID)
+	c.u32(&v.Epoch)
+}
+
+// slots is the slot list of a decree message, the one variable shape among
+// the fixed-layout kinds: it rides as the tail of the message, entry after
+// entry until the payload ends, no count — so a decree over one slot costs
+// exactly its fixed fields. homes says whether each entry carries its Node.
+func (c *codec) slots(v *[]DirEntry, homes bool) {
+	if c.e == nil {
+		size := dirSlotBytes
+		if homes {
+			size = dirEntryBytes
+		}
+		n := c.d.Tail(size)
+		*v = c.d.slots.carve(n, n)
+	}
+	for i := range *v {
+		s := &(*v)[i]
+		c.slot(&s.Slot)
+		if homes {
+			c.i32(&s.Node)
+		} else if c.e == nil {
+			s.Node = 0
+		}
+	}
+}
+
+// accepted is a promise's per-slot accepted state, a tail like slots.
+func (c *codec) accepted(v *[]dir.Accepted) {
+	if c.e == nil {
+		n := c.d.Tail(dirAccBytes)
+		*v = c.d.accs.carve(n, n)
+	}
+	for i := range *v {
+		c.u64(&(*v)[i].Ballot)
+		c.i32(&(*v)[i].Node)
+	}
 }
 
 // ---------------------------------------------------------------- payloads
@@ -257,51 +445,138 @@ const (
 	MDirLookupReply // replica → client: record (or miss)
 )
 
+// kindInfo is what the codec knows of a message kind besides its field list.
+type kindInfo struct {
+	name  string
+	fresh func() Payload // a zero payload of the kind
+}
+
+func kind[T any, P interface {
+	*T
+	Payload
+}](name string) kindInfo {
+	return kindInfo{name, func() Payload { return P(new(T)) }}
+}
+
+var kinds = [...]kindInfo{
+	MInvoke:         kind[Invoke]("invoke"),
+	MReturn:         kind[Return]("return"),
+	MMoveReq:        kind[MoveReq]("movereq"),
+	MMove:           kind[Move]("move"),
+	MLocate:         kind[Locate]("locate"),
+	MLocateReply:    kind[LocateReply]("locatereply"),
+	MUpdateLoc:      kind[UpdateLoc]("updateloc"),
+	MUnfixReq:       kind[UnfixReq]("unfixreq"),
+	MMoveAck:        kind[MoveAck]("moveack"),
+	MMoveGroup:      kind[MoveGroup]("movegroup"),
+	MDirPrepare:     kind[DirPrepare]("dirprepare"),
+	MDirPromise:     kind[DirPromise]("dirpromise"),
+	MDirAccept:      kind[DirAccept]("diraccept"),
+	MDirAccepted:    kind[DirAccepted]("diraccepted"),
+	MDirLearn:       kind[DirLearn]("dirlearn"),
+	MDirLookup:      kind[DirLookup]("dirlookup"),
+	MDirLookupReply: kind[DirLookupReply]("dirlookupreply"),
+}
+
+// known reports whether k names a message kind.
+func (k MsgKind) known() bool { return int(k) < len(kinds) && kinds[k].fresh != nil }
+
 func (k MsgKind) String() string {
-	switch k {
-	case MInvoke:
-		return "invoke"
-	case MReturn:
-		return "return"
-	case MMoveReq:
-		return "movereq"
-	case MMove:
-		return "move"
-	case MLocate:
-		return "locate"
-	case MLocateReply:
-		return "locatereply"
-	case MUpdateLoc:
-		return "updateloc"
-	case MUnfixReq:
-		return "unfixreq"
-	case MMoveAck:
-		return "moveack"
-	case MMoveGroup:
-		return "movegroup"
-	case MDirPrepare:
-		return "dirprepare"
-	case MDirPromise:
-		return "dirpromise"
-	case MDirAccept:
-		return "diraccept"
-	case MDirAccepted:
-		return "diraccepted"
-	case MDirLearn:
-		return "dirlearn"
-	case MDirLookup:
-		return "dirlookup"
-	case MDirLookupReply:
-		return "dirlookupreply"
+	if k.known() {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("msg(%d)", byte(k))
 }
 
-// Payload is a message body.
+// Payload is a message body: one of the seventeen kinds below, each of which
+// states its wire layout in its fields method. Nothing on a message's path
+// calls a method through this interface — KindOf and the codec switch on the
+// concrete type — so a payload literal handed to a sender never escapes to
+// the heap on that account.
 type Payload interface {
-	Kind() MsgKind
-	marshal(e *Enc)
-	unmarshal(d *Dec)
+	fields(c *codec)
+}
+
+// KindOf returns p's message kind (0 for nil).
+func KindOf(p Payload) MsgKind {
+	switch p.(type) {
+	case *Invoke:
+		return MInvoke
+	case *Return:
+		return MReturn
+	case *MoveReq:
+		return MMoveReq
+	case *Move:
+		return MMove
+	case *Locate:
+		return MLocate
+	case *LocateReply:
+		return MLocateReply
+	case *UpdateLoc:
+		return MUpdateLoc
+	case *UnfixReq:
+		return MUnfixReq
+	case *MoveAck:
+		return MMoveAck
+	case *MoveGroup:
+		return MMoveGroup
+	case *DirPrepare:
+		return MDirPrepare
+	case *DirPromise:
+		return MDirPromise
+	case *DirAccept:
+		return MDirAccept
+	case *DirAccepted:
+		return MDirAccepted
+	case *DirLearn:
+		return MDirLearn
+	case *DirLookup:
+		return MDirLookup
+	case *DirLookupReply:
+		return MDirLookupReply
+	}
+	return 0
+}
+
+// payload runs p's field list through c, dispatching on the concrete type so
+// that neither p nor the codec escapes.
+func (c *codec) payload(p Payload) {
+	switch p := p.(type) {
+	case *Invoke:
+		p.fields(c)
+	case *Return:
+		p.fields(c)
+	case *MoveReq:
+		p.fields(c)
+	case *Move:
+		p.fields(c)
+	case *Locate:
+		p.fields(c)
+	case *LocateReply:
+		p.fields(c)
+	case *UpdateLoc:
+		p.fields(c)
+	case *UnfixReq:
+		p.fields(c)
+	case *MoveAck:
+		p.fields(c)
+	case *MoveGroup:
+		p.fields(c)
+	case *DirPrepare:
+		p.fields(c)
+	case *DirPromise:
+		p.fields(c)
+	case *DirAccept:
+		p.fields(c)
+	case *DirAccepted:
+		p.fields(c)
+	case *DirLearn:
+		p.fields(c)
+	case *DirLookup:
+		p.fields(c)
+	case *DirLookupReply:
+		p.fields(c)
+	}
 }
 
 // Msg is one kernel-to-kernel message.
@@ -318,11 +593,12 @@ type Msg struct {
 // allocation.
 func (m *Msg) MarshalTo(e *Enc) []byte {
 	e.buf = e.buf[:0]
-	e.U8(byte(m.Payload.Kind()))
+	e.U8(byte(KindOf(m.Payload)))
 	e.I32(m.Src)
 	e.I32(m.Dst)
 	e.U32(m.Seq)
-	m.Payload.marshal(e)
+	c := codec{e: e}
+	c.payload(m.Payload)
 	return e.Bytes()
 }
 
@@ -336,87 +612,40 @@ func (m *Msg) Marshal() []byte {
 	return out
 }
 
-// Unmarshal parses a message. The payload unmarshal calls are concrete
-// (not through the Payload interface) so the decoder does not escape to
-// the heap — the hot receive path allocates only the message, payload
-// and their lists.
-func Unmarshal(buf []byte) (*Msg, error) {
-	d := Dec{buf: buf}
+// decode is the one decode entry: it parses buf into m. The payload is
+// reuse's value of the message's kind (made on first use), or a fresh one
+// when reuse is nil. A message must fill its buffer exactly.
+func (d *Dec) decode(buf []byte, m *Msg, reuse *[len(kinds)]Payload) error {
+	d.reset(buf)
 	k := MsgKind(d.U8())
-	m := &Msg{Src: d.I32(), Dst: d.I32(), Seq: d.U32()}
-	switch k {
-	case MInvoke:
-		p := &Invoke{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MReturn:
-		p := &Return{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MMoveReq:
-		p := &MoveReq{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MMove:
-		p := &Move{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MLocate:
-		p := &Locate{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MLocateReply:
-		p := &LocateReply{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MUpdateLoc:
-		p := &UpdateLoc{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MUnfixReq:
-		p := &UnfixReq{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MMoveAck:
-		p := &MoveAck{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MMoveGroup:
-		p := &MoveGroup{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MDirPrepare:
-		p := &DirPrepare{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MDirPromise:
-		p := &DirPromise{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MDirAccept:
-		p := &DirAccept{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MDirAccepted:
-		p := &DirAccepted{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MDirLearn:
-		p := &DirLearn{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MDirLookup:
-		p := &DirLookup{}
-		p.unmarshal(&d)
-		m.Payload = p
-	case MDirLookupReply:
-		p := &DirLookupReply{}
-		p.unmarshal(&d)
-		m.Payload = p
+	m.Src, m.Dst, m.Seq = d.I32(), d.I32(), d.U32()
+	switch {
+	case !k.known():
+		return fmt.Errorf("wire: unknown message kind %d", k)
+	case reuse == nil:
+		m.Payload = kinds[k].fresh()
 	default:
-		return nil, fmt.Errorf("wire: unknown message kind %d", k)
+		if reuse[k] == nil {
+			reuse[k] = kinds[k].fresh()
+		}
+		m.Payload = reuse[k]
 	}
-	if err := d.Err(); err != nil {
+	c := codec{d: d}
+	c.payload(m.Payload)
+	switch {
+	case d.err == ErrTruncated:
+		d.err = fmt.Errorf("%w: %v message of %d bytes ran out at offset %d", d.err, k, len(buf), d.off)
+	case d.err == nil && d.off != len(buf):
+		d.err = fmt.Errorf("wire: %d trailing bytes after a %v message", len(buf)-d.off, k)
+	}
+	return d.err
+}
+
+// Unmarshal parses a message into values the caller owns.
+func Unmarshal(buf []byte) (*Msg, error) {
+	var d Dec
+	m := &Msg{}
+	if err := d.decode(buf, m, nil); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -445,32 +674,25 @@ type LocHint struct {
 	Node int32
 }
 
-// Kind implements Payload.
-func (p *Invoke) Kind() MsgKind { return MInvoke }
-
-func (p *Invoke) marshal(e *Enc) {
-	e.OID(p.Target)
-	e.Str([]byte(p.OpName))
-	e.I32(p.Origin)
-	e.U32(p.CallerFrag)
-	e.Values(p.Args)
-	e.U16(uint16(len(p.Hints)))
-	for _, h := range p.Hints {
-		e.OID(h.OID)
-		e.I32(h.Node)
-	}
+func (p *Invoke) fields(c *codec) {
+	c.oid(&p.Target)
+	c.str(&p.OpName)
+	c.i32(&p.Origin)
+	c.u32(&p.CallerFrag)
+	c.values(&p.Args)
+	c.hints(&p.Hints)
 }
 
-func (p *Invoke) unmarshal(d *Dec) {
-	p.Target = d.OID()
-	p.OpName = string(d.Str())
-	p.Origin = d.I32()
-	p.CallerFrag = d.U32()
-	p.Args = d.Values()
-	n := d.Count(minHintBytes)
-	for i := 0; i < n; i++ {
-		p.Hints = append(p.Hints, LocHint{OID: d.OID(), Node: d.I32()})
+// Clone returns a copy of p that shares no storage with it: what a handler
+// keeps of an Invoke that arrived in an Inbox.
+func (p *Invoke) Clone() *Invoke {
+	q := *p
+	q.Args = slices.Clone(p.Args)
+	for i := range q.Args {
+		q.Args[i].Str = slices.Clone(q.Args[i].Str)
 	}
+	q.Hints = slices.Clone(p.Hints)
+	return &q
 }
 
 // Return delivers the result of a remote invocation to the caller fragment.
@@ -486,36 +708,13 @@ type Return struct {
 	Hints      []LocHint
 }
 
-// Kind implements Payload.
-func (p *Return) Kind() MsgKind { return MReturn }
-
-func (p *Return) marshal(e *Enc) {
-	e.I32(p.Origin)
-	e.U32(p.CallerFrag)
-	if p.Ok {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-	e.Value(p.Result)
-	e.Str([]byte(p.FaultMsg))
-	e.U16(uint16(len(p.Hints)))
-	for _, h := range p.Hints {
-		e.OID(h.OID)
-		e.I32(h.Node)
-	}
-}
-
-func (p *Return) unmarshal(d *Dec) {
-	p.Origin = d.I32()
-	p.CallerFrag = d.U32()
-	p.Ok = d.U8() != 0
-	p.Result = d.Value()
-	p.FaultMsg = string(d.Str())
-	n := d.Count(minHintBytes)
-	for i := 0; i < n; i++ {
-		p.Hints = append(p.Hints, LocHint{OID: d.OID(), Node: d.I32()})
-	}
+func (p *Return) fields(c *codec) {
+	c.i32(&p.Origin)
+	c.u32(&p.CallerFrag)
+	c.bool(&p.Ok)
+	c.value(&p.Result)
+	c.str(&p.FaultMsg)
+	c.hints(&p.Hints)
 }
 
 // MoveReq asks whoever holds Target to move it to Dest (issued when a
@@ -526,23 +725,10 @@ type MoveReq struct {
 	Fix    bool // also fix the object at Dest
 }
 
-// Kind implements Payload.
-func (p *MoveReq) Kind() MsgKind { return MMoveReq }
-
-func (p *MoveReq) marshal(e *Enc) {
-	e.OID(p.Target)
-	e.I32(p.Dest)
-	if p.Fix {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-}
-
-func (p *MoveReq) unmarshal(d *Dec) {
-	p.Target = d.OID()
-	p.Dest = d.I32()
-	p.Fix = d.U8() != 0
+func (p *MoveReq) fields(c *codec) {
+	c.oid(&p.Target)
+	c.i32(&p.Dest)
+	c.bool(&p.Fix)
 }
 
 // UnfixReq unfixes (or refixes at Dest) a remote object.
@@ -552,23 +738,10 @@ type UnfixReq struct {
 	Dest   int32
 }
 
-// Kind implements Payload.
-func (p *UnfixReq) Kind() MsgKind { return MUnfixReq }
-
-func (p *UnfixReq) marshal(e *Enc) {
-	e.OID(p.Target)
-	if p.Refix {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-	e.I32(p.Dest)
-}
-
-func (p *UnfixReq) unmarshal(d *Dec) {
-	p.Target = d.OID()
-	p.Refix = d.U8() != 0
-	p.Dest = d.I32()
+func (p *UnfixReq) fields(c *codec) {
+	c.oid(&p.Target)
+	c.bool(&p.Refix)
+	c.i32(&p.Dest)
 }
 
 // MIActivation is one activation record in machine-independent form: all
@@ -588,20 +761,12 @@ type MIActivation struct {
 // monitor entry).
 const EntryStop = 0xffff
 
-func (a *MIActivation) marshal(e *Enc) {
-	e.OID(a.CodeOID)
-	e.U16(a.FuncIndex)
-	e.U16(a.Stop)
-	e.Values(a.Vars)
-	e.Values(a.Temps)
-}
-
-func (a *MIActivation) unmarshal(d *Dec) {
-	a.CodeOID = d.OID()
-	a.FuncIndex = d.U16()
-	a.Stop = d.U16()
-	a.Vars = d.Values()
-	a.Temps = d.Values()
+func (c *codec) act(a *MIActivation) {
+	c.oid(&a.CodeOID)
+	c.u16(&a.FuncIndex)
+	c.u16(&a.Stop)
+	c.values(&a.Vars)
+	c.values(&a.Temps)
 }
 
 // FragStatus describes how a migrated thread fragment was stopped.
@@ -643,38 +808,19 @@ type Fragment struct {
 	Acts      []MIActivation
 }
 
-func (f *Fragment) marshal(e *Enc) {
-	e.U32(f.FragID)
-	e.I32(f.LinkNode)
-	e.U32(f.LinkFrag)
-	e.U8(byte(f.Status))
-	e.U16(f.CondIndex)
-	if f.Executing {
-		e.U8(1)
-	} else {
-		e.U8(0)
+func (c *codec) frag(f *Fragment) {
+	c.u32(&f.FragID)
+	c.i32(&f.LinkNode)
+	c.u32(&f.LinkFrag)
+	c.u8((*byte)(&f.Status))
+	c.u16(&f.CondIndex)
+	c.bool(&f.Executing)
+	n := c.count(len(f.Acts), minActBytes)
+	if c.e == nil {
+		f.Acts = c.d.acts.carve(n, n)
 	}
-	e.U16(uint16(len(f.Acts)))
 	for i := range f.Acts {
-		f.Acts[i].marshal(e)
-	}
-}
-
-func (f *Fragment) unmarshal(d *Dec) {
-	f.FragID = d.U32()
-	f.LinkNode = d.I32()
-	f.LinkFrag = d.U32()
-	f.Status = FragStatus(d.U8())
-	f.CondIndex = d.U16()
-	f.Executing = d.U8() != 0
-	n := d.Count(minActBytes)
-	for i := 0; i < n; i++ {
-		var a MIActivation
-		a.unmarshal(d)
-		if d.Err() != nil {
-			return
-		}
-		f.Acts = append(f.Acts, a)
+		c.act(&f.Acts[i])
 	}
 }
 
@@ -708,88 +854,31 @@ type Move struct {
 	SpanID uint32
 }
 
-// Kind implements Payload.
-func (p *Move) Kind() MsgKind { return MMove }
-
-func (p *Move) marshal(e *Enc) {
-	e.OID(p.Object)
-	e.OID(p.CodeOID)
-	e.U32(p.Epoch)
-	flags := byte(0)
-	if p.Fixed {
-		flags |= 1
+func (p *Move) fields(c *codec) {
+	c.oid(&p.Object)
+	c.oid(&p.CodeOID)
+	c.u32(&p.Epoch)
+	c.flags(&p.Fixed, &p.IsArray, &p.MonLocked)
+	c.u8(&p.ArrayElemKind)
+	c.values(&p.Data)
+	c.u32(&p.MonHolder)
+	c.fragIDs(&p.EntryQueue)
+	n := c.count(len(p.CondQueues), 2)
+	if c.e == nil {
+		p.CondQueues = c.d.queues.carve(n, n)
 	}
-	if p.IsArray {
-		flags |= 2
+	for i := range p.CondQueues {
+		c.fragIDs(&p.CondQueues[i])
 	}
-	if p.MonLocked {
-		flags |= 4
+	n = c.count(len(p.Frags), minFragmentBytes)
+	if c.e == nil {
+		p.Frags = c.d.frags.carve(n, n)
 	}
-	e.U8(flags)
-	e.U8(p.ArrayElemKind)
-	e.Values(p.Data)
-	e.U32(p.MonHolder)
-	e.U16(uint16(len(p.EntryQueue)))
-	for _, f := range p.EntryQueue {
-		e.U32(f)
-	}
-	e.U16(uint16(len(p.CondQueues)))
-	for _, q := range p.CondQueues {
-		e.U16(uint16(len(q)))
-		for _, f := range q {
-			e.U32(f)
-		}
-	}
-	e.U16(uint16(len(p.Frags)))
 	for i := range p.Frags {
-		p.Frags[i].marshal(e)
+		c.frag(&p.Frags[i])
 	}
-	e.U16(uint16(len(p.Hints)))
-	for _, h := range p.Hints {
-		e.OID(h.OID)
-		e.I32(h.Node)
-	}
-	e.U32(p.SpanID)
-}
-
-func (p *Move) unmarshal(d *Dec) {
-	p.Object = d.OID()
-	p.CodeOID = d.OID()
-	p.Epoch = d.U32()
-	flags := d.U8()
-	p.Fixed = flags&1 != 0
-	p.IsArray = flags&2 != 0
-	p.MonLocked = flags&4 != 0
-	p.ArrayElemKind = d.U8()
-	p.Data = d.Values()
-	p.MonHolder = d.U32()
-	n := d.Count(4)
-	for i := 0; i < n; i++ {
-		p.EntryQueue = append(p.EntryQueue, d.U32())
-	}
-	nq := d.Count(2)
-	for i := 0; i < nq; i++ {
-		m := d.Count(4)
-		var q []uint32
-		for j := 0; j < m; j++ {
-			q = append(q, d.U32())
-		}
-		p.CondQueues = append(p.CondQueues, q)
-	}
-	nf := d.Count(minFragmentBytes)
-	for i := 0; i < nf; i++ {
-		var f Fragment
-		f.unmarshal(d)
-		if d.Err() != nil {
-			return
-		}
-		p.Frags = append(p.Frags, f)
-	}
-	nh := d.Count(minHintBytes)
-	for i := 0; i < nh; i++ {
-		p.Hints = append(p.Hints, LocHint{OID: d.OID(), Node: d.I32()})
-	}
-	p.SpanID = d.U32()
+	c.hints(&p.Hints)
+	c.u32(&p.SpanID)
 }
 
 // Locate asks where an object lives. Nodes that do not hold the object
@@ -802,21 +891,11 @@ type Locate struct {
 	Hops      uint16 // chase bound against stale cycles
 }
 
-// Kind implements Payload.
-func (p *Locate) Kind() MsgKind { return MLocate }
-
-func (p *Locate) marshal(e *Enc) {
-	e.OID(p.Target)
-	e.I32(p.Origin)
-	e.U32(p.ReplyFrag)
-	e.U16(p.Hops)
-}
-
-func (p *Locate) unmarshal(d *Dec) {
-	p.Target = d.OID()
-	p.Origin = d.I32()
-	p.ReplyFrag = d.U32()
-	p.Hops = d.U16()
+func (p *Locate) fields(c *codec) {
+	c.oid(&p.Target)
+	c.i32(&p.Origin)
+	c.u32(&p.ReplyFrag)
+	c.u16(&p.Hops)
 }
 
 // LocateReply answers a Locate.
@@ -826,19 +905,10 @@ type LocateReply struct {
 	ReplyFrag uint32
 }
 
-// Kind implements Payload.
-func (p *LocateReply) Kind() MsgKind { return MLocateReply }
-
-func (p *LocateReply) marshal(e *Enc) {
-	e.OID(p.Target)
-	e.I32(p.Node)
-	e.U32(p.ReplyFrag)
-}
-
-func (p *LocateReply) unmarshal(d *Dec) {
-	p.Target = d.OID()
-	p.Node = d.I32()
-	p.ReplyFrag = d.U32()
+func (p *LocateReply) fields(c *codec) {
+	c.oid(&p.Target)
+	c.i32(&p.Node)
+	c.u32(&p.ReplyFrag)
 }
 
 // UpdateLoc is a forwarding hint sent back to a node that used a stale
@@ -849,19 +919,10 @@ type UpdateLoc struct {
 	Epoch  uint32
 }
 
-// Kind implements Payload.
-func (p *UpdateLoc) Kind() MsgKind { return MUpdateLoc }
-
-func (p *UpdateLoc) marshal(e *Enc) {
-	e.OID(p.Target)
-	e.I32(p.Node)
-	e.U32(p.Epoch)
-}
-
-func (p *UpdateLoc) unmarshal(d *Dec) {
-	p.Target = d.OID()
-	p.Node = d.I32()
-	p.Epoch = d.U32()
+func (p *UpdateLoc) fields(c *codec) {
+	c.oid(&p.Target)
+	c.i32(&p.Node)
+	c.u32(&p.Epoch)
 }
 
 // MoveAck is the destination's answer to a Move: the second phase of the
@@ -876,27 +937,12 @@ type MoveAck struct {
 	Err    string
 }
 
-// Kind implements Payload.
-func (p *MoveAck) Kind() MsgKind { return MMoveAck }
-
-func (p *MoveAck) marshal(e *Enc) {
-	e.OID(p.Object)
-	e.U32(p.SpanID)
-	e.U32(p.Epoch)
-	if p.Ok {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-	e.Str([]byte(p.Err))
-}
-
-func (p *MoveAck) unmarshal(d *Dec) {
-	p.Object = d.OID()
-	p.SpanID = d.U32()
-	p.Epoch = d.U32()
-	p.Ok = d.U8() != 0
-	p.Err = string(d.Str())
+func (p *MoveAck) fields(c *codec) {
+	c.oid(&p.Object)
+	c.u32(&p.SpanID)
+	c.u32(&p.Epoch)
+	c.bool(&p.Ok)
+	c.str(&p.Err)
 }
 
 // MoveGroup carries a whole migration cohort — several Moves bound for one
@@ -909,25 +955,16 @@ type MoveGroup struct {
 	Inner []*Move
 }
 
-// Kind implements Payload.
-func (p *MoveGroup) Kind() MsgKind { return MMoveGroup }
-
-func (p *MoveGroup) marshal(e *Enc) {
-	e.U16(uint16(len(p.Inner)))
-	for _, m := range p.Inner {
-		m.marshal(e)
+func (p *MoveGroup) fields(c *codec) {
+	n := c.count(len(p.Inner), minMoveBytes)
+	if c.e == nil {
+		p.Inner = c.d.moves.carve(n, n)
 	}
-}
-
-func (p *MoveGroup) unmarshal(d *Dec) {
-	n := d.Count(minMoveBytes)
-	for i := 0; i < n; i++ {
-		m := &Move{}
-		m.unmarshal(d)
-		if d.Err() != nil {
-			return
+	for i := range p.Inner {
+		if c.e == nil {
+			p.Inner[i] = &Move{}
 		}
-		p.Inner = append(p.Inner, m)
+		p.Inner[i].fields(c)
 	}
 }
 
@@ -938,38 +975,6 @@ type DirEntry struct {
 	Node int32
 }
 
-// DirList is the slot list of a decree message, in the proposal's canonical
-// slot order. Almost every decree covers a single object, so a list of one
-// is held inline and longer lists sit behind one pointer: a slice header
-// here would lift every decree message into the next allocation size class.
-// The zero value is the empty list.
-type DirList struct {
-	one  [1]DirEntry
-	n    uint32
-	more *[]DirEntry // all n entries, once n > 1
-}
-
-// Append adds e to the end of the list.
-func (l *DirList) Append(e DirEntry) {
-	switch l.n {
-	case 0:
-		l.one[0] = e
-	case 1:
-		l.more = &[]DirEntry{l.one[0], e}
-	default:
-		*l.more = append(*l.more, e)
-	}
-	l.n++
-}
-
-// All returns the entries in order. The slice aliases the list.
-func (l *DirList) All() []DirEntry {
-	if l.more != nil {
-		return *l.more
-	}
-	return l.one[:l.n]
-}
-
 // Encoded sizes of one list entry, without and with its home node.
 const (
 	dirSlotBytes  = 8
@@ -977,58 +982,18 @@ const (
 	dirAccBytes   = 12 // one dir.Accepted in a promise
 )
 
-func marshalSlot(e *Enc, s dir.Slot) {
-	e.OID(s.OID)
-	e.U32(s.Epoch)
-}
-
-func unmarshalSlot(d *Dec) dir.Slot { return dir.Slot{OID: d.OID(), Epoch: d.U32()} }
-
-// marshal writes the list as the tail of the message: entry after entry
-// until the payload ends, no count — so a decree over one slot costs exactly
-// its fixed fields.
-func (l *DirList) marshal(e *Enc, homes bool) {
-	for _, s := range l.All() {
-		marshalSlot(e, s.Slot)
-		if homes {
-			e.I32(s.Node)
-		}
-	}
-}
-
-func (l *DirList) unmarshal(d *Dec, homes bool) {
-	size := dirSlotBytes
-	if homes {
-		size = dirEntryBytes
-	}
-	for n := d.Tail(size); n > 0; n-- {
-		s := DirEntry{Slot: unmarshalSlot(d)}
-		if homes {
-			s.Node = d.I32()
-		}
-		l.Append(s)
-	}
-}
-
 // DirPrepare opens a retry round of a decree: the proposer (the source node
 // of the moves that created the slots) asks a replica of the slots' shared
-// shard replica set to promise one ballot for all of them.
+// shard replica set to promise one ballot for all of them. Slots is in the
+// proposal's canonical slot order, here and in DirAccept and DirLearn.
 type DirPrepare struct {
 	Ballot uint64
-	Slots  DirList
+	Slots  []DirEntry
 }
 
-// Kind implements Payload.
-func (p *DirPrepare) Kind() MsgKind { return MDirPrepare }
-
-func (p *DirPrepare) marshal(e *Enc) {
-	e.U64(p.Ballot)
-	p.Slots.marshal(e, false)
-}
-
-func (p *DirPrepare) unmarshal(d *Dec) {
-	p.Ballot = d.U64()
-	p.Slots.unmarshal(d, false)
+func (p *DirPrepare) fields(c *codec) {
+	c.u64(&p.Ballot)
+	c.slots(&p.Slots, false)
 }
 
 // DirPromise answers a DirPrepare. Slot echoes the prepare's first slot,
@@ -1044,35 +1009,12 @@ type DirPromise struct {
 	Acc      []dir.Accepted
 }
 
-// Kind implements Payload.
-func (p *DirPromise) Kind() MsgKind { return MDirPromise }
-
-func (p *DirPromise) marshal(e *Enc) {
-	marshalSlot(e, p.Slot)
-	e.U64(p.Ballot)
-	if p.Ok {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-	e.U64(p.Promised)
-	for _, a := range p.Acc {
-		e.U64(a.Ballot)
-		e.I32(a.Node)
-	}
-}
-
-func (p *DirPromise) unmarshal(d *Dec) {
-	p.Slot = unmarshalSlot(d)
-	p.Ballot = d.U64()
-	p.Ok = d.U8() != 0
-	p.Promised = d.U64()
-	if n := d.Tail(dirAccBytes); n > 0 {
-		p.Acc = make([]dir.Accepted, n)
-		for i := range p.Acc {
-			p.Acc[i] = dir.Accepted{Ballot: d.U64(), Node: d.I32()}
-		}
-	}
+func (p *DirPromise) fields(c *codec) {
+	c.slot(&p.Slot)
+	c.u64(&p.Ballot)
+	c.bool(&p.Ok)
+	c.u64(&p.Promised)
+	c.accepted(&p.Acc)
 }
 
 // DirAccept asks a replica to accept each slot's decree value (the object's
@@ -1080,20 +1022,12 @@ func (p *DirPromise) unmarshal(d *Dec) {
 // stays stateless between phases.
 type DirAccept struct {
 	Ballot uint64
-	Slots  DirList
+	Slots  []DirEntry
 }
 
-// Kind implements Payload.
-func (p *DirAccept) Kind() MsgKind { return MDirAccept }
-
-func (p *DirAccept) marshal(e *Enc) {
-	e.U64(p.Ballot)
-	p.Slots.marshal(e, true)
-}
-
-func (p *DirAccept) unmarshal(d *Dec) {
-	p.Ballot = d.U64()
-	p.Slots.unmarshal(d, true)
+func (p *DirAccept) fields(c *codec) {
+	c.u64(&p.Ballot)
+	c.slots(&p.Slots, true)
 }
 
 // DirAccepted answers a DirAccept: every slot accepted, or a nack with the
@@ -1105,25 +1039,11 @@ type DirAccepted struct {
 	Promised uint64
 }
 
-// Kind implements Payload.
-func (p *DirAccepted) Kind() MsgKind { return MDirAccepted }
-
-func (p *DirAccepted) marshal(e *Enc) {
-	marshalSlot(e, p.Slot)
-	e.U64(p.Ballot)
-	if p.Ok {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-	e.U64(p.Promised)
-}
-
-func (p *DirAccepted) unmarshal(d *Dec) {
-	p.Slot = unmarshalSlot(d)
-	p.Ballot = d.U64()
-	p.Ok = d.U8() != 0
-	p.Promised = d.U64()
+func (p *DirAccepted) fields(c *codec) {
+	c.slot(&p.Slot)
+	c.u64(&p.Ballot)
+	c.bool(&p.Ok)
+	c.u64(&p.Promised)
 }
 
 // DirLearn announces a chosen decree to a replica: each entry's object lives
@@ -1131,15 +1051,10 @@ func (p *DirAccepted) unmarshal(d *Dec) {
 // only strictly newer epochs, entry by entry), so the proposer broadcasts
 // them unreliably-at-least-once.
 type DirLearn struct {
-	Slots DirList
+	Slots []DirEntry
 }
 
-// Kind implements Payload.
-func (p *DirLearn) Kind() MsgKind { return MDirLearn }
-
-func (p *DirLearn) marshal(e *Enc) { p.Slots.marshal(e, true) }
-
-func (p *DirLearn) unmarshal(d *Dec) { p.Slots.unmarshal(d, true) }
+func (p *DirLearn) fields(c *codec) { c.slots(&p.Slots, true) }
 
 // DirLookup asks a replica of the target's shard for its ownership record.
 // Token correlates the reply with the asker's pending query.
@@ -1148,17 +1063,9 @@ type DirLookup struct {
 	Token  uint32
 }
 
-// Kind implements Payload.
-func (p *DirLookup) Kind() MsgKind { return MDirLookup }
-
-func (p *DirLookup) marshal(e *Enc) {
-	e.OID(p.Target)
-	e.U32(p.Token)
-}
-
-func (p *DirLookup) unmarshal(d *Dec) {
-	p.Target = d.OID()
-	p.Token = d.U32()
+func (p *DirLookup) fields(c *codec) {
+	c.oid(&p.Target)
+	c.u32(&p.Token)
 }
 
 // DirLookupReply answers a DirLookup. !Ok means the replica has no record
@@ -1176,29 +1083,13 @@ type DirLookupReply struct {
 	Lease  uint32
 }
 
-// Kind implements Payload.
-func (p *DirLookupReply) Kind() MsgKind { return MDirLookupReply }
-
-func (p *DirLookupReply) marshal(e *Enc) {
-	e.OID(p.Target)
-	e.U32(p.Token)
-	if p.Ok {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
-	e.I32(p.Node)
-	e.U32(p.Epoch)
-	e.U32(p.Lease)
-}
-
-func (p *DirLookupReply) unmarshal(d *Dec) {
-	p.Target = d.OID()
-	p.Token = d.U32()
-	p.Ok = d.U8() != 0
-	p.Node = d.I32()
-	p.Epoch = d.U32()
-	p.Lease = d.U32()
+func (p *DirLookupReply) fields(c *codec) {
+	c.oid(&p.Target)
+	c.u32(&p.Token)
+	c.bool(&p.Ok)
+	c.i32(&p.Node)
+	c.u32(&p.Epoch)
+	c.u32(&p.Lease)
 }
 
 // PayloadSize returns the encoded size of p alone (without the Msg
@@ -1207,11 +1098,9 @@ func (p *DirLookupReply) unmarshal(d *Dec) {
 func PayloadSize(p Payload) int {
 	e := GetEnc(256)
 	e.buf = e.buf[:0]
-	p.marshal(e)
+	c := codec{e: e}
+	c.payload(p)
 	n := e.Len()
 	e.Release()
 	return n
 }
-
-// ErrTruncated is returned for short buffers.
-var ErrTruncated = errors.New("wire: truncated message")

@@ -19,12 +19,12 @@ func TestEncDecPrimitives(t *testing.T) {
 	e.U32(0xdeadbeef)
 	e.I32(-42)
 	e.Str([]byte("hello"))
-	e.OID(oid.OID(123))
+	e.U32(123)
 	d := NewDec(e.Bytes())
 	if d.U8() != 7 || d.U16() != 0xbeef || d.U32() != 0xdeadbeef || d.I32() != -42 {
 		t.Fatal("primitive roundtrip failed")
 	}
-	if string(d.Str()) != "hello" || d.OID() != 123 {
+	if string(d.Str()) != "hello" || d.U32() != 123 {
 		t.Fatal("str/oid roundtrip failed")
 	}
 	if d.Err() != nil {
@@ -262,26 +262,18 @@ func TestMoveReqLocateRoundtrips(t *testing.T) {
 	}
 }
 
-// dirList builds a decree message's slot list.
-func dirList(es ...DirEntry) (l DirList) {
-	for _, e := range es {
-		l.Append(e)
-	}
-	return l
-}
-
 func TestDirMessageRoundtrips(t *testing.T) {
 	slot := dir.Slot{OID: 9, Epoch: 3}
 	for _, p := range []Payload{
-		&DirPrepare{Ballot: 0x1_0002_0003, Slots: dirList(DirEntry{Slot: slot})},
+		&DirPrepare{Ballot: 0x1_0002_0003, Slots: []DirEntry{{Slot: slot}}},
 		&DirPromise{Slot: slot, Ballot: 0x1_0002_0003, Ok: true,
 			Promised: 0x1_0002_0003, Acc: []dir.Accepted{{Ballot: 0x10001, Node: 2}}},
 		&DirPromise{Slot: slot, Ballot: 0x10001, Ok: false,
 			Promised: 0x20001, Acc: []dir.Accepted{{Node: -1}}},
-		&DirAccept{Ballot: 0x1_0002_0003, Slots: dirList(DirEntry{Slot: slot, Node: 2})},
+		&DirAccept{Ballot: 0x1_0002_0003, Slots: []DirEntry{{Slot: slot, Node: 2}}},
 		&DirAccepted{Slot: slot, Ballot: 0x1_0002_0003, Ok: true,
 			Promised: 0x1_0002_0003},
-		&DirLearn{Slots: dirList(DirEntry{Slot: slot, Node: 2})},
+		&DirLearn{Slots: []DirEntry{{Slot: slot, Node: 2}}},
 		&DirLookup{Target: 9, Token: 41},
 		&DirLookupReply{Target: 9, Token: 41, Ok: true, Node: 2, Epoch: 3},
 		&DirLookupReply{Target: 9, Token: 42, Node: -1},
@@ -363,8 +355,8 @@ func TestWireSize(t *testing.T) {
 
 func TestDirGroupMessageRoundtrips(t *testing.T) {
 	first := dir.Slot{OID: 9, Epoch: 3}
-	slots := dirList(DirEntry{Slot: first}, DirEntry{Slot: dir.Slot{OID: 12, Epoch: 1}})
-	homes := dirList(DirEntry{Slot: first, Node: 2}, DirEntry{Slot: dir.Slot{OID: 12, Epoch: 1}})
+	slots := []DirEntry{{Slot: first}, {Slot: dir.Slot{OID: 12, Epoch: 1}}}
+	homes := []DirEntry{{Slot: first, Node: 2}, {Slot: dir.Slot{OID: 12, Epoch: 1}}}
 	for _, p := range []Payload{
 		&DirPrepare{Ballot: 0x1_0002_0003, Slots: slots},
 		&DirPromise{Slot: first, Ballot: 0x1_0002_0003, Ok: true,
@@ -382,14 +374,6 @@ func TestDirGroupMessageRoundtrips(t *testing.T) {
 			t.Errorf("%T roundtrip mismatch:\n%+v\n%+v", p, m.Payload, got.Payload)
 		}
 	}
-	// A list grown past one entry reads back in order, and a list of one
-	// stays inline.
-	if es := homes.All(); len(es) != 2 || es[0].Node != 2 || es[1].Slot.OID != 12 {
-		t.Errorf("two-entry list reads %+v", es)
-	}
-	if one := dirList(DirEntry{Slot: first}); len(one.All()) != 1 || one.more != nil {
-		t.Errorf("one-entry list is not inline: %+v", one)
-	}
 }
 
 // TestDirPayloadSizeVector pins the decree payload sizes. The lists ride as
@@ -397,27 +381,27 @@ func TestDirGroupMessageRoundtrips(t *testing.T) {
 // single-slot messages always did (every simulated time and byte count of a
 // directory run depends on it), and each further slot adds one entry.
 func TestDirPayloadSizeVector(t *testing.T) {
-	nslots := func(n int) (l DirList, acc []dir.Accepted) {
+	nslots := func(n int) (l []DirEntry, acc []dir.Accepted) {
 		for i := 0; i < n; i++ {
-			l.Append(DirEntry{Slot: dir.Slot{OID: oid.OID(9 + i), Epoch: 3}, Node: 2})
+			l = append(l, DirEntry{Slot: dir.Slot{OID: oid.OID(9 + i), Epoch: 3}, Node: 2})
 			acc = append(acc, dir.Accepted{Node: -1})
 		}
 		return l, acc
 	}
 	for _, c := range []struct {
 		name     string
-		msg      func(l DirList, acc []dir.Accepted) Payload
+		msg      func(l []DirEntry, acc []dir.Accepted) Payload
 		one, per int
 	}{
-		{"prepare", func(l DirList, _ []dir.Accepted) Payload { return &DirPrepare{Ballot: 1 << 16, Slots: l} }, 16, 8},
-		{"promise", func(l DirList, acc []dir.Accepted) Payload {
-			return &DirPromise{Slot: l.All()[0].Slot, Ballot: 1 << 16, Ok: true, Acc: acc}
+		{"prepare", func(l []DirEntry, _ []dir.Accepted) Payload { return &DirPrepare{Ballot: 1 << 16, Slots: l} }, 16, 8},
+		{"promise", func(l []DirEntry, acc []dir.Accepted) Payload {
+			return &DirPromise{Slot: l[0].Slot, Ballot: 1 << 16, Ok: true, Acc: acc}
 		}, 37, 12},
-		{"accept", func(l DirList, _ []dir.Accepted) Payload { return &DirAccept{Ballot: 1 << 16, Slots: l} }, 20, 12},
-		{"accepted", func(l DirList, _ []dir.Accepted) Payload {
-			return &DirAccepted{Slot: l.All()[0].Slot, Ballot: 1 << 16, Ok: true}
+		{"accept", func(l []DirEntry, _ []dir.Accepted) Payload { return &DirAccept{Ballot: 1 << 16, Slots: l} }, 20, 12},
+		{"accepted", func(l []DirEntry, _ []dir.Accepted) Payload {
+			return &DirAccepted{Slot: l[0].Slot, Ballot: 1 << 16, Ok: true}
 		}, 25, 0},
-		{"learn", func(l DirList, _ []dir.Accepted) Payload { return &DirLearn{Slots: l} }, 12, 12},
+		{"learn", func(l []DirEntry, _ []dir.Accepted) Payload { return &DirLearn{Slots: l} }, 12, 12},
 	} {
 		for _, n := range []int{1, 3} {
 			want := c.one + (n-1)*c.per
@@ -435,8 +419,8 @@ func TestDirPayloadSizeVector(t *testing.T) {
 // decodes; the proposer ignores it (dir.Proposal.OnPromise).
 func TestDirRaggedTailRejected(t *testing.T) {
 	slot := dir.Slot{OID: 9, Epoch: 3}
-	three := dirList(DirEntry{Slot: slot, Node: 2}, DirEntry{Slot: dir.Slot{OID: 10, Epoch: 1}, Node: 2},
-		DirEntry{Slot: dir.Slot{OID: 11, Epoch: 1}, Node: 2})
+	three := []DirEntry{{Slot: slot, Node: 2}, {Slot: dir.Slot{OID: 10, Epoch: 1}, Node: 2},
+		{Slot: dir.Slot{OID: 11, Epoch: 1}, Node: 2}}
 	for _, c := range []struct {
 		p     Payload
 		entry int // encoded bytes per tail entry
