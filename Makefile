@@ -80,7 +80,8 @@ emperf-smoke:
 
 # The emperf ledger's measuring protocol (EXPERIMENTS.md): build the
 # benchmark from `git archive $(REF)` and from the working tree, run N
-# alternating pairs of one workload, print medians, quartiles, pairs won:
+# alternating pairs of one workload, print medians, quartiles, pairs won
+# (W=all: the five workloads in turn, one table each):
 #   make emperf-pairs W=chaos_tour [N=10] [REF=HEAD]
 N ?= 10
 REF ?= HEAD

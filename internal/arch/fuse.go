@@ -30,8 +30,8 @@ import (
 // access for the overflow registers (still exact, just not cached).
 const fuseRegSlots = 8
 
-// fuseBuilds counts Fuse invocations process-wide; the kernel tests pin
-// "fusion runs exactly once per loadedFunc" against deltas of it.
+// fuseBuilds counts Fuse invocations process-wide; the core tests pin
+// "one build per compiled function and ISA" against deltas of it.
 var fuseBuilds atomic.Uint64
 
 // FuseBuildCount reports how many times Fuse has compiled a fusion plan
@@ -156,9 +156,10 @@ func (fz *Fused) pcOf(fr *fusedRun, idx int) uint32 {
 // baked into the closures). It returns nil — and callers run the
 // function on RunLegacy — when p is nil or plan is not a tiling of p's
 // instructions into runs whose endsRun ops come last, i.e. anything
-// PlanFusion(p) would not have produced. Fuse runs once per loaded
-// function — re-fusing on migration re-install would be pure waste,
-// which FuseBuildCount lets tests pin.
+// PlanFusion(p) would not have produced. A compiled function is fused
+// once, by codegen.FuncCode.Fused, for every node that loads it —
+// re-fusing per node, cluster or migration re-install would be pure
+// waste, which FuseBuildCount lets tests pin.
 func Fuse(s *Spec, p *Predecoded, plan *FusePlan) *Fused {
 	fuseBuilds.Add(1)
 	if p == nil || plan == nil {

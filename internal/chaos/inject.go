@@ -40,8 +40,12 @@ func mix(seed uint64, src, dst int) uint64 {
 	return r.next()
 }
 
-// Fault kinds, in the order they are counted.
-var faultKinds = []string{"drop", "dup", "delay", "corrupt", "partition"}
+// Fault kinds, in the order they are counted, and their metric labels
+// (spelled out: note runs for every injected fault and must not build one).
+var (
+	faultKinds = []string{"drop", "dup", "delay", "corrupt", "partition"}
+	kindLabels = [numKinds]string{"kind=drop", "kind=dup", "kind=delay", "kind=corrupt", "kind=partition"}
+)
 
 const (
 	kindDrop = iota
@@ -161,5 +165,5 @@ func (in *Injector) note(at netsim.Micros, src, dst int, kind int) {
 	}
 	in.rec.Emit(obs.Event{At: int64(at), Node: int32(src), Kind: obs.EvFaultInject,
 		B: uint64(dst), Str: faultKinds[kind]})
-	in.rec.Metrics().Add("chaos_injected", "kind="+faultKinds[kind], 1)
+	in.rec.Metrics().Add("chaos_injected", kindLabels[kind], 1)
 }

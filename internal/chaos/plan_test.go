@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/obs"
 )
 
 func TestParsePlan(t *testing.T) {
@@ -151,6 +152,30 @@ func TestInjectorDeterministic(t *testing.T) {
 	for _, kind := range []string{"drop", "dup", "delay", "corrupt"} {
 		if in.Injected()[kind] == 0 {
 			t.Errorf("no %s faults injected across 64 frames at p=0.2", kind)
+		}
+	}
+}
+
+// An injected fault is counted, logged and charged to its metric series
+// without garbage: the series label is not rebuilt per fault.
+func TestInjectorFrameDoesNotAllocate(t *testing.T) {
+	rec := obs.NewRecorder(2, 0)
+	in := NewInjector(&Plan{Seed: 1, Drop: 1}, rec)
+	at := netsim.Micros(0)
+	if got := testing.AllocsPerRun(200, func() {
+		at += 100
+		if !in.Frame(at, 0, 1, 64).Drop {
+			t.Fatal("drop-everything plan let a frame through")
+		}
+	}); got != 0 {
+		t.Errorf("Frame with an injected drop = %v allocs/run, want 0", got)
+	}
+	if got := rec.Metrics().Counter("chaos_injected", "kind=drop"); got != in.Injected()["drop"] || got < 200 {
+		t.Errorf("chaos_injected{kind=drop} = %d, injector counted %d", got, in.Injected()["drop"])
+	}
+	for k, name := range faultKinds {
+		if kindLabels[k] != "kind="+name {
+			t.Errorf("kindLabels[%d] = %q for fault kind %q", k, kindLabels[k], name)
 		}
 	}
 }

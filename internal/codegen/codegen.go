@@ -24,6 +24,7 @@ package codegen
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/busstop"
@@ -53,10 +54,22 @@ type FuncCode struct {
 	Decoded *arch.Predecoded
 	// Runs is the superinstruction fusion plan over Decoded: the
 	// function's basic blocks, also cut after every trapping
-	// instruction. Metadata only (PC + length pairs) — the kernel
-	// compiles it into closures once per loaded function (arch.Fuse).
-	// Nil for hand-built FuncCode values; the kernel plans those at load.
+	// instruction. Metadata only (PC + length pairs) — Fused compiles it
+	// into closures. Nil for hand-built FuncCode values; the kernel plans
+	// those at load.
 	Runs *arch.FusePlan
+	// fused is Runs compiled for the architecture's stock spec by the first
+	// load (nodes load concurrently under the parallel engine). The function
+	// owns it: every node and cluster over the program shares it.
+	fuseOnce sync.Once
+	fused    *arch.Fused
+}
+
+// Fused returns the function's fused program, compiling it on first call. s
+// must be its architecture's stock spec (arch.SpecOf) and Decoded non-nil.
+func (fc *FuncCode) Fused(s *arch.Spec) *arch.Fused {
+	fc.fuseOnce.Do(func() { fc.fused = arch.Fuse(s, fc.Decoded, fc.Runs) })
+	return fc.fused
 }
 
 // ArchCode is one object's code for one architecture.

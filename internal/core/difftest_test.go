@@ -96,8 +96,10 @@ func diffDispatchRuns(t *testing.T, arm string, got, ref dispatchRun) {
 		if got.instrs[i] != ref.instrs[i] {
 			t.Errorf("node %d instrs: %d (%s) vs %d (reference)", i, got.instrs[i], arm, ref.instrs[i])
 		}
+		// Equal lengths too: both arms must have grown memory the same way.
 		if !bytes.Equal(got.memSum[i], ref.memSum[i]) {
-			t.Errorf("node %d final memory image differs (%s vs reference)", i, arm)
+			t.Errorf("node %d final memory image differs (%s: %d bytes, reference: %d)",
+				i, arm, len(got.memSum[i]), len(ref.memSum[i]))
 		}
 	}
 	if !bytes.Equal(got.eventLog, ref.eventLog) {

@@ -250,8 +250,11 @@ func TestZeroConfigIsShippedSystem(t *testing.T) {
 		}
 		log := sha256.Sum256(obs.EventLog(sys.Recorder()))
 		mem := sha256.New()
+		// Node.Mem is as long as the run needed; the parent preallocated
+		// MemBytes, so its hash is of each image zero-extended to that.
 		for _, n := range sys.Cluster.Nodes {
 			mem.Write(n.Mem)
+			mem.Write(make([]byte, sys.Cluster.MemBytes-len(n.Mem)))
 		}
 		if got := sys.ElapsedMS(); got != parentSimMS {
 			t.Errorf("%s: sim_ms = %v, parent read %v", name, got, parentSimMS)

@@ -1,34 +1,55 @@
-// Pins the fuse-once discipline: superinstruction fusion (arch.Fuse)
-// runs exactly once per loaded function, at code-load time. A thread
-// migrating through a function — even repeatedly, as kilroy's token
-// does across every node — must never trigger re-fusion: migration
-// re-install reuses the node's cached loadedCode, and fusing is a
-// per-function, per-node cost, not a per-thread or per-move cost.
+// Pins who owns a fused program: the compiled function, not the node
+// that loads it. arch.Fuse runs once per (function, ISA) pair of one
+// codegen.Program however many nodes of that ISA load the function,
+// however many clusters are built over the program and however often a
+// thread migrates through it; only a SpecOverride spec, a hand-built
+// FuncCode and LegacyDispatch stay off the shared program.
 package core
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/codegen"
+	"repro/internal/netsim"
+	"repro/internal/obs"
 )
 
-func TestFuseOncePerLoadedFunc(t *testing.T) {
-	srcBytes, err := os.ReadFile(filepath.Join("..", "..", "examples", "programs", "kilroy.em"))
-	if err != nil {
-		t.Fatal(err)
-	}
+// fuseRun runs prog on a fresh system and reports the arch.Fuse calls the
+// run made, the functions its nodes loaded, and how many distinct
+// (function, ISA) pairs — *codegen.FuncCode values — those are.
+func fuseRun(t *testing.T, prog *codegen.Program, machines []netsim.MachineModel, opts Options) (sys *System, builds uint64, loaded, distinct int) {
+	t.Helper()
 	before := arch.FuseBuildCount()
-	sys, err := RunSource(string(srcBytes), Figure1Network(), Options{})
+	sys, err := NewSystem(prog, machines, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	builds := arch.FuseBuildCount() - before
-	loaded := sys.Cluster.LoadedFuncs()
-	if loaded == 0 {
-		t.Fatal("no functions loaded; pin is vacuous")
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
 	}
+	pairs := map[*codegen.FuncCode]bool{}
+	for _, n := range sys.Cluster.Nodes {
+		for _, fc := range n.LoadedFuncCodes() {
+			pairs[fc] = true
+		}
+	}
+	return sys, arch.FuseBuildCount() - before, sys.Cluster.LoadedFuncs(), len(pairs)
+}
+
+func TestFuseOncePerLoadedFunc(t *testing.T) {
+	compile := func() *codegen.Program {
+		prog, err := Compile(kilroySource(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	prog := compile()
+	sys, builds, loaded, distinct := fuseRun(t, prog, Figure1Network(), Options{})
 	moves := uint64(0)
 	for _, n := range sys.Cluster.Nodes {
 		moves += n.Migrations
@@ -36,17 +57,93 @@ func TestFuseOncePerLoadedFunc(t *testing.T) {
 	if moves == 0 {
 		t.Fatal("kilroy performed no migrations; pin is vacuous")
 	}
-	if builds != uint64(loaded) {
-		t.Errorf("Fuse ran %d times for %d loaded functions; migration re-install must not re-fuse", builds, loaded)
+	// Figure 1's Sun-3 and HP9000/300 are both M68K: they load the same
+	// functions, so fewer programs are built than functions are loaded.
+	if distinct == 0 || distinct >= loaded {
+		t.Fatalf("%d distinct (function, ISA) pairs in %d loaded functions; pin is vacuous", distinct, loaded)
+	}
+	if builds != uint64(distinct) {
+		t.Errorf("Fuse ran %d times for %d distinct (function, ISA) pairs (%d loaded functions)", builds, distinct, loaded)
+	}
+
+	// A second system over the same program fuses nothing and runs the same.
+	again, builds, _, _ := fuseRun(t, prog, Figure1Network(), Options{})
+	if builds != 0 {
+		t.Errorf("second system over one program: Fuse ran %d times, want 0", builds)
+	}
+	if !bytes.Equal(obs.EventLog(again.Recorder()), obs.EventLog(sys.Recorder())) {
+		t.Error("second system over one program: event log differs from the first's")
 	}
 
 	// The escape hatch must not fuse at all.
-	before = arch.FuseBuildCount()
-	if _, err := RunSource(string(srcBytes), Figure1Network(), Options{LegacyDispatch: true}); err != nil {
+	if _, builds, _, _ := fuseRun(t, compile(), Figure1Network(), Options{LegacyDispatch: true}); builds != 0 {
+		t.Errorf("LegacyDispatch: Fuse ran %d times, want 0", builds)
+	}
+
+	// A SpecOverride spec fuses per node and leaves the functions' own
+	// programs unbuilt: the default cluster after it builds them all.
+	prog = compile()
+	override := Options{SpecOverride: func(id arch.ID) *arch.Spec {
+		s := *arch.SpecOf(id)
+		return &s
+	}}
+	if _, builds, loaded, _ := fuseRun(t, prog, Figure1Network(), override); builds != uint64(loaded) {
+		t.Errorf("SpecOverride: Fuse ran %d times for %d loaded functions, want one private build each", builds, loaded)
+	}
+	if _, builds, _, distinct := fuseRun(t, prog, Figure1Network(), Options{}); builds != uint64(distinct) {
+		t.Errorf("default cluster after a SpecOverride one: Fuse ran %d times, want %d (nothing shared)", builds, distinct)
+	}
+}
+
+// Under the parallel engine each node loads code on its own goroutine:
+// every worker creates its Helper on its own node, so three nodes load —
+// and may race to fuse — Helper's function, which nothing loaded before.
+// One build, and (under -race) no unsynchronized access to it.
+func TestFuseOnceUnderParallelLoad(t *testing.T) {
+	const src = `
+object Helper
+  function echo(x: Int) -> (r: Int)
+    r <- x
+  end
+end Helper
+object Worker
+  var id: Int
+  process
+    move self to node(id)
+    var h: Helper <- new Helper
+    print("worker ", h.echo(id), " on ", str(thisnode()))
+  end process
+end Worker
+object Main
+  process
+    var a: Worker <- new Worker(0)
+    var b: Worker <- new Worker(1)
+    var c: Worker <- new Worker(2)
+  end process
+end Main
+`
+	prog, err := Compile(src)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d := arch.FuseBuildCount() - before; d != 0 {
-		t.Errorf("LegacyDispatch: Fuse ran %d times, want 0", d)
+	sparcs := []netsim.MachineModel{netsim.SPARCstationSLC, netsim.SPARCstationSLC, netsim.SPARCstationSLC}
+	sys, builds, loaded, distinct := fuseRun(t, prog, sparcs, Options{Parallel: true})
+	if got := len(sys.Lines()); got != 3 {
+		t.Fatalf("printed %q, want one line per worker", sys.Lines())
+	}
+	echo, on := prog.Object("Helper").PerArch[arch.SPARC].Funcs[0], 0
+	for _, n := range sys.Cluster.Nodes {
+		for _, fc := range n.LoadedFuncCodes() {
+			if fc == echo {
+				on++
+			}
+		}
+	}
+	if on != 3 {
+		t.Fatalf("Helper.echo loaded on %d nodes, want all 3", on)
+	}
+	if builds != uint64(distinct) {
+		t.Errorf("Fuse ran %d times for %d distinct functions (%d loaded)", builds, distinct, loaded)
 	}
 }
 

@@ -113,7 +113,7 @@ type Config struct {
 	Mode ConvMode // zero: ModeEnhanced, the paper's system
 	// Costs is the kernel-side cycle cost model (zero: DefaultCosts).
 	Costs     Costs
-	MemBytes  int    // per node (0: 8 MB)
+	MemBytes  int    // per node, a cap: Node.Mem grows to it (0: 8 MB)
 	StackSize uint32 // per thread (0: 64 KB)
 	// SliceInstrs bounds one scheduling slice in instructions (0: 200000).
 	// The differential tests shrink it to force constant preemption.
@@ -519,16 +519,22 @@ func (c *Cluster) ConvStats() wire.Stats {
 }
 
 // LoadedFuncs counts functions loaded across all nodes (each node that
-// loads a code object gets its own loadedFunc per function). Together
-// with arch.FuseBuildCount it pins the fuse-once discipline: fusion
-// happens at load, and migration re-install — which reuses the cached
-// loadedCode — must never fuse again.
+// loads a code object gets its own loadedFunc per function).
 func (c *Cluster) LoadedFuncs() int {
 	total := 0
 	for _, n := range c.Nodes {
 		total += len(n.descs)
 	}
 	return total
+}
+
+// LoadedFuncCodes lists the compiled functions n has loaded, in load order
+// (nodes of one ISA list the same values, fused by the first load anywhere).
+func (n *Node) LoadedFuncCodes() (fcs []*codegen.FuncCode) {
+	for _, lf := range n.descs {
+		fcs = append(fcs, lf.fc)
+	}
+	return fcs
 }
 
 // BlockedThreads lists fragments that are still blocked (for deadlock

@@ -32,12 +32,12 @@ type loadedFunc struct {
 	idx     int
 	desc    uint32 // node-local code descriptor (stored in AR RetDesc words)
 	litBase uint32 // address of the literal table (one ref word per string)
-	// fz is the fused superinstruction program runSlice dispatches over,
-	// compiled exactly once, at load; nil forces the legacy byte-at-a-
-	// time path (Config.LegacyDispatch, or a hand-built stream that does
-	// not predecode). Migration re-install reuses the loadedFunc via
-	// codeByOID, so a function is never re-fused no matter how many
-	// threads move through it.
+	// fz is the fused superinstruction program runSlice dispatches over:
+	// fc's own (codegen.FuncCode.Fused: one per compiled function and ISA,
+	// whatever nodes and clusters load it) unless the node's spec is a
+	// SpecOverride or fc is hand-built, which fuse here, at load; nil
+	// forces the legacy byte-at-a-time path (Config.LegacyDispatch, or a
+	// hand-built stream that does not predecode).
 	fz *arch.Fused
 	// plans caches compiled conversion plans per (bus stop, peer ISA); see
 	// plan.go. Lazily filled on first MD→MI conversion at each stop.
@@ -215,7 +215,7 @@ func newNode(c *Cluster, id int, m netsim.MachineModel) *Node {
 		Model:      m,
 		Spec:       spec,
 		CPU:        netsim.CPU{MHz: m.MHz},
-		Mem:        make([]byte, c.MemBytes),
+		Mem:        make([]byte, min(memStart, c.MemBytes)),
 		heapNext:   64, // address 0 is nil; low words reserved
 		objects:    map[oid.OID]*Obj{},
 		byAddr:     map[uint32]*Obj{},
@@ -268,6 +268,16 @@ func (n *Node) charge(cycles uint64) { n.CPU.Charge(n.now(), cycles) }
 
 // ---------------------------------------------------------------- memory
 
+// Mem is as long as the heap's high-water mark has needed; MemBytes is its
+// cap. It starts at memStart (two default stack regions) and alloc's bump
+// path doubles it when heapNext would pass its end. Growth replaces the
+// backing array, so no slice of Mem may outlive the kernel call that took
+// it: keep the address and re-slice n.Mem after anything that can allocate
+// (stringBytes' callers copy; runSlice passes n.Mem afresh for every slice
+// and handles the trap after Run returned). A full-size memory holds only
+// zeros above len(Mem); an emulated access there faults as one above MemBytes.
+const memStart = 128 << 10
+
 // freeBlock is one reclaimed block: its address and how many of its bytes
 // may be nonzero. The invariant — a free block is all-zero at and above
 // addr+dirty — is what lets alloc clear dirty bytes instead of the block's
@@ -289,7 +299,8 @@ func (n *Node) alloc(size uint32) (uint32, error) {
 		clear(n.Mem[b.addr : b.addr+b.dirty])
 		return b.addr, nil
 	}
-	if int(n.heapNext)+int(size) > len(n.Mem) {
+	end := int(n.heapNext) + int(size)
+	if end > n.cluster.MemBytes {
 		if !n.inGC {
 			n.inGC = true
 			_, err := n.Collect()
@@ -301,6 +312,11 @@ func (n *Node) alloc(size uint32) (uint32, error) {
 			}
 		}
 		return 0, fmt.Errorf("node %d: out of memory (%d bytes requested)", n.ID, size)
+	}
+	if end > len(n.Mem) {
+		mem := make([]byte, min(max(end, 2*len(n.Mem)), n.cluster.MemBytes))
+		copy(mem, n.Mem)
+		n.Mem = mem
 	}
 	a := n.heapNext
 	n.heapNext += size
@@ -440,13 +456,17 @@ func (n *Node) loadCode(code oid.OID) (*loadedCode, error) {
 	lc := &loadedCode{oc: oc, ac: ac}
 	for i, fc := range ac.Funcs {
 		lf := &loadedFunc{code: lc, fc: fc, idx: i, desc: uint32(len(n.descs))}
-		if !n.cluster.LegacyDispatch {
-			pd, plan := fc.Decoded, fc.Runs
+		switch pd, plan := fc.Decoded, fc.Runs; {
+		case n.cluster.LegacyDispatch: // fz stays nil: runSlice takes the reference path
+		case pd != nil && n.Spec == arch.SpecOf(ac.Arch):
+			lf.fz = fc.Fused(n.Spec) // the function's own, shared by every node of this ISA
+		default:
+			// A SpecOverride spec (other cycle charges baked in) and a
+			// hand-built FuncCode (tests, analyzers) fuse privately. The
+			// latter is predecoded here: a stream that does not decode
+			// end-to-end leaves fz nil and runs on the legacy path, which
+			// reports the bad instruction if execution ever reaches it.
 			if pd == nil {
-				// Hand-built FuncCode (tests, analyzers): predecode at
-				// load; a stream that does not decode end-to-end leaves
-				// fz nil and runs on the legacy path, which reports the
-				// bad instruction if execution ever reaches it.
 				pd, _ = arch.Predecode(n.Spec, fc.Code)
 			}
 			if pd != nil && plan == nil {
@@ -497,7 +517,7 @@ func (n *Node) newString(b []byte) (*Obj, error) {
 	return o, nil
 }
 
-// stringBytes reads a resident string object's bytes.
+// stringBytes reads a resident string object's bytes (a view of Mem).
 func (n *Node) stringBytes(o *Obj) []byte {
 	return n.Mem[o.Addr+arch.ArrDataOff : o.Addr+arch.ArrDataOff+o.Len]
 }

@@ -7,6 +7,8 @@
 // change of the medians and how many pairs the change won. Metrics the
 // simulation fixes (sim_ms, frames, wire bytes) and the allocation counts,
 // which repeat from run to run, also get an exact-equality column.
+// `-w all` runs every workload of BENCHMARK.json in turn off the same two
+// builds, one table each: the gate is "no metric worse on any workload".
 //
 // Run it from the repository root (`make emperf-pairs W=chaos_tour N=10`).
 // It reads BENCHMARK.json for the metric list and the better direction.
@@ -40,13 +42,13 @@ type side struct {
 }
 
 func main() {
-	workload := flag.String("w", "", "workload to run (a name from BENCHMARK.json)")
+	workload := flag.String("w", "", "workload to run (a name from BENCHMARK.json, or all)")
 	pairs := flag.Int("n", 10, "number of alternating pairs")
 	ref := flag.String("ref", "HEAD", "reference commit")
 	seconds := flag.Float64("seconds", 0, "pass -seconds to the benchmark (0: its default)")
 	flag.Parse()
 	if *workload == "" || *pairs < 1 || flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: pairbench -w workload [-n pairs] [-ref commit] [-seconds s]")
+		fmt.Fprintln(os.Stderr, "usage: pairbench -w workload|all [-n pairs] [-ref commit] [-seconds s]")
 		os.Exit(2)
 	}
 	if err := run(*workload, *pairs, *ref, *seconds); err != nil {
@@ -56,9 +58,12 @@ func main() {
 }
 
 func run(workload string, pairs int, ref string, seconds float64) error {
-	decls, err := endToEndMetrics("BENCHMARK.json")
+	workloads, decls, err := benchmarkDecl("BENCHMARK.json")
 	if err != nil {
 		return err
+	}
+	if workload != "all" {
+		workloads = []string{workload}
 	}
 	tmp, err := os.MkdirTemp("", "pairbench")
 	if err != nil {
@@ -87,26 +92,29 @@ func run(workload string, pairs int, ref string, seconds float64) error {
 		}
 	}
 
-	args := []string{"-workload", workload, "-trace", "0"}
-	if seconds > 0 {
-		args = append(args, "-seconds", fmt.Sprint(seconds))
-	}
-	for p := 1; p <= pairs; p++ {
-		order := sides
-		if p%2 == 0 {
-			order[0], order[1] = order[1], order[0]
+	for _, w := range workloads {
+		args := []string{"-workload", w, "-trace", "0"}
+		if seconds > 0 {
+			args = append(args, "-seconds", fmt.Sprint(seconds))
 		}
-		for _, s := range order {
-			m, err := oneRun(s, args)
-			if err != nil {
-				return fmt.Errorf("pair %d, %s: %w", p, s.label, err)
+		for p := 1; p <= pairs; p++ {
+			order := sides
+			if p%2 == 0 {
+				order[0], order[1] = order[1], order[0]
 			}
-			s.runs = append(s.runs, m)
-			fmt.Fprintf(os.Stderr, "pair %d/%d %-6s wall_s %.4g  mallocs_per_op %.6g\n",
-				p, pairs, s.label, m["wall_s"], m["mallocs_per_op"])
+			for _, s := range order {
+				m, err := oneRun(s, args)
+				if err != nil {
+					return fmt.Errorf("%s, pair %d, %s: %w", w, p, s.label, err)
+				}
+				s.runs = append(s.runs, m)
+				fmt.Fprintf(os.Stderr, "%s pair %d/%d %-6s wall_s %.4g  mallocs_per_op %.6g\n",
+					w, p, pairs, s.label, m["wall_s"], m["mallocs_per_op"])
+			}
 		}
+		report(w, pairs, ref, decls, sides[0], sides[1])
+		sides[0].runs, sides[1].runs = nil, nil
 	}
-	report(workload, pairs, ref, decls, sides[0], sides[1])
 	return nil
 }
 
@@ -221,18 +229,23 @@ func quartiles(xs []float64) (q1, med, q3 float64) {
 	return q(1), q(2), q(3)
 }
 
-func endToEndMetrics(path string) ([]metricDecl, error) {
+// benchmarkDecl reads the benchmark's workload names and end-to-end metrics.
+func benchmarkDecl(path string) (workloads []string, metrics []metricDecl, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("%w (run pairbench from the repository root)", err)
+		return nil, nil, fmt.Errorf("%w (run pairbench from the repository root)", err)
 	}
 	var file struct {
-		EndToEnd []metricDecl `json:"end_to_end"`
+		Workloads []metricDecl `json:"workloads"` // only the names
+		EndToEnd  []metricDecl `json:"end_to_end"`
 	}
 	if err := json.Unmarshal(data, &file); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return file.EndToEnd, nil
+	for _, w := range file.Workloads {
+		workloads = append(workloads, w.Name)
+	}
+	return workloads, file.EndToEnd, nil
 }
 
 // sh runs a shell command line in dir, passing its output through.
