@@ -98,12 +98,14 @@ bench-baselines:
 	$(GO) run ./cmd/embench dir > /dev/null
 	$(GO) run ./cmd/embench jit > /dev/null
 
-# The fuzz seeds of the wire decoder (bounds-checked frame/message parsing)
-# and of the -chaos plan grammar must hold; full fuzzing runs separately with
-# -fuzz.
+# The fuzz seeds of the wire decoder (bounds-checked frame/message parsing),
+# of the -chaos plan grammar and of the .em front end and code generator
+# (every bus stop heads a fusion run) must hold; full fuzzing runs
+# separately with -fuzz.
 fuzz-smoke:
 	$(GO) test -run FuzzMsgDecode ./internal/wire
 	$(GO) test -run FuzzParsePlan ./internal/chaos
+	$(GO) test -run FuzzCompile ./internal/codegen
 
 # The points-to object-graph report must build for the whole corpus, find
 # at least one group-migration cohort in producer_consumer, and be

@@ -84,8 +84,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *stats {
 		fmt.Fprintf(stderr, "\nsimulated time: %.1f ms\n", sys.ElapsedMS())
 		for _, n := range sys.Cluster.Nodes {
-			fmt.Fprintf(stderr, "node%d %-18s [%s] instrs=%d step_fallback=%d msgs=%d/%d migrations=%d\n",
-				n.ID, n.Model.Name, n.Spec.Name, n.Instrs, n.StepFallbackInstrs(), n.MsgsSent, n.MsgsRecv, n.Migrations)
+			fmt.Fprintf(stderr, "node%d %-18s [%s] instrs=%d msgs=%d/%d migrations=%d\n",
+				n.ID, n.Model.Name, n.Spec.Name, n.Instrs, n.MsgsSent, n.MsgsRecv, n.Migrations)
 		}
 		st := sys.Cluster.ConvStats()
 		fmt.Fprintf(stderr, "conversion calls=%d values=%d wire payload=%d bytes\n",

@@ -56,7 +56,7 @@ func TestRun(t *testing.T) {
 	if got := stdout.String(); got != "Kilroy was here: node0 node1\n" {
 		t.Errorf("stdout = %q", got)
 	}
-	if !strings.Contains(stderr.String(), "step_fallback=0") {
+	if !strings.Contains(stderr.String(), "simulated time:") || !strings.Contains(stderr.String(), " instrs=") {
 		t.Errorf("-stats output missing from stderr:\n%s", stderr.String())
 	}
 }

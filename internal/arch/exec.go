@@ -46,6 +46,11 @@ type CPU struct {
 // (undecodable code), not a program-level fault — program faults are
 // delivered as TrapFault traps.
 func Step(s *Spec, cpu *CPU, code []byte, mem []byte) (*Trap, uint32, error) {
+	return step(s, cpu, code, mem, cpu.Preempt)
+}
+
+// step is Step with the reschedule request a poll obeys passed in.
+func step(s *Spec, cpu *CPU, code []byte, mem []byte, preempt bool) (*Trap, uint32, error) {
 	in, err := Decode(s, code, cpu.PC)
 	if err != nil {
 		return nil, 0, err
@@ -350,7 +355,7 @@ func Step(s *Spec, cpu *CPU, code []byte, mem []byte) (*Trap, uint32, error) {
 			write(in.Operands[2], uint32(str[idx]))
 		}
 	case OpPoll:
-		if cpu.Preempt {
+		if preempt {
 			cpu.PC = next
 			return &Trap{Kind: TrapYield, PC: next}, cycles + s.TrapCycles, nil
 		}
@@ -386,22 +391,32 @@ func boolW(b bool) uint32 {
 	return 0
 }
 
-// RunLegacy executes instructions until a trap occurs or budget
-// instructions have executed, returning the trap (nil if the budget
-// expired), the cycles consumed, and the instruction count. It decodes
-// byte-at-a-time via Step and is the reference implementation the
-// predecoded dispatcher (predecode.go) is validated against.
+// RunawayInstrs bounds how far a Run rolls forward past its budget: only
+// a poll-free loop (codegen.Options.OmitLoopPolls) gets that far.
+const RunawayInstrs = 1 << 24
+
+// ErrRunaway ends a Run that reached RunawayInstrs past its budget.
+var ErrRunaway = fmt.Errorf("no kernel entry within %d instructions past the slice budget", RunawayInstrs)
+
+// RunLegacy executes instructions until one enters the kernel, returning
+// the trap, the cycles consumed and the instruction count, or a nil trap
+// and an error (undecodable code, ErrRunaway). The budget only requests a
+// reschedule: a poll yields iff cpu.Preempt is set or at least budget
+// instructions of this call preceded it. It is the byte-at-a-time
+// reference the fused dispatcher (fexec.go) is validated against.
 func RunLegacy(s *Spec, cpu *CPU, code []byte, mem []byte, budget int) (*Trap, uint64, int, error) {
 	var cycles uint64
-	for n := 0; n < budget; n++ {
-		tr, c, err := Step(s, cpu, code, mem)
+	for n := 0; ; n++ {
+		if n >= budget+RunawayInstrs {
+			return nil, cycles, n, ErrRunaway
+		}
+		tr, c, err := step(s, cpu, code, mem, cpu.Preempt || n >= budget)
 		cycles += uint64(c)
 		if err != nil {
-			return nil, cycles, n + 1, err
+			return nil, cycles, n, err
 		}
 		if tr != nil {
 			return tr, cycles, n + 1, nil
 		}
 	}
-	return nil, cycles, budget, nil
 }

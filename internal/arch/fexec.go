@@ -1,14 +1,16 @@
 // Fused execution state and dispatch loop. One fexec carries a whole
 // run: the kernel-owned bases (FP, Self, TempBase, LitBase — machine
 // instructions never write them) are hoisted once per Run call, and the
-// run's cached register slots plus temp-stack depth are loaded where the
-// run is entered and written back wherever it is left — its end, a
-// fault, a trap, or the slice budget expiring between two of its
-// instructions. Memory writes stay eager: only registers and depth are
-// cached, so the final memory image is byte-identical to the legacy path
-// by construction.
+// run's cached register slots plus temp-stack depth are loaded at its
+// head, the only place a run is entered, and written back wherever it
+// is left — its end, a trap, or a fault. The slice budget is no exit: it
+// only makes the run's closing poll yield. Memory writes stay eager:
+// only registers and depth are cached, so the final memory image is
+// byte-identical to the legacy path by construction.
 
 package arch
+
+import "fmt"
 
 // fop executes one fused instruction against the shared executor state.
 type fop func(*fexec)
@@ -25,6 +27,7 @@ type fexec struct {
 	tempBase uint32
 	litBase  uint32
 	mc       uint32 // s.MemCycles
+	preempt  bool   // a poll yields: cpu.Preempt, or the budget is spent
 
 	// Per-run state.
 	depth  int32     // cached cpu.TempDepth
@@ -83,14 +86,12 @@ func (e *fexec) raise(kind TrapKind, a, b uint16) {
 	e.trap = &e.tbuf
 }
 
-// exec runs fr from member instruction idx for at most max instructions
-// and returns the trap that ended it (nil when it fell off the run's end
-// or max ran out) with the number of instructions executed. Whichever
-// way the run is left, cached slots and depth reconverge first, so the
-// kernel (and any migration snapshot) sees exactly the legacy-path
-// state. Entering past lo loads — and later stores unchanged — slots
-// only earlier members touch, which is harmless.
-func (fz *Fused) exec(e *fexec, fr *fusedRun, idx, max int) (*Trap, int) {
+// exec runs fr from its head to its end, or to the trap or fault that
+// leaves it early, and returns that trap (nil when it fell off the run's
+// end) with the number of instructions executed. Whichever way the run
+// is left, cached slots and depth reconverge first, so the kernel (and
+// any migration snapshot) sees exactly the legacy-path state.
+func (fz *Fused) exec(e *fexec, fr *fusedRun) (*Trap, int) {
 	cpu := e.cpu
 	regs := fr.regs[:fr.nreg]
 	for i, m := range regs {
@@ -101,9 +102,8 @@ func (fz *Fused) exec(e *fexec, fr *fusedRun, idx, max int) (*Trap, int) {
 	e.fault = 0
 	e.trap = nil
 	e.stop = false
-	ops := fz.ops[idx:min(int(fr.hi), idx+max)]
 	n := 0
-	for _, op := range ops {
+	for _, op := range fz.ops[fr.lo:fr.hi] {
 		op(e)
 		n++
 		if e.stop {
@@ -114,18 +114,15 @@ func (fz *Fused) exec(e *fexec, fr *fusedRun, idx, max int) (*Trap, int) {
 		cpu.Regs[m] = e.r[k]
 	}
 	cpu.TempDepth = e.depth
-	switch next := idx + n; {
-	case e.stop:
+	if e.stop {
 		// Like Step, a faulting instruction leaves cpu.PC at its own
 		// start; the trap's PC is the next instruction.
-		cpu.PC = fz.pcOf(fr, next-1)
-		e.tbuf = Trap{Kind: TrapFault, Fault: e.fault, PC: cpu.PC + fz.p.instrs[next-1].Size}
+		last := int(fr.lo) + n - 1
+		cpu.PC = fz.pcOf(fr, last)
+		e.tbuf = Trap{Kind: TrapFault, Fault: e.fault, PC: cpu.PC + fz.p.instrs[last].Size}
 		return &e.tbuf, n
-	case next < int(fr.hi): // budget ran out inside the run
-		cpu.PC = fz.pcOf(fr, next)
-	default:
-		cpu.PC = e.npc
 	}
+	cpu.PC = e.npc
 	return e.trap, n
 }
 
@@ -136,50 +133,39 @@ func (fz *Fused) exec(e *fexec, fr *fusedRun, idx, max int) (*Trap, int) {
 // runs. The zero value is ready to use. Not safe for concurrent use.
 type FusedRunner struct {
 	e fexec
-	// StepFallbackInstrs counts the instructions Run handed to Step
-	// because the PC did not start a decoded instruction. It stays 0 for
-	// compiler-produced code: the fused program covers the whole grid.
-	StepFallbackInstrs uint64
 }
 
-// Run executes up to budget instructions of fz: each PC on the decode
-// grid enters its run at that member, and only a PC off the grid (inside
-// an encoding, past the end) is stepped by the reference emulator.
-// Observables (traps, faults, cycles, instruction counts, memory and
-// register effects) are byte-identical to RunLegacy, which the
-// differential suite pins. The returned Trap (nil when no trap fired)
-// belongs to the runner and is valid until its next Run: callers consume
-// it before running again, as the kernel's trap dispatcher does.
+// Run is RunLegacy over fz, one whole run at a time, with byte-identical
+// observables, which the differential suite pins. Only a run's last
+// member can be a poll, so checking the budget once per run is exact.
+// Every PC a thread resumes at (0, a branch target, the instruction after
+// a kernel entry) heads a run; any other PC is an error. The returned
+// Trap belongs to the runner and is valid until its next Run: callers
+// consume it before running again, as the kernel's trap dispatcher does.
 func (rn *FusedRunner) Run(s *Spec, fz *Fused, cpu *CPU, mem []byte, budget int) (*Trap, uint64, int, error) {
-	p := fz.p
 	e := &rn.e
 	e.s, e.cpu, e.mem = s, cpu, mem
 	e.fp, e.self = cpu.FP, cpu.Self
 	e.tempBase, e.litBase = cpu.TempBase, cpu.LitBase
 	e.mc = s.MemCycles
 	e.cycles = 0
-	for n := 0; n < budget; {
-		idx := p.indexAt(cpu.PC)
-		if idx < 0 {
-			rn.StepFallbackInstrs++
-			tr, c, err := Step(s, cpu, p.code, mem)
-			e.cycles += uint64(c)
-			n++
-			if err != nil {
-				return nil, e.cycles, n, err
-			}
-			if tr != nil {
-				return tr, e.cycles, n, nil
-			}
-			continue
+	e.preempt = cpu.Preempt
+	for n := 0; ; {
+		fr := fz.runAt(cpu.PC)
+		switch {
+		case n >= budget+RunawayInstrs:
+			return nil, e.cycles, n, ErrRunaway
+		case fr == nil:
+			return nil, e.cycles, n, fmt.Errorf("%s: pc %#x does not start a fused run", s.Name, cpu.PC)
+		case n+int(fr.hi-fr.lo)-1 >= budget:
+			e.preempt = true
 		}
-		tr, did := fz.exec(e, &fz.runs[fz.runOf[idx]], int(idx), budget-n)
+		tr, did := fz.exec(e, fr)
 		n += did
 		if tr != nil {
 			return tr, e.cycles, n, nil
 		}
 	}
-	return nil, e.cycles, budget, nil
 }
 
 // RunFused is the convenience form for callers without a long-lived
@@ -190,9 +176,9 @@ func RunFused(s *Spec, fz *Fused, cpu *CPU, mem []byte, budget int) (*Trap, uint
 	return rn.Run(s, fz, cpu, mem, budget)
 }
 
-// Run executes instructions until a trap occurs or budget instructions
-// have executed, returning the trap (nil if the budget expired), the
-// cycles consumed, and the instruction count. It is the one-shot
+// Run executes instructions until one enters the kernel, returning the
+// trap, the cycles consumed, and the instruction count; the budget only
+// requests a reschedule (see RunLegacy). It is the one-shot
 // convenience for tests: predecode, plan, fuse, run. Callers that hold a
 // long-lived code object Fuse once and keep a FusedRunner. Code that
 // does not predecode cleanly runs on the legacy byte-at-a-time loop,

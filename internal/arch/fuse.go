@@ -8,13 +8,12 @@
 // with the run's register slots cached in executor locals and written
 // back only when it leaves the run (see DESIGN.md §16).
 //
-// The fused program is total over the decode grid: a run may be entered
-// at any member instruction and left after any number of them, so a
-// migration resume, a slice budget that ends mid-run and a one-
-// instruction stretch all execute here. Step (exec.go) remains the
-// semantic oracle — observable behavior (traps, faults, cycle charges,
-// memory images, event streams) is byte-identical to RunLegacy — and
-// the executor only for PCs that do not start a decoded instruction.
+// A run is entered only at its head and left at its end, at a trap or at
+// a fault: every PC a thread resumes at heads a run, because a thread
+// stops only where it enters the kernel and every kernel-entry op ends
+// its run. Step (exec.go) remains the semantic oracle — observable
+// behavior (traps, faults, cycle charges, memory images, event streams)
+// is byte-identical to RunLegacy.
 
 package arch
 
@@ -64,8 +63,8 @@ func endsRun(op Op) bool {
 // PlanFusion tiles a predecoded function into runs: every instruction
 // belongs to exactly one. A run starts at PC 0, at a branch target, or
 // after an instruction that endsRun (which belongs to the run it ends).
-// Bus stops need no boundary of their own: a run is enterable at any
-// member, and every stop PC follows a trapping op anyway.
+// Bus stops need no boundary of their own: every stop PC follows a
+// kernel-entry op, so it heads a run already.
 // Faulting-capable instructions (memory operands, div/mod, string and
 // array ops) are allowed anywhere: the fused executor writes cached
 // state back before delivering their trap (fexec.go).
@@ -113,10 +112,10 @@ func PlanFusion(p *Predecoded) *FusePlan {
 // across goroutines; all mutable execution state lives in the caller's
 // FusedRunner.
 type Fused struct {
-	p     *Predecoded
-	ops   []fop   // one per decoded instruction
-	runOf []int32 // instruction index -> index into runs
-	runs  []fusedRun
+	p    *Predecoded
+	ops  []fop   // one per decoded instruction
+	head []int32 // instruction index -> index into runs of the run it heads, or -1
+	runs []fusedRun
 }
 
 // fusedRun is one compiled run: instructions [lo, hi) of the function.
@@ -140,9 +139,19 @@ func (fz *Fused) RunLens() []int {
 	return out
 }
 
+// runAt returns the run headed at pc, or nil when pc does not start one.
+func (fz *Fused) runAt(pc uint32) *fusedRun {
+	if idx := fz.p.indexAt(pc); idx >= 0 {
+		if ri := fz.head[idx]; ri >= 0 {
+			return &fz.runs[ri]
+		}
+	}
+	return nil
+}
+
 // pcOf returns the start PC of member instruction idx of fr. Only the
-// cold exits (fault delivery, budget expiry inside a run) need it, so it
-// walks the run's encodings instead of keeping a per-instruction table.
+// cold fault exit needs it, so it walks the run's encodings instead of
+// keeping a per-instruction table.
 func (fz *Fused) pcOf(fr *fusedRun, idx int) uint32 {
 	pc := fr.head
 	for k := int(fr.lo); k < idx; k++ {
@@ -167,10 +176,10 @@ func Fuse(s *Spec, p *Predecoded, plan *FusePlan) *Fused {
 	}
 	n := len(p.instrs)
 	fz := &Fused{
-		p:     p,
-		ops:   make([]fop, n),
-		runOf: make([]int32, n),
-		runs:  make([]fusedRun, len(plan.Runs)),
+		p:    p,
+		ops:  make([]fop, n),
+		head: make([]int32, n),
+		runs: make([]fusedRun, len(plan.Runs)),
 	}
 	idx, pc := 0, uint32(0)
 	for ri, pr := range plan.Runs {
@@ -190,10 +199,11 @@ func Fuse(s *Spec, p *Predecoded, plan *FusePlan) *Fused {
 				return nil
 			}
 			fz.ops[idx] = op
-			fz.runOf[idx] = int32(ri)
+			fz.head[idx] = -1
 			pc += in.Size
 		}
 		fr.hi, fr.end = int32(idx), pc
+		fz.head[fr.lo] = int32(ri)
 	}
 	if idx != n {
 		return nil
@@ -778,7 +788,7 @@ func (b *fuser) fuseInstr(in *Instr) fop {
 		tc := uint64(s.TrapCycles)
 		return func(e *fexec) {
 			e.cycles += cyc
-			if e.cpu.Preempt {
+			if e.preempt {
 				e.cycles += tc
 				e.raise(TrapYield, 0, 0)
 			}

@@ -20,20 +20,20 @@ func fuseCountdown(t testing.TB, s *Spec, iters uint32) ([]byte, *Predecoded, *F
 	return code, pd, fz
 }
 
-// The countdown loop tiles into three runs: the entry mov (the loop top
-// is a branch target, so it starts a run of its own), the three-
-// instruction loop body (mov, sub, brnz) and the ret. Every decoded
-// instruction is in a run.
+// The countdown loop tiles into four runs: the entry mov (the loop top
+// is a branch target, so it starts a run of its own), the loop body up
+// to its poll (mov, sub, poll), the back branch and the ret. Every
+// decoded instruction is in a run.
 func TestFusePlanCountdown(t *testing.T) {
 	for _, s := range AllSpecs() {
 		t.Run(s.Name, func(t *testing.T) {
 			_, pd, fz := fuseCountdown(t, s, 10)
 			lens := fz.RunLens()
-			if len(lens) != 3 || lens[0] != 1 || lens[1] != 3 || lens[2] != 1 {
-				t.Fatalf("run lengths = %v, want [1 3 1] (mov | mov, sub, brnz | ret)", lens)
+			if len(lens) != 4 || lens[0] != 1 || lens[1] != 3 || lens[2] != 1 || lens[3] != 1 {
+				t.Fatalf("run lengths = %v, want [1 3 1 1] (mov | mov, sub, poll | brnz | ret)", lens)
 			}
-			if pd.NumInstrs() != 5 {
-				t.Fatalf("decoded %d instructions, want 5", pd.NumInstrs())
+			if pd.NumInstrs() != 6 {
+				t.Fatalf("decoded %d instructions, want 6", pd.NumInstrs())
 			}
 		})
 	}
@@ -94,7 +94,8 @@ func TestFusePlanSplitsAtStops(t *testing.T) {
 }
 
 // Steady-state fused dispatch must not allocate: closures are built once
-// at Fuse time and all mutable state lives in the reusable FusedRunner.
+// at Fuse time and all mutable state — the yield trap included — lives in
+// the reusable FusedRunner.
 func TestFusedDispatchSteadyStateAllocs(t *testing.T) {
 	for _, s := range AllSpecs() {
 		t.Run(s.Name, func(t *testing.T) {
@@ -104,9 +105,9 @@ func TestFusedDispatchSteadyStateAllocs(t *testing.T) {
 			var rn FusedRunner // lives in the node, outside the slice loop
 			got := testing.AllocsPerRun(100, func() {
 				cpu = CPU{FP: 256, TempBase: 512}
-				tr, _, _, err := rn.Run(s, fz, &cpu, mem, 5000)
-				if err != nil || tr != nil {
-					t.Fatalf("unexpected stop: %v %v", tr, err)
+				tr, _, n, err := rn.Run(s, fz, &cpu, mem, 5000)
+				if err != nil || tr == nil || tr.Kind != TrapYield || n <= 5000 {
+					t.Fatalf("stop after %d instructions: %v %v, want a yield past the budget", n, tr, err)
 				}
 			})
 			if got != 0 {
@@ -144,25 +145,34 @@ func TestFusedMatchesLegacyToCompletion(t *testing.T) {
 	}
 }
 
-// Migration resume can land on ANY PC — a run head, the middle of a run,
-// or even mid-encoding. Sweep every byte offset as a start PC and demand
-// byte-identical observables against the legacy loop. Mid-run PCs
-// exercise entry at an interior member; mid-encoding PCs exercise the
-// Step fallback.
+// A thread resumes only at a run head — PC 0, a branch target, or the
+// instruction after a kernel entry (a call's return address, a stop).
+// Sweep every byte offset as a start PC: from a run head the fused
+// runner matches the legacy loop byte for byte; from any other offset —
+// mid-run, mid-encoding, past the end — it refuses with an error before
+// executing anything.
 func TestFusedResumeSweepMatchesLegacy(t *testing.T) {
 	for _, s := range AllSpecs() {
 		t.Run(s.Name, func(t *testing.T) {
 			code, _, fz := fuseCountdown(t, s, 5)
+			heads := 0
 			for pc := uint32(0); pc <= uint32(len(code)); pc++ {
 				mem1 := make([]byte, 4096)
 				mem2 := make([]byte, 4096)
 				cpu1 := CPU{PC: pc, FP: 256, TempBase: 512, Regs: [16]uint32{1: 7, 2: 7}}
 				cpu2 := cpu1
 				tr1, cy1, n1, err1 := RunFused(s, fz, &cpu1, mem1, 200)
+				if fz.runAt(pc) == nil {
+					if err1 == nil || tr1 != nil || cy1 != 0 || n1 != 0 || cpu1 != cpu2 {
+						t.Errorf("pc=%d heads no run: trap %+v, %d cycles, %d instrs, error %v; want an error and nothing executed",
+							pc, tr1, cy1, n1, err1)
+					}
+					continue
+				}
+				heads++
 				tr2, cy2, n2, err2 := RunLegacy(s, &cpu2, code, mem2, 200)
-				if (err1 == nil) != (err2 == nil) ||
-					(err1 != nil && err1.Error() != err2.Error()) {
-					t.Fatalf("pc=%d: error mismatch: %v vs %v", pc, err1, err2)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("pc=%d: errors %v vs %v", pc, err1, err2)
 				}
 				if cy1 != cy2 || n1 != n2 {
 					t.Errorf("pc=%d: cycles/instrs %d/%d vs %d/%d", pc, cy1, n1, cy2, n2)
@@ -177,33 +187,42 @@ func TestFusedResumeSweepMatchesLegacy(t *testing.T) {
 					t.Errorf("pc=%d: memory images differ", pc)
 				}
 			}
+			if heads != fz.NumRuns() {
+				t.Errorf("swept %d run heads, want %d", heads, fz.NumRuns())
+			}
 		})
 	}
 }
 
-// A budget that runs out inside a run must leave it there, with the
-// cached state written back, at exactly the instruction the legacy loop
-// would stop at.
+// The budget never stops a thread between bus stops: on every budget,
+// with and without a pending reschedule, both tiers run to the same
+// trap — the first poll at or past the budget yields — with the same
+// state, and neither returns a nil trap without an error.
 func TestFusedBudgetMatchesLegacy(t *testing.T) {
 	for _, s := range AllSpecs() {
 		t.Run(s.Name, func(t *testing.T) {
 			code, _, fz := fuseCountdown(t, s, 100)
 			for budget := 0; budget <= 12; budget++ {
-				mem1 := make([]byte, 4096)
-				mem2 := make([]byte, 4096)
-				cpu1 := CPU{FP: 256, TempBase: 512}
-				cpu2 := cpu1
-				tr1, cy1, n1, err1 := RunFused(s, fz, &cpu1, mem1, budget)
-				tr2, cy2, n2, err2 := RunLegacy(s, &cpu2, code, mem2, budget)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("budget=%d: errors %v %v", budget, err1, err2)
-				}
-				if cy1 != cy2 || n1 != n2 || cpu1 != cpu2 {
-					t.Errorf("budget=%d: %d/%d/%+v vs %d/%d/%+v",
-						budget, cy1, n1, cpu1, cy2, n2, cpu2)
-				}
-				if (tr1 == nil) != (tr2 == nil) || (tr1 != nil && *tr1 != *tr2) {
-					t.Errorf("budget=%d: traps %+v vs %+v", budget, tr1, tr2)
+				for _, preempt := range []bool{false, true} {
+					mem1 := make([]byte, 4096)
+					mem2 := make([]byte, 4096)
+					cpu1 := CPU{FP: 256, TempBase: 512, Preempt: preempt}
+					cpu2 := cpu1
+					tr1, cy1, n1, err1 := RunFused(s, fz, &cpu1, mem1, budget)
+					tr2, cy2, n2, err2 := RunLegacy(s, &cpu2, code, mem2, budget)
+					if err1 != nil || err2 != nil || tr1 == nil || tr2 == nil {
+						t.Fatalf("budget=%d preempt=%v: traps %+v %+v, errors %v %v", budget, preempt, tr1, tr2, err1, err2)
+					}
+					if *tr1 != *tr2 || tr1.Kind != TrapYield {
+						t.Errorf("budget=%d preempt=%v: traps %+v vs %+v, want one yield", budget, preempt, *tr1, *tr2)
+					}
+					if cy1 != cy2 || n1 != n2 || cpu1 != cpu2 {
+						t.Errorf("budget=%d preempt=%v: %d/%d/%+v vs %d/%d/%+v",
+							budget, preempt, cy1, n1, cpu1, cy2, n2, cpu2)
+					}
+					if !preempt && n1 <= budget {
+						t.Errorf("budget=%d: yielded after %d instructions, before the budget was spent", budget, n1)
+					}
 				}
 			}
 		})
@@ -211,12 +230,14 @@ func TestFusedBudgetMatchesLegacy(t *testing.T) {
 }
 
 // TestQuickFusedMatchesLegacy: random legal instruction streams, fused
-// against legacy, entered at a random instruction start with a random
-// budget and preemption flag. Streams include faulting memory modes,
-// stack over- and underflow, div-zero, branches to arbitrary targets and
-// every kernel-entry op — the fused executor must reproduce every
+// against legacy, entered at a random run head with a random budget and
+// preemption flag. Streams include faulting memory modes, stack over- and
+// underflow, div-zero, branches to instruction starts and past the code,
+// and every kernel-entry op — the fused executor must reproduce every
 // observable exactly, including write-back of cached registers on the
-// fault, trap and budget exits.
+// fault and trap exits. Running off the code is an error on both tiers
+// (with different texts: an undecodable PC against one that heads no
+// run).
 func TestQuickFusedMatchesLegacy(t *testing.T) {
 	for _, s := range AllSpecs() {
 		s := s
@@ -232,6 +253,24 @@ func TestQuickFusedMatchesLegacy(t *testing.T) {
 			}
 			if err != nil {
 				continue
+			}
+			// Branches land on an instruction start or past the code: the
+			// compiler never branches into an encoding, which the fused
+			// runner refuses and the legacy loop decodes as garbage.
+			for _, at := range starts {
+				in, _ := Decode(s, code, at)
+				if !shapes[in.Op].hasTarget || int(in.Target) >= len(code) {
+					continue
+				}
+				snap := starts[0]
+				for _, st := range starts {
+					if st <= uint32(in.Target) {
+						snap = st
+					}
+				}
+				if err := PatchTarget(s, code, at, uint16(snap)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			pd, err := Predecode(s, code)
 			if err != nil {
@@ -252,14 +291,13 @@ func TestQuickFusedMatchesLegacy(t *testing.T) {
 			for i := range regs {
 				regs[i] = rng.Uint32() % 1024
 			}
-			cpu1 := CPU{PC: starts[rng.Intn(n)], FP: 256, TempBase: 512, LitBase: 1024, Self: 2048,
+			cpu1 := CPU{PC: fz.runs[rng.Intn(fz.NumRuns())].head, FP: 256, TempBase: 512, LitBase: 1024, Self: 2048,
 				TempDepth: int32(rng.Intn(4)), Regs: regs, Preempt: rng.Intn(2) == 0}
 			cpu2 := cpu1
-			budget := 1 + rng.Intn(64)
+			budget := rng.Intn(12) // around the streams' length, so polls land on both sides of it
 			tr1, cy1, n1, err1 := RunFused(s, fz, &cpu1, mem1, budget)
 			tr2, cy2, n2, err2 := RunLegacy(s, &cpu2, code, mem2, budget)
-			if (err1 == nil) != (err2 == nil) ||
-				(err1 != nil && err1.Error() != err2.Error()) {
+			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("%s iter %d: error mismatch: %v vs %v\ncode: %x", s.Name, iter, err1, err2, code)
 			}
 			if cy1 != cy2 || n1 != n2 {

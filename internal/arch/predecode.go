@@ -11,7 +11,6 @@ package arch
 // It is safe to share across CPUs (and goroutines) once built: execution
 // never mutates it.
 type Predecoded struct {
-	code   []byte
 	instrs []Instr
 	index  []int32 // PC -> index into instrs; -1 when PC is mid-instruction
 }
@@ -22,7 +21,7 @@ type Predecoded struct {
 // that do not decode end-to-end return an error and callers fall back to
 // the byte-at-a-time path.
 func Predecode(s *Spec, code []byte) (*Predecoded, error) {
-	p := &Predecoded{code: code, index: make([]int32, len(code))}
+	p := &Predecoded{index: make([]int32, len(code))}
 	for i := range p.index {
 		p.index[i] = -1
 	}

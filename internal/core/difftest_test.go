@@ -5,9 +5,9 @@
 // printed lines, same per-node cycle and instruction counts, same
 // faults, same final memory images, and a byte-identical rendered event
 // stream (which embeds every trap-driven kernel event). A second matrix
-// shrinks the scheduling slice so threads are constantly suspended at
-// arbitrary PCs — including PCs inside fused runs — proving that leaving
-// a run mid-way and re-entering it there is exact.
+// shrinks the scheduling slice so that nearly every poll yields and
+// objects move while their threads are parked, proving that a thread is
+// only ever suspended, walked and resumed at a bus stop.
 package core
 
 import (
@@ -44,6 +44,13 @@ var dispatchArms = []struct {
 
 func captureDispatch(t *testing.T, src string, machines []netsim.MachineModel, opts Options) dispatchRun {
 	t.Helper()
+	// A kernel panic (say, a move walking a thread parked off a bus stop)
+	// fails this cell only, so one run reports every broken cell.
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("run (%+v) panicked: %v", opts, r)
+		}
+	}()
 	sys, err := RunSource(src, machines, opts)
 	if err != nil {
 		t.Fatalf("run (%+v): %v", opts, err)
@@ -155,30 +162,35 @@ func TestDispatchDifferential(t *testing.T) {
 	}
 }
 
-// TestDispatchDifferentialTinySlice reruns the matrix with a 13-instruction
-// scheduling slice on the Figure 1 network. Threads are then preempted at
-// essentially every program point — in particular at PCs *inside* fused
-// runs — so nearly every slice both enters a run at an interior member
-// and leaves one through the budget write-back exit.
-// Arms are compared only within this slice size: a different slice
-// budget legitimately changes scheduling interleavings, so the tiny-
-// slice cell has its own reference arm.
+// TestDispatchDifferentialTinySlice reruns the matrix on every network
+// with scheduling slices of 1, 7 and 13 instructions. The budget then
+// expires at essentially every program point, so nearly every poll
+// yields and objects move while their threads are parked there: a thread
+// must be observed only at a bus stop (CheckStacks, and the walk of
+// every move), and both tiers must agree on where each slice ends.
+// Arms are compared only within one slice size: a different slice
+// budget legitimately changes scheduling interleavings, so each cell has
+// its own reference arm.
 func TestDispatchDifferentialTinySlice(t *testing.T) {
-	progs := examplePrograms(t)
-	net := Figure1Network()
-	for _, pf := range progs {
+	for _, pf := range examplePrograms(t) {
 		srcBytes, err := os.ReadFile(pf)
 		if err != nil {
 			t.Fatalf("reading %s: %v", pf, err)
 		}
 		src := string(srcBytes)
 		t.Run(filepath.Base(pf), func(t *testing.T) {
-			ref := captureDispatch(t, src, net, Options{SliceInstrs: 13})
-			for _, arm := range dispatchArms[1:] {
-				opts := arm.opts
-				opts.SliceInstrs = 13
-				got := captureDispatch(t, src, net, opts)
-				diffDispatchRuns(t, arm.name, got, ref)
+			for _, net := range diffNets() {
+				for _, slice := range []int{1, 7, 13} {
+					t.Run(fmt.Sprintf("%s/%d", net.name, slice), func(t *testing.T) {
+						ref := captureDispatch(t, src, net.machines, Options{SliceInstrs: slice})
+						for _, arm := range dispatchArms[1:] {
+							opts := arm.opts
+							opts.SliceInstrs = slice
+							got := captureDispatch(t, src, net.machines, opts)
+							diffDispatchRuns(t, arm.name, got, ref)
+						}
+					})
+				}
 			}
 		})
 	}

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -147,9 +148,10 @@ end Main
 	}
 }
 
-// The fused executor is total over compiled code: on every example
-// program, under default options on the Figure 1 network, no instruction
-// falls back to the reference stepper.
+// The fused runner enters a run only at its head and refuses any other PC
+// as an internal fault: on every example program, at the default slice
+// and at a one-instruction one (a reschedule requested at every poll),
+// every PC a thread resumes at heads a run.
 func TestNoStepFallbackOnCorpus(t *testing.T) {
 	for _, pf := range examplePrograms(t) {
 		t.Run(filepath.Base(pf), func(t *testing.T) {
@@ -157,19 +159,23 @@ func TestNoStepFallbackOnCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys, err := RunSource(string(srcBytes), Figure1Network(), Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			instrs := uint64(0)
-			for _, n := range sys.Cluster.Nodes {
-				instrs += n.Instrs
-				if fb := n.StepFallbackInstrs(); fb != 0 {
-					t.Errorf("node %d: %d of %d instructions fell back to Step", n.ID, fb, n.Instrs)
+			for _, slice := range []int{0, 1} {
+				sys, err := RunSource(string(srcBytes), Figure1Network(), Options{SliceInstrs: slice})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if instrs == 0 {
-				t.Fatal("program executed no instructions; pin is vacuous")
+				for _, f := range sys.Cluster.Faults {
+					if strings.HasPrefix(f.Msg, "internal:") {
+						t.Errorf("slice %d: node %d: %s", slice, f.Node, f.Msg)
+					}
+				}
+				instrs := uint64(0)
+				for _, n := range sys.Cluster.Nodes {
+					instrs += n.Instrs
+				}
+				if instrs == 0 {
+					t.Fatal("program executed no instructions; pin is vacuous")
+				}
 			}
 		})
 	}

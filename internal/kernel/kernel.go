@@ -115,8 +115,9 @@ type Config struct {
 	Costs     Costs
 	MemBytes  int    // per node, a cap: Node.Mem grows to it (0: 8 MB)
 	StackSize uint32 // per thread (0: 64 KB)
-	// SliceInstrs bounds one scheduling slice in instructions (0: 200000).
-	// The differential tests shrink it to force constant preemption.
+	// SliceInstrs requests preemption after that many instructions of a
+	// slice: the next poll yields (0: 200000). The differential tests
+	// shrink it to force constant preemption.
 	SliceInstrs int
 	// MaxEvents is the event budget core.System.Run hands to Run (0: 50
 	// million); exhausting it is an error.

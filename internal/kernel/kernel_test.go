@@ -14,6 +14,12 @@ import (
 // compileSrc compiles source through the full pipeline.
 func compileSrc(t testing.TB, src string) *codegen.Program {
 	t.Helper()
+	return compileSrcWith(t, src, codegen.Options{})
+}
+
+// compileSrcWith is compileSrc with explicit code generator options.
+func compileSrcWith(t testing.TB, src string, opts codegen.Options) *codegen.Program {
+	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
@@ -22,7 +28,7 @@ func compileSrc(t testing.TB, src string) *codegen.Program {
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	p, err := codegen.Compile(ir.Build(info))
+	p, err := codegen.CompileWithOptions(ir.Build(info), opts)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

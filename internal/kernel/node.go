@@ -637,8 +637,9 @@ func (n *Node) schedPass() {
 	n.schedule()
 }
 
-// runSlice executes f until it traps into the kernel (handling atomic
-// monitor exits inline) or the slice budget expires.
+// runSlice executes f until it traps into the kernel, handling atomic
+// monitor exits inline: an expired slice makes the next poll yield, so a
+// thread leaves the CPU only at a bus stop.
 func (n *Node) runSlice(f *Frag) {
 	f.Status = FragStateRunning
 	for {
@@ -661,26 +662,11 @@ func (n *Node) runSlice(f *Frag) {
 			n.fault(f, fmt.Sprintf("internal: %v", err))
 			return
 		}
-		if tr == nil {
-			// Budget expired without a trap: requeue.
-			if f.Status == FragStateRunning {
-				n.enqueue(f)
-			}
-			return
-		}
-		resume := n.handleTrap(f, tr)
-		if !resume {
+		if !n.handleTrap(f, tr) {
 			return
 		}
 	}
 }
-
-// StepFallbackInstrs reports how many of Instrs the fused executor
-// handed to the reference stepper because the PC was off the decode grid
-// — 0 for compiled programs; nonzero says which tier actually ran.
-// (Under Config.LegacyDispatch the stepper is the executor, not a
-// fallback, and this stays 0.)
-func (n *Node) StepFallbackInstrs() uint64 { return n.fused.StepFallbackInstrs }
 
 // print records one print statement's output line.
 func (n *Node) print(text string) {

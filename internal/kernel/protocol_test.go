@@ -3,6 +3,8 @@ package kernel
 import (
 	"testing"
 
+	"repro/internal/arch"
+	"repro/internal/codegen"
 	"repro/internal/netsim"
 )
 
@@ -185,5 +187,47 @@ end Main
 	// Main's lines must appear before the spinner finishes.
 	if got[0] != "main alive false" || got[1] != "main again" || got[2] != "spinner done" {
 		t.Errorf("interleaving wrong: %v", got)
+	}
+}
+
+// TestRunawayLoopFaults: an expired slice only asks for a yield at the
+// next poll, so a loop compiled without polls (OmitLoopPolls) never
+// yields. The executor gives up arch.RunawayInstrs instructions past the
+// budget and the kernel records an internal fault instead of hanging the
+// host; the other thread on the node still finishes.
+func TestRunawayLoopFaults(t *testing.T) {
+	prog := compileSrcWith(t, `
+object Spinner
+  process
+    var i: Int <- 0
+    while true do
+      i <- i + 1
+    end
+  end process
+end Spinner
+object Main
+  process
+    var s: Spinner <- new Spinner
+    print("main done ", s == nil)
+  end process
+end Main
+`, codegen.Options{OmitLoopPolls: true})
+	c, err := NewCluster(prog, []netsim.MachineModel{mSPARC}, Config{SliceInstrs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start(nil)
+	if err := c.Run(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.OutputText(); got != "main done false" {
+		t.Errorf("output = %q", got)
+	}
+	want := "internal: " + arch.ErrRunaway.Error()
+	if len(c.Faults) != 1 || c.Faults[0].Msg != want {
+		t.Fatalf("faults = %+v, want one %q", c.Faults, want)
+	}
+	if n := c.Nodes[0].Instrs; n < arch.RunawayInstrs {
+		t.Errorf("faulted after %d instructions, before the runaway bound %d", n, arch.RunawayInstrs)
 	}
 }
