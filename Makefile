@@ -1,16 +1,17 @@
 # The tier-1 gate: everything `make ci` runs must stay green on every
 # commit (see ROADMAP.md). The emvet step keeps the example corpus clean
-# under the mobility-soundness analyzer on every ISA; the emtrace and
-# benchjson smokes keep the observability exports loadable. No recipe
+# under the mobility-soundness analyzer on every ISA; the emtrace smoke
+# keeps the observability exports loadable and the baseline smoke keeps
+# every committed BENCH_*.json reproducible. No recipe
 # spells a run-shaping emrun flag: what the chaos, directory, parallel and
 # placement command lines must print is pinned by `go test` (TestCommandLines
 # in internal/core), under -race in the `race` step.
 
 GO ?= go
 
-.PHONY: ci build test vet emvet race emtrace-smoke benchjson-smoke bench-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke emperf-smoke emperf-pairs bench-baselines
+.PHONY: ci build test vet emvet race emtrace-smoke baseline-smoke bench-smoke fuzz-smoke pta-smoke emperf-smoke emperf-pairs bench-baselines
 
-ci: vet build race emvet emtrace-smoke benchjson-smoke bench-smoke fuzz-smoke pta-smoke auto-smoke dir-smoke jit-smoke emperf-smoke
+ci: vet build race emvet emtrace-smoke baseline-smoke bench-smoke fuzz-smoke pta-smoke emperf-smoke
 
 build:
 	$(GO) build ./...
@@ -35,39 +36,22 @@ emtrace-smoke:
 	$(GO) run ./cmd/emtrace -chrome .ci/kilroy_trace.json -metrics .ci/kilroy_metrics.json examples/programs/kilroy.em
 	$(GO) run ./tools/jsoncheck .ci/kilroy_trace.json .ci/kilroy_metrics.json
 
-# embench table1 must write parseable BENCH_table1.json, and the fresh
-# simulated metrics must stay within 20% of the committed baseline (the
-# simulation is deterministic, so real drift means a behavior change;
-# refresh deliberately with `make bench-baselines`).
-benchjson-smoke:
-	$(GO) run ./cmd/embench -out .ci -baseline . table1 > /dev/null
-	$(GO) run ./tools/jsoncheck .ci/BENCH_table1.json
+# Every committed BENCH_*.json baseline must reproduce: one embench run
+# rewrites them under .ci and compares each with its committed copy,
+# parsing both; a simulated metric drifting more than 20% or any
+# structural change fails. The simulation is deterministic, so real drift
+# means a behavior change (refresh deliberately with `make
+# bench-baselines`). In the dispatch-tier study (jit) the reference
+# stepper and the fused executor must also agree on every simulated
+# observable; its emulated-MIPS fields are host wall-clock and carry the
+# "host" prefix the comparator skips.
+baseline-smoke:
+	$(GO) run ./cmd/embench -out .ci -baseline . table1 fig2 conv auto dir jit > /dev/null
 
 # Every Go benchmark must still run (one iteration): keeps the benchmark
 # corpus and its AllocsPerRun/metric plumbing from bit-rotting.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# Adaptive placement: the policy study must reproduce its committed
-# BENCH_auto.json baseline (greedy-colocate collapsing remote traffic,
-# batched cohort moves costing fewer wire bytes per object than singles).
-auto-smoke:
-	$(GO) run ./cmd/embench -out .ci -baseline . auto > /dev/null
-	$(GO) run ./tools/jsoncheck .ci/BENCH_auto.json
-
-# The directory overhead study must match its committed baseline.
-dir-smoke:
-	$(GO) run ./cmd/embench -out .ci -baseline . dir > /dev/null
-	$(GO) run ./tools/jsoncheck .ci/BENCH_dir.json
-
-# The dispatch-tier study: the legacy reference stepper and the fused
-# superinstruction executor must agree on every simulated observable, and
-# the deterministic fields of BENCH_jit.json (instrs, cycles, fused run
-# structure) must match the committed baseline. The emulated-MIPS fields
-# are host wall-clock and carry the "host" prefix the comparator skips.
-jit-smoke:
-	$(GO) run ./cmd/embench -out .ci -baseline . jit > /dev/null
-	$(GO) run ./tools/jsoncheck .ci/BENCH_jit.json
 
 # bench/ is a nested module that root `go vet/test ./...` never compiles:
 # vet it and run its 1/50-scale pass of all five workloads, so a break of
@@ -91,12 +75,7 @@ emperf-pairs:
 # Regenerate the committed BENCH_*.json baselines (run after a deliberate
 # model change, then commit the diff).
 bench-baselines:
-	$(GO) run ./cmd/embench table1 > /dev/null
-	$(GO) run ./cmd/embench fig2 > /dev/null
-	$(GO) run ./cmd/embench conv > /dev/null
-	$(GO) run ./cmd/embench auto > /dev/null
-	$(GO) run ./cmd/embench dir > /dev/null
-	$(GO) run ./cmd/embench jit > /dev/null
+	$(GO) run ./cmd/embench table1 fig2 conv auto dir jit > /dev/null
 
 # The fuzz seeds of the wire decoder (bounds-checked frame/message parsing),
 # of the -chaos plan grammar and of the .em front end and code generator

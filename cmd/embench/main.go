@@ -5,7 +5,11 @@
 //
 // Usage:
 //
-//	embench [-out dir] [-baseline dir] [-cpuprofile file] [-memprofile file] [table1|fig1|fig2|fig3|intranode|conv|ablations|all]
+//	embench [-out dir] [-baseline dir] [-cpuprofile file] [-memprofile file] [subcommand...]
+//
+// Each named subcommand (table1, fig1, fig2, fig3, intranode, conv,
+// ablations, par, jit, auto, dir, shrink; none or "all" runs every one)
+// runs once, in the order listed by -h.
 //
 // The table1, fig2 and conv experiments additionally write machine-readable
 // results (BENCH_table1.json, BENCH_fig2.json, BENCH_conv.json) into -out
@@ -144,7 +148,7 @@ func shrink(string) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: embench [-out dir] [-baseline dir] [-cpuprofile file] [-memprofile file] [subcommand]")
+	fmt.Fprintln(os.Stderr, "usage: embench [-out dir] [-baseline dir] [-cpuprofile file] [-memprofile file] [subcommand...]")
 	fmt.Fprint(os.Stderr, "subcommands: all (default)")
 	for _, s := range subcommands {
 		fmt.Fprint(os.Stderr, ", ", s.name)
@@ -159,22 +163,21 @@ func main() {
 	profile := prof.Register(flag.CommandLine)
 	flag.Usage = usage
 	flag.Parse()
-	if flag.NArg() > 1 {
-		usage()
-		os.Exit(1)
+	what := map[string]bool{}
+	for _, name := range flag.Args() {
+		what[name] = true
 	}
-	what := "all"
-	if flag.NArg() == 1 {
-		what = flag.Arg(0)
-	}
-	known := what == "all"
-	for _, s := range subcommands {
-		known = known || what == s.name
-	}
-	if !known {
-		fmt.Fprintf(os.Stderr, "embench: unknown subcommand %q\n", what)
-		usage()
-		os.Exit(1)
+	all := len(what) == 0 || what["all"]
+	for name := range what {
+		known := name == "all"
+		for _, s := range subcommands {
+			known = known || name == s.name
+		}
+		if !known {
+			fmt.Fprintf(os.Stderr, "embench: unknown subcommand %q\n", name)
+			usage()
+			os.Exit(1)
+		}
 	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fmt.Fprintln(os.Stderr, "embench:", err)
@@ -182,7 +185,7 @@ func main() {
 	}
 	stopProfile := profile.Start()
 	for _, s := range subcommands {
-		if what != "all" && what != s.name {
+		if !all && !what[s.name] {
 			continue
 		}
 		if err := s.run(*outDir); err != nil {

@@ -6,7 +6,8 @@
 // is left — its end, a trap, or a fault. The slice budget is no exit: it
 // only makes the run's closing poll yield. Memory writes stay eager:
 // only registers and depth are cached, so the final memory image is
-// byte-identical to the legacy path by construction.
+// byte-identical to the legacy path by construction. Step (exec.go)
+// runs its one uncached closure on an fexec of its own.
 
 package arch
 
@@ -67,10 +68,10 @@ func (e *fexec) readString(ref uint32) ([]byte, bool) {
 }
 
 // setFault records the first fault of the instruction (later faults in
-// the same instruction do not overwrite it, like Step) and marks the run
-// stopped. The current closure keeps executing — Step's contract lets
-// e.g. a Mov's write run after a faulted read — and the run loop
-// delivers the fault trap once the closure returns.
+// the same instruction do not overwrite it) and marks the run stopped.
+// The current closure keeps executing — a Mov's write runs after a
+// faulted read — and the run loop delivers the fault trap once the
+// closure returns.
 func (e *fexec) setFault(f FaultCode) uint32 {
 	if e.fault == 0 {
 		e.fault = f
@@ -115,8 +116,8 @@ func (fz *Fused) exec(e *fexec, fr *fusedRun) (*Trap, int) {
 	}
 	cpu.TempDepth = e.depth
 	if e.stop {
-		// Like Step, a faulting instruction leaves cpu.PC at its own
-		// start; the trap's PC is the next instruction.
+		// A faulting instruction leaves cpu.PC at its own start; the
+		// trap's PC is the next instruction.
 		last := int(fr.lo) + n - 1
 		cpu.PC = fz.pcOf(fr, last)
 		e.tbuf = Trap{Kind: TrapFault, Fault: e.fault, PC: cpu.PC + fz.p.instrs[last].Size}
@@ -182,7 +183,7 @@ func RunFused(s *Spec, fz *Fused, cpu *CPU, mem []byte, budget int) (*Trap, uint
 // convenience for tests: predecode, plan, fuse, run. Callers that hold a
 // long-lived code object Fuse once and keep a FusedRunner. Code that
 // does not predecode cleanly runs on the legacy byte-at-a-time loop,
-// which fails at the same instruction Step would.
+// which fails at the instruction that does not decode.
 func Run(s *Spec, cpu *CPU, code []byte, mem []byte, budget int) (*Trap, uint64, int, error) {
 	if p, err := Predecode(s, code); err == nil {
 		if fz := Fuse(s, p, PlanFusion(p)); fz != nil {

@@ -11,7 +11,12 @@
 // A run is entered only at its head and left at its end, at a trap or at
 // a fault: every PC a thread resumes at heads a run, because a thread
 // stops only where it enters the kernel and every kernel-entry op ends
-// its run. Step (exec.go) remains the semantic oracle — observable
+// its run. fuseInstr is the only definition of what an op does: Step
+// (exec.go) compiles the one instruction it executes with it too, with
+// no register cache, so the reference stepper and a fused run differ
+// only in what fusion adds — run tiling, head-only entry, register
+// slots and their write-back, the per-run budget check and the flat
+// all-register forms. That is what the differential tests pin: observable
 // behavior (traps, faults, cycle charges, memory images, event streams)
 // is byte-identical to RunLegacy.
 
@@ -188,10 +193,7 @@ func Fuse(s *Spec, p *Predecoded, plan *FusePlan) *Fused {
 		}
 		fr := &fz.runs[ri]
 		fr.lo, fr.head = int32(idx), pc
-		b := fuser{s: s, fr: fr}
-		for i := range b.slotOf {
-			b.slotOf[i] = -1
-		}
+		b := newFuser(s, fr, fuseRegSlots)
 		for last := idx + int(pr.N) - 1; idx <= last; idx++ {
 			in := &p.instrs[idx]
 			op := b.fuseInstr(in)
@@ -233,13 +235,23 @@ func ccHolds(cc byte, lt, eq bool) uint32 {
 
 // fuser compiles one run's instructions, allocating register cache slots
 // on first touch. A register either gets a slot (and every access in the
-// run goes through it) or, past fuseRegSlots distinct registers, is
-// accessed directly in the CPU struct — never both, so the two views
-// cannot diverge.
+// run goes through it) or, past slots distinct registers, is accessed
+// directly in the CPU struct — never both, so the two views cannot
+// diverge. Fuse caches fuseRegSlots registers per run; Step's single
+// instruction caches none, so it compiles only the general forms.
 type fuser struct {
 	s      *Spec
 	fr     *fusedRun
+	slots  uint8 // cache capacity: fuseRegSlots, or 0 for Step
 	slotOf [16]int8
+}
+
+func newFuser(s *Spec, fr *fusedRun, slots uint8) fuser {
+	b := fuser{s: s, fr: fr, slots: slots}
+	for i := range b.slotOf {
+		b.slotOf[i] = -1
+	}
+	return b
 }
 
 func (b *fuser) regSlot(r byte) int {
@@ -247,7 +259,7 @@ func (b *fuser) regSlot(r byte) int {
 	if si := b.slotOf[r]; si >= 0 {
 		return int(si)
 	}
-	if b.fr.nreg >= fuseRegSlots {
+	if b.fr.nreg >= b.slots {
 		return -1
 	}
 	si := b.fr.nreg
@@ -258,15 +270,15 @@ func (b *fuser) regSlot(r byte) int {
 }
 
 // rdFn/wrFn are pre-resolved operand accessors: the addressing-mode
-// switch of Step's read/write runs once at fuse time, not per execution.
+// switch runs once at fuse time, not per execution.
 type (
 	rdFn func(*fexec) uint32
 	wrFn func(*fexec, uint32)
 )
 
-// rd builds a source-operand reader with Step's read semantics
-// (cycle charges before the access, Pop's depth decrement before the
-// load, first-fault-wins recording).
+// rd builds a source-operand reader: a memory operand charges MemCycles
+// before the access, Pop decrements the depth before its load, and the
+// first fault of the instruction wins.
 func (b *fuser) rd(o *Operand) rdFn {
 	switch o.Mode {
 	case ModeImm:
@@ -325,8 +337,8 @@ func (b *fuser) rd(o *Operand) rdFn {
 	return func(e *fexec) uint32 { return e.setFault(FaultStack) }
 }
 
-// wr builds a destination-operand writer with Step's write semantics
-// (Push increments depth only after a successful store).
+// wr builds a destination-operand writer: a memory operand charges
+// MemCycles, and Push increments the depth only after a successful store.
 func (b *fuser) wr(o *Operand) wrFn {
 	switch o.Mode {
 	case ModeReg:
@@ -372,12 +384,15 @@ func (b *fuser) regOperand(o *Operand) int {
 	return b.regSlot(o.Reg)
 }
 
-// fuseInstr compiles one instruction into a closure, or nil for an op
-// Step does not implement. Each closure mirrors the matching case of
-// Step's switch: operand evaluation order, fault precedence, cycle
-// charges and next-PC rules are identical, which the differential tests
-// pin. Step's early "return fault(...)" exits are all reached with no
-// operand fault pending, so setFault delivers them unchanged.
+// fuseInstr compiles one instruction into a closure, or nil for an
+// unimplemented op. It is the one place an op's semantics are written:
+// its result, operand evaluation order (with stack operands src2, the
+// top, before src1), fault precedence, cycle charges and next-PC rule.
+// Fuse and Step both compile through it; the flat forms, taken only
+// when every operand has a cache slot, must match the general form they
+// shortcut, which the differential tests and TestOpSemantics pin. A
+// fault the op itself detects (div by zero, bounds, nil) is raised only
+// when no operand fault is pending, and the write is then skipped.
 func (b *fuser) fuseInstr(in *Instr) fop {
 	s := b.s
 	cyc := uint64(s.Cycles[in.Op])
@@ -402,8 +417,8 @@ func (b *fuser) fuseInstr(in *Instr) fop {
 		}
 		rd := b.rd(&in.Operands[0])
 		wr := b.wr(&in.Operands[1])
-		// Like Step, the write runs even when the read faulted (storing 0
-		// with all its side effects); the run stops right after.
+		// The write runs even when the read faulted (storing 0 with all
+		// its side effects); the run stops right after.
 		return func(e *fexec) {
 			e.cycles += cyc
 			wr(e, rd(e))
@@ -472,7 +487,7 @@ func (b *fuser) fuseInstr(in *Instr) fop {
 			}
 		}
 		// General form: src2 (stack top) evaluated before src1, write
-		// suppressed after a fault, like Step.
+		// suppressed after a fault.
 		rd2 := b.rd(&in.Operands[1])
 		rd1 := b.rd(&in.Operands[0])
 		wr := b.wr(&in.Operands[2])
@@ -782,8 +797,8 @@ func (b *fuser) fuseInstr(in *Instr) fop {
 	// The kernel-entry ops. Each is the last instruction of its run, so
 	// e.npc is its own next PC, and leaving e.stop clear makes the run
 	// exit normally: cached state written back and cpu.PC *advanced*
-	// before the trap is delivered, as Step does for traps (a fault, by
-	// contrast, leaves cpu.PC at the faulting instruction).
+	// before the trap is delivered (a fault, by contrast, leaves cpu.PC
+	// at the faulting instruction).
 	case OpPoll:
 		tc := uint64(s.TrapCycles)
 		return func(e *fexec) {
@@ -810,8 +825,11 @@ func (b *fuser) fuseInstr(in *Instr) fop {
 		}
 
 	case OpUnlq:
-		// No TrapCycles: the kernel performs the unlink and resumes the
-		// thread without a scheduling point (see Step).
+		// Atomic doubly-linked-list unlink: monitor exit in one
+		// non-interruptible instruction. No TrapCycles: the kernel
+		// performs the unlink and resumes the thread without a scheduling
+		// point, so the local runtime never observes this PC (the bus stop
+		// here is exit-only).
 		return func(e *fexec) {
 			e.cycles += cyc
 			e.raise(TrapMonExitA, 0, 0)

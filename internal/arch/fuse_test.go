@@ -231,13 +231,15 @@ func TestFusedBudgetMatchesLegacy(t *testing.T) {
 
 // TestQuickFusedMatchesLegacy: random legal instruction streams, fused
 // against legacy, entered at a random run head with a random budget and
-// preemption flag. Streams include faulting memory modes, stack over- and
-// underflow, div-zero, branches to instruction starts and past the code,
-// and every kernel-entry op — the fused executor must reproduce every
-// observable exactly, including write-back of cached registers on the
-// fault and trap exits. Running off the code is an error on both tiers
-// (with different texts: an undecodable PC against one that heads no
-// run).
+// preemption flag. Both tiers compile every op through fuseInstr, so what
+// this checks is fusion itself: run tiling, head-only entry, register
+// slots and their write-back on the end, fault and trap exits, the
+// per-run budget rule, and the flat all-register forms (which only the
+// fused tier compiles) against the general forms. Streams include
+// faulting memory modes, stack over- and underflow, div-zero, branches to
+// instruction starts and past the code, and every kernel-entry op.
+// Running off the code is an error on both tiers (with different texts:
+// an undecodable PC against one that heads no run).
 func TestQuickFusedMatchesLegacy(t *testing.T) {
 	for _, s := range AllSpecs() {
 		s := s
@@ -287,9 +289,16 @@ func TestQuickFusedMatchesLegacy(t *testing.T) {
 				s.ByteOrd.PutUint32(mem1[a:], rng.Uint32()%2048)
 			}
 			mem2 := append([]byte(nil), mem1...)
+			// Registers: small values (plausible addresses and indices)
+			// mixed with the sign edges, so a compare or an arithmetic op
+			// that loses its sign differs between the flat and the general
+			// forms.
 			var regs [16]uint32
 			for i := range regs {
 				regs[i] = rng.Uint32() % 1024
+				if rng.Intn(2) == 0 {
+					regs[i] = [...]uint32{0, 1, 0xffffffff, 0x80000000, 0x7fffffff}[rng.Intn(5)]
+				}
 			}
 			cpu1 := CPU{PC: fz.runs[rng.Intn(fz.NumRuns())].head, FP: 256, TempBase: 512, LitBase: 1024, Self: 2048,
 				TempDepth: int32(rng.Intn(4)), Regs: regs, Preempt: rng.Intn(2) == 0}

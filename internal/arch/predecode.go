@@ -1,9 +1,10 @@
-// The decode grid: the per-instruction Decode in Step dominates
-// emulation cost, yet the code bytes of a loaded function never change.
+// The decode grid: Step decodes and compiles every instruction it
+// executes, yet the code bytes of a loaded function never change.
 // Predecode walks a function once — at compile time for compiler output
 // — and caches the decoded instructions with a PC index; the fusion
 // planner and compiler (fuse.go) and the fused executor (fexec.go) work
-// over this cache. Step remains the reference implementation.
+// over this cache. Step keeps decoding byte at a time, so a hand-built
+// stream that does not predecode still fails where it would.
 
 package arch
 

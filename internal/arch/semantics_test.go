@@ -1,0 +1,373 @@
+package arch
+
+import (
+	"bytes"
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/ir"
+)
+
+// Step and the fused executor compile every instruction through the same
+// fuseInstr, so their agreement says nothing about whether an op is
+// right. TestOpSemantics pins each op by value instead: the result,
+// fault, cycle charge, stack depth, next PC and memory writes are written
+// out as numbers, for every op in its all-register form on every ISA and
+// for the memory and stack operand forms on the ISAs that encode them.
+
+// semFixture is the memory and CPU every row starts from; the addresses
+// are the same on every ISA and each word is stored in the ISA's byte
+// order:
+//
+//	FP       256: word 40 at FP+8
+//	TempBase 512: words 10, 3 (rows that pop start at depth 2)
+//	Self     768: slot 0 (word 772) = 11
+//	LitBase 1024: lit[0] = 1280 ("apple"), lit[1] = 1296 ("banana"), lit[2] = 2048
+//	2048:         array of length 3: 10, 20, 30
+func semFixture(s *Spec) ([]byte, CPU) {
+	mem := make([]byte, 4096)
+	for _, w := range []semWord{
+		{264, 40}, {512, 10}, {516, 3}, {772, 11},
+		{1024, 1280}, {1028, 1296}, {1032, 2048},
+		{1284, 5}, {1300, 6},
+		{2052, 3}, {2056, 10}, {2060, 20}, {2064, 30},
+	} {
+		s.ByteOrd.PutUint32(mem[w.addr:], w.val)
+	}
+	copy(mem[1288:], "apple")
+	copy(mem[1304:], "banana")
+	return mem, CPU{FP: 256, TempBase: 512, Self: 768, LitBase: 1024}
+}
+
+type semWord struct{ addr, val uint32 }
+
+// semRow is one instruction with its starting state and its expected
+// outcome. Per-ISA numbers are indexed by ID: {vax, m68k, sparc}.
+type semRow struct {
+	name string
+	in   Instr // branch targets are patched to the second trailing ret
+	only []ID  // the ISAs the row runs on; nil means all three
+	regs [16]uint32
+	fIn  bool // r1 and r2 hold float32 bits, stored in the ISA's format
+	fOut bool // r3's expected value is float32 bits in the ISA's format
+
+	depth0  int32      // TempDepth before
+	preempt bool       // cpu.Preempt
+	setup   func(*CPU) // further changes to the starting CPU
+
+	trap   TrapKind // TrapNone: the step does not enter the kernel
+	fault  FaultCode
+	ta, tb uint16
+	cyc    [NumArch]uint32
+	pc     [NumArch]uint32 // the trap's PC, else cpu.PC after the step
+	r3     uint32          // r3 afterwards; no other register changes
+	depth  int32           // TempDepth afterwards
+	mem    []semWord       // words stored; no other byte changes
+}
+
+// Encoded sizes and cycle charges the rows share.
+var (
+	pcMovM  = [NumArch]uint32{6, 7, 4} // mov with a frame/self/lit operand
+	pcMovS  = [NumArch]uint32{4, 5, 4} // mov with a pop/push operand
+	pc2     = [NumArch]uint32{5, 6, 4} // two registers (mov reg, reg included)
+	pc3     = [NumArch]uint32{7, 8, 4} // three registers
+	pcCC    = [NumArch]uint32{8, 9, 4} // three registers and a condition code
+	pcBr    = [NumArch]uint32{5, 6, 4} // brz/brnz not taken
+	pcBrT   = [NumArch]uint32{6, 8, 8} // brz/brnz taken: past the first trailing ret
+	pc0     = [NumArch]uint32{1, 2, 4} // no operands
+	cycMov  = [NumArch]uint32{4, 3, 1}
+	cycMovM = [NumArch]uint32{6, 5, 2} // plus MemCycles
+	cycALU  = [NumArch]uint32{5, 4, 1} // add, sub, and, or
+	cycUn   = [NumArch]uint32{4, 3, 1} // neg, abs, not
+	cycDiv  = [NumArch]uint32{24, 20, 18}
+	cycMod  = [NumArch]uint32{26, 22, 20}
+	cycScc  = [NumArch]uint32{6, 5, 2}
+	cycFAdd = [NumArch]uint32{12, 10, 4} // fadd, fsub, fscc
+	cycFDiv = [NumArch]uint32{30, 24, 14}
+	cycBr   = [NumArch]uint32{4, 3, 1}
+	cycBrT  = [NumArch]uint32{5, 4, 2}  // plus the taken-branch cycle
+	cycALd  = [NumArch]uint32{8, 7, 12} // aload, astor, sidx
+	cycLen  = [NumArch]uint32{5, 4, 6}
+
+	// Run appends "ret; ret": a step that does not enter the kernel is
+	// followed by one of them.
+	retSize = [NumArch]uint32{1, 2, 4}
+	retCyc  = [NumArch]uint32{28, 23, 15}
+)
+
+func f32(v float32) uint32 { return math.Float32bits(v) }
+
+func rr(op Op) Instr { return Instr{Op: op, N: 2, Operands: [3]Operand{Reg(1), Reg(3)}} }
+func rrr(op Op) Instr {
+	return Instr{Op: op, N: 3, Operands: [3]Operand{Reg(1), Reg(2), Reg(3)}}
+}
+func scc(op Op, cc int) Instr {
+	in := rrr(op)
+	in.CC = byte(cc)
+	return in
+}
+func mov(src, dst Operand) Instr { return Instr{Op: OpMov, N: 2, Operands: [3]Operand{src, dst}} }
+
+var cisc = []ID{VAX, M68K}
+
+var semRows = []semRow{
+	// Moves, on every ISA that encodes the form.
+	{name: "mov reg", in: mov(Reg(1), Reg(3)), regs: [16]uint32{1: 7}, cyc: cycMov, pc: pc2, r3: 7},
+	{name: "mov imm", in: mov(Imm(0xdeadbeef), Reg(3)), cyc: cycMov, pc: [NumArch]uint32{8, 9, 8}, r3: 0xdeadbeef},
+	{name: "mov frame", in: mov(Frame(8), Reg(3)), cyc: cycMovM, pc: pcMovM, r3: 40},
+	{name: "mov to frame", in: mov(Reg(1), Frame(12)), regs: [16]uint32{1: 0x11223344},
+		cyc: cycMovM, pc: pcMovM, mem: []semWord{{268, 0x11223344}}},
+	{name: "mov self", in: mov(SelfOp(0), Reg(3)), cyc: cycMovM, pc: pcMovM, r3: 11},
+	{name: "mov to self", in: mov(Reg(1), SelfOp(4)), regs: [16]uint32{1: 0xcafef00d},
+		cyc: cycMovM, pc: pcMovM, mem: []semWord{{776, 0xcafef00d}}},
+	{name: "mov lit", in: mov(Lit(1), Reg(3)), cyc: cycMovM, pc: pcMovM, r3: 1296},
+	{name: "mov pop", in: mov(Pop(), Reg(3)), depth0: 2, cyc: cycMovM, pc: pcMovS, r3: 3, depth: 1},
+	{name: "mov push", in: mov(Reg(1), Push()), regs: [16]uint32{1: 0x11223344}, depth0: 2,
+		cyc: cycMovM, pc: pcMovS, depth: 3, mem: []semWord{{520, 0x11223344}}},
+	// A faulted read still stores its 0.
+	{name: "pop at depth 0", in: mov(Pop(), Reg(3)), regs: [16]uint32{3: 0x55},
+		trap: TrapFault, fault: FaultStack, cyc: cycMovM, pc: pcMovS, r3: 0},
+	{name: "failed push", in: mov(Reg(1), Push()), regs: [16]uint32{1: 9}, depth0: 1,
+		setup: func(c *CPU) { c.TempBase = 4092 },
+		trap:  TrapFault, fault: FaultStack, cyc: cycMovM, pc: pcMovS, depth: 1},
+	{name: "frame off memory", in: mov(Frame(8), Reg(3)), regs: [16]uint32{3: 0x55},
+		setup: func(c *CPU) { c.FP = 4094 },
+		trap:  TrapFault, fault: FaultStack, cyc: cycMovM, pc: pcMovM, r3: 0},
+	{name: "nil lit table", in: mov(Lit(0), Reg(3)), regs: [16]uint32{3: 0x55},
+		setup: func(c *CPU) { c.LitBase = 0 },
+		trap:  TrapFault, fault: FaultNilRef, cyc: cycMovM, pc: pcMovM, r3: 0},
+	{name: "self off memory", in: mov(Reg(1), SelfOp(0)), regs: [16]uint32{1: 9},
+		setup: func(c *CPU) { c.Self = 4092 },
+		trap:  TrapFault, fault: FaultNilRef, cyc: cycMovM, pc: pcMovM},
+
+	// Integer ALU, all registers.
+	{name: "add", in: rrr(OpAdd), regs: [16]uint32{1: 7, 2: 0xfffffff4}, cyc: cycALU, pc: pc3, r3: 0xfffffffb},
+	{name: "sub wraps", in: rrr(OpSub), regs: [16]uint32{1: 0x80000000, 2: 1}, cyc: cycALU, pc: pc3, r3: 0x7fffffff},
+	{name: "mul", in: rrr(OpMul), regs: [16]uint32{1: 0xfffffffd, 2: 7},
+		cyc: [NumArch]uint32{14, 11, 5}, pc: pc3, r3: 0xffffffeb},
+	{name: "div truncates", in: rrr(OpDiv), regs: [16]uint32{1: 0xfffffff9, 2: 2}, cyc: cycDiv, pc: pc3, r3: 0xfffffffd},
+	{name: "div by zero", in: rrr(OpDiv), regs: [16]uint32{1: 7, 3: 0x55},
+		trap: TrapFault, fault: FaultDivZero, cyc: cycDiv, pc: pc3, r3: 0x55},
+	{name: "mod", in: rrr(OpMod), regs: [16]uint32{1: 0xfffffff9, 2: 2}, cyc: cycMod, pc: pc3, r3: 0xffffffff},
+	{name: "mod by zero", in: rrr(OpMod), regs: [16]uint32{1: 7, 3: 0x55},
+		trap: TrapFault, fault: FaultDivZero, cyc: cycMod, pc: pc3, r3: 0x55},
+	{name: "and is boolean", in: rrr(OpAnd), regs: [16]uint32{1: 2, 2: 1}, cyc: cycALU, pc: pc3, r3: 1},
+	{name: "or is boolean", in: rrr(OpOr), regs: [16]uint32{2: 4}, cyc: cycALU, pc: pc3, r3: 1},
+	{name: "neg", in: rr(OpNeg), regs: [16]uint32{1: 5}, cyc: cycUn, pc: pc2, r3: 0xfffffffb},
+	{name: "abs", in: rr(OpAbs), regs: [16]uint32{1: 0xfffffff7}, cyc: cycUn, pc: pc2, r3: 9},
+	{name: "not zero", in: rr(OpNot), cyc: cycUn, pc: pc2, r3: 1},
+	{name: "not nonzero", in: rr(OpNot), regs: [16]uint32{1: 6, 3: 0x55}, cyc: cycUn, pc: pc2, r3: 0},
+	{name: "scc eq", in: scc(OpScc, ir.CmpEQ), regs: [16]uint32{1: 5, 2: 5}, cyc: cycScc, pc: pcCC, r3: 1},
+	{name: "scc ne", in: scc(OpScc, ir.CmpNE), regs: [16]uint32{1: 5, 2: 5, 3: 0x55}, cyc: cycScc, pc: pcCC, r3: 0},
+	{name: "scc lt signed", in: scc(OpScc, ir.CmpLT), regs: [16]uint32{1: 0xffffffff, 2: 1}, cyc: cycScc, pc: pcCC, r3: 1},
+	{name: "scc le", in: scc(OpScc, ir.CmpLE), regs: [16]uint32{1: 5, 2: 5}, cyc: cycScc, pc: pcCC, r3: 1},
+	{name: "scc gt signed", in: scc(OpScc, ir.CmpGT), regs: [16]uint32{1: 0x80000000, 2: 0x7fffffff, 3: 0x55},
+		cyc: cycScc, pc: pcCC, r3: 0},
+	{name: "scc ge signed", in: scc(OpScc, ir.CmpGE), regs: [16]uint32{1: 0x7fffffff, 2: 0x80000000},
+		cyc: cycScc, pc: pcCC, r3: 1},
+
+	// Floats, in the ISA's own format.
+	{name: "fadd", in: rrr(OpFAdd), regs: [16]uint32{1: f32(2.5), 2: f32(4)}, fIn: true, fOut: true,
+		cyc: cycFAdd, pc: pc3, r3: f32(6.5)},
+	{name: "fsub", in: rrr(OpFSub), regs: [16]uint32{1: f32(2.5), 2: f32(4)}, fIn: true, fOut: true,
+		cyc: cycFAdd, pc: pc3, r3: f32(-1.5)},
+	{name: "fmul", in: rrr(OpFMul), regs: [16]uint32{1: f32(2.5), 2: f32(4)}, fIn: true, fOut: true,
+		cyc: [NumArch]uint32{18, 14, 6}, pc: pc3, r3: f32(10)},
+	{name: "fdiv", in: rrr(OpFDiv), regs: [16]uint32{1: f32(10), 2: f32(4)}, fIn: true, fOut: true,
+		cyc: cycFDiv, pc: pc3, r3: f32(2.5)},
+	{name: "fdiv by zero", in: rrr(OpFDiv), regs: [16]uint32{1: f32(1)}, fIn: true, fOut: true,
+		trap: TrapFault, fault: FaultDivZero, cyc: cycFDiv, pc: pc3, r3: f32(0)},
+	{name: "fneg", in: rr(OpFNeg), regs: [16]uint32{1: f32(2.5)}, fIn: true, fOut: true,
+		cyc: [NumArch]uint32{6, 5, 2}, pc: pc2, r3: f32(-2.5)},
+	{name: "cvt", in: rr(OpCvt), regs: [16]uint32{1: 0xfffffffd}, fOut: true,
+		cyc: [NumArch]uint32{10, 8, 4}, pc: pc2, r3: f32(-3)},
+	{name: "fscc lt", in: scc(OpFScc, ir.CmpLT), regs: [16]uint32{1: f32(2.5), 2: f32(4)}, fIn: true,
+		cyc: cycFAdd, pc: pcCC, r3: 1},
+	{name: "fscc eq", in: scc(OpFScc, ir.CmpEQ), regs: [16]uint32{1: f32(2.5), 2: f32(4), 3: 0x55}, fIn: true,
+		cyc: cycFAdd, pc: pcCC, r3: 0},
+
+	// Strings: sscc charges one cycle per byte of the shorter operand.
+	{name: "sscc lt", in: scc(OpSScc, ir.CmpLT), regs: [16]uint32{1: 1280, 2: 1296},
+		cyc: [NumArch]uint32{21, 19, 27}, pc: pcCC, r3: 1},
+	{name: "sscc nil", in: scc(OpSScc, ir.CmpLT), regs: [16]uint32{2: 1296, 3: 0x55},
+		trap: TrapFault, fault: FaultNilRef, cyc: [NumArch]uint32{16, 14, 22}, pc: pcCC, r3: 0x55},
+	{name: "slen", in: rr(OpSLen), regs: [16]uint32{1: 1296}, cyc: cycLen, pc: pc2, r3: 6},
+	{name: "slen nil", in: rr(OpSLen), regs: [16]uint32{3: 0x55},
+		trap: TrapFault, fault: FaultNilRef, cyc: cycLen, pc: pc2, r3: 0x55},
+	{name: "sidx", in: rrr(OpSIdx), regs: [16]uint32{1: 1280, 2: 4}, cyc: cycALd, pc: pc3, r3: 'e'},
+	{name: "sidx at length", in: rrr(OpSIdx), regs: [16]uint32{1: 1280, 2: 5, 3: 0x55},
+		trap: TrapFault, fault: FaultBounds, cyc: cycALd, pc: pc3, r3: 0x55},
+	{name: "sidx nil", in: rrr(OpSIdx), regs: [16]uint32{3: 0x55},
+		trap: TrapFault, fault: FaultNilRef, cyc: cycALd, pc: pc3, r3: 0x55},
+
+	// Arrays.
+	{name: "aload", in: rrr(OpALoad), regs: [16]uint32{1: 2048, 2: 1}, cyc: cycALd, pc: pc3, r3: 20},
+	{name: "aload at length", in: rrr(OpALoad), regs: [16]uint32{1: 2048, 2: 3, 3: 0x55},
+		trap: TrapFault, fault: FaultBounds, cyc: cycALd, pc: pc3, r3: 0x55},
+	{name: "aload nil", in: rrr(OpALoad), regs: [16]uint32{3: 0x55},
+		trap: TrapFault, fault: FaultNilRef, cyc: cycALd, pc: pc3, r3: 0x55},
+	{name: "astor", in: rrr(OpAStor), regs: [16]uint32{1: 2048, 2: 2, 3: 99},
+		cyc: cycALd, pc: pc3, r3: 99, mem: []semWord{{2064, 99}}},
+	{name: "astor at length", in: rrr(OpAStor), regs: [16]uint32{1: 2048, 2: 3, 3: 99},
+		trap: TrapFault, fault: FaultBounds, cyc: cycALd, pc: pc3, r3: 99},
+	{name: "astor nil", in: rrr(OpAStor), regs: [16]uint32{3: 99},
+		trap: TrapFault, fault: FaultNilRef, cyc: cycALd, pc: pc3, r3: 99},
+	{name: "alen", in: rr(OpALen), regs: [16]uint32{1: 2048}, cyc: cycLen, pc: pc2, r3: 3},
+	{name: "alen nil", in: rr(OpALen), regs: [16]uint32{3: 0x55},
+		trap: TrapFault, fault: FaultNilRef, cyc: cycLen, pc: pc2, r3: 0x55},
+
+	// Control flow.
+	{name: "jmp", in: Instr{Op: OpJmp}, cyc: cycBr, pc: [NumArch]uint32{4, 6, 8}},
+	{name: "brz taken", in: Instr{Op: OpBrz, N: 1, Operands: [3]Operand{Reg(1)}}, cyc: cycBrT, pc: pcBrT},
+	{name: "brz not taken", in: Instr{Op: OpBrz, N: 1, Operands: [3]Operand{Reg(1)}}, regs: [16]uint32{1: 1},
+		cyc: cycBr, pc: pcBr},
+	{name: "brnz taken", in: Instr{Op: OpBrnz, N: 1, Operands: [3]Operand{Reg(1)}}, regs: [16]uint32{1: 0x80000000},
+		cyc: cycBrT, pc: pcBrT},
+	{name: "brnz not taken", in: Instr{Op: OpBrnz, N: 1, Operands: [3]Operand{Reg(1)}}, cyc: cycBr, pc: pcBr},
+
+	// Kernel entries: every one but unlq also charges TrapCycles.
+	{name: "poll", in: Instr{Op: OpPoll}, cyc: [NumArch]uint32{2, 2, 1}, pc: pc0},
+	{name: "poll preempted", in: Instr{Op: OpPoll}, preempt: true,
+		trap: TrapYield, cyc: [NumArch]uint32{26, 22, 15}, pc: pc0},
+	{name: "ret", in: Instr{Op: OpRet}, trap: TrapRet, cyc: retCyc, pc: pc0},
+	{name: "trap", in: Instr{Op: OpTrap, TrapKind: TrapPrint, TrapA: 7, TrapB: 2},
+		trap: TrapPrint, ta: 7, tb: 2, cyc: [NumArch]uint32{28, 24, 16}, pc: [NumArch]uint32{6, 7, 8}},
+	{name: "unlq", in: Instr{Op: OpUnlq}, only: []ID{VAX}, trap: TrapMonExitA, cyc: [NumArch]uint32{10}, pc: pc0},
+
+	// Memory and stack operands of the ALU and array ops (CISC only). With
+	// stack operands src2, the top, pops before src1.
+	{name: "sub pop pop push", in: Instr{Op: OpSub, N: 3, Operands: [3]Operand{Pop(), Pop(), Push()}}, only: cisc,
+		depth0: 2, cyc: [NumArch]uint32{11, 10}, pc: [NumArch]uint32{4, 5}, depth: 1, mem: []semWord{{512, 7}}},
+	{name: "add frame imm self", in: Instr{Op: OpAdd, N: 3, Operands: [3]Operand{Frame(8), Imm(2), SelfOp(0)}}, only: cisc,
+		cyc: [NumArch]uint32{9, 8}, pc: [NumArch]uint32{12, 13}, mem: []semWord{{772, 42}}},
+	{name: "div pop at depth 0", in: Instr{Op: OpDiv, N: 3, Operands: [3]Operand{Frame(8), Pop(), Reg(3)}}, only: cisc,
+		regs: [16]uint32{3: 0x55},
+		trap: TrapFault, fault: FaultStack, cyc: [NumArch]uint32{28, 24}, pc: [NumArch]uint32{7, 8}, r3: 0x55},
+	{name: "astor lit imm pop", in: Instr{Op: OpAStor, N: 3, Operands: [3]Operand{Lit(2), Imm(1), Pop()}}, only: cisc,
+		depth0: 2, cyc: [NumArch]uint32{12, 11}, pc: [NumArch]uint32{10, 11}, depth: 1, mem: []semWord{{2060, 3}}},
+	{name: "sscc lit lit push", in: Instr{Op: OpSScc, CC: byte(ir.CmpLT), N: 3, Operands: [3]Operand{Lit(0), Lit(1), Push()}},
+		only: cisc, cyc: [NumArch]uint32{27, 25}, pc: [NumArch]uint32{9, 10}, depth: 1, mem: []semWord{{512, 1}}},
+	{name: "neg self push", in: Instr{Op: OpNeg, N: 2, Operands: [3]Operand{SelfOp(0), Push()}}, only: cisc,
+		cyc: [NumArch]uint32{8, 7}, pc: [NumArch]uint32{5, 6}, depth: 1, mem: []semWord{{512, 0xfffffff5}}},
+	{name: "cvt frame", in: Instr{Op: OpCvt, N: 2, Operands: [3]Operand{Frame(8), Reg(3)}}, only: cisc, fOut: true,
+		cyc: [NumArch]uint32{12, 10}, pc: [NumArch]uint32{6, 7}, r3: f32(40)},
+	{name: "brnz pop taken", in: Instr{Op: OpBrnz, N: 1, Operands: [3]Operand{Pop()}}, only: cisc,
+		depth0: 2, cyc: [NumArch]uint32{7, 6}, pc: [NumArch]uint32{5, 7}, depth: 1},
+}
+
+// TestOpSemantics runs every row through Step (one instruction) and Run
+// (the row's instruction followed by "ret; ret", fused).
+func TestOpSemantics(t *testing.T) {
+	covered := map[ID]map[Op]bool{}
+	for _, row := range semRows {
+		for _, s := range AllSpecs() {
+			if row.only != nil && !slices.Contains(row.only, s.ID) {
+				continue
+			}
+			if covered[s.ID] == nil {
+				covered[s.ID] = map[Op]bool{}
+			}
+			covered[s.ID][row.in.Op] = true
+			t.Run(row.name+"/"+s.Name, func(t *testing.T) { row.check(t, s) })
+		}
+	}
+	for _, s := range AllSpecs() {
+		for op := Op(0); op < NumOp; op++ {
+			if !covered[s.ID][op] && (op != OpUnlq || s.HasAtomicUnlink) {
+				t.Errorf("%s: no row covers %v", s.Name, op)
+			}
+		}
+	}
+}
+
+func (row *semRow) check(t *testing.T, s *Spec) {
+	var code []byte
+	var err error
+	for _, in := range []Instr{row.in, {Op: OpRet}, {Op: OpRet}} {
+		if code, err = Encode(s, code, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if shapes[row.in.Op].hasTarget {
+		if err := PatchTarget(s, code, 0, uint16(len(code))-uint16(retSize[s.ID])); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	mem0, cpu0 := semFixture(s)
+	cpu0.Regs = row.regs
+	if row.fIn {
+		cpu0.Regs[1] = s.Float.Enc(math.Float32frombits(row.regs[1]))
+		cpu0.Regs[2] = s.Float.Enc(math.Float32frombits(row.regs[2]))
+	}
+	cpu0.TempDepth, cpu0.Preempt = row.depth0, row.preempt
+	if row.setup != nil {
+		row.setup(&cpu0)
+	}
+
+	want := cpu0
+	want.Regs[3] = row.r3
+	if row.fOut {
+		want.Regs[3] = s.Float.Enc(math.Float32frombits(row.r3))
+	}
+	want.TempDepth = row.depth
+	if row.trap != TrapFault {
+		want.PC = row.pc[s.ID]
+	}
+	wantMem := slices.Clone(mem0)
+	for _, w := range row.mem {
+		s.ByteOrd.PutUint32(wantMem[w.addr:], w.val)
+	}
+	var wantTrap *Trap
+	if row.trap != TrapNone {
+		wantTrap = &Trap{Kind: row.trap, A: row.ta, B: row.tb, PC: row.pc[s.ID], Fault: row.fault}
+	}
+
+	compare := func(how string, tr *Trap, cyc uint64, cpu CPU, mem []byte, wantTrap *Trap, wantCyc uint64, want CPU) {
+		t.Helper()
+		if (tr == nil) != (wantTrap == nil) || (tr != nil && *tr != *wantTrap) {
+			t.Errorf("%s: trap %+v, want %+v", how, tr, wantTrap)
+		}
+		if cyc != wantCyc {
+			t.Errorf("%s: %d cycles, want %d", how, cyc, wantCyc)
+		}
+		if cpu != want {
+			t.Errorf("%s: cpu\n%+v, want\n%+v", how, cpu, want)
+		}
+		if !bytes.Equal(mem, wantMem) {
+			for a := range mem {
+				if mem[a] != wantMem[a] {
+					t.Errorf("%s: first memory difference at %d: % x, want % x", how, a,
+						mem[a&^3:a&^3+4], wantMem[a&^3:a&^3+4])
+					break
+				}
+			}
+		}
+	}
+
+	cpu, mem := cpu0, slices.Clone(mem0)
+	tr, c, err := Step(s, &cpu, code, mem)
+	if err != nil {
+		t.Fatalf("Step: %v", err)
+	}
+	compare("Step", tr, uint64(c), cpu, mem, wantTrap, uint64(row.cyc[s.ID]), want)
+
+	// Run enters the kernel at the first trailing ret unless the row's
+	// instruction does.
+	wantN, wantCyc := 1, uint64(row.cyc[s.ID])
+	if wantTrap == nil {
+		wantN, wantCyc = 2, wantCyc+uint64(retCyc[s.ID])
+		want.PC += retSize[s.ID]
+		wantTrap = &Trap{Kind: TrapRet, PC: want.PC}
+	}
+	cpu, mem = cpu0, slices.Clone(mem0)
+	tr, cyc, n, err := Run(s, &cpu, code, mem, 1<<20)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if n != wantN {
+		t.Errorf("Run: %d instructions, want %d", n, wantN)
+	}
+	compare("Run", tr, cyc, cpu, mem, wantTrap, wantCyc, want)
+}

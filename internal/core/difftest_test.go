@@ -4,7 +4,12 @@
 // emulator (arch.Step) and the fused superinstruction dispatcher — same
 // printed lines, same per-node cycle and instruction counts, same
 // faults, same final memory images, and a byte-identical rendered event
-// stream (which embeds every trap-driven kernel event). A second matrix
+// stream (which embeds every trap-driven kernel event). Both tiers
+// compile each op through arch's one definition, so what differs, and
+// is checked here, is fusion: run tiling, head-only entry, register
+// slots and their write-back, the per-run budget check and the flat
+// all-register forms (op values are pinned in arch.TestOpSemantics).
+// A second matrix
 // shrinks the scheduling slice so that nearly every poll yields and
 // objects move while their threads are parked, proving that a thread is
 // only ever suspended, walked and resumed at a bus stop.

@@ -143,8 +143,9 @@ type Config struct {
 	// at load (arch.Fuse). Observable behavior — traps, cycle counts,
 	// memory images, printed output — is identical either way; the
 	// differential tests flip this knob to prove it, and it is the one
-	// triage escape hatch. The legacy path is ~11x slower
-	// (BENCH_jit.json).
+	// triage escape hatch. The legacy path is ~40x slower on compute-bound
+	// code (BENCH_jit.json): it decodes and compiles every instruction it
+	// steps.
 	LegacyDispatch bool
 	// Trace, when set, receives kernel event lines (for debugging). It is
 	// installed as a text sink over the structured event stream (see
