@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: ci build test vet emvet race emtrace-smoke baseline-smoke bench-smoke fuzz-smoke pta-smoke emperf-smoke emperf-pairs bench-baselines
+.PHONY: ci build test vet emvet race emtrace-smoke baseline-smoke bench-smoke fuzz-smoke pta-smoke emperf-smoke emperf-pairs census bench-baselines
 
 ci: vet build race emvet emtrace-smoke baseline-smoke bench-smoke fuzz-smoke pta-smoke emperf-smoke
 
@@ -71,6 +71,27 @@ N ?= 10
 REF ?= HEAD
 emperf-pairs:
 	$(GO) run ./tools/pairbench -w $(W) -n $(N) -ref $(REF)
+
+# The code census (ROADMAP emcut), run by hand and kept out of ci: which
+# non-test functions does no shipped surface execute? Cover-built emrun,
+# embench and bench run the example corpus, every embench study and the
+# 1/50-scale workloads, each into its own GOCOVERDIR; the merged profile's
+# 0.0% functions are written to .ci/census.txt. The repro/bench/ lines go
+# first: `go tool cover -func` cannot resolve the nested module's package.
+CENSUS := $(CURDIR)/.ci/census
+census:
+	rm -rf $(CENSUS)
+	mkdir -p $(CENSUS)/emrun $(CENSUS)/embench $(CENSUS)/bench $(CENSUS)/out
+	$(GO) build -cover -coverpkg=repro/... -o $(CENSUS)/emrun.bin ./cmd/emrun
+	$(GO) build -cover -coverpkg=repro/... -o $(CENSUS)/embench.bin ./cmd/embench
+	$(GO) -C bench build -cover -coverpkg=repro/... -o $(CENSUS)/bench.bin .
+	for f in examples/programs/*.em; do GOCOVERDIR=$(CENSUS)/emrun $(CENSUS)/emrun.bin $$f > /dev/null || exit 1; done
+	GOCOVERDIR=$(CENSUS)/embench $(CENSUS)/embench.bin -out $(CENSUS)/out all > /dev/null
+	GOCOVERDIR=$(CENSUS)/bench $(CENSUS)/bench.bin -quick > /dev/null
+	$(GO) tool covdata textfmt -i=$(CENSUS)/emrun,$(CENSUS)/embench,$(CENSUS)/bench -o $(CENSUS)/all.cov
+	grep -v '^repro/bench/' $(CENSUS)/all.cov > $(CENSUS)/repro.cov
+	$(GO) tool cover -func=$(CENSUS)/repro.cov | awk '$$NF == "0.0%"' > .ci/census.txt
+	@echo "$$(wc -l < .ci/census.txt) functions never run: .ci/census.txt"
 
 # Regenerate the committed BENCH_*.json baselines (run after a deliberate
 # model change, then commit the diff).

@@ -167,37 +167,20 @@ func BenchmarkIntraNode(b *testing.B) {
 }
 
 // Conversion-routine ablation (§3.6: the paper guesses efficient routines
-// halve the penalty) and the homogeneous fast path ([SC88]).
+// halve the penalty) and the homogeneous fast path ([SC88]): one row per
+// ConvMode of exp.ConversionStudy.
 func BenchmarkConversionAblation(b *testing.B) {
-	prog, err := core.Compile(exp.Mobile13Source)
-	if err != nil {
-		b.Fatal(err)
+	var rs []exp.ConvResult
+	var err error
+	for i := 0; i < b.N; i++ {
+		rs, err = exp.ConversionStudy()
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
-	for _, mode := range []kernel.ConvMode{
-		kernel.ModeOriginal, kernel.ModeEnhanced,
-		kernel.ModeEnhancedBatched, kernel.ModeEnhancedFastPath,
-	} {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			var simMS float64
-			var calls uint64
-			for i := 0; i < b.N; i++ {
-				cl, err := kernel.NewCluster(prog,
-					[]netsim.MachineModel{netsim.SPARCstationSLC, netsim.SPARCstationSLC}, kernel.Config{Mode: mode})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cl.Start(nil)
-				if err := cl.Run(80_000_000); err != nil {
-					b.Fatal(err)
-				}
-				elapsed, _ := strconv.Atoi(cl.PrintedLines()[0])
-				simMS = float64(elapsed) / 25
-				calls = cl.ConvStats().Calls
-			}
-			b.ReportMetric(simMS, "sim-ms/2moves")
-			b.ReportMetric(float64(calls), "conv-calls")
-		})
+	for _, r := range rs {
+		b.ReportMetric(r.MovesMS, r.Mode.String()+"-sim-ms/2moves")
+		b.ReportMetric(float64(r.ConvCalls), r.Mode.String()+"-conv-calls")
 	}
 }
 
@@ -291,17 +274,18 @@ func BenchmarkConverters(b *testing.B) {
 	codec := arch.VAXFloat{}
 	for _, mk := range []struct {
 		name string
-		c    wire.Converter
+		r    wire.Regime
 	}{
-		{"per-value", wire.NewCallConverter()},
-		{"batched", wire.NewBatchedConverter()},
-		{"raw", wire.NewRawConverter()},
+		{"per-value", wire.PerValue},
+		{"batched", wire.Batched},
+		{"raw", wire.Raw},
 	} {
 		mk := mk
 		b.Run(mk.name, func(b *testing.B) {
+			c := wire.NewConverter(mk.r)
 			for i := 0; i < b.N; i++ {
-				v := mk.c.RealToWire(uint32(i), codec)
-				if _, err := mk.c.RealFromWire(v, codec); err != nil {
+				v := c.RealToWire(uint32(i), codec)
+				if _, err := c.RealFromWire(v, codec); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -517,29 +501,4 @@ func BenchmarkAblationRegisterHomes(b *testing.B) {
 		name := strings.Fields(r.Variant)[0]
 		b.ReportMetric(r.ComputeMS, name+"-compute-sim-ms")
 	}
-}
-
-func BenchmarkAblationHomogeneousFastPath(b *testing.B) {
-	// Alias of the fast-path row of BenchmarkConversionAblation, kept under
-	// the name DESIGN.md announces.
-	prog, err := core.Compile(exp.Mobile13Source)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var simMS float64
-	for i := 0; i < b.N; i++ {
-		cl, err := kernel.NewCluster(prog,
-			[]netsim.MachineModel{netsim.SPARCstationSLC, netsim.SPARCstationSLC},
-			kernel.Config{Mode: kernel.ModeEnhancedFastPath})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cl.Start(nil)
-		if err := cl.Run(80_000_000); err != nil {
-			b.Fatal(err)
-		}
-		elapsed, _ := strconv.Atoi(cl.PrintedLines()[0])
-		simMS = float64(elapsed) / 25
-	}
-	b.ReportMetric(simMS, "sim-ms/2moves")
 }

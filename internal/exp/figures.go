@@ -259,8 +259,9 @@ type ConvResult struct {
 	CallsPerByte float64
 }
 
-// ConversionStudy reruns the Table 1 workload under each conversion regime
-// (SPARC pair plus a heterogeneous pair for the fast path).
+// ConversionStudy reruns the Table 1 workload under each conversion regime,
+// every one on the SPARC↔SPARC pair, so the fast path takes its raw branch
+// throughout (kernel.TestConvRegimes pins its unlike-ISA branch).
 func ConversionStudy() ([]ConvResult, error) {
 	var out []ConvResult
 	for _, mode := range []kernel.ConvMode{

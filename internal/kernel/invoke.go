@@ -113,7 +113,7 @@ func (n *Node) invokeRemote(f *Frag, recv *Obj, opName string, args []uint32) {
 		n.fault(f, fmt.Sprintf("cannot determine remote signature of %s/%d", opName, len(args)))
 		return
 	}
-	conv := n.cluster.converterFor(n, n.cluster.Nodes[recv.LastKnown].Spec.ID)
+	conv := n.converterFor(recv.LastKnown)
 	prev := conv.Stats()
 	wargs := make([]wire.Value, len(args))
 	for i, a := range args {
@@ -210,7 +210,7 @@ func (n *Node) handleReturn(f *Frag) {
 		n.enqueue(f)
 	case f.Link.Node >= 0:
 		// Bottom of a fragment with a remote caller: ship the result.
-		conv := n.cluster.converterFor(n, n.cluster.Nodes[f.Link.Node].Spec.ID)
+		conv := n.converterFor(int(f.Link.Node))
 		prev := conv.Stats()
 		v := wire.IntV(0)
 		if hadResult {
@@ -355,7 +355,7 @@ func (n *Node) recvInvoke(src int, p *wire.Invoke) {
 		hints[h.OID] = int(h.Node)
 	}
 	// Values were produced by the origin machine.
-	conv := n.cluster.converterFor(n, n.cluster.Nodes[origin].Spec.ID)
+	conv := n.converterFor(origin)
 	prev := conv.Stats()
 	args := make([]uint32, len(p.Args))
 	for i, v := range p.Args {
@@ -411,7 +411,7 @@ func (n *Node) recvReturn(src int, p *wire.Return) {
 			hints[h.OID] = int(h.Node)
 		}
 		origin := int(p.Origin)
-		conv := n.cluster.converterFor(n, n.cluster.Nodes[origin].Spec.ID)
+		conv := n.converterFor(origin)
 		prev := conv.Stats()
 		w, err := n.unwireValue(conv, stop.ResultKind, p.Result, hints, origin)
 		if err != nil {
@@ -434,7 +434,7 @@ func (n *Node) recvLocate(src int, p *wire.Locate) {
 	lbl := n.labels
 	answer := func(node int32) {
 		n.cluster.Rec.Metrics().Add("locate_chase_hops", lbl, uint64(p.Hops))
-		conv := n.cluster.converterFor(n, n.cluster.Nodes[p.Origin].Spec.ID)
+		conv := n.converterFor(int(p.Origin))
 		n.sendMsg(int(p.Origin), &wire.Return{
 			Origin:     int32(n.ID),
 			CallerFrag: p.ReplyFrag, Ok: true, Result: conv.IntToWire(uint32(node)),

@@ -62,6 +62,38 @@ func (m ConvMode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
+// convRegime is what a transfer with one peer costs under a ConvMode: the
+// converter its values go through and the density of the network-format
+// layer's per-byte calls (§3.6), in halves of Costs.ConvCallsPerKB.
+type convRegime struct {
+	conv        wire.Regime
+	protoHalves uint64
+}
+
+// convRegimes states each ConvMode's costs once: [0] for a peer of the
+// node's own ISA, [1] for a peer of another ISA.
+var convRegimes = [...][2]convRegime{
+	ModeEnhanced:         {{wire.PerValue, 2}, {wire.PerValue, 2}},
+	ModeOriginal:         {{wire.Raw, 0}, {wire.Raw, 0}},
+	ModeEnhancedBatched:  {{wire.Batched, 1}, {wire.Batched, 1}},
+	ModeEnhancedFastPath: {{wire.Raw, 0}, {wire.PerValue, 2}},
+}
+
+// regimeFor returns the costs of a transfer between n and node peer.
+func (n *Node) regimeFor(peer int) convRegime {
+	unlike := 0
+	if n.cluster.Nodes[peer].Spec.ID != n.Spec.ID {
+		unlike = 1
+	}
+	return convRegimes[n.cluster.Mode][unlike]
+}
+
+// converterFor returns the converter n uses for a transfer to or from node
+// peer.
+func (n *Node) converterFor(peer int) *wire.Converter {
+	return &n.conv[n.regimeFor(peer).conv]
+}
+
 // Costs are the kernel-side cycle costs of the simulation's cost model.
 // They are calibrated against the paper's absolute Table 1 numbers; see
 // EXPERIMENTS.md. Structural quantities (conversion calls, bytes, message
@@ -72,8 +104,9 @@ type Costs struct {
 	// ConvCallsPerKB: the enhanced system's network-format layer performs
 	// "an average of 1-2 calls of conversion procedures for each byte being
 	// transferred" (§3.6); this is that density, in calls per 1024 payload
-	// bytes, charged at each end of a converting transfer. The batched
-	// converter halves it (the paper's ~50% guess).
+	// bytes, charged at each end of a converting transfer at the fraction
+	// convRegimes gives (the batched routines halve it: the paper's ~50%
+	// guess).
 	ConvCallsPerKB uint32
 	// SendCycles / RecvCycles: per-message protocol + OS networking stack.
 	SendCycles, RecvCycles uint32
@@ -322,6 +355,9 @@ func NewCluster(prog *codegen.Program, models []netsim.MachineModel, cfg Config)
 		return nil, fmt.Errorf("kernel: adaptive placement (-auto) requires the sequential engine")
 	}
 	cfg = cfg.withDefaults()
+	if cfg.Mode < 0 || int(cfg.Mode) >= len(convRegimes) {
+		return nil, fmt.Errorf("kernel: unknown conversion mode %v", cfg.Mode)
+	}
 	if cfg.Mode == ModeOriginal {
 		for _, m := range models[1:] {
 			if m.Arch != models[0].Arch {
@@ -403,24 +439,6 @@ func (c *Cluster) armChaos(plan *chaos.Plan) error {
 		n.every(plan.HeartbeatPeriod(), n.heartbeatTick)
 	}
 	return nil
-}
-
-// converterFor returns the converter a node uses for a transfer to/from the
-// peer architecture.
-func (c *Cluster) converterFor(n *Node, peer arch.ID) wire.Converter {
-	switch c.Mode {
-	case ModeOriginal:
-		return n.rawConv
-	case ModeEnhancedBatched:
-		return n.batchConv
-	case ModeEnhancedFastPath:
-		if peer == n.Spec.ID {
-			return n.rawConv
-		}
-		return n.callConv
-	default:
-		return n.callConv
-	}
 }
 
 // Start boots the program: the loader instantiates the object named "Main"
@@ -512,10 +530,16 @@ func (c *Cluster) OutputText() string {
 func (c *Cluster) ConvStats() wire.Stats {
 	var s wire.Stats
 	for _, n := range c.Nodes {
-		s.Add(n.callConv.Stats())
-		s.Add(n.batchConv.Stats())
-		s.Add(n.rawConv.Stats())
+		s.Add(n.convStats())
 		s.Calls += n.ProtoConvCalls
+	}
+	return s
+}
+
+// convStats sums the counters of n's converters.
+func (n *Node) convStats() (s wire.Stats) {
+	for i := range n.conv {
+		s.Add(n.conv[i].Stats())
 	}
 	return s
 }
@@ -558,12 +582,6 @@ func (c *Cluster) BlockedThreads() []string {
 	return out
 }
 
-// trace emits a cluster-level free-form trace line into the event stream
-// (the text sink renders it; formatting happens at most once).
-func (c *Cluster) trace(format string, args ...any) {
-	c.Rec.Textf(int64(c.Sim.Now()), -1, format, args...)
-}
-
 // tracef emits a node-attributed free-form trace line.
 func (n *Node) tracef(format string, args ...any) {
 	n.cluster.Rec.Textf(int64(n.now()), int32(n.ID), format, args...)
@@ -582,10 +600,7 @@ func (c *Cluster) MetricsSnapshot() obs.Snapshot {
 		reg.SetGauge("migrations", lbl, int64(n.Migrations))
 		reg.SetGauge("proto_conv_calls", lbl, int64(n.ProtoConvCalls))
 		reg.SetGauge("cpu_cycles", lbl, int64(n.CPU.Cycles))
-		var s wire.Stats
-		s.Add(n.callConv.Stats())
-		s.Add(n.batchConv.Stats())
-		s.Add(n.rawConv.Stats())
+		s := n.convStats()
 		reg.SetGauge("conv_calls", lbl+",kind=int", int64(s.IntCalls))
 		reg.SetGauge("conv_calls", lbl+",kind=real", int64(s.RealCalls))
 		reg.SetGauge("conv_calls", lbl+",kind=ref", int64(s.RefCalls))

@@ -40,7 +40,7 @@ func (n *Node) beginMoveSpan(o *Obj, dest int, kind string) *obs.Span {
 // finishMoveOut closes the source side of a hop: records the MD→MI phase
 // from the converter-stat delta, emits the migrate-out and conversion
 // events, and bumps the per-arch-pair migration counter.
-func (n *Node) finishMoveOut(sp *obs.Span, o *Obj, dest int, conv wire.Converter, prev wire.Stats) {
+func (n *Node) finishMoveOut(sp *obs.Span, o *Obj, dest int, conv *wire.Converter, prev wire.Stats) {
 	cur := conv.Stats()
 	sp.ConvOutCalls = cur.Calls - prev.Calls
 	sp.ConvOutBytes = cur.Bytes - prev.Bytes
@@ -251,7 +251,7 @@ func (n *Node) moveArray(o *Obj, dest int, fix bool) {
 	tx := n.newMoveTxn(o, dest, fix)
 	sp := n.beginMoveSpan(o, dest, "array")
 	n.charge(uint64(n.cluster.Costs.MigrateCycles))
-	conv := n.cluster.converterFor(n, n.cluster.Nodes[dest].Spec.ID)
+	conv := n.converterFor(dest)
 	prev := conv.Stats()
 	data := make([]wire.Value, o.Len)
 	for i := range data {
@@ -283,7 +283,7 @@ func (n *Node) moveArray(o *Obj, dest int, fix bool) {
 func (n *Node) moveImmutable(o *Obj, dest int) {
 	sp := n.beginMoveSpan(o, dest, "immutable")
 	n.charge(uint64(n.cluster.Costs.MigrateCycles))
-	conv := n.cluster.converterFor(n, n.cluster.Nodes[dest].Spec.ID)
+	conv := n.converterFor(dest)
 	prev := conv.Stats()
 	tmpl := o.Code.oc.Template
 	data := make([]wire.Value, len(tmpl.Slots))
@@ -360,7 +360,7 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 	tx := n.newMoveTxn(o, dest, fix)
 	n.charge(uint64(n.cluster.Costs.MigrateCycles))
 	peer := n.cluster.Nodes[dest].Spec.ID
-	conv := n.cluster.converterFor(n, peer)
+	conv := n.converterFor(dest)
 	prev := conv.Stats()
 
 	mv := &n.mv
@@ -683,24 +683,12 @@ func (n *Node) mustAddr(o *Obj) uint32 {
 	return a
 }
 
-// marshalFrame converts one activation to machine-independent form,
-// returning also the shipped values (for hint collection). It runs over
-// the cached conversion plan for (function, stop, peer ISA) — see
-// plan.go — compiling it on the first hop through this stop.
-func (n *Node) marshalFrame(conv wire.Converter, peer arch.ID, fi frameInfo) (wire.MIActivation, []wire.Value) {
-	stopNum := uint16(fi.stop.Stop)
-	if fi.entry {
-		stopNum = wire.EntryStop
-	}
-	return n.marshalFramePlanned(conv, fi, n.planFor(fi.lf, stopNum, peer))
-}
-
 // ---------------------------------------------------------------- receive
 
 // finishMoveIn closes the destination side of a hop's span (MI→MD
 // respecialization, measured on this node's CPU timeline) and emits the
 // conversion and migrate-in events.
-func (n *Node) finishMoveIn(src int, p *wire.Move, conv wire.Converter, prev wire.Stats, respecStart int64) {
+func (n *Node) finishMoveIn(src int, p *wire.Move, conv *wire.Converter, prev wire.Stats, respecStart int64) {
 	cur := conv.Stats()
 	calls := cur.Calls - prev.Calls
 	rec := n.cluster.Rec
@@ -743,7 +731,7 @@ func (n *Node) recvMove(src int, p *wire.Move) {
 		respecStart = now
 	}
 	n.charge(uint64(n.cluster.Costs.MigrateCycles))
-	conv := n.cluster.converterFor(n, n.cluster.Nodes[src].Spec.ID)
+	conv := n.converterFor(src)
 	prev := conv.Stats()
 	hints := map[oid.OID]int{}
 	for _, h := range p.Hints {
@@ -832,7 +820,7 @@ func (n *Node) recvMove(src int, p *wire.Move) {
 }
 
 // installArray materializes a migrated array.
-func (n *Node) installArray(src int, p *wire.Move, conv wire.Converter, hints map[oid.OID]int) {
+func (n *Node) installArray(src int, p *wire.Move, conv *wire.Converter, hints map[oid.OID]int) {
 	n.exported[p.Object] = true
 	o := n.proxyFor(p.Object, src)
 	o.Epoch = p.Epoch
@@ -868,7 +856,7 @@ func (n *Node) installArray(src int, p *wire.Move, conv wire.Converter, hints ma
 // are refilled per this ISA's templates and callee-save areas are
 // reconstructed.
 func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
-	conv wire.Converter, hints map[oid.OID]int) *Frag {
+	conv *wire.Converter, hints map[oid.OID]int) *Frag {
 	base, limit := n.allocStack()
 	f := &Frag{ID: wf.FragID, Link: Link{Node: wf.LinkNode, Frag: wf.LinkFrag},
 		stackBase: base, stackLimit: limit, waitNode: -1}
@@ -903,7 +891,7 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 			cf.vars = carve(len(a.Vars))
 		}
 		for vi, v := range a.Vars {
-			w, err := n.unwireClassValue(conv, pl.vars[vi].class, v, hints, src)
+			w, err := n.unwireValue(conv, pl.vars[vi].kind, v, hints, src)
 			if err != nil {
 				panic(fmt.Sprintf("kernel: unmarshal var: %v", err))
 			}
@@ -913,7 +901,7 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 			cf.temps = carve(len(a.Temps))
 		}
 		for ti, v := range a.Temps {
-			w, err := n.unwireClassValue(conv, pl.tempClassAt(ti), v, hints, src)
+			w, err := n.unwireValue(conv, tempKindAt(pl.stop, ti), v, hints, src)
 			if err != nil {
 				panic(fmt.Sprintf("kernel: unmarshal temp: %v", err))
 			}

@@ -154,9 +154,9 @@ type Node struct {
 	// object skip the shard query.
 	dirLeases map[oid.OID]dirLease
 
-	callConv  *wire.CallConverter
-	batchConv *wire.BatchedConverter
-	rawConv   *wire.RawConverter
+	// conv holds one converter per regime; converterFor picks the one the
+	// cluster's ConvMode assigns to a peer.
+	conv [wire.NumRegimes]wire.Converter
 
 	// MarshaledVarSlots counts frame-variable slots this node marshaled
 	// onto the wire; CanonicalizedVarSlots counts the subset whose payload
@@ -225,9 +225,6 @@ func newNode(c *Cluster, id int, m netsim.MachineModel) *Node {
 		exported:   map[oid.OID]bool{},
 		freeLists:  map[uint32][]freeBlock{},
 		labels:     obs.NodeLabels(id, spec.ID.String()),
-		callConv:   wire.NewCallConverter(),
-		batchConv:  wire.NewBatchedConverter(),
-		rawConv:    wire.NewRawConverter(),
 
 		Up:             true,
 		outSeq:         map[int]uint32{},
@@ -245,6 +242,9 @@ func newNode(c *Cluster, id int, m netsim.MachineModel) *Node {
 		dirProps:  map[dir.Slot]*dirProposal{},
 		dirLooks:  map[uint32]*dirLookup{},
 		dirLeases: map[oid.OID]dirLease{},
+	}
+	for r := range n.conv {
+		n.conv[r] = wire.NewConverter(wire.Regime(r))
 	}
 	n.sched = c.Sim.NodeSched(id)
 	n.schedPassFn = n.schedPass
@@ -726,20 +726,13 @@ func (n *Node) releaseMonitorsOf(f *Frag) {
 
 // protoConvCharge accounts the enhanced system's network-format conversion
 // layer: 1-2 conversion-procedure calls per payload byte at each end of a
-// converting transfer (§3.6). The original system and the homogeneous fast
-// path skip it; the batched converter halves the density.
+// converting transfer (§3.6), at the density convRegimes gives for peer.
 func (n *Node) protoConvCharge(peer int, bytes int) {
-	density := uint64(n.cluster.Costs.ConvCallsPerKB)
-	switch n.cluster.Mode {
-	case ModeOriginal:
+	halves := n.regimeFor(peer).protoHalves
+	if halves == 0 {
 		return
-	case ModeEnhancedFastPath:
-		if n.cluster.Nodes[peer].Spec.ID == n.Spec.ID {
-			return
-		}
-	case ModeEnhancedBatched:
-		density /= 2
 	}
+	density := uint64(n.cluster.Costs.ConvCallsPerKB) * halves / 2
 	calls := uint64(bytes) * density / 1024
 	n.ProtoConvCalls += calls
 	cycles := float64(calls*uint64(n.cluster.Costs.ConvCallCycles)) * n.Model.ConvFactor()

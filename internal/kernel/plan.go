@@ -27,43 +27,22 @@ import (
 	"repro/internal/arch"
 	"repro/internal/busstop"
 	"repro/internal/ir"
-	"repro/internal/oid"
 	"repro/internal/wire"
 )
 
-// slotClass collapses ir.VK to the three conversion behaviors a slot can
-// have on the wire.
-type slotClass uint8
-
-const (
-	slotInt  slotClass = iota // identity word (ints, bools, chars)
-	slotReal                  // float codec through the converter
-	slotPtr                   // reference swizzle / string by-value copy
-)
-
-func classOf(k ir.VK) slotClass {
-	switch k {
-	case ir.VKReal:
-		return slotReal
-	case ir.VKPtr:
-		return slotPtr
-	}
-	return slotInt
-}
-
-// varPlan is one variable's resolved home and conversion class. dead
-// marks slots the stop's LiveVars mask proves unread after resumption;
-// their payload word is replaced by zero (the canonical zero for the
-// slot's class in this node's formats) before conversion, so the
-// converter call sequence, wire sizes, charges and events stay identical
-// while the shipped bits become canonical. Pointer slots are never
-// marked: their conversion has observable side effects (string copies,
-// swizzle exports), so canonicalizing them would not be charge-neutral.
+// varPlan is one variable's resolved home and value kind. dead marks
+// slots the stop's LiveVars mask proves unread after resumption; their
+// payload word is replaced by zero (the canonical zero for the slot's kind
+// in this node's formats) before conversion, so the converter call
+// sequence, wire sizes, charges and events stay identical while the
+// shipped bits become canonical. Pointer slots are never marked: their
+// conversion has observable side effects (string copies, swizzle exports),
+// so canonicalizing them would not be charge-neutral.
 type varPlan struct {
 	inReg bool
 	reg   uint8
 	off   uint32
-	class slotClass
+	kind  ir.VK
 	dead  bool
 	zero  uint32
 }
@@ -77,23 +56,13 @@ type planKey struct {
 }
 
 // convPlan is the compiled conversion plan for one (function, bus stop,
-// peer ISA): variable homes, temp-slot classes and the stop record, all
-// resolved once.
+// peer ISA): variable homes and the stop record (whose TempKinds give the
+// temp slots' kinds, see tempKindAt), all resolved once.
 type convPlan struct {
 	vars    []varPlan
-	temps   []slotClass // classes of stop.TempKinds
-	result  slotClass   // class of deeper temp slots (stop.ResultKind)
 	stop    busstop.Info
 	entry   bool
 	tempOff uint32
-}
-
-// tempClassAt mirrors tempKindAt over precomputed classes.
-func (pl *convPlan) tempClassAt(j int) slotClass {
-	if j < len(pl.temps) {
-		return pl.temps[j]
-	}
-	return pl.result
 }
 
 // planFor returns the cached plan for (lf, stopNum, peer), compiling it
@@ -108,7 +77,7 @@ func (n *Node) planFor(lf *loadedFunc, stopNum uint16, peer arch.ID) *convPlan {
 	pl := &convPlan{vars: make([]varPlan, len(t.Vars)), tempOff: uint32(t.TempOff)}
 	for i, h := range t.Vars {
 		pl.vars[i] = varPlan{inReg: h.InReg, reg: uint8(h.Reg & 0xf),
-			off: uint32(h.Off), class: classOf(h.Kind)}
+			off: uint32(h.Off), kind: h.Kind}
 	}
 	if stopNum == wire.EntryStop {
 		pl.entry = true
@@ -118,21 +87,16 @@ func (n *Node) planFor(lf *loadedFunc, stopNum uint16, peer arch.ID) *convPlan {
 			panic(fmt.Sprintf("kernel: %v", err))
 		}
 		pl.stop = stop
-		pl.temps = make([]slotClass, len(stop.TempKinds))
-		for i, k := range stop.TempKinds {
-			pl.temps[i] = classOf(k)
-		}
-		pl.result = classOf(stop.ResultKind)
 		if !n.cluster.NoSharpen {
 			// Slots >= 64 are outside the mask and stay live; entry frames
 			// never reach here (no stop, nothing is dead before first run).
 			for v := range pl.vars {
 				vp := &pl.vars[v]
-				if v >= 64 || vp.class == slotPtr || stop.LiveVars&(1<<uint(v)) != 0 {
+				if v >= 64 || vp.kind == ir.VKPtr || stop.LiveVars&(1<<uint(v)) != 0 {
 					continue
 				}
 				vp.dead = true
-				if vp.class == slotReal {
+				if vp.kind == ir.VKReal {
 					vp.zero = n.Spec.Float.Enc(0)
 				}
 			}
@@ -145,36 +109,13 @@ func (n *Node) planFor(lf *loadedFunc, stopNum uint16, peer arch.ID) *convPlan {
 	return pl
 }
 
-// wireClassValue is wireTempValue dispatched on a precomputed class. The
-// pointer case delegates to the reference implementation — swizzling
-// touches kernel maps and must stay in one place.
-func (n *Node) wireClassValue(conv wire.Converter, c slotClass, w uint32) (wire.Value, error) {
-	switch c {
-	case slotReal:
-		return conv.RealToWire(w, n.Spec.Float), nil
-	case slotPtr:
-		return n.wireTempValue(conv, ir.VKPtr, w)
-	}
-	return conv.IntToWire(w), nil
-}
-
-// unwireClassValue is unwireValue dispatched on a precomputed class.
-func (n *Node) unwireClassValue(conv wire.Converter, c slotClass, v wire.Value,
-	hints map[oid.OID]int, src int) (uint32, error) {
-	switch c {
-	case slotReal:
-		return conv.RealFromWire(v, n.Spec.Float)
-	case slotPtr:
-		return n.unwireValue(conv, ir.VKPtr, v, hints, src)
-	}
-	return conv.IntFromWire(v)
-}
-
-// marshalFramePlanned converts one activation to machine-independent
-// form through a compiled plan. One backing array serves vars, temps and
-// the shipped-value list — sized from the plan, so steady-state
+// marshalFrame converts one activation to machine-independent form,
+// returning also the shipped values (for hint collection). It runs over
+// the cached conversion plan for (function, stop, peer ISA), compiling it
+// on the first hop through this stop. One backing array serves vars, temps
+// and the shipped-value list — sized from the plan, so steady-state
 // marshalling performs a single allocation per frame.
-func (n *Node) marshalFramePlanned(conv wire.Converter, fi frameInfo, pl *convPlan) (wire.MIActivation, []wire.Value) {
+func (n *Node) marshalFrame(conv *wire.Converter, peer arch.ID, fi frameInfo) (wire.MIActivation, []wire.Value) {
 	act := wire.MIActivation{
 		CodeOID:   fi.lf.code.oc.CodeOID,
 		FuncIndex: uint16(fi.lf.idx),
@@ -186,6 +127,7 @@ func (n *Node) marshalFramePlanned(conv wire.Converter, fi frameInfo, pl *convPl
 		act.Stop = uint16(fi.stop.Stop)
 		nt = fi.tempDepth
 	}
+	pl := n.planFor(fi.lf, act.Stop, peer)
 	nv := len(pl.vars)
 	if nv+nt == 0 {
 		return act, nil
@@ -203,7 +145,7 @@ func (n *Node) marshalFramePlanned(conv wire.Converter, fi frameInfo, pl *convPl
 		} else {
 			w = n.ld32(fi.fp + vp.off)
 		}
-		v, err := n.wireClassValue(conv, vp.class, w)
+		v, err := n.wireTempValue(conv, vp.kind, w)
 		if err != nil {
 			panic(fmt.Sprintf("kernel: marshal %s var %s: %v",
 				fi.lf.name(), fi.lf.fc.Template.Vars[i].Name, err))
@@ -212,7 +154,7 @@ func (n *Node) marshalFramePlanned(conv wire.Converter, fi frameInfo, pl *convPl
 	}
 	for j := 0; j < nt; j++ {
 		w := n.ld32(fi.fp + pl.tempOff + uint32(4*j))
-		v, err := n.wireClassValue(conv, pl.tempClassAt(j), w)
+		v, err := n.wireTempValue(conv, tempKindAt(pl.stop, j), w)
 		if err != nil {
 			panic(fmt.Sprintf("kernel: marshal %s temp %d: %v", fi.lf.name(), j, err))
 		}

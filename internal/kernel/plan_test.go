@@ -110,12 +110,12 @@ func warmPlanRoundtrip(t *testing.T, cfg Config) (n *Node, pl *convPlan, want, b
 	}
 
 	peer := c.Nodes[1].Spec.ID
-	conv := c.converterFor(n, peer)
-	classAt := func(pl *convPlan, i int) slotClass {
+	conv := n.converterFor(1)
+	kindAt := func(pl *convPlan, i int) ir.VK {
 		if i < len(pl.vars) {
-			return pl.vars[i].class
+			return pl.vars[i].kind
 		}
-		return pl.tempClassAt(i - len(pl.vars))
+		return tempKindAt(pl.stop, i-len(pl.vars))
 	}
 
 	// Warm: the first hop compiles and caches the plan.
@@ -129,10 +129,10 @@ func warmPlanRoundtrip(t *testing.T, cfg Config) (n *Node, pl *convPlan, want, b
 	back = make([]uint32, len(want))
 	var m wire.MIActivation
 	allocs = testing.AllocsPerRun(100, func() {
-		a, vals := n.marshalFramePlanned(conv, fi, pl)
+		a, vals := n.marshalFrame(conv, peer, fi)
 		m = a
 		for i, v := range vals {
-			w, err := n.unwireClassValue(conv, classAt(pl, i), v, nil, 1)
+			w, err := n.unwireValue(conv, kindAt(pl, i), v, nil, 1)
 			if err != nil {
 				t.Fatalf("unwire %d: %v", i, err)
 			}
@@ -146,7 +146,7 @@ func warmPlanRoundtrip(t *testing.T, cfg Config) (n *Node, pl *convPlan, want, b
 }
 
 // One warm-plan MD→MI→MD conversion of a frame is pinned at a single
-// allocation: the combined value slice marshalFramePlanned returns. Plan
+// allocation: the combined value slice marshalFrame returns. Plan
 // compilation, template interpretation and per-value boxing must all be
 // off the steady-state path. Sharpening is off here so the roundtrip
 // must reproduce every machine-dependent word exactly (same float format
@@ -167,7 +167,7 @@ func TestWarmPlanConversionAllocs(t *testing.T) {
 
 // The sharpened path must stay on the same ≤1-alloc budget, reproduce
 // every live slot exactly, and restore every pta-dead slot as the
-// canonical zero of its class — and the fixture must actually exercise
+// canonical zero of its kind — and the fixture must actually exercise
 // that (at least one dead slot, never a pointer one).
 func TestWarmPlanConversionAllocsSharpened(t *testing.T) {
 	n, pl, want, back, allocs := warmPlanRoundtrip(t, Config{})
@@ -178,11 +178,11 @@ func TestWarmPlanConversionAllocsSharpened(t *testing.T) {
 	for i := range back {
 		if i < len(pl.vars) && pl.vars[i].dead {
 			dead++
-			if pl.vars[i].class == slotPtr {
+			if pl.vars[i].kind == ir.VKPtr {
 				t.Errorf("slot %d: pointer slot marked dead; sharpening must never touch pointers", i)
 			}
 			var zero uint32
-			if pl.vars[i].class == slotReal {
+			if pl.vars[i].kind == ir.VKReal {
 				zero = n.Spec.Float.Enc(0)
 			}
 			if back[i] != zero {

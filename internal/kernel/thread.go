@@ -768,7 +768,7 @@ func (n *Node) arrayOpOn(f *Frag, kind arch.TrapKind, elem ir.VK, o *Obj, idx, v
 		return
 	}
 	// Remote array: marshal the access as a kernel-served invocation.
-	conv := n.cluster.converterFor(n, n.cluster.Nodes[o.LastKnown].Spec.ID)
+	conv := n.converterFor(o.LastKnown)
 	prev := conv.Stats()
 	var opName string
 	var args []wire.Value
@@ -799,7 +799,7 @@ func (n *Node) arrayOpOn(f *Frag, kind arch.TrapKind, elem ir.VK, o *Obj, idx, v
 // serveArrayOp answers a remote array access on a resident array; origin
 // is the node hosting the blocked caller.
 func (n *Node) serveArrayOp(origin int, p *wire.Invoke, o *Obj) {
-	conv := n.cluster.converterFor(n, n.cluster.Nodes[origin].Spec.ID)
+	conv := n.converterFor(origin)
 	prev := conv.Stats()
 	fail := func(msg string) {
 		n.sendMsg(origin, &wire.Return{Origin: int32(n.ID),
@@ -853,7 +853,7 @@ func (n *Node) serveArrayOp(origin int, p *wire.Invoke, o *Obj) {
 // ---------------------------------------------------------------- helpers
 
 // wireTempValue converts the machine word w of kind k for transmission.
-func (n *Node) wireTempValue(conv wire.Converter, k ir.VK, w uint32) (wire.Value, error) {
+func (n *Node) wireTempValue(conv *wire.Converter, k ir.VK, w uint32) (wire.Value, error) {
 	switch k {
 	case ir.VKReal:
 		return conv.RealToWire(w, n.Spec.Float), nil
@@ -878,7 +878,7 @@ func (n *Node) wireTempValue(conv wire.Converter, k ir.VK, w uint32) (wire.Value
 
 // unwireValue converts a received wire value to a machine word, creating
 // proxies (with hints) or materializing strings as needed.
-func (n *Node) unwireValue(conv wire.Converter, k ir.VK, v wire.Value,
+func (n *Node) unwireValue(conv *wire.Converter, k ir.VK, v wire.Value,
 	hints map[oid.OID]int, src int) (uint32, error) {
 	switch k {
 	case ir.VKReal:
@@ -938,7 +938,7 @@ func (n *Node) collectHints(vals []wire.Value) []wire.LocHint {
 }
 
 // chargeConv charges the CPU for conversion calls accumulated since prev.
-func (n *Node) chargeConv(conv wire.Converter, prev wire.Stats) {
+func (n *Node) chargeConv(conv *wire.Converter, prev wire.Stats) {
 	delta := conv.Stats().Calls - prev.Calls
 	cycles := float64(delta*uint64(n.cluster.Costs.ConvCallCycles)) * n.Model.ConvFactor()
 	n.charge(uint64(cycles))

@@ -44,14 +44,6 @@ func (h *Hist) Observe(v uint64) {
 	h.Buckets[b]++
 }
 
-// Mean returns the average observation (0 when empty).
-func (h *Hist) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
 // Registry accumulates metrics. A single mutex guards the maps: the
 // parallel engine's node goroutines add concurrently, and every update is
 // commutative (counter sums, per-node-labelled gauges, histogram

@@ -404,10 +404,6 @@ func (r *Recorder) Metrics() *Registry { return r.reg }
 // legacy trace line (the old kernel Trace hook).
 func (r *Recorder) SetTextSink(f func(string)) { r.sink = f }
 
-// TextActive reports whether a text sink is installed (callers can skip
-// building expensive text when false and no ring retains events).
-func (r *Recorder) TextActive() bool { return r.sink != nil }
-
 // Emit records one event: stamps the owning ring's sequence number and
 // appends to that ring, rendering to the text sink if one is installed.
 // Seq is per-ring (node), not global: a per-node counter is the only

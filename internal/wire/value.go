@@ -10,16 +10,16 @@
 // enhanced system's migration overhead to these calls ("an average of 1–2
 // calls of conversion procedures are performed for each byte being
 // transferred", §3.6) and guesses that efficient routines would halve the
-// penalty. Two converters are provided so that the guess can be tested:
-// CallConverter models the paper's per-value recursive-descent routines;
-// BatchedConverter models the optimized implementation.
+// penalty. One Converter type implements three regimes, each a row of
+// costs: PerValue models the paper's per-value recursive-descent routines,
+// Batched the optimized implementation that tests the guess, and Raw the
+// original homogeneous system, which converts nothing.
 package wire
 
 import (
 	"fmt"
 
 	"repro/internal/arch"
-	"repro/internal/ir"
 	"repro/internal/oid"
 )
 
@@ -113,108 +113,133 @@ func (s *Stats) Add(other Stats) {
 	s.RefVals += other.RefVals
 }
 
-// chargeKind accounts calls against the per-kind counters.
-func (s *Stats) chargeKind(k WKind, calls int) {
+// Regime names one of the three conversion regimes a Converter implements.
+type Regime uint8
+
+// Conversion regimes; rows gives each one's costs.
+const (
+	// PerValue models the prototype's hand-written recursive-descent
+	// conversion routines: "depending on the processor type, 2–3 procedure
+	// calls are performed to convert a simple integer value to or from
+	// network format" (§3.5). An integer costs two calls (two 16-bit
+	// half-word conversions, htons-style, plus composition folded in), a
+	// real three (unpack, convert format, repack), a reference two (swizzle
+	// lookup plus conversion).
+	PerValue Regime = iota
+	// Batched models efficient conversion routines: one call per value,
+	// with the same semantic effect. The paper predicts roughly a 50%
+	// reduction of the migration penalty with such routines (§3.6).
+	Batched
+	// Raw is the homogeneous fast path of the original system: machine
+	// words travel unconverted (both ends share one architecture), as in
+	// the multi-protocol RPC optimization the paper cites ([SC88], §3.1).
+	// References are still swizzled: object identity must survive even
+	// homogeneous moves. It is only correct between identical architectures.
+	Raw
+	NumRegimes
+)
+
+// costRow is one regime's costs: conversion-procedure calls per int, real
+// and ref value, and whether ints and reals travel as raw machine words.
+type costRow struct {
+	perInt, perReal, perRef uint64
+	raw                     bool
+}
+
+var rows = [NumRegimes]costRow{
+	PerValue: {perInt: 2, perReal: 3, perRef: 2},
+	Batched:  {perInt: 1, perReal: 1, perRef: 1},
+	Raw:      {raw: true},
+}
+
+// Converter translates 32-bit machine slots to and from wire values under
+// one regime, accounting for conversion-procedure calls. Pointer words
+// must be swizzled by the caller (the kernel owns the address-to-OID
+// mapping) and passed as an OID.
+type Converter struct {
+	row   costRow
+	stats Stats
+}
+
+// NewConverter returns a converter for regime r with zeroed counters.
+func NewConverter(r Regime) Converter { return Converter{row: rows[r]} }
+
+// Stats returns the accumulated counters.
+func (c *Converter) Stats() Stats { return c.stats }
+
+// charge accounts one value of kind k costing calls conversion calls.
+func (c *Converter) charge(k WKind, calls uint64) {
+	s := &c.stats
+	s.Calls += calls
+	s.Values++
+	s.Bytes += 4
 	switch k {
 	case WReal:
-		s.RealCalls += uint64(calls)
+		s.RealCalls += calls
 		s.RealVals++
-	case WRef, WNil:
-		s.RefCalls += uint64(calls)
+	case WRef:
+		s.RefCalls += calls
 		s.RefVals++
 	default:
-		s.IntCalls += uint64(calls)
+		s.IntCalls += calls
 		s.IntVals++
 	}
 }
 
-// Converter translates 32-bit machine slots to and from wire values,
-// accounting for conversion-procedure calls.
-type Converter interface {
-	Name() string
-	// ToWire converts a machine word of the given kind read on the given
-	// architecture. Pointer words must be swizzled by the caller (the
-	// kernel owns the address-to-OID mapping) and passed as an OID.
-	IntToWire(raw uint32) Value
-	RealToWire(bits uint32, f arch.FloatCodec) Value
-	RefToWire(o oid.OID) Value
-	// FromWire converts wire values back to machine words.
-	IntFromWire(v Value) (uint32, error)
-	RealFromWire(v Value, f arch.FloatCodec) (uint32, error)
-	RefFromWire(v Value) (oid.OID, error)
-	Stats() Stats
-	ResetStats()
-}
-
-// CallConverter models the prototype's hand-written recursive-descent
-// conversion routines: "depending on the processor type, 2–3 procedure
-// calls are performed to convert a simple integer value to or from network
-// format" (§3.5). Each 32-bit integer costs two calls (two 16-bit
-// half-word conversions, htons-style, plus composition folded in), each
-// real three (unpack, convert format, repack), each reference two
-// (swizzle lookup plus conversion).
-type CallConverter struct {
-	stats Stats
-}
-
-// NewCallConverter returns a fresh per-value converter.
-func NewCallConverter() *CallConverter { return &CallConverter{} }
-
-// Name identifies the converter in benchmark output.
-func (c *CallConverter) Name() string { return "per-value-calls" }
-
-func (c *CallConverter) charge(k WKind, calls int) {
-	c.stats.Calls += uint64(calls)
-	c.stats.Values++
-	c.stats.Bytes += 4
-	c.stats.chargeKind(k, calls)
-}
-
 // IntToWire converts an integer machine word.
-func (c *CallConverter) IntToWire(raw uint32) Value {
-	c.charge(WInt, 2)
+func (c *Converter) IntToWire(raw uint32) Value {
+	c.charge(WInt, c.row.perInt)
+	if c.row.raw {
+		return RawV(raw)
+	}
 	return IntV(raw)
 }
 
 // RealToWire converts a real in the architecture float format to IEEE bits.
-func (c *CallConverter) RealToWire(bits uint32, f arch.FloatCodec) Value {
-	c.charge(WReal, 3)
+func (c *Converter) RealToWire(bits uint32, f arch.FloatCodec) Value {
+	c.charge(WReal, c.row.perReal)
+	if c.row.raw {
+		return RawV(bits)
+	}
 	return RealBitsV(arch.IEEEFloat{}.Enc(f.Dec(bits)))
 }
 
 // RefToWire converts a swizzled reference.
-func (c *CallConverter) RefToWire(o oid.OID) Value {
-	c.charge(WRef, 2)
+func (c *Converter) RefToWire(o oid.OID) Value {
+	c.charge(WRef, c.row.perRef)
 	if o == oid.Nil {
 		return NilV()
 	}
 	return RefV(o)
 }
 
-// IntFromWire converts back to a machine integer.
-func (c *CallConverter) IntFromWire(v Value) (uint32, error) {
-	c.charge(WInt, 2)
-	if v.Kind != WInt && v.Kind != WRaw {
+// IntFromWire converts back to a machine integer. A raw converter takes
+// any value's bits; the others take an int or a raw word.
+func (c *Converter) IntFromWire(v Value) (uint32, error) {
+	c.charge(WInt, c.row.perInt)
+	if !c.row.raw && v.Kind != WInt && v.Kind != WRaw {
 		return 0, fmt.Errorf("wire: %v where int expected", v.Kind)
 	}
 	return v.Bits, nil
 }
 
-// RealFromWire converts IEEE bits to the architecture float format.
-func (c *CallConverter) RealFromWire(v Value, f arch.FloatCodec) (uint32, error) {
-	c.charge(WReal, 3)
-	if v.Kind != WReal && v.Kind != WRaw {
-		return 0, fmt.Errorf("wire: %v where real expected", v.Kind)
-	}
-	if v.Kind == WRaw {
+// RealFromWire converts IEEE bits to the architecture float format. A raw
+// converter takes any value's bits unconverted; the others take a real, or
+// a raw word whose bits they keep.
+func (c *Converter) RealFromWire(v Value, f arch.FloatCodec) (uint32, error) {
+	c.charge(WReal, c.row.perReal)
+	if c.row.raw || v.Kind == WRaw {
 		return v.Bits, nil
+	}
+	if v.Kind != WReal {
+		return 0, fmt.Errorf("wire: %v where real expected", v.Kind)
 	}
 	return f.Enc(arch.IEEEFloat{}.Dec(v.Bits)), nil
 }
 
 // RefFromWire extracts the OID.
-func (c *CallConverter) RefFromWire(v Value) (oid.OID, error) {
-	c.charge(WRef, 2)
+func (c *Converter) RefFromWire(v Value) (oid.OID, error) {
+	c.charge(WRef, c.row.perRef)
 	switch v.Kind {
 	case WNil:
 		return oid.Nil, nil
@@ -222,168 +247,4 @@ func (c *CallConverter) RefFromWire(v Value) (oid.OID, error) {
 		return oid.OID(v.Bits), nil
 	}
 	return 0, fmt.Errorf("wire: %v where ref expected", v.Kind)
-}
-
-// Stats returns the accumulated counters.
-func (c *CallConverter) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the counters.
-func (c *CallConverter) ResetStats() { c.stats = Stats{} }
-
-// BatchedConverter models efficient conversion routines: one call per
-// value, with the same semantic effect. The paper predicts roughly a 50%
-// reduction of the migration penalty with such routines (§3.6); the
-// conversion ablation benchmark compares the two.
-type BatchedConverter struct {
-	CallConverter
-}
-
-// NewBatchedConverter returns the optimized converter.
-func NewBatchedConverter() *BatchedConverter { return &BatchedConverter{} }
-
-// Name identifies the converter.
-func (c *BatchedConverter) Name() string { return "batched" }
-
-func (c *BatchedConverter) charge1(k WKind) {
-	c.stats.Calls++
-	c.stats.Values++
-	c.stats.Bytes += 4
-	c.stats.chargeKind(k, 1)
-}
-
-// IntToWire converts with a single call.
-func (c *BatchedConverter) IntToWire(raw uint32) Value {
-	c.charge1(WInt)
-	return IntV(raw)
-}
-
-// RealToWire converts with a single call.
-func (c *BatchedConverter) RealToWire(bits uint32, f arch.FloatCodec) Value {
-	c.charge1(WReal)
-	return RealBitsV(arch.IEEEFloat{}.Enc(f.Dec(bits)))
-}
-
-// RefToWire converts with a single call.
-func (c *BatchedConverter) RefToWire(o oid.OID) Value {
-	c.charge1(WRef)
-	if o == oid.Nil {
-		return NilV()
-	}
-	return RefV(o)
-}
-
-// IntFromWire converts with a single call.
-func (c *BatchedConverter) IntFromWire(v Value) (uint32, error) {
-	c.charge1(WInt)
-	if v.Kind != WInt && v.Kind != WRaw {
-		return 0, fmt.Errorf("wire: %v where int expected", v.Kind)
-	}
-	return v.Bits, nil
-}
-
-// RealFromWire converts with a single call.
-func (c *BatchedConverter) RealFromWire(v Value, f arch.FloatCodec) (uint32, error) {
-	c.charge1(WReal)
-	if v.Kind != WReal && v.Kind != WRaw {
-		return 0, fmt.Errorf("wire: %v where real expected", v.Kind)
-	}
-	if v.Kind == WRaw {
-		return v.Bits, nil
-	}
-	return f.Enc(arch.IEEEFloat{}.Dec(v.Bits)), nil
-}
-
-// RefFromWire converts with a single call.
-func (c *BatchedConverter) RefFromWire(v Value) (oid.OID, error) {
-	c.charge1(WRef)
-	switch v.Kind {
-	case WNil:
-		return oid.Nil, nil
-	case WRef:
-		return oid.OID(v.Bits), nil
-	}
-	return 0, fmt.Errorf("wire: %v where ref expected", v.Kind)
-}
-
-// RawConverter is the homogeneous fast path of the original system: machine
-// words travel unconverted (both ends share one architecture), as in the
-// multi-protocol RPC optimization the paper cites ([SC88], §3.1). It is
-// only correct when source and destination architectures are identical.
-type RawConverter struct {
-	stats Stats
-}
-
-// NewRawConverter returns the no-conversion converter.
-func NewRawConverter() *RawConverter { return &RawConverter{} }
-
-// Name identifies the converter.
-func (c *RawConverter) Name() string { return "raw-homogeneous" }
-
-func (c *RawConverter) bump(k WKind) {
-	c.stats.Values++
-	c.stats.Bytes += 4
-	c.stats.chargeKind(k, 0)
-}
-
-// IntToWire passes the word through.
-func (c *RawConverter) IntToWire(raw uint32) Value { c.bump(WInt); return RawV(raw) }
-
-// RealToWire passes machine float bits through unconverted.
-func (c *RawConverter) RealToWire(bits uint32, _ arch.FloatCodec) Value {
-	c.bump(WReal)
-	return RawV(bits)
-}
-
-// RefToWire still swizzles (references are never raw: object identity must
-// survive even homogeneous moves).
-func (c *RawConverter) RefToWire(o oid.OID) Value {
-	c.bump(WRef)
-	if o == oid.Nil {
-		return NilV()
-	}
-	return RefV(o)
-}
-
-// IntFromWire passes through.
-func (c *RawConverter) IntFromWire(v Value) (uint32, error) {
-	c.bump(WInt)
-	return v.Bits, nil
-}
-
-// RealFromWire passes through.
-func (c *RawConverter) RealFromWire(v Value, _ arch.FloatCodec) (uint32, error) {
-	c.bump(WReal)
-	return v.Bits, nil
-}
-
-// RefFromWire extracts the OID.
-func (c *RawConverter) RefFromWire(v Value) (oid.OID, error) {
-	c.bump(WRef)
-	switch v.Kind {
-	case WNil:
-		return oid.Nil, nil
-	case WRef:
-		return oid.OID(v.Bits), nil
-	}
-	return 0, fmt.Errorf("wire: %v where ref expected", v.Kind)
-}
-
-// Stats returns the counters.
-func (c *RawConverter) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the counters.
-func (c *RawConverter) ResetStats() { c.stats = Stats{} }
-
-// SlotToWire converts one machine slot of the given IR kind. refOID must be
-// the swizzled OID for pointer slots (string slots are handled by the
-// kernel, which ships strings by value).
-func SlotToWire(c Converter, k ir.VK, raw uint32, refOID oid.OID, f arch.FloatCodec) Value {
-	switch k {
-	case ir.VKReal:
-		return c.RealToWire(raw, f)
-	case ir.VKPtr:
-		return c.RefToWire(refOID)
-	default:
-		return c.IntToWire(raw)
-	}
 }

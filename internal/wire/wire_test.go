@@ -80,48 +80,66 @@ func TestValueRoundtrip(t *testing.T) {
 	}
 }
 
+// TestCallConverterCounts pins the per-value row: 2 calls per int, 3 per
+// real, 2 per ref, 4 bytes a value.
 func TestCallConverterCounts(t *testing.T) {
-	c := NewCallConverter()
+	c := NewConverter(PerValue)
 	c.IntToWire(5)
 	c.RealToWire(arch.IEEEFloat{}.Enc(1.5), arch.IEEEFloat{})
 	c.RefToWire(oid.OID(9))
-	st := c.Stats()
-	if st.Calls != 2+3+2 {
-		t.Errorf("calls = %d, want 7", st.Calls)
-	}
-	if st.Values != 3 || st.Bytes != 12 {
-		t.Errorf("values=%d bytes=%d", st.Values, st.Bytes)
+	want := Stats{Calls: 2 + 3 + 2, Values: 3, Bytes: 12,
+		IntCalls: 2, RealCalls: 3, RefCalls: 2, IntVals: 1, RealVals: 1, RefVals: 1}
+	if st := c.Stats(); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
 	}
 	// The paper's observation: 1-2 conversion calls per byte transferred.
+	st := c.Stats()
 	perByte := float64(st.Calls) / float64(st.Bytes)
 	if perByte < 0.5 || perByte > 1.0 {
 		t.Errorf("calls per byte = %.2f (value-level); message overhead brings this to the paper's 1-2", perByte)
 	}
-	c.ResetStats()
-	if c.Stats() != (Stats{}) {
-		t.Error("reset failed")
+	// Converting back costs the same again.
+	if _, err := c.IntFromWire(IntV(5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RealFromWire(RealBitsV(0), arch.IEEEFloat{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RefFromWire(NilV()); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Calls != 14 || st.Values != 6 || st.RefCalls != 4 {
+		t.Errorf("after the return trip: %+v", st)
 	}
 }
 
+// TestBatchedConverterCheaper pins the batched row at one call a value of
+// every kind.
 func TestBatchedConverterCheaper(t *testing.T) {
-	slow, fast := NewCallConverter(), NewBatchedConverter()
+	slow, fast := NewConverter(PerValue), NewConverter(Batched)
 	for i := 0; i < 100; i++ {
 		slow.IntToWire(uint32(i))
 		fast.IntToWire(uint32(i))
 	}
-	if slow.Stats().Calls <= fast.Stats().Calls {
-		t.Errorf("batched (%d calls) not cheaper than per-value (%d)",
-			fast.Stats().Calls, slow.Stats().Calls)
-	}
 	if fast.Stats().Calls != 100 || slow.Stats().Calls != 200 {
 		t.Errorf("calls: slow=%d fast=%d", slow.Stats().Calls, fast.Stats().Calls)
+	}
+	fast.RealToWire(0, arch.IEEEFloat{})
+	fast.RefToWire(oid.OID(3))
+	if st := fast.Stats(); st.RealCalls != 1 || st.RefCalls != 1 || st.Calls != 102 {
+		t.Errorf("batched real/ref: %+v", st)
+	}
+	// Same semantic effect as the per-value routines.
+	vax := arch.VAXFloat{}
+	if a, b := slow.RealToWire(vax.Enc(2.5), vax), fast.RealToWire(vax.Enc(2.5), vax); a.Kind != b.Kind || a.Bits != b.Bits {
+		t.Errorf("per-value %+v, batched %+v", a, b)
 	}
 }
 
 func TestRealConversionAcrossFormats(t *testing.T) {
 	// VAX real -> wire -> SPARC real must preserve the value while changing
 	// the bits.
-	c := NewCallConverter()
+	c := NewConverter(PerValue)
 	vax, ieee := arch.VAXFloat{}, arch.IEEEFloat{}
 	orig := float32(6.25)
 	vaxBits := vax.Enc(orig)
@@ -143,8 +161,10 @@ func TestRealConversionAcrossFormats(t *testing.T) {
 	}
 }
 
+// TestRawConverterPassesBitsUnchanged pins the raw row: no calls, ints and
+// reals as raw words (from any kind on the way back), refs still swizzled.
 func TestRawConverterPassesBitsUnchanged(t *testing.T) {
-	c := NewRawConverter()
+	c := NewConverter(Raw)
 	v := c.RealToWire(0xdeadbeef, arch.VAXFloat{})
 	if v.Kind != WRaw || v.Bits != 0xdeadbeef {
 		t.Fatalf("raw real = %+v", v)
@@ -153,29 +173,52 @@ func TestRawConverterPassesBitsUnchanged(t *testing.T) {
 	if err != nil || back != 0xdeadbeef {
 		t.Fatal("raw real roundtrip changed bits")
 	}
-	if c.Stats().Calls != 0 {
-		t.Errorf("raw converter charged %d calls", c.Stats().Calls)
+	if w := c.IntToWire(7); w.Kind != WRaw || w.Bits != 7 {
+		t.Errorf("raw int = %+v", w)
+	}
+	if w, err := c.IntFromWire(RefV(9)); err != nil || w != 9 {
+		t.Errorf("raw int from a ref = %d, %v; want its bits", w, err)
+	}
+	if w, err := c.RealFromWire(IntV(0x40490fdb), arch.VAXFloat{}); err != nil || w != 0x40490fdb {
+		t.Errorf("raw real from an int = %#x, %v; want its bits unconverted", w, err)
 	}
 	// References are still swizzled even on the fast path.
 	r := c.RefToWire(oid.OID(5))
 	if r.Kind != WRef || r.OID() != 5 {
 		t.Errorf("raw ref = %+v", r)
 	}
+	if _, err := c.RefFromWire(IntV(1)); err == nil {
+		t.Error("raw ref from int should fail")
+	}
+	want := Stats{Values: 7, Bytes: 28, IntVals: 2, RealVals: 3, RefVals: 2}
+	if st := c.Stats(); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
+	}
 }
 
+// TestConverterKindMismatch: the converting rows take a value of their
+// kind or a raw word, nothing else.
 func TestConverterKindMismatch(t *testing.T) {
-	c := NewCallConverter()
-	if _, err := c.IntFromWire(RefV(1)); err == nil {
-		t.Error("int from ref should fail")
-	}
-	if _, err := c.RealFromWire(IntV(1), arch.IEEEFloat{}); err == nil {
-		t.Error("real from int should fail")
-	}
-	if _, err := c.RefFromWire(IntV(1)); err == nil {
-		t.Error("ref from int should fail")
-	}
-	if o, err := c.RefFromWire(NilV()); err != nil || o != oid.Nil {
-		t.Error("nil ref must decode to the nil OID")
+	for _, r := range []Regime{PerValue, Batched} {
+		c := NewConverter(r)
+		if _, err := c.IntFromWire(RefV(1)); err == nil {
+			t.Error("int from ref should fail")
+		}
+		if _, err := c.RealFromWire(IntV(1), arch.IEEEFloat{}); err == nil {
+			t.Error("real from int should fail")
+		}
+		if _, err := c.RefFromWire(IntV(1)); err == nil {
+			t.Error("ref from int should fail")
+		}
+		if o, err := c.RefFromWire(NilV()); err != nil || o != oid.Nil {
+			t.Error("nil ref must decode to the nil OID")
+		}
+		if w, err := c.IntFromWire(RawV(4)); err != nil || w != 4 {
+			t.Errorf("int from raw = %d, %v", w, err)
+		}
+		if w, err := c.RealFromWire(RawV(0xdeadbeef), arch.VAXFloat{}); err != nil || w != 0xdeadbeef {
+			t.Errorf("real from raw = %#x, %v; want the bits kept", w, err)
+		}
 	}
 }
 
