@@ -72,26 +72,55 @@ REF ?= HEAD
 emperf-pairs:
 	$(GO) run ./tools/pairbench -w $(W) -n $(N) -ref $(REF)
 
-# The code census (ROADMAP emcut), run by hand and kept out of ci: which
-# non-test functions does no shipped surface execute? Cover-built emrun,
-# embench and bench run the example corpus, every embench study and the
-# 1/50-scale workloads, each into its own GOCOVERDIR; the merged profile's
-# 0.0% functions are written to .ci/census.txt. The repro/bench/ lines go
-# first: `go tool cover -func` cannot resolve the nested module's package.
+# The code census (ROADMAP emcut), run by hand and kept out of ci (about a
+# minute): which non-test functions does no shipped surface execute? Every
+# command is cover-built and run into one GOCOVERDIR: emc's listings and
+# emvet (diagnostics, -graph, -passes) over the corpus; emrun over the
+# corpus, both engines, and the run-shaping rows of TestCommandLines (chaos,
+# directory with leases, both placement policies) plus the reference
+# emulator, vet-on-load and the text trace; emtrace's four exports and its
+# faults report; every embench study; the 1/50-scale benchmark. The merged
+# profile's 0.0% functions, as "file function" lines, go to .ci/census.txt,
+# and the census fails when one of them is not listed in the committed
+# testdata/census.txt (three consecutive runs give the same list). The
+# repro/bench/ lines are dropped: `go tool cover -func` cannot resolve the
+# nested module's package.
 CENSUS := $(CURDIR)/.ci/census
+CENSUS_CHAOS := seed=7,drop=0.05,dup=0.03,delay=0.05:500us,corrupt=0.02,crash=2@76ms:156ms
 census:
 	rm -rf $(CENSUS)
-	mkdir -p $(CENSUS)/emrun $(CENSUS)/embench $(CENSUS)/bench $(CENSUS)/out
-	$(GO) build -cover -coverpkg=repro/... -o $(CENSUS)/emrun.bin ./cmd/emrun
-	$(GO) build -cover -coverpkg=repro/... -o $(CENSUS)/embench.bin ./cmd/embench
-	$(GO) -C bench build -cover -coverpkg=repro/... -o $(CENSUS)/bench.bin .
-	for f in examples/programs/*.em; do GOCOVERDIR=$(CENSUS)/emrun $(CENSUS)/emrun.bin $$f > /dev/null || exit 1; done
-	GOCOVERDIR=$(CENSUS)/embench $(CENSUS)/embench.bin -out $(CENSUS)/out all > /dev/null
-	GOCOVERDIR=$(CENSUS)/bench $(CENSUS)/bench.bin -quick > /dev/null
-	$(GO) tool covdata textfmt -i=$(CENSUS)/emrun,$(CENSUS)/embench,$(CENSUS)/bench -o $(CENSUS)/all.cov
+	mkdir -p $(CENSUS)/cov $(CENSUS)/out
+	for c in emc emvet emrun emtrace embench; do $(GO) build -cover -coverpkg=repro/... -o $(CENSUS)/$$c ./cmd/$$c || exit 1; done
+	$(GO) -C bench build -cover -coverpkg=repro/... -o $(CENSUS)/bench .
+	export GOCOVERDIR=$(CENSUS)/cov; set -e; \
+	for f in examples/programs/*.em; do \
+		$(CENSUS)/emc -S -t -stops $$f > /dev/null; \
+		$(CENSUS)/emrun $$f > /dev/null; \
+		$(CENSUS)/emrun -parallel $$f > /dev/null; \
+	done; \
+	$(CENSUS)/emvet examples/programs/*.em > /dev/null; \
+	$(CENSUS)/emvet -passes > /dev/null; \
+	$(CENSUS)/emvet -graph examples/programs/*.em > /dev/null; \
+	$(CENSUS)/emrun -chaos $(CENSUS_CHAOS) examples/programs/kilroy.em > /dev/null; \
+	$(CENSUS)/emrun -dir 3 -dir-lease 2000000 examples/programs/kilroy.em > /dev/null; \
+	$(CENSUS)/emrun -dir 3 -chaos $(CENSUS_CHAOS) examples/programs/kilroy.em > /dev/null; \
+	$(CENSUS)/emrun -auto greedy-colocate -auto-log examples/programs/zipf_hot.em > /dev/null 2>&1; \
+	$(CENSUS)/emrun -auto load-balance -auto-log examples/programs/fixed_pool.em > /dev/null 2>&1; \
+	$(CENSUS)/emrun -legacy examples/programs/kilroy.em > /dev/null; \
+	$(CENSUS)/emrun -trace examples/programs/kilroy.em > /dev/null 2>&1; \
+	$(CENSUS)/emrun -vetload examples/programs/producer_consumer.em > /dev/null; \
+	$(CENSUS)/emtrace -chrome $(CENSUS)/out/t.json -metrics $(CENSUS)/out/m.json -text -spans examples/programs/kilroy.em > /dev/null 2>&1; \
+	$(CENSUS)/emtrace faults -chaos $(CENSUS_CHAOS) examples/programs/kilroy.em > /dev/null; \
+	$(CENSUS)/embench -out $(CENSUS)/out all > /dev/null; \
+	$(CENSUS)/bench -quick > /dev/null
+	$(GO) tool covdata textfmt -i=$(CENSUS)/cov -o $(CENSUS)/all.cov
 	grep -v '^repro/bench/' $(CENSUS)/all.cov > $(CENSUS)/repro.cov
-	$(GO) tool cover -func=$(CENSUS)/repro.cov | awk '$$NF == "0.0%"' > .ci/census.txt
+	$(GO) tool cover -func=$(CENSUS)/repro.cov | awk '$$NF == "0.0%" { sub(/:[0-9]+:$$/, "", $$1); print $$1, $$2 }' | LC_ALL=C sort > .ci/census.txt
 	@echo "$$(wc -l < .ci/census.txt) functions never run: .ci/census.txt"
+	@LC_ALL=C comm -13 .ci/census.txt testdata/census.txt > $(CENSUS)/reached.txt; \
+	if [ -s $(CENSUS)/reached.txt ]; then echo "$$(wc -l < $(CENSUS)/reached.txt) listed functions now run or are gone: shrink testdata/census.txt"; fi
+	@LC_ALL=C comm -23 .ci/census.txt testdata/census.txt > $(CENSUS)/unlisted.txt; \
+	if [ -s $(CENSUS)/unlisted.txt ]; then echo "never run and not listed in testdata/census.txt:"; cat $(CENSUS)/unlisted.txt; exit 1; fi
 
 # Regenerate the committed BENCH_*.json baselines (run after a deliberate
 # model change, then commit the diff).

@@ -132,7 +132,7 @@ func export(sys *core.System, chromeOut, metricsOut string, text, spans bool, st
 		fmt.Fprint(stdout, obs.FormatSpans(rec))
 	}
 	if d := rec.Dropped(); d > 0 {
-		fmt.Fprintf(stderr, "emtrace: %d events evicted from full rings (the ring size is core.Options.EventRingCap; it has no flag — set it from Go for full streams)\n", d)
+		fmt.Fprintf(stderr, "emtrace: %d events evicted from full rings (each node keeps its last obs.DefaultRingCap = %d)\n", d, obs.DefaultRingCap)
 	}
 	return nil
 }

@@ -132,9 +132,6 @@ func NewEngine(pol Policy, st Static) *Engine {
 	}
 }
 
-// PolicyName returns the driven policy's name.
-func (e *Engine) PolicyName() string { return e.pol.Name() }
-
 // Log returns the decision log: one line per decision, in decision order.
 func (e *Engine) Log() []string { return e.log }
 

@@ -159,7 +159,7 @@ func TestInjectorDeterministic(t *testing.T) {
 // An injected fault is counted, logged and charged to its metric series
 // without garbage: the series label is not rebuilt per fault.
 func TestInjectorFrameDoesNotAllocate(t *testing.T) {
-	rec := obs.NewRecorder(2, 0)
+	rec := obs.NewRecorder(2, obs.DefaultRingCap)
 	in := NewInjector(&Plan{Seed: 1, Drop: 1}, rec)
 	at := netsim.Micros(0)
 	if got := testing.AllocsPerRun(200, func() {

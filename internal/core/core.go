@@ -118,10 +118,14 @@ func NewSystem(prog *codegen.Program, machines []netsim.MachineModel, opts Optio
 	return &System{Cluster: cl}, nil
 }
 
+// maxEvents is the event budget Run gives the simulation; exhausting it is
+// an error.
+const maxEvents = 50_000_000
+
 // Run boots the program and drives the simulation until it quiesces.
 func (s *System) Run() error {
 	s.Cluster.Start(s.Cluster.Placement)
-	if err := s.Cluster.Run(s.Cluster.MaxEvents); err != nil {
+	if err := s.Cluster.Run(maxEvents); err != nil {
 		return err
 	}
 	if len(s.Cluster.Faults) > 0 {

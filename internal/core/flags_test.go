@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -239,9 +240,7 @@ func TestZeroConfigIsShippedSystem(t *testing.T) {
 		Mode:        kernel.ModeEnhanced,
 		Costs:       kernel.DefaultCosts(),
 		MemBytes:    8 << 20,
-		StackSize:   64 << 10,
 		SliceInstrs: 200000,
-		MaxEvents:   50_000_000,
 	}
 	for name, opts := range map[string]Options{"zero": {}, "spelled-out": spelled} {
 		sys, err := RunSource(src, Figure1Network(), opts)
@@ -270,6 +269,48 @@ func TestZeroConfigIsShippedSystem(t *testing.T) {
 		}
 		if !reflect.DeepEqual(sys.Cluster.Config, spelled) {
 			t.Errorf("%s: config in force = %+v, want the spelled-out defaults", name, sys.Cluster.Config)
+		}
+	}
+}
+
+// TestConfigTableListsEveryField holds DESIGN.md §17's knob table to
+// kernel.Config: the field names in the table's first column must be
+// exactly the struct's fields, so a field cannot be added, or linger,
+// without its row saying who sets it.
+func TestConfigTableListsEveryField(t *testing.T) {
+	design, err := os.ReadFile(filepath.Join(repoRoot, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sec, ok := strings.Cut(string(design), "\n## 17. Configuration\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no §17 Configuration")
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	name := regexp.MustCompile("`([A-Za-z]+)`")
+	listed := map[string]bool{}
+	for _, line := range strings.Split(sec, "\n") {
+		if !strings.HasPrefix(line, "| ") {
+			continue
+		}
+		first := strings.Split(line, "|")[1]
+		for _, m := range name.FindAllStringSubmatch(first, -1) {
+			if listed[m[1]] {
+				t.Errorf("§17 lists %s twice", m[1])
+			}
+			listed[m[1]] = true
+		}
+	}
+	fields := map[string]bool{}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(kernel.Config{})) {
+		fields[f.Name] = true
+		if !listed[f.Name] {
+			t.Errorf("kernel.Config.%s has no row in DESIGN.md §17", f.Name)
+		}
+	}
+	for name := range listed {
+		if !fields[name] {
+			t.Errorf("DESIGN.md §17 lists %s, which is not a kernel.Config field", name)
 		}
 	}
 }

@@ -97,51 +97,6 @@ func ReplicaSet(shard, replicas, nodes int) []int {
 	return set
 }
 
-// PlaceReplicas chooses a shard's (sorted) replica set with locality
-// awareness: the shard's anchor node is always a member, and the remaining
-// replicas-1 seats go to the peers with the lowest cost(anchor, peer) —
-// the kernel passes per-link extra latency from the netsim topology. Ties
-// break by ring distance from the anchor, so on a uniform topology (every
-// extra latency zero, or cost nil) the placement degenerates to exactly
-// ReplicaSet's consecutive run: topology-free clusters keep their historic
-// layout byte for byte.
-func PlaceReplicas(shard, replicas, nodes int, cost func(a, b int) int64) []int {
-	if replicas > nodes {
-		replicas = nodes
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	anchor := shard % nodes
-	type seat struct {
-		node int
-		cost int64
-		ring int // distance from the anchor walking the ring forward
-	}
-	cands := make([]seat, 0, nodes-1)
-	for i := 1; i < nodes; i++ {
-		p := (anchor + i) % nodes
-		var c int64
-		if cost != nil {
-			c = cost(anchor, p)
-		}
-		cands = append(cands, seat{node: p, cost: c, ring: i})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cost != cands[j].cost {
-			return cands[i].cost < cands[j].cost
-		}
-		return cands[i].ring < cands[j].ring
-	})
-	set := make([]int, 0, replicas)
-	set = append(set, anchor)
-	for _, s := range cands[:replicas-1] {
-		set = append(set, s.node)
-	}
-	sort.Ints(set)
-	return set
-}
-
 // Slot names one consensus instance: the decree that object o's move to
 // epoch e landed on a particular home node. Epoch bumps on every move, so
 // each move gets a fresh slot.

@@ -238,58 +238,6 @@ func TestNormalizeDiagEdges(t *testing.T) {
 	}
 }
 
-func TestPlaceReplicasUniformMatchesReplicaSet(t *testing.T) {
-	// With no cost function (uniform topology) the locality-aware placement
-	// must reproduce the historic consecutive sets exactly, for every shard
-	// and replica count.
-	for nodes := 1; nodes <= 6; nodes++ {
-		for replicas := 1; replicas <= nodes; replicas++ {
-			for shard := 0; shard < nodes; shard++ {
-				got := PlaceReplicas(shard, replicas, nodes, nil)
-				want := ReplicaSet(shard, replicas, nodes)
-				if len(got) != len(want) {
-					t.Fatalf("n=%d r=%d s=%d: %v vs %v", nodes, replicas, shard, got, want)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("n=%d r=%d s=%d: %v vs %v", nodes, replicas, shard, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestPlaceReplicasPrefersLowLatencyPeers(t *testing.T) {
-	// 5 nodes; node 0's link to node 1 is slow, its link to node 3 fast.
-	// The shard anchored at 0 should seat node 3 ahead of nodes 1 and 2.
-	slow := map[[2]int]int64{{0, 1}: 500, {0, 2}: 200, {0, 4}: 900}
-	cost := func(a, b int) int64 {
-		if a > b {
-			a, b = b, a
-		}
-		return slow[[2]int{a, b}]
-	}
-	got := PlaceReplicas(0, 3, 5, cost)
-	want := []int{0, 2, 3} // anchor 0, then node 3 (cost 0) and node 2 (cost 200)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("placement %v, want %v", got, want)
-		}
-	}
-	// The anchor is always a member even when its links are all expensive.
-	got = PlaceReplicas(4, 2, 5, cost)
-	found := false
-	for _, n := range got {
-		if n == 4 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("anchor 4 missing from %v", got)
-	}
-}
-
 func TestGroupProposalSortsAndChooses(t *testing.T) {
 	// Slots arrive unsorted; the proposal canonicalizes them with their
 	// values kept parallel.

@@ -17,18 +17,19 @@ import (
 	"repro/internal/core"
 )
 
-// AutoResult is one configuration's measurement.
+// AutoResult is one configuration's measurement, and one row of
+// BENCH_auto.json.
 type AutoResult struct {
-	Config        string  // policy / batching arm
-	SimMS         float64 // simulated completion time
-	RemoteInvokes uint64  // cross-node invocations over the whole run
-	Decisions     uint64  // placement decisions the policy issued
-	MovedObjects  int     // migration spans that completed (incl. program moves)
-	MoveFrames    uint64  // network frames that carried object/thread moves
-	MoveWireBytes uint64  // move payload bytes + per-frame framing overhead
-	BytesPerMove  float64 // MoveWireBytes / MovedObjects
-	GroupFrames   uint64  // batched cohort transfers among MoveFrames
-	GroupObjects  uint64  // objects that rode a batched transfer
+	Config        string  `json:"config"`          // policy / batching arm
+	SimMS         float64 `json:"sim_ms"`          // simulated completion time
+	RemoteInvokes uint64  `json:"remote_invokes"`  // cross-node invocations over the whole run
+	Decisions     uint64  `json:"decisions"`       // placement decisions the policy issued
+	MovedObjects  int     `json:"moved_objects"`   // migration spans that completed (incl. program moves)
+	MoveFrames    uint64  `json:"move_frames"`     // network frames that carried object/thread moves
+	MoveWireBytes uint64  `json:"move_wire_bytes"` // move payload bytes + per-frame framing overhead
+	BytesPerMove  float64 `json:"bytes_per_move"`  // MoveWireBytes / MovedObjects
+	GroupFrames   uint64  `json:"group_frames"`    // batched cohort transfers among MoveFrames
+	GroupObjects  uint64  `json:"group_objects"`   // objects that rode a batched transfer
 }
 
 // autoWorkload is the study's fixed workload: skewed, misplaced, chatty,
@@ -132,43 +133,20 @@ func FormatAuto(rows []AutoResult, desc string) string {
 	return b.String()
 }
 
-// BenchAutoRow is one arm in BENCH_auto.json.
-type BenchAutoRow struct {
-	Config        string  `json:"config"`
-	SimMS         float64 `json:"sim_ms"`
-	RemoteInvokes uint64  `json:"remote_invokes"`
-	Decisions     uint64  `json:"decisions"`
-	MovedObjects  int     `json:"moved_objects"`
-	MoveFrames    uint64  `json:"move_frames"`
-	MoveWireBytes uint64  `json:"move_wire_bytes"`
-	BytesPerMove  float64 `json:"bytes_per_move"`
-	GroupFrames   uint64  `json:"group_frames"`
-	GroupObjects  uint64  `json:"group_objects"`
-}
-
 // BenchAuto is the BENCH_auto.json document.
 type BenchAuto struct {
-	Benchmark string         `json:"benchmark"`
-	Unit      string         `json:"unit"`
-	Workload  string         `json:"workload"`
-	Rows      []BenchAutoRow `json:"rows"`
+	Benchmark string       `json:"benchmark"`
+	Unit      string       `json:"unit"`
+	Workload  string       `json:"workload"`
+	Rows      []AutoResult `json:"rows"`
 }
 
-// BenchAutoDoc converts the study rows to the JSON document.
+// BenchAutoDoc wraps the study rows in the JSON document.
 func BenchAutoDoc(rows []AutoResult, desc string) BenchAuto {
-	doc := BenchAuto{
+	return BenchAuto{
 		Benchmark: "auto",
 		Unit:      "mixed (ms, counts, bytes)",
 		Workload:  desc,
+		Rows:      rows,
 	}
-	for _, r := range rows {
-		doc.Rows = append(doc.Rows, BenchAutoRow{
-			Config: r.Config, SimMS: r.SimMS, RemoteInvokes: r.RemoteInvokes,
-			Decisions: r.Decisions, MovedObjects: r.MovedObjects,
-			MoveFrames: r.MoveFrames, MoveWireBytes: r.MoveWireBytes,
-			BytesPerMove: r.BytesPerMove, GroupFrames: r.GroupFrames,
-			GroupObjects: r.GroupObjects,
-		})
-	}
-	return doc
 }

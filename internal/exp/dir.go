@@ -21,27 +21,28 @@ import (
 	"repro/internal/core"
 )
 
-// DirResult is one configuration's measurement.
+// DirResult is one configuration's measurement, and one row of
+// BENCH_dir.json.
 type DirResult struct {
-	Config        string  // directory / fault-plan arm
-	SimMS         float64 // simulated completion time
-	Frames        uint64  // total link frames on the wire
-	WireBytes     uint64  // total bytes on the wire (payload + framing)
-	RemoteInvokes uint64  // cross-node invocations
-	ProxyForwards uint64  // messages forwarded along a proxy chain
-	ChaseHops     uint64  // locate chase hops walked (satellite TTL metric)
-	Decrees       uint64  // directory decrees chosen (slots, incl. group members)
-	Lookups       uint64  // directory shard queries issued
-	Degraded      uint64  // decrees/lookups that fell back to the chase
-	Compactions   uint64  // proxies rewritten by the background compactor
-	LeaseHits     uint64  // lookups served from a cached read lease
-	LeaseExpired  uint64  // leases discarded at use time past their deadline
-	GroupDecrees  uint64  // batched group rounds run
-	GroupSlots    uint64  // member slots committed by those rounds
-	DecreeBytes   uint64  // wire bytes of all decree protocol messages
-	PrepareRounds uint64  // decree rounds that ran prepare/promise (retries only)
-	DirMsgs       uint64  // directory protocol messages on the wire, lookups included
-	Moves         uint64  // object and thread moves (the migrations gauge)
+	Config        string  `json:"config"`         // directory / fault-plan arm
+	SimMS         float64 `json:"sim_ms"`         // simulated completion time
+	Frames        uint64  `json:"frames"`         // total link frames on the wire
+	WireBytes     uint64  `json:"wire_bytes"`     // total bytes on the wire (payload + framing)
+	RemoteInvokes uint64  `json:"remote_invokes"` // cross-node invocations
+	ProxyForwards uint64  `json:"proxy_forwards"` // messages forwarded along a proxy chain
+	ChaseHops     uint64  `json:"chase_hops"`     // locate chase hops walked (satellite TTL metric)
+	Decrees       uint64  `json:"decrees"`        // directory decrees chosen (slots, incl. group members)
+	Lookups       uint64  `json:"lookups"`        // directory shard queries issued
+	Degraded      uint64  `json:"degraded"`       // decrees/lookups that fell back to the chase
+	Compactions   uint64  `json:"compactions"`    // proxies rewritten by the background compactor
+	LeaseHits     uint64  `json:"lease_hits"`     // lookups served from a cached read lease
+	LeaseExpired  uint64  `json:"lease_expired"`  // leases discarded at use time past their deadline
+	GroupDecrees  uint64  `json:"group_decrees"`  // batched group rounds run
+	GroupSlots    uint64  `json:"group_slots"`    // member slots committed by those rounds
+	DecreeBytes   uint64  `json:"decree_bytes"`   // wire bytes of all decree protocol messages
+	PrepareRounds uint64  `json:"prepare_rounds"` // decree rounds that ran prepare/promise (retries only)
+	DirMsgs       uint64  `json:"dir_msgs"`       // directory protocol messages on the wire, lookups included
+	Moves         uint64  `json:"moves"`          // object and thread moves (the migrations gauge)
 }
 
 // dirDecreeKinds are the wire kinds whose msg_bytes add up to DecreeBytes.
@@ -242,55 +243,20 @@ func FormatDir(rows []DirResult, desc string) string {
 	return b.String()
 }
 
-// BenchDirRow is one arm in BENCH_dir.json.
-type BenchDirRow struct {
-	Config        string  `json:"config"`
-	SimMS         float64 `json:"sim_ms"`
-	Frames        uint64  `json:"frames"`
-	WireBytes     uint64  `json:"wire_bytes"`
-	RemoteInvokes uint64  `json:"remote_invokes"`
-	ProxyForwards uint64  `json:"proxy_forwards"`
-	ChaseHops     uint64  `json:"chase_hops"`
-	Decrees       uint64  `json:"decrees"`
-	Lookups       uint64  `json:"lookups"`
-	Degraded      uint64  `json:"degraded"`
-	Compactions   uint64  `json:"compactions"`
-	LeaseHits     uint64  `json:"lease_hits"`
-	LeaseExpired  uint64  `json:"lease_expired"`
-	GroupDecrees  uint64  `json:"group_decrees"`
-	GroupSlots    uint64  `json:"group_slots"`
-	DecreeBytes   uint64  `json:"decree_bytes"`
-	PrepareRounds uint64  `json:"prepare_rounds"`
-	DirMsgs       uint64  `json:"dir_msgs"`
-	Moves         uint64  `json:"moves"`
-}
-
 // BenchDir is the BENCH_dir.json document.
 type BenchDir struct {
-	Benchmark string        `json:"benchmark"`
-	Unit      string        `json:"unit"`
-	Workload  string        `json:"workload"`
-	Rows      []BenchDirRow `json:"rows"`
+	Benchmark string      `json:"benchmark"`
+	Unit      string      `json:"unit"`
+	Workload  string      `json:"workload"`
+	Rows      []DirResult `json:"rows"`
 }
 
-// BenchDirDoc converts the study rows to the JSON document.
+// BenchDirDoc wraps the study rows in the JSON document.
 func BenchDirDoc(rows []DirResult, desc string) BenchDir {
-	doc := BenchDir{
+	return BenchDir{
 		Benchmark: "dir",
 		Unit:      "mixed (ms, counts, bytes)",
 		Workload:  desc,
+		Rows:      rows,
 	}
-	for _, r := range rows {
-		doc.Rows = append(doc.Rows, BenchDirRow{
-			Config: r.Config, SimMS: r.SimMS, Frames: r.Frames,
-			WireBytes: r.WireBytes, RemoteInvokes: r.RemoteInvokes,
-			ProxyForwards: r.ProxyForwards, ChaseHops: r.ChaseHops,
-			Decrees: r.Decrees, Lookups: r.Lookups, Degraded: r.Degraded,
-			Compactions: r.Compactions, LeaseHits: r.LeaseHits,
-			LeaseExpired: r.LeaseExpired, GroupDecrees: r.GroupDecrees,
-			GroupSlots: r.GroupSlots, DecreeBytes: r.DecreeBytes,
-			PrepareRounds: r.PrepareRounds, DirMsgs: r.DirMsgs, Moves: r.Moves,
-		})
-	}
-	return doc
 }

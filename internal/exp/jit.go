@@ -90,15 +90,17 @@ func jitTime(reps int, run func() (jitObs, error)) (jitObs, time.Duration, error
 	return obs, best, nil
 }
 
-// JitResult is one ISA's two-tier measurement.
+// JitResult is one ISA's two-tier measurement, and one row of
+// BENCH_jit.json. The host-prefixed fields are wall-clock measurements the
+// baseline gate skips; everything else is deterministic simulation output.
 type JitResult struct {
-	Arch          string
-	Instrs        int
-	Cycles        uint64
-	FusedRuns     int
-	FusedCoverage float64 // fraction of decoded instructions inside fused runs
-	LegacyMIPS    float64
-	FusedMIPS     float64
+	Arch           string  `json:"arch"`
+	Instrs         int     `json:"instrs"`
+	Cycles         uint64  `json:"cycles"`
+	FusedRuns      int     `json:"fused_runs"`
+	FusedCoverage  float64 `json:"fused_coverage"` // fraction of decoded instructions inside fused runs
+	HostMIPSLegacy float64 `json:"host_mips_legacy"`
+	HostMIPSFused  float64 `json:"host_mips_fused"`
 }
 
 func mips(instrs int, wall time.Duration) float64 {
@@ -167,13 +169,13 @@ func JitStudy() ([]JitResult, error) {
 				s.Name, obs[0], obs[1])
 		}
 		out = append(out, JitResult{
-			Arch:          s.Name,
-			Instrs:        obs[0].instrs,
-			Cycles:        obs[0].cycles,
-			FusedRuns:     fz.NumRuns(),
-			FusedCoverage: float64(covered) / float64(pd.NumInstrs()),
-			LegacyMIPS:    mips(obs[0].instrs, wall[0]),
-			FusedMIPS:     mips(obs[1].instrs, wall[1]),
+			Arch:           s.Name,
+			Instrs:         obs[0].instrs,
+			Cycles:         obs[0].cycles,
+			FusedRuns:      fz.NumRuns(),
+			FusedCoverage:  float64(covered) / float64(pd.NumInstrs()),
+			HostMIPSLegacy: mips(obs[0].instrs, wall[0]),
+			HostMIPSFused:  mips(obs[1].instrs, wall[1]),
 		})
 	}
 	return out, nil
@@ -188,47 +190,27 @@ func FormatJit(rs []JitResult) string {
 	for _, r := range rs {
 		fmt.Fprintf(&b, "%-8s %9d %11d %6d %5.0f%% %9.1f %9.1f %8.2fx\n",
 			r.Arch, r.Instrs, r.Cycles, r.FusedRuns, 100*r.FusedCoverage,
-			r.LegacyMIPS, r.FusedMIPS, r.FusedMIPS/r.LegacyMIPS)
+			r.HostMIPSLegacy, r.HostMIPSFused, r.HostMIPSFused/r.HostMIPSLegacy)
 	}
 	b.WriteString("traps, cycles, instruction counts and final registers verified identical\n" +
 		"across both tiers on every ISA (MIPS are host wall-clock)\n")
 	return b.String()
 }
 
-// BenchJitRow is one ISA in BENCH_jit.json. The host-prefixed fields are
-// wall-clock measurements the baseline gate skips; everything else is
-// deterministic simulation output.
-type BenchJitRow struct {
-	Arch           string  `json:"arch"`
-	Instrs         int     `json:"instrs"`
-	Cycles         uint64  `json:"cycles"`
-	FusedRuns      int     `json:"fused_runs"`
-	FusedCoverage  float64 `json:"fused_coverage"`
-	HostMIPSLegacy float64 `json:"host_mips_legacy"`
-	HostMIPSFused  float64 `json:"host_mips_fused"`
-}
-
 // BenchJit is the BENCH_jit.json document.
 type BenchJit struct {
-	Benchmark string        `json:"benchmark"`
-	Workload  string        `json:"workload"`
-	Claim     string        `json:"claim"`
-	Rows      []BenchJitRow `json:"rows"`
+	Benchmark string      `json:"benchmark"`
+	Workload  string      `json:"workload"`
+	Claim     string      `json:"claim"`
+	Rows      []JitResult `json:"rows"`
 }
 
-// BenchJitDoc converts study results to the JSON document.
+// BenchJitDoc wraps the study results in the JSON document.
 func BenchJitDoc(rs []JitResult) BenchJit {
-	doc := BenchJit{
+	return BenchJit{
 		Benchmark: "jit",
 		Workload:  fmt.Sprintf("all-register multiply-accumulate countdown, %d iterations", jitIters),
 		Claim:     "fused superinstruction dispatch outruns the reference stepper on compute-bound code with byte-identical observables",
+		Rows:      rs,
 	}
-	for _, r := range rs {
-		doc.Rows = append(doc.Rows, BenchJitRow{
-			Arch: r.Arch, Instrs: r.Instrs, Cycles: r.Cycles,
-			FusedRuns: r.FusedRuns, FusedCoverage: r.FusedCoverage,
-			HostMIPSLegacy: r.LegacyMIPS, HostMIPSFused: r.FusedMIPS,
-		})
-	}
-	return doc
 }

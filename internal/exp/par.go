@@ -24,14 +24,15 @@ import (
 	"repro/internal/obs"
 )
 
-// ParResult is one ring size's sequential-vs-parallel measurement.
+// ParResult is one ring size's sequential-vs-parallel measurement, and one
+// row of BENCH_par.json.
 type ParResult struct {
-	Nodes     int
-	SimMS     float64 // simulated time (identical under both engines)
-	Instrs    uint64  // instructions executed across all nodes
-	SeqWallMS float64
-	ParWallMS float64
-	Speedup   float64
+	Nodes     int     `json:"nodes"`
+	SimMS     float64 `json:"sim_ms"` // simulated time (identical under both engines)
+	Instrs    uint64  `json:"instrs"` // instructions executed across all nodes
+	SeqWallMS float64 `json:"seq_wall_ms"`
+	ParWallMS float64 `json:"par_wall_ms"`
+	Speedup   float64 `json:"speedup"`
 }
 
 // ringProgram generates the N-walker ring tour: walker i starts on node i,
@@ -147,40 +148,24 @@ func FormatParScaling(rs []ParResult) string {
 	return b.String()
 }
 
-// BenchParRow is one ring size in BENCH_par.json.
-type BenchParRow struct {
-	Nodes     int     `json:"nodes"`
-	SimMS     float64 `json:"sim_ms"`
-	Instrs    uint64  `json:"instrs"`
-	SeqWallMS float64 `json:"seq_wall_ms"`
-	ParWallMS float64 `json:"par_wall_ms"`
-	Speedup   float64 `json:"speedup"`
-}
-
 // BenchPar is the BENCH_par.json document. Unlike the other BENCH files it
 // records wall-clock times, so it is never baseline-compared; HostCPUs
 // gives the context needed to read the speedups.
 type BenchPar struct {
-	Benchmark string        `json:"benchmark"`
-	Workload  string        `json:"workload"`
-	HostCPUs  int           `json:"host_cpus"`
-	Claim     string        `json:"claim"`
-	Rows      []BenchParRow `json:"rows"`
+	Benchmark string      `json:"benchmark"`
+	Workload  string      `json:"workload"`
+	HostCPUs  int         `json:"host_cpus"`
+	Claim     string      `json:"claim"`
+	Rows      []ParResult `json:"rows"`
 }
 
-// BenchParDoc converts scaling results to the JSON document.
+// BenchParDoc wraps the scaling results in the JSON document.
 func BenchParDoc(rs []ParResult) BenchPar {
-	doc := BenchPar{
+	return BenchPar{
 		Benchmark: "par",
 		Workload:  "N-walker ring tour, identical per-node compute chunks",
 		HostCPUs:  runtime.NumCPU(),
 		Claim:     "parallel engine byte-identical to sequential; wall-clock scales with nodes on multi-core hosts",
+		Rows:      rs,
 	}
-	for _, r := range rs {
-		doc.Rows = append(doc.Rows, BenchParRow{
-			Nodes: r.Nodes, SimMS: r.SimMS, Instrs: r.Instrs,
-			SeqWallMS: r.SeqWallMS, ParWallMS: r.ParWallMS, Speedup: r.Speedup,
-		})
-	}
-	return doc
 }

@@ -240,9 +240,6 @@ type Func struct {
 	Strings    []string // string pool (also operation/object names for Call/New)
 }
 
-// HasResult reports whether calls to f push a value.
-func (f *Func) HasResult() bool { return f.NumResults > 0 }
-
 // Object is the compiled form of one object declaration.
 type Object struct {
 	Name      string

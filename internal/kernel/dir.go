@@ -45,22 +45,19 @@ const dirMaxAttempts = 3
 // dirCompactBatch bounds proxies refreshed per compactor tick.
 const dirCompactBatch = 4
 
-// armDir enables the directory: sizes the shard/replica layout, computes
-// the locality-aware replica placement from the netsim topology, and arms
-// the per-node compactors. Compactor ticks are weak events (they never keep
-// a finished simulation alive), mirroring heartbeats.
+// armDir enables the directory: sizes the shard/replica layout, tabulates
+// each shard's replica set, and arms the per-node compactors. Compactor
+// ticks are weak events (they never keep a finished simulation alive),
+// mirroring heartbeats.
 func (c *Cluster) armDir() {
 	c.dirOn = true
 	c.dirCfg = dir.Config{Replicas: c.Config.DirReplicas}.Normalize(len(c.Nodes))
-	// Replica placement is fixed for the run: every node derives the same
-	// table from the same topology, so no placement messages are needed.
-	// On a uniform topology PlaceReplicas reproduces the consecutive
-	// ReplicaSet exactly; with latency-skewed links each shard anchor
-	// recruits its lowest-latency peers.
-	cost := func(a, b int) int64 { return int64(c.Net.LinkExtraLatency(a, b)) }
+	// Replica placement is fixed for the run and every node derives the
+	// same table, so no placement messages are needed; tabulating it once
+	// keeps dirReplicasOf free of allocation.
 	c.dirPlace = make([][]int, c.dirCfg.Shards)
 	for s := range c.dirPlace {
-		c.dirPlace[s] = dir.PlaceReplicas(s, c.dirCfg.Replicas, len(c.Nodes), cost)
+		c.dirPlace[s] = dir.ReplicaSet(s, c.dirCfg.Replicas, len(c.Nodes))
 	}
 	for _, n := range c.Nodes {
 		n.every(c.dirCompactPeriod(), n.dirCompactTick)

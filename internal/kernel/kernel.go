@@ -145,16 +145,12 @@ func DefaultCosts() Costs {
 type Config struct {
 	Mode ConvMode // zero: ModeEnhanced, the paper's system
 	// Costs is the kernel-side cycle cost model (zero: DefaultCosts).
-	Costs     Costs
-	MemBytes  int    // per node, a cap: Node.Mem grows to it (0: 8 MB)
-	StackSize uint32 // per thread (0: 64 KB)
+	Costs    Costs
+	MemBytes int // per node, a cap: Node.Mem grows to it (0: 8 MB)
 	// SliceInstrs requests preemption after that many instructions of a
 	// slice: the next poll yields (0: 200000). The differential tests
 	// shrink it to force constant preemption.
 	SliceInstrs int
-	// MaxEvents is the event budget core.System.Run hands to Run (0: 50
-	// million); exhausting it is an error.
-	MaxEvents uint64
 	// Placement maps root objects to nodes for core.System.Run (nil: all
 	// on node 0).
 	Placement func(objName string, rootIdx int) int
@@ -183,11 +179,8 @@ type Config struct {
 	// Trace, when set, receives kernel event lines (for debugging). It is
 	// installed as a text sink over the structured event stream (see
 	// internal/obs): every emitted event renders as one legacy-style line.
-	// Under Parallel the sink is deferred (see Run).
+	// The sink is a plain callback, so NewCluster refuses it under Parallel.
 	Trace func(string)
-	// EventRingCap bounds each node's retained-event ring (0 selects
-	// obs.DefaultRingCap, negative disables event retention).
-	EventRingCap int
 	// Chaos, when non-nil, arms the deterministic fault plan (frame drops,
 	// duplicates, delays, corruption, partitions, node crashes) and switches
 	// the kernel to the crash-tolerant migration protocol: CRC'd sequence-
@@ -253,12 +246,6 @@ type Config struct {
 	// of sharing one with the members on its replica set. The control arm
 	// of the batching experiment (embench dir); no flag.
 	DirNoGroupDecrees bool
-	// LinkLatencies adds per-link extra propagation latency to the netsim
-	// topology (on top of the network's shared LatencyMicros; see
-	// netsim.SetLinkExtraLatency). The directory's replica placement reads
-	// this topology to prefer low-latency peers; an empty list keeps every
-	// link uniform and the run byte-identical to a topology-free build.
-	LinkLatencies []LinkLatency
 }
 
 // withDefaults resolves the zero-valued sizing fields.
@@ -269,25 +256,14 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MemBytes == 0 {
 		cfg.MemBytes = 8 << 20
 	}
-	if cfg.StackSize == 0 {
-		cfg.StackSize = 64 << 10
-	}
 	if cfg.SliceInstrs <= 0 {
 		cfg.SliceInstrs = 200000
-	}
-	if cfg.MaxEvents == 0 {
-		cfg.MaxEvents = 50_000_000
 	}
 	return cfg
 }
 
-// LinkLatency is one latency-skewed link of the cluster topology: extra
-// microseconds of propagation latency between nodes A and B, both
-// directions, on top of the shared per-frame latency.
-type LinkLatency struct {
-	A, B        int
-	ExtraMicros int64
-}
+// stackSize is the memory region each thread fragment's stack owns.
+const stackSize uint32 = 64 << 10
 
 // OutputLine is one print statement's output.
 type OutputLine struct {
@@ -337,9 +313,7 @@ type Cluster struct {
 
 	// Replicated-directory state (see dir.go); dirOn gates every directory
 	// code path so directory-off runs stay byte-identical. dirPlace is the
-	// per-shard replica set, computed once at arming time from the netsim
-	// topology (locality-aware placement; uniform topologies reproduce the
-	// historic consecutive sets).
+	// per-shard replica set (dir.ReplicaSet), tabulated at arming time.
 	dirOn    bool
 	dirCfg   dir.Config
 	dirPlace [][]int
@@ -353,6 +327,9 @@ func NewCluster(prog *codegen.Program, models []netsim.MachineModel, cfg Config)
 	}
 	if cfg.AutoPolicy != "" && cfg.Parallel {
 		return nil, fmt.Errorf("kernel: adaptive placement (-auto) requires the sequential engine")
+	}
+	if cfg.Trace != nil && cfg.Parallel {
+		return nil, fmt.Errorf("kernel: the text trace (-trace) requires the sequential engine")
 	}
 	cfg = cfg.withDefaults()
 	if cfg.Mode < 0 || int(cfg.Mode) >= len(convRegimes) {
@@ -371,23 +348,11 @@ func NewCluster(prog *codegen.Program, models []netsim.MachineModel, cfg Config)
 		Sim:     netsim.NewSim(),
 		Prog:    prog,
 		CodeSrv: codesrv.New(prog),
-		Rec:     obs.NewRecorder(len(models), cfg.EventRingCap),
+		Rec:     obs.NewRecorder(len(models), obs.DefaultRingCap),
 	}
-	if cfg.Trace != nil && !cfg.Parallel {
-		// The text sink is a plain callback with no locking; under the
-		// parallel engine events are emitted from node goroutines, so Run
-		// replays the merged event stream afterwards instead.
-		c.Rec.SetTextSink(cfg.Trace)
-	}
+	c.Rec.SetTextSink(cfg.Trace)
 	c.Net = netsim.NewNetwork(c.Sim)
 	c.Net.Observer = c.Rec
-	for _, l := range cfg.LinkLatencies {
-		if l.A < 0 || l.A >= len(models) || l.B < 0 || l.B >= len(models) {
-			return nil, fmt.Errorf("kernel: link latency names node pair (%d,%d); cluster has %d nodes",
-				l.A, l.B, len(models))
-		}
-		c.Net.SetLinkExtraLatency(l.A, l.B, netsim.Micros(l.ExtraMicros))
-	}
 	for i, m := range models {
 		n := newNode(c, i, m)
 		c.Nodes = append(c.Nodes, n)
@@ -487,13 +452,6 @@ func (c *Cluster) Run(maxEvents uint64) error {
 	err := c.Sim.RunParallel(c.Net, len(c.Nodes), maxEvents)
 	c.sharded = false
 	c.mergeShards()
-	if c.Trace != nil {
-		// Deferred text sink: replay the canonically merged event stream
-		// in the exact format the live sink renders.
-		for _, e := range c.Rec.Events() {
-			c.Trace(fmt.Sprintf("[%8dµs] %s", e.At, e.Text()))
-		}
-	}
 	return err
 }
 

@@ -326,11 +326,11 @@ func (n *Node) alloc(size uint32) (uint32, error) {
 
 // allocStack carves a zeroed stack region for a new fragment.
 func (n *Node) allocStack() (base, limit uint32) {
-	base, err := n.alloc(n.cluster.StackSize)
+	base, err := n.alloc(stackSize)
 	if err != nil {
 		panic(fmt.Sprintf("kernel: %v", err))
 	}
-	return base, base + n.cluster.StackSize
+	return base, base + stackSize
 }
 
 // CheckStacks verifies the extent invariant on every node, for tests: each
@@ -709,7 +709,7 @@ func (n *Node) faultErr(f *Frag, cause error, msg string) {
 func (n *Node) killFrag(f *Frag) {
 	f.Status = FragStateDead
 	delete(n.frags, f.ID)
-	n.free(f.stackBase, n.cluster.StackSize, f.stackHi-f.stackBase)
+	n.free(f.stackBase, stackSize, f.stackHi-f.stackBase)
 }
 
 // releaseMonitorsOf force-releases any monitor held by f (fault cleanup),

@@ -34,12 +34,12 @@ func TestStackRegionReusedAfterDeepRecursionReadsZero(t *testing.T) {
 	for _, m := range []netsim.MachineModel{mVAX, mSun3, mSPARC} {
 		c := runSrc(t, deepThenShallowSrc, []netsim.MachineModel{m}, Config{})
 		n := c.Nodes[0]
-		free := n.freeLists[c.StackSize]
+		free := n.freeLists[stackSize]
 		if len(free) == 0 {
 			t.Fatalf("%s: no retired stack region", m.Name)
 		}
 		top := free[len(free)-1]
-		if top.dirty < 200*16 || top.dirty >= c.StackSize {
+		if top.dirty < 200*16 || top.dirty >= stackSize {
 			t.Fatalf("%s: retired region's extent = %d bytes; want a deep but partial one", m.Name, top.dirty)
 		}
 		if bytes.Count(n.Mem[top.addr:top.addr+top.dirty], []byte{0}) == int(top.dirty) {

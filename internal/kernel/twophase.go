@@ -328,9 +328,9 @@ func (n *Node) validateMove(p *wire.Move) error {
 			}
 			total += uint32(t.Size)
 		}
-		if total > n.cluster.StackSize {
+		if total > stackSize {
 			return fmt.Errorf("fragment %08x needs %d stack bytes; region is %d",
-				wf.FragID, total, n.cluster.StackSize)
+				wf.FragID, total, stackSize)
 		}
 	}
 	if p.MonLocked && !fragIDs[p.MonHolder] {

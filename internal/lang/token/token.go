@@ -113,9 +113,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// IsKeyword reports whether k is a reserved word.
-func (k Kind) IsKeyword() bool { return k > keywordBeg && k < keywordEnd }
-
 var keywords = func() map[string]Kind {
 	m := make(map[string]Kind)
 	for k := keywordBeg + 1; k < keywordEnd; k++ {
@@ -139,9 +136,6 @@ type Pos struct {
 
 // String renders the position as "line:col".
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
-
-// IsValid reports whether the position has been set.
-func (p Pos) IsValid() bool { return p.Line > 0 }
 
 // Token is a lexeme with its kind and position.
 type Token struct {

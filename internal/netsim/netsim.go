@@ -327,15 +327,6 @@ type Network struct {
 	// OverheadBytes is framing overhead added to every payload.
 	OverheadBytes int
 
-	// extraLat holds per-link additional propagation latency (symmetric,
-	// keyed by the node pair), on top of the shared LatencyMicros — the
-	// topology knob for latency-skewed clusters (a far segment, a slow
-	// bridge). Extras only ever ADD latency, so LatencyMicros remains a
-	// valid lower bound and the parallel engine's lookahead stays
-	// conservative. Nil (the default) keeps every link at the shared
-	// latency and the simulation byte-identical to a topology-free build.
-	extraLat map[uint64]Micros
-
 	mediumFree Micros
 	// handlers[i] is node i's frame handler (nil: not attached) and down[i]
 	// marks node i crashed. Indexed, not maps: a Send costs no hashing, and
@@ -467,7 +458,7 @@ type Counters struct {
 }
 
 // Counters returns the current traffic counters (readable at any simulated
-// instant; ResetCounters zeroes them).
+// instant).
 func (n *Network) Counters() Counters {
 	return Counters{Frames: n.Frames, Bytes: n.Bytes,
 		PayloadLen: n.PayloadLen, BusyMicros: n.BusyMicros}
@@ -521,39 +512,6 @@ func (n *Network) frameSize(payloadLen int) (size int, xmit Micros) {
 	return size, xmit
 }
 
-// linkKey normalizes a node pair to one map key (links are symmetric).
-func linkKey(a, b int) uint64 {
-	if a > b {
-		a, b = b, a
-	}
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
-}
-
-// SetLinkExtraLatency adds extra per-frame propagation latency on the link
-// between a and b (both directions), on top of the shared LatencyMicros.
-// Negative extras are ignored: per-link latency may only exceed the shared
-// floor, never undercut it (the parallel engine's lookahead depends on it).
-// Call before the simulation starts; the directory's replica placement
-// reads the topology once at cluster construction.
-func (n *Network) SetLinkExtraLatency(a, b int, extra Micros) {
-	if extra <= 0 || a == b {
-		return
-	}
-	if n.extraLat == nil {
-		n.extraLat = map[uint64]Micros{}
-	}
-	n.extraLat[linkKey(a, b)] = extra
-}
-
-// LinkExtraLatency reports the extra latency configured for the a-b link
-// (zero for the uniform default).
-func (n *Network) LinkExtraLatency(a, b int) Micros {
-	if n.extraLat == nil || a == b {
-		return 0
-	}
-	return n.extraLat[linkKey(a, b)]
-}
-
 // arbitrate claims the shared medium for one frame: transmission begins no
 // earlier than the send instant, the sender's CPU being free, and the
 // medium freeing up. It returns the delivery instant. Both engines call
@@ -594,7 +552,7 @@ func (n *Network) Send(src, dst int, payload []byte, earliest Micros) error {
 	if n.Inject != nil {
 		v = n.Inject.Frame(n.sim.Now(), src, dst, len(payload))
 	}
-	deliverAt := n.arbitrate(n.sim.Now(), earliest, xmit, size, len(payload)) + n.LinkExtraLatency(src, dst)
+	deliverAt := n.arbitrate(n.sim.Now(), earliest, xmit, size, len(payload))
 	if v.Drop {
 		atomic.AddUint64(&n.Lost, 1)
 	} else {
@@ -658,11 +616,6 @@ func (n *Network) arrive(now Micros, pool *bufPool, e *event) {
 		e.h(src, e.buf)
 	}
 	pool.release(e.buf)
-}
-
-// ResetCounters zeroes the traffic counters.
-func (n *Network) ResetCounters() {
-	n.Frames, n.Bytes, n.PayloadLen, n.BusyMicros = 0, 0, 0, 0
 }
 
 // ---------------------------------------------------------------- machines

@@ -151,42 +151,3 @@ func TestMachineModels(t *testing.T) {
 		t.Error("SLC should be faster than Sun-3/100")
 	}
 }
-
-func TestLinkExtraLatency(t *testing.T) {
-	s := NewSim()
-	n := NewNetwork(s)
-	var plainAt, slowAt Micros
-	n.Attach(1, func(int, []byte) { plainAt = s.Now() })
-	n.Attach(2, func(int, []byte) { slowAt = s.Now() })
-	n.SetLinkExtraLatency(0, 2, 5000)
-	if n.LinkExtraLatency(0, 2) != 5000 || n.LinkExtraLatency(2, 0) != 5000 {
-		t.Fatalf("extra latency not symmetric")
-	}
-	if n.LinkExtraLatency(0, 1) != 0 {
-		t.Fatalf("unconfigured link has extra latency")
-	}
-	// Non-positive extras and self-links are ignored.
-	n.SetLinkExtraLatency(0, 1, -7)
-	n.SetLinkExtraLatency(1, 1, 100)
-	if n.LinkExtraLatency(0, 1) != 0 || n.LinkExtraLatency(1, 1) != 0 {
-		t.Fatalf("ignored extras stored")
-	}
-	payload := make([]byte, 100)
-	if err := n.Send(0, 1, payload, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Send(0, 2, payload, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Run(10); err != nil {
-		t.Fatal(err)
-	}
-	if plainAt == 0 || slowAt == 0 {
-		t.Fatal("missing deliveries")
-	}
-	// The slow link's delivery trails by the extra latency on top of the
-	// medium serialization of the two back-to-back frames.
-	if d := slowAt - plainAt; d < 5000 {
-		t.Errorf("slow link only %d µs behind the plain one", d)
-	}
-}

@@ -191,8 +191,7 @@ func (p *parRun) flushSends() {
 	})
 	n := p.net
 	for _, req := range all {
-		deliverAt := n.arbitrate(req.sendAt, req.earliest, req.xmit, req.size, req.payloadLen) +
-			n.LinkExtraLatency(req.src, req.dst)
+		deliverAt := n.arbitrate(req.sendAt, req.earliest, req.xmit, req.size, req.payloadLen)
 		if req.v.Drop {
 			atomic.AddUint64(&n.Lost, 1)
 		} else {

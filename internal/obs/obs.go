@@ -304,9 +304,6 @@ type ring struct {
 }
 
 func (r *ring) push(e Event) {
-	if cap(r.buf) == 0 {
-		return
-	}
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, e)
 		return
@@ -333,8 +330,7 @@ type NodeInfo struct {
 	Arch string // ISA name
 }
 
-// DefaultRingCap bounds each node's event ring when the caller does not
-// choose a capacity.
+// DefaultRingCap bounds each node's event ring in a cluster's recorder.
 const DefaultRingCap = 8192
 
 // Recorder collects events, spans and metrics for one cluster. Per-node
@@ -342,8 +338,7 @@ const DefaultRingCap = 8192
 // numbered by that ring's own counter, so concurrent node goroutines (the
 // parallel engine) never share emission state. The span table and metrics
 // registry are internally locked; the text sink is not (install one only
-// for sequential runs — the parallel driver replays the merged stream
-// after the run instead).
+// for sequential runs).
 type Recorder struct {
 	nodes   []NodeInfo
 	rings   []ring
@@ -357,15 +352,8 @@ type Recorder struct {
 }
 
 // NewRecorder returns a recorder for n nodes with per-node rings of ringCap
-// events (0 selects DefaultRingCap; negative disables event retention while
-// keeping spans and metrics).
+// (at least 1) events.
 func NewRecorder(n, ringCap int) *Recorder {
-	if ringCap == 0 {
-		ringCap = DefaultRingCap
-	}
-	if ringCap < 0 {
-		ringCap = 0
-	}
 	r := &Recorder{
 		nodes: make([]NodeInfo, n),
 		rings: make([]ring, n),
@@ -425,12 +413,8 @@ func (r *Recorder) Emit(e Event) {
 	}
 }
 
-// Textf emits a free-form trace line as an EvText event. The line is only
-// formatted once, and only when something retains or renders it.
+// Textf emits a free-form trace line as an EvText event.
 func (r *Recorder) Textf(at int64, node int32, format string, args ...any) {
-	if r.sink == nil && len(r.rings) > 0 && cap(r.rings[0].buf) == 0 {
-		return
-	}
 	r.Emit(Event{At: at, Node: node, Kind: EvText, Str: fmt.Sprintf(format, args...)})
 }
 

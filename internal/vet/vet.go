@@ -230,13 +230,6 @@ func Check(p *codegen.Program) []Diagnostic {
 	return c.diags
 }
 
-// CheckObject runs every pass over a single compiled object.
-func CheckObject(p *codegen.Program, oc *codegen.ObjectCode) []Diagnostic {
-	c := newChecker(p)
-	c.checkObject(oc)
-	return c.diags
-}
-
 func (c *checker) checkObject(oc *codegen.ObjectCode) {
 	c.stopIsomorphism(oc)
 	c.objectTemplate(oc)
