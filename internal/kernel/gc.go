@@ -128,23 +128,12 @@ func (n *Node) Collect() (GCStats, error) {
 		if !o.Resident {
 			continue
 		}
-		switch o.Kind {
-		case ObjPlain:
-			for i, k := range o.Code.oc.Template.Slots {
-				if k != ir.VKPtr {
-					continue
-				}
-				if err := markAddr(n.ld32(o.slotAddr(i))); err != nil {
-					return GCStats{}, fmt.Errorf("gc: object %v slot %d: %w", o.OID, i, err)
-				}
+		for i := range o.numSlots() {
+			if o.slotKind(i) != ir.VKPtr {
+				continue
 			}
-		case ObjArray:
-			if o.ElemKind == ir.VKPtr {
-				for i := uint32(0); i < o.Len; i++ {
-					if err := markAddr(n.ld32(o.slotAddr(int(i)))); err != nil {
-						return GCStats{}, fmt.Errorf("gc: array %v: %w", o.OID, err)
-					}
-				}
+			if err := markAddr(n.ld32(o.slotAddr(i))); err != nil {
+				return GCStats{}, fmt.Errorf("gc: object %v slot %d: %w", o.OID, i, err)
 			}
 		}
 	}

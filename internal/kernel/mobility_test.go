@@ -419,6 +419,56 @@ end Main
 	}
 }
 
+// TestImmutableMoveDuplicates moves an immutable object to the same node
+// once, then twice: each move duplicates it (the source keeps its copy), and
+// a copy that arrives where one is already resident installs nothing, so the
+// destination maps exactly one data block to the object.
+func TestImmutableMoveDuplicates(t *testing.T) {
+	for moves := 1; moves <= 2; moves++ {
+		src := `
+immutable object K
+  var v: Int <- 7
+  var s: String <- "kept"
+  operation get() -> (r: Int)
+    r <- v
+  end
+end K
+object Main
+  process
+    var k: K <- new K
+` + strings.Repeat("    move k to node(1)\n", moves) + `    print(locate(k), " ", k.get())
+  end process
+end Main
+`
+		c := runSrc(t, src, []netsim.MachineModel{mSPARC, mVAX}, Config{})
+		if got := c.OutputText(); got != "node0 7" {
+			t.Errorf("%d moves: output = %q, want %q", moves, got, "node0 7")
+		}
+		if err := c.CheckStacks(); err != nil {
+			t.Errorf("%d moves: %v", moves, err)
+		}
+		n1 := c.Nodes[1]
+		var copies []*Obj
+		for _, o := range n1.objects {
+			if o.Resident && o.Kind == ObjPlain && o.Code.oc.Name == "K" {
+				copies = append(copies, o)
+			}
+		}
+		if len(copies) != 1 {
+			t.Fatalf("%d moves: node 1 holds %d resident copies of K, want 1", moves, len(copies))
+		}
+		blocks := 0
+		for _, o := range n1.byAddr {
+			if o == copies[0] {
+				blocks++
+			}
+		}
+		if blocks != 1 {
+			t.Errorf("%d moves: node 1 maps %d data blocks to K, want 1", moves, blocks)
+		}
+	}
+}
+
 func TestKilroyTour(t *testing.T) {
 	// The classic Emerald demo: one thread visits every node.
 	c := runSrc(t, `

@@ -551,6 +551,27 @@ func (n *Node) newPlain(lc *loadedCode) (*Obj, error) {
 	return o, nil
 }
 
+// numSlots is the number of data words a resident object's layout
+// describes: a plain object's template slots, an array's elements, and none
+// for a string (its bytes are not words).
+func (o *Obj) numSlots() int {
+	switch o.Kind {
+	case ObjPlain:
+		return len(o.Code.oc.Template.Slots)
+	case ObjArray:
+		return int(o.Len)
+	}
+	return 0
+}
+
+// slotKind is the kind of data slot i (see numSlots).
+func (o *Obj) slotKind(i int) ir.VK {
+	if o.Kind == ObjArray {
+		return o.ElemKind
+	}
+	return o.Code.oc.Template.Slots[i]
+}
+
 // slotAddr returns the address of data slot i of a plain object or array
 // element i.
 func (o *Obj) slotAddr(i int) uint32 {
