@@ -1,17 +1,18 @@
 # The tier-1 gate: everything `make ci` runs must stay green on every
 # commit (see ROADMAP.md). The emvet step keeps the example corpus clean
-# under the mobility-soundness analyzer on every ISA; the emtrace smoke
-# keeps the observability exports loadable and the baseline smoke keeps
-# every committed BENCH_*.json reproducible. No recipe
+# under the mobility-soundness analyzer on every ISA and the baseline smoke
+# keeps every committed BENCH_*.json reproducible (that emtrace's Chrome
+# trace and metrics parse as JSON is go test's: cmd/emtrace
+# TestTraceDirectoryRun, core TestChromeTraceGoldenTwoHop). No recipe
 # spells a run-shaping emrun flag: what the chaos, directory, parallel and
 # placement command lines must print is pinned by `go test` (TestCommandLines
 # in internal/core), under -race in the `race` step.
 
 GO ?= go
 
-.PHONY: ci build test vet emvet race emtrace-smoke baseline-smoke bench-smoke fuzz-smoke pta-smoke emperf-smoke emperf-pairs census bench-baselines
+.PHONY: ci build test vet emvet race baseline-smoke bench-smoke fuzz-smoke pta-smoke emperf-smoke emperf-pairs census bench-baselines
 
-ci: vet build race emvet emtrace-smoke baseline-smoke bench-smoke fuzz-smoke pta-smoke emperf-smoke
+ci: vet build race emvet baseline-smoke bench-smoke fuzz-smoke pta-smoke emperf-smoke
 
 build:
 	$(GO) build ./...
@@ -29,12 +30,6 @@ vet:
 
 emvet:
 	$(GO) run ./cmd/emvet examples/programs/*.em
-
-# A Chrome trace of the kilroy tour must export and parse as JSON.
-emtrace-smoke:
-	mkdir -p .ci
-	$(GO) run ./cmd/emtrace -chrome .ci/kilroy_trace.json -metrics .ci/kilroy_metrics.json examples/programs/kilroy.em
-	$(GO) run ./tools/jsoncheck .ci/kilroy_trace.json .ci/kilroy_metrics.json
 
 # Every committed BENCH_*.json baseline must reproduce: one embench run
 # rewrites them under .ci and compares each with its committed copy,
@@ -75,7 +70,9 @@ emperf-pairs:
 # The code census (ROADMAP emcut), run by hand and kept out of ci (about a
 # minute): which non-test functions does no shipped surface execute? Every
 # command is cover-built and run into one GOCOVERDIR: emc's listings and
-# emvet (diagnostics, -graph, -passes) over the corpus; emrun over the
+# emvet (diagnostics, -graph, -passes) over the corpus, emvet over its own
+# defect corpus and emc over testdata/census's ill-formed programs (a lexer,
+# a parse and a type error: the front end's error paths); emrun over the
 # corpus, both engines, and the run-shaping rows of TestCommandLines (chaos,
 # directory with leases, both placement policies) plus the reference
 # emulator, vet-on-load and the text trace; emtrace's four exports and its
@@ -101,6 +98,10 @@ census:
 	$(CENSUS)/emvet examples/programs/*.em > /dev/null; \
 	$(CENSUS)/emvet -passes > /dev/null; \
 	$(CENSUS)/emvet -graph examples/programs/*.em > /dev/null; \
+	$(CENSUS)/emvet internal/vet/testdata/*.em > /dev/null || [ $$? -eq 1 ]; \
+	for f in testdata/census/*.em; do \
+		if $(CENSUS)/emc $$f > /dev/null 2>&1; then echo "$$f compiled"; exit 1; fi; \
+	done; \
 	$(CENSUS)/emrun -chaos $(CENSUS_CHAOS) examples/programs/kilroy.em > /dev/null; \
 	$(CENSUS)/emrun -dir 3 -dir-lease 2000000 examples/programs/kilroy.em > /dev/null; \
 	$(CENSUS)/emrun -dir 3 -chaos $(CENSUS_CHAOS) examples/programs/kilroy.em > /dev/null; \
@@ -136,12 +137,11 @@ fuzz-smoke:
 	$(GO) test -run FuzzParsePlan ./internal/chaos
 	$(GO) test -run FuzzCompile ./internal/codegen
 
-# The points-to object-graph report must build for the whole corpus, find
-# at least one group-migration cohort in producer_consumer, and be
-# byte-identical across repeated solves (ptacheck re-solves 5x).
+# The points-to object-graph report must build for the whole corpus and find
+# at least one group-migration cohort in producer_consumer (that repeated
+# solves agree is pta.TestReportDeterministic's, under go test).
 pta-smoke:
 	mkdir -p .ci
 	$(GO) run ./cmd/emvet -graph examples/programs/*.em > .ci/pta_graph.out
 	grep -q '^cohort ' .ci/pta_graph.out
 	$(GO) run ./cmd/emvet -graph examples/programs/producer_consumer.em | grep -q '^cohort '
-	$(GO) run ./tools/ptacheck examples/programs/*.em

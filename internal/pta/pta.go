@@ -588,7 +588,7 @@ func (r *Result) CallGraph() map[string][]string {
 
 // Report renders the whole analysis deterministically: sites, call
 // graph, escape summary and cohorts. Two runs over the same program
-// produce byte-identical reports (pinned by tools/ptacheck).
+// produce byte-identical reports (pinned by TestReportDeterministic).
 func (r *Result) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "pta: %d objects, %d functions, %d allocation sites\n",

@@ -46,15 +46,17 @@ func readExample(t testing.TB, name string) string {
 	return string(src)
 }
 
-var exampleNames = []string{"kilroy.em", "pingpong.em", "producer_consumer.em"}
-
-// Two independent solves of the same program must render byte-identical
-// reports: the report is the interface emvet -graph exposes and the
-// emauto roadmap item will consume, so any map-iteration nondeterminism
-// in the solver or its caches is a bug. tools/ptacheck pins the same
-// property from the CLI.
+// Six independent solves of each corpus program must render byte-identical
+// reports: the report is the interface emvet -graph exposes and adaptive
+// placement's cohorts come from, so any map-iteration nondeterminism in
+// the solver or its caches is a bug.
 func TestReportDeterministic(t *testing.T) {
-	for _, name := range exampleNames {
+	progs, err := filepath.Glob(filepath.Join("..", "..", "examples", "programs", "*.em"))
+	if err != nil || len(progs) == 0 {
+		t.Fatalf("no example programs found: %v", err)
+	}
+	for _, path := range progs {
+		name := filepath.Base(path)
 		src := readExample(t, name)
 		first := analyze(t, src).Report()
 		for i := 0; i < 5; i++ {
