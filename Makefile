@@ -33,10 +33,9 @@ emvet:
 
 # Every committed BENCH_*.json baseline must reproduce: one embench run
 # rewrites them under .ci and compares each with its committed copy,
-# parsing both; a simulated metric drifting more than 20% or any
-# structural change fails. The simulation is deterministic, so real drift
-# means a behavior change (refresh deliberately with `make
-# bench-baselines`). In the dispatch-tier study (jit) the reference
+# parsing both; the gate is exact, `host*` fields aside. The simulation is
+# deterministic, so any difference means a behavior change (refresh
+# deliberately with `make bench-baselines`). In the dispatch-tier study (jit) the reference
 # stepper and the fused executor must also agree on every simulated
 # observable; its emulated-MIPS fields are host wall-clock and carry the
 # "host" prefix the comparator skips.
@@ -76,12 +75,12 @@ emperf-pairs:
 # corpus, both engines, and the run-shaping rows of TestCommandLines (chaos,
 # directory with leases, both placement policies) plus the reference
 # emulator, vet-on-load and the text trace; emtrace's four exports and its
-# faults report; every embench study; the 1/50-scale benchmark. The merged
-# profile's 0.0% functions, as "file function" lines, go to .ci/census.txt,
-# and the census fails when one of them is not listed in the committed
-# testdata/census.txt (three consecutive runs give the same list). The
-# repro/bench/ lines are dropped: `go tool cover -func` cannot resolve the
-# nested module's package.
+# faults report; every embench study, gated on the committed baselines;
+# the 1/50-scale benchmark. The merged profile's 0.0% functions, as "file
+# function" lines, go to .ci/census.txt, and the census fails when one of
+# them is not listed in the committed testdata/census.txt (three
+# consecutive runs give the same list). The repro/bench/ lines are
+# dropped: `go tool cover -func` cannot resolve the nested module's package.
 CENSUS := $(CURDIR)/.ci/census
 CENSUS_CHAOS := seed=7,drop=0.05,dup=0.03,delay=0.05:500us,corrupt=0.02,crash=2@76ms:156ms
 census:
@@ -112,7 +111,7 @@ census:
 	$(CENSUS)/emrun -vetload examples/programs/producer_consumer.em > /dev/null; \
 	$(CENSUS)/emtrace -chrome $(CENSUS)/out/t.json -metrics $(CENSUS)/out/m.json -text -spans examples/programs/kilroy.em > /dev/null 2>&1; \
 	$(CENSUS)/emtrace faults -chaos $(CENSUS_CHAOS) examples/programs/kilroy.em > /dev/null; \
-	$(CENSUS)/embench -out $(CENSUS)/out all > /dev/null; \
+	$(CENSUS)/embench -out $(CENSUS)/out -baseline . all > /dev/null; \
 	$(CENSUS)/bench -quick > /dev/null
 	$(GO) tool covdata textfmt -i=$(CENSUS)/cov -o $(CENSUS)/all.cov
 	grep -v '^repro/bench/' $(CENSUS)/all.cov > $(CENSUS)/repro.cov

@@ -11,16 +11,17 @@
 // ablations, par, jit, auto, dir, shrink; none or "all" runs every one)
 // runs once, in the order listed by -h.
 //
-// The table1, fig2 and conv experiments additionally write machine-readable
-// results (BENCH_table1.json, BENCH_fig2.json, BENCH_conv.json) into -out
-// (default: the current directory) for CI and plotting scripts.
+// The table1, fig2, conv, par, jit, auto and dir studies additionally
+// write machine-readable results (BENCH_<name>.json) into -out (default:
+// the current directory) for CI and plotting scripts.
 //
 // With -baseline, each freshly written BENCH_*.json is compared against
 // the file of the same name in the baseline directory (typically the
-// repo root, where the committed baselines live); any simulated metric
-// drifting more than 20% — or any structural change — is an error. The
-// simulation is deterministic, so an unintended behavior change shows up
-// as drift here even when the human-readable report looks plausible.
+// repo root, where the committed baselines live); any difference outside
+// the "host"-prefixed fields is an error. The simulation is deterministic,
+// so an unintended behavior change shows up here even when the
+// human-readable report looks plausible. BENCH_par.json is never compared:
+// its rows are host wall-clock.
 package main
 
 import (
@@ -28,122 +29,154 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 
+	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/netsim"
 	"repro/internal/prof"
 )
 
-// baselineTol is the relative drift allowed against a committed
-// baseline before the run fails.
-const baselineTol = 0.20
+// subcommand is one experiment. run returns the human-readable report and,
+// for a study that writes BENCH_<name>.json, its document (nil otherwise);
+// the document's Benchmark is the subcommand's name.
+type subcommand struct {
+	name string
+	run  func() (string, *exp.BenchDoc, error)
+}
 
-// baselineDir is the -baseline flag: when set, freshly written
-// BENCH_*.json files are checked against their committed counterparts.
-var baselineDir string
+// subcommands lists every experiment in presentation order.
+var subcommands = []subcommand{
+	{"fig1", figure1},
+	{"table1", func() (string, *exp.BenchDoc, error) {
+		cells, err := exp.Table1()
+		if err != nil {
+			return "", nil, err
+		}
+		return exp.FormatTable1(cells), &exp.BenchDoc{
+			Unit:     "ms for two thread moves",
+			Workload: "Mobile13 (13-variable fragment, 25 round trips)",
+			Rows:     cells,
+		}, nil
+	}},
+	{"fig2", func() (string, *exp.BenchDoc, error) {
+		rows, err := exp.Figure2()
+		if err != nil {
+			return "", nil, err
+		}
+		return exp.FormatFigure2(rows), &exp.BenchDoc{
+			Claim: "same program at every specialization level prints identical output",
+			Rows:  rows,
+		}, nil
+	}},
+	{"fig3", func() (string, *exp.BenchDoc, error) {
+		s, err := exp.Figure34()
+		return s, nil, err
+	}},
+	{"intranode", intraNode},
+	{"conv", func() (string, *exp.BenchDoc, error) {
+		rs, err := exp.ConversionStudy()
+		if err != nil {
+			return "", nil, err
+		}
+		return exp.FormatConversionStudy(rs), &exp.BenchDoc{Workload: "Mobile13 on SPARC<->SPARC", Rows: rs}, nil
+	}},
+	{"ablations", ablations},
+	// par measures sequential-vs-parallel wall-clock over N-node rings.
+	// The byte-identity of the two engines is checked inside the
+	// experiment; the rows themselves are host wall-clock, which HostCPUs
+	// marks, so the document is written but never gated.
+	{"par", func() (string, *exp.BenchDoc, error) {
+		rs, err := exp.ParScaling([]int{1, 2, 4, 8}, 6, 30000)
+		if err != nil {
+			return "", nil, err
+		}
+		return exp.FormatParScaling(rs), &exp.BenchDoc{
+			Workload: "N-walker ring tour, identical per-node compute chunks",
+			HostCPUs: runtime.NumCPU(),
+			Claim:    "parallel engine byte-identical to sequential; wall-clock scales with nodes on multi-core hosts",
+			Rows:     rs,
+		}, nil
+	}},
+	// jit measures the two dispatch tiers (legacy reference stepper /
+	// fused superinstructions) on a compute-bound loop per ISA. Its
+	// emulated-MIPS fields are host wall-clock and carry the "host"
+	// prefix the gate skips.
+	{"jit", func() (string, *exp.BenchDoc, error) {
+		rs, desc, err := exp.JitStudy()
+		if err != nil {
+			return "", nil, err
+		}
+		return exp.FormatJit(rs), &exp.BenchDoc{
+			Workload: desc,
+			Claim:    "fused superinstruction dispatch outruns the reference stepper on compute-bound code with byte-identical observables",
+			Rows:     rs,
+		}, nil
+	}},
+	// auto is the adaptive-placement policy table (internal/exp auto.go):
+	// four arms over one generated zipf workload.
+	{"auto", func() (string, *exp.BenchDoc, error) {
+		rows, desc, err := exp.AutoStudy()
+		if err != nil {
+			return "", nil, err
+		}
+		return exp.FormatAuto(rows, desc), &exp.BenchDoc{Unit: "mixed (ms, counts, bytes)", Workload: desc, Rows: rows}, nil
+	}},
+	// dir is the replicated-directory overhead table (internal/exp
+	// dir.go): directory off/on, clean and under a replica crash/restart.
+	{"dir", func() (string, *exp.BenchDoc, error) {
+		rows, desc, err := exp.DirStudy()
+		if err != nil {
+			return "", nil, err
+		}
+		return exp.FormatDir(rows, desc), &exp.BenchDoc{Unit: "mixed (ms, counts, bytes)", Workload: desc, Rows: rows}, nil
+	}},
+	{"shrink", func() (string, *exp.BenchDoc, error) {
+		rows, err := exp.Shrink(filepath.Join("examples", "programs"))
+		if err != nil {
+			return "", nil, err
+		}
+		return exp.FormatShrink(rows), nil, nil
+	}},
+}
 
-// checkBaseline compares the freshly written result at freshPath with
-// the committed baseline of the same name, when -baseline is set.
-func checkBaseline(freshPath string) error {
-	if baselineDir == "" {
+// runStudy runs one subcommand, prints its report and writes its document
+// to outDir; when baselineDir is set it then checks the document against
+// the committed copy of the same name there.
+func runStudy(s subcommand, outDir, baselineDir string) error {
+	report, doc, err := s.run()
+	if err != nil {
+		return err
+	}
+	fmt.Print(report)
+	if doc == nil {
 		return nil
 	}
-	name := filepath.Base(freshPath)
-	basePath := filepath.Join(baselineDir, name)
+	doc.Benchmark = s.name
+	path, err := exp.WriteBenchJSON(outDir, *doc)
+	if err != nil {
+		return err
+	}
+	// Reported on stderr so stdout stays a clean human-readable report.
+	fmt.Fprintf(os.Stderr, "embench: wrote %s\n", path)
+	if baselineDir == "" || doc.HostCPUs != 0 {
+		return nil
+	}
+	basePath := filepath.Join(baselineDir, filepath.Base(path))
 	base, err := os.ReadFile(basePath)
 	if err != nil {
 		return fmt.Errorf("baseline %s: %w", basePath, err)
 	}
-	fresh, err := os.ReadFile(freshPath)
+	fresh, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	if err := exp.CompareBenchJSON(fresh, base, baselineTol); err != nil {
-		return fmt.Errorf("%s vs baseline %s: %w", freshPath, basePath, err)
+	if err := exp.CompareBenchJSON(fresh, base); err != nil {
+		return fmt.Errorf("%s vs baseline %s: %w", path, basePath, err)
 	}
-	fmt.Fprintf(os.Stderr, "embench: %s matches baseline %s\n", freshPath, basePath)
-	return nil
-}
-
-// subcommands lists every experiment in presentation order.
-var subcommands = []struct {
-	name string
-	run  func(outDir string) error
-}{
-	{"fig1", figure1},
-	{"table1", table1},
-	{"fig2", figure2},
-	{"fig3", figure3},
-	{"intranode", intraNode},
-	{"conv", conv},
-	{"ablations", ablations},
-	{"par", par},
-	{"jit", jitStudy},
-	{"auto", autoStudy},
-	{"dir", dirStudy},
-	{"shrink", shrink},
-}
-
-// autoStudy runs the adaptive-placement policy table (see internal/exp
-// auto.go): four arms over one generated zipf workload, writing
-// BENCH_auto.json.
-func autoStudy(outDir string) error {
-	rows, desc, err := exp.AutoStudy()
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.FormatAuto(rows, desc))
-	path, err := exp.WriteBenchJSON(outDir, "auto", exp.BenchAutoDoc(rows, desc))
-	if err != nil {
-		return err
-	}
-	wrote(path)
-	return checkBaseline(path)
-}
-
-// dirStudy runs the replicated-directory overhead table (see internal/exp
-// dir.go): directory off/on, clean and under a replica crash/restart,
-// writing BENCH_dir.json.
-func dirStudy(outDir string) error {
-	rows, desc, err := exp.DirStudy()
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.FormatDir(rows, desc))
-	path, err := exp.WriteBenchJSON(outDir, "dir", exp.BenchDirDoc(rows, desc))
-	if err != nil {
-		return err
-	}
-	wrote(path)
-	return checkBaseline(path)
-}
-
-// jitStudy measures the two dispatch tiers (legacy reference stepper /
-// fused superinstructions) on a compute-bound loop per ISA, writing
-// BENCH_jit.json. The simulated fields are baseline-gated; the emulated-
-// MIPS numbers are host wall-clock, carry the "host" field prefix, and
-// are skipped by the comparator.
-func jitStudy(outDir string) error {
-	rs, err := exp.JitStudy()
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.FormatJit(rs))
-	path, err := exp.WriteBenchJSON(outDir, "jit", exp.BenchJitDoc(rs))
-	if err != nil {
-		return err
-	}
-	wrote(path)
-	return checkBaseline(path)
-}
-
-func shrink(string) error {
-	rows, err := exp.Shrink(filepath.Join("examples", "programs"))
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.FormatShrink(rows))
+	fmt.Fprintf(os.Stderr, "embench: %s matches baseline %s\n", path, basePath)
 	return nil
 }
 
@@ -158,8 +191,8 @@ func usage() {
 
 func main() {
 	outDir := flag.String("out", ".", "directory for BENCH_*.json result files")
-	flag.StringVar(&baselineDir, "baseline", "",
-		"directory of committed BENCH_*.json baselines to compare against (>20% drift fails)")
+	baselineDir := flag.String("baseline", "",
+		"directory of committed BENCH_*.json baselines to compare against (any difference outside host* fields fails)")
 	profile := prof.Register(flag.CommandLine)
 	flag.Usage = usage
 	flag.Parse()
@@ -188,7 +221,7 @@ func main() {
 		if !all && !what[s.name] {
 			continue
 		}
-		if err := s.run(*outDir); err != nil {
+		if err := runStudy(s, *outDir, *baselineDir); err != nil {
 			stopProfile()
 			fmt.Fprintf(os.Stderr, "embench %s: %v\n", s.name, err)
 			os.Exit(1)
@@ -198,120 +231,42 @@ func main() {
 	stopProfile()
 }
 
-// wrote reports a BENCH_*.json file on stderr so stdout stays a clean
-// human-readable report.
-func wrote(path string) {
-	fmt.Fprintf(os.Stderr, "embench: wrote %s\n", path)
-}
-
-func ablations(string) error {
+func ablations() (string, *exp.BenchDoc, error) {
 	bs, err := exp.BusStopDensity()
 	if err != nil {
-		return err
+		return "", nil, err
 	}
 	homes, err := exp.RegisterHomes()
 	if err != nil {
-		return err
+		return "", nil, err
 	}
-	fmt.Print(exp.FormatAblations(bs, homes))
-	return nil
+	return exp.FormatAblations(bs, homes), nil, nil
 }
 
-func table1(outDir string) error {
-	cells, err := exp.Table1()
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.FormatTable1(cells))
-	path, err := exp.WriteBenchJSON(outDir, "table1", exp.BenchTable1Doc(cells))
-	if err != nil {
-		return err
-	}
-	wrote(path)
-	return checkBaseline(path)
-}
-
-func figure1(string) error {
-	fmt.Println("Figure 1: a network of heterogeneous nodes")
+func figure1() (string, *exp.BenchDoc, error) {
+	var b strings.Builder
+	b.WriteString("Figure 1: a network of heterogeneous nodes\n")
 	for i, m := range core.Figure1Network() {
-		fmt.Printf("  node%d: %-18s (%s, %.1f effective MHz)\n", i, m.Name, archName(m), m.MHz)
+		fmt.Fprintf(&b, "  node%d: %-18s (%s, %.1f effective MHz)\n", i, m.Name, arch.ID(m.Arch), m.MHz)
 	}
-	fmt.Println("  connected by a shared 10 Mbit/s Ethernet")
-	return nil
+	b.WriteString("  connected by a shared 10 Mbit/s Ethernet\n")
+	return b.String(), nil, nil
 }
 
-func archName(m netsim.MachineModel) string {
-	return [...]string{"vax", "m68k", "sparc"}[m.Arch]
-}
-
-func figure2(outDir string) error {
-	rows, err := exp.Figure2()
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.FormatFigure2(rows))
-	path, err := exp.WriteBenchJSON(outDir, "fig2", exp.BenchFig2Doc(rows))
-	if err != nil {
-		return err
-	}
-	wrote(path)
-	return checkBaseline(path)
-}
-
-func figure3(string) error {
-	s, err := exp.Figure34()
-	if err != nil {
-		return err
-	}
-	fmt.Print(s)
-	return nil
-}
-
-func intraNode(string) error {
-	fmt.Println("§3.6 intra-node performance invariant (compute phase, ms):")
-	fmt.Printf("%-20s %10s %10s %14s %6s\n", "machine", "local", "migrated", "original-sys", "ok")
+func intraNode() (string, *exp.BenchDoc, error) {
+	var b strings.Builder
+	b.WriteString("§3.6 intra-node performance invariant (compute phase, ms):\n")
+	fmt.Fprintf(&b, "%-20s %10s %10s %14s %6s\n", "machine", "local", "migrated", "original-sys", "ok")
 	for _, m := range []netsim.MachineModel{
 		netsim.VAXstation2000, netsim.Sun3_100, netsim.HP9000_433s, netsim.SPARCstationSLC,
 	} {
 		r, err := exp.IntraNode(m)
 		if err != nil {
-			return err
+			return "", nil, err
 		}
-		fmt.Printf("%-20s %10.1f %10.1f %14.1f %6v\n",
+		fmt.Fprintf(&b, "%-20s %10.1f %10.1f %14.1f %6v\n",
 			r.Arch, r.LocalMS, r.MigratedMS, r.OriginalSysMS, r.EnhancedMatches)
 	}
-	fmt.Println("migrated threads run at native speed, identical to the original system")
-	return nil
-}
-
-// par measures sequential-vs-parallel wall-clock over N-node rings.
-// BENCH_par.json records wall-clock times and the host CPU count, so it is
-// deliberately not baseline-compared (wall-clock is host-dependent; the
-// byte-identity of the two engines is checked inside the experiment).
-func par(outDir string) error {
-	rs, err := exp.ParScaling([]int{1, 2, 4, 8}, 6, 30000)
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.FormatParScaling(rs))
-	path, err := exp.WriteBenchJSON(outDir, "par", exp.BenchParDoc(rs))
-	if err != nil {
-		return err
-	}
-	wrote(path)
-	return nil
-}
-
-func conv(outDir string) error {
-	rs, err := exp.ConversionStudy()
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.FormatConversionStudy(rs))
-	path, err := exp.WriteBenchJSON(outDir, "conv", exp.BenchConvDoc(rs))
-	if err != nil {
-		return err
-	}
-	wrote(path)
-	return checkBaseline(path)
+	b.WriteString("migrated threads run at native speed, identical to the original system\n")
+	return b.String(), nil, nil
 }

@@ -71,6 +71,7 @@ func TestBadCommandLines(t *testing.T) {
 	}{
 		"-nosharpen " + kilroy:                      {2, ""},
 		"-dir-nogroup " + kilroy:                    {2, ""},
+		"-auto-period 5000 " + kilroy:               {2, ""},
 		"-net pdp11 " + kilroy:                      {2, ""},
 		"-parallel -auto greedy-colocate " + kilroy: {1, ""},
 		"-trace -parallel " + kilroy:                {1, "emrun: kernel: the text trace (-trace) requires the sequential engine\n"},

@@ -99,6 +99,7 @@ func TestBadCommandLines(t *testing.T) {
 	for args, want := range map[string]int{
 		"-dir-nogroup " + kilroy:                           2,
 		"faults -nosharpen " + kilroy:                      2,
+		"-auto-period 5000 " + kilroy:                      2,
 		"-mode turbo " + kilroy:                            1,
 		"-parallel -auto greedy-colocate -spans " + kilroy: 1,
 		"": 2,

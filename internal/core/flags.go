@@ -36,7 +36,6 @@ func RegisterFlags(fs *flag.FlagSet) *RunFlags {
 	fs.BoolVar(&rf.opts.LegacyDispatch, "legacy", false, "force the byte-at-a-time reference emulator (slowest; identical results)")
 	fs.BoolVar(&rf.opts.Parallel, "parallel", false, "run each node on its own goroutine (identical results; see DESIGN.md §12)")
 	fs.StringVar(&rf.opts.AutoPolicy, "auto", "", "adaptive placement policy: greedy-colocate or load-balance (sequential engine only)")
-	fs.Int64Var(&rf.opts.AutoPeriodMicros, "auto-period", 0, "placement tick period in simulated µs (0: kernel default)")
 	fs.IntVar(&rf.opts.DirReplicas, "dir", 0, "arm the replicated object directory with N replicas per shard (0: off)")
 	fs.Int64Var(&rf.opts.DirLeaseMicros, "dir-lease", 0, "directory read-lease duration in simulated µs (0: lease-free lookups)")
 	return rf

@@ -172,8 +172,8 @@ func TestRunFlagsDeclaredOnce(t *testing.T) {
 	RegisterFlags(flags)
 	runFlag := map[string]bool{}
 	flags.VisitAll(func(f *flag.Flag) { runFlag[f.Name] = true })
-	if len(runFlag) != 10 {
-		t.Errorf("%d run flags; DESIGN.md's Configuration table lists 10", len(runFlag))
+	if len(runFlag) != 9 {
+		t.Errorf("%d run flags; DESIGN.md's Configuration table lists 9", len(runFlag))
 	}
 	definers := map[string]bool{
 		"String": true, "StringVar": true, "Bool": true, "BoolVar": true, "Int": true, "IntVar": true,

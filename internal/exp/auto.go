@@ -132,21 +132,3 @@ func FormatAuto(rows []AutoResult, desc string) string {
 	b.WriteString("B/move = wire bytes (payload + framing) per migrated object.\n")
 	return b.String()
 }
-
-// BenchAuto is the BENCH_auto.json document.
-type BenchAuto struct {
-	Benchmark string       `json:"benchmark"`
-	Unit      string       `json:"unit"`
-	Workload  string       `json:"workload"`
-	Rows      []AutoResult `json:"rows"`
-}
-
-// BenchAutoDoc wraps the study rows in the JSON document.
-func BenchAutoDoc(rows []AutoResult, desc string) BenchAuto {
-	return BenchAuto{
-		Benchmark: "auto",
-		Unit:      "mixed (ms, counts, bytes)",
-		Workload:  desc,
-		Rows:      rows,
-	}
-}

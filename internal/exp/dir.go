@@ -242,21 +242,3 @@ func FormatDir(rows []DirResult, desc string) string {
 	b.WriteString("(ROADMAP emdir-lean wants dirF/mv <= 5 and dir3/clean <= 1.5x).\n")
 	return b.String()
 }
-
-// BenchDir is the BENCH_dir.json document.
-type BenchDir struct {
-	Benchmark string      `json:"benchmark"`
-	Unit      string      `json:"unit"`
-	Workload  string      `json:"workload"`
-	Rows      []DirResult `json:"rows"`
-}
-
-// BenchDirDoc wraps the study rows in the JSON document.
-func BenchDirDoc(rows []DirResult, desc string) BenchDir {
-	return BenchDir{
-		Benchmark: "dir",
-		Unit:      "mixed (ms, counts, bytes)",
-		Workload:  desc,
-		Rows:      rows,
-	}
-}

@@ -5,7 +5,6 @@ package exp
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/bridge"
 	"repro/internal/core"
@@ -37,14 +36,13 @@ object Main
 end Main
 `
 
-// Fig2Row is one level of the hierarchy.
+// Fig2Row is one level of the hierarchy, and one row of BENCH_fig2.json.
 type Fig2Row struct {
-	Level    string
-	Output   string
-	WallNS   int64  // real time to execute the level's engine
-	Work     uint64 // engine-specific work units (steps / instructions)
-	SimMS    float64
-	Hardware string
+	Level    string  `json:"level"`
+	Hardware string  `json:"thread_state"`
+	Work     uint64  `json:"work_units"` // engine-specific work units (steps / instructions)
+	SimMS    float64 `json:"sim_ms"`     // 0 for machine-independent levels
+	Output   string  `json:"output"`
 }
 
 // Figure2 runs the same program as interpreted source, as byte code, and as
@@ -59,26 +57,21 @@ func Figure2() ([]Fig2Row, error) {
 	}
 	var rows []Fig2Row
 
-	start := time.Now()
 	src := interp.NewSource(info)
 	src.Run()
 	rows = append(rows, Fig2Row{
 		Level: "source (AST interpretation)", Output: strings.Join(src.RT().Output, "\n"),
-		WallNS: time.Since(start).Nanoseconds(), Work: src.RT().Steps,
-		Hardware: "machine independent",
+		Work: src.RT().Steps, Hardware: "machine independent",
 	})
 
-	start = time.Now()
 	bc := interp.NewBytecode(ir.Build(info))
 	bc.Run()
 	rows = append(rows, Fig2Row{
 		Level: "byte code (BC-Emerald style)", Output: strings.Join(bc.RT().Output, "\n"),
-		WallNS: time.Since(start).Nanoseconds(), Work: bc.RT().Steps,
-		Hardware: "machine independent",
+		Work: bc.RT().Steps, Hardware: "machine independent",
 	})
 
 	for _, m := range []netsim.MachineModel{netsim.VAXstation2000, netsim.Sun3_100, netsim.SPARCstationSLC} {
-		start = time.Now()
 		sys, err := core.NewSystem(prog, []netsim.MachineModel{m}, core.Options{Mode: kernel.ModeEnhanced})
 		if err != nil {
 			return nil, err
@@ -88,8 +81,7 @@ func Figure2() ([]Fig2Row, error) {
 		}
 		rows = append(rows, Fig2Row{
 			Level:  fmt.Sprintf("native code (%s)", m.Name),
-			Output: sys.Output(), WallNS: time.Since(start).Nanoseconds(),
-			Work:  sys.Cluster.Nodes[0].Instrs,
+			Output: sys.Output(), Work: sys.Cluster.Nodes[0].Instrs,
 			SimMS: sys.ElapsedMS(), Hardware: m.Name,
 		})
 	}
@@ -250,13 +242,14 @@ func IntraNode(m netsim.MachineModel) (*IntraNodeResult, error) {
 	return res, nil
 }
 
-// ConvResult summarizes the §3.6 conversion-cost observations for one mode.
+// ConvResult summarizes the §3.6 conversion-cost observations for one
+// mode, and is one row of BENCH_conv.json.
 type ConvResult struct {
-	Mode         kernel.ConvMode
-	MovesMS      float64
-	ConvCalls    uint64
-	WireBytes    uint64
-	CallsPerByte float64
+	Mode         kernel.ConvMode `json:"mode"`
+	MovesMS      float64         `json:"two_move_ms"`
+	ConvCalls    uint64          `json:"conv_calls"`
+	WireBytes    uint64          `json:"wire_bytes"`
+	CallsPerByte float64         `json:"calls_per_byte"`
 }
 
 // ConversionStudy reruns the Table 1 workload under each conversion regime,

@@ -12,7 +12,7 @@
 // experiment, and the deterministic fields of BENCH_jit.json (instrs,
 // cycles, fused run structure) are baseline-gated. The MIPS numbers are
 // host wall-clock and therefore carry the "host" field prefix, which
-// the baseline comparator skips (see benchcmp.go).
+// the baseline comparator skips (see CompareBenchJSON).
 
 package exp
 
@@ -107,21 +107,23 @@ func mips(instrs int, wall time.Duration) float64 {
 	return float64(instrs) / wall.Seconds() / 1e6
 }
 
-// JitStudy measures the two dispatch tiers on every ISA.
-func JitStudy() ([]JitResult, error) {
+// JitStudy measures the two dispatch tiers on every ISA and returns the
+// rows plus the workload's description line.
+func JitStudy() ([]JitResult, string, error) {
+	desc := fmt.Sprintf("all-register multiply-accumulate countdown, %d iterations", jitIters)
 	var out []JitResult
 	for _, s := range arch.AllSpecs() {
 		code, err := jitLoop(s, jitIters)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", s.Name, err)
+			return nil, "", fmt.Errorf("%s: %w", s.Name, err)
 		}
 		pd, err := arch.Predecode(s, code)
 		if err != nil {
-			return nil, fmt.Errorf("%s: predecode: %w", s.Name, err)
+			return nil, "", fmt.Errorf("%s: predecode: %w", s.Name, err)
 		}
 		fz := arch.Fuse(s, pd, arch.PlanFusion(pd))
 		if fz == nil {
-			return nil, fmt.Errorf("%s: compute loop did not fuse", s.Name)
+			return nil, "", fmt.Errorf("%s: compute loop did not fuse", s.Name)
 		}
 		covered := 0
 		for _, n := range fz.RunLens() {
@@ -160,12 +162,12 @@ func JitStudy() ([]JitResult, error) {
 		for i, arm := range arms {
 			o, w, err := jitTime(5, arm.run)
 			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", s.Name, arm.name, err)
+				return nil, "", fmt.Errorf("%s %s: %w", s.Name, arm.name, err)
 			}
 			obs[i], wall[i] = o, w
 		}
 		if obs[1] != obs[0] {
-			return nil, fmt.Errorf("%s: dispatch tiers disagree on observables:\nlegacy %+v\nfused  %+v",
+			return nil, "", fmt.Errorf("%s: dispatch tiers disagree on observables:\nlegacy %+v\nfused  %+v",
 				s.Name, obs[0], obs[1])
 		}
 		out = append(out, JitResult{
@@ -178,7 +180,7 @@ func JitStudy() ([]JitResult, error) {
 			HostMIPSFused:  mips(obs[1].instrs, wall[1]),
 		})
 	}
-	return out, nil
+	return out, desc, nil
 }
 
 // FormatJit renders the human-readable report.
@@ -195,22 +197,4 @@ func FormatJit(rs []JitResult) string {
 	b.WriteString("traps, cycles, instruction counts and final registers verified identical\n" +
 		"across both tiers on every ISA (MIPS are host wall-clock)\n")
 	return b.String()
-}
-
-// BenchJit is the BENCH_jit.json document.
-type BenchJit struct {
-	Benchmark string      `json:"benchmark"`
-	Workload  string      `json:"workload"`
-	Claim     string      `json:"claim"`
-	Rows      []JitResult `json:"rows"`
-}
-
-// BenchJitDoc wraps the study results in the JSON document.
-func BenchJitDoc(rs []JitResult) BenchJit {
-	return BenchJit{
-		Benchmark: "jit",
-		Workload:  fmt.Sprintf("all-register multiply-accumulate countdown, %d iterations", jitIters),
-		Claim:     "fused superinstruction dispatch outruns the reference stepper on compute-bound code with byte-identical observables",
-		Rows:      rs,
-	}
 }

@@ -147,25 +147,3 @@ func FormatParScaling(rs []ParResult) string {
 		"verified identical to the sequential engine at every size\n")
 	return b.String()
 }
-
-// BenchPar is the BENCH_par.json document. Unlike the other BENCH files it
-// records wall-clock times, so it is never baseline-compared; HostCPUs
-// gives the context needed to read the speedups.
-type BenchPar struct {
-	Benchmark string      `json:"benchmark"`
-	Workload  string      `json:"workload"`
-	HostCPUs  int         `json:"host_cpus"`
-	Claim     string      `json:"claim"`
-	Rows      []ParResult `json:"rows"`
-}
-
-// BenchParDoc wraps the scaling results in the JSON document.
-func BenchParDoc(rs []ParResult) BenchPar {
-	return BenchPar{
-		Benchmark: "par",
-		Workload:  "N-walker ring tour, identical per-node compute chunks",
-		HostCPUs:  runtime.NumCPU(),
-		Claim:     "parallel engine byte-identical to sequential; wall-clock scales with nodes on multi-core hosts",
-		Rows:      rs,
-	}
-}

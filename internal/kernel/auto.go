@@ -18,9 +18,9 @@ import (
 	"repro/internal/oid"
 )
 
-// DefaultAutoPeriodMicros is the policy tick period when the config leaves
-// it zero: 20 simulated milliseconds, a few times the cost of one move.
-const DefaultAutoPeriodMicros = 20000
+// autoPeriod is the policy tick period: 20 simulated milliseconds, a few
+// times the cost of one move.
+const autoPeriod netsim.Micros = 20000
 
 // armAuto builds the policy engine and schedules the first tick.
 func (c *Cluster) armAuto() error {
@@ -47,15 +47,8 @@ func (c *Cluster) armAuto() error {
 	for _, cls := range c.AutoPinned {
 		c.autoPinned[cls] = true
 	}
-	c.Sim.AtWeak(c.autoPeriod(), c.autoTick)
+	c.Sim.AtWeak(autoPeriod, c.autoTick)
 	return nil
-}
-
-func (c *Cluster) autoPeriod() netsim.Micros {
-	if c.AutoPeriodMicros > 0 {
-		return netsim.Micros(c.AutoPeriodMicros)
-	}
-	return DefaultAutoPeriodMicros
 }
 
 // AutoDecisionLog returns the policy engine's canonical decision log (nil
@@ -78,7 +71,7 @@ func (c *Cluster) autoTick() {
 		d := d
 		c.Sim.AtNode(d.From, 0, func() { c.Nodes[d.From].execAutoMove(d) })
 	}
-	c.Sim.AtWeak(c.autoPeriod(), c.autoTick)
+	c.Sim.AtWeak(autoPeriod, c.autoTick)
 }
 
 // autoView snapshots the cluster for the policy engine: per-node

@@ -119,8 +119,6 @@ func TestFixedShapeMessageAllocatesNothing(t *testing.T) {
 	}{
 		{"updateloc", func() { n0.sendMsg(1, &wire.UpdateLoc{Target: nobody, Node: 2, Epoch: 3}) },
 			&wire.UpdateLoc{Target: nobody, Node: 2, Epoch: 3}},
-		{"locatereply", func() { n0.sendMsg(1, &wire.LocateReply{Target: nobody, Node: 2, ReplyFrag: 5}) },
-			&wire.LocateReply{Target: nobody, Node: 2, ReplyFrag: 5}},
 		{"unfixreq", func() { n0.sendMsg(1, &wire.UnfixReq{Target: nobody, Refix: true, Dest: 2}) },
 			&wire.UnfixReq{Target: nobody, Refix: true, Dest: 2}},
 		{"moveack", func() { n0.sendMsg(1, &wire.MoveAck{Object: nobody, SpanID: 999, Epoch: 1, Ok: true}) },

@@ -263,10 +263,6 @@ func (n *Node) handleMsg(src int, p wire.Payload) {
 		}
 	case *wire.Locate:
 		n.recvLocate(src, p)
-	case *wire.LocateReply:
-		if o, ok := n.objects[p.Target]; ok && !o.Resident && p.Node >= 0 {
-			o.LastKnown = int(p.Node)
-		}
 	case *wire.DirPrepare:
 		n.recvDirPrepare(src, p)
 	case *wire.DirPromise:

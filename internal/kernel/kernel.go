@@ -62,6 +62,9 @@ func (m ConvMode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
+// MarshalText writes the mode by name, as BENCH_conv.json records it.
+func (m ConvMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
 // convRegime is what a transfer with one peer costs under a ConvMode: the
 // converter its values go through and the density of the network-format
 // layer's per-byte calls (§3.6), in halves of Costs.ConvCallsPerKB.
@@ -196,9 +199,6 @@ type Config struct {
 	// timers. Placement runs on the sequential engine only (the tick is a
 	// cluster-level simulation event).
 	AutoPolicy string
-	// AutoPeriodMicros is the policy tick period (0 selects
-	// DefaultAutoPeriodMicros).
-	AutoPeriodMicros int64
 	// AutoCohorts are class-name groups that migrate together, computed by
 	// internal/pta group-cohort analysis (core.NewSystem fills them in,
 	// translating site labels to class names so the kernel needs no pta

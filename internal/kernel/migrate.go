@@ -319,7 +319,6 @@ type moveSeg struct {
 func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 	tx := n.newMoveTxn(o, dest, fix)
 	n.charge(uint64(n.cluster.Costs.MigrateCycles))
-	peer := n.cluster.Nodes[dest].Spec.ID
 	conv := n.converterFor(dest)
 	prev := conv.Stats()
 
@@ -459,7 +458,7 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 				}
 				actStart := len(mv.acts)
 				for k := seg.a; k <= seg.b; k++ {
-					act, vs := n.marshalFrame(conv, peer, frames[k])
+					act, vs := n.marshalFrame(conv, frames[k])
 					n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 						Kind: obs.EvThreadStop, Span: sp.ID, Frag: fr.ID,
 						Obj: uint32(o.OID), A: uint64(act.Stop), Str: frames[k].lf.name()})
@@ -779,10 +778,8 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 	base := f.stackBase
 
 	// Convert youngest first (wire order), through the cached plan for
-	// (function, stop, sender ISA) — see plan.go. The converted words live
-	// in the node's scratch: they are in node memory by the time this
-	// returns.
-	peer := n.cluster.Nodes[src].Spec.ID
+	// (function, stop) — see plan.go. The converted words live in the
+	// node's scratch: they are in node memory by the time this returns.
 	mv := &n.mv
 	need := 0
 	for i := range wf.Acts {
@@ -801,7 +798,7 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 			panic(fmt.Sprintf("kernel: node %d: %v", n.ID, err))
 		}
 		lf := lc.funcs[a.FuncIndex]
-		pl := n.planFor(lf, a.Stop, peer)
+		pl := n.planFor(lf, a.Stop)
 		cf := convFrame{lf: lf, stop: pl.stop, entry: pl.entry}
 		if len(a.Vars) > 0 {
 			cf.vars = carve(len(a.Vars))

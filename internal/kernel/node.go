@@ -39,9 +39,9 @@ type loadedFunc struct {
 	// forces the legacy byte-at-a-time path (Config.LegacyDispatch, or a
 	// hand-built stream that does not predecode).
 	fz *arch.Fused
-	// plans caches compiled conversion plans per (bus stop, peer ISA); see
-	// plan.go. Lazily filled on first MD→MI conversion at each stop.
-	plans map[planKey]*convPlan
+	// plans caches compiled conversion plans per bus stop; see plan.go.
+	// Lazily filled on the first conversion (either way) at each stop.
+	plans map[uint16]*convPlan
 }
 
 func (lf *loadedFunc) name() string { return lf.fc.Name }

@@ -3,11 +3,12 @@
 // register home, frame offset and value kind on every hop, although all
 // of that is static per (function, bus stop). A convPlan compiles the
 // resolution once — on the first conversion at a stop — into flat slot
-// descriptors, and is cached on the loadedFunc keyed by (bus stop, peer
-// ISA); together with the code object and this node's own ISA that is
-// the paper's (code object, bus stop, ISA pair) key. Repeated hops of
-// the same thread (the kilroy tour, mobile13) then skip template
-// interpretation entirely.
+// descriptors, and is cached on the loadedFunc keyed by bus stop; with
+// the code object and this node's own ISA that is the paper's (code
+// object, bus stop, ISA) key. Nothing in a plan depends on the peer's
+// ISA (the converter carries that), so one plan serves every peer and
+// both directions. Repeated hops of the same thread (the kilroy tour,
+// mobile13) then skip template interpretation entirely.
 //
 // Plans change how fast conversion runs, never what it does: the
 // converter call sequence (which feeds the simulated conversion cost via
@@ -24,7 +25,6 @@ package kernel
 import (
 	"fmt"
 
-	"repro/internal/arch"
 	"repro/internal/busstop"
 	"repro/internal/ir"
 	"repro/internal/wire"
@@ -47,17 +47,9 @@ type varPlan struct {
 	zero  uint32
 }
 
-// planKey identifies a plan within one loadedFunc: the bus stop
-// (wire.EntryStop for entry frames) and the ISA on the other side of the
-// conversion.
-type planKey struct {
-	stop uint16
-	peer arch.ID
-}
-
-// convPlan is the compiled conversion plan for one (function, bus stop,
-// peer ISA): variable homes and the stop record (whose TempKinds give the
-// temp slots' kinds, see tempKindAt), all resolved once.
+// convPlan is the compiled conversion plan for one (function, bus stop):
+// variable homes and the stop record (whose TempKinds give the temp
+// slots' kinds, see tempKindAt), all resolved once.
 type convPlan struct {
 	vars    []varPlan
 	stop    busstop.Info
@@ -65,12 +57,11 @@ type convPlan struct {
 	tempOff uint32
 }
 
-// planFor returns the cached plan for (lf, stopNum, peer), compiling it
-// on first use. stopNum is wire.EntryStop for entry frames. An unknown
-// stop number panics exactly like the template-interpreting path did.
-func (n *Node) planFor(lf *loadedFunc, stopNum uint16, peer arch.ID) *convPlan {
-	key := planKey{stop: stopNum, peer: peer}
-	if pl, ok := lf.plans[key]; ok {
+// planFor returns the cached plan for (lf, stopNum), compiling it on
+// first use. stopNum is wire.EntryStop for entry frames. An unknown stop
+// number panics exactly like the template-interpreting path did.
+func (n *Node) planFor(lf *loadedFunc, stopNum uint16) *convPlan {
+	if pl, ok := lf.plans[stopNum]; ok {
 		return pl
 	}
 	t := lf.fc.Template
@@ -103,19 +94,19 @@ func (n *Node) planFor(lf *loadedFunc, stopNum uint16, peer arch.ID) *convPlan {
 		}
 	}
 	if lf.plans == nil {
-		lf.plans = make(map[planKey]*convPlan)
+		lf.plans = make(map[uint16]*convPlan)
 	}
-	lf.plans[key] = pl
+	lf.plans[stopNum] = pl
 	return pl
 }
 
 // marshalFrame converts one activation to machine-independent form,
 // returning also the shipped values (for hint collection). It runs over
-// the cached conversion plan for (function, stop, peer ISA), compiling it
-// on the first hop through this stop. One backing array serves vars, temps
+// the cached conversion plan for (function, stop), compiling it on the
+// first hop through this stop. One backing array serves vars, temps
 // and the shipped-value list — sized from the plan, so steady-state
 // marshalling performs a single allocation per frame.
-func (n *Node) marshalFrame(conv *wire.Converter, peer arch.ID, fi frameInfo) (wire.MIActivation, []wire.Value) {
+func (n *Node) marshalFrame(conv *wire.Converter, fi frameInfo) (wire.MIActivation, []wire.Value) {
 	act := wire.MIActivation{
 		CodeOID:   fi.lf.code.oc.CodeOID,
 		FuncIndex: uint16(fi.lf.idx),
@@ -127,7 +118,7 @@ func (n *Node) marshalFrame(conv *wire.Converter, peer arch.ID, fi frameInfo) (w
 		act.Stop = uint16(fi.stop.Stop)
 		nt = fi.tempDepth
 	}
-	pl := n.planFor(fi.lf, act.Stop, peer)
+	pl := n.planFor(fi.lf, act.Stop)
 	nv := len(pl.vars)
 	if nv+nt == 0 {
 		return act, nil

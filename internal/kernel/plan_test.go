@@ -109,7 +109,6 @@ func warmPlanRoundtrip(t *testing.T, cfg Config) (n *Node, pl *convPlan, want, b
 		want = append(want, w)
 	}
 
-	peer := c.Nodes[1].Spec.ID
 	conv := n.converterFor(1)
 	kindAt := func(pl *convPlan, i int) ir.VK {
 		if i < len(pl.vars) {
@@ -119,17 +118,17 @@ func warmPlanRoundtrip(t *testing.T, cfg Config) (n *Node, pl *convPlan, want, b
 	}
 
 	// Warm: the first hop compiles and caches the plan.
-	act, shipped := n.marshalFrame(conv, peer, fi)
+	act, shipped := n.marshalFrame(conv, fi)
 	if int(act.Stop) != stop.Stop || len(shipped) != len(want) {
 		t.Fatalf("warm marshal: stop %d (%d values), want stop %d (%d values)",
 			act.Stop, len(shipped), stop.Stop, len(want))
 	}
-	pl = n.planFor(lf, uint16(stop.Stop), peer)
+	pl = n.planFor(lf, uint16(stop.Stop))
 
 	back = make([]uint32, len(want))
 	var m wire.MIActivation
 	allocs = testing.AllocsPerRun(100, func() {
-		a, vals := n.marshalFrame(conv, peer, fi)
+		a, vals := n.marshalFrame(conv, fi)
 		m = a
 		for i, v := range vals {
 			w, err := n.unwireValue(conv, kindAt(pl, i), v, nil, 1)
@@ -200,5 +199,45 @@ func TestWarmPlanConversionAllocsSharpened(t *testing.T) {
 	if n.CanonicalizedVarSlots == 0 || n.MarshaledVarSlots < n.CanonicalizedVarSlots {
 		t.Errorf("counters: marshaled %d, canonicalized %d; want 0 < canonicalized <= marshaled",
 			n.MarshaledVarSlots, n.CanonicalizedVarSlots)
+	}
+}
+
+// A plan depends on the function and the bus stop alone — the converter
+// carries the peer's formats — so a node compiles each stop's plan once,
+// whichever ISAs it converts toward or from. On the Figure 1 network the
+// kilroy tour arrives at the HP (node 1) from the Sun-3 and leaves it for
+// the SPARC through the same move stop: one plan serves both hops.
+func TestPlanPerStop(t *testing.T) {
+	p := compileSrc(t, kilroySrc(t))
+	c, err := NewCluster(p, []netsim.MachineModel{mSun3, mHP1, mSPARC, mVAX}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start(nil)
+	if err := c.Run(5_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.PrintedLines(); len(got) != 1 || got[0] != "Kilroy was here: node0 node1 node2 node3" {
+		t.Fatalf("kilroy printed %q", got)
+	}
+	for _, n := range c.Nodes {
+		for _, lc := range n.codeByOID {
+			for _, lf := range lc.funcs {
+				stops := map[int]bool{}
+				for _, pl := range lf.plans {
+					if pl.entry {
+						stops[-1] = true
+					} else {
+						stops[pl.stop.Stop] = true
+					}
+				}
+				if len(lf.plans) != len(stops) {
+					t.Errorf("node %d %s: %d plans for %d bus stops", n.ID, lf.name(), len(lf.plans), len(stops))
+				}
+				if n.ID == 1 && lf.name() == "Kilroy.tour" && len(lf.plans) != 1 {
+					t.Errorf("node 1 Kilroy.tour: %d plans, want the move stop's one", len(lf.plans))
+				}
+			}
+		}
 	}
 }

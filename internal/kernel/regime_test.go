@@ -24,9 +24,9 @@ type regimeCounts struct {
 
 // TestConvRegimes pins the four conversion regimes exactly on the Table 1
 // workload, on a homogeneous (SPARC↔SPARC) and a heterogeneous (SPARC↔VAX)
-// pair. BENCH_conv.json's 20 % drift gate cannot see a one-call change in
-// a converter row or in the network-layer density; these literals can. The
-// original system refuses the heterogeneous pair.
+// pair. BENCH_conv.json covers only the homogeneous pair and only calls,
+// bytes and time in total; these literals pin each regime's per-kind
+// counts on both pairs. The original system refuses the heterogeneous pair.
 func TestConvRegimes(t *testing.T) {
 	prog, err := core.Compile(exp.Mobile13Source)
 	if err != nil {

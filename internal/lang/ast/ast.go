@@ -7,11 +7,6 @@ package ast
 
 import "repro/internal/lang/token"
 
-// Node is implemented by every AST node.
-type Node interface {
-	Pos() token.Pos
-}
-
 // ---------------------------------------------------------------- program
 
 // Program is a parsed compilation unit.
@@ -32,8 +27,6 @@ type ObjectDecl struct {
 	Initially *Block // runs at creation, before the process
 	Process   *Block // initial thread body, if any
 }
-
-func (d *ObjectDecl) Pos() token.Pos { return d.NamePos }
 
 // Op returns the operation (monitored or not) named name, or nil.
 func (d *ObjectDecl) Op(name string) *OpDecl {
@@ -78,8 +71,6 @@ type MonitorDecl struct {
 	Ops    []*OpDecl
 }
 
-func (d *MonitorDecl) Pos() token.Pos { return d.MonPos }
-
 // VarDecl declares an object variable or a local variable.
 type VarDecl struct {
 	VarPos token.Pos
@@ -88,16 +79,12 @@ type VarDecl struct {
 	Init   Expr // optional
 }
 
-func (d *VarDecl) Pos() token.Pos { return d.VarPos }
-
 // Param is a formal argument or result of an operation.
 type Param struct {
 	NamePos token.Pos
 	Name    string
 	Type    *TypeExpr
 }
-
-func (p *Param) Pos() token.Pos { return p.NamePos }
 
 // OpDecl declares an operation or function. Results are named; falling off
 // the end (or `return`) yields the current values of the result variables.
@@ -111,8 +98,6 @@ type OpDecl struct {
 	Body      *Block
 }
 
-func (d *OpDecl) Pos() token.Pos { return d.OpPos }
-
 // TypeExpr is a syntactic type: a named type or Array[Elem].
 type TypeExpr struct {
 	NamePos token.Pos
@@ -120,21 +105,10 @@ type TypeExpr struct {
 	Elem    *TypeExpr // for Array
 }
 
-func (t *TypeExpr) Pos() token.Pos { return t.NamePos }
-
-// String renders the type expression.
-func (t *TypeExpr) String() string {
-	if t.Name == "Array" && t.Elem != nil {
-		return "Array[" + t.Elem.String() + "]"
-	}
-	return t.Name
-}
-
 // ---------------------------------------------------------------- statements
 
 // Stmt is implemented by all statement nodes.
 type Stmt interface {
-	Node
 	stmt()
 }
 
@@ -144,13 +118,10 @@ type Block struct {
 	Stmts []Stmt
 }
 
-func (b *Block) Pos() token.Pos { return b.LPos }
-
 // DeclStmt is a local variable declaration.
 type DeclStmt struct{ Decl *VarDecl }
 
-func (s *DeclStmt) Pos() token.Pos { return s.Decl.VarPos }
-func (s *DeclStmt) stmt()          {}
+func (s *DeclStmt) stmt() {}
 
 // AssignStmt assigns Rhs to Lhs (an identifier or index expression).
 type AssignStmt struct {
@@ -158,14 +129,12 @@ type AssignStmt struct {
 	Rhs Expr
 }
 
-func (s *AssignStmt) Pos() token.Pos { return s.Lhs.Pos() }
-func (s *AssignStmt) stmt()          {}
+func (s *AssignStmt) stmt() {}
 
 // ExprStmt evaluates an expression for effect (an invocation).
 type ExprStmt struct{ X Expr }
 
-func (s *ExprStmt) Pos() token.Pos { return s.X.Pos() }
-func (s *ExprStmt) stmt()          {}
+func (s *ExprStmt) stmt() {}
 
 // IfStmt is if/elseif/else. Elifs pair conditions with blocks.
 type IfStmt struct {
@@ -182,8 +151,7 @@ type ElseIf struct {
 	Then *Block
 }
 
-func (s *IfStmt) Pos() token.Pos { return s.IfPos }
-func (s *IfStmt) stmt()          {}
+func (s *IfStmt) stmt() {}
 
 // LoopStmt is `loop ... end`; exits via ExitStmt.
 type LoopStmt struct {
@@ -191,8 +159,7 @@ type LoopStmt struct {
 	Body    *Block
 }
 
-func (s *LoopStmt) Pos() token.Pos { return s.LoopPos }
-func (s *LoopStmt) stmt()          {}
+func (s *LoopStmt) stmt() {}
 
 // WhileStmt is `while cond do ... end`.
 type WhileStmt struct {
@@ -201,8 +168,7 @@ type WhileStmt struct {
 	Body     *Block
 }
 
-func (s *WhileStmt) Pos() token.Pos { return s.WhilePos }
-func (s *WhileStmt) stmt()          {}
+func (s *WhileStmt) stmt() {}
 
 // ExitStmt leaves the innermost loop, optionally `exit when cond`.
 type ExitStmt struct {
@@ -210,15 +176,13 @@ type ExitStmt struct {
 	When    Expr // may be nil
 }
 
-func (s *ExitStmt) Pos() token.Pos { return s.ExitPos }
-func (s *ExitStmt) stmt()          {}
+func (s *ExitStmt) stmt() {}
 
 // ReturnStmt returns from the current operation (result variables carry the
 // values) or terminates the current process.
 type ReturnStmt struct{ RetPos token.Pos }
 
-func (s *ReturnStmt) Pos() token.Pos { return s.RetPos }
-func (s *ReturnStmt) stmt()          {}
+func (s *ReturnStmt) stmt() {}
 
 // MoveStmt is `move x to target` (target: Node expression).
 type MoveStmt struct {
@@ -227,8 +191,7 @@ type MoveStmt struct {
 	To      Expr
 }
 
-func (s *MoveStmt) Pos() token.Pos { return s.MovePos }
-func (s *MoveStmt) stmt()          {}
+func (s *MoveStmt) stmt() {}
 
 // FixStmt is `fix x at target` or `refix x at target`.
 type FixStmt struct {
@@ -238,8 +201,7 @@ type FixStmt struct {
 	At     Expr
 }
 
-func (s *FixStmt) Pos() token.Pos { return s.FixPos }
-func (s *FixStmt) stmt()          {}
+func (s *FixStmt) stmt() {}
 
 // UnfixStmt is `unfix x`.
 type UnfixStmt struct {
@@ -247,8 +209,7 @@ type UnfixStmt struct {
 	X        Expr
 }
 
-func (s *UnfixStmt) Pos() token.Pos { return s.UnfixPos }
-func (s *UnfixStmt) stmt()          {}
+func (s *UnfixStmt) stmt() {}
 
 // WaitStmt is `wait c` on a Condition variable; the monitor is released while
 // waiting and reacquired before continuing.
@@ -257,8 +218,7 @@ type WaitStmt struct {
 	Cond    Expr
 }
 
-func (s *WaitStmt) Pos() token.Pos { return s.WaitPos }
-func (s *WaitStmt) stmt()          {}
+func (s *WaitStmt) stmt() {}
 
 // SignalStmt is `signal c`: wakes one waiter, if any.
 type SignalStmt struct {
@@ -266,14 +226,14 @@ type SignalStmt struct {
 	Cond   Expr
 }
 
-func (s *SignalStmt) Pos() token.Pos { return s.SigPos }
-func (s *SignalStmt) stmt()          {}
+func (s *SignalStmt) stmt() {}
 
 // ---------------------------------------------------------------- expressions
 
-// Expr is implemented by all expression nodes.
+// Expr is implemented by all expression nodes. Only expressions report a
+// position: every front-end error site names one.
 type Expr interface {
-	Node
+	Pos() token.Pos
 	expr()
 }
 

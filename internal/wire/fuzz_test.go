@@ -8,7 +8,6 @@ package wire
 import (
 	"bytes"
 	"encoding/hex"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -41,7 +40,6 @@ func seedPayloads() []Payload {
 			Hints:  []LocHint{{OID: 4, Node: 1}},
 			SpanID: 11},
 		&Locate{Target: 7, Origin: 0, ReplyFrag: 1, Hops: 3},
-		&LocateReply{Target: 7, Node: 2, ReplyFrag: 1},
 		&UpdateLoc{Target: 7, Node: 2, Epoch: 4},
 		&MoveAck{Object: 7, SpanID: 11, Epoch: 2, Ok: false, Err: "bad piece index"},
 		&MoveGroup{Inner: []*Move{{Object: 7, CodeOID: 3, Epoch: 2, SpanID: 11},
@@ -61,8 +59,9 @@ func seedPayloads() []Payload {
 }
 
 // seedMsgs returns the seed payloads as marshalled Msgs, plus decree
-// messages with malformed tails: ragged accept, learn and prepare lists, and
-// a promise one entry short of its prepare.
+// messages with malformed tails (ragged accept, learn and prepare lists, a
+// promise one entry short of its prepare) and a Locate relabelled with the
+// retired kind number 6.
 func seedMsgs() [][]byte {
 	var out [][]byte
 	for i, p := range seedPayloads() {
@@ -74,6 +73,11 @@ func seedMsgs() [][]byte {
 			out = append(out, b[:len(b)-5])
 		case *DirPromise:
 			out = append(out, b[:len(b)-dirAccBytes])
+		case *Locate:
+			// Kind 6, the retired LocateReply's number: no decoder accepts it.
+			retired := append([]byte(nil), b...)
+			retired[0] = 6
+			out = append(out, retired)
 		}
 	}
 	return out
@@ -87,15 +91,18 @@ func TestSeedCorpusCoversEveryKind(t *testing.T) {
 	for _, p := range seedPayloads() {
 		seeded[KindOf(p)] = true
 	}
-	kinds := 0
-	for k := MsgKind(1); k.String() != fmt.Sprintf("msg(%d)", byte(k)); k++ {
-		kinds++
+	named := 0
+	for k := MsgKind(1); int(k) < len(kinds); k++ {
+		if !k.known() {
+			continue
+		}
+		named++
 		if !seeded[k] {
 			t.Errorf("no fuzz seed for message kind %d (%s)", byte(k), k)
 		}
 	}
-	if len(seeded) != kinds {
-		t.Errorf("%d named kinds but %d seeded: a seed's kind has no name", kinds, len(seeded))
+	if len(seeded) != named {
+		t.Errorf("%d named kinds but %d seeded: a seed's kind has no name", named, len(seeded))
 	}
 }
 

@@ -421,16 +421,16 @@ type MsgKind byte
 
 // Protocol messages.
 const (
-	MInvoke      MsgKind = iota + 1 // start a remote invocation
-	MReturn                         // deliver an invocation result
-	MMoveReq                        // ask the holder of an object to move it
-	MMove                           // the object (and thread fragments) itself
-	MLocate                         // where is OID?
-	MLocateReply                    //
-	MUpdateLoc                      // forwarding hint: OID now lives at node
-	MUnfixReq                       // unfix/refix control for a remote object
-	MMoveAck                        // destination's install ack for a Move (2PC)
-	MMoveGroup                      // batched cohort move: several Moves in one frame
+	MInvoke    MsgKind = iota + 1 // start a remote invocation
+	MReturn                       // deliver an invocation result
+	MMoveReq                      // ask the holder of an object to move it
+	MMove                         // the object (and thread fragments) itself
+	MLocate                       // where is OID?
+	_                             // 6: retired (LocateReply, never sent); later kinds keep their numbers
+	MUpdateLoc                    // forwarding hint: OID now lives at node
+	MUnfixReq                     // unfix/refix control for a remote object
+	MMoveAck                      // destination's install ack for a Move (2PC)
+	MMoveGroup                    // batched cohort move: several Moves in one frame
 	// Directory protocol (emdir): one Paxos instance per (oid, epoch)
 	// move-commit slot, plus the replicated lookup service. A decree message
 	// carries a list of slots sharing one ballot — one slot for a single
@@ -464,7 +464,6 @@ var kinds = [...]kindInfo{
 	MMoveReq:        kind[MoveReq]("movereq"),
 	MMove:           kind[Move]("move"),
 	MLocate:         kind[Locate]("locate"),
-	MLocateReply:    kind[LocateReply]("locatereply"),
 	MUpdateLoc:      kind[UpdateLoc]("updateloc"),
 	MUnfixReq:       kind[UnfixReq]("unfixreq"),
 	MMoveAck:        kind[MoveAck]("moveack"),
@@ -488,7 +487,7 @@ func (k MsgKind) String() string {
 	return fmt.Sprintf("msg(%d)", byte(k))
 }
 
-// Payload is a message body: one of the seventeen kinds below, each of which
+// Payload is a message body: one of the sixteen kinds below, each of which
 // states its wire layout in its fields method. Nothing on a message's path
 // calls a method through this interface — KindOf and the codec switch on the
 // concrete type — so a payload literal handed to a sender never escapes to
@@ -510,8 +509,6 @@ func KindOf(p Payload) MsgKind {
 		return MMove
 	case *Locate:
 		return MLocate
-	case *LocateReply:
-		return MLocateReply
 	case *UpdateLoc:
 		return MUpdateLoc
 	case *UnfixReq:
@@ -551,8 +548,6 @@ func (c *codec) payload(p Payload) {
 	case *Move:
 		p.fields(c)
 	case *Locate:
-		p.fields(c)
-	case *LocateReply:
 		p.fields(c)
 	case *UpdateLoc:
 		p.fields(c)
@@ -896,19 +891,6 @@ func (p *Locate) fields(c *codec) {
 	c.i32(&p.Origin)
 	c.u32(&p.ReplyFrag)
 	c.u16(&p.Hops)
-}
-
-// LocateReply answers a Locate.
-type LocateReply struct {
-	Target    oid.OID
-	Node      int32 // -1 = unknown here
-	ReplyFrag uint32
-}
-
-func (p *LocateReply) fields(c *codec) {
-	c.oid(&p.Target)
-	c.i32(&p.Node)
-	c.u32(&p.ReplyFrag)
 }
 
 // UpdateLoc is a forwarding hint sent back to a node that used a stale

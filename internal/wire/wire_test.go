@@ -294,7 +294,6 @@ func TestMoveReqLocateRoundtrips(t *testing.T) {
 		&MoveReq{Target: 9, Dest: 2, Fix: true},
 		&UnfixReq{Target: 9, Refix: true, Dest: 1},
 		&Locate{Target: 3, ReplyFrag: 12},
-		&LocateReply{Target: 3, Node: -1, ReplyFrag: 12},
 		&UpdateLoc{Target: 3, Node: 2},
 	} {
 		m := &Msg{Src: 1, Dst: 0, Seq: 1, Payload: p}
@@ -349,6 +348,11 @@ func TestEncDecU64(t *testing.T) {
 func TestUnmarshalGarbage(t *testing.T) {
 	if _, err := Unmarshal([]byte{0xff, 1, 2, 3}); err == nil {
 		t.Error("unknown kind must fail")
+	}
+	retired := (&Msg{Payload: &Locate{Target: 3}}).Marshal()
+	retired[0] = 6 // LocateReply's number, retired unsent
+	if _, err := Unmarshal(retired); err == nil {
+		t.Error("retired kind 6 must fail")
 	}
 	if _, err := Unmarshal([]byte{byte(MInvoke), 1}); err == nil {
 		t.Error("truncated invoke must fail")
