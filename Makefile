@@ -12,7 +12,7 @@ GO ?= go
 
 .PHONY: ci build test vet emvet race baseline-smoke bench-smoke fuzz-smoke pta-smoke emperf-smoke emperf-pairs census bench-baselines
 
-ci: vet build race emvet baseline-smoke bench-smoke fuzz-smoke pta-smoke emperf-smoke
+ci: vet build race emvet baseline-smoke bench-smoke fuzz-smoke pta-smoke emperf-smoke census
 
 build:
 	$(GO) build ./...
@@ -66,8 +66,8 @@ REF ?= HEAD
 emperf-pairs:
 	$(GO) run ./tools/pairbench -w $(W) -n $(N) -ref $(REF)
 
-# The code census (ROADMAP emcut), run by hand and kept out of ci (about a
-# minute): which non-test functions does no shipped surface execute? Every
+# The code census (ROADMAP emcut), the last ci step so the list cannot rot
+# between hand runs: which non-test functions does no shipped surface execute? Every
 # command is cover-built and run into one GOCOVERDIR: emc's listings and
 # emvet (diagnostics, -graph, -passes) over the corpus, emvet over its own
 # defect corpus and emc over testdata/census's ill-formed programs (a lexer,

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/bridge"
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/exp"
@@ -120,11 +119,11 @@ func BenchmarkFigure2(b *testing.B) {
 // Figures 3+4: bridging-code synthesis for migration between differently
 // optimized codes.
 func BenchmarkFigure3Bridging(b *testing.B) {
-	abstract, code1, code2, _, _ := bridge.Figure3()
+	abstract, code1, code2, _, _ := exp.Figure3()
 	stop := code1.IndexOf("switch()") + 1
 	b.Run("synthesize", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			plan, err := bridge.Build(abstract, code1, stop, code2)
+			plan, err := exp.BuildBridge(abstract, code1, stop, code2)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -135,8 +134,8 @@ func BenchmarkFigure3Bridging(b *testing.B) {
 	})
 	b.Run("synthesize-and-verify", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			plan, _ := bridge.Build(abstract, code1, stop, code2)
-			tr := bridge.RunWithMigration(code1, stop, plan)
+			plan, _ := exp.BuildBridge(abstract, code1, stop, code2)
+			tr := exp.RunWithMigration(code1, stop, plan)
 			if err := tr.ExactlyOnce(abstract); err != nil {
 				b.Fatal(err)
 			}

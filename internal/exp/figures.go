@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/bridge"
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -108,13 +107,13 @@ func FormatFigure2(rows []Fig2Row) string {
 
 // Figure34 renders the bridging-code example (Figures 3 and 4).
 func Figure34() (string, error) {
-	abstract, code1, code2, _, _ := bridge.Figure3()
+	abstract, code1, code2, _, _ := Figure3()
 	stop := code1.IndexOf("switch()") + 1
-	plan, err := bridge.Build(abstract, code1, stop, code2)
+	plan, err := BuildBridge(abstract, code1, stop, code2)
 	if err != nil {
 		return "", err
 	}
-	tr := bridge.RunWithMigration(code1, stop, plan)
+	tr := RunWithMigration(code1, stop, plan)
 	if err := tr.ExactlyOnce(abstract); err != nil {
 		return "", err
 	}

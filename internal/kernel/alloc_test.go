@@ -81,7 +81,7 @@ func TestReliableFrameLifeAllocatesThree(t *testing.T) {
 	})
 	inner := make([]byte, 48)
 	life := func() {
-		n0.sendReliable(1, inner, "test", nil)
+		n0.sendReliable(1, inner, "test")
 		if err := c.Run(1000); err != nil {
 			t.Fatal(err)
 		}
@@ -152,5 +152,68 @@ func TestDirDecreeAllocBudget(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// spinnerSrc starts one compute-bound thread inside object A.
+const spinnerSrc = `
+object A
+  process
+    var i: Int <- 0
+    while i < 100000000 do
+      i <- i + 1
+    end
+  end process
+end A
+`
+
+// One steady-state chaos-off move of a plain object with a thread inside
+// it — prepared, sent as a cohort of one, delivered and installed — costs
+// at most the 9 allocations the object and thread hop measured before
+// every move went through the cohort collector: the collector is node
+// scratch, so a lone move pays nothing for it.
+func TestLoneMoveAllocBudget(t *testing.T) {
+	c, err := NewCluster(compileSrc(t, spinnerSrc), []netsim.MachineModel{mSPARC, mVAX}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start(nil)
+	for i := 0; i < 1000; i++ { // past bootstrap and code loading
+		c.Sim.Step()
+	}
+	var a *Obj
+	for _, o := range c.Nodes[0].objects {
+		if o.Resident && o.Kind == ObjPlain && o.Code.oc.Name == "A" {
+			a = o
+		}
+	}
+	if a == nil {
+		t.Fatal("object A is not resident on node 0")
+	}
+	home := 0
+	hop := func() {
+		dest := 1 - home
+		c.Nodes[home].moveGroup([]*Obj{c.Nodes[home].objects[a.OID]}, dest, false)
+		for o := c.Nodes[dest].objects[a.OID]; o == nil || !o.Resident; o = c.Nodes[dest].objects[a.OID] {
+			if !c.Sim.Step() {
+				t.Fatal("simulation ran dry before the move installed")
+			}
+		}
+		home = dest
+	}
+	for i := 0; i < 10; i++ { // warm: both nodes' scratch, queues and maps
+		hop()
+	}
+	migrations := c.Nodes[0].Migrations + c.Nodes[1].Migrations
+	got := testing.AllocsPerRun(200, hop)
+	if got > 9 {
+		t.Errorf("one plain move with its thread = %v allocs, want <= 9", got)
+	}
+	if m := c.Nodes[0].Migrations + c.Nodes[1].Migrations - migrations; m != 201 {
+		t.Errorf("%d migrations, want 201", m)
+	}
+	if len(c.Nodes[home].frags) != 1 || len(c.Faults) != 0 {
+		t.Fatalf("the thread did not travel with A: %d frags at its home, faults %v",
+			len(c.Nodes[home].frags), c.Faults)
 	}
 }

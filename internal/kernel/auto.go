@@ -129,11 +129,10 @@ func (n *Node) execAutoMove(d auto.Decision) {
 		return
 	}
 	cohort := n.cohortOf(o)
-	if len(cohort) > 1 && !n.cluster.AutoNoBatch {
-		n.moveGroup(cohort, d.To, false)
-		return
+	if n.cluster.AutoNoBatch {
+		cohort = cohort[:1]
 	}
-	n.moveObject(o, d.To, false)
+	n.moveGroup(cohort, d.To, false)
 }
 
 // cohortOf expands o to its co-resident group-migration cohort: the

@@ -138,34 +138,52 @@ type dirProposal struct {
 	stalledTimer bool
 }
 
-// dirPropose starts the decree recording the moves txs at their destination
-// — one move, or the members of a MoveGroup cohort whose shards replicate on
-// one node set (dirProposeCohort splits a cohort so). The proposal is filed
-// under its first slot: a slot has one proposer and one proposal, so that is
-// unique. Under chaos the moves are positively acked and still pending, and
-// commit when the decree resolves; chaos-off they committed at dispatch,
-// delivery is certain, and the decree is fire-and-forget.
+// dirPropose starts the decrees recording the moves txs — one move, or a
+// cohort's members — at their destinations: one decree per shard replica
+// set, so members whose shards replicate on the same node set share one
+// round (with DirNoGroupDecrees, one decree per move). It reorders txs in
+// place, stably, grouping each replica set's members. A proposal is filed
+// under its first slot: a slot has one proposer and one proposal, so that
+// is unique. Under chaos the moves are positively acked and still pending,
+// and commit when their decree resolves; chaos-off they committed at
+// dispatch, delivery is certain, and the decrees are fire-and-forget.
 func (n *Node) dirPropose(txs []*moveTxn) {
-	es := make([]dir.Entry, len(txs))
-	for i, tx := range txs {
-		es[i] = dir.Entry{Slot: dir.Slot{OID: tx.obj.OID, Epoch: tx.obj.Epoch}, Value: int32(tx.dest)}
-	}
-	dp := &dirProposal{
-		Proposal: dir.NewProposal(es, int32(n.ID), n.cluster.dirCfg.Quorum()),
-		replicas: n.dirReplicasOf(txs[0].obj.OID),
-	}
-	dp.slots = dp.one[:0]
-	live, joined := n.dirProps[dp.Key()]
-	if joined {
-		dp = live // the decree is already in flight
-	} else {
-		n.dirProps[dp.Key()] = dp
-	}
-	if txs[0].live {
-		dp.commit = append(dp.commit, txs...)
-	}
-	if !joined {
-		n.dirRound(dp)
+	for len(txs) > 0 {
+		// txs[:k] becomes the members on txs[0]'s replica set, in order.
+		k := 1
+		if !n.cluster.Config.DirNoGroupDecrees {
+			set := n.dirReplicasOf(txs[0].obj.OID)
+			for i := 1; i < len(txs); i++ {
+				if tx := txs[i]; slices.Equal(n.dirReplicasOf(tx.obj.OID), set) {
+					copy(txs[k+1:i+1], txs[k:i])
+					txs[k] = tx
+					k++
+				}
+			}
+		}
+		same := txs[:k]
+		txs = txs[k:]
+		es := make([]dir.Entry, len(same))
+		for i, tx := range same {
+			es[i] = dir.Entry{Slot: dir.Slot{OID: tx.obj.OID, Epoch: tx.obj.Epoch}, Value: int32(tx.dest)}
+		}
+		dp := &dirProposal{
+			Proposal: dir.NewProposal(es, int32(n.ID), n.cluster.dirCfg.Quorum()),
+			replicas: n.dirReplicasOf(same[0].obj.OID),
+		}
+		dp.slots = dp.one[:0]
+		live, joined := n.dirProps[dp.Key()]
+		if joined {
+			dp = live // the decree is already in flight
+		} else {
+			n.dirProps[dp.Key()] = dp
+		}
+		if same[0].live {
+			dp.commit = append(dp.commit, same...)
+		}
+		if !joined {
+			n.dirRound(dp)
+		}
 	}
 }
 
@@ -646,25 +664,6 @@ func (n *Node) dirCompactTick() {
 
 // -------------------------------------------------- cohort decrees
 
-// dirProposeCohort drives the decrees of a MoveGroup cohort's moves, one per
-// shard replica set: members whose shards replicate on the same node set
-// share one decree round instead of opening one each.
-func (n *Node) dirProposeCohort(txs []*moveTxn) {
-	for len(txs) > 0 {
-		set := n.dirReplicasOf(txs[0].obj.OID)
-		var same, rest []*moveTxn
-		for _, tx := range txs {
-			if slices.Equal(n.dirReplicasOf(tx.obj.OID), set) {
-				same = append(same, tx)
-			} else {
-				rest = append(rest, tx)
-			}
-		}
-		n.dirPropose(same)
-		txs = rest
-	}
-}
-
 // dirGroupBatch collects one MoveGroup cohort's in-flight transactions
 // under chaos so their decrees ride shared rounds: members' MoveAcks arrive
 // back to back (the whole cohort installs in one frame event), the batch
@@ -684,7 +683,7 @@ func (n *Node) dirBatchAcked(tx *moveTxn) {
 	b.ready = append(b.ready, tx)
 	b.outstanding--
 	if b.outstanding == 0 {
-		n.dirProposeCohort(b.ready)
+		n.dirPropose(b.ready)
 	}
 }
 
@@ -698,7 +697,7 @@ func (n *Node) dirBatchDrop(tx *moveTxn) {
 	tx.dirBatch = nil
 	b.outstanding--
 	if b.outstanding == 0 {
-		n.dirProposeCohort(b.ready)
+		n.dirPropose(b.ready)
 	}
 }
 

@@ -1,11 +1,13 @@
-// Batched group migration: a whole cohort of objects (each prepared exactly
-// like a single move — stack walk, conversion, two-phase transaction) rides
-// one MoveGroup frame to the destination, amortizing the per-frame wire
-// overhead and per-message protocol cost across the cohort. The group is a
-// purely link-level batching: at the destination each inner Move runs the
-// unchanged single-object install path, so per-span deduplication, structural
-// validation, per-member MoveAcks and the two-phase commit all hold member by
-// member even when the whole batch retransmits or partially fails.
+// Every move is a cohort: moveGroup prepares each member exactly like a
+// single move — stack walk, conversion, two-phase transaction — and one
+// send tail puts the whole cohort on the wire. A cohort of one leaves as a
+// bare Move; a larger one rides one MoveGroup frame to the destination,
+// amortizing the per-frame wire overhead and per-message protocol cost
+// across the cohort. The group is a purely link-level batching: at the
+// destination each inner Move runs the unchanged single-object install
+// path, so per-span deduplication, structural validation, per-member
+// MoveAcks and the two-phase commit all hold member by member even when the
+// whole batch retransmits or partially fails.
 
 package kernel
 
@@ -14,11 +16,14 @@ import (
 	"repro/internal/wire"
 )
 
-// moveCollector accumulates prepared Moves bound for one destination so
-// they can leave in one batched MoveGroup frame.
+// moveCollector is the node's scratch for the cohort being moved: the
+// prepared members, and the lists the send tail builds from them. Like
+// moveScratch it is truncated and refilled cohort after cohort, so a
+// steady stream of moves allocates none of it.
 type moveCollector struct {
-	dest  int
 	items []groupItem
+	inner []*wire.Move
+	txs   []*moveTxn
 }
 
 // groupItem is one prepared member move: its wire message, transaction,
@@ -30,123 +35,140 @@ type groupItem struct {
 	commit func()
 }
 
-// dispatchMove finishes a prepared object move: the (chaos-aware) send, span
-// accounting, the residency-flip commit, and transit registration. While a
-// group collector is open for the same destination the prepared move joins
-// the batch instead and moveGroup sends it; the uncollected path is the
-// historical per-object tail, byte for byte.
-func (n *Node) dispatchMove(dest int, msg *wire.Move, tx *moveTxn, sp *obs.Span, commit func()) {
-	if n.collect != nil && n.collect.dest == dest {
-		n.collect.items = append(n.collect.items,
-			groupItem{msg: msg, tx: tx, sp: sp, commit: commit})
+// moveGroup migrates a cohort of resident objects — a lone move is a
+// cohort of one — to dest in one transfer. Members that cannot join right
+// now (fixed, deferred on a creation chain, degraded, immutable — those
+// duplicate via their own message) simply stay out of the batch.
+func (n *Node) moveGroup(objs []*Obj, dest int, fix bool) {
+	if dest < 0 || dest >= len(n.cluster.Nodes) {
 		return
 	}
-	bytes, sendAt := n.sendMsgAck(dest, msg, func() { tx.delivered = true })
-	n.cluster.Rec.SpanSent(sp.ID, bytes, int64(sendAt))
-	tx.do(commit)
-	if n.cluster.dirOn && !tx.live {
-		// Chaos-off the commit just ran inline and delivery is certain, so
-		// the directory decree is fire-and-forget; chaos-on it waits for
-		// the destination's positive MoveAck (recvMoveAck).
-		n.dirPropose([]*moveTxn{tx})
+	n.mv.frags, n.mv.acts = reset(n.mv.frags), reset(n.mv.acts)
+	for _, o := range objs {
+		n.joinCohort(o, dest, fix)
 	}
-	if tx.live {
-		n.beginTransit(tx, sp.ID)
+	if len(n.col.items) > 0 {
+		n.sendCohort(dest)
 	}
 }
 
-// moveGroup migrates a cohort of resident objects to dest in one batched
-// transfer. Members that cannot join right now (fixed, deferred on a
-// creation chain, degraded, immutable — those duplicate via their own
-// message) simply stay out of the batch; a batch of one degenerates to the
-// plain single-object send.
-func (n *Node) moveGroup(objs []*Obj, dest int, fix bool) {
-	if len(objs) == 0 || dest == n.ID || dest < 0 || dest >= len(n.cluster.Nodes) {
-		return
-	}
-	if len(objs) == 1 {
-		n.moveObject(objs[0], dest, fix)
-		return
-	}
-	col := &moveCollector{dest: dest}
-	n.collect = col
-	for _, o := range objs {
-		n.moveObject(o, dest, fix)
-	}
-	n.collect = nil
-	items := col.items
-	if len(items) == 0 {
-		return
-	}
-	if len(items) == 1 {
-		it := items[0]
-		n.dispatchMove(dest, it.msg, it.tx, it.sp, it.commit)
-		return
-	}
-	inner := make([]*wire.Move, len(items))
-	for i, it := range items {
-		inner[i] = it.msg
-	}
-	frameBytes, sendAt := n.sendMsgAck(dest, &wire.MoveGroup{Inner: inner}, func() {
-		for _, it := range items {
-			it.tx.delivered = true
+// joinCohort adds o (and the thread fragments inside it) to the cohort
+// bound for dest, by one path per object kind: plain objects and arrays
+// join through movePlain, immutable objects duplicate through
+// moveImmutable, and strings (copied on every transfer) never move on
+// request. A move to this node fixes o in place; fixed objects refuse to
+// move.
+func (n *Node) joinCohort(o *Obj, dest int, fix bool) {
+	if dest == n.ID {
+		if fix {
+			o.Fixed = true
 		}
-	})
-	// Per-member span accounting: each member's span carries its own payload
-	// size; the gap between the batch frame and the member sum — plus the
-	// n-1 saved frame overheads — is what the batch amortizes.
-	memberBytes := 0
-	for _, it := range items {
-		pb := wire.PayloadSize(it.msg)
-		memberBytes += pb
-		n.cluster.Rec.SpanSent(it.sp.ID, pb, int64(sendAt))
+		return
 	}
-	first := items[0]
-	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
-		Kind: obs.EvMoveGroupOut, Span: first.sp.ID, Obj: uint32(first.tx.obj.OID),
-		A: uint64(len(items)), B: uint64(dest)})
-	m := n.cluster.Rec.Metrics()
-	lbl := n.labels
-	m.Add("group_moves", lbl, 1)
-	m.Add("group_move_objs", lbl, uint64(len(items)))
-	m.Add("group_move_frame_bytes", lbl, uint64(frameBytes))
-	m.Add("group_move_member_bytes", lbl, uint64(memberBytes))
-	batching := n.cluster.dirOn && !n.cluster.Config.DirNoGroupDecrees
-	var cohort []*moveTxn
+	if o.Fixed {
+		n.tracef("node%d: move of fixed %v refused", n.ID, o.OID)
+		return
+	}
+	if n.chaosOn() {
+		if o.transit != nil {
+			// Mid-transit: park and replay once the current move resolves.
+			// The replay must re-check residency: if the move committed,
+			// the object lives elsewhere now and shipping this node's
+			// stale copy would fork it — forward the request instead,
+			// exactly as a parked remote MoveReq would replay.
+			tx := o.transit
+			tx.parked = append(tx.parked, func() {
+				if !o.Resident {
+					n.sendMsg(o.LastKnown, &wire.MoveReq{Target: o.OID, Dest: int32(dest), Fix: fix})
+					return
+				}
+				n.moveGroup([]*Obj{o}, dest, fix)
+			})
+			return
+		}
+		if n.suspects[dest] {
+			// The destination looks dead: degrade gracefully — the object
+			// stays resident here and callers keep reaching it by remote
+			// invocation.
+			n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
+				Kind: obs.EvMoveAbort, Obj: uint32(o.OID), B: uint64(dest), Str: "degraded"})
+			n.cluster.Rec.Metrics().Add("move_degraded", n.labels, 1)
+			return
+		}
+	}
+	switch {
+	case o.Kind == ObjString: // an explicit move is a no-op
+	case o.Kind == ObjPlain && o.Code.oc.Template.Immutable:
+		n.moveImmutable(o, dest)
+	default:
+		n.movePlain(o, dest, fix)
+	}
+}
+
+// sendCohort is the one send tail of every object move: the (chaos-aware)
+// send, span accounting, each member's residency-flip commit, the
+// directory decrees and transit registration.
+func (n *Node) sendCohort(dest int) {
+	col := &n.col
+	items := col.items
+	rec := n.cluster.Rec
+	if len(items) == 1 {
+		bytes, sendAt := n.sendMsg(dest, items[0].msg)
+		rec.SpanSent(items[0].sp.ID, bytes, int64(sendAt))
+	} else {
+		for _, it := range items {
+			col.inner = append(col.inner, it.msg)
+		}
+		frameBytes, sendAt := n.sendMsg(dest, &wire.MoveGroup{Inner: col.inner})
+		// Per-member span accounting: each member's span carries its own
+		// payload size; the gap between the batch frame and the member sum
+		// — plus the n-1 saved frame overheads — is what the batch
+		// amortizes.
+		memberBytes := 0
+		for _, it := range items {
+			pb := wire.PayloadSize(it.msg)
+			memberBytes += pb
+			rec.SpanSent(it.sp.ID, pb, int64(sendAt))
+		}
+		first := items[0]
+		rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
+			Kind: obs.EvMoveGroupOut, Span: first.sp.ID, Obj: uint32(first.tx.obj.OID),
+			A: uint64(len(items)), B: uint64(dest)})
+		m := rec.Metrics()
+		lbl := n.labels
+		m.Add("group_moves", lbl, 1)
+		m.Add("group_move_objs", lbl, uint64(len(items)))
+		m.Add("group_move_frame_bytes", lbl, uint64(frameBytes))
+		m.Add("group_move_member_bytes", lbl, uint64(memberBytes))
+	}
 	for _, it := range items {
 		it.tx.do(it.commit)
-		if n.cluster.dirOn && !it.tx.live {
-			if batching {
-				// Chaos-off the whole cohort's decrees fire after the loop,
-				// so members sharing a shard replica set ride one round.
-				cohort = append(cohort, it.tx)
-				continue
-			}
-			// Same chaos-off fire-and-forget decree as dispatchMove.
-			n.dirPropose([]*moveTxn{it.tx})
+		col.txs = append(col.txs, it.tx)
+	}
+	switch {
+	case items[0].tx.live:
+		// Under chaos every member transaction pins to the cohort's single
+		// frame (lastFrame after the one send above): per-member MoveAcks
+		// resolve the transactions independently, and an abort's filler
+		// swap is idempotent across members sharing the frame. With group
+		// decrees on, the members of a larger cohort also share one
+		// dirGroupBatch: their decrees wait for the last member's MoveAck
+		// and then go out together; otherwise each member proposes alone
+		// on its own MoveAck.
+		var batch *dirGroupBatch
+		if n.cluster.dirOn && !n.cluster.Config.DirNoGroupDecrees && len(items) > 1 {
+			batch = &dirGroupBatch{outstanding: len(items)}
 		}
-	}
-	n.dirProposeCohort(cohort)
-	// Under chaos every member transaction pins to the batch's single frame
-	// (lastFrame after the one send above): per-member MoveAcks resolve the
-	// transactions independently, and an abort's filler swap is idempotent
-	// across members sharing the frame. With group decrees on, the live
-	// members also share one dirGroupBatch: their decrees wait for the last
-	// member's MoveAck and then go out as a cohort, one per replica set;
-	// off, each member proposes alone on its own MoveAck.
-	var batch *dirGroupBatch
-	if batching {
-		batch = &dirGroupBatch{}
-	}
-	for _, it := range items {
-		if it.tx.live {
-			if batch != nil {
-				it.tx.dirBatch = batch
-				batch.outstanding++
-			}
+		for _, it := range items {
+			it.tx.dirBatch = batch
 			n.beginTransit(it.tx, it.sp.ID)
 		}
+	case n.cluster.dirOn:
+		// Chaos-off the commits just ran inline and delivery is certain,
+		// so the decrees are fire-and-forget.
+		n.dirPropose(col.txs)
 	}
+	col.items, col.inner, col.txs = reset(col.items), reset(col.inner), reset(col.txs)
 }
 
 // recvMoveGroup installs a batched cohort: each inner Move runs the exact

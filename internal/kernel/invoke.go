@@ -468,7 +468,7 @@ func (n *Node) recvMoveReq(src int, p *wire.MoveReq) {
 	if n.forwardIfMoved(src, target, p) {
 		return
 	}
-	n.moveObject(target, int(p.Dest), p.Fix)
+	n.moveGroup([]*Obj{target}, int(p.Dest), p.Fix)
 }
 
 // recvUnfixReq unfixes a resident object (or forwards).
@@ -488,7 +488,7 @@ func (n *Node) recvUnfixReq(src int, p *wire.UnfixReq) {
 	}
 	target.Fixed = false
 	if p.Refix {
-		n.moveObject(target, int(p.Dest), true)
+		n.moveGroup([]*Obj{target}, int(p.Dest), true)
 	}
 }
 
@@ -523,8 +523,8 @@ func (n *Node) handleMoveFamily(f *Frag, tr *arch.Trap) {
 		return
 	}
 	// Resume the requesting thread first: if its own frames migrate with
-	// the object, moveObject takes it off the run queue again; otherwise it
+	// the object, the move takes it off the run queue again; otherwise it
 	// continues here after the move.
 	n.enqueue(f)
-	n.moveObject(o, destW, fix)
+	n.moveGroup([]*Obj{o}, destW, fix)
 }

@@ -172,59 +172,7 @@ func (n *Node) retryPendingMoves() {
 		if !ok || !o.Resident {
 			continue
 		}
-		n.moveObject(o, pm.dest, pm.fix)
-	}
-}
-
-// moveObject migrates a resident object (and the thread fragments inside
-// it) to dest, by one path per object kind: plain objects and arrays move
-// through movePlain, immutable objects duplicate through moveImmutable, and
-// strings (copied on every transfer) never move on request. Fixed objects
-// refuse to move.
-func (n *Node) moveObject(o *Obj, dest int, fix bool) {
-	if dest == n.ID {
-		if fix {
-			o.Fixed = true
-		}
-		return
-	}
-	if o.Fixed {
-		n.tracef("node%d: move of fixed %v refused", n.ID, o.OID)
-		return
-	}
-	if n.chaosOn() {
-		if o.transit != nil {
-			// Mid-transit: park and replay once the current move resolves.
-			// The replay must re-check residency: if the move committed,
-			// the object lives elsewhere now and shipping this node's
-			// stale copy would fork it — forward the request instead,
-			// exactly as a parked remote MoveReq would replay.
-			tx := o.transit
-			tx.parked = append(tx.parked, func() {
-				if !o.Resident {
-					n.sendMsg(o.LastKnown, &wire.MoveReq{Target: o.OID, Dest: int32(dest), Fix: fix})
-					return
-				}
-				n.moveObject(o, dest, fix)
-			})
-			return
-		}
-		if n.suspects[dest] {
-			// The destination looks dead: degrade gracefully — the object
-			// stays resident here and callers keep reaching it by remote
-			// invocation.
-			n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
-				Kind: obs.EvMoveAbort, Obj: uint32(o.OID), B: uint64(dest), Str: "degraded"})
-			n.cluster.Rec.Metrics().Add("move_degraded", n.labels, 1)
-			return
-		}
-	}
-	switch {
-	case o.Kind == ObjString: // an explicit move is a no-op
-	case o.Kind == ObjPlain && o.Code.oc.Template.Immutable:
-		n.moveImmutable(o, dest)
-	default:
-		n.movePlain(o, dest, fix)
+		n.moveGroup([]*Obj{o}, pm.dest, pm.fix)
 	}
 }
 
@@ -277,10 +225,9 @@ type moveScratch struct {
 	segs    []moveSeg
 	ids     []uint32
 	refs    []wire.Value // every shipped value, for hint collection
-	// frags and acts back the outgoing Move's Frags and their Acts. The Move
-	// is marshalled before movePlain returns, except inside a moveGroup,
-	// whose members are marshalled together when the collector closes: a
-	// cohort's moves share the two arenas until then (see movePlain).
+	// frags and acts back the outgoing Moves' Frags and their Acts: a
+	// cohort's members share the two arenas until moveGroup's send tail
+	// marshals them, and moveGroup empties them for the next cohort.
 	frags []wire.Fragment
 	acts  []wire.MIActivation
 	// Install side (installFragment): converted frames, and one arena for
@@ -310,12 +257,14 @@ type moveSeg struct {
 	a, b  int
 }
 
-// movePlain implements full object + thread migration; an array moves the
-// same way, as an object no activation has as its receiver. Under a chaos plan
-// it runs as the prepare phase of a two-phase commit: marshalling is
-// read-only and every destructive completion is deferred onto the move
-// transaction (see twophase.go); chaos-off the deferred operations execute
-// inline at exactly their historical program points.
+// movePlain prepares full object + thread migration and adds the prepared
+// move to the node's cohort collector, which moveGroup's send tail sends;
+// an array moves the same way, as an object no activation has as its
+// receiver. Under a chaos plan it runs as the prepare phase of a two-phase
+// commit: marshalling is read-only and every destructive completion is
+// deferred onto the move transaction (see twophase.go); chaos-off the
+// deferred operations execute inline at exactly their historical program
+// points.
 func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 	tx := n.newMoveTxn(o, dest, fix)
 	n.charge(uint64(n.cluster.Costs.MigrateCycles))
@@ -325,9 +274,6 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 	mv := &n.mv
 	mv.frames, mv.runs, mv.plans = reset(mv.frames), mv.runs[:0], reset(mv.plans)
 	mv.refs = reset(mv.refs)
-	if n.collect == nil {
-		mv.frags, mv.acts = reset(mv.frags), reset(mv.acts)
-	}
 
 	// Deterministic fragment order.
 	mv.fragIDs = mv.fragIDs[:0]
@@ -548,14 +494,14 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 	// The object becomes a remote proxy here; stale machine addresses keep
 	// resolving to it through byAddr. Under chaos this is the final commit
 	// operation: the object stays resident until the destination acks.
-	n.dispatchMove(dest, msg, tx, sp, func() {
+	n.col.items = append(n.col.items, groupItem{msg: msg, tx: tx, sp: sp, commit: func() {
 		o.Resident = false
 		o.LastKnown = dest
 		o.LocStale = false
 		o.chained = false
 		o.Mon = nil
 		n.Migrations++
-	})
+	}})
 }
 
 func mustPiece(m map[*Frag]uint32, f *Frag, what string) uint32 {

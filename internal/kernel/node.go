@@ -100,10 +100,8 @@ type Node struct {
 	pendingMoves []pendingMove
 	// mv is the reusable working storage of movePlain and installFragment.
 	mv moveScratch
-	// collect, while non-nil, redirects dispatchMove's sends into a group
-	// collector so a whole cohort rides one batched MoveGroup frame (see
-	// group.go).
-	collect *moveCollector
+	// col is the reusable collector of moveGroup (see group.go).
+	col moveCollector
 
 	// Crash-tolerance state, live only under a chaos plan (Config.Chaos).
 	// Up is the fail-stop flag: a crashed node neither runs nor receives.
@@ -784,14 +782,6 @@ var (
 // It returns the serialized size and the instant the sender CPU finished
 // marshalling (transmission start; migration spans record both).
 func (n *Node) sendMsg(dst int, p wire.Payload) (int, netsim.Micros) {
-	return n.sendMsgAck(dst, p, nil)
-}
-
-// sendMsgAck is sendMsg with a link-level delivery hook: under a chaos plan
-// the message travels as a reliable LData frame and onAck fires when the
-// destination link-acknowledges it. Chaos-off, onAck is ignored (delivery
-// is certain) and the bytes on the wire are exactly the legacy format.
-func (n *Node) sendMsgAck(dst int, p wire.Payload, onAck func()) (int, netsim.Micros) {
 	m := wire.Msg{Src: int32(n.ID), Dst: int32(dst), Seq: n.nextSeq(), Payload: p}
 	k := wire.KindOf(p)
 	// Marshal into a pooled scratch buffer: netsim.Send copies the payload
@@ -811,7 +801,7 @@ func (n *Node) sendMsgAck(dst int, p wire.Payload, onAck func()) (int, netsim.Mi
 	n.cluster.Rec.Metrics().Add("msgs", msgLabels[k], 1)
 	// Transmission starts once the CPU has finished marshalling.
 	if n.chaosOn() {
-		n.sendReliable(dst, buf, k.String(), onAck)
+		n.sendReliable(dst, buf, k.String())
 	} else if err := n.cluster.Net.Send(n.ID, dst, buf, n.CPU.FreeAt); err != nil {
 		panic(fmt.Sprintf("kernel: %v", err))
 	}

@@ -37,9 +37,6 @@ type pendingFrame struct {
 	// re-arm when the peer recovers or this node restarts — the channel
 	// sequence must stay contiguous, so frames are never abandoned.
 	stalled bool
-	// onAck fires once when the frame is first acknowledged (the move
-	// protocol's delivery hook).
-	onAck func()
 	// timer is the frame's retransmission check, bound once: every arming
 	// schedules this same func.
 	timer func()
@@ -54,16 +51,15 @@ func linkKey(dst int, seq uint32) uint64 { return uint64(uint32(dst))<<32 | uint
 
 // sendReliable wraps inner in an LData frame, registers it for
 // retransmission and puts it on the wire.
-func (n *Node) sendReliable(dst int, inner []byte, kind string, onAck func()) *pendingFrame {
+func (n *Node) sendReliable(dst int, inner []byte, kind string) {
 	n.outSeq[dst]++
 	seq := n.outSeq[dst]
 	lf := wire.LinkFrame{Kind: wire.LData, Seq: seq, Inner: inner}
-	pf := &pendingFrame{dst: dst, seq: seq, frame: lf.Marshal(), kind: kind, onAck: onAck}
+	pf := &pendingFrame{dst: dst, seq: seq, frame: lf.Marshal(), kind: kind}
 	pf.timer = func() { n.retransmitCheck(pf) }
 	n.unacked[linkKey(dst, seq)] = pf
 	n.lastFrame = pf
 	n.transmit(pf)
-	return pf
 }
 
 // transmit puts one attempt of pf on the medium and arms the next
@@ -136,7 +132,7 @@ func (n *Node) sendLinkAck(dst int, seq uint32) {
 	n.netSend(dst, n.ackBuf)
 }
 
-// recvAck retires an unacked frame and fires its delivery hook.
+// recvAck retires an unacked frame (a move in transit reads its acked flag).
 func (n *Node) recvAck(src int, seq uint32) {
 	pf, ok := n.unacked[linkKey(src, seq)]
 	if !ok {
@@ -144,10 +140,6 @@ func (n *Node) recvAck(src int, seq uint32) {
 	}
 	pf.acked = true
 	delete(n.unacked, linkKey(src, seq))
-	if pf.onAck != nil {
-		pf.onAck()
-		pf.onAck = nil
-	}
 }
 
 // heard notes liveness evidence from src, clearing suspicion and reviving

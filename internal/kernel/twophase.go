@@ -35,8 +35,6 @@ type moveTxn struct {
 	span uint32
 	// live: chaos is on, so destructive operations defer until commit.
 	live bool
-	// delivered: the Move frame was link-acknowledged by the destination.
-	delivered bool
 	// commitOps are the deferred destructive completions, in program order.
 	commitOps []func()
 	// suspended fragments sit in FragStateInTransit until commit or abort.
@@ -45,7 +43,8 @@ type moveTxn struct {
 	// arrival order once the move resolves (remotely after commit, locally
 	// after abort).
 	parked []func()
-	// moveFrame is the reliable link frame carrying the Move.
+	// moveFrame is the reliable link frame carrying the Move; it is acked
+	// once the destination has the Move.
 	moveFrame *pendingFrame
 	// stalledTimer: the commit timer fired while the source was down.
 	stalledTimer bool
@@ -135,7 +134,7 @@ func (n *Node) armCommitTimer(tx *moveTxn) {
 			tx.stalledTimer = true // restart re-arms
 			return
 		}
-		if tx.delivered {
+		if tx.moveFrame.acked {
 			return
 		}
 		if !n.suspects[tx.dest] {

@@ -28,7 +28,7 @@ func allocTestMsg() *Msg {
 
 // Marshalling into a caller-held Enc must not allocate at all once the
 // Enc's buffer has grown to the message size: this is the kernel's send
-// path (sendMsgAck pairs GetEnc with MarshalTo).
+// path (sendMsg pairs GetEnc with MarshalTo).
 func TestMarshalToAllocs(t *testing.T) {
 	msg := allocTestMsg()
 	e := GetEnc(256)
