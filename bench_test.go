@@ -188,8 +188,11 @@ func BenchmarkConversionAblation(b *testing.B) {
 // BenchmarkEmulatorFused is the countdown loop under the emulator the
 // kernel runs: fused superinstruction dispatch (one compiled run per
 // loop body, register slots cached in executor locals), fused once and
-// run with a long-lived FusedRunner as a node does.
+// run with a long-lived FusedRunner as a node does. The all-register
+// countdown is the best case; the walker sub-benchmarks run what the
+// compiler emits for compute_ring's chunk loop instead.
 func BenchmarkEmulatorFused(b *testing.B) {
+	benchWalkerChunk(b)
 	for _, spec := range arch.AllSpecs() {
 		spec := spec
 		b.Run(spec.Name, func(b *testing.B) {
@@ -230,6 +233,49 @@ func BenchmarkEmulatorFused(b *testing.B) {
 			instrsPerOp := float64(instrs) / float64(b.N)
 			secsPerOp := b.Elapsed().Seconds() / float64(b.N)
 			b.ReportMetric(instrsPerOp/secsPerOp/1e6, "emulated-MIPS")
+		})
+	}
+}
+
+// benchWalkerChunk runs the compiled Walker.run of exp.RingProgram (the
+// compute_ring walker) for one hop on each ISA, from its entry to the
+// nodes() trap that follows the chunk loop: temp-stack pushes and pops,
+// frame slots and one poll per iteration, the code the benchmark's
+// compute_ring workload spends its time in.
+func benchWalkerChunk(b *testing.B) {
+	const chunk = 2000
+	prog, err := core.Compile(exp.RingProgram(1, 1, chunk))
+	if err != nil {
+		b.Fatal(err)
+	}
+	walker := prog.Object("Walker")
+	for _, spec := range arch.AllSpecs() {
+		b.Run("walker/"+spec.Name, func(b *testing.B) {
+			fc := walker.PerArch[spec.ID].Funcs[walker.FuncIndex("run")]
+			fz := fc.Fused(spec)
+			act := fc.Template
+			const fp = 256
+			mem := make([]byte, fp+int(act.Size))
+			var rn arch.FusedRunner
+			b.ResetTimer()
+			instrs := 0
+			for i := 0; i < b.N; i++ {
+				cpu := arch.CPU{FP: fp, TempBase: fp + uint32(act.TempOff)}
+				for v, val := range []uint32{0, 1, chunk} { // start, hops, chunk
+					if h := act.Vars[v]; h.InReg {
+						cpu.Regs[h.Reg] = val
+					} else {
+						spec.ByteOrd.PutUint32(mem[fp+h.Off:], val)
+					}
+				}
+				tr, _, n, err := rn.Run(spec, fz, &cpu, mem, 1<<30)
+				if err != nil || tr == nil || tr.Kind != arch.TrapNodes {
+					b.Fatalf("%v %v", tr, err)
+				}
+				instrs += n
+			}
+			secsPerOp := b.Elapsed().Seconds() / float64(b.N)
+			b.ReportMetric(float64(instrs)/float64(b.N)/secsPerOp/1e6, "emulated-MIPS")
 		})
 	}
 }

@@ -389,8 +389,10 @@ const (
 
 // Spec describes one architecture.
 type Spec struct {
-	ID      ID
-	Name    string
+	ID   ID
+	Name string
+	// ByteOrd is binary.BigEndian or binary.LittleEndian: the emulator
+	// resolves it to one of the two once per Run or Step call.
 	ByteOrd binary.ByteOrder
 	Style   EncodingStyle
 	NumRegs int

@@ -64,14 +64,14 @@ func step(s *Spec, cpu *CPU, code []byte, mem []byte, preempt bool) (*Trap, uint
 	}
 	next := cpu.PC + in.Size
 	e := fexec{
-		s: s, cpu: cpu, mem: mem,
+		cpu: cpu, mem: mem,
 		fp: cpu.FP, self: cpu.Self, tempBase: cpu.TempBase, litBase: cpu.LitBase,
-		mc: s.MemCycles, preempt: preempt,
+		mc: uint64(s.MemCycles), be: bigEndian(s), preempt: preempt,
 		depth: cpu.TempDepth, npc: next,
 	}
 	op(&e)
 	cpu.TempDepth = e.depth
-	if e.stop {
+	if e.fault != 0 {
 		// A fault leaves cpu.PC at the instruction.
 		return &Trap{Kind: TrapFault, Fault: e.fault, PC: next}, uint32(e.cycles), nil
 	}

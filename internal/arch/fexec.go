@@ -7,18 +7,22 @@
 // only makes the run's closing poll yield. Memory writes stay eager:
 // only registers and depth are cached, so the final memory image is
 // byte-identical to the legacy path by construction. Step (exec.go)
-// runs its one uncached closure on an fexec of its own.
+// runs its one uncached closure on an fexec of its own. The spec's byte
+// order is resolved once per Run or Step call too, so every load and
+// store inlines a concrete binary.BigEndian or LittleEndian.
 
 package arch
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // fop executes one fused instruction against the shared executor state.
 type fop func(*fexec)
 
 // fexec is the mutable state threaded through a run's closures.
 type fexec struct {
-	s   *Spec
 	cpu *CPU
 	mem []byte
 
@@ -27,33 +31,108 @@ type fexec struct {
 	self     uint32
 	tempBase uint32
 	litBase  uint32
-	mc       uint32 // s.MemCycles
+	mc       uint64 // s.MemCycles
+	be       bool   // s.ByteOrd is big endian (bigEndian)
 	preempt  bool   // a poll yields: cpu.Preempt, or the budget is spent
 
 	// Per-run state.
 	depth  int32     // cached cpu.TempDepth
 	npc    uint32    // next PC; branches redirect it, fallthrough pre-set
 	cycles uint64    // accumulated over the whole Run call
-	fault  FaultCode // first fault of the current instruction; 0 = none
+	fault  FaultCode // first fault of the current instruction (0 = none); it ends the run
 	trap   *Trap     // kernel-entry trap raised by the run's last instruction
 	tbuf   Trap      // where trap points: the executor owns its trap
-	stop   bool      // a fault ends the run after the current closure
 	r      [fuseRegSlots]uint32
 }
 
+// bigEndian resolves a spec's byte order to the flag ld32 and st32 branch
+// on, once per Run or Step call.
+func bigEndian(s *Spec) bool { return s.ByteOrd == binary.BigEndian }
+
+// inMem reports whether the word at addr lies in memory; address 0 is
+// nil and never does.
+func (e *fexec) inMem(addr uint32) bool { return addr != 0 && int(addr)+4 <= len(e.mem) }
+
+// word and putWord access the word at an address inMem has accepted, in
+// the byte order resolved for the call.
+func (e *fexec) word(addr uint32) uint32 {
+	if e.be {
+		return binary.BigEndian.Uint32(e.mem[addr:])
+	}
+	return binary.LittleEndian.Uint32(e.mem[addr:])
+}
+
+func (e *fexec) putWord(addr, v uint32) {
+	if e.be {
+		binary.BigEndian.PutUint32(e.mem[addr:], v)
+	} else {
+		binary.LittleEndian.PutUint32(e.mem[addr:], v)
+	}
+}
+
 func (e *fexec) ld32(addr uint32) (uint32, bool) {
-	if int(addr)+4 > len(e.mem) || addr == 0 {
+	if !e.inMem(addr) {
 		return 0, false
 	}
-	return e.s.ByteOrd.Uint32(e.mem[addr : addr+4]), true
+	return e.word(addr), true
 }
 
 func (e *fexec) st32(addr, v uint32) bool {
-	if int(addr)+4 > len(e.mem) || addr == 0 {
+	if !e.inMem(addr) {
 		return false
 	}
-	e.s.ByteOrd.PutUint32(e.mem[addr:addr+4], v)
+	e.putWord(addr, v)
 	return true
+}
+
+// The temp-stack and frame operand modes, each written once: the general
+// accessors (fuser.rd and fuser.wr) wrap them and the flat forms
+// (fuser.fuseFlat) call them directly, and each is small enough to
+// inline there. Each charges MemCycles before its access; a failed
+// access records FaultStack and, for a read, yields 0.
+
+// pop reads a Pop operand: the depth drops before the load, and a pop at
+// depth 0 faults without touching memory.
+func (e *fexec) pop() uint32 {
+	e.cycles += e.mc
+	if e.depth > 0 {
+		e.depth--
+		if a := e.tempBase + 4*uint32(e.depth); e.inMem(a) {
+			return e.word(a)
+		}
+	}
+	return e.setFault(FaultStack)
+}
+
+// push writes a Push operand: the depth rises only after a successful
+// store.
+func (e *fexec) push(v uint32) {
+	e.cycles += e.mc
+	if a := e.tempBase + 4*uint32(e.depth); e.inMem(a) {
+		e.putWord(a, v)
+		e.depth++
+		return
+	}
+	e.setFault(FaultStack)
+}
+
+// ldFrame reads the Frame operand at FP+d.
+func (e *fexec) ldFrame(d uint32) uint32 {
+	e.cycles += e.mc
+	if a := e.fp + d; e.inMem(a) {
+		return e.word(a)
+	}
+	return e.setFault(FaultStack)
+}
+
+// stFrame writes the Frame operand at FP+d.
+func (e *fexec) stFrame(d, v uint32) {
+	e.cycles += e.mc
+	if a := e.fp + d; e.inMem(a) {
+		e.putWord(a, v)
+		return
+	}
+	e.setFault(FaultStack)
 }
 
 func (e *fexec) readString(ref uint32) ([]byte, bool) {
@@ -68,15 +147,14 @@ func (e *fexec) readString(ref uint32) ([]byte, bool) {
 }
 
 // setFault records the first fault of the instruction (later faults in
-// the same instruction do not overwrite it) and marks the run stopped.
-// The current closure keeps executing — a Mov's write runs after a
+// the same instruction do not overwrite it), which stops the run. The
+// current closure keeps executing — a Mov's write runs after a
 // faulted read — and the run loop delivers the fault trap once the
 // closure returns.
 func (e *fexec) setFault(f FaultCode) uint32 {
 	if e.fault == 0 {
 		e.fault = f
 	}
-	e.stop = true
 	return 0
 }
 
@@ -102,12 +180,11 @@ func (fz *Fused) exec(e *fexec, fr *fusedRun) (*Trap, int) {
 	e.npc = fr.end
 	e.fault = 0
 	e.trap = nil
-	e.stop = false
 	n := 0
 	for _, op := range fz.ops[fr.lo:fr.hi] {
 		op(e)
 		n++
-		if e.stop {
+		if e.fault != 0 {
 			break
 		}
 	}
@@ -115,7 +192,7 @@ func (fz *Fused) exec(e *fexec, fr *fusedRun) (*Trap, int) {
 		cpu.Regs[m] = e.r[k]
 	}
 	cpu.TempDepth = e.depth
-	if e.stop {
+	if e.fault != 0 {
 		// A faulting instruction leaves cpu.PC at its own start; the
 		// trap's PC is the next instruction.
 		last := int(fr.lo) + n - 1
@@ -145,10 +222,10 @@ type FusedRunner struct {
 // consume it before running again, as the kernel's trap dispatcher does.
 func (rn *FusedRunner) Run(s *Spec, fz *Fused, cpu *CPU, mem []byte, budget int) (*Trap, uint64, int, error) {
 	e := &rn.e
-	e.s, e.cpu, e.mem = s, cpu, mem
+	e.cpu, e.mem = cpu, mem
 	e.fp, e.self = cpu.FP, cpu.Self
 	e.tempBase, e.litBase = cpu.TempBase, cpu.LitBase
-	e.mc = s.MemCycles
+	e.mc, e.be = uint64(s.MemCycles), bigEndian(s)
 	e.cycles = 0
 	e.preempt = cpu.Preempt
 	for n := 0; ; {

@@ -16,7 +16,7 @@
 // no register cache, so the reference stepper and a fused run differ
 // only in what fusion adds — run tiling, head-only entry, register
 // slots and their write-back, the per-run budget check and the flat
-// all-register forms. That is what the differential tests pin: observable
+// forms (fuseFlat). That is what the differential tests pin: observable
 // behavior (traps, faults, cycle charges, memory images, event streams)
 // is byte-identical to RunLegacy.
 
@@ -278,7 +278,8 @@ type (
 
 // rd builds a source-operand reader: a memory operand charges MemCycles
 // before the access, Pop decrements the depth before its load, and the
-// first fault of the instruction wins.
+// first fault of the instruction wins. The stack and frame modes wrap the
+// fexec methods (fexec.go) the flat forms call directly.
 func (b *fuser) rd(o *Operand) rdFn {
 	switch o.Mode {
 	case ModeImm:
@@ -292,18 +293,11 @@ func (b *fuser) rd(o *Operand) rdFn {
 		return func(e *fexec) uint32 { return e.cpu.Regs[k] }
 	case ModeFrame:
 		d := uint32(o.Disp)
-		return func(e *fexec) uint32 {
-			e.cycles += uint64(e.mc)
-			v, ok := e.ld32(e.fp + d)
-			if !ok {
-				return e.setFault(FaultStack)
-			}
-			return v
-		}
+		return func(e *fexec) uint32 { return e.ldFrame(d) }
 	case ModeSelf:
 		d := ObjDataOff + uint32(o.Disp)
 		return func(e *fexec) uint32 {
-			e.cycles += uint64(e.mc)
+			e.cycles += e.mc
 			v, ok := e.ld32(e.self + d)
 			if !ok {
 				return e.setFault(FaultNilRef)
@@ -313,7 +307,7 @@ func (b *fuser) rd(o *Operand) rdFn {
 	case ModeLit:
 		d := 4 * uint32(o.Disp)
 		return func(e *fexec) uint32 {
-			e.cycles += uint64(e.mc)
+			e.cycles += e.mc
 			v, ok := e.ld32(e.litBase + d)
 			if !ok {
 				return e.setFault(FaultNilRef)
@@ -321,18 +315,7 @@ func (b *fuser) rd(o *Operand) rdFn {
 			return v
 		}
 	case ModePop:
-		return func(e *fexec) uint32 {
-			e.cycles += uint64(e.mc)
-			if e.depth <= 0 {
-				return e.setFault(FaultStack)
-			}
-			e.depth--
-			v, ok := e.ld32(e.tempBase + 4*uint32(e.depth))
-			if !ok {
-				return e.setFault(FaultStack)
-			}
-			return v
-		}
+		return (*fexec).pop
 	}
 	return func(e *fexec) uint32 { return e.setFault(FaultStack) }
 }
@@ -349,29 +332,17 @@ func (b *fuser) wr(o *Operand) wrFn {
 		return func(e *fexec, v uint32) { e.cpu.Regs[k] = v }
 	case ModeFrame:
 		d := uint32(o.Disp)
-		return func(e *fexec, v uint32) {
-			e.cycles += uint64(e.mc)
-			if !e.st32(e.fp+d, v) {
-				e.setFault(FaultStack)
-			}
-		}
+		return func(e *fexec, v uint32) { e.stFrame(d, v) }
 	case ModeSelf:
 		d := ObjDataOff + uint32(o.Disp)
 		return func(e *fexec, v uint32) {
-			e.cycles += uint64(e.mc)
+			e.cycles += e.mc
 			if !e.st32(e.self+d, v) {
 				e.setFault(FaultNilRef)
 			}
 		}
 	case ModePush:
-		return func(e *fexec, v uint32) {
-			e.cycles += uint64(e.mc)
-			if !e.st32(e.tempBase+4*uint32(e.depth), v) {
-				e.setFault(FaultStack)
-			} else {
-				e.depth++
-			}
-		}
+		return (*fexec).push
 	}
 	return func(e *fexec, _ uint32) { e.setFault(FaultStack) }
 }
@@ -388,33 +359,22 @@ func (b *fuser) regOperand(o *Operand) int {
 // unimplemented op. It is the one place an op's semantics are written:
 // its result, operand evaluation order (with stack operands src2, the
 // top, before src1), fault precedence, cycle charges and next-PC rule.
-// Fuse and Step both compile through it; the flat forms, taken only
-// when every operand has a cache slot, must match the general form they
-// shortcut, which the differential tests and TestOpSemantics pin. A
-// fault the op itself detects (div by zero, bounds, nil) is raised only
-// when no operand fault is pending, and the write is then skipped.
+// Fuse and Step both compile through it. A fuser with register slots
+// (Fuse's) first tries the op's flat form (fuseFlat); Step's has none,
+// so it always compiles the general form below, and the differential
+// tests compare the two. A fault the op itself detects (div by zero,
+// bounds, nil) is raised only when no operand fault is pending, and the
+// write is then skipped.
 func (b *fuser) fuseInstr(in *Instr) fop {
+	if b.slots > 0 {
+		if op := b.fuseFlat(in); op != nil {
+			return op
+		}
+	}
 	s := b.s
 	cyc := uint64(s.Cycles[in.Op])
 	switch in.Op {
 	case OpMov:
-		// Hot flat forms first: immediate or register moves between cached
-		// slots compile to straight assignments.
-		if di := b.regOperand(&in.Operands[1]); di >= 0 {
-			if in.Operands[0].Mode == ModeImm {
-				v := in.Operands[0].Imm
-				return func(e *fexec) {
-					e.cycles += cyc
-					e.r[di] = v
-				}
-			}
-			if si := b.regOperand(&in.Operands[0]); si >= 0 {
-				return func(e *fexec) {
-					e.cycles += cyc
-					e.r[di] = e.r[si]
-				}
-			}
-		}
 		rd := b.rd(&in.Operands[0])
 		wr := b.wr(&in.Operands[1])
 		// The write runs even when the read faulted (storing 0 with all
@@ -426,66 +386,6 @@ func (b *fuser) fuseInstr(in *Instr) fop {
 
 	case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr, OpScc:
 		op, cc := in.Op, in.CC
-		s1 := b.regOperand(&in.Operands[0])
-		s2 := b.regOperand(&in.Operands[1])
-		sd := b.regOperand(&in.Operands[2])
-		if s1 >= 0 && s2 >= 0 && sd >= 0 {
-			// All-register form: no operand can fault, so the closure is a
-			// straight computation on cached slots.
-			switch op {
-			case OpAdd:
-				return func(e *fexec) {
-					e.cycles += cyc
-					e.r[sd] = uint32(int32(e.r[s1]) + int32(e.r[s2]))
-				}
-			case OpSub:
-				return func(e *fexec) {
-					e.cycles += cyc
-					e.r[sd] = uint32(int32(e.r[s1]) - int32(e.r[s2]))
-				}
-			case OpMul:
-				return func(e *fexec) {
-					e.cycles += cyc
-					e.r[sd] = uint32(int32(e.r[s1]) * int32(e.r[s2]))
-				}
-			case OpAnd:
-				return func(e *fexec) {
-					e.cycles += cyc
-					e.r[sd] = boolW(e.r[s1] != 0 && e.r[s2] != 0)
-				}
-			case OpOr:
-				return func(e *fexec) {
-					e.cycles += cyc
-					e.r[sd] = boolW(e.r[s1] != 0 || e.r[s2] != 0)
-				}
-			case OpScc:
-				return func(e *fexec) {
-					e.cycles += cyc
-					a, bb := e.r[s1], e.r[s2]
-					e.r[sd] = ccHolds(cc, int32(a) < int32(bb), a == bb)
-				}
-			case OpDiv:
-				return func(e *fexec) {
-					e.cycles += cyc
-					bb := e.r[s2]
-					if bb == 0 {
-						e.setFault(FaultDivZero)
-						return
-					}
-					e.r[sd] = uint32(int32(e.r[s1]) / int32(bb))
-				}
-			case OpMod:
-				return func(e *fexec) {
-					e.cycles += cyc
-					bb := e.r[s2]
-					if bb == 0 {
-						e.setFault(FaultDivZero)
-						return
-					}
-					e.r[sd] = uint32(int32(e.r[s1]) % int32(bb))
-				}
-			}
-		}
 		// General form: src2 (stack top) evaluated before src1, write
 		// suppressed after a fault.
 		rd2 := b.rd(&in.Operands[1])
@@ -530,29 +430,6 @@ func (b *fuser) fuseInstr(in *Instr) fop {
 
 	case OpNeg, OpAbs, OpNot:
 		op := in.Op
-		if si, di := b.regOperand(&in.Operands[0]), b.regOperand(&in.Operands[1]); si >= 0 && di >= 0 {
-			switch op {
-			case OpNeg:
-				return func(e *fexec) {
-					e.cycles += cyc
-					e.r[di] = uint32(-int32(e.r[si]))
-				}
-			case OpAbs:
-				return func(e *fexec) {
-					e.cycles += cyc
-					x := int32(e.r[si])
-					if x < 0 {
-						x = -x
-					}
-					e.r[di] = uint32(x)
-				}
-			case OpNot:
-				return func(e *fexec) {
-					e.cycles += cyc
-					e.r[di] = boolW(e.r[si] == 0)
-				}
-			}
-		}
 		rd := b.rd(&in.Operands[0])
 		wr := b.wr(&in.Operands[1])
 		return func(e *fexec) {
@@ -666,15 +543,6 @@ func (b *fuser) fuseInstr(in *Instr) fop {
 	case OpBrz, OpBrnz:
 		wantZero := in.Op == OpBrz
 		target := uint32(in.Target)
-		if si := b.regOperand(&in.Operands[0]); si >= 0 {
-			return func(e *fexec) {
-				e.cycles += cyc
-				if (e.r[si] == 0) == wantZero {
-					e.npc = target
-					e.cycles++ // taken-branch penalty
-				}
-			}
-		}
 		rd := b.rd(&in.Operands[0])
 		return func(e *fexec) {
 			e.cycles += cyc
@@ -795,7 +663,7 @@ func (b *fuser) fuseInstr(in *Instr) fop {
 		}
 
 	// The kernel-entry ops. Each is the last instruction of its run, so
-	// e.npc is its own next PC, and leaving e.stop clear makes the run
+	// e.npc is its own next PC, and raising no fault makes the run
 	// exit normally: cached state written back and cpu.PC *advanced*
 	// before the trap is delivered (a fault, by contrast, leaves cpu.PC
 	// at the faulting instruction).
@@ -833,6 +701,260 @@ func (b *fuser) fuseInstr(in *Instr) fop {
 		return func(e *fexec) {
 			e.cycles += cyc
 			e.raise(TrapMonExitA, 0, 0)
+		}
+	}
+	return nil
+}
+
+// fuseFlat compiles the flat form of an instruction, or returns nil when
+// its operand shape has none. A flat form reads and writes cached
+// register slots and calls the fexec operand methods directly, where the
+// general form calls an rd/wr closure per operand; it must match the
+// general form exactly (evaluation order, cycle charges, fault
+// precedence, the write after a faulted mov read), which the
+// differential tests and TestOpSemantics pin. The shapes are the
+// all-register forms plus those the compiler's temp-stack code executes
+// most: moves of an immediate, slot or frame word to the stack, pops
+// into a slot or frame word, pop-pop-push integer ALU ops and scc, and
+// branches on a pop.
+func (b *fuser) fuseFlat(in *Instr) fop {
+	cyc := uint64(b.s.Cycles[in.Op])
+	o := &in.Operands
+	switch in.Op {
+	case OpMov:
+		src, dst := &o[0], &o[1]
+		di, si := b.regOperand(dst), b.regOperand(src)
+		switch {
+		case di >= 0 && src.Mode == ModeImm:
+			v := src.Imm
+			return func(e *fexec) {
+				e.cycles += cyc
+				e.r[di] = v
+			}
+		case di >= 0 && si >= 0:
+			return func(e *fexec) {
+				e.cycles += cyc
+				e.r[di] = e.r[si]
+			}
+		case di >= 0 && src.Mode == ModePop:
+			return func(e *fexec) {
+				e.cycles += cyc
+				e.r[di] = e.pop()
+			}
+		case dst.Mode == ModeFrame && src.Mode == ModePop:
+			d := uint32(dst.Disp)
+			return func(e *fexec) {
+				e.cycles += cyc
+				e.stFrame(d, e.pop())
+			}
+		case dst.Mode == ModePush && src.Mode == ModeImm:
+			v := src.Imm
+			return func(e *fexec) {
+				e.cycles += cyc
+				e.push(v)
+			}
+		case dst.Mode == ModePush && si >= 0:
+			return func(e *fexec) {
+				e.cycles += cyc
+				e.push(e.r[si])
+			}
+		case dst.Mode == ModePush && src.Mode == ModeFrame:
+			d := uint32(src.Disp)
+			return func(e *fexec) {
+				e.cycles += cyc
+				e.push(e.ldFrame(d))
+			}
+		}
+
+	case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr, OpScc:
+		s1, s2, sd := b.regOperand(&o[0]), b.regOperand(&o[1]), b.regOperand(&o[2])
+		if s1 >= 0 && s2 >= 0 && sd >= 0 {
+			// All-register form: no operand can fault, so the closure is a
+			// straight computation on cached slots.
+			switch in.Op {
+			case OpAdd:
+				return func(e *fexec) {
+					e.cycles += cyc
+					e.r[sd] = uint32(int32(e.r[s1]) + int32(e.r[s2]))
+				}
+			case OpSub:
+				return func(e *fexec) {
+					e.cycles += cyc
+					e.r[sd] = uint32(int32(e.r[s1]) - int32(e.r[s2]))
+				}
+			case OpMul:
+				return func(e *fexec) {
+					e.cycles += cyc
+					e.r[sd] = uint32(int32(e.r[s1]) * int32(e.r[s2]))
+				}
+			case OpAnd:
+				return func(e *fexec) {
+					e.cycles += cyc
+					e.r[sd] = boolW(e.r[s1] != 0 && e.r[s2] != 0)
+				}
+			case OpOr:
+				return func(e *fexec) {
+					e.cycles += cyc
+					e.r[sd] = boolW(e.r[s1] != 0 || e.r[s2] != 0)
+				}
+			case OpScc:
+				cc := in.CC
+				return func(e *fexec) {
+					e.cycles += cyc
+					a, bb := e.r[s1], e.r[s2]
+					e.r[sd] = ccHolds(cc, int32(a) < int32(bb), a == bb)
+				}
+			case OpDiv:
+				return func(e *fexec) {
+					e.cycles += cyc
+					bb := e.r[s2]
+					if bb == 0 {
+						e.setFault(FaultDivZero)
+						return
+					}
+					e.r[sd] = uint32(int32(e.r[s1]) / int32(bb))
+				}
+			case OpMod:
+				return func(e *fexec) {
+					e.cycles += cyc
+					bb := e.r[s2]
+					if bb == 0 {
+						e.setFault(FaultDivZero)
+						return
+					}
+					e.r[sd] = uint32(int32(e.r[s1]) % int32(bb))
+				}
+			}
+		}
+		if o[0].Mode != ModePop || o[1].Mode != ModePop || o[2].Mode != ModePush {
+			return nil
+		}
+		// Temp-stack form: src2, the top, pops before src1, and a faulted
+		// pop suppresses the push.
+		switch in.Op {
+		case OpAdd:
+			return func(e *fexec) {
+				e.cycles += cyc
+				bb := e.pop()
+				if a := e.pop(); e.fault == 0 {
+					e.push(uint32(int32(a) + int32(bb)))
+				}
+			}
+		case OpSub:
+			return func(e *fexec) {
+				e.cycles += cyc
+				bb := e.pop()
+				if a := e.pop(); e.fault == 0 {
+					e.push(uint32(int32(a) - int32(bb)))
+				}
+			}
+		case OpMul:
+			return func(e *fexec) {
+				e.cycles += cyc
+				bb := e.pop()
+				if a := e.pop(); e.fault == 0 {
+					e.push(uint32(int32(a) * int32(bb)))
+				}
+			}
+		case OpAnd:
+			return func(e *fexec) {
+				e.cycles += cyc
+				bb := e.pop()
+				if a := e.pop(); e.fault == 0 {
+					e.push(boolW(a != 0 && bb != 0))
+				}
+			}
+		case OpOr:
+			return func(e *fexec) {
+				e.cycles += cyc
+				bb := e.pop()
+				if a := e.pop(); e.fault == 0 {
+					e.push(boolW(a != 0 || bb != 0))
+				}
+			}
+		case OpScc:
+			cc := in.CC
+			return func(e *fexec) {
+				e.cycles += cyc
+				bb := e.pop()
+				if a := e.pop(); e.fault == 0 {
+					e.push(ccHolds(cc, int32(a) < int32(bb), a == bb))
+				}
+			}
+		case OpDiv:
+			return func(e *fexec) {
+				e.cycles += cyc
+				bb := e.pop()
+				a := e.pop()
+				switch {
+				case e.fault != 0:
+				case bb == 0:
+					e.setFault(FaultDivZero)
+				default:
+					e.push(uint32(int32(a) / int32(bb)))
+				}
+			}
+		case OpMod:
+			return func(e *fexec) {
+				e.cycles += cyc
+				bb := e.pop()
+				a := e.pop()
+				switch {
+				case e.fault != 0:
+				case bb == 0:
+					e.setFault(FaultDivZero)
+				default:
+					e.push(uint32(int32(a) % int32(bb)))
+				}
+			}
+		}
+
+	case OpNeg, OpAbs, OpNot:
+		si, di := b.regOperand(&o[0]), b.regOperand(&o[1])
+		if si < 0 || di < 0 {
+			return nil
+		}
+		switch in.Op {
+		case OpNeg:
+			return func(e *fexec) {
+				e.cycles += cyc
+				e.r[di] = uint32(-int32(e.r[si]))
+			}
+		case OpAbs:
+			return func(e *fexec) {
+				e.cycles += cyc
+				x := int32(e.r[si])
+				if x < 0 {
+					x = -x
+				}
+				e.r[di] = uint32(x)
+			}
+		case OpNot:
+			return func(e *fexec) {
+				e.cycles += cyc
+				e.r[di] = boolW(e.r[si] == 0)
+			}
+		}
+
+	case OpBrz, OpBrnz:
+		wantZero, target := in.Op == OpBrz, uint32(in.Target)
+		if si := b.regOperand(&o[0]); si >= 0 {
+			return func(e *fexec) {
+				e.cycles += cyc
+				if (e.r[si] == 0) == wantZero {
+					e.npc = target
+					e.cycles++ // taken-branch penalty
+				}
+			}
+		}
+		if o[0].Mode == ModePop {
+			return func(e *fexec) {
+				e.cycles += cyc
+				if v := e.pop(); e.fault == 0 && (v == 0) == wantZero {
+					e.npc = target
+					e.cycles++
+				}
+			}
 		}
 	}
 	return nil

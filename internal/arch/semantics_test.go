@@ -15,6 +15,9 @@ import (
 // fault, cycle charge, stack depth, next PC and memory writes are written
 // out as numbers, for every op in its all-register form on every ISA and
 // for the memory and stack operand forms on the ISAs that encode them.
+// Step compiles only general forms and Run the flat ones too, so a row
+// of every flat shape (fuser.fuseFlat) pins each flat form against both
+// the numbers and its general form.
 
 // semFixture is the memory and CPU every row starts from; the addresses
 // are the same on every ISA and each word is stored in the ISA's byte
@@ -108,6 +111,7 @@ func scc(op Op, cc int) Instr {
 	return in
 }
 func mov(src, dst Operand) Instr { return Instr{Op: OpMov, N: 2, Operands: [3]Operand{src, dst}} }
+func stk(op Op) Instr            { return Instr{Op: op, N: 3, Operands: [3]Operand{Pop(), Pop(), Push()}} }
 
 var cisc = []ID{VAX, M68K}
 
@@ -140,6 +144,28 @@ var semRows = []semRow{
 	{name: "self off memory", in: mov(Reg(1), SelfOp(0)), regs: [16]uint32{1: 9},
 		setup: func(c *CPU) { c.Self = 4092 },
 		trap:  TrapFault, fault: FaultNilRef, cyc: cycMovM, pc: pcMovM},
+
+	// The temp-stack and frame moves compiled code runs, with a flat form
+	// each in fused runs.
+	{name: "mov imm push", in: mov(Imm(0xdeadbeef), Push()), only: cisc, depth0: 2,
+		cyc: cycMovM, pc: [NumArch]uint32{7, 8}, depth: 3, mem: []semWord{{520, 0xdeadbeef}}},
+	{name: "mov frame push", in: mov(Frame(8), Push()), only: cisc, depth0: 1,
+		cyc: [NumArch]uint32{8, 7}, pc: [NumArch]uint32{5, 6}, depth: 2, mem: []semWord{{516, 40}}},
+	{name: "mov pop frame", in: mov(Pop(), Frame(12)), only: cisc, depth0: 2,
+		cyc: [NumArch]uint32{8, 7}, pc: [NumArch]uint32{5, 6}, depth: 1, mem: []semWord{{268, 3}}},
+	{name: "pop at depth 0 into frame", in: mov(Pop(), Frame(8)), only: cisc,
+		trap: TrapFault, fault: FaultStack, cyc: [NumArch]uint32{8, 7}, pc: [NumArch]uint32{5, 6}, mem: []semWord{{264, 0}}},
+	{name: "imm push off memory", in: mov(Imm(9), Push()), only: cisc, depth0: 1,
+		setup: func(c *CPU) { c.TempBase = 4092 },
+		trap:  TrapFault, fault: FaultStack, cyc: cycMovM, pc: [NumArch]uint32{7, 8}, depth: 1},
+	{name: "frame push off memory", in: mov(Frame(8), Push()), only: cisc, depth0: 1,
+		setup: func(c *CPU) { c.TempBase = 4092 },
+		trap:  TrapFault, fault: FaultStack, cyc: [NumArch]uint32{8, 7}, pc: [NumArch]uint32{5, 6}, depth: 1},
+	// A faulted frame read still pushes its 0.
+	{name: "frame off memory push", in: mov(Frame(8), Push()), only: cisc,
+		setup: func(c *CPU) { c.FP = 4094 },
+		trap:  TrapFault, fault: FaultStack, cyc: [NumArch]uint32{8, 7}, pc: [NumArch]uint32{5, 6}, depth: 1,
+		mem: []semWord{{512, 0}}},
 
 	// Integer ALU, all registers.
 	{name: "add", in: rrr(OpAdd), regs: [16]uint32{1: 7, 2: 0xfffffff4}, cyc: cycALU, pc: pc3, r3: 0xfffffffb},
@@ -239,6 +265,26 @@ var semRows = []semRow{
 	// stack operands src2, the top, pops before src1.
 	{name: "sub pop pop push", in: Instr{Op: OpSub, N: 3, Operands: [3]Operand{Pop(), Pop(), Push()}}, only: cisc,
 		depth0: 2, cyc: [NumArch]uint32{11, 10}, pc: [NumArch]uint32{4, 5}, depth: 1, mem: []semWord{{512, 7}}},
+	{name: "add pop pop push", in: stk(OpAdd), only: cisc,
+		depth0: 2, cyc: [NumArch]uint32{11, 10}, pc: [NumArch]uint32{4, 5}, depth: 1, mem: []semWord{{512, 13}}},
+	{name: "mul pop pop push", in: stk(OpMul), only: cisc,
+		depth0: 2, cyc: [NumArch]uint32{20, 17}, pc: [NumArch]uint32{4, 5}, depth: 1, mem: []semWord{{512, 30}}},
+	{name: "div pop pop push", in: stk(OpDiv), only: cisc,
+		depth0: 2, cyc: [NumArch]uint32{30, 26}, pc: [NumArch]uint32{4, 5}, depth: 1, mem: []semWord{{512, 3}}},
+	{name: "mod pop pop push", in: stk(OpMod), only: cisc,
+		depth0: 2, cyc: [NumArch]uint32{32, 28}, pc: [NumArch]uint32{4, 5}, depth: 1, mem: []semWord{{512, 1}}},
+	{name: "and pop pop push", in: stk(OpAnd), only: cisc,
+		depth0: 2, cyc: [NumArch]uint32{11, 10}, pc: [NumArch]uint32{4, 5}, depth: 1, mem: []semWord{{512, 1}}},
+	{name: "or pop pop push", in: stk(OpOr), only: cisc,
+		depth0: 2, cyc: [NumArch]uint32{11, 10}, pc: [NumArch]uint32{4, 5}, depth: 1, mem: []semWord{{512, 1}}},
+	{name: "scc pop pop push", in: Instr{Op: OpScc, CC: byte(ir.CmpLT), N: 3, Operands: [3]Operand{Pop(), Pop(), Push()}},
+		only: cisc, depth0: 2, cyc: [NumArch]uint32{12, 11}, pc: [NumArch]uint32{5, 6}, depth: 1, mem: []semWord{{512, 0}}},
+	// A faulted pop or a zero divisor suppresses the push and its charge;
+	// the word at 520 is 0.
+	{name: "div pop pop push by zero", in: stk(OpDiv), only: cisc, depth0: 3,
+		trap: TrapFault, fault: FaultDivZero, cyc: [NumArch]uint32{28, 24}, pc: [NumArch]uint32{4, 5}, depth: 1},
+	{name: "add pop pop push at depth 1", in: stk(OpAdd), only: cisc, depth0: 1,
+		trap: TrapFault, fault: FaultStack, cyc: [NumArch]uint32{9, 8}, pc: [NumArch]uint32{4, 5}},
 	{name: "add frame imm self", in: Instr{Op: OpAdd, N: 3, Operands: [3]Operand{Frame(8), Imm(2), SelfOp(0)}}, only: cisc,
 		cyc: [NumArch]uint32{9, 8}, pc: [NumArch]uint32{12, 13}, mem: []semWord{{772, 42}}},
 	{name: "div pop at depth 0", in: Instr{Op: OpDiv, N: 3, Operands: [3]Operand{Frame(8), Pop(), Reg(3)}}, only: cisc,
@@ -254,12 +300,17 @@ var semRows = []semRow{
 		cyc: [NumArch]uint32{12, 10}, pc: [NumArch]uint32{6, 7}, r3: f32(40)},
 	{name: "brnz pop taken", in: Instr{Op: OpBrnz, N: 1, Operands: [3]Operand{Pop()}}, only: cisc,
 		depth0: 2, cyc: [NumArch]uint32{7, 6}, pc: [NumArch]uint32{5, 7}, depth: 1},
+	{name: "brz pop not taken", in: Instr{Op: OpBrz, N: 1, Operands: [3]Operand{Pop()}}, only: cisc,
+		depth0: 2, cyc: [NumArch]uint32{6, 5}, pc: [NumArch]uint32{4, 5}, depth: 1},
 }
 
 // TestOpSemantics runs every row through Step (one instruction) and Run
-// (the row's instruction followed by "ret; ret", fused).
+// (the row's instruction followed by "ret; ret", fused). Every op needs a
+// row on every ISA, and every operand shape Fuse compiles to a flat form
+// needs one on every ISA that encodes it.
 func TestOpSemantics(t *testing.T) {
 	covered := map[ID]map[Op]bool{}
+	shapesCovered := map[ID]map[opShapeKey]bool{}
 	for _, row := range semRows {
 		for _, s := range AllSpecs() {
 			if row.only != nil && !slices.Contains(row.only, s.ID) {
@@ -267,8 +318,10 @@ func TestOpSemantics(t *testing.T) {
 			}
 			if covered[s.ID] == nil {
 				covered[s.ID] = map[Op]bool{}
+				shapesCovered[s.ID] = map[opShapeKey]bool{}
 			}
 			covered[s.ID][row.in.Op] = true
+			shapesCovered[s.ID][shapeKeyOf(&row.in)] = true
 			t.Run(row.name+"/"+s.Name, func(t *testing.T) { row.check(t, s) })
 		}
 	}
@@ -278,7 +331,60 @@ func TestOpSemantics(t *testing.T) {
 				t.Errorf("%s: no row covers %v", s.Name, op)
 			}
 		}
+		for _, in := range encodableShapes(s) {
+			b := newFuser(s, &fusedRun{}, fuseRegSlots)
+			if b.fuseFlat(&in) != nil && !shapesCovered[s.ID][shapeKeyOf(&in)] {
+				t.Errorf("%s: no row covers the flat form of %v", s.Name, in)
+			}
+		}
 	}
+}
+
+// opShapeKey is an instruction's op and operand modes.
+type opShapeKey struct {
+	op    Op
+	modes [3]Mode
+}
+
+func shapeKeyOf(in *Instr) opShapeKey {
+	k := opShapeKey{op: in.Op}
+	for i := range int(in.N) {
+		k.modes[i] = in.Operands[i].Mode
+	}
+	return k
+}
+
+// encodableShapes returns one instruction of every operand shape s
+// encodes: every op with every source mode in each source position and
+// every destination mode in its destination.
+func encodableShapes(s *Spec) []Instr {
+	srcs := []Operand{Imm(1), Reg(1), Frame(8), SelfOp(0), Lit(0), Pop()}
+	dsts := []Operand{Reg(3), Frame(12), SelfOp(4), Push()}
+	var out []Instr
+	for op := Op(0); op < NumOp; op++ {
+		sh := shapes[op]
+		ins := []Instr{{Op: op, N: byte(sh.nOperands)}}
+		for i := range sh.nOperands {
+			pos := srcs
+			if i == sh.dstIdx {
+				pos = dsts
+			}
+			var next []Instr
+			for _, in := range ins {
+				for _, o := range pos {
+					in.Operands[i] = o
+					next = append(next, in)
+				}
+			}
+			ins = next
+		}
+		for _, in := range ins {
+			if _, err := Encode(s, nil, in); err == nil {
+				out = append(out, in)
+			}
+		}
+	}
+	return out
 }
 
 func (row *semRow) check(t *testing.T, s *Spec) {

@@ -35,12 +35,12 @@ type ParResult struct {
 	Speedup   float64 `json:"speedup"`
 }
 
-// ringProgram generates the N-walker ring tour: walker i starts on node i,
+// RingProgram generates the N-walker ring tour: walker i starts on node i,
 // and each hop does an identical local compute chunk before moving to the
 // next node around the ring. At any instant every node hosts one walker,
 // so the simulated work is spread evenly and the parallel engine can run
 // all N compute slices concurrently.
-func ringProgram(nodes, hops, chunk int) string {
+func RingProgram(nodes, hops, chunk int) string {
 	var b strings.Builder
 	b.WriteString(`object Walker
   operation run(start: Int, hops: Int, chunk: Int) -> (r: Int)
@@ -100,7 +100,7 @@ func ringRun(src string, nodes int, parallel bool) (lines []string, log []byte, 
 func ParScaling(sizes []int, hops, chunk int) ([]ParResult, error) {
 	var out []ParResult
 	for _, n := range sizes {
-		src := ringProgram(n, hops, chunk)
+		src := RingProgram(n, hops, chunk)
 		seqLines, seqLog, seqSim, seqInstrs, seqWall, err := ringRun(src, n, false)
 		if err != nil {
 			return nil, fmt.Errorf("ring %d sequential: %w", n, err)
