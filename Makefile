@@ -104,6 +104,7 @@ census:
 	$(CENSUS)/emrun -chaos $(CENSUS_CHAOS) examples/programs/kilroy.em > /dev/null; \
 	$(CENSUS)/emrun -dir 3 -dir-lease 2000000 examples/programs/kilroy.em > /dev/null; \
 	$(CENSUS)/emrun -dir 3 -chaos $(CENSUS_CHAOS) examples/programs/kilroy.em > /dev/null; \
+	$(CENSUS)/emrun -chaos seed=7 -dir 3 -net vax,vax,vax examples/programs/pingpong.em > /dev/null; \
 	$(CENSUS)/emrun -auto greedy-colocate -auto-log examples/programs/zipf_hot.em > /dev/null 2>&1; \
 	$(CENSUS)/emrun -auto load-balance -auto-log examples/programs/fixed_pool.em > /dev/null 2>&1; \
 	$(CENSUS)/emrun -legacy examples/programs/kilroy.em > /dev/null; \

@@ -47,21 +47,15 @@ var dispatchArms = []struct {
 	{"legacy", Options{LegacyDispatch: true}},
 }
 
-func captureDispatch(t *testing.T, src string, machines []netsim.MachineModel, opts Options) dispatchRun {
+// captureDispatch runs src under opts and returns its observable
+// projection, and the system for differentials that project more. A broken
+// kernel invariant (say, a move walking a thread parked off a bus stop) is
+// Run's error and fails this cell only.
+func captureDispatch(t *testing.T, src string, machines []netsim.MachineModel, opts Options) (dispatchRun, *System) {
 	t.Helper()
-	// A kernel panic (say, a move walking a thread parked off a bus stop)
-	// fails this cell only, so one run reports every broken cell.
-	defer func() {
-		if r := recover(); r != nil {
-			t.Fatalf("run (%+v) panicked: %v", opts, r)
-		}
-	}()
 	sys, err := RunSource(src, machines, opts)
 	if err != nil {
 		t.Fatalf("run (%+v): %v", opts, err)
-	}
-	if err := sys.Cluster.CheckStacks(); err != nil {
-		t.Fatal(err)
 	}
 	r := dispatchRun{
 		lines:    sys.Lines(),
@@ -76,7 +70,7 @@ func captureDispatch(t *testing.T, src string, machines []netsim.MachineModel, o
 		r.instrs = append(r.instrs, n.Instrs)
 		r.memSum = append(r.memSum, append([]byte(nil), n.Mem...))
 	}
-	return r
+	return r, sys
 }
 
 func diffDispatchRuns(t *testing.T, arm string, got, ref dispatchRun) {
@@ -154,9 +148,9 @@ func TestDispatchDifferential(t *testing.T) {
 		src := string(srcBytes)
 		for _, net := range diffNets() {
 			t.Run(filepath.Base(pf)+"/"+net.name, func(t *testing.T) {
-				ref := captureDispatch(t, src, net.machines, dispatchArms[0].opts)
+				ref, _ := captureDispatch(t, src, net.machines, dispatchArms[0].opts)
 				for _, arm := range dispatchArms[1:] {
-					got := captureDispatch(t, src, net.machines, arm.opts)
+					got, _ := captureDispatch(t, src, net.machines, arm.opts)
 					diffDispatchRuns(t, arm.name, got, ref)
 				}
 				if len(ref.lines) == 0 {
@@ -171,9 +165,9 @@ func TestDispatchDifferential(t *testing.T) {
 // with scheduling slices of 1, 7 and 13 instructions. The budget then
 // expires at essentially every program point, so nearly every poll
 // yields and objects move while their threads are parked there: a thread
-// must be observed only at a bus stop (CheckStacks, and the walk of
-// every move), and both tiers must agree on where each slice ends.
-// Arms are compared only within one slice size: a different slice
+// must be observed only at a bus stop (the end-of-run invariant check, and
+// the walk of every move), and both tiers must agree on where each slice
+// ends. Arms are compared only within one slice size: a different slice
 // budget legitimately changes scheduling interleavings, so each cell has
 // its own reference arm.
 func TestDispatchDifferentialTinySlice(t *testing.T) {
@@ -187,11 +181,11 @@ func TestDispatchDifferentialTinySlice(t *testing.T) {
 			for _, net := range diffNets() {
 				for _, slice := range []int{1, 7, 13} {
 					t.Run(fmt.Sprintf("%s/%d", net.name, slice), func(t *testing.T) {
-						ref := captureDispatch(t, src, net.machines, Options{SliceInstrs: slice})
+						ref, _ := captureDispatch(t, src, net.machines, Options{SliceInstrs: slice})
 						for _, arm := range dispatchArms[1:] {
 							opts := arm.opts
 							opts.SliceInstrs = slice
-							got := captureDispatch(t, src, net.machines, opts)
+							got, _ := captureDispatch(t, src, net.machines, opts)
 							diffDispatchRuns(t, arm.name, got, ref)
 						}
 					})

@@ -10,13 +10,11 @@
 package core
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/netsim"
-	"repro/internal/obs"
 )
 
 // sharpenRun extends the dispatch projection with the conversion-side
@@ -30,24 +28,11 @@ type sharpenRun struct {
 
 func captureSharpen(t *testing.T, src string, machines []netsim.MachineModel, noSharpen bool) sharpenRun {
 	t.Helper()
-	sys, err := RunSource(src, machines, Options{NoSharpen: noSharpen})
-	if err != nil {
-		t.Fatalf("run (nosharpen=%v): %v", noSharpen, err)
-	}
-	if err := sys.Cluster.CheckStacks(); err != nil {
-		t.Fatal(err)
-	}
-	r := sharpenRun{payload: uint64(sys.Cluster.Net.PayloadLen)}
-	r.lines = sys.Lines()
-	r.elapsed = sys.ElapsedMS()
-	r.eventLog = obs.EventLog(sys.Recorder())
-	for _, f := range sys.Cluster.Faults {
-		r.faults = append(r.faults, fmt.Sprintf("node %d frag %d at %v: %s", f.Node, f.Frag, f.At, f.Msg))
-	}
+	var r sharpenRun
+	var sys *System
+	r.dispatchRun, sys = captureDispatch(t, src, machines, Options{NoSharpen: noSharpen})
+	r.payload = uint64(sys.Cluster.Net.PayloadLen)
 	for _, n := range sys.Cluster.Nodes {
-		r.cycles = append(r.cycles, n.CPU.Cycles)
-		r.instrs = append(r.instrs, n.Instrs)
-		r.memSum = append(r.memSum, append([]byte(nil), n.Mem...))
 		r.marshaled += n.MarshaledVarSlots
 		r.canonicalized += n.CanonicalizedVarSlots
 	}
@@ -55,27 +40,14 @@ func captureSharpen(t *testing.T, src string, machines []netsim.MachineModel, no
 }
 
 func TestSharpenDifferential(t *testing.T) {
-	progs, err := filepath.Glob(filepath.Join("..", "..", "examples", "programs", "*.em"))
-	if err != nil || len(progs) == 0 {
-		t.Fatalf("no example programs found: %v", err)
-	}
-	nets := []struct {
-		name     string
-		machines []netsim.MachineModel
-	}{
-		{"vax", []netsim.MachineModel{netsim.VAXstation2000, netsim.VAXstation2000, netsim.VAXstation2000}},
-		{"m68k", []netsim.MachineModel{netsim.Sun3_100, netsim.HP9000_433s, netsim.HP9000_385}},
-		{"sparc", []netsim.MachineModel{netsim.SPARCstationSLC, netsim.SPARCstationSLC, netsim.SPARCstationSLC}},
-		{"figure1", Figure1Network()},
-	}
 	var totalCanon uint64
-	for _, pf := range progs {
+	for _, pf := range examplePrograms(t) {
 		srcBytes, err := os.ReadFile(pf)
 		if err != nil {
 			t.Fatalf("reading %s: %v", pf, err)
 		}
 		src := string(srcBytes)
-		for _, net := range nets {
+		for _, net := range diffNets() {
 			t.Run(filepath.Base(pf)+"/"+net.name, func(t *testing.T) {
 				sharp := captureSharpen(t, src, net.machines, false)
 				plain := captureSharpen(t, src, net.machines, true)

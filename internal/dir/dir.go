@@ -111,9 +111,6 @@ func (s Slot) Compare(t Slot) int {
 	return cmp.Or(cmp.Compare(s.OID, t.OID), cmp.Compare(s.Epoch, t.Epoch))
 }
 
-// SortSlots sorts a slot slice in canonical order.
-func SortSlots(ss []Slot) { slices.SortFunc(ss, Slot.Compare) }
-
 // Record is one ownership record: where an object lives as of an epoch.
 type Record struct {
 	Node  int32
@@ -181,18 +178,11 @@ func (s *Store) Lookup(o oid.OID) (Record, bool) {
 	return r, ok
 }
 
-// Len reports how many objects have records.
-func (s *Store) Len() int { return len(s.recs) }
-
-// OIDs returns the recorded object IDs in sorted order (for deterministic
-// iteration in tests and debug dumps).
-func (s *Store) OIDs() []oid.OID {
-	out := make([]oid.OID, 0, len(s.recs))
-	for o := range s.recs {
-		out = append(out, o)
+// Each calls fn for every record, in no particular order.
+func (s *Store) Each(fn func(oid.OID, Record)) {
+	for o, r := range s.recs {
+		fn(o, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Proposal phases.

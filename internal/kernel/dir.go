@@ -133,9 +133,6 @@ type dirProposal struct {
 	// commit holds the moves whose two-phase commit gates on this decree
 	// (under chaos only): they commit once it resolves, chosen or degraded.
 	commit []*moveTxn
-	// stalledTimer: the round timer fired while this node was down;
-	// restart re-arms it.
-	stalledTimer bool
 }
 
 // dirPropose starts the decrees recording the moves txs — one move, or a
@@ -247,7 +244,8 @@ func (n *Node) armDirTimer(dp *dirProposal) {
 			return
 		}
 		if !n.Up {
-			dp.stalledTimer = true
+			k := dp.Key()
+			n.stall(stallDecree, uint64(k.OID)<<32|uint64(k.Epoch), func() { n.armDirTimer(dp) })
 			return
 		}
 		if dp.Attempt() != attempt {
@@ -407,12 +405,9 @@ func (n *Node) recvDirLookup(src int, p *wire.DirLookup) {
 
 // dirLookup is one outstanding location query.
 type dirLookup struct {
-	oid  oid.OID
-	done func(ok bool, node int32, epoch uint32)
-	// stalledTimer: the query timeout fired while this node was down;
-	// restart re-arms it.
-	stalledTimer bool
-	token        uint32
+	oid   oid.OID
+	done  func(ok bool, node int32, epoch uint32)
+	token uint32
 }
 
 // dirLookupQuery asks one replica of o's shard for its ownership record —
@@ -483,7 +478,7 @@ func (n *Node) armDirLookupTimer(lk *dirLookup) {
 			return
 		}
 		if !n.Up {
-			lk.stalledTimer = true
+			n.stall(stallLookup, uint64(lk.token), func() { n.armDirLookupTimer(lk) })
 			return
 		}
 		delete(n.dirLooks, lk.token)
@@ -573,12 +568,11 @@ func (n *Node) dirLocate(f *Frag, o *Obj) {
 // is still a suspected node does the invocation fail, with the same typed
 // fault the directory-free path raises.
 func (n *Node) dirRerouteInvoke(f *Frag, recv *Obj, opName string, args []uint32) {
-	f.Status = FragStateBlockedCall
-	f.waitNode = -1
+	n.blockCall(f, -1)
 	n.dirLookupQuery(recv.OID, true, func(ok bool, node int32, epoch uint32) {
 		if recv.Resident {
 			// An inbound move landed the callee here mid-query.
-			f.Status = FragStateReady
+			n.setStatus(f, FragStateReady)
 			n.dispatchCall(f, recv, opName, args)
 			return
 		}
@@ -591,7 +585,7 @@ func (n *Node) dirRerouteInvoke(f *Frag, recv *Obj, opName string, args []uint32
 			// path instead of re-querying the shard every call.
 			recv.LocStale = false
 			n.cluster.Rec.Metrics().Add("dir_reroutes", n.labels, 1)
-			f.Status = FragStateReady
+			n.setStatus(f, FragStateReady)
 			n.invokeRemote(f, recv, opName, args)
 			return
 		}
@@ -698,34 +692,5 @@ func (n *Node) dirBatchDrop(tx *moveTxn) {
 	b.outstanding--
 	if b.outstanding == 0 {
 		n.dirPropose(b.ready)
-	}
-}
-
-// restartDir re-arms directory timers that fired while the node was down,
-// in deterministic order; called from restart().
-func (n *Node) restartDir() {
-	slots := make([]dir.Slot, 0, len(n.dirProps))
-	for slot, dp := range n.dirProps {
-		if dp.stalledTimer {
-			slots = append(slots, slot)
-		}
-	}
-	dir.SortSlots(slots)
-	for _, slot := range slots {
-		dp := n.dirProps[slot]
-		dp.stalledTimer = false
-		n.armDirTimer(dp)
-	}
-	toks := make([]uint32, 0, len(n.dirLooks))
-	for tok, lk := range n.dirLooks {
-		if lk.stalledTimer {
-			toks = append(toks, tok)
-		}
-	}
-	slices.Sort(toks)
-	for _, tok := range toks {
-		lk := n.dirLooks[tok]
-		lk.stalledTimer = false
-		n.armDirLookupTimer(lk)
 	}
 }

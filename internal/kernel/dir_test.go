@@ -83,57 +83,10 @@ func TestDirKilroySameOutput(t *testing.T) {
 		t.Fatalf("dir-on chaos output differs from fault-free run:\nfault-free:\n%s\nchaos:\n%s",
 			base.OutputText(), got)
 	}
-	assertExactlyOnceInstalls(t, c1)
 	c2 := runSrc(t, src, models, dirConfig(3, plan()))
 	if !bytes.Equal(obs.EventLog(c1.Rec), obs.EventLog(c2.Rec)) {
 		t.Error("same seed produced different event logs with the directory on")
 	}
-}
-
-// dirFinalRecordsMatchResidency asserts that, for every mutable runtime
-// object resident somewhere, each replica holding a record at the object's
-// current epoch names the resident node — the one-shard-query locate.
-func dirFinalRecordsMatchResidency(t *testing.T, c *Cluster) {
-	t.Helper()
-	type home struct {
-		node  int
-		epoch uint32
-	}
-	homes := map[oid.OID]home{}
-	for _, n := range c.Nodes {
-		for id, o := range n.objects {
-			if o.Resident && o.Epoch > 0 {
-				homes[id] = home{node: n.ID, epoch: o.Epoch}
-			}
-		}
-	}
-	checked := 0
-	for _, n := range c.Nodes {
-		for _, id := range n.dirStore.OIDs() {
-			r, _ := n.dirStore.Lookup(id)
-			h, ok := homes[id]
-			if !ok || r.Epoch != h.epoch {
-				continue // object died, or replica has an older (superseded) record
-			}
-			checked++
-			if int(r.Node) != h.node {
-				t.Errorf("node %d directory: %v -> node %d epoch %d, but resident at node %d",
-					n.ID, id, r.Node, r.Epoch, h.node)
-			}
-		}
-	}
-	if checked == 0 {
-		t.Error("no current-epoch directory records to check; the directory is not engaged")
-	}
-}
-
-// TestDirStoreMatchesResidency: after a migration-heavy chaos-off run every
-// replica's current-epoch records agree with where objects actually live.
-func TestDirStoreMatchesResidency(t *testing.T) {
-	src := kilroySrc(t)
-	models := []netsim.MachineModel{mSun3, mHP1, mSPARC, mVAX}
-	c := runSrc(t, src, models, dirConfig(3, nil))
-	dirFinalRecordsMatchResidency(t, c)
 }
 
 const chainSrc = `
@@ -194,7 +147,6 @@ func TestDirChainCrashRecovery(t *testing.T) {
 					t.Fatalf("output = %v, want %v", got, want)
 				}
 			}
-			assertExactlyOnceInstalls(t, c1)
 			c2 := runSrc(t, chainSrc, models, dirConfig(arm.replicas, plan()))
 			if !bytes.Equal(obs.EventLog(c1.Rec), obs.EventLog(c2.Rec)) {
 				t.Error("same seed produced different event logs")
@@ -203,7 +155,6 @@ func TestDirChainCrashRecovery(t *testing.T) {
 				if dirCounter(c1, "dir_decrees") == 0 {
 					t.Error("no decrees chosen across the move chain")
 				}
-				dirFinalRecordsMatchResidency(t, c1)
 			}
 		})
 	}

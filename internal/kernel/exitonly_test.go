@@ -80,8 +80,8 @@ func runObserving(t *testing.T, c *Cluster, look func(n *Node, f *Frag)) {
 			break
 		}
 	}
-	if err := c.CheckStacks(); err != nil {
-		t.Fatal(err)
+	if v := c.CheckInvariants(); v != nil {
+		t.Fatal(v)
 	}
 	for _, f := range c.Faults {
 		t.Fatalf("fault: node%d frag%08x: %s", f.Node, f.Frag, f.Msg)

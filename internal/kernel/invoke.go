@@ -6,6 +6,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/ir"
@@ -39,8 +40,7 @@ func (n *Node) handleCall(f *Frag, tr *arch.Trap) {
 	if recv.transit != nil {
 		// The receiver is mid-move: block and replay the dispatch once the
 		// move commits (remote path) or aborts (local path).
-		f.Status = FragStateBlockedCall
-		f.waitNode = -1
+		n.blockCall(f, -1)
 		recv.transit.parked = append(recv.transit.parked,
 			func() { n.dispatchCall(f, recv, opName, args) })
 		return
@@ -125,8 +125,7 @@ func (n *Node) invokeRemote(f *Frag, recv *Obj, opName string, args []uint32) {
 		wargs[i] = v
 	}
 	n.chargeConv(conv, prev)
-	f.Status = FragStateBlockedCall
-	f.waitNode = int32(recv.LastKnown)
+	n.blockCall(f, int32(recv.LastKnown))
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 		Kind: obs.EvRemoteInvoke, Frag: f.ID, Obj: uint32(recv.OID),
 		B: uint64(recv.LastKnown), Str: opName})
@@ -278,6 +277,8 @@ func (n *Node) handleMsg(src int, p wire.Payload) {
 	case *wire.DirLookupReply:
 		n.recvDirLookupReply(src, p)
 	default:
+		// A programming error, not a broken invariant: a kind wire decodes
+		// that this switch has no case for.
 		panic(fmt.Sprintf("kernel: node %d: unhandled message kind %v", n.ID, wire.KindOf(p)))
 	}
 }
@@ -386,6 +387,15 @@ func (n *Node) recvReturn(src int, p *wire.Return) {
 			n.sendMsg(dest, p)
 			return
 		}
+		for _, tx := range n.pendingCommits {
+			if slices.Contains(tx.pieces, p.CallerFrag) {
+				// The caller is a remainder piece this move creates at
+				// commit, and the moved thread returned into it first.
+				q := keepPayload(p).(*wire.Return)
+				tx.parked = append(tx.parked, func() { n.recvReturn(src, q) })
+				return
+			}
+		}
 		n.tracef("node%d: return for unknown frag %08x dropped", n.ID, p.CallerFrag)
 		return
 	}
@@ -418,6 +428,16 @@ func (n *Node) recvReturn(src int, p *wire.Return) {
 		n.pushTemp(f, w)
 	}
 	n.enqueue(f)
+}
+
+// keepPayload copies an inbox payload for a handler that parks it, by
+// re-encoding it (a Move has no Clone).
+func keepPayload(p wire.Payload) wire.Payload {
+	m, err := wire.Unmarshal((&wire.Msg{Payload: p}).Marshal())
+	if err != nil {
+		panic(err) // a programming error: what the codec encodes, it decodes
+	}
+	return m.Payload
 }
 
 // maxLocateHops bounds the forwarding-address walk. A stale-but-live chain

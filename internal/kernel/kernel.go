@@ -440,18 +440,33 @@ func (c *Cluster) StartRoots(roots []string, placement func(objName string, root
 }
 
 // Run drives the simulation to completion (or the event budget) on the
-// engine Config.Parallel selects. The parallel engine runs one goroutine
-// per node; its observable results — printed lines, faults, events, spans,
-// metrics, per-node counters — are identical to the sequential engine's
-// (DESIGN.md §12 has the argument).
-func (c *Cluster) Run(maxEvents uint64) error {
-	if !c.Parallel {
-		return c.Sim.Run(maxEvents)
+// engine Config.Parallel selects, then checks the end-of-run invariants.
+// The parallel engine runs one goroutine per node; its observable results
+// — printed lines, faults, events, spans, metrics, per-node counters — are
+// identical to the sequential engine's (DESIGN.md §12 has the argument),
+// and so is a broken invariant, which Run returns as a *Violation.
+func (c *Cluster) Run(maxEvents uint64) (err error) {
+	defer func() {
+		r := recover()
+		if c.sharded {
+			c.sharded = false
+			c.mergeShards()
+		}
+		if v, ok := r.(*Violation); ok {
+			err = v
+		} else if r != nil {
+			panic(r) // not a violation: a programming error, re-raised
+		}
+	}()
+	if c.Parallel {
+		c.sharded = true
+		err = c.Sim.RunParallel(c.Net, len(c.Nodes), maxEvents)
+	} else {
+		err = c.Sim.Run(maxEvents)
 	}
-	c.sharded = true
-	err := c.Sim.RunParallel(c.Net, len(c.Nodes), maxEvents)
-	c.sharded = false
-	c.mergeShards()
+	if err == nil {
+		err = c.CheckInvariants()
+	}
 	return err
 }
 

@@ -50,8 +50,8 @@ func TestNodeMemoryGrowsOnDemand(t *testing.T) {
 		if hw := int(n.heapNext); hw > size || size > max(memStart, 2*hw) {
 			t.Fatalf("growth step %d: %d bytes of memory for a high-water mark of %d", steps, size, hw)
 		}
-		if err := c.CheckStacks(); err != nil {
-			t.Fatalf("growth step %d (to %d bytes): %v", steps, size, err)
+		if v := n.checkExtents(); v != nil {
+			t.Fatalf("growth step %d (to %d bytes): %v", steps, size, v)
 		}
 		if tail := n.Mem[n.heapNext:]; bytes.Count(tail, []byte{0}) != len(tail) {
 			t.Fatalf("growth step %d: nonzero byte above heapNext %#x", steps, n.heapNext)

@@ -183,7 +183,7 @@ func (n *Node) wireSlots(conv *wire.Converter, o *Obj) []wire.Value {
 	for i := range data {
 		v, err := n.wireTempValue(conv, o.slotKind(i), n.ld32(o.slotAddr(i)))
 		if err != nil {
-			panic(fmt.Sprintf("kernel: move: %v", err))
+			n.violate(invMigration, o.OID, 0, "marshal slot %d: %v", i, err)
 		}
 		data[i] = v
 	}
@@ -289,7 +289,7 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 		}
 		walked, err := n.walkFrames(fr, mv.frames)
 		if err != nil {
-			panic(fmt.Sprintf("kernel: node %d: %v", n.ID, err))
+			n.violate(invMigration, o.OID, fr.ID, "%v", err)
 		}
 		frames := walked[len(mv.frames):]
 		runStart := len(mv.runs)
@@ -375,6 +375,9 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 			if !seg.moved {
 				piece := slices.Clone(frames[seg.a : seg.b+1])
 				tx.do(func() { n.adoptRemainder(piece, id) })
+				if tx.live {
+					tx.pieces = append(tx.pieces, id)
+				}
 			}
 		}
 		mv.ids = ids
@@ -418,13 +421,9 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 				// Interior/lower remainder: waits for the piece above to
 				// return into it. Its records are relocated and its bottom
 				// cut by the adoptRemainder commit op above, which also
-				// entered it in n.frags under its minted id.
+				// entered it in n.frags, blocked, under its minted id.
 				id := ids[si]
-				tx.do(func() {
-					lfr := n.frags[id]
-					lfr.Link = lk
-					lfr.Status = FragStateBlockedCall
-				})
+				tx.do(func() { n.frags[id].Link = lk })
 			} else {
 				// Top remainder piece: records stay in place; cut the
 				// oldest frame's caller — it now returns via Link.
@@ -450,7 +449,7 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 		if tx.live {
 			// Freeze the fragment until the destination acknowledges the
 			// install (its wire status was captured above).
-			tx.suspend(fr)
+			n.suspend(tx, fr)
 		}
 	}
 	wireFrags := mv.frags[fragStart:len(mv.frags):len(mv.frags)]
@@ -474,15 +473,15 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 	if o.Mon != nil {
 		if o.Mon.Holder != nil {
 			msg.MonLocked = true
-			msg.MonHolder = mustPiece(pieceIDOf, o.Mon.Holder, "monitor holder")
+			msg.MonHolder = n.mustPiece(pieceIDOf, o, o.Mon.Holder, "monitor holder")
 		}
 		for _, e := range o.Mon.Entry {
-			msg.EntryQueue = append(msg.EntryQueue, mustPiece(pieceIDOf, e, "monitor entrant"))
+			msg.EntryQueue = append(msg.EntryQueue, n.mustPiece(pieceIDOf, o, e, "monitor entrant"))
 		}
 		for _, q := range o.Mon.Conds {
 			var wq []uint32
 			for _, w := range q {
-				wq = append(wq, mustPiece(pieceIDOf, w, "condition waiter"))
+				wq = append(wq, n.mustPiece(pieceIDOf, o, w, "condition waiter"))
 			}
 			msg.CondQueues = append(msg.CondQueues, wq)
 		}
@@ -504,10 +503,10 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 	}})
 }
 
-func mustPiece(m map[*Frag]uint32, f *Frag, what string) uint32 {
+func (n *Node) mustPiece(m map[*Frag]uint32, o *Obj, f *Frag, what string) uint32 {
 	id, ok := m[f]
 	if !ok {
-		panic(fmt.Sprintf("kernel: %s did not migrate with its object", what))
+		n.violate(invMigration, o.OID, f.ID, "%s did not migrate with its object", what)
 	}
 	return id
 }
@@ -532,7 +531,8 @@ func wireStatus(f *Frag) (wire.FragStatus, uint16) {
 // the records rather than placing them from values: placement would need
 // each frame's caller register view.
 func (n *Node) adoptRemainder(frames []frameInfo, id uint32) {
-	nf := n.addFrag(id, FragStateBlockedCall, Link{Node: -1})
+	nf := n.addFrag(id, Link{Node: -1})
+	n.setStatus(nf, FragStateBlockedCall)
 	base := nf.stackBase
 	// Relocate oldest-first so SavedFP links point downward correctly.
 	place := base
@@ -559,7 +559,6 @@ func (n *Node) adoptRemainder(frames []frameInfo, id uint32) {
 		}
 		n.st32(place+uint32(t.TempBaseOff), place+uint32(t.TempOff))
 		place += uint32(t.Size)
-		nf.nframes++
 	}
 	nf.stackHi = place
 	// Top of the remainder: reconstruct CPU state from the walk.
@@ -609,6 +608,16 @@ func (n *Node) recvMove(src int, p *wire.Move) {
 				Ok: false, Err: err.Error()})
 			return
 		}
+		if o := n.objects[p.Object]; o != nil && o.transit != nil {
+			// This node's own move of the object awaits its commit (the
+			// directory holds it for a decree round) while the destination,
+			// already running the moved threads, sends the object back:
+			// deliver it again once that move commits. A retransmission
+			// parks too, and its replay finds the span seen.
+			q := keepPayload(p).(*wire.Move)
+			o.transit.parked = append(o.transit.parked, func() { n.recvMove(src, q) })
+			return
+		}
 		n.seenSpans[p.SpanID] = true
 	}
 	respecStart := int64(n.CPU.FreeAt)
@@ -630,7 +639,7 @@ func (n *Node) recvMove(src int, p *wire.Move) {
 	if !p.IsArray {
 		var err error
 		if lc, err = n.loadCode(p.CodeOID); err != nil {
-			panic(fmt.Sprintf("kernel: node %d: %v", n.ID, err))
+			n.violate(invMigration, p.Object, 0, "%v", err)
 		}
 		size = arch.ObjDataOff + uint32(lc.oc.Template.DataSize())
 	}
@@ -646,23 +655,12 @@ func (n *Node) recvMove(src int, p *wire.Move) {
 			n.ackMove(src, p)
 			return
 		}
-		if n.chaosOn() {
-			// A distinct span delivered an object that already lives here —
-			// the residual double-move corner. Ack (the copy here is
-			// authoritative) and flag it; the conflict metric makes the
-			// disagreement visible instead of crashing the node.
-			n.tracef("CONFLICT: %v arrived from node%d (span %d) but is already resident",
-				p.Object, src, p.SpanID)
-			n.cluster.Rec.Metrics().Add("move_conflicts", n.labels, 1)
-			n.ackMove(src, p)
-			return
-		}
-		panic(fmt.Sprintf("kernel: node %d: %v arrived but is already resident", n.ID, p.Object))
+		n.violate(invResidency, p.Object, 0, "span %d from node %d arrived, but the object is already resident", p.SpanID, src)
 	}
 	o.Epoch = p.Epoch
 	addr, err := n.alloc(size)
 	if err != nil {
-		panic(fmt.Sprintf("kernel: %v", err))
+		n.violate(invMemory, p.Object, 0, "%v", err)
 	}
 	o.Resident, o.LocStale, o.chained, o.Addr, o.Fixed = true, false, false, addr, p.Fixed
 	if lc == nil {
@@ -676,7 +674,7 @@ func (n *Node) recvMove(src int, p *wire.Move) {
 	for i := range o.numSlots() {
 		w, err := n.unwireValue(conv, o.slotKind(i), p.Data[i], hints, src)
 		if err != nil {
-			panic(fmt.Sprintf("kernel: node %d: unmarshal slot %d: %v", n.ID, i, err))
+			n.violate(invMigration, p.Object, 0, "unmarshal slot %d: %v", i, err)
 		}
 		n.st32(o.slotAddr(i), w)
 	}
@@ -720,7 +718,7 @@ func (n *Node) ackMove(src int, p *wire.Move) {
 // reconstructed.
 func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 	conv *wire.Converter, hints map[oid.OID]int) *Frag {
-	f := n.addFrag(wf.FragID, FragStateReady, Link{Node: wf.LinkNode, Frag: wf.LinkFrag})
+	f := n.addFrag(wf.FragID, Link{Node: wf.LinkNode, Frag: wf.LinkFrag})
 	base := f.stackBase
 
 	// Convert youngest first (wire order), through the cached plan for
@@ -741,7 +739,7 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 		a := &wf.Acts[i]
 		lc, err := n.loadCode(a.CodeOID)
 		if err != nil {
-			panic(fmt.Sprintf("kernel: node %d: %v", n.ID, err))
+			n.violate(invMigration, obj.OID, f.ID, "%v", err)
 		}
 		lf := lc.funcs[a.FuncIndex]
 		pl := n.planFor(lf, a.Stop)
@@ -752,7 +750,7 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 		for vi, v := range a.Vars {
 			w, err := n.unwireValue(conv, pl.vars[vi].kind, v, hints, src)
 			if err != nil {
-				panic(fmt.Sprintf("kernel: unmarshal var: %v", err))
+				n.violate(invMigration, obj.OID, f.ID, "unmarshal var %d: %v", vi, err)
 			}
 			cf.vars[vi] = w
 		}
@@ -762,7 +760,7 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 		for ti, v := range a.Temps {
 			w, err := n.unwireValue(conv, tempKindAt(pl.stop, ti), v, hints, src)
 			if err != nil {
-				panic(fmt.Sprintf("kernel: unmarshal temp: %v", err))
+				n.violate(invMigration, obj.OID, f.ID, "unmarshal temp %d: %v", ti, err)
 			}
 			cf.temps[ti] = w
 		}
@@ -777,7 +775,7 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 	mv.words = words
 	objAddr, err := n.ensureAddressable(obj)
 	if err != nil {
-		panic(fmt.Sprintf("kernel: %v", err))
+		n.violate(invMemory, obj.OID, f.ID, "%v", err)
 	}
 	var regs [16]uint32
 	fp, place := base, base
@@ -786,7 +784,7 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 		cf := &cfs[i]
 		t := cf.lf.fc.Template
 		if place+uint32(t.Size) > f.stackLimit {
-			panic("kernel: migrated stack exceeds stack region")
+			n.violate(invMigration, obj.OID, f.ID, "migrated stack exceeds its stack region")
 		}
 		savedFP := fp
 		fp = place
@@ -800,7 +798,6 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 		// for exit-only stops: number-to-PC conversion is exactly what they
 		// permit).
 		retDesc, retPC = cf.lf.desc, cf.stop.PC
-		f.nframes++
 	}
 	f.stackHi = place
 
@@ -819,14 +816,14 @@ func (n *Node) installFragment(src int, wf *wire.Fragment, obj *Obj,
 		if wf.Executing {
 			n.enqueue(f)
 		} else {
-			f.Status = FragStateBlockedCall
+			n.setStatus(f, FragStateBlockedCall)
 		}
 	case wire.FragBlockedCall:
-		f.Status = FragStateBlockedCall
+		n.setStatus(f, FragStateBlockedCall)
 	case wire.FragBlockedEntry:
-		f.Status = FragStateBlockedEntry
+		n.setStatus(f, FragStateBlockedEntry)
 	case wire.FragWaitCond:
-		f.Status = FragStateWaitCond
+		n.setStatus(f, FragStateWaitCond)
 		f.condIndex = wf.CondIndex
 	}
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),

@@ -444,9 +444,6 @@ end Main
 		if got := c.OutputText(); got != "node0 7" {
 			t.Errorf("%d moves: output = %q, want %q", moves, got, "node0 7")
 		}
-		if err := c.CheckStacks(); err != nil {
-			t.Errorf("%d moves: %v", moves, err)
-		}
 		n1 := c.Nodes[1]
 		var copies []*Obj
 		for _, o := range n1.objects {

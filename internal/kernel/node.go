@@ -127,9 +127,9 @@ type Node struct {
 	seenSpans      map[uint32]bool
 	pendingCommits map[uint32]*moveTxn
 	abortedSpans   map[uint32]bool
-	// moveRetryStalled marks a move-retry timer that fired while the node
-	// was down; restart re-arms it.
-	moveRetryStalled bool
+	// stalled are the protocol timers that fired while the node was down;
+	// restart re-arms them.
+	stalled []stalledTimer
 	// lastFrame is the pendingFrame of the most recent sendReliable call,
 	// so the move protocol can locate the frame backing a just-sent Move.
 	lastFrame *pendingFrame
@@ -281,8 +281,8 @@ const memStart = 128 << 10
 // addr+dirty — is what lets alloc clear dirty bytes instead of the block's
 // whole size. A collector-freed heap object is dirty throughout; a retired
 // 64 KB stack region only up to the highest activation record ever placed
-// in it (Frag.stackHi), usually a few hundred bytes. Tests check the
-// invariant (Cluster.CheckStacks); nothing checks it at run time.
+// in it (Frag.stackHi), usually a few hundred bytes. Every run ends by
+// checking the invariant (Cluster.CheckInvariants).
 type freeBlock struct{ addr, dirty uint32 }
 
 // alloc carves size bytes (word aligned) of zeroed memory from the heap,
@@ -322,46 +322,13 @@ func (n *Node) alloc(size uint32) (uint32, error) {
 	return a, nil
 }
 
-// allocStack carves a zeroed stack region for a new fragment.
-func (n *Node) allocStack() (base, limit uint32) {
+// allocStack carves a zeroed stack region for new fragment id.
+func (n *Node) allocStack(id uint32) (base, limit uint32) {
 	base, err := n.alloc(stackSize)
 	if err != nil {
-		panic(fmt.Sprintf("kernel: %v", err))
+		n.violate(invMemory, 0, id, "stack region: %v", err)
 	}
 	return base, base + stackSize
-}
-
-// CheckStacks verifies the extent invariant on every node, for tests: each
-// free block is zero from its dirty extent to its end, and each live
-// fragment's records end at or below stackHi with zeros from there to the
-// region's limit.
-func (c *Cluster) CheckStacks() error {
-	for _, n := range c.Nodes {
-		zero := func(what string, lo, hi uint32) error {
-			for a := lo; a < hi; a++ {
-				if n.Mem[a] != 0 {
-					return fmt.Errorf("node %d: %s: nonzero byte at %#x, above its extent %#x", n.ID, what, a, lo)
-				}
-			}
-			return nil
-		}
-		for size, blocks := range n.freeLists {
-			for _, b := range blocks {
-				if err := zero("free block", b.addr+b.dirty, b.addr+size); err != nil {
-					return err
-				}
-			}
-		}
-		for _, f := range n.frags {
-			if top := n.frameTop(f); top > f.stackHi {
-				return fmt.Errorf("node %d: frag %d: frame top %#x above stackHi %#x", n.ID, f.ID, top, f.stackHi)
-			}
-			if err := zero(fmt.Sprintf("frag %d stack", f.ID), f.stackHi, f.stackLimit); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // ld32 / st32 access node memory in the node's byte order.
@@ -586,7 +553,6 @@ func (o *Obj) slotAddr(i int) uint32 {
 func (n *Node) bootstrap(objName string) {
 	oc := n.cluster.Prog.Object(objName)
 	f := n.newFrag()
-	f.Status = FragStateReady
 	n.createObject(f, oc.CodeOID, nil, func(obj *Obj) {
 		// The bootstrap fragment's work is done; it has no frames left and
 		// dies when the creation chain completes.
@@ -599,7 +565,7 @@ func (n *Node) bootstrap(objName string) {
 
 // enqueue makes a fragment runnable.
 func (n *Node) enqueue(f *Frag) {
-	f.Status = FragStateReady
+	n.setStatus(f, FragStateReady)
 	f.waitNode = -1
 	if f.queued {
 		return
@@ -660,7 +626,7 @@ func (n *Node) schedPass() {
 // monitor exits inline: an expired slice makes the next poll yield, so a
 // thread leaves the CPU only at a bus stop.
 func (n *Node) runSlice(f *Frag) {
-	f.Status = FragStateRunning
+	n.setStatus(f, FragStateRunning)
 	for {
 		f.CPU.Preempt = len(n.runq) > 0
 		var (
@@ -726,7 +692,7 @@ func (n *Node) faultErr(f *Frag, cause error, msg string) {
 // region; split remainders are relocated into fresh regions by
 // adoptRemainder).
 func (n *Node) killFrag(f *Frag) {
-	f.Status = FragStateDead
+	n.setStatus(f, FragStateDead)
 	delete(n.frags, f.ID)
 	n.free(f.stackBase, stackSize, f.stackHi-f.stackBase)
 }
@@ -803,7 +769,7 @@ func (n *Node) sendMsg(dst int, p wire.Payload) (int, netsim.Micros) {
 	if n.chaosOn() {
 		n.sendReliable(dst, buf, k.String())
 	} else if err := n.cluster.Net.Send(n.ID, dst, buf, n.CPU.FreeAt); err != nil {
-		panic(fmt.Sprintf("kernel: %v", err))
+		panic(fmt.Sprintf("kernel: %v", err)) // a programming error: dst is no attached node
 	}
 	e.Release()
 	return size, n.CPU.FreeAt
@@ -814,7 +780,7 @@ func (n *Node) sendMsg(dst int, p wire.Payload) (int, netsim.Micros) {
 func (n *Node) netSend(dst int, frame []byte) {
 	n.lastSent[dst] = n.now()
 	if err := n.cluster.Net.Send(n.ID, dst, frame, n.CPU.FreeAt); err != nil {
-		panic(fmt.Sprintf("kernel: %v", err))
+		panic(fmt.Sprintf("kernel: %v", err)) // a programming error: dst is no attached node
 	}
 }
 
@@ -889,7 +855,7 @@ func (n *Node) deliverInner(src int, buf []byte) {
 	n.MsgsRecv++
 	m, err := n.inbox.Decode(buf)
 	if err != nil {
-		panic(fmt.Sprintf("kernel: node %d: bad message from %d: %v", n.ID, src, err))
+		n.violate(invWire, 0, 0, "bad message from node %d: %v", src, err)
 	}
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvWireRecv,
 		A: uint64(len(buf)), B: uint64(src), Str: wire.KindOf(m.Payload).String()})

@@ -23,8 +23,6 @@
 package kernel
 
 import (
-	"fmt"
-
 	"repro/internal/busstop"
 	"repro/internal/ir"
 	"repro/internal/wire"
@@ -75,7 +73,7 @@ func (n *Node) planFor(lf *loadedFunc, stopNum uint16) *convPlan {
 	} else {
 		stop, err := lf.fc.Stops.ByStop(int(stopNum))
 		if err != nil {
-			panic(fmt.Sprintf("kernel: %v", err))
+			n.violate(invMigration, 0, 0, "%s: %v", lf.name(), err)
 		}
 		pl.stop = stop
 		if !n.cluster.NoSharpen {
@@ -138,8 +136,8 @@ func (n *Node) marshalFrame(conv *wire.Converter, fi frameInfo) (wire.MIActivati
 		}
 		v, err := n.wireTempValue(conv, vp.kind, w)
 		if err != nil {
-			panic(fmt.Sprintf("kernel: marshal %s var %s: %v",
-				fi.lf.name(), fi.lf.fc.Template.Vars[i].Name, err))
+			n.violate(invMigration, fi.self.OID, 0, "marshal %s var %s: %v",
+				fi.lf.name(), fi.lf.fc.Template.Vars[i].Name, err)
 		}
 		all[i] = v
 	}
@@ -147,7 +145,7 @@ func (n *Node) marshalFrame(conv *wire.Converter, fi frameInfo) (wire.MIActivati
 		w := n.ld32(fi.fp + pl.tempOff + uint32(4*j))
 		v, err := n.wireTempValue(conv, tempKindAt(pl.stop, j), w)
 		if err != nil {
-			panic(fmt.Sprintf("kernel: marshal %s temp %d: %v", fi.lf.name(), j, err))
+			n.violate(invMigration, fi.self.OID, 0, "marshal %s temp %d: %v", fi.lf.name(), j, err)
 		}
 		all[nv+j] = v
 	}

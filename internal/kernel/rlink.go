@@ -12,6 +12,7 @@
 package kernel
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -254,25 +255,37 @@ func (n *Node) restart() {
 		}
 	}
 	n.reviveStalled(func(pf *pendingFrame) bool { return !n.suspects[pf.dst] })
-	// Re-arm commit timers that fired while down, in span order.
-	spans := make([]uint32, 0, len(n.pendingCommits))
-	for span, tx := range n.pendingCommits {
-		if tx.stalledTimer {
-			spans = append(spans, span)
+	// Re-arm the timers that fired while down, by class and then key, each
+	// once (several move-retry timers ask for one pass).
+	slices.SortFunc(n.stalled, func(a, b stalledTimer) int {
+		return cmp.Or(cmp.Compare(a.class, b.class), cmp.Compare(a.key, b.key))
+	})
+	for i, st := range n.stalled {
+		if i == 0 || st.class != n.stalled[i-1].class || st.key != n.stalled[i-1].key {
+			st.rearm()
 		}
 	}
-	slices.Sort(spans)
-	for _, span := range spans {
-		tx := n.pendingCommits[span]
-		tx.stalledTimer = false
-		n.armCommitTimer(tx)
-	}
-	if n.moveRetryStalled {
-		n.moveRetryStalled = false
-		n.sched.At(0, n.retryPendingMoves)
-	}
-	if n.cluster.dirOn {
-		n.restartDir()
-	}
+	n.stalled = n.stalled[:0]
 	n.schedule()
+}
+
+// The classes of protocol timer that can fire while their node is down,
+// in the order restart re-arms them.
+const (
+	stallCommit    = iota // a move's commit window, keyed by span
+	stallMoveRetry        // the move-retry pass
+	stallDecree           // a decree round, keyed by first slot
+	stallLookup           // a directory lookup's timeout, keyed by token
+)
+
+// stalledTimer is a protocol timer that fired while its node was down.
+type stalledTimer struct {
+	class int
+	key   uint64
+	rearm func()
+}
+
+// stall notes a timer that fired while n was down; restart re-arms it.
+func (n *Node) stall(class int, key uint64, rearm func()) {
+	n.stalled = append(n.stalled, stalledTimer{class, key, rearm})
 }

@@ -77,8 +77,6 @@ type Frag struct {
 	// konts are kernel continuations keyed from synthetic frames
 	// (retDescKont): object-creation chains.
 	konts []func()
-	// nframes tracks the number of activation records (diagnostics).
-	nframes int
 	// condIndex records which condition a FragStateWaitCond fragment waits on.
 	condIndex uint16
 	// queued guards against double-enqueueing.
@@ -97,7 +95,7 @@ func (f *Frag) topName() string {
 
 // newFrag allocates a fresh thread root's fragment.
 func (n *Node) newFrag() *Frag {
-	return n.addFrag(n.mintFragID(), FragStateReady, Link{Node: -1})
+	return n.addFrag(n.mintFragID(), Link{Node: -1})
 }
 
 // mintFragID allocates a globally unique fragment id.
@@ -106,10 +104,11 @@ func (n *Node) mintFragID() uint32 {
 	return uint32(n.ID)<<24 | n.fragCtr
 }
 
-// addFrag enters fragment id, with no frames yet, on a fresh stack region.
-func (n *Node) addFrag(id uint32, st FragState, lk Link) *Frag {
-	base, limit := n.allocStack()
-	f := &Frag{ID: id, Status: st, Link: lk,
+// addFrag enters fragment id, ready and with no frames yet, on a fresh
+// stack region.
+func (n *Node) addFrag(id uint32, lk Link) *Frag {
+	base, limit := n.allocStack(id)
+	f := &Frag{ID: id, Link: lk,
 		stackBase: base, stackLimit: limit, stackHi: base, waitNode: -1}
 	f.CPU.FP = base // empty: first frame goes at base
 	n.frags[id] = f
@@ -208,7 +207,6 @@ func (n *Node) pushFrame(f *Frag, lf *loadedFunc, self *Obj, args []uint32,
 	n.placeFrame(fp, t, f.CPU.FP, retDesc, retPC, selfAddr, &f.CPU.Regs, args)
 	f.stackHi = max(f.stackHi, end)
 	n.enter(f, lf, fp, 0, 0)
-	f.nframes++
 	return nil
 }
 
@@ -220,7 +218,6 @@ func (n *Node) popFrame(f *Frag) (kont, hasCaller bool, err error) {
 	n.charge(uint64(n.cluster.Costs.RetCycles))
 	fp, desc, retPC, kont := n.unwind(f.CPU.FP, f.fn.fc.Template, &f.CPU.Regs)
 	f.CPU.FP = fp
-	f.nframes--
 	if desc == descNone {
 		f.fn = nil
 		return kont, false, nil
@@ -361,7 +358,7 @@ func (n *Node) handleTrap(f *Frag, tr *arch.Trap) bool {
 			n.enqueue(f)
 			return false
 		}
-		f.Status = FragStateBlockedCall
+		n.blockCall(f, -1)
 		if n.cluster.dirOn {
 			// One shard query refreshes the proxy to the decreed home, so
 			// the chase below is ≤1 hop (or runs unchanged on degrade).
@@ -629,7 +626,7 @@ func (n *Node) monAcquire(f *Frag, obj *Obj) bool {
 		m.Holder = f
 		return true
 	}
-	f.Status = FragStateBlockedEntry
+	n.setStatus(f, FragStateBlockedEntry)
 	m.Entry = append(m.Entry, f)
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 		Kind: obs.EvMonitorBlock, Frag: f.ID, Obj: uint32(obj.OID)})
@@ -645,15 +642,8 @@ func (n *Node) monRelease(obj *Obj) {
 		next := m.Entry[0]
 		m.Entry = m.Entry[1:]
 		m.Holder = next
-		n.resumeEntrant(next)
+		n.enqueue(next) // blocked at operation entry (PC 0), or re-entering after a wait
 	}
-}
-
-// resumeEntrant resumes a fragment that just acquired the monitor: either
-// it was blocked at operation entry (PC 0, not yet run) or re-entering
-// after a wait.
-func (n *Node) resumeEntrant(f *Frag) {
-	n.enqueue(f)
 }
 
 // monExit services monitor exit for f's current receiver.
@@ -683,7 +673,7 @@ func (n *Node) handleWait(f *Frag) {
 		n.fault(f, "wait without holding the monitor")
 		return
 	}
-	f.Status = FragStateWaitCond
+	n.setStatus(f, FragStateWaitCond)
 	f.condIndex = uint16(k)
 	obj.Mon.Conds[k] = append(obj.Mon.Conds[k], f)
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
@@ -711,7 +701,7 @@ func (n *Node) handleSignal(f *Frag) {
 	if len(q) > 0 {
 		w := q[0]
 		obj.Mon.Conds[k] = q[1:]
-		w.Status = FragStateBlockedEntry
+		n.setStatus(w, FragStateBlockedEntry)
 		obj.Mon.Entry = append(obj.Mon.Entry, w)
 	}
 	n.enqueue(f)
@@ -752,8 +742,7 @@ func (n *Node) handleArrayOp(f *Frag, tr *arch.Trap) {
 	if o.transit != nil {
 		// The array is mid-move: block and replay once the move resolves.
 		kind := tr.Kind
-		f.Status = FragStateBlockedCall
-		f.waitNode = -1
+		n.blockCall(f, -1)
 		o.transit.parked = append(o.transit.parked,
 			func() { n.arrayOpOn(f, kind, elem, o, idx, val) })
 		return
@@ -806,8 +795,7 @@ func (n *Node) arrayOpOn(f *Frag, kind arch.TrapKind, elem ir.VK, o *Obj, idx, v
 		opName = arrSizeOp
 	}
 	n.chargeConv(conv, prev)
-	f.Status = FragStateBlockedCall
-	f.waitNode = int32(o.LastKnown)
+	n.blockCall(f, int32(o.LastKnown))
 	n.sendMsg(o.LastKnown, &wire.Invoke{
 		Target: o.OID, OpName: opName, Origin: int32(n.ID), CallerFrag: f.ID,
 		Args: args, Hints: n.collectHints(args),

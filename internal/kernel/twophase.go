@@ -31,10 +31,14 @@ type suspendedFrag struct {
 type moveTxn struct {
 	obj  *Obj
 	dest int
-	fix  bool
 	span uint32
+	fix  bool
 	// live: chaos is on, so destructive operations defer until commit.
 	live bool
+	// dirPending: the transaction has been handed to the directory; a
+	// duplicate positive MoveAck (the destination re-acks replayed Moves)
+	// must not open a second decree for the same slot.
+	dirPending bool
 	// commitOps are the deferred destructive completions, in program order.
 	commitOps []func()
 	// suspended fragments sit in FragStateInTransit until commit or abort.
@@ -43,19 +47,16 @@ type moveTxn struct {
 	// arrival order once the move resolves (remotely after commit, locally
 	// after abort).
 	parked []func()
+	// pieces are the ids minted for the local remainder pieces commit
+	// creates: a Return to one that arrives first parks here.
+	pieces []uint32
 	// moveFrame is the reliable link frame carrying the Move; it is acked
 	// once the destination has the Move.
 	moveFrame *pendingFrame
-	// stalledTimer: the commit timer fired while the source was down.
-	stalledTimer bool
 	// dirBatch groups this transaction with the rest of its MoveGroup
 	// cohort so the directory commits the whole cohort in shared decree
 	// rounds (nil for solo moves or when group decrees are disabled).
 	dirBatch *dirGroupBatch
-	// dirPending: the transaction has been handed to the directory; a
-	// duplicate positive MoveAck (the destination re-acks replayed Moves)
-	// must not open a second decree for the same slot.
-	dirPending bool
 }
 
 func (n *Node) newMoveTxn(o *Obj, dest int, fix bool) *moveTxn {
@@ -74,13 +75,9 @@ func (tx *moveTxn) do(f func()) {
 }
 
 // suspend parks a fragment for the duration of the transit.
-func (tx *moveTxn) suspend(f *Frag) {
-	prev := f.Status
-	if prev == FragStateRunning {
-		prev = FragStateReady
-	}
-	tx.suspended = append(tx.suspended, suspendedFrag{f: f, prev: prev})
-	f.Status = FragStateInTransit
+func (n *Node) suspend(tx *moveTxn, f *Frag) {
+	tx.suspended = append(tx.suspended, suspendedFrag{f: f, prev: f.Status})
+	n.setStatus(f, FragStateInTransit)
 }
 
 // resumeSuspended restores the pre-transit scheduling state of every
@@ -91,7 +88,7 @@ func (n *Node) resumeSuspended(tx *moveTxn) {
 		if s.f.Status != FragStateInTransit {
 			continue
 		}
-		s.f.Status = s.prev
+		n.setStatus(s.f, s.prev)
 		if s.prev == FragStateReady {
 			n.enqueue(s.f)
 		}
@@ -131,7 +128,7 @@ func (n *Node) armCommitTimer(tx *moveTxn) {
 			return
 		}
 		if !n.Up {
-			tx.stalledTimer = true // restart re-arms
+			n.stall(stallCommit, uint64(tx.span), func() { n.armCommitTimer(tx) })
 			return
 		}
 		if tx.moveFrame.acked {
@@ -150,12 +147,10 @@ func (n *Node) recvMoveAck(src int, p *wire.MoveAck) {
 	tx, ok := n.pendingCommits[p.SpanID]
 	if !ok {
 		if n.abortedSpans[p.SpanID] && p.Ok {
-			// The residual fail-stop corner: the destination installed a
-			// Move whose transaction this node had already aborted (the
-			// original frame outlived the abort). Both copies now exist;
-			// flag it loudly rather than corrupt silently.
-			n.cluster.Rec.Metrics().Add("move_conflicts", n.labels, 1)
-			n.tracef("CONFLICT: node%d installed aborted move span %d of %v", src, p.SpanID, p.Object)
+			// The destination installed a Move whose transaction this node
+			// had already aborted (the original frame outlived the abort):
+			// both copies now exist.
+			n.violate(invResidency, p.Object, 0, "node %d installed aborted move span %d", src, p.SpanID)
 		}
 		return
 	}
@@ -235,7 +230,7 @@ func (n *Node) abortMove(tx *moveTxn, reason string) {
 func (n *Node) armMoveRetry() {
 	n.sched.At(n.cluster.Chaos.RetryMoveAfter(), func() {
 		if !n.Up {
-			n.moveRetryStalled = true
+			n.stall(stallMoveRetry, 0, func() { n.sched.At(0, n.retryPendingMoves) })
 			return
 		}
 		n.retryPendingMoves()

@@ -69,6 +69,11 @@ type nodeRunner struct {
 
 	start chan Micros // window end; closing it stops the goroutine
 	done  chan struct{}
+	// panicked is what an event panicked with (nil: none), at time
+	// panicAt: the runner drains no further, and the coordinator re-raises
+	// the earliest on RunParallel's goroutine.
+	panicked any
+	panicAt  Micros
 }
 
 // push stamps e with this node's next sequence number and queues it.
@@ -102,20 +107,32 @@ func (r *nodeRunner) head() (Micros, bool) {
 // until the start channel closes.
 func (r *nodeRunner) run() {
 	for w := range r.start {
-		for len(r.heap) > 0 && r.heap[0].at < w {
-			e := r.heap.pop()
-			r.now = e.at
-			r.ran++
-			if !e.weak {
-				r.strong--
-			}
-			if e.fn != nil {
-				e.fn()
-			} else {
-				e.net.arrive(r.now, &r.pool, &e)
-			}
+		if r.panicked == nil {
+			r.drain(w)
 		}
 		r.done <- struct{}{}
+	}
+}
+
+// drain runs the events strictly before w, stopping at one that panics.
+func (r *nodeRunner) drain(w Micros) {
+	defer func() {
+		if v := recover(); v != nil {
+			r.panicked, r.panicAt = v, r.now
+		}
+	}()
+	for len(r.heap) > 0 && r.heap[0].at < w {
+		e := r.heap.pop()
+		r.now = e.at
+		r.ran++
+		if !e.weak {
+			r.strong--
+		}
+		if e.fn != nil {
+			e.fn()
+		} else {
+			e.net.arrive(r.now, &r.pool, &e)
+		}
 	}
 }
 
@@ -294,6 +311,17 @@ func (s *Sim) RunParallel(net *Network, numNodes int, maxEvents uint64) error {
 		}
 	}
 	s.par = nil
+	// An event panicked: re-raise the earliest in (time, node) order —
+	// the one the sequential engine would have raised.
+	var first *nodeRunner
+	for _, r := range p.runners {
+		if r.panicked != nil && (first == nil || r.panicAt < first.panicAt) {
+			first = r
+		}
+	}
+	if first != nil {
+		panic(first.panicked)
+	}
 	return err
 }
 
@@ -331,8 +359,13 @@ func (p *parRun) drive(maxEvents uint64) error {
 		for _, r := range p.runners {
 			r.start <- w
 		}
+		stop := false
 		for _, r := range p.runners {
 			<-r.done
+			stop = stop || r.panicked != nil
+		}
+		if stop {
+			return nil // RunParallel re-raises the panic
 		}
 		p.flushSends()
 	}
