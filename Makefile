@@ -129,13 +129,15 @@ bench-baselines:
 	$(GO) run ./cmd/embench table1 fig2 conv auto dir jit > /dev/null
 
 # The fuzz seeds of the wire decoder (bounds-checked frame/message parsing),
-# of the -chaos plan grammar and of the .em front end and code generator
-# (every bus stop heads a fusion run) must hold; full fuzzing runs
-# separately with -fuzz.
+# of the -chaos plan grammar, of the .em front end and code generator
+# (every bus stop heads a fusion run) and of the run flags (whatever
+# Resolve accepts builds a cluster or fails with an error) must hold; full
+# fuzzing runs separately with -fuzz.
 fuzz-smoke:
 	$(GO) test -run FuzzMsgDecode ./internal/wire
 	$(GO) test -run FuzzParsePlan ./internal/chaos
 	$(GO) test -run FuzzCompile ./internal/codegen
+	$(GO) test -run FuzzResolve ./internal/core
 
 # The points-to object-graph report must build for the whole corpus and find
 # at least one group-migration cohort in producer_consumer (that repeated

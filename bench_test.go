@@ -187,10 +187,11 @@ func BenchmarkConversionAblation(b *testing.B) {
 
 // BenchmarkEmulatorFused is the countdown loop under the emulator the
 // kernel runs: fused superinstruction dispatch (one compiled run per
-// loop body, register slots cached in executor locals), fused once and
-// run with a long-lived FusedRunner as a node does. The all-register
-// countdown is the best case; the walker sub-benchmarks run what the
-// compiler emits for compute_ring's chunk loop instead.
+// loop body, the register file held for the whole Run call), fused once
+// and run with a long-lived FusedRunner as a node does. The
+// all-register countdown is the best case; the walker sub-benchmarks run
+// what the compiler emits for compute_ring's chunk loop instead, whose
+// temp-stack idioms dispatch as blocks.
 func BenchmarkEmulatorFused(b *testing.B) {
 	benchWalkerChunk(b)
 	for _, spec := range arch.AllSpecs() {

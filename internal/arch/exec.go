@@ -5,8 +5,8 @@
 // by calling Step again with updated CPU state.
 //
 // Step holds no semantics of its own: it decodes the instruction at the
-// PC and runs the closure fuseInstr (fuse.go) compiles for it, with no
-// register cache. What an op computes, charges and faults on is written
+// PC and runs the general-form closure fuseInstr (fuse.go) compiles for
+// it. What an op computes, charges and faults on is written
 // once, there, for Step and the fused executor alike.
 
 package arch
@@ -57,7 +57,7 @@ func step(s *Spec, cpu *CPU, code []byte, mem []byte, preempt bool) (*Trap, uint
 	if err != nil {
 		return nil, 0, err
 	}
-	b := newFuser(s, &fusedRun{}, 0)
+	b := fuser{s: s}
 	op := b.fuseInstr(&in)
 	if op == nil {
 		return nil, 0, fmt.Errorf("%s: unimplemented op %v at %#x", s.Name, in.Op, cpu.PC)
@@ -67,10 +67,10 @@ func step(s *Spec, cpu *CPU, code []byte, mem []byte, preempt bool) (*Trap, uint
 		cpu: cpu, mem: mem,
 		fp: cpu.FP, self: cpu.Self, tempBase: cpu.TempBase, litBase: cpu.LitBase,
 		mc: uint64(s.MemCycles), be: bigEndian(s), preempt: preempt,
-		depth: cpu.TempDepth, npc: next,
+		r: cpu.Regs, depth: cpu.TempDepth, npc: next,
 	}
 	op(&e)
-	cpu.TempDepth = e.depth
+	cpu.Regs, cpu.TempDepth = e.r, e.depth
 	if e.fault != 0 {
 		// A fault leaves cpu.PC at the instruction.
 		return &Trap{Kind: TrapFault, Fault: e.fault, PC: next}, uint32(e.cycles), nil
@@ -104,7 +104,8 @@ var ErrRunaway = fmt.Errorf("no kernel entry within %d instructions past the sli
 // instructions of this call preceded it. It is the byte-at-a-time,
 // one-instruction-per-dispatch reference the fused dispatcher (fexec.go)
 // is validated against: the two share every op's semantics (fuseInstr)
-// and differ in run tiling, register caching and the budget check.
+// and differ in run tiling, the flat forms, the blocks and the budget
+// check.
 func RunLegacy(s *Spec, cpu *CPU, code []byte, mem []byte, budget int) (*Trap, uint64, int, error) {
 	var cycles uint64
 	for n := 0; ; n++ {

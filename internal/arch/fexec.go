@@ -1,15 +1,15 @@
 // Fused execution state and dispatch loop. One fexec carries a whole
-// run: the kernel-owned bases (FP, Self, TempBase, LitBase — machine
-// instructions never write them) are hoisted once per Run call, and the
-// run's cached register slots plus temp-stack depth are loaded at its
-// head, the only place a run is entered, and written back wherever it
-// is left — its end, a trap, or a fault. The slice budget is no exit: it
-// only makes the run's closing poll yield. Memory writes stay eager:
-// only registers and depth are cached, so the final memory image is
-// byte-identical to the legacy path by construction. Step (exec.go)
-// runs its one uncached closure on an fexec of its own. The spec's byte
-// order is resolved once per Run or Step call too, so every load and
-// store inlines a concrete binary.BigEndian or LittleEndian.
+// Run call: the kernel-owned bases (FP, Self, TempBase, LitBase — machine
+// instructions never write them) are hoisted once, and the register file
+// and temp-stack depth are loaded on entry and written back on every
+// return — nothing outside the executor looks at the CPU between the
+// runs of one call. The slice budget is no exit: it only makes the run's
+// closing poll yield. Memory writes stay eager: only registers and depth
+// are held, so the final memory image is byte-identical to the legacy
+// path by construction. Step (exec.go) runs its one closure on an fexec
+// of its own. The spec's byte order is resolved once per Run or Step
+// call too, so every load and store inlines a concrete binary.BigEndian
+// or LittleEndian.
 
 package arch
 
@@ -35,14 +35,17 @@ type fexec struct {
 	be       bool   // s.ByteOrd is big endian (bigEndian)
 	preempt  bool   // a poll yields: cpu.Preempt, or the budget is spent
 
+	// Held for the whole Run call.
+	r      [16]uint32 // cpu.Regs
+	depth  int32      // cpu.TempDepth
+	cycles uint64
+
 	// Per-run state.
-	depth  int32     // cached cpu.TempDepth
-	npc    uint32    // next PC; branches redirect it, fallthrough pre-set
-	cycles uint64    // accumulated over the whole Run call
-	fault  FaultCode // first fault of the current instruction (0 = none); it ends the run
-	trap   *Trap     // kernel-entry trap raised by the run's last instruction
-	tbuf   Trap      // where trap points: the executor owns its trap
-	r      [fuseRegSlots]uint32
+	npc   uint32    // next PC; branches redirect it, fallthrough pre-set
+	fault FaultCode // first fault of the current instruction (0 = none); it ends the run
+	unran int32     // instructions of a faulting block after the faulting one
+	trap  *Trap     // kernel-entry trap raised by the run's last instruction
+	tbuf  Trap      // where trap points: the executor owns its trap
 }
 
 // bigEndian resolves a spec's byte order to the flag ld32 and st32 branch
@@ -165,57 +168,45 @@ func (e *fexec) raise(kind TrapKind, a, b uint16) {
 	e.trap = &e.tbuf
 }
 
-// exec runs fr from its head to its end, or to the trap or fault that
-// leaves it early, and returns that trap (nil when it fell off the run's
-// end) with the number of instructions executed. Whichever way the run
-// is left, cached slots and depth reconverge first, so the kernel (and
-// any migration snapshot) sees exactly the legacy-path state.
-func (fz *Fused) exec(e *fexec, fr *fusedRun) (*Trap, int) {
-	cpu := e.cpu
-	regs := fr.regs[:fr.nreg]
-	for i, m := range regs {
-		e.r[i] = cpu.Regs[m]
-	}
-	e.depth = cpu.TempDepth
-	e.npc = fr.end
+// execPrefix runs fr's first m instructions one closure each, m short of
+// the run's length, so neither a branch nor a kernel entry is among them.
+// It is the cold path of a run that would cross the runaway bound, which
+// RunLegacy checks per instruction.
+func (fz *Fused) execPrefix(e *fexec, fr *fusedRun, m int) (*Trap, int) {
 	e.fault = 0
-	e.trap = nil
-	n := 0
-	for _, op := range fz.ops[fr.lo:fr.hi] {
+	for i, op := range fz.ops[fr.lo : int(fr.lo)+m] {
 		op(e)
-		n++
 		if e.fault != 0 {
-			break
+			return fz.faulted(e, fr, i+1), i + 1
 		}
 	}
-	for k, m := range regs {
-		cpu.Regs[m] = e.r[k]
-	}
-	cpu.TempDepth = e.depth
-	if e.fault != 0 {
-		// A faulting instruction leaves cpu.PC at its own start; the
-		// trap's PC is the next instruction.
-		last := int(fr.lo) + n - 1
-		cpu.PC = fz.pcOf(fr, last)
-		e.tbuf = Trap{Kind: TrapFault, Fault: e.fault, PC: cpu.PC + fz.p.instrs[last].Size}
-		return &e.tbuf, n
-	}
-	cpu.PC = e.npc
-	return e.trap, n
+	e.cpu.PC = fz.pcOf(fr, int(fr.lo)+m)
+	return nil, m
+}
+
+// faulted delivers the fault of fr's n-th instruction: a faulting
+// instruction leaves cpu.PC at its own start, and the trap's PC is the
+// next instruction.
+func (fz *Fused) faulted(e *fexec, fr *fusedRun, n int) *Trap {
+	last := int(fr.lo) + n - 1
+	e.cpu.PC = fz.pcOf(fr, last)
+	e.tbuf = Trap{Kind: TrapFault, Fault: e.fault, PC: e.cpu.PC + fz.p.instrs[last].Size}
+	return &e.tbuf
 }
 
 // FusedRunner executes fused programs. It exists so steady-state
 // dispatch allocates nothing: the executor state (including the register
-// cache array the closures capture through the *fexec) lives in the
-// runner, and a kernel node reuses one runner across every slice it
-// runs. The zero value is ready to use. Not safe for concurrent use.
+// file the closures reach through the *fexec) lives in the runner, and a
+// kernel node reuses one runner across every slice it runs. The zero
+// value is ready to use. Not safe for concurrent use.
 type FusedRunner struct {
 	e fexec
 }
 
 // Run is RunLegacy over fz, one whole run at a time, with byte-identical
 // observables, which the differential suite pins. Only a run's last
-// member can be a poll, so checking the budget once per run is exact.
+// member can be a poll, so checking the budget once per run is exact; a
+// run that would cross the runaway bound runs only up to it.
 // Every PC a thread resumes at (0, a branch target, the instruction after
 // a kernel entry) heads a run; any other PC is an error. The returned
 // Trap belongs to the runner and is valid until its next Run: callers
@@ -228,20 +219,49 @@ func (rn *FusedRunner) Run(s *Spec, fz *Fused, cpu *CPU, mem []byte, budget int)
 	e.mc, e.be = uint64(s.MemCycles), bigEndian(s)
 	e.cycles = 0
 	e.preempt = cpu.Preempt
+	e.r, e.depth = cpu.Regs, cpu.TempDepth
+	tr, n, err := e.run(s, fz, budget)
+	cpu.Regs, cpu.TempDepth = e.r, e.depth
+	return tr, e.cycles, n, err
+}
+
+// run is Run's loop: it runs each run's items from its head to its end,
+// or to the trap or fault that leaves it early, on the register file and
+// depth Run holds.
+func (e *fexec) run(s *Spec, fz *Fused, budget int) (*Trap, int, error) {
+	limit := budget + RunawayInstrs
 	for n := 0; ; {
-		fr := fz.runAt(cpu.PC)
+		fr := fz.runAt(e.cpu.PC)
 		switch {
-		case n >= budget+RunawayInstrs:
-			return nil, e.cycles, n, ErrRunaway
+		case n >= limit:
+			return nil, n, ErrRunaway
 		case fr == nil:
-			return nil, e.cycles, n, fmt.Errorf("%s: pc %#x does not start a fused run", s.Name, cpu.PC)
+			return nil, n, fmt.Errorf("%s: pc %#x does not start a fused run", s.Name, e.cpu.PC)
+		case n+int(fr.hi-fr.lo) > limit:
+			tr, did := fz.execPrefix(e, fr, limit-n)
+			if tr != nil {
+				return tr, n + did, nil
+			}
+			return nil, limit, ErrRunaway
 		case n+int(fr.hi-fr.lo)-1 >= budget:
 			e.preempt = true
 		}
-		tr, did := fz.exec(e, fr)
-		n += did
-		if tr != nil {
-			return tr, e.cycles, n, nil
+		e.npc, e.fault, e.trap = fr.end, 0, nil
+		for k, op := range fz.items[fr.ilo:fr.ihi] {
+			op(e)
+			if e.fault != 0 {
+				did := -int(e.unran)
+				for _, w := range fz.width[fr.ilo : int(fr.ilo)+k+1] {
+					did += int(w)
+				}
+				e.unran = 0
+				return fz.faulted(e, fr, did), n + did, nil
+			}
+		}
+		n += int(fr.hi - fr.lo)
+		e.cpu.PC = e.npc
+		if e.trap != nil {
+			return e.trap, n, nil
 		}
 	}
 }

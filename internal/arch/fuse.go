@@ -3,22 +3,21 @@
 // *between* stops may be optimized freely. Fusion is how the emulator
 // uses that freedom: PlanFusion tiles a decoded function into runs
 // (basic blocks that also end at every always-trapping op), and Fuse
-// compiles every instruction once into an operand-pre-resolved closure,
-// so the executor (fexec.go) dispatches a whole run per table lookup
-// with the run's register slots cached in executor locals and written
-// back only when it leaves the run (see DESIGN.md §16).
+// compiles every instruction once into an operand-pre-resolved closure
+// and each listed stack idiom into one block (block.go), so the executor
+// (fexec.go) dispatches a whole run per table lookup against a register
+// file held for the whole Run call (see DESIGN.md §16).
 //
 // A run is entered only at its head and left at its end, at a trap or at
 // a fault: every PC a thread resumes at heads a run, because a thread
 // stops only where it enters the kernel and every kernel-entry op ends
 // its run. fuseInstr is the only definition of what an op does: Step
-// (exec.go) compiles the one instruction it executes with it too, with
-// no register cache, so the reference stepper and a fused run differ
-// only in what fusion adds — run tiling, head-only entry, register
-// slots and their write-back, the per-run budget check and the flat
-// forms (fuseFlat). That is what the differential tests pin: observable
-// behavior (traps, faults, cycle charges, memory images, event streams)
-// is byte-identical to RunLegacy.
+// (exec.go) compiles the one instruction it executes with it too, in
+// its general form only, so the reference stepper and a fused run differ
+// only in what fusion adds — run tiling, head-only entry, the per-run
+// budget check, the flat forms (fuseFlat) and the blocks. That is what
+// the differential tests pin: observable behavior (traps, faults, cycle
+// charges, memory images, event streams) is byte-identical to RunLegacy.
 
 package arch
 
@@ -28,11 +27,6 @@ import (
 
 	"repro/internal/ir"
 )
-
-// fuseRegSlots bounds how many distinct registers one run caches in
-// executor locals; runs touching more fall back to direct CPU-struct
-// access for the overflow registers (still exact, just not cached).
-const fuseRegSlots = 8
 
 // fuseBuilds counts Fuse invocations process-wide; the core tests pin
 // "one build per compiled function and ISA" against deltas of it.
@@ -60,7 +54,7 @@ type FusePlan struct {
 // endsRun reports ops that must come last in their run: branches, which
 // redirect the PC, and the ops that enter the kernel (unconditionally,
 // or for OpPoll when preemption is pending), whose trap is delivered
-// with the run's cached state already written back.
+// from the run's end.
 func endsRun(op Op) bool {
 	return shapes[op].hasTarget || op == OpPoll || op == OpRet || op == OpTrap || op == OpUnlq
 }
@@ -71,8 +65,8 @@ func endsRun(op Op) bool {
 // Bus stops need no boundary of their own: every stop PC follows a
 // kernel-entry op, so it heads a run already.
 // Faulting-capable instructions (memory operands, div/mod, string and
-// array ops) are allowed anywhere: the fused executor writes cached
-// state back before delivering their trap (fexec.go).
+// array ops) are allowed anywhere: the fused executor leaves the run at
+// the faulting instruction (fexec.go).
 func PlanFusion(p *Predecoded) *FusePlan {
 	n := len(p.instrs)
 	if n == 0 {
@@ -111,25 +105,28 @@ func PlanFusion(p *Predecoded) *FusePlan {
 
 // Fused is one function's compiled superinstruction program: the
 // predecoded cache plus one pre-resolved closure per instruction,
-// grouped into the plan's runs. Dispatch goes PC -> instruction index
-// (the shared Predecoded.index) -> run, so nothing here is sized by code
-// bytes. Like Predecoded it is immutable once built and safe to share
-// across goroutines; all mutable execution state lives in the caller's
-// FusedRunner.
+// grouped into the plan's runs, and the items a run dispatches: a block
+// or one instruction's closure each. Dispatch goes PC -> instruction
+// index (the shared Predecoded.index) -> run, so nothing here is sized
+// by code bytes. Like Predecoded it is immutable once built and safe to
+// share across goroutines; all mutable execution state lives in the
+// caller's FusedRunner.
 type Fused struct {
-	p    *Predecoded
-	ops  []fop   // one per decoded instruction
-	head []int32 // instruction index -> index into runs of the run it heads, or -1
-	runs []fusedRun
+	p     *Predecoded
+	ops   []fop   // one per decoded instruction
+	items []fop   // what the runs dispatch, run after run
+	width []uint8 // how many instructions each item covers
+	head  []int32 // instruction index -> index into runs of the run it heads, or -1
+	runs  []fusedRun
 }
 
-// fusedRun is one compiled run: instructions [lo, hi) of the function.
+// fusedRun is one compiled run: instructions [lo, hi) of the function,
+// dispatched as items [ilo, ihi).
 type fusedRun struct {
-	lo, hi int32
-	head   uint32 // PC of instruction lo
-	end    uint32 // fallthrough PC after instruction hi-1
-	nreg   uint8
-	regs   [fuseRegSlots]byte // cache slot i holds machine register regs[i]
+	lo, hi   int32
+	ilo, ihi int32
+	head     uint32 // PC of instruction lo
+	end      uint32 // fallthrough PC after instruction hi-1
 }
 
 // NumRuns reports how many runs were compiled.
@@ -181,11 +178,14 @@ func Fuse(s *Spec, p *Predecoded, plan *FusePlan) *Fused {
 	}
 	n := len(p.instrs)
 	fz := &Fused{
-		p:    p,
-		ops:  make([]fop, n),
-		head: make([]int32, n),
-		runs: make([]fusedRun, len(plan.Runs)),
+		p:     p,
+		ops:   make([]fop, n),
+		items: make([]fop, 0, n),
+		width: make([]uint8, 0, n),
+		head:  make([]int32, n),
+		runs:  make([]fusedRun, len(plan.Runs)),
 	}
+	b := fuser{s: s, flat: true}
 	idx, pc := 0, uint32(0)
 	for ri, pr := range plan.Runs {
 		if pr.Head != pc || pr.N <= 0 || int(pr.N) > n-idx {
@@ -193,7 +193,6 @@ func Fuse(s *Spec, p *Predecoded, plan *FusePlan) *Fused {
 		}
 		fr := &fz.runs[ri]
 		fr.lo, fr.head = int32(idx), pc
-		b := newFuser(s, fr, fuseRegSlots)
 		for last := idx + int(pr.N) - 1; idx <= last; idx++ {
 			in := &p.instrs[idx]
 			op := b.fuseInstr(in)
@@ -206,6 +205,18 @@ func Fuse(s *Spec, p *Predecoded, plan *FusePlan) *Fused {
 		}
 		fr.hi, fr.end = int32(idx), pc
 		fz.head[fr.lo] = int32(ri)
+		fr.ilo = int32(len(fz.items))
+		for i := int(fr.lo); i < idx; {
+			op, w := fz.ops[i], 1
+			if bk := b.match(p.instrs[i:idx]); bk != nil {
+				bk.ops = fz.ops[i : i+bk.n]
+				op, w = bk.compile(), bk.n
+			}
+			fz.items = append(fz.items, op)
+			fz.width = append(fz.width, uint8(w))
+			i += w
+		}
+		fr.ihi = int32(len(fz.items))
 	}
 	if idx != n {
 		return nil
@@ -233,40 +244,34 @@ func ccHolds(cc byte, lt, eq bool) uint32 {
 	return boolW(r)
 }
 
-// fuser compiles one run's instructions, allocating register cache slots
-// on first touch. A register either gets a slot (and every access in the
-// run goes through it) or, past slots distinct registers, is accessed
-// directly in the CPU struct — never both, so the two views cannot
-// diverge. Fuse caches fuseRegSlots registers per run; Step's single
-// instruction caches none, so it compiles only the general forms.
+// aluVal computes an integer ALU op (add through scc) on src1 a and
+// src2 b; a zero divisor is the caller's to fault on.
+func aluVal(op Op, cc byte, a, b uint32) uint32 {
+	switch op {
+	case OpAdd:
+		return uint32(int32(a) + int32(b))
+	case OpSub:
+		return uint32(int32(a) - int32(b))
+	case OpMul:
+		return uint32(int32(a) * int32(b))
+	case OpDiv:
+		return uint32(int32(a) / int32(b))
+	case OpMod:
+		return uint32(int32(a) % int32(b))
+	case OpAnd:
+		return boolW(a != 0 && b != 0)
+	case OpOr:
+		return boolW(a != 0 || b != 0)
+	}
+	return ccHolds(cc, int32(a) < int32(b), a == b)
+}
+
+// fuser compiles instructions for one spec. Fuse's compiles the flat
+// forms and the blocks too; Step's (flat false) compiles only the general
+// forms, so the differential tests compare the two.
 type fuser struct {
-	s      *Spec
-	fr     *fusedRun
-	slots  uint8 // cache capacity: fuseRegSlots, or 0 for Step
-	slotOf [16]int8
-}
-
-func newFuser(s *Spec, fr *fusedRun, slots uint8) fuser {
-	b := fuser{s: s, fr: fr, slots: slots}
-	for i := range b.slotOf {
-		b.slotOf[i] = -1
-	}
-	return b
-}
-
-func (b *fuser) regSlot(r byte) int {
-	r &= 0xf
-	if si := b.slotOf[r]; si >= 0 {
-		return int(si)
-	}
-	if b.fr.nreg >= b.slots {
-		return -1
-	}
-	si := b.fr.nreg
-	b.fr.regs[si] = r
-	b.fr.nreg++
-	b.slotOf[r] = int8(si)
-	return int(si)
+	s    *Spec
+	flat bool
 }
 
 // rdFn/wrFn are pre-resolved operand accessors: the addressing-mode
@@ -286,11 +291,8 @@ func (b *fuser) rd(o *Operand) rdFn {
 		v := o.Imm
 		return func(*fexec) uint32 { return v }
 	case ModeReg:
-		if si := b.regSlot(o.Reg); si >= 0 {
-			return func(e *fexec) uint32 { return e.r[si] }
-		}
 		k := o.Reg & 0xf
-		return func(e *fexec) uint32 { return e.cpu.Regs[k] }
+		return func(e *fexec) uint32 { return e.r[k] }
 	case ModeFrame:
 		d := uint32(o.Disp)
 		return func(e *fexec) uint32 { return e.ldFrame(d) }
@@ -325,11 +327,8 @@ func (b *fuser) rd(o *Operand) rdFn {
 func (b *fuser) wr(o *Operand) wrFn {
 	switch o.Mode {
 	case ModeReg:
-		if si := b.regSlot(o.Reg); si >= 0 {
-			return func(e *fexec, v uint32) { e.r[si] = v }
-		}
 		k := o.Reg & 0xf
-		return func(e *fexec, v uint32) { e.cpu.Regs[k] = v }
+		return func(e *fexec, v uint32) { e.r[k] = v }
 	case ModeFrame:
 		d := uint32(o.Disp)
 		return func(e *fexec, v uint32) { e.stFrame(d, v) }
@@ -347,26 +346,25 @@ func (b *fuser) wr(o *Operand) wrFn {
 	return func(e *fexec, _ uint32) { e.setFault(FaultStack) }
 }
 
-// regOperand reports the cache slot of a register operand, or -1.
-func (b *fuser) regOperand(o *Operand) int {
+// regOperand reports the register of a register operand, or -1.
+func regOperand(o *Operand) int {
 	if o.Mode != ModeReg {
 		return -1
 	}
-	return b.regSlot(o.Reg)
+	return int(o.Reg & 0xf)
 }
 
 // fuseInstr compiles one instruction into a closure, or nil for an
 // unimplemented op. It is the one place an op's semantics are written:
 // its result, operand evaluation order (with stack operands src2, the
 // top, before src1), fault precedence, cycle charges and next-PC rule.
-// Fuse and Step both compile through it. A fuser with register slots
-// (Fuse's) first tries the op's flat form (fuseFlat); Step's has none,
-// so it always compiles the general form below, and the differential
-// tests compare the two. A fault the op itself detects (div by zero,
+// Fuse and Step both compile through it. Fuse's fuser first tries the
+// op's flat form (fuseFlat); Step's always compiles the general form
+// below, and the differential tests compare the two. A fault the op itself detects (div by zero,
 // bounds, nil) is raised only when no operand fault is pending, and the
 // write is then skipped.
 func (b *fuser) fuseInstr(in *Instr) fop {
-	if b.slots > 0 {
+	if b.flat {
 		if op := b.fuseFlat(in); op != nil {
 			return op
 		}
@@ -398,34 +396,11 @@ func (b *fuser) fuseInstr(in *Instr) fop {
 			if e.fault != 0 {
 				return
 			}
-			var v uint32
-			switch op {
-			case OpAdd:
-				v = uint32(int32(a) + int32(bb))
-			case OpSub:
-				v = uint32(int32(a) - int32(bb))
-			case OpMul:
-				v = uint32(int32(a) * int32(bb))
-			case OpDiv:
-				if bb == 0 {
-					e.setFault(FaultDivZero)
-					return
-				}
-				v = uint32(int32(a) / int32(bb))
-			case OpMod:
-				if bb == 0 {
-					e.setFault(FaultDivZero)
-					return
-				}
-				v = uint32(int32(a) % int32(bb))
-			case OpAnd:
-				v = boolW(a != 0 && bb != 0)
-			case OpOr:
-				v = boolW(a != 0 || bb != 0)
-			case OpScc:
-				v = ccHolds(cc, int32(a) < int32(bb), a == bb)
+			if bb == 0 && (op == OpDiv || op == OpMod) {
+				e.setFault(FaultDivZero)
+				return
 			}
-			wr(e, v)
+			wr(e, aluVal(op, cc, a, bb))
 		}
 
 	case OpNeg, OpAbs, OpNot:
@@ -707,8 +682,8 @@ func (b *fuser) fuseInstr(in *Instr) fop {
 }
 
 // fuseFlat compiles the flat form of an instruction, or returns nil when
-// its operand shape has none. A flat form reads and writes cached
-// register slots and calls the fexec operand methods directly, where the
+// its operand shape has none. A flat form reads and writes the register
+// file and calls the fexec operand methods directly, where the
 // general form calls an rd/wr closure per operand; it must match the
 // general form exactly (evaluation order, cycle charges, fault
 // precedence, the write after a faulted mov read), which the
@@ -723,7 +698,7 @@ func (b *fuser) fuseFlat(in *Instr) fop {
 	switch in.Op {
 	case OpMov:
 		src, dst := &o[0], &o[1]
-		di, si := b.regOperand(dst), b.regOperand(src)
+		di, si := regOperand(dst), regOperand(src)
 		switch {
 		case di >= 0 && src.Mode == ModeImm:
 			v := src.Imm
@@ -767,10 +742,10 @@ func (b *fuser) fuseFlat(in *Instr) fop {
 		}
 
 	case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr, OpScc:
-		s1, s2, sd := b.regOperand(&o[0]), b.regOperand(&o[1]), b.regOperand(&o[2])
+		s1, s2, sd := regOperand(&o[0]), regOperand(&o[1]), regOperand(&o[2])
 		if s1 >= 0 && s2 >= 0 && sd >= 0 {
 			// All-register form: no operand can fault, so the closure is a
-			// straight computation on cached slots.
+			// straight computation on the register file.
 			switch in.Op {
 			case OpAdd:
 				return func(e *fexec) {
@@ -830,87 +805,23 @@ func (b *fuser) fuseFlat(in *Instr) fop {
 			return nil
 		}
 		// Temp-stack form: src2, the top, pops before src1, and a faulted
-		// pop suppresses the push.
-		switch in.Op {
-		case OpAdd:
-			return func(e *fexec) {
-				e.cycles += cyc
-				bb := e.pop()
-				if a := e.pop(); e.fault == 0 {
-					e.push(uint32(int32(a) + int32(bb)))
-				}
-			}
-		case OpSub:
-			return func(e *fexec) {
-				e.cycles += cyc
-				bb := e.pop()
-				if a := e.pop(); e.fault == 0 {
-					e.push(uint32(int32(a) - int32(bb)))
-				}
-			}
-		case OpMul:
-			return func(e *fexec) {
-				e.cycles += cyc
-				bb := e.pop()
-				if a := e.pop(); e.fault == 0 {
-					e.push(uint32(int32(a) * int32(bb)))
-				}
-			}
-		case OpAnd:
-			return func(e *fexec) {
-				e.cycles += cyc
-				bb := e.pop()
-				if a := e.pop(); e.fault == 0 {
-					e.push(boolW(a != 0 && bb != 0))
-				}
-			}
-		case OpOr:
-			return func(e *fexec) {
-				e.cycles += cyc
-				bb := e.pop()
-				if a := e.pop(); e.fault == 0 {
-					e.push(boolW(a != 0 || bb != 0))
-				}
-			}
-		case OpScc:
-			cc := in.CC
-			return func(e *fexec) {
-				e.cycles += cyc
-				bb := e.pop()
-				if a := e.pop(); e.fault == 0 {
-					e.push(ccHolds(cc, int32(a) < int32(bb), a == bb))
-				}
-			}
-		case OpDiv:
-			return func(e *fexec) {
-				e.cycles += cyc
-				bb := e.pop()
-				a := e.pop()
-				switch {
-				case e.fault != 0:
-				case bb == 0:
-					e.setFault(FaultDivZero)
-				default:
-					e.push(uint32(int32(a) / int32(bb)))
-				}
-			}
-		case OpMod:
-			return func(e *fexec) {
-				e.cycles += cyc
-				bb := e.pop()
-				a := e.pop()
-				switch {
-				case e.fault != 0:
-				case bb == 0:
-					e.setFault(FaultDivZero)
-				default:
-					e.push(uint32(int32(a) % int32(bb)))
-				}
+		// pop or a zero divisor suppresses the push.
+		op, cc := in.Op, in.CC
+		return func(e *fexec) {
+			e.cycles += cyc
+			bb := e.pop()
+			a := e.pop()
+			switch {
+			case e.fault != 0:
+			case bb == 0 && (op == OpDiv || op == OpMod):
+				e.setFault(FaultDivZero)
+			default:
+				e.push(aluVal(op, cc, a, bb))
 			}
 		}
 
 	case OpNeg, OpAbs, OpNot:
-		si, di := b.regOperand(&o[0]), b.regOperand(&o[1])
+		si, di := regOperand(&o[0]), regOperand(&o[1])
 		if si < 0 || di < 0 {
 			return nil
 		}
@@ -938,7 +849,7 @@ func (b *fuser) fuseFlat(in *Instr) fop {
 
 	case OpBrz, OpBrnz:
 		wantZero, target := in.Op == OpBrz, uint32(in.Target)
-		if si := b.regOperand(&o[0]); si >= 0 {
+		if si := regOperand(&o[0]); si >= 0 {
 			return func(e *fexec) {
 				e.cycles += cyc
 				if (e.r[si] == 0) == wantZero {

@@ -3,6 +3,7 @@ package arch
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -88,30 +89,6 @@ func TestFusePlanSplitsAtStops(t *testing.T) {
 			}
 			if fz := Fuse(s, pd, &FusePlan{Runs: plan.Runs[:1]}); fz != nil {
 				t.Error("Fuse accepted a plan that does not cover the function")
-			}
-		})
-	}
-}
-
-// Steady-state fused dispatch must not allocate: closures are built once
-// at Fuse time and all mutable state — the yield trap included — lives in
-// the reusable FusedRunner.
-func TestFusedDispatchSteadyStateAllocs(t *testing.T) {
-	for _, s := range AllSpecs() {
-		t.Run(s.Name, func(t *testing.T) {
-			_, _, fz := fuseCountdown(t, s, 1_000_000)
-			mem := make([]byte, 4096)
-			var cpu CPU
-			var rn FusedRunner // lives in the node, outside the slice loop
-			got := testing.AllocsPerRun(100, func() {
-				cpu = CPU{FP: 256, TempBase: 512}
-				tr, _, n, err := rn.Run(s, fz, &cpu, mem, 5000)
-				if err != nil || tr == nil || tr.Kind != TrapYield || n <= 5000 {
-					t.Fatalf("stop after %d instructions: %v %v, want a yield past the budget", n, tr, err)
-				}
-			})
-			if got != 0 {
-				t.Errorf("fused dispatch allocates %.1f allocs/run, want 0", got)
 			}
 		})
 	}
@@ -232,17 +209,18 @@ func TestFusedBudgetMatchesLegacy(t *testing.T) {
 // TestQuickFusedMatchesLegacy: random legal instruction streams, fused
 // against legacy, entered at a random run head with a random budget and
 // preemption flag. Both tiers compile every op through fuseInstr, so what
-// this checks is fusion itself: run tiling, head-only entry, register
-// slots and their write-back on the end, fault and trap exits, the
-// per-run budget rule, and the flat all-register forms (which only the
-// fused tier compiles) against the general forms. Streams include
-// faulting memory modes, stack over- and underflow, div-zero, branches to
-// instruction starts and past the code, and every kernel-entry op.
-// Running off the code is an error on both tiers (with different texts:
-// an undecodable PC against one that heads no run).
+// this checks is fusion itself: run tiling, head-only entry, the register
+// file held across runs, fault and trap exits, the per-run budget rule,
+// and the flat all-register forms (which only the fused tier compiles)
+// against the general forms. Streams include faulting memory modes, stack
+// over- and underflow, div-zero, branches to instruction starts and past
+// the code, and every kernel-entry op. Running off the code is an error
+// on both tiers (with different texts: an undecodable PC against one that
+// heads no run). A second generator (genBlockStream) strings together the
+// stack idioms Fuse compiles into blocks, in a memory so small that most
+// guards fail somewhere.
 func TestQuickFusedMatchesLegacy(t *testing.T) {
 	for _, s := range AllSpecs() {
-		s := s
 		rng := rand.New(rand.NewSource(0x5eed + int64(s.ID)))
 		for iter := 0; iter < 300; iter++ {
 			n := 2 + rng.Intn(10)
@@ -274,21 +252,13 @@ func TestQuickFusedMatchesLegacy(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			pd, err := Predecode(s, code)
-			if err != nil {
-				t.Fatalf("%s iter %d: encoded stream does not predecode: %v\ncode: %x", s.Name, iter, err, code)
-			}
-			fz := Fuse(s, pd, PlanFusion(pd))
-			if fz == nil {
-				t.Fatalf("%s iter %d: predecoded stream did not fuse\ncode: %x", s.Name, iter, code)
-			}
+			fz := fuseStream(t, s, code)
 			// Small random words everywhere, so array and string headers
 			// read plausible lengths and the non-faulting paths run too.
-			mem1 := make([]byte, 1<<14)
-			for a := 0; a < len(mem1); a += 4 {
-				s.ByteOrd.PutUint32(mem1[a:], rng.Uint32()%2048)
+			mem := make([]byte, 1<<14)
+			for a := 0; a < len(mem); a += 4 {
+				s.ByteOrd.PutUint32(mem[a:], rng.Uint32()%2048)
 			}
-			mem2 := append([]byte(nil), mem1...)
 			// Registers: small values (plausible addresses and indices)
 			// mixed with the sign edges, so a compare or an arithmetic op
 			// that loses its sign differs between the flat and the general
@@ -300,27 +270,162 @@ func TestQuickFusedMatchesLegacy(t *testing.T) {
 					regs[i] = [...]uint32{0, 1, 0xffffffff, 0x80000000, 0x7fffffff}[rng.Intn(5)]
 				}
 			}
-			cpu1 := CPU{PC: fz.runs[rng.Intn(fz.NumRuns())].head, FP: 256, TempBase: 512, LitBase: 1024, Self: 2048,
+			cpu := CPU{PC: fz.runs[rng.Intn(fz.NumRuns())].head, FP: 256, TempBase: 512, LitBase: 1024, Self: 2048,
 				TempDepth: int32(rng.Intn(4)), Regs: regs, Preempt: rng.Intn(2) == 0}
-			cpu2 := cpu1
 			budget := rng.Intn(12) // around the streams' length, so polls land on both sides of it
-			tr1, cy1, n1, err1 := RunFused(s, fz, &cpu1, mem1, budget)
-			tr2, cy2, n2, err2 := RunLegacy(s, &cpu2, code, mem2, budget)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("%s iter %d: error mismatch: %v vs %v\ncode: %x", s.Name, iter, err1, err2, code)
+			diffTiers(t, s, fz, code, cpu, mem, budget, iter)
+		}
+
+		blocks, faults := [numBlockKinds]int{}, 0
+		for iter := 0; iter < 10000; iter++ {
+			code := genBlockStream(rng, s)
+			fz := fuseStream(t, s, code)
+			for ri := range fz.runs {
+				fr := &fz.runs[ri]
+				for i, k := fr.lo, fr.ilo; k < fr.ihi; i, k = i+int32(fz.width[k]), k+1 {
+					if fz.width[k] > 1 {
+						blocks[fusers[s.ID].match(fz.p.instrs[i:fr.hi]).kind]++
+					}
+				}
 			}
-			if cy1 != cy2 || n1 != n2 {
-				t.Fatalf("%s iter %d: cycles/instrs %d/%d vs %d/%d\ncode: %x", s.Name, iter, cy1, n1, cy2, n2, code)
+			// FP and TempBase near the end of a small memory, so frame and
+			// temp-stack words alias and fall off it.
+			mem := make([]byte, 64+4*rng.Intn(11))
+			for a := 0; a < len(mem); a += 4 {
+				s.ByteOrd.PutUint32(mem[a:], [...]uint32{0, 1, 3, 0xfffffffe, 0x80000000}[rng.Intn(5)])
 			}
-			if (tr1 == nil) != (tr2 == nil) || (tr1 != nil && *tr1 != *tr2) {
-				t.Fatalf("%s iter %d: traps %+v vs %+v\ncode: %x", s.Name, iter, tr1, tr2, code)
+			tb := uint32(len(mem) - 4*rng.Intn(8))
+			fp := tb - uint32(2*rng.Intn(12))
+			var regs [16]uint32
+			for i := range regs {
+				regs[i] = [...]uint32{0, 1, 7, 0xffffffff, 0x80000000}[rng.Intn(5)]
 			}
-			if cpu1 != cpu2 {
-				t.Fatalf("%s iter %d: cpu\n%+v\n%+v\ncode: %x", s.Name, iter, cpu1, cpu2, code)
+			cpu := CPU{FP: fp, TempBase: tb, TempDepth: int32(rng.Intn(4)), Regs: regs}
+			if tr := diffTiers(t, s, fz, code, cpu, mem, 1<<20, iter); tr != nil && tr.Kind == TrapFault {
+				faults++
 			}
-			if !bytes.Equal(mem1, mem2) {
-				t.Fatalf("%s iter %d: memory images differ\ncode: %x", s.Name, iter, code)
+		}
+		t.Logf("%s: blocks compiled per kind %v; %d of 10000 stack-idiom streams faulted", s.Name, blocks, faults)
+		for k, n := range blocks {
+			if n == 0 && (s.Style != EncFixedRISC || blockKind(k) >= blockPopPopALUPush) {
+				t.Errorf("%s: the stack-idiom streams compiled no block of kind %d", s.Name, k)
 			}
 		}
 	}
+}
+
+// fusers are the fusers Fuse compiles with, one per ISA.
+var fusers = [NumArch]*fuser{VAX: {s: VAXSpec, flat: true}, M68K: {s: M68KSpec, flat: true}, SPARC: {s: SPARCSpec, flat: true}}
+
+func fuseStream(t *testing.T, s *Spec, code []byte) *Fused {
+	t.Helper()
+	pd, err := Predecode(s, code)
+	if err != nil {
+		t.Fatalf("%s: encoded stream does not predecode: %v\ncode: %x", s.Name, err, code)
+	}
+	fz := Fuse(s, pd, PlanFusion(pd))
+	if fz == nil {
+		t.Fatalf("%s: predecoded stream did not fuse\ncode: %x", s.Name, code)
+	}
+	return fz
+}
+
+// diffTiers runs code from cpu on both tiers, each on its own copy of mem,
+// fails the test on any observable that differs and returns the trap.
+func diffTiers(t *testing.T, s *Spec, fz *Fused, code []byte, cpu CPU, mem []byte, budget, iter int) *Trap {
+	t.Helper()
+	cpu1, cpu2 := cpu, cpu
+	mem1, mem2 := slices.Clone(mem), slices.Clone(mem)
+	tr1, cy1, n1, err1 := RunFused(s, fz, &cpu1, mem1, budget)
+	tr2, cy2, n2, err2 := RunLegacy(s, &cpu2, code, mem2, budget)
+	if (err1 == nil) != (err2 == nil) {
+		t.Fatalf("%s iter %d: error mismatch: %v vs %v\ncode: %x", s.Name, iter, err1, err2, code)
+	}
+	if cy1 != cy2 || n1 != n2 {
+		t.Fatalf("%s iter %d: cycles/instrs %d/%d vs %d/%d\ncode: %x", s.Name, iter, cy1, n1, cy2, n2, code)
+	}
+	if (tr1 == nil) != (tr2 == nil) || (tr1 != nil && *tr1 != *tr2) {
+		t.Fatalf("%s iter %d: traps %+v vs %+v\ncode: %x", s.Name, iter, tr1, tr2, code)
+	}
+	if cpu1 != cpu2 {
+		t.Fatalf("%s iter %d: cpu\n%+v\n%+v\ncode: %x", s.Name, iter, cpu1, cpu2, code)
+	}
+	if !bytes.Equal(mem1, mem2) {
+		t.Fatalf("%s iter %d: memory images differ\ncode: %x", s.Name, iter, code)
+	}
+	return tr2
+}
+
+// genBlockStream strings together one to four of the stack idioms Fuse
+// compiles into blocks (block.go), each with a random tail, from a few
+// registers, small frame displacements (half-word ones too, so a frame
+// word can straddle two temp words) and immediates that include a zero
+// divisor; operands the ISA cannot encode are dropped, which leaves
+// broken idioms in the stream too. It ends in ret, which every branch
+// targets: a branch back would loop to the runaway bound.
+func genBlockStream(rng *rand.Rand, s *Spec) []byte {
+	reg := func() Operand { return Reg(byte(1 + rng.Intn(3))) }
+	frame := func() Operand { return Frame(uint16(2 * rng.Intn(12))) }
+	src := func() Operand {
+		switch rng.Intn(3) {
+		case 0:
+			return Imm([...]uint32{0, 1, 7, 0xffffffff}[rng.Intn(4)])
+		case 1:
+			return reg()
+		}
+		return frame()
+	}
+	alu := func(a, b, c Operand) Instr {
+		op := [...]Op{OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr, OpScc}[rng.Intn(8)]
+		return Instr{Op: op, CC: byte(rng.Intn(6)), N: 3, Operands: [3]Operand{a, b, c}}
+	}
+	brz := func(o Operand) Instr {
+		return Instr{Op: [...]Op{OpBrz, OpBrnz}[rng.Intn(2)], N: 1, Operands: [3]Operand{o}}
+	}
+	var ins []Instr
+	for k := 1 + rng.Intn(4); k > 0; k-- {
+		switch rng.Intn(4) {
+		case 0:
+			ins = append(ins, mov(src(), Push()), mov(src(), Push()), alu(Pop(), Pop(), Push()))
+		case 1:
+			ins = append(ins, mov(src(), Push()), alu(Pop(), Pop(), Push()))
+		case 2:
+			x, y, z := reg(), reg(), reg()
+			ins = append(ins, mov(Pop(), x), mov(Pop(), y), alu(y, x, z), mov(z, Push()))
+		default:
+			a := reg()
+			ins = append(ins, mov(Imm(uint32(rng.Intn(3))), a), mov(a, Push()))
+		}
+		switch rng.Intn(4) {
+		case 0:
+			if rng.Intn(2) == 0 {
+				ins = append(ins, mov(Pop(), reg()))
+			} else {
+				ins = append(ins, mov(Pop(), frame()))
+			}
+		case 1:
+			ins = append(ins, brz(Pop()))
+		case 2:
+			w := reg()
+			ins = append(ins, mov(Pop(), w), brz(w))
+		}
+	}
+	var code []byte
+	var at []uint32
+	for _, in := range append(ins, Instr{Op: OpRet}) {
+		next, err := Encode(s, code, in)
+		if err != nil {
+			continue
+		}
+		if shapes[in.Op].hasTarget {
+			at = append(at, uint32(len(code)))
+		}
+		code = next
+	}
+	for _, pc := range at {
+		if err := PatchTarget(s, code, pc, uint16(len(code))-uint16(retSize[s.ID])); err != nil {
+			panic(err)
+		}
+	}
+	return code
 }

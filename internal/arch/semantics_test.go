@@ -17,7 +17,10 @@ import (
 // for the memory and stack operand forms on the ISAs that encode them.
 // Step compiles only general forms and Run the flat ones too, so a row
 // of every flat shape (fuser.fuseFlat) pins each flat form against both
-// the numbers and its general form.
+// the numbers and its general form. The block rows do the same for the
+// stack idioms Fuse compiles into one closure (block.go): each runs an
+// idiom through RunLegacy and Run, once with the block's fast path and
+// once per guard clause with its fallback.
 
 // semFixture is the memory and CPU every row starts from; the addresses
 // are the same on every ISA and each word is stored in the ISA's byte
@@ -67,6 +70,15 @@ type semRow struct {
 	r3     uint32          // r3 afterwards; no other register changes
 	depth  int32           // TempDepth afterwards
 	mem    []semWord       // words stored; no other byte changes
+
+	// Block rows: seq replaces in, its branches target the second
+	// trailing ret, and Fuse compiles it into one block of kind whose
+	// entry guard fails clause (guardPass: the fast path runs).
+	seq    []Instr
+	kind   blockKind
+	clause guardClause
+	at     int            // the index of the instruction that faults
+	set    map[int]uint32 // registers besides r3 the sequence changes
 }
 
 // Encoded sizes and cycle charges the rows share.
@@ -302,15 +314,155 @@ var semRows = []semRow{
 		depth0: 2, cyc: [NumArch]uint32{7, 6}, pc: [NumArch]uint32{5, 7}, depth: 1},
 	{name: "brz pop not taken", in: Instr{Op: OpBrz, N: 1, Operands: [3]Operand{Pop()}}, only: cisc,
 		depth0: 2, cyc: [NumArch]uint32{6, 5}, pc: [NumArch]uint32{4, 5}, depth: 1},
+
+	// Blocks: every listed idiom on the ISAs whose compiler emits it, its
+	// fast path with every tail and each guard clause's fallback. A
+	// fallback faults where the idiom's own instructions do.
+	{name: "block push push alu, pop frame", only: cisc, kind: blockPushPushALU,
+		seq: []Instr{mov(Frame(8), Push()), mov(Imm(2), Push()), stk(OpSub), mov(Pop(), Frame(12))},
+		cyc: [NumArch]uint32{33, 29}, pc: [NumArch]uint32{21, 25},
+		mem: []semWord{{512, 38}, {516, 2}, {268, 38}}},
+	{name: "block push push alu, pop reg", only: cisc, kind: blockPushPushALU, regs: [16]uint32{1: 4},
+		seq: []Instr{mov(Reg(1), Push()), mov(Imm(3), Push()), stk(OpAdd), mov(Pop(), Reg(3))},
+		cyc: [NumArch]uint32{29, 25}, pc: [NumArch]uint32{19, 23}, r3: 7,
+		mem: []semWord{{512, 7}}},
+	{name: "block push push alu, temp word off memory", only: cisc, kind: blockPushPushALU, clause: guardTemp,
+		seq:   []Instr{mov(Imm(1), Push()), mov(Imm(2), Push()), stk(OpAdd)},
+		setup: func(c *CPU) { c.TempBase = 4092 },
+		trap:  TrapFault, fault: FaultStack, at: 1, cyc: [NumArch]uint32{12, 10}, pc: [NumArch]uint32{14, 16},
+		depth: 1, mem: []semWord{{4092, 1}}},
+	// Only the second frame word is off memory.
+	{name: "block push push alu, frame off memory", only: cisc, kind: blockPushPushALU, clause: guardFrame,
+		seq:   []Instr{mov(Frame(8), Push()), mov(Frame(12), Push()), stk(OpAdd)},
+		setup: func(c *CPU) { c.FP = 4084 },
+		trap:  TrapFault, fault: FaultStack, at: 1, cyc: [NumArch]uint32{16, 14}, pc: [NumArch]uint32{10, 12},
+		depth: 2, mem: []semWord{{512, 0}, {516, 0}}},
+	// FP+8 is the first temp word: the second push reads the first.
+	{name: "block push push alu, frame word on a temp word", only: cisc, kind: blockPushPushALU,
+		seq:   []Instr{mov(Imm(5), Push()), mov(Frame(8), Push()), stk(OpMul)},
+		setup: func(c *CPU) { c.FP = 504 },
+		cyc:   [NumArch]uint32{34, 29}, pc: [NumArch]uint32{16, 19},
+		depth: 1, mem: []semWord{{512, 25}, {516, 5}}},
+	{name: "block push push alu, div by zero", only: cisc, kind: blockPushPushALU, clause: guardDiv,
+		seq:  []Instr{mov(Frame(8), Push()), mov(Reg(1), Push()), stk(OpDiv)},
+		trap: TrapFault, fault: FaultDivZero, at: 2, cyc: [NumArch]uint32{42, 36}, pc: [NumArch]uint32{13, 16},
+		mem: []semWord{{512, 40}, {516, 0}}},
+	{name: "block push alu, brnz pop taken", only: cisc, kind: blockPushALU, depth0: 2,
+		seq: []Instr{mov(Imm(5), Push()), stk(OpMul), {Op: OpBrnz, N: 1, Operands: [3]Operand{Pop()}}},
+		cyc: [NumArch]uint32{33, 28}, pc: [NumArch]uint32{16, 20},
+		depth: 1, mem: []semWord{{520, 5}, {516, 15}}},
+	{name: "block push alu, depth 0", only: cisc, kind: blockPushALU, clause: guardDepth,
+		seq:  []Instr{mov(Imm(5), Push()), stk(OpAdd)},
+		trap: TrapFault, fault: FaultStack, at: 1, cyc: [NumArch]uint32{15, 13}, pc: [NumArch]uint32{11, 13},
+		mem: []semWord{{512, 5}}},
+	{name: "block push alu, temp word off memory", only: cisc, kind: blockPushALU, clause: guardTemp, depth0: 1,
+		seq:   []Instr{mov(Imm(5), Push()), stk(OpAdd)},
+		setup: func(c *CPU) { c.TempBase = 4092 },
+		trap:  TrapFault, fault: FaultStack, cyc: [NumArch]uint32{6, 5}, pc: [NumArch]uint32{7, 8}, depth: 1},
+	{name: "block push alu, frame off memory", only: cisc, kind: blockPushALU, clause: guardFrame, depth0: 1,
+		seq:   []Instr{mov(Frame(8), Push()), stk(OpAdd)},
+		setup: func(c *CPU) { c.FP = 4094 },
+		trap:  TrapFault, fault: FaultStack, cyc: [NumArch]uint32{8, 7}, pc: [NumArch]uint32{5, 6},
+		depth: 2, mem: []semWord{{516, 0}}},
+	{name: "block push alu, mod by zero", only: cisc, kind: blockPushALU, clause: guardDiv, depth0: 2,
+		seq:  []Instr{mov(Reg(1), Push()), stk(OpMod)},
+		trap: TrapFault, fault: FaultDivZero, at: 1, cyc: [NumArch]uint32{36, 31}, pc: [NumArch]uint32{8, 10},
+		depth: 1, mem: []semWord{{520, 0}}},
+	// A zero top is a divisor only to div and mod.
+	{name: "block pop pop alu push, pop reg, brz reg taken", only: []ID{SPARC}, kind: blockPopPopALUPush, depth0: 3,
+		seq: []Instr{mov(Pop(), Reg(2)), mov(Pop(), Reg(1)), rrr(OpMul), mov(Reg(3), Push()),
+			mov(Pop(), Reg(4)), {Op: OpBrz, N: 1, Operands: [3]Operand{Reg(4)}}},
+		cyc: [NumArch]uint32{2: 15}, pc: [NumArch]uint32{2: 28},
+		depth: 1, set: map[int]uint32{1: 3, 2: 0, 4: 0}, mem: []semWord{{516, 0}}},
+	{name: "block pop pop alu push, depth 1", only: []ID{SPARC}, kind: blockPopPopALUPush, clause: guardDepth,
+		depth0: 1, regs: [16]uint32{1: 0x55},
+		seq:  []Instr{mov(Pop(), Reg(2)), mov(Pop(), Reg(1)), rrr(OpSub), mov(Reg(3), Push())},
+		trap: TrapFault, fault: FaultStack, at: 1, cyc: [NumArch]uint32{2: 4}, pc: [NumArch]uint32{2: 8},
+		set: map[int]uint32{1: 0, 2: 10}},
+	{name: "block pop pop alu push, temp word off memory", only: []ID{SPARC}, kind: blockPopPopALUPush,
+		clause: guardTemp, depth0: 2, regs: [16]uint32{2: 0x55},
+		seq:   []Instr{mov(Pop(), Reg(2)), mov(Pop(), Reg(1)), rrr(OpSub), mov(Reg(3), Push())},
+		setup: func(c *CPU) { c.TempBase = 4092 },
+		trap:  TrapFault, fault: FaultStack, cyc: [NumArch]uint32{2: 2}, pc: [NumArch]uint32{2: 4},
+		depth: 1, set: map[int]uint32{2: 0}},
+	{name: "block pop pop alu push, div by zero", only: []ID{SPARC}, kind: blockPopPopALUPush, clause: guardDiv,
+		depth0: 3, regs: [16]uint32{3: 0x55},
+		seq:  []Instr{mov(Pop(), Reg(2)), mov(Pop(), Reg(1)), rrr(OpDiv), mov(Reg(3), Push())},
+		trap: TrapFault, fault: FaultDivZero, at: 2, cyc: [NumArch]uint32{2: 22}, pc: [NumArch]uint32{2: 12},
+		r3: 0x55, depth: 1, set: map[int]uint32{1: 3, 2: 0}},
+	{name: "block mov push", only: []ID{SPARC}, kind: blockMovPush, depth0: 2,
+		seq: []Instr{mov(Imm(9), Reg(1)), mov(Reg(1), Push())},
+		cyc: [NumArch]uint32{2: 3}, pc: [NumArch]uint32{2: 12},
+		depth: 3, set: map[int]uint32{1: 9}, mem: []semWord{{520, 9}}},
+	{name: "block mov push, temp word off memory", only: []ID{SPARC}, kind: blockMovPush, clause: guardTemp, depth0: 1,
+		seq:   []Instr{mov(Imm(9), Reg(1)), mov(Reg(1), Push())},
+		setup: func(c *CPU) { c.TempBase = 4092 },
+		trap:  TrapFault, fault: FaultStack, at: 1, cyc: [NumArch]uint32{2: 3}, pc: [NumArch]uint32{2: 12},
+		depth: 1, set: map[int]uint32{1: 9}},
 }
 
-// TestOpSemantics runs every row through Step (one instruction) and Run
-// (the row's instruction followed by "ret; ret", fused). Every op needs a
-// row on every ISA, and every operand shape Fuse compiles to a flat form
-// needs one on every ISA that encodes it.
+// guardClause is a clause of a block's entry guard (block.compile).
+type guardClause uint8
+
+const (
+	guardPass  guardClause = iota
+	guardDepth             // the entry depth does not cover the block's pops
+	guardTemp              // a temp-stack word it touches is not in memory
+	guardFrame             // a frame word it touches is not in memory
+	guardDiv               // its divisor is zero
+)
+
+// guardOf reports the first clause of bk's guard that fails in e's state,
+// given the index b of the lowest temp word bk touches and its address at.
+func guardOf(bk *block, e *fexec, b int32, at uint32) guardClause {
+	switch {
+	case b < 0:
+		return guardDepth
+	case !e.inRange(at, bk.top):
+		return guardTemp
+	case bk.frame && !e.inRange(e.fp+bk.flo, bk.fspan):
+		return guardFrame
+	case bk.divReg >= 0 && e.r[bk.divReg&0xf] == 0 || bk.divTop && e.word(at+4) == 0:
+		return guardDiv
+	}
+	return guardPass
+}
+
+// blockClauses lists the guard clauses each block kind can fail: every
+// kind needs a fast-path row and a fallback row for each.
+var blockClauses = [numBlockKinds][]guardClause{
+	blockPushPushALU:   {guardTemp, guardFrame, guardDiv},
+	blockPushALU:       {guardDepth, guardTemp, guardFrame, guardDiv},
+	blockPopPopALUPush: {guardDepth, guardTemp, guardDiv},
+	blockMovPush:       {guardTemp},
+}
+
+// tailOf names a block's tail.
+func tailOf(bk *block) string {
+	switch {
+	case bk.br && bk.dst.Mode == ModeReg:
+		return "pop reg; brz reg"
+	case bk.br:
+		return "brz pop"
+	case bk.pop && bk.dst.Mode == ModeReg:
+		return "pop reg"
+	case bk.pop:
+		return "pop frame"
+	}
+	return "none"
+}
+
+// TestOpSemantics runs every row through Step (one instruction; a block
+// row through RunLegacy) and Run (the row's instructions followed by
+// "ret; ret", fused). Every op needs a row on every ISA, every operand
+// shape Fuse compiles to a flat form needs one on every ISA that encodes
+// it, and every block kind needs a fast-path row, a row per guard clause
+// it can fail and, over all kinds, a row per tail.
 func TestOpSemantics(t *testing.T) {
 	covered := map[ID]map[Op]bool{}
 	shapesCovered := map[ID]map[opShapeKey]bool{}
+	var blocksCovered [numBlockKinds]map[guardClause]bool
+	tails := map[string]bool{}
 	for _, row := range semRows {
 		for _, s := range AllSpecs() {
 			if row.only != nil && !slices.Contains(row.only, s.ID) {
@@ -320,9 +472,31 @@ func TestOpSemantics(t *testing.T) {
 				covered[s.ID] = map[Op]bool{}
 				shapesCovered[s.ID] = map[opShapeKey]bool{}
 			}
-			covered[s.ID][row.in.Op] = true
-			shapesCovered[s.ID][shapeKeyOf(&row.in)] = true
+			if row.seq == nil {
+				covered[s.ID][row.in.Op] = true
+				shapesCovered[s.ID][shapeKeyOf(&row.in)] = true
+			} else if bk := fusers[s.ID].match(row.seq); bk != nil && bk.kind == row.kind {
+				if blocksCovered[bk.kind] == nil {
+					blocksCovered[bk.kind] = map[guardClause]bool{}
+				}
+				blocksCovered[bk.kind][row.clause] = true
+				if row.clause == guardPass {
+					tails[tailOf(bk)] = true
+				}
+			}
 			t.Run(row.name+"/"+s.Name, func(t *testing.T) { row.check(t, s) })
+		}
+	}
+	for k := range numBlockKinds {
+		for _, c := range append([]guardClause{guardPass}, blockClauses[k]...) {
+			if !blocksCovered[k][c] {
+				t.Errorf("block kind %d: no row takes guard clause %d", k, c)
+			}
+		}
+	}
+	for _, tail := range []string{"none", "pop reg", "pop frame", "brz pop", "pop reg; brz reg"} {
+		if !tails[tail] {
+			t.Errorf("no block row takes the fast path with tail %q", tail)
 		}
 	}
 	for _, s := range AllSpecs() {
@@ -332,7 +506,7 @@ func TestOpSemantics(t *testing.T) {
 			}
 		}
 		for _, in := range encodableShapes(s) {
-			b := newFuser(s, &fusedRun{}, fuseRegSlots)
+			b := fuser{s: s, flat: true}
 			if b.fuseFlat(&in) != nil && !shapesCovered[s.ID][shapeKeyOf(&in)] {
 				t.Errorf("%s: no row covers the flat form of %v", s.Name, in)
 			}
@@ -388,16 +562,24 @@ func encodableShapes(s *Spec) []Instr {
 }
 
 func (row *semRow) check(t *testing.T, s *Spec) {
+	seq := row.seq
+	if seq == nil {
+		seq = []Instr{row.in}
+	}
 	var code []byte
+	var starts []uint32
 	var err error
-	for _, in := range []Instr{row.in, {Op: OpRet}, {Op: OpRet}} {
+	for _, in := range append(slices.Clone(seq), Instr{Op: OpRet}, Instr{Op: OpRet}) {
+		starts = append(starts, uint32(len(code)))
 		if code, err = Encode(s, code, in); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if shapes[row.in.Op].hasTarget {
-		if err := PatchTarget(s, code, 0, uint16(len(code))-uint16(retSize[s.ID])); err != nil {
-			t.Fatal(err)
+	for i, in := range seq {
+		if shapes[in.Op].hasTarget {
+			if err := PatchTarget(s, code, starts[i], uint16(len(code))-uint16(retSize[s.ID])); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
@@ -417,9 +599,14 @@ func (row *semRow) check(t *testing.T, s *Spec) {
 	if row.fOut {
 		want.Regs[3] = s.Float.Enc(math.Float32frombits(row.r3))
 	}
+	for r, v := range row.set {
+		want.Regs[r] = v
+	}
 	want.TempDepth = row.depth
 	if row.trap != TrapFault {
 		want.PC = row.pc[s.ID]
+	} else {
+		want.PC = starts[row.at]
 	}
 	wantMem := slices.Clone(mem0)
 	for _, w := range row.mem {
@@ -452,28 +639,64 @@ func (row *semRow) check(t *testing.T, s *Spec) {
 		}
 	}
 
-	cpu, mem := cpu0, slices.Clone(mem0)
-	tr, c, err := Step(s, &cpu, code, mem)
-	if err != nil {
-		t.Fatalf("Step: %v", err)
+	if row.seq == nil {
+		cpu, mem := cpu0, slices.Clone(mem0)
+		tr, c, err := Step(s, &cpu, code, mem)
+		if err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+		compare("Step", tr, uint64(c), cpu, mem, wantTrap, uint64(row.cyc[s.ID]), want)
+	} else {
+		// Fuse compiles the whole sequence into one block of the row's
+		// kind, whose guard fails the row's clause in the starting state,
+		// and the block runs its instructions' own closures exactly when
+		// a clause fails.
+		pd, err := Predecode(s, code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bk := fusers[s.ID].match(pd.instrs)
+		if bk == nil || bk.kind != row.kind || bk.n != len(seq) {
+			t.Fatalf("Fuse compiles %v into block %+v, want one block of kind %d", seq, bk, row.kind)
+		}
+		e := fexec{mem: slices.Clone(mem0), fp: cpu0.FP, tempBase: cpu0.TempBase, mc: uint64(s.MemCycles),
+			be: bigEndian(s), r: cpu0.Regs, depth: cpu0.TempDepth}
+		b := cpu0.TempDepth - bk.pops
+		if c := guardOf(bk, &e, b, e.tempBase+4*uint32(b)); c != row.clause {
+			t.Errorf("guard clause %d fails, want %d", c, row.clause)
+		}
+		fellBack := false
+		for i := range bk.n {
+			op := fusers[s.ID].fuseInstr(&pd.instrs[i])
+			bk.ops = append(bk.ops, func(e *fexec) { fellBack = true; op(e) })
+		}
+		bk.compile()(&e)
+		if fellBack != (row.clause != guardPass) {
+			t.Errorf("the block ran its fallback: %v, want %v", fellBack, row.clause != guardPass)
+		}
 	}
-	compare("Step", tr, uint64(c), cpu, mem, wantTrap, uint64(row.cyc[s.ID]), want)
 
-	// Run enters the kernel at the first trailing ret unless the row's
-	// instruction does.
-	wantN, wantCyc := 1, uint64(row.cyc[s.ID])
+	// Run and RunLegacy enter the kernel at the first trailing ret unless
+	// the row's instructions do.
+	wantN, wantCyc := row.at+1, uint64(row.cyc[s.ID])
 	if wantTrap == nil {
-		wantN, wantCyc = 2, wantCyc+uint64(retCyc[s.ID])
+		wantN, wantCyc = len(seq)+1, wantCyc+uint64(retCyc[s.ID])
 		want.PC += retSize[s.ID]
 		wantTrap = &Trap{Kind: TrapRet, PC: want.PC}
 	}
-	cpu, mem = cpu0, slices.Clone(mem0)
-	tr, cyc, n, err := Run(s, &cpu, code, mem, 1<<20)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	runs := map[string]func(*Spec, *CPU, []byte, []byte, int) (*Trap, uint64, int, error){"Run": Run}
+	if row.seq != nil {
+		runs["RunLegacy"] = RunLegacy
 	}
-	if n != wantN {
-		t.Errorf("Run: %d instructions, want %d", n, wantN)
+	for how, run := range runs {
+		cpu, mem := cpu0, slices.Clone(mem0)
+		tr, cyc, n, err := run(s, &cpu, code, mem, 1<<20)
+		if err != nil {
+			t.Fatalf("%s: %v", how, err)
+		}
+		if n != wantN {
+			t.Errorf("%s: %d instructions, want %d", how, n, wantN)
+		}
+		compare(how, tr, cyc, cpu, mem, wantTrap, wantCyc, want)
 	}
-	compare("Run", tr, cyc, cpu, mem, wantTrap, wantCyc, want)
 }

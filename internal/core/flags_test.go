@@ -13,11 +13,13 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -59,24 +61,29 @@ func runCommandLine(t *testing.T, line string) *System {
 	return sys
 }
 
+const kilroy = "examples/programs/kilroy.em"
+
+// commandLines are emrun command lines TestCommandLines runs, besides
+// -parallel over the whole corpus, and FuzzResolve's seeds.
+var commandLines = []struct {
+	args   string // emrun's command line, program path last
+	golden string // decision-log golden; "" compares output with the flag-free run
+	prefix string // when set, what the output begins with instead
+}{
+	{"-chaos " + chaosSmokePlan + " " + kilroy, "", ""},
+	{"-dir 3 " + kilroy, "", ""},
+	{"-dir 3 -dir-lease 2000000 " + kilroy, "", ""},
+	{"-dir 3 -chaos " + chaosSmokePlan + " " + kilroy, "", ""},
+	{"-auto greedy-colocate -auto-log examples/programs/zipf_hot.em", "testdata/auto_greedy.golden", ""},
+	{"-auto load-balance -auto-log examples/programs/fixed_pool.em", "testdata/auto_lb.golden", ""},
+	// The ball's move back reached its source before the directory let
+	// the outbound move commit: the object and its thread were lost.
+	{"-chaos seed=7 -dir 3 -net vax,vax,vax examples/programs/pingpong.em", "",
+		"ms per round trip (two thread moves): "},
+}
+
 func TestCommandLines(t *testing.T) {
-	kilroy := "examples/programs/kilroy.em"
-	lines := []struct {
-		args   string // emrun's command line, program path last
-		golden string // decision-log golden; "" compares output with the flag-free run
-		prefix string // when set, what the output begins with instead
-	}{
-		{"-chaos " + chaosSmokePlan + " " + kilroy, "", ""},
-		{"-dir 3 " + kilroy, "", ""},
-		{"-dir 3 -dir-lease 2000000 " + kilroy, "", ""},
-		{"-dir 3 -chaos " + chaosSmokePlan + " " + kilroy, "", ""},
-		{"-auto greedy-colocate -auto-log examples/programs/zipf_hot.em", "testdata/auto_greedy.golden", ""},
-		{"-auto load-balance -auto-log examples/programs/fixed_pool.em", "testdata/auto_lb.golden", ""},
-		// The ball's move back reached its source before the directory let
-		// the outbound move commit: the object and its thread were lost.
-		{"-chaos seed=7 -dir 3 -net vax,vax,vax examples/programs/pingpong.em", "",
-			"ms per round trip (two thread moves): "},
-	}
+	lines := slices.Clone(commandLines)
 	progs, err := filepath.Glob(filepath.Join(repoRoot, "examples", "programs", "*.em"))
 	if err != nil || len(progs) == 0 {
 		t.Fatalf("no example programs found: %v", err)
@@ -121,6 +128,45 @@ func TestCommandLines(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzResolve: whatever -net, -mode, -chaos and -dir say, the flags fail
+// to parse, Resolve returns an error, or kernel.NewCluster turns what it
+// resolves into a cluster or an error — never a panic. The seeds are
+// commandLines' settings of the four flags.
+func FuzzResolve(f *testing.F) {
+	for _, l := range commandLines {
+		flags := flag.NewFlagSet("emrun", flag.ContinueOnError)
+		rf := RegisterFlags(flags)
+		flags.Bool("auto-log", false, "")
+		if err := flags.Parse(strings.Fields(l.args)); err != nil {
+			f.Fatalf("%s: %v", l.args, err)
+		}
+		f.Add(rf.net, rf.mode, rf.chaos, strconv.Itoa(rf.opts.DirReplicas))
+	}
+	src, err := os.ReadFile(filepath.Join(repoRoot, kilroy))
+	if err != nil {
+		f.Fatal(err)
+	}
+	prog, err := Compile(string(src))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, net, mode, chaos, dir string) {
+		flags := flag.NewFlagSet("fuzz", flag.ContinueOnError)
+		flags.SetOutput(io.Discard)
+		rf := RegisterFlags(flags)
+		if flags.Parse([]string{"-net", net, "-mode", mode, "-chaos", chaos, "-dir", dir}) != nil {
+			return
+		}
+		machines, opts, err := rf.Resolve()
+		if err != nil || len(machines) > 64 { // every node costs its memory image
+			return
+		}
+		if c, err := kernel.NewCluster(prog, machines, opts); c == nil && err == nil {
+			t.Fatalf("-net %q -mode %q -chaos %q -dir %q: NewCluster returned neither a cluster nor an error", net, mode, chaos, dir)
+		}
+	})
 }
 
 // TestNoFlagsIsZeroOptions: an empty command line is the Figure 1 network

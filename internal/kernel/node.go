@@ -192,6 +192,9 @@ type Node struct {
 	// labels is this node's metric label string ("node=0,arch=sparc"),
 	// built once: every per-node metric update reuses it.
 	labels string
+	// runqHist is this node's runq_depth histogram, which enqueue
+	// observes on every slice.
+	runqHist *obs.Hist
 
 	// Stats.
 	MsgsSent, MsgsRecv uint64
@@ -572,7 +575,10 @@ func (n *Node) enqueue(f *Frag) {
 	}
 	f.queued = true
 	n.runq = append(n.runq, f)
-	n.cluster.Rec.Metrics().Observe("runq_depth", n.labels, uint64(len(n.runq)))
+	if n.runqHist == nil { // created on the first observation
+		n.runqHist = n.cluster.Rec.Metrics().Hist("runq_depth", n.labels)
+	}
+	n.runqHist.Observe(uint64(len(n.runq)))
 	n.schedule()
 }
 

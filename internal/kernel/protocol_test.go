@@ -194,7 +194,9 @@ end Main
 // next poll, so a loop compiled without polls (OmitLoopPolls) never
 // yields. The executor gives up arch.RunawayInstrs instructions past the
 // budget and the kernel records an internal fault instead of hanging the
-// host; the other thread on the node still finishes.
+// host; the other thread on the node still finishes. Both tiers stop at
+// the same instruction: the fused runner checks the bound once per run,
+// so a run that would cross it runs only up to it.
 func TestRunawayLoopFaults(t *testing.T) {
 	prog := compileSrcWith(t, `
 object Spinner
@@ -212,22 +214,33 @@ object Main
   end process
 end Main
 `, codegen.Options{OmitLoopPolls: true})
-	c, err := NewCluster(prog, []netsim.MachineModel{mSPARC}, Config{SliceInstrs: 1})
-	if err != nil {
-		t.Fatal(err)
+	type outcome struct {
+		instrs, cycles uint64
+		clock          netsim.Micros
 	}
-	c.Start(nil)
-	if err := c.Run(1_000_000); err != nil {
-		t.Fatal(err)
+	var got [2]outcome
+	for i, legacy := range []bool{false, true} {
+		c, err := NewCluster(prog, []netsim.MachineModel{mSPARC}, Config{SliceInstrs: 1, LegacyDispatch: legacy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start(nil)
+		if err := c.Run(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.OutputText(); got != "main done false" {
+			t.Errorf("legacy=%v: output = %q", legacy, got)
+		}
+		want := "internal: " + arch.ErrRunaway.Error()
+		if len(c.Faults) != 1 || c.Faults[0].Msg != want {
+			t.Fatalf("legacy=%v: faults = %+v, want one %q", legacy, c.Faults, want)
+		}
+		if n := c.Nodes[0].Instrs; n < arch.RunawayInstrs {
+			t.Errorf("legacy=%v: faulted after %d instructions, before the runaway bound %d", legacy, n, arch.RunawayInstrs)
+		}
+		got[i] = outcome{c.Nodes[0].Instrs, c.Nodes[0].CPU.Cycles, c.Sim.Now()}
 	}
-	if got := c.OutputText(); got != "main done false" {
-		t.Errorf("output = %q", got)
-	}
-	want := "internal: " + arch.ErrRunaway.Error()
-	if len(c.Faults) != 1 || c.Faults[0].Msg != want {
-		t.Fatalf("faults = %+v, want one %q", c.Faults, want)
-	}
-	if n := c.Nodes[0].Instrs; n < arch.RunawayInstrs {
-		t.Errorf("faulted after %d instructions, before the runaway bound %d", n, arch.RunawayInstrs)
+	if got[0] != got[1] {
+		t.Errorf("fused %+v, legacy %+v: the tiers stopped at different instructions", got[0], got[1])
 	}
 }

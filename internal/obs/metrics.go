@@ -46,9 +46,9 @@ func (h *Hist) Observe(v uint64) {
 
 // Registry accumulates metrics. A single mutex guards the maps: the
 // parallel engine's node goroutines add concurrently, and every update is
-// commutative (counter sums, per-node-labelled gauges, histogram
-// count/sum/max/buckets), so the final state is deterministic regardless
-// of interleaving.
+// commutative (counter sums, per-node-labelled gauges), so the final
+// state is deterministic regardless of interleaving. A histogram has one
+// writer, which observes it outside the lock (Hist).
 type Registry struct {
 	mu       sync.Mutex
 	counters map[series]uint64
@@ -125,17 +125,21 @@ func (r *Registry) Gauge(name, labels string) int64 {
 	return r.gauges[series{name, labels}]
 }
 
-// Observe records a histogram observation.
-func (r *Registry) Observe(name, labels string, v uint64) {
+// Hist returns one series' histogram, created on the first call. Its
+// caller observes it without the registry's lock, so it must be the
+// series' only writer, and nothing may snapshot the registry while it
+// writes: the kernel's nodes each observe their own series and snapshot
+// only between runs.
+func (r *Registry) Hist(name, labels string) *Hist {
 	k := series{name, labels}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	h := r.hists[k]
 	if h == nil {
 		h = &Hist{}
 		r.hists[k] = h
 	}
-	h.Observe(v)
-	r.mu.Unlock()
+	return h
 }
 
 // CountersPrefix returns every counter whose metric name equals name,

@@ -85,7 +85,7 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 	reg.Add("aa", "", 1)
 	reg.Add("mm", "node=0,arch=vax", 3)
 	reg.SetGauge("g", "node=0", -5)
-	reg.Observe("h", "", 7)
+	reg.Hist("h", "").Observe(7)
 	s := reg.Snapshot(99)
 	if s.AtMicros != 99 {
 		t.Fatalf("at = %d", s.AtMicros)
@@ -141,12 +141,12 @@ func TestRegistryUpdateAllocatesNothing(t *testing.T) {
 	labels := NodeLabels(3, "sparc")
 	update := func() {
 		reg.Add("msgs", labels, 1)
-		reg.Observe("runq_depth", labels, 5)
+		reg.Hist("runq_depth", labels).Observe(5)
 		reg.SetGauge("instrs", labels, 42)
 	}
 	update() // create the series
 	if got := testing.AllocsPerRun(200, update); got != 0 {
-		t.Errorf("Add+Observe+SetGauge on existing series = %v allocs/run, want 0", got)
+		t.Errorf("Add+Hist+SetGauge on existing series = %v allocs/run, want 0", got)
 	}
 	if reg.Counter("msgs", labels) != 202 || reg.Gauge("instrs", labels) != 42 {
 		t.Errorf("updates lost: %+v", reg.Snapshot(0))
