@@ -74,9 +74,10 @@ emperf-pairs:
 # a parse and a type error: the front end's error paths); emrun over the
 # corpus, both engines, and the run-shaping rows of TestCommandLines (chaos,
 # directory with leases, both placement policies) plus the reference
-# emulator, vet-on-load and the text trace; emtrace's four exports and its
-# faults report; every embench study, gated on the committed baselines;
-# the 1/50-scale benchmark. The merged profile's 0.0% functions, as "file
+# emulator, vet-on-load and the text trace; emtrace's four exports, its
+# export of a run that faults (exit status 1 accepted) and its faults
+# report; every embench study, gated on the committed baselines; the
+# 1/50-scale benchmark. The merged profile's 0.0% functions, as "file
 # function" lines, go to .ci/census.txt, and the census fails when one of
 # them is not listed in the committed testdata/census.txt (three
 # consecutive runs give the same list). The repro/bench/ lines are
@@ -112,6 +113,7 @@ census:
 	$(CENSUS)/emrun -vetload examples/programs/producer_consumer.em > /dev/null; \
 	$(CENSUS)/emtrace -chrome $(CENSUS)/out/t.json -metrics $(CENSUS)/out/m.json -text -spans examples/programs/kilroy.em > /dev/null 2>&1; \
 	$(CENSUS)/emtrace faults -chaos $(CENSUS_CHAOS) examples/programs/kilroy.em > /dev/null; \
+	$(CENSUS)/emtrace -text -chaos seed=1,crash=2@76ms examples/programs/zipf_hot.em > /dev/null 2>&1 || [ $$? -eq 1 ]; \
 	$(CENSUS)/embench -out $(CENSUS)/out -baseline . all > /dev/null; \
 	$(CENSUS)/bench -quick > /dev/null
 	$(GO) tool covdata textfmt -i=$(CENSUS)/cov -o $(CENSUS)/all.cov

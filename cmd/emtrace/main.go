@@ -50,14 +50,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	text := fs.Bool("text", false, "print the structured event log as text to stdout")
 	spans := fs.Bool("spans", false, "print the migration-span table (default when no other output is selected)")
 	sys, code := simulate(fs, args)
-	if sys == nil || code != 0 {
+	if sys == nil {
 		return code
 	}
+	// A run that faulted or broke an invariant exports what the recorder
+	// holds, and still exits 1.
 	if err := export(sys, *chromeOut, *metricsOut, *text, *spans, stdout, stderr); err != nil {
 		fmt.Fprintln(stderr, "emtrace:", err)
 		return 1
 	}
-	return 0
+	return code
 }
 
 func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {

@@ -110,3 +110,19 @@ func TestBadCommandLines(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceFaultedRun: a run that ends in a fault (node 2 crashes for good,
+// stranding a remote call) exports what the recorder holds, then exits 1.
+func TestTraceFaultedRun(t *testing.T) {
+	zipf := filepath.Join("..", "..", "examples", "programs", "zipf_hot.em")
+	for _, export := range []string{"-text", "-spans"} {
+		var stdout, stderr bytes.Buffer
+		args := []string{export, "-chaos", "seed=1,crash=2@76ms", zipf}
+		if code := run(args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "node 2 is down") {
+			t.Errorf("emtrace %v: exit %d, want 1 with the fault; stderr %q", args, code, stderr.String())
+		}
+		if n := strings.Count(stdout.String(), "\n"); n < 2 {
+			t.Errorf("emtrace %v exported %d lines:\n%s", args, n, stdout.String())
+		}
+	}
+}

@@ -687,11 +687,13 @@ func (b *fuser) fuseInstr(in *Instr) fop {
 // general form calls an rd/wr closure per operand; it must match the
 // general form exactly (evaluation order, cycle charges, fault
 // precedence, the write after a faulted mov read), which the
-// differential tests and TestOpSemantics pin. The shapes are the
-// all-register forms plus those the compiler's temp-stack code executes
-// most: moves of an immediate, slot or frame word to the stack, pops
-// into a slot or frame word, pop-pop-push integer ALU ops and scc, and
-// branches on a pop.
+// differential tests and TestOpSemantics pin. The shapes are those the
+// compiler's temp-stack code executes: moves of an immediate, register,
+// or frame word to the stack, pops into a register or frame word,
+// pop-pop-push integer ALU ops and scc, and branches on a pop. Beside
+// them, the register-only shapes of embench jit's countdown loop: mov of
+// an immediate to a register, add/sub/mul on three registers, and
+// branches on a register.
 func (b *fuser) fuseFlat(in *Instr) fop {
 	cyc := uint64(b.s.Cycles[in.Op])
 	o := &in.Operands
@@ -705,11 +707,6 @@ func (b *fuser) fuseFlat(in *Instr) fop {
 			return func(e *fexec) {
 				e.cycles += cyc
 				e.r[di] = v
-			}
-		case di >= 0 && si >= 0:
-			return func(e *fexec) {
-				e.cycles += cyc
-				e.r[di] = e.r[si]
 			}
 		case di >= 0 && src.Mode == ModePop:
 			return func(e *fexec) {
@@ -762,44 +759,8 @@ func (b *fuser) fuseFlat(in *Instr) fop {
 					e.cycles += cyc
 					e.r[sd] = uint32(int32(e.r[s1]) * int32(e.r[s2]))
 				}
-			case OpAnd:
-				return func(e *fexec) {
-					e.cycles += cyc
-					e.r[sd] = boolW(e.r[s1] != 0 && e.r[s2] != 0)
-				}
-			case OpOr:
-				return func(e *fexec) {
-					e.cycles += cyc
-					e.r[sd] = boolW(e.r[s1] != 0 || e.r[s2] != 0)
-				}
-			case OpScc:
-				cc := in.CC
-				return func(e *fexec) {
-					e.cycles += cyc
-					a, bb := e.r[s1], e.r[s2]
-					e.r[sd] = ccHolds(cc, int32(a) < int32(bb), a == bb)
-				}
-			case OpDiv:
-				return func(e *fexec) {
-					e.cycles += cyc
-					bb := e.r[s2]
-					if bb == 0 {
-						e.setFault(FaultDivZero)
-						return
-					}
-					e.r[sd] = uint32(int32(e.r[s1]) / int32(bb))
-				}
-			case OpMod:
-				return func(e *fexec) {
-					e.cycles += cyc
-					bb := e.r[s2]
-					if bb == 0 {
-						e.setFault(FaultDivZero)
-						return
-					}
-					e.r[sd] = uint32(int32(e.r[s1]) % int32(bb))
-				}
 			}
+			return nil
 		}
 		if o[0].Mode != ModePop || o[1].Mode != ModePop || o[2].Mode != ModePush {
 			return nil
@@ -817,33 +778,6 @@ func (b *fuser) fuseFlat(in *Instr) fop {
 				e.setFault(FaultDivZero)
 			default:
 				e.push(aluVal(op, cc, a, bb))
-			}
-		}
-
-	case OpNeg, OpAbs, OpNot:
-		si, di := regOperand(&o[0]), regOperand(&o[1])
-		if si < 0 || di < 0 {
-			return nil
-		}
-		switch in.Op {
-		case OpNeg:
-			return func(e *fexec) {
-				e.cycles += cyc
-				e.r[di] = uint32(-int32(e.r[si]))
-			}
-		case OpAbs:
-			return func(e *fexec) {
-				e.cycles += cyc
-				x := int32(e.r[si])
-				if x < 0 {
-					x = -x
-				}
-				e.r[di] = uint32(x)
-			}
-		case OpNot:
-			return func(e *fexec) {
-				e.cycles += cyc
-				e.r[di] = boolW(e.r[si] == 0)
 			}
 		}
 

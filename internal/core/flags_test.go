@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"go/ast"
 	"go/parser"
@@ -37,8 +38,9 @@ const chaosSmokePlan = "seed=7,drop=0.05,dup=0.03,delay=0.05:500us,corrupt=0.02,
 
 // runCommandLine runs `emrun <line>`: flags through RegisterFlags and
 // Resolve, then the named program (a path from the repo root) through
-// RunSource. -auto-log is emrun's own output flag; it shapes nothing.
-func runCommandLine(t *testing.T, line string) *System {
+// RunSource, whose error it returns. -auto-log is emrun's own output flag;
+// it shapes nothing.
+func runCommandLine(t *testing.T, line string) (*System, error) {
 	t.Helper()
 	flags := flag.NewFlagSet("emrun", flag.ContinueOnError)
 	rf := RegisterFlags(flags)
@@ -54,32 +56,37 @@ func runCommandLine(t *testing.T, line string) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := RunSource(string(src), machines, opts)
-	if err != nil {
-		t.Fatalf("%s: %v", line, err)
-	}
-	return sys
+	return RunSource(string(src), machines, opts)
 }
 
 const kilroy = "examples/programs/kilroy.em"
 
 // commandLines are emrun command lines TestCommandLines runs, besides
 // -parallel over the whole corpus, and FuzzResolve's seeds.
-var commandLines = []struct {
+type commandLine struct {
 	args   string // emrun's command line, program path last
 	golden string // decision-log golden; "" compares output with the flag-free run
 	prefix string // when set, what the output begins with instead
-}{
-	{"-chaos " + chaosSmokePlan + " " + kilroy, "", ""},
-	{"-dir 3 " + kilroy, "", ""},
-	{"-dir 3 -dir-lease 2000000 " + kilroy, "", ""},
-	{"-dir 3 -chaos " + chaosSmokePlan + " " + kilroy, "", ""},
-	{"-auto greedy-colocate -auto-log examples/programs/zipf_hot.em", "testdata/auto_greedy.golden", ""},
-	{"-auto load-balance -auto-log examples/programs/fixed_pool.em", "testdata/auto_lb.golden", ""},
+	fault  error  // when set, the error the run must end in instead
+}
+
+var commandLines = []commandLine{
+	{"-chaos " + chaosSmokePlan + " " + kilroy, "", "", nil},
+	{"-dir 3 " + kilroy, "", "", nil},
+	{"-dir 3 -dir-lease 2000000 " + kilroy, "", "", nil},
+	{"-dir 3 -chaos " + chaosSmokePlan + " " + kilroy, "", "", nil},
+	{"-auto greedy-colocate -auto-log examples/programs/zipf_hot.em", "testdata/auto_greedy.golden", "", nil},
+	{"-auto load-balance -auto-log examples/programs/fixed_pool.em", "testdata/auto_lb.golden", "", nil},
 	// The ball's move back reached its source before the directory let
 	// the outbound move commit: the object and its thread were lost.
 	{"-chaos seed=7 -dir 3 -net vax,vax,vax examples/programs/pingpong.em", "",
-		"ms per round trip (two thread moves): "},
+		"ms per round trip (two thread moves): ", nil},
+	// Node 2 crashes for good while a client's call is on its way there:
+	// the caller fails with ErrNodeDown, with the directory as without it.
+	// With it, the call reaches node 2 through a forwarder, node 0, and the
+	// caller must follow the forward to notice node 2 is down.
+	{"-chaos seed=1,crash=2@76ms examples/programs/zipf_hot.em", "", "", kernel.ErrNodeDown},
+	{"-chaos seed=1,crash=2@76ms -dir 3 examples/programs/zipf_hot.em", "", "", kernel.ErrNodeDown},
 }
 
 func TestCommandLines(t *testing.T) {
@@ -89,11 +96,17 @@ func TestCommandLines(t *testing.T) {
 		t.Fatalf("no example programs found: %v", err)
 	}
 	for _, p := range progs {
-		lines = append(lines, struct{ args, golden, prefix string }{"-parallel examples/programs/" + filepath.Base(p), "", ""})
+		lines = append(lines, commandLine{args: "-parallel examples/programs/" + filepath.Base(p)})
 	}
 	for _, l := range lines {
 		t.Run(l.args, func(t *testing.T) {
-			sys := runCommandLine(t, l.args)
+			sys, err := runCommandLine(t, l.args)
+			if err != nil || l.fault != nil {
+				if !errors.Is(err, l.fault) {
+					t.Fatalf("run ended in %v, want %v", err, l.fault)
+				}
+				return
+			}
 			if l.golden != "" {
 				var log strings.Builder
 				for _, d := range sys.AutoDecisionLog() {

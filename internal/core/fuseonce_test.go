@@ -8,9 +8,6 @@ package core
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -151,30 +148,15 @@ end Main
 // The fused runner enters a run only at its head and refuses any other PC
 // as an internal fault: on every example program, at the default slice
 // and at a one-instruction one (a reschedule requested at every poll),
-// every PC a thread resumes at heads a run.
+// every PC a thread resumes at heads a run. The runs are the determinism
+// matrix's Figure 1 base runs (difftest_test.go), which fail on any fault
+// and on printing nothing.
 func TestNoStepFallbackOnCorpus(t *testing.T) {
-	for _, pf := range examplePrograms(t) {
-		t.Run(filepath.Base(pf), func(t *testing.T) {
-			srcBytes, err := os.ReadFile(pf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, slice := range []int{0, 1} {
-				sys, err := RunSource(string(srcBytes), Figure1Network(), Options{SliceInstrs: slice})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, f := range sys.Cluster.Faults {
-					if strings.HasPrefix(f.Msg, "internal:") {
-						t.Errorf("slice %d: node %d: %s", slice, f.Node, f.Msg)
-					}
-				}
-				instrs := uint64(0)
-				for _, n := range sys.Cluster.Nodes {
-					instrs += n.Instrs
-				}
-				if instrs == 0 {
-					t.Fatal("program executed no instructions; pin is vacuous")
+	for _, prog := range corpus(t) {
+		t.Run(prog.name, func(t *testing.T) {
+			for _, b := range bases(t) {
+				if b.name == "default" || b.name == "slice1" {
+					runBase(t, prog.name+"/figure1/"+b.name, prog.val, Figure1Network(), b.val)
 				}
 			}
 		})

@@ -126,6 +126,7 @@ func (n *Node) invokeRemote(f *Frag, recv *Obj, opName string, args []uint32) {
 	}
 	n.chargeConv(conv, prev)
 	n.blockCall(f, int32(recv.LastKnown))
+	f.waitObj = recv.OID
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 		Kind: obs.EvRemoteInvoke, Frag: f.ID, Obj: uint32(recv.OID),
 		B: uint64(recv.LastKnown), Str: opName})
@@ -260,6 +261,7 @@ func (n *Node) handleMsg(src int, p wire.Payload) {
 			o.LocStale = false
 			o.chained = false
 		}
+		n.followForward(src, p.Target, int(p.Node))
 	case *wire.Locate:
 		n.recvLocate(src, p)
 	case *wire.DirPrepare:

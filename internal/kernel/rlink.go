@@ -18,6 +18,7 @@ import (
 	"slices"
 
 	"repro/internal/obs"
+	"repro/internal/oid"
 	"repro/internal/wire"
 )
 
@@ -223,6 +224,21 @@ func (n *Node) failWaitersOn(peer int) {
 		f := n.frags[id]
 		n.faultErr(f, ErrNodeDown,
 			fmt.Sprintf("remote invocation lost: node %d is down", peer))
+	}
+}
+
+// followForward moves the calls this node awaits from src on target along
+// to node: src forwarded them there (its UpdateLoc says so), so the Return,
+// or a crashed node's silence, now comes from node. Calls forwarded to a
+// node already suspected fail as its suspicion failed the others.
+func (n *Node) followForward(src int, target oid.OID, node int) {
+	for _, f := range n.frags {
+		if f.Status == FragStateBlockedCall && f.waitNode == int32(src) && f.waitObj == target {
+			f.waitNode = int32(node)
+		}
+	}
+	if n.suspects[node] {
+		n.failWaitersOn(node)
 	}
 }
 

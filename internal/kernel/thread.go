@@ -83,7 +83,10 @@ type Frag struct {
 	queued bool
 	// waitNode is the node a FragStateBlockedCall fragment awaits a Return
 	// from (-1: none); crash suspicion fails such waiters with ErrNodeDown.
+	// waitObj is the object its Invoke is about: a forwarder's UpdateLoc
+	// about it moves waitNode along (followForward).
 	waitNode int32
+	waitObj  oid.OID
 }
 
 func (f *Frag) topName() string {
@@ -796,6 +799,7 @@ func (n *Node) arrayOpOn(f *Frag, kind arch.TrapKind, elem ir.VK, o *Obj, idx, v
 	}
 	n.chargeConv(conv, prev)
 	n.blockCall(f, int32(o.LastKnown))
+	f.waitObj = o.OID
 	n.sendMsg(o.LastKnown, &wire.Invoke{
 		Target: o.OID, OpName: opName, Origin: int32(n.ID), CallerFrag: f.ID,
 		Args: args, Hints: n.collectHints(args),
