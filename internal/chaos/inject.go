@@ -12,7 +12,6 @@
 package chaos
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/netsim"
@@ -60,44 +59,42 @@ const (
 // per-link streams, so they are identical under the sequential and
 // parallel engines. Frame may be called concurrently for different links
 // (never concurrently for one link — a link's frames are sent by one
-// node's goroutine).
+// node's goroutine): every link's stream exists from NewInjector on, and
+// only the link's sending node advances it, so Frame takes no lock.
 type Injector struct {
-	plan *Plan
-	rec  *obs.Recorder // may be nil (unit tests)
+	plan  *Plan
+	rec   *obs.Recorder // may be nil (unit tests)
+	nodes int
 
-	mu      sync.Mutex
-	streams map[linkKey]*rng
+	// streams[src*nodes+dst] is the (src,dst) link's PRNG stream.
+	streams []rng
 
 	injected [numKinds]uint64 // atomic
+	// ctrs[k] is the chaos_injected counter of fault kind k (nil without
+	// a recorder), resolved here: Frame runs on every sending node's
+	// goroutine, so it must not resolve one itself.
+	ctrs [numKinds]*obs.Ctr
 }
 
-type linkKey struct{ src, dst int }
-
-// NewInjector returns an injector for plan, reporting into rec (which may
-// be nil).
-func NewInjector(plan *Plan, rec *obs.Recorder) *Injector {
-	return &Injector{
-		plan:    plan,
-		rec:     rec,
-		streams: map[linkKey]*rng{},
+// NewInjector returns an injector for plan on a network of nodes nodes,
+// reporting into rec (which may be nil).
+func NewInjector(plan *Plan, nodes int, rec *obs.Recorder) *Injector {
+	in := &Injector{plan: plan, rec: rec, nodes: nodes, streams: make([]rng, nodes*nodes)}
+	for src := 0; src < nodes; src++ {
+		for dst := 0; dst < nodes; dst++ {
+			in.streams[src*nodes+dst] = rng{state: mix(plan.Seed, src, dst)}
+		}
 	}
+	if rec != nil {
+		for k := range in.ctrs {
+			in.ctrs[k] = rec.Metrics().Ctr("chaos_injected", kindLabels[k])
+		}
+	}
+	return in
 }
 
-// stream returns the (src,dst) link's PRNG stream, creating it on first
-// use. The map is guarded for the parallel engine (different sending nodes
-// may fault different links at once); the stream itself is only ever
-// advanced by the link's sending node.
-func (in *Injector) stream(src, dst int) *rng {
-	k := linkKey{src, dst}
-	in.mu.Lock()
-	s := in.streams[k]
-	if s == nil {
-		s = &rng{state: mix(in.plan.Seed, src, dst)}
-		in.streams[k] = s
-	}
-	in.mu.Unlock()
-	return s
-}
+// stream returns the (src,dst) link's PRNG stream.
+func (in *Injector) stream(src, dst int) *rng { return &in.streams[src*in.nodes+dst] }
 
 // Injected returns the verdict counts by kind (drop, dup, delay, corrupt,
 // partition).
@@ -165,5 +162,5 @@ func (in *Injector) note(at netsim.Micros, src, dst int, kind int) {
 	}
 	in.rec.Emit(obs.Event{At: int64(at), Node: int32(src), Kind: obs.EvFaultInject,
 		B: uint64(dst), Str: faultKinds[kind]})
-	in.rec.Metrics().Add("chaos_injected", kindLabels[kind], 1)
+	in.ctrs[kind].Add(1)
 }

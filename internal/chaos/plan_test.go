@@ -137,17 +137,17 @@ func verdicts(in *Injector) []netsim.Verdict {
 
 func TestInjectorDeterministic(t *testing.T) {
 	plan := &Plan{Seed: 7, Drop: 0.2, Dup: 0.2, Delay: 0.2, Corrupt: 0.2}
-	v1 := verdicts(NewInjector(plan, nil))
-	v2 := verdicts(NewInjector(plan, nil))
+	v1 := verdicts(NewInjector(plan, 4, nil))
+	v2 := verdicts(NewInjector(plan, 4, nil))
 	if !reflect.DeepEqual(v1, v2) {
 		t.Error("same seed produced different verdict sequences")
 	}
-	v3 := verdicts(NewInjector(&Plan{Seed: 8, Drop: 0.2, Dup: 0.2, Delay: 0.2, Corrupt: 0.2}, nil))
+	v3 := verdicts(NewInjector(&Plan{Seed: 8, Drop: 0.2, Dup: 0.2, Delay: 0.2, Corrupt: 0.2}, 4, nil))
 	if reflect.DeepEqual(v1, v3) {
 		t.Error("different seeds produced identical verdict sequences (PRNG not seeded)")
 	}
 	// With aggressive probabilities 64 frames must hit every fault class.
-	in := NewInjector(plan, nil)
+	in := NewInjector(plan, 4, nil)
 	verdicts(in)
 	for _, kind := range []string{"drop", "dup", "delay", "corrupt"} {
 		if in.Injected()[kind] == 0 {
@@ -160,7 +160,7 @@ func TestInjectorDeterministic(t *testing.T) {
 // without garbage: the series label is not rebuilt per fault.
 func TestInjectorFrameDoesNotAllocate(t *testing.T) {
 	rec := obs.NewRecorder(2, obs.DefaultRingCap)
-	in := NewInjector(&Plan{Seed: 1, Drop: 1}, rec)
+	in := NewInjector(&Plan{Seed: 1, Drop: 1}, 2, rec)
 	at := netsim.Micros(0)
 	if got := testing.AllocsPerRun(200, func() {
 		at += 100
@@ -182,7 +182,7 @@ func TestInjectorFrameDoesNotAllocate(t *testing.T) {
 
 func TestInjectorPartition(t *testing.T) {
 	plan := &Plan{Seed: 1, Partitions: []Partition{{A: 0, B: 2, From: 100, Until: 200}}}
-	in := NewInjector(plan, nil)
+	in := NewInjector(plan, 4, nil)
 	if v := in.Frame(150, 0, 2, 10); !v.Drop {
 		t.Error("frame inside partition window not dropped")
 	}
@@ -205,13 +205,13 @@ func TestInjectorPartition(t *testing.T) {
 func TestInjectorPerLinkStreams(t *testing.T) {
 	plan := &Plan{Seed: 7, Drop: 0.2, Dup: 0.2, Delay: 0.2, Corrupt: 0.2}
 
-	alone := NewInjector(plan, nil)
+	alone := NewInjector(plan, 4, nil)
 	var want []netsim.Verdict
 	for i := 0; i < 32; i++ {
 		want = append(want, alone.Frame(netsim.Micros(i*100), 0, 1, 64+i))
 	}
 
-	mixed := NewInjector(plan, nil)
+	mixed := NewInjector(plan, 4, nil)
 	var got []netsim.Verdict
 	for i := 0; i < 32; i++ {
 		// Interleave traffic on three other links, including the reverse

@@ -47,6 +47,12 @@ func (c *Cluster) armAuto() error {
 	for _, cls := range c.AutoPinned {
 		c.autoPinned[cls] = true
 	}
+	c.linkLabels = make([]string, 0, len(c.Nodes)*len(c.Nodes))
+	for src := range c.Nodes {
+		for dst := range c.Nodes {
+			c.linkLabels = append(c.linkLabels, fmt.Sprintf("src=%d,dst=%d", src, dst))
+		}
+	}
 	c.Sim.AtWeak(autoPeriod, c.autoTick)
 	return nil
 }

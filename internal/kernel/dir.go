@@ -424,7 +424,7 @@ func (n *Node) dirLookupQuery(o oid.OID, timed bool, done func(ok bool, node int
 			if n.now() >= l.expires {
 				delete(n.dirLeases, o)
 				n.cluster.Rec.Metrics().Add("dir_lease_expired", lbl, 1)
-			} else if n.suspects[int(l.node)] || int(l.node) == n.ID {
+			} else if n.suspected(int(l.node)) || int(l.node) == n.ID {
 				// The leased home is suspect (the record is about to be
 				// superseded or the chase must cover it) or names this very
 				// node while the object is not resident here — either way
@@ -449,7 +449,7 @@ func (n *Node) dirLookupQuery(o oid.OID, timed bool, done func(ok bool, node int
 			target = r
 			break
 		}
-		if target < 0 && !n.suspects[r] {
+		if target < 0 && !n.suspected(r) {
 			target = r
 		}
 	}
@@ -579,7 +579,7 @@ func (n *Node) dirRerouteInvoke(f *Frag, recv *Obj, opName string, args []uint32
 		if ok {
 			n.dirRefreshProxy(recv, node, epoch)
 		}
-		if !n.suspects[recv.LastKnown] {
+		if !n.suspected(recv.LastKnown) {
 			// The redispatch target is as fresh as the directory can make
 			// it; clear the stale bit so the next invoke takes the fast
 			// path instead of re-querying the shard every call.

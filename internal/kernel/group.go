@@ -86,7 +86,7 @@ func (n *Node) joinCohort(o *Obj, dest int, fix bool) {
 			})
 			return
 		}
-		if n.suspects[dest] {
+		if n.suspected(dest) {
 			// The destination looks dead: degrade gracefully — the object
 			// stays resident here and callers keep reaching it by remote
 			// invocation.

@@ -92,7 +92,7 @@ func (n *Node) invokeLocal(f *Frag, recv *Obj, opName string, args []uint32) {
 // fragment blocks until the Return arrives (possibly at another node, if
 // the fragment migrates meanwhile).
 func (n *Node) invokeRemote(f *Frag, recv *Obj, opName string, args []uint32) {
-	if n.chaosOn() && (n.suspects[recv.LastKnown] || (n.cluster.dirOn && recv.LocStale)) {
+	if n.chaosOn() && (n.suspected(recv.LastKnown) || (n.cluster.dirOn && recv.LocStale)) {
 		if n.cluster.dirOn {
 			// The cached location is a suspected node (or was invalidated
 			// when one fell): ask the directory for the decreed home before
@@ -130,15 +130,14 @@ func (n *Node) invokeRemote(f *Frag, recv *Obj, opName string, args []uint32) {
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 		Kind: obs.EvRemoteInvoke, Frag: f.ID, Obj: uint32(recv.OID),
 		B: uint64(recv.LastKnown), Str: opName})
-	n.cluster.Rec.Metrics().Add("remote_invokes", n.labels, 1)
-	if n.cluster.autoOn {
+	n.count(&n.ctr.invokes, "remote_invokes", n.labels, 1)
+	if c := n.cluster; c.autoOn {
 		// Per-link and per-object traffic for the placement policies: which
 		// (src,dst) pairs are chatty, and which objects the traffic is about.
 		// Recorded only when a policy is armed so policy-disabled runs keep
 		// byte-identical metric snapshots.
-		n.cluster.Rec.Metrics().Add("invoke_link",
-			fmt.Sprintf("src=%d,dst=%d", n.ID, recv.LastKnown), 1)
-		n.cluster.Rec.Metrics().Add("invoke_obj",
+		c.Rec.Metrics().Add("invoke_link", c.linkLabels[n.ID*len(c.Nodes)+recv.LastKnown], 1)
+		c.Rec.Metrics().Add("invoke_obj",
 			fmt.Sprintf("oid=%d,src=%d", uint32(recv.OID), n.ID), 1)
 	}
 	n.sendMsg(recv.LastKnown, &wire.Invoke{

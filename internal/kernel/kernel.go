@@ -310,6 +310,9 @@ type Cluster struct {
 	autoEng    *auto.Engine
 	autoCohort map[string]map[string]bool
 	autoPinned map[string]bool
+	// linkLabels[src*len(Nodes)+dst] is the invoke_link label of the
+	// (src,dst) pair, built once when placement is armed.
+	linkLabels []string
 
 	// Replicated-directory state (see dir.go); dirOn gates every directory
 	// code path so directory-off runs stay byte-identical. dirPlace is the
@@ -354,7 +357,7 @@ func NewCluster(prog *codegen.Program, models []netsim.MachineModel, cfg Config)
 	c.Net = netsim.NewNetwork(c.Sim)
 	c.Net.Observer = c.Rec
 	for i, m := range models {
-		n := newNode(c, i, m)
+		n := newNode(c, i, len(models), m)
 		c.Nodes = append(c.Nodes, n)
 		c.Net.Attach(i, n.deliver)
 		c.Rec.SetNodeInfo(i, m.Name, arch.ID(m.Arch).String())
@@ -379,7 +382,7 @@ func NewCluster(prog *codegen.Program, models []netsim.MachineModel, cfg Config)
 // restarts and per-node heartbeats. All chaos timers are weak simulation
 // events: they never keep an otherwise-finished simulation alive.
 func (c *Cluster) armChaos(plan *chaos.Plan) error {
-	c.Net.Inject = chaos.NewInjector(plan, c.Rec)
+	c.Net.Inject = chaos.NewInjector(plan, len(c.Nodes), c.Rec)
 	c.Net.OnLost = func(at netsim.Micros, src, dst int) {
 		c.Rec.Emit(obs.Event{At: int64(at), Node: int32(dst), Kind: obs.EvLinkDrop,
 			B: uint64(src), Str: "down"})
@@ -400,7 +403,6 @@ func (c *Cluster) armChaos(plan *chaos.Plan) error {
 		}
 	}
 	for _, n := range c.Nodes {
-		n.lastSent = make([]netsim.Micros, len(c.Nodes))
 		n.every(plan.HeartbeatPeriod(), n.heartbeatTick)
 	}
 	return nil

@@ -106,20 +106,10 @@ type Node struct {
 	// Crash-tolerance state, live only under a chaos plan (Config.Chaos).
 	// Up is the fail-stop flag: a crashed node neither runs nor receives.
 	Up bool
-	// outSeq is the next LData sequence number per destination; unacked
-	// holds in-flight reliable frames keyed by linkKey(dst, seq).
-	outSeq  map[int]uint32
+	// peers[p] is the link state toward node p, one entry per cluster node.
+	peers []peerLink
+	// unacked holds in-flight reliable frames keyed by linkKey(dst, seq).
 	unacked map[uint64]*pendingFrame
-	// inNext / inBuf implement per-source in-order exactly-once delivery:
-	// the next expected sequence number and the out-of-order hold buffer.
-	inNext map[int]uint32
-	inBuf  map[int]map[uint32][]byte
-	// lastHeard / suspects drive heartbeat-based crash suspicion; lastSent
-	// (per destination, sized by armChaos) is when this node last put any
-	// link frame on the wire, so heartbeats go out on idle links only.
-	lastHeard map[int]netsim.Micros
-	suspects  map[int]bool
-	lastSent  []netsim.Micros
 	// seenSpans deduplicates Move deliveries by SpanID so an object is
 	// never installed twice; pendingCommits are this node's outbound moves
 	// awaiting a MoveAck; abortedSpans tombstones aborted move spans to
@@ -192,6 +182,12 @@ type Node struct {
 	// labels is this node's metric label string ("node=0,arch=sparc"),
 	// built once: every per-node metric update reuses it.
 	labels string
+	// ctr holds the handles on the counter series a node updates per frame
+	// or per message, each resolved on its first update (Node.count).
+	ctr struct {
+		msgs, msgBytes                                       [wire.NumMsgKinds]*obs.Ctr
+		heartbeats, retransmits, invokes, dupDrops, crcDrops *obs.Ctr
+	}
 	// runqHist is this node's runq_depth histogram, which enqueue
 	// observes on every slice.
 	runqHist *obs.Hist
@@ -205,7 +201,22 @@ type Node struct {
 	ProtoConvCalls uint64
 }
 
-func newNode(c *Cluster, id int, m netsim.MachineModel) *Node {
+// peerLink is a node's link state toward one peer under a chaos plan: the
+// reliable link layer's per-channel sequence numbers and hold buffer, and
+// the heartbeat clocks that drive crash suspicion.
+type peerLink struct {
+	outSeq uint32 // the last LData sequence number sent to the peer
+	inDone uint32 // the last one released from it, in order
+	// inBuf holds the peer's out-of-order frames until the gap fills.
+	inBuf map[uint32][]byte
+	// lastHeard is when a valid link frame last arrived from the peer;
+	// lastSent is when this node last put a link frame to it on the wire,
+	// so heartbeats go out on idle links only.
+	lastHeard, lastSent netsim.Micros
+	suspect             bool // heartbeat silence: the peer looks down
+}
+
+func newNode(c *Cluster, id, nodes int, m netsim.MachineModel) *Node {
 	spec := arch.SpecOf(arch.ID(m.Arch))
 	if c.SpecOverride != nil {
 		spec = c.SpecOverride(arch.ID(m.Arch))
@@ -228,12 +239,8 @@ func newNode(c *Cluster, id int, m netsim.MachineModel) *Node {
 		labels:     obs.NodeLabels(id, spec.ID.String()),
 
 		Up:             true,
-		outSeq:         map[int]uint32{},
+		peers:          make([]peerLink, nodes),
 		unacked:        map[uint64]*pendingFrame{},
-		inNext:         map[int]uint32{},
-		inBuf:          map[int]map[uint32][]byte{},
-		lastHeard:      map[int]netsim.Micros{},
-		suspects:       map[int]bool{},
 		seenSpans:      map[uint32]bool{},
 		pendingCommits: map[uint32]*moveTxn{},
 		abortedSpans:   map[uint32]bool{},
@@ -257,6 +264,15 @@ func (n *Node) chaosOn() bool { return n.cluster.Chaos != nil }
 
 // now returns this node's current simulated time.
 func (n *Node) now() netsim.Micros { return n.sched.Now() }
+
+// suspected reports whether heartbeat silence has node p suspected down.
+func (n *Node) suspected(p int) bool { return p >= 0 && p < len(n.peers) && n.peers[p].suspect }
+
+// count adds delta to the counter series (name, labels) through the handle
+// *p, resolving it on first use.
+func (n *Node) count(p **obs.Ctr, name, labels string, delta uint64) {
+	n.cluster.Rec.Metrics().Lazy(p, name, labels).Add(delta)
+}
 
 // nextSeq mints a protocol sequence number for this node's messages.
 func (n *Node) nextSeq() uint32 {
@@ -769,8 +785,8 @@ func (n *Node) sendMsg(dst int, p wire.Payload) (int, netsim.Micros) {
 	n.MsgsSent++
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvWireSend,
 		A: uint64(size), B: uint64(dst), Str: k.String()})
-	n.cluster.Rec.Metrics().Add("msg_bytes", msgLabels[k], uint64(size))
-	n.cluster.Rec.Metrics().Add("msgs", msgLabels[k], 1)
+	n.count(&n.ctr.msgBytes[k], "msg_bytes", msgLabels[k], uint64(size))
+	n.count(&n.ctr.msgs[k], "msgs", msgLabels[k], 1)
 	// Transmission starts once the CPU has finished marshalling.
 	if n.chaosOn() {
 		n.sendReliable(dst, buf, k.String())
@@ -784,7 +800,7 @@ func (n *Node) sendMsg(dst int, p wire.Payload) (int, netsim.Micros) {
 // netSend puts one raw frame on the medium (chaos paths; no protocol
 // charges — callers account their own link-level costs).
 func (n *Node) netSend(dst int, frame []byte) {
-	n.lastSent[dst] = n.now()
+	n.peers[dst].lastSent = n.now()
 	if err := n.cluster.Net.Send(n.ID, dst, frame, n.CPU.FreeAt); err != nil {
 		panic(fmt.Sprintf("kernel: %v", err)) // a programming error: dst is no attached node
 	}
@@ -805,7 +821,7 @@ func (n *Node) deliver(src int, buf []byte) {
 	if err != nil {
 		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvLinkDrop,
 			B: uint64(src), Str: "crc"})
-		n.cluster.Rec.Metrics().Add("link_drops", "reason=crc", 1)
+		n.count(&n.ctr.crcDrops, "link_drops", "reason=crc", 1)
 		return // retransmission recovers
 	}
 	n.heard(src)
@@ -819,37 +835,33 @@ func (n *Node) deliver(src int, buf []byte) {
 	}
 	// LData: always acknowledge (acks are idempotent), then release in order.
 	n.sendLinkAck(src, lf.Seq)
-	next := n.inNext[src]
-	if next == 0 {
-		next = 1
-	}
+	p := &n.peers[src]
+	next := p.inDone + 1
 	if lf.Seq < next {
-		n.cluster.Rec.Metrics().Add("link_drops", "reason=dup", 1)
+		n.count(&n.ctr.dupDrops, "link_drops", "reason=dup", 1)
 		return // duplicate of an already-delivered frame
 	}
 	if lf.Seq > next {
 		// Out of order: hold until the gap fills.
-		if n.inBuf[src] == nil {
-			n.inBuf[src] = map[uint32][]byte{}
+		if p.inBuf == nil {
+			p.inBuf = map[uint32][]byte{}
 		}
-		if _, held := n.inBuf[src][lf.Seq]; !held {
-			n.inBuf[src][lf.Seq] = append([]byte(nil), lf.Inner...)
+		if _, held := p.inBuf[lf.Seq]; !held {
+			p.inBuf[lf.Seq] = append([]byte(nil), lf.Inner...)
 		}
-		n.inNext[src] = next
 		return
 	}
 	n.deliverInner(src, lf.Inner)
-	next++
 	for {
-		held, ok := n.inBuf[src][next]
+		p.inDone = next
+		next++
+		held, ok := p.inBuf[next]
 		if !ok {
 			break
 		}
-		delete(n.inBuf[src], next)
+		delete(p.inBuf, next)
 		n.deliverInner(src, held)
-		next++
 	}
-	n.inNext[src] = next
 }
 
 // deliverInner processes one protocol message (post link layer under chaos),

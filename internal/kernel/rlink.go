@@ -54,8 +54,8 @@ func linkKey(dst int, seq uint32) uint64 { return uint64(uint32(dst))<<32 | uint
 // sendReliable wraps inner in an LData frame, registers it for
 // retransmission and puts it on the wire.
 func (n *Node) sendReliable(dst int, inner []byte, kind string) {
-	n.outSeq[dst]++
-	seq := n.outSeq[dst]
+	n.peers[dst].outSeq++
+	seq := n.peers[dst].outSeq
 	lf := wire.LinkFrame{Kind: wire.LData, Seq: seq, Inner: inner}
 	pf := &pendingFrame{dst: dst, seq: seq, frame: lf.Marshal(), kind: kind}
 	pf.timer = func() { n.retransmitCheck(pf) }
@@ -78,7 +78,7 @@ func (n *Node) transmit(pf *pendingFrame) {
 			uint64(n.cluster.Costs.PerByteCycles)*uint64(len(pf.frame)))
 		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvRetransmit,
 			A: uint64(pf.seq), B: uint64(pf.dst), Str: pf.kind, Span: uint32(pf.attempts)})
-		n.cluster.Rec.Metrics().Add("retransmits", n.labels, 1)
+		n.count(&n.ctr.retransmits, "retransmits", n.labels, 1)
 	}
 	n.netSend(pf.dst, pf.frame)
 	n.armRetransmit(pf)
@@ -118,7 +118,7 @@ func (n *Node) retransmitCheck(pf *pendingFrame) {
 		pf.stalled = true
 		return
 	}
-	if pf.attempts >= n.cluster.Chaos.Retries() && n.suspects[pf.dst] {
+	if pf.attempts >= n.cluster.Chaos.Retries() && n.suspected(pf.dst) {
 		// The peer looks dead: park until it is heard from again.
 		pf.stalled = true
 		return
@@ -147,9 +147,10 @@ func (n *Node) recvAck(src int, seq uint32) {
 // heard notes liveness evidence from src, clearing suspicion and reviving
 // any frames parked against it.
 func (n *Node) heard(src int) {
-	n.lastHeard[src] = n.now()
-	if n.suspects[src] {
-		delete(n.suspects, src)
+	p := &n.peers[src]
+	p.lastHeard = n.now()
+	if p.suspect {
+		p.suspect = false
 		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 			Kind: obs.EvNodeRecover, B: uint64(src)})
 		n.reviveStalled(func(pf *pendingFrame) bool { return pf.dst == src })
@@ -186,25 +187,25 @@ func (n *Node) heartbeatTick() {
 		return
 	}
 	now := n.now()
-	for _, peer := range n.cluster.Nodes {
-		if peer.ID == n.ID {
+	for id := range n.peers {
+		if id == n.ID {
 			continue
 		}
-		if now-n.lastSent[peer.ID] >= plan.HeartbeatPeriod() {
+		if now-n.peers[id].lastSent >= plan.HeartbeatPeriod() {
 			n.charge(uint64(n.cluster.Costs.SyscallCycles))
-			n.netSend(peer.ID, heartbeatFrame)
-			n.cluster.Rec.Metrics().Add("heartbeats", n.labels, 1)
+			n.netSend(id, heartbeatFrame)
+			n.count(&n.ctr.heartbeats, "heartbeats", n.labels, 1)
 		}
-		if !n.suspects[peer.ID] && now-n.lastHeard[peer.ID] > plan.SuspectTimeout() {
-			n.suspects[peer.ID] = true
+		if p := &n.peers[id]; !p.suspect && now-p.lastHeard > plan.SuspectTimeout() {
+			p.suspect = true
 			n.cluster.Rec.Emit(obs.Event{At: int64(now), Node: int32(n.ID),
-				Kind: obs.EvNodeSuspect, B: uint64(peer.ID)})
+				Kind: obs.EvNodeSuspect, B: uint64(id)})
 			n.cluster.Rec.Metrics().Add("node_suspects", n.labels, 1)
-			n.failWaitersOn(peer.ID)
+			n.failWaitersOn(id)
 			// The peer's forwarding addresses may dangle now: mark every
 			// proxy cached at it stale so directory-armed paths re-resolve
 			// instead of retrying into a dead node.
-			n.invalidateLocationsAt(peer.ID)
+			n.invalidateLocationsAt(id)
 		}
 	}
 }
@@ -237,7 +238,7 @@ func (n *Node) followForward(src int, target oid.OID, node int) {
 			f.waitNode = int32(node)
 		}
 	}
-	if n.suspects[node] {
+	if n.suspected(node) {
 		n.failWaitersOn(node)
 	}
 }
@@ -265,12 +266,12 @@ func (n *Node) restart() {
 	n.cluster.Net.SetNodeUp(n.ID, true)
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvNodeRestart})
 	// Do not instantly suspect everyone after a long outage.
-	for _, peer := range n.cluster.Nodes {
-		if peer.ID != n.ID {
-			n.lastHeard[peer.ID] = n.now()
+	for id := range n.peers {
+		if id != n.ID {
+			n.peers[id].lastHeard = n.now()
 		}
 	}
-	n.reviveStalled(func(pf *pendingFrame) bool { return !n.suspects[pf.dst] })
+	n.reviveStalled(func(pf *pendingFrame) bool { return !n.suspected(pf.dst) })
 	// Re-arm the timers that fired while down, by class and then key, each
 	// once (several move-retry timers ask for one pass).
 	slices.SortFunc(n.stalled, func(a, b stalledTimer) int {

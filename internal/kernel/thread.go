@@ -772,7 +772,7 @@ func (n *Node) arrayOpOn(f *Frag, kind arch.TrapKind, elem ir.VK, o *Obj, idx, v
 		n.enqueue(f)
 		return
 	}
-	if n.chaosOn() && n.suspects[o.LastKnown] {
+	if n.chaosOn() && n.suspected(o.LastKnown) {
 		n.faultErr(f, ErrNodeDown, fmt.Sprintf("remote array access on %v: node %d is down",
 			o.OID, o.LastKnown))
 		return

@@ -134,7 +134,7 @@ func (n *Node) armCommitTimer(tx *moveTxn) {
 		if tx.moveFrame.acked {
 			return
 		}
-		if !n.suspects[tx.dest] {
+		if !n.suspected(tx.dest) {
 			n.armCommitTimer(tx)
 			return
 		}

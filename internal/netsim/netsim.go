@@ -39,10 +39,12 @@ const (
 	classDelivery = int8(1)
 )
 
-// event is one queued piece of work, stored by value in the heap: either a
-// locally scheduled closure (fn) or a frame delivery, which carries its
-// (network, src, handler, buffer) itself so that a frame in flight costs no
-// closure. The destination of a delivery is the owning node.
+// event is one queued piece of work: either a locally scheduled closure
+// (fn) or a frame delivery, which carries its (network, src, handler,
+// buffer) itself so that a frame in flight costs no closure. The
+// destination of a delivery is the owning node. An event is written once
+// into its queue's slab and read back once when it runs; the heap itself
+// moves only its eventKey.
 type event struct {
 	at  Micros
 	seq uint64
@@ -58,51 +60,85 @@ type event struct {
 	weak  bool
 }
 
+// maxNode is the largest node an event may belong to: eventKey packs the
+// node and class into one int32 as node<<1|class.
+const maxNode = 1<<30 - 1
+
+// eventKey is what the heap sifts: an event's place in the canonical order
+// and the slab slot holding the event. It holds no pointer, so a sift step
+// is a 24-byte copy with no write barrier.
+type eventKey struct {
+	at   Micros
+	seq  uint64
+	nc   int32  // node<<1 | class: orders by node, then class
+	slot uint32 // the event's index in eventHeap.slab
+}
+
 // less is the canonical event order both engines share: time, then node
 // (cluster events first), then class (local work before deliveries), then
 // scheduling sequence. Within one (node, class) the sequence numbers are
 // assigned in execution order by both engines, so the whole order is
-// engine-independent.
-func (e *event) less(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+// engine-independent. (event.less, in the tests, states the same order
+// over the event's own fields.)
+func (k *eventKey) less(o *eventKey) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	if e.node != o.node {
-		return e.node < o.node
+	if k.nc != o.nc {
+		return k.nc < o.nc
 	}
-	if e.class != o.class {
-		return e.class < o.class
-	}
-	return e.seq < o.seq
+	return k.seq < o.seq
 }
 
-// eventHeap is a binary min-heap of event values ordered by less: the one
+// eventHeap is a binary min-heap of events in the canonical order: the one
 // queue type of both engines. The order is total (no two events compare
 // equal), so the pop sequence is a function of the pushed set alone, not of
-// the heap's internal layout. Push and pop move a hole instead of swapping
-// and allocate nothing once the backing array has grown.
-type eventHeap []event
+// the heap's internal layout. The heap sifts keys; each event sits in a
+// slab slot from push to pop, and a popped slot is zeroed (so it pins no
+// closure or buffer) and reused. Push and pop move a hole instead of
+// swapping and allocate nothing once the backing arrays have grown.
+type eventHeap struct {
+	keys []eventKey
+	slab []event
+	free []uint32 // zeroed slots of slab, reused last-freed first
+}
 
-func (h *eventHeap) push(e event) {
-	q := append(*h, e)
+func (h *eventHeap) len() int { return len(h.keys) }
+
+// head returns the earliest pending event's time; the heap must not be
+// empty.
+func (h *eventHeap) head() Micros { return h.keys[0].at }
+
+// push queues *e (a copy: the caller keeps e).
+func (h *eventHeap) push(e *event) {
+	var slot uint32
+	if n := len(h.free); n > 0 {
+		slot = h.free[n-1]
+		h.free = h.free[:n-1]
+		h.slab[slot] = *e
+	} else {
+		slot = uint32(len(h.slab))
+		h.slab = append(h.slab, *e)
+	}
+	k := eventKey{at: e.at, seq: e.seq, nc: e.node<<1 | int32(e.class), slot: slot}
+	q := append(h.keys, k)
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !e.less(&q[p]) {
+		if !k.less(&q[p]) {
 			break
 		}
 		q[i] = q[p]
 		i = p
 	}
-	q[i] = e
-	*h = q
+	q[i] = k
+	h.keys = q
 }
 
 func (h *eventHeap) pop() event {
-	q := *h
+	q := h.keys
 	n := len(q) - 1
-	top, e := q[0], q[n]
-	q[n] = event{} // the vacated slot must not pin a closure or buffer
+	top, k := q[0], q[n]
 	q = q[:n]
 	if n > 0 {
 		i := 0
@@ -114,24 +150,27 @@ func (h *eventHeap) pop() event {
 			if c+1 < n && q[c+1].less(&q[c]) {
 				c++
 			}
-			if !q[c].less(&e) {
+			if !q[c].less(&k) {
 				break
 			}
 			q[i] = q[c]
 			i = c
 		}
-		q[i] = e
+		q[i] = k
 	}
-	*h = q
-	return top
+	h.keys = q
+	e := h.slab[top.slot]
+	h.slab[top.slot] = event{}
+	h.free = append(h.free, top.slot)
+	return e
 }
 
-// drop empties the heap, zeroing the entries so their closures and carried
+// drop empties the heap, zeroing the slab so its closures and carried
 // delivery buffers become garbage instead of staying pinned by the backing
 // array.
 func (h *eventHeap) drop() {
-	clear(*h)
-	*h = (*h)[:0]
+	clear(h.slab)
+	h.keys, h.slab, h.free = h.keys[:0], h.slab[:0], h.free[:0]
 }
 
 // Sim is the event queue and clock.
@@ -180,6 +219,9 @@ func (s *Sim) schedule(node int32, delay Micros, fn func(), weak bool) {
 	if delay < 0 {
 		delay = 0
 	}
+	if node > maxNode {
+		panic(fmt.Sprintf("netsim: node %d past the largest schedulable node %d", node, maxNode))
+	}
 	s.push(event{at: s.now + delay, node: node, class: classLocal, weak: weak, fn: fn})
 }
 
@@ -190,12 +232,12 @@ func (s *Sim) push(e event) {
 	if !e.weak {
 		s.strong++
 	}
-	s.queue.push(e)
+	s.queue.push(&e)
 }
 
 // Step runs the next event; it reports whether one was run.
 func (s *Sim) Step() bool {
-	if len(s.queue) == 0 {
+	if s.queue.len() == 0 {
 		return false
 	}
 	e := s.queue.pop()
@@ -238,7 +280,7 @@ func (s *Sim) dropAbandoned() { s.queue.drop() }
 
 // PendingEvents reports how many events are still queued (after Run this
 // counts only abandoned work; the quiesce path clears it to zero).
-func (s *Sim) PendingEvents() int { return len(s.queue) }
+func (s *Sim) PendingEvents() int { return s.queue.len() }
 
 // NodeSched is a node-owned scheduling handle: the same three operations a
 // node kernel needs (clock, timer, weak timer) in both engines. In the

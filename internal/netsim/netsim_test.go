@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -149,5 +150,52 @@ func TestMachineModels(t *testing.T) {
 	}
 	if SPARCstationSLC.MHz <= Sun3_100.MHz {
 		t.Error("SLC should be faster than Sun-3/100")
+	}
+}
+
+// BenchmarkSimStep is the cost of one event through the queue at a fixed
+// depth: each op runs the earliest event, which queues its own successor,
+// so the queue holds depth events throughout — two node timers for every
+// frame delivery, spread over four nodes as a cluster's would be.
+func BenchmarkSimStep(b *testing.B) {
+	for _, depth := range []int{1, 8, 48} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			s := NewSim()
+			net := NewNetwork(s)
+			payload := make([]byte, 32)
+			lcg := uint32(1)
+			next := func() Micros { // a deterministic delay in [1, 256] µs
+				lcg = lcg*1664525 + 1013904223
+				return Micros(1 + lcg>>24)
+			}
+			for node := 0; node < 4; node++ {
+				net.Attach(node, func(src int, _ []byte) {
+					dst := (src + 1) % 4
+					if err := net.Send(src, dst, payload, s.Now()+next()); err != nil {
+						b.Fatal(err)
+					}
+				})
+			}
+			for i := 0; i < depth; i++ {
+				node := i % 4
+				if i%3 == 2 {
+					if err := net.Send(node, (node+1)%4, payload, 0); err != nil {
+						b.Fatal(err)
+					}
+					continue
+				}
+				var timer func()
+				timer = func() { s.AtNode(node, next(), timer) }
+				s.AtNode(node, next(), timer)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Step()
+			}
+			if got := s.PendingEvents(); got != depth {
+				b.Fatalf("queue depth %d after the run, want %d", got, depth)
+			}
+		})
 	}
 }

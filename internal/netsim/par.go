@@ -83,7 +83,7 @@ func (r *nodeRunner) push(e event) {
 	if !e.weak {
 		r.strong++
 	}
-	r.heap.push(e)
+	r.heap.push(&e)
 }
 
 // at schedules fn on this runner's own queue (called from the runner's
@@ -97,10 +97,10 @@ func (r *nodeRunner) at(class int8, delay Micros, fn func(), weak bool) {
 
 // head returns the earliest pending event time, or ok=false when idle.
 func (r *nodeRunner) head() (Micros, bool) {
-	if len(r.heap) == 0 {
+	if r.heap.len() == 0 {
 		return 0, false
 	}
-	return r.heap[0].at, true
+	return r.heap.head(), true
 }
 
 // run is the node goroutine: drain events strictly before each window end,
@@ -121,7 +121,7 @@ func (r *nodeRunner) drain(w Micros) {
 			r.panicked, r.panicAt = v, r.now
 		}
 	}()
-	for len(r.heap) > 0 && r.heap[0].at < w {
+	for r.heap.len() > 0 && r.heap.head() < w {
 		e := r.heap.pop()
 		r.now = e.at
 		r.ran++
@@ -258,8 +258,8 @@ func (s *Sim) RunParallel(net *Network, numNodes int, maxEvents uint64) error {
 	if net.LatencyMicros < 1 {
 		return fmt.Errorf("netsim: parallel execution needs nonzero link latency for lookahead")
 	}
-	if numNodes < 1 {
-		return fmt.Errorf("netsim: parallel execution needs at least one node")
+	if numNodes < 1 || numNodes > maxNode+1 {
+		return fmt.Errorf("netsim: parallel execution needs 1 to %d nodes, not %d", maxNode+1, numNodes)
 	}
 	p := &parRun{sim: s, net: net, lookahead: net.LatencyMicros}
 	for i := 0; i < numNodes; i++ {
@@ -269,7 +269,8 @@ func (s *Sim) RunParallel(net *Network, numNodes int, maxEvents uint64) error {
 		})
 	}
 	// Shard the pending queue onto the per-node runners.
-	for _, e := range s.queue {
+	for _, k := range s.queue.keys {
+		e := &s.queue.slab[k.slot]
 		if e.node < 0 || int(e.node) >= numNodes {
 			return fmt.Errorf("netsim: pending event owned by no node (node %d); schedule via AtNode before RunParallel", e.node)
 		}

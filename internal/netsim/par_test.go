@@ -58,22 +58,34 @@ func TestRunClearsAbandonedWeak(t *testing.T) {
 
 	// drop on its own: an abandoned entry that carries a buffer.
 	var h eventHeap
-	h.push(net.delivery(5, 0, 1, make([]byte, 8)))
-	h.push(event{at: 7, fn: func() {}, weak: true})
+	d := net.delivery(5, 0, 1, make([]byte, 8))
+	h.push(&d)
+	h.push(&event{at: 7, fn: func() {}, weak: true})
 	h.drop()
-	if len(h) != 0 {
-		t.Errorf("dropped heap holds %d events", len(h))
+	if h.len() != 0 {
+		t.Errorf("dropped heap holds %d events", h.len())
 	}
 	assertHeapZeroed(t, h)
 }
 
-// assertHeapZeroed checks every slot of the heap's backing array past its
-// length: popped and dropped entries must have been cleared.
+// assertHeapZeroed checks every slab slot no pending event occupies — the
+// free list's and those past the slab's length: popped and dropped events
+// must have been cleared.
 func assertHeapZeroed(t *testing.T, h eventHeap) {
 	t.Helper()
-	for i, e := range h[len(h):cap(h)] {
-		if e.fn != nil || e.buf != nil || e.h != nil || e.net != nil {
-			t.Errorf("vacated queue slot %d still references fn/buf/handler/network: %+v", len(h)+i, keyOf(e))
+	used := make(map[uint32]bool, h.len())
+	for _, k := range h.keys {
+		used[k.slot] = true
+	}
+	if got, want := len(h.free)+h.len(), len(h.slab); got != want {
+		t.Errorf("%d free + %d pending slots, slab has %d", len(h.free), h.len(), want)
+	}
+	for i, e := range h.slab[:cap(h.slab)] {
+		if used[uint32(i)] {
+			continue
+		}
+		if e.fn != nil || e.buf != nil || e.h != nil || e.net != nil || identityOf(e) != (identity{}) {
+			t.Errorf("vacated slab slot %d is not zero: %+v", i, identityOf(e))
 		}
 	}
 }

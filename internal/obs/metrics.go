@@ -3,11 +3,15 @@
 // snapshotable at any simulated instant; snapshots are fully sorted so that
 // identical runs serialize to identical bytes.
 //
-// A series is keyed by the (name, labels) pair itself, and callers on hot
-// paths pass label strings they built once (the kernel's per-node label,
-// its per-message-kind and per-ISA-pair tables), so an update to an
-// existing series formats, concatenates and allocates nothing. The
-// "name{labels}" form exists only as the sort order of the read side.
+// A series is keyed by the (name, labels) pair itself. Hot paths do not
+// look it up per update: they hold a handle — a *Ctr for a counter, a *Hist
+// for a histogram — resolved once, on first use, and cached with their own
+// state (a node's, an injector's), so an update is one atomic add (Ctr) or
+// one single-writer observation (Hist): no lock, no map, no formatting.
+// Registry.Add is the same store reached by name, for cold sites. A counter
+// series enters snapshots at its first Add, whichever path makes it, never
+// when its handle is resolved. The "name{labels}" form exists only as the
+// sort order of the read side.
 
 package obs
 
@@ -16,6 +20,7 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // NumHistBuckets is the number of power-of-two histogram buckets: bucket i
@@ -44,22 +49,41 @@ func (h *Hist) Observe(v uint64) {
 	h.Buckets[b]++
 }
 
-// Registry accumulates metrics. A single mutex guards the maps: the
-// parallel engine's node goroutines add concurrently, and every update is
-// commutative (counter sums, per-node-labelled gauges), so the final
-// state is deterministic regardless of interleaving. A histogram has one
-// writer, which observes it outside the lock (Hist).
+// Ctr is a handle on one counter series. Add is safe from any goroutine
+// (the parallel engine's nodes share series such as msgs{msg=invoke}), and
+// every update is a commutative sum, so the final value is deterministic
+// regardless of interleaving.
+type Ctr struct {
+	v    atomic.Uint64
+	live atomic.Bool // set by the first Add: the series is in snapshots
+}
+
+// Add increments the counter.
+func (c *Ctr) Add(delta uint64) {
+	c.v.Add(delta)
+	if !c.live.Load() {
+		c.live.Store(true)
+	}
+}
+
+// Registry accumulates metrics. A mutex guards the series maps — creating
+// a series, reading by name, snapshotting — but not the updates of a
+// resolved handle: a Ctr adds atomically, and a Hist has one writer, which
+// observes it outside the lock.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[series]uint64
+	counters map[series]*Ctr
 	gauges   map[series]int64
 	hists    map[series]*Hist
+	// spare is the unused tail of the block new counters are carved from,
+	// so resolving a series allocates once per block, not per series.
+	spare []Ctr
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[series]uint64{},
+		counters: map[series]*Ctr{},
 		gauges:   map[series]int64{},
 		hists:    map[series]*Hist{},
 	}
@@ -97,18 +121,46 @@ func NodeLabels(node int, arch string) string {
 	return fmt.Sprintf("node=%d,arch=%s", node, arch)
 }
 
-// Add increments a counter.
-func (r *Registry) Add(name, labels string, delta uint64) {
+// Ctr returns the handle on one counter series, creating it (absent from
+// snapshots until its first Add) on the first call.
+func (r *Registry) Ctr(name, labels string) *Ctr {
+	k := series{name, labels}
 	r.mu.Lock()
-	r.counters[series{name, labels}] += delta
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	c := r.counters[k]
+	if c == nil {
+		if len(r.spare) == 0 {
+			r.spare = make([]Ctr, 16)
+		}
+		c, r.spare = &r.spare[0], r.spare[1:]
+		r.counters[k] = c
+	}
+	return c
+}
+
+// Lazy returns the counter handle *p, first resolving it into *p when nil:
+// the resolve-on-first-use step of a caller that caches its handles.
+func (r *Registry) Lazy(p **Ctr, name, labels string) *Ctr {
+	if *p == nil {
+		*p = r.Ctr(name, labels)
+	}
+	return *p
+}
+
+// Add increments a counter by name: Ctr(name, labels).Add(delta).
+func (r *Registry) Add(name, labels string, delta uint64) {
+	r.Ctr(name, labels).Add(delta)
 }
 
 // Counter reads a counter (0 when absent).
 func (r *Registry) Counter(name, labels string) uint64 {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[series{name, labels}]
+	c := r.counters[series{name, labels}]
+	r.mu.Unlock()
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
 }
 
 // SetGauge records an instantaneous value.
@@ -149,10 +201,17 @@ func (r *Registry) Hist(name, labels string) *Hist {
 func (r *Registry) CountersPrefix(name string) []CounterPoint {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	keys := sortedSeries(r.counters, name)
-	out := make([]CounterPoint, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, CounterPoint{Name: k.name, Labels: k.labels, Value: r.counters[k]})
+	return r.counterPoints(name)
+}
+
+// counterPoints is the snapshot form of the live counters named name (all
+// when name is ""). The caller holds r.mu.
+func (r *Registry) counterPoints(name string) []CounterPoint {
+	var out []CounterPoint
+	for _, k := range sortedSeries(r.counters, name) {
+		if c := r.counters[k]; c.live.Load() {
+			out = append(out, CounterPoint{Name: k.name, Labels: k.labels, Value: c.v.Load()})
+		}
 	}
 	return out
 }
@@ -195,10 +254,7 @@ type Snapshot struct {
 func (r *Registry) Snapshot(at int64) Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := Snapshot{AtMicros: at}
-	for _, k := range sortedSeries(r.counters, "") {
-		s.Counters = append(s.Counters, CounterPoint{Name: k.name, Labels: k.labels, Value: r.counters[k]})
-	}
+	s := Snapshot{AtMicros: at, Counters: r.counterPoints("")}
 	for _, k := range sortedSeries(r.gauges, "") {
 		s.Gauges = append(s.Gauges, GaugePoint{Name: k.name, Labels: k.labels, Value: r.gauges[k]})
 	}

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -150,6 +152,87 @@ func TestRegistryUpdateAllocatesNothing(t *testing.T) {
 	}
 	if reg.Counter("msgs", labels) != 202 || reg.Gauge("instrs", labels) != 42 {
 		t.Errorf("updates lost: %+v", reg.Snapshot(0))
+	}
+}
+
+// A counter handle's Add is one atomic add: no lock, key or allocation.
+func TestCtrAddAllocatesNothing(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Ctr("heartbeats", NodeLabels(0, "vax"))
+	if got := testing.AllocsPerRun(200, func() { c.Add(2) }); got != 0 {
+		t.Errorf("Ctr.Add = %v allocs/run, want 0", got)
+	}
+	if got := reg.Counter("heartbeats", NodeLabels(0, "vax")); got != 402 {
+		t.Errorf("heartbeats = %d after 201 adds of 2, want 402", got)
+	}
+}
+
+// Adds on one handle from many goroutines — the parallel engine's nodes
+// share series such as msgs{msg=invoke} — sum exactly, through the handle
+// and through Registry.Add alike (run under -race by make ci).
+func TestCtrConcurrentAddsSumExactly(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Ctr("msgs", "msg=invoke")
+	const workers, adds = 8, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var own *Ctr // each worker resolves its own copy of the handle
+			for i := 0; i < adds; i++ {
+				if w%2 == 0 {
+					c.Add(uint64(i))
+				} else if i%2 == 0 {
+					reg.Lazy(&own, "msgs", "msg=invoke").Add(uint64(i))
+				} else {
+					reg.Add("msgs", "msg=invoke", uint64(i))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := reg.Counter("msgs", "msg=invoke"), uint64(workers*adds*(adds-1)/2); got != want {
+		t.Errorf("msgs{msg=invoke} = %d, want %d", got, want)
+	}
+}
+
+// Resolving a handle creates no series: a counter enters the snapshot (and
+// CountersPrefix) at its first Add — a zero delta included, as Registry.Add
+// has always made one — whichever path, handle or name, adds it.
+func TestCounterSeriesAppearsAtFirstAdd(t *testing.T) {
+	names := func(reg *Registry) string {
+		var out []string
+		for _, c := range reg.Snapshot(0).Counters {
+			out = append(out, c.Name+"{"+c.Labels+"}="+strconv.FormatUint(c.Value, 10))
+		}
+		for _, c := range reg.CountersPrefix("b") {
+			out = append(out, "prefix:"+c.Labels)
+		}
+		return strings.Join(out, " ")
+	}
+	reg := NewRegistry()
+	a := reg.Ctr("a", "x=1")
+	var b *Ctr
+	reg.Lazy(&b, "b", "x=2")
+	if reg.Ctr("a", "x=1") != a || reg.Lazy(&b, "b", "x=9") != reg.Ctr("b", "x=2") {
+		t.Fatal("resolving a series twice gave two handles")
+	}
+	if got := names(reg); got != "" {
+		t.Fatalf("resolved but never added series are in the snapshot: %s", got)
+	}
+	a.Add(0)
+	if got := names(reg); got != "a{x=1}=0" {
+		t.Errorf("after a handle's Add(0): %s", got)
+	}
+	reg.Add("b", "x=2", 3)
+	if got := names(reg); got != "a{x=1}=0 b{x=2}=3 prefix:x=2" {
+		t.Errorf("after Registry.Add on a resolved series: %s", got)
+	}
+	b.Add(1)
+	a.Add(5)
+	if got := names(reg); got != "a{x=1}=5 b{x=2}=4 prefix:x=2" {
+		t.Errorf("after both paths: %s", got)
 	}
 }
 

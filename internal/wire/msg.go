@@ -445,6 +445,9 @@ const (
 	MDirLookupReply // replica → client: record (or miss)
 )
 
+// NumMsgKinds bounds the message kinds: every MsgKind is below it.
+const NumMsgKinds = int(MDirLookupReply) + 1
+
 // kindInfo is what the codec knows of a message kind besides its field list.
 type kindInfo struct {
 	name  string
