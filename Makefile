@@ -1,8 +1,8 @@
 # The tier-1 gate: everything `make ci` runs must stay green on every
 # commit (see ROADMAP.md). The emvet step keeps the example corpus clean
 # under the mobility-soundness analyzer on every ISA and the baseline smoke
-# keeps every committed BENCH_*.json reproducible (that emtrace's Chrome
-# trace and metrics parse as JSON is go test's: cmd/emtrace
+# keeps every committed BENCH_*.json reproducible (that emrun's Chrome
+# trace and metrics exports parse as JSON is go test's: cmd/emrun
 # TestTraceDirectoryRun, core TestChromeTraceGoldenTwoHop). No recipe
 # spells a run-shaping emrun flag: what the chaos, directory, parallel and
 # placement command lines must print is pinned by `go test` (TestCommandLines
@@ -74,12 +74,12 @@ emperf-pairs:
 # a parse and a type error: the front end's error paths); emrun over the
 # corpus, both engines, and the run-shaping rows of TestCommandLines (chaos,
 # directory with leases, both placement policies) plus the reference
-# emulator, vet-on-load and the text trace; emtrace's four exports, its
-# export of a run that faults (exit status 1 accepted) and its faults
-# report; every embench study, gated on the committed baselines; the
-# 1/50-scale benchmark. The merged profile's 0.0% functions, as "file
-# function" lines, go to .ci/census.txt, and the census fails when one of
-# them is not listed in the committed testdata/census.txt (three
+# emulator, vet-on-load and the text trace; emrun's exports (-chrome,
+# -metrics, -spans), its -faults report under the chaos plan and the text
+# trace of a run that faults (exit status 1 accepted); every embench
+# study, gated on the committed baselines; the 1/50-scale benchmark. The
+# merged profile's 0.0% functions, as "file function" lines, go to
+# .ci/census.txt, and the census fails when one of them is not listed in the committed testdata/census.txt (three
 # consecutive runs give the same list). The repro/bench/ lines are
 # dropped: `go tool cover -func` cannot resolve the nested module's package.
 CENSUS := $(CURDIR)/.ci/census
@@ -87,7 +87,7 @@ CENSUS_CHAOS := seed=7,drop=0.05,dup=0.03,delay=0.05:500us,corrupt=0.02,crash=2@
 census:
 	rm -rf $(CENSUS)
 	mkdir -p $(CENSUS)/cov $(CENSUS)/out
-	for c in emc emvet emrun emtrace embench; do $(GO) build -cover -coverpkg=repro/... -o $(CENSUS)/$$c ./cmd/$$c || exit 1; done
+	for c in emc emvet emrun embench; do $(GO) build -cover -coverpkg=repro/... -o $(CENSUS)/$$c ./cmd/$$c || exit 1; done
 	$(GO) -C bench build -cover -coverpkg=repro/... -o $(CENSUS)/bench .
 	export GOCOVERDIR=$(CENSUS)/cov; set -e; \
 	for f in examples/programs/*.em; do \
@@ -111,9 +111,9 @@ census:
 	$(CENSUS)/emrun -legacy examples/programs/kilroy.em > /dev/null; \
 	$(CENSUS)/emrun -trace examples/programs/kilroy.em > /dev/null 2>&1; \
 	$(CENSUS)/emrun -vetload examples/programs/producer_consumer.em > /dev/null; \
-	$(CENSUS)/emtrace -chrome $(CENSUS)/out/t.json -metrics $(CENSUS)/out/m.json -text -spans examples/programs/kilroy.em > /dev/null 2>&1; \
-	$(CENSUS)/emtrace faults -chaos $(CENSUS_CHAOS) examples/programs/kilroy.em > /dev/null; \
-	$(CENSUS)/emtrace -text -chaos seed=1,crash=2@76ms examples/programs/zipf_hot.em > /dev/null 2>&1 || [ $$? -eq 1 ]; \
+	$(CENSUS)/emrun -chrome $(CENSUS)/out/t.json -metrics $(CENSUS)/out/m.json -spans examples/programs/kilroy.em > /dev/null 2>&1; \
+	$(CENSUS)/emrun -faults -chaos $(CENSUS_CHAOS) examples/programs/kilroy.em > /dev/null 2>&1; \
+	$(CENSUS)/emrun -trace -chaos seed=1,crash=2@76ms examples/programs/zipf_hot.em > /dev/null 2>&1 || [ $$? -eq 1 ]; \
 	$(CENSUS)/embench -out $(CENSUS)/out -baseline . all > /dev/null; \
 	$(CENSUS)/bench -quick > /dev/null
 	$(GO) tool covdata textfmt -i=$(CENSUS)/cov -o $(CENSUS)/all.cov

@@ -287,7 +287,7 @@ func TestSharpenDifferential(t *testing.T) {
 	}
 }
 
-// The emtrace contract: a rerun exports the same bytes, and the event log
+// The export contract: a rerun exports the same bytes, and the event log
 // is all of the run.
 func TestEventStreamDeterministic(t *testing.T) {
 	t.Parallel()

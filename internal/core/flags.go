@@ -1,6 +1,6 @@
-// The one command-line spelling of a run: every driver that runs a program
-// (emrun, emtrace, emtrace faults) registers these flags and no others that
-// shape the run, so a configuration traced is the configuration measured.
+// The one command-line spelling of a run: emrun registers these flags and
+// no others that shape the run (its own flags only select output), so a
+// run traced or exported is the run measured.
 // A user-settable Options field appears here exactly once; fields with no
 // line here (NoSharpen, AutoNoBatch, DirNoGroupDecrees, SliceInstrs, …) are
 // experiment control arms set only from Go (DESIGN.md "Configuration").

@@ -208,7 +208,7 @@ func TestNoFlagsIsZeroOptions(t *testing.T) {
 func TestResolveDiagnostics(t *testing.T) {
 	resolve := func(args ...string) (Options, string, error) {
 		var out bytes.Buffer
-		flags := flag.NewFlagSet("emtrace", flag.ContinueOnError)
+		flags := flag.NewFlagSet("emrun", flag.ContinueOnError)
 		flags.SetOutput(&out)
 		rf := RegisterFlags(flags)
 		if err := flags.Parse(args); err != nil {
@@ -229,7 +229,7 @@ func TestResolveDiagnostics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.DirReplicas != 2 || !strings.Contains(diag, "emtrace: -dir: 9 replicas exceed the 2-node cluster") {
+	if opts.DirReplicas != 2 || !strings.Contains(diag, "emrun: -dir: 9 replicas exceed the 2-node cluster") {
 		t.Errorf("-dir 9 on two nodes: DirReplicas=%d, diagnostics %q", opts.DirReplicas, diag)
 	}
 }

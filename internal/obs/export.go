@@ -43,10 +43,16 @@ const (
 // trace-event JSON. Each node is a process; migration spans appear as three
 // complete slices — "MD→MI convert" on the source, "wire" spanning the
 // transfer, "MI→MD respecialize" on the destination — linked by a flow
-// arrow, with conversion-call and byte counts in args.
+// arrow, with conversion-call and byte counts in args. When full rings
+// evicted events, the instants are a tail, and one leading "trace_tail"
+// metadata event says so: the evicted count and the ring cap.
 func WriteChromeTrace(w io.Writer, r *Recorder) error {
 	tr := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
 	add := func(e chromeEvent) { tr.TraceEvents = append(tr.TraceEvents, e) }
+	if d := r.Dropped(); d > 0 {
+		add(chromeEvent{Name: "trace_tail", Ph: "M",
+			Args: map[string]any{"dropped": d, "ring_cap": r.ringCap}})
+	}
 
 	for i := 0; i < r.NumNodes(); i++ {
 		ni := r.Node(i)
@@ -105,27 +111,16 @@ func WriteChromeTrace(w io.Writer, r *Recorder) error {
 	}
 
 	for _, e := range r.Events() {
-		if e.Node < 0 {
+		row := e.Kind.row()
+		if row == nil || row.tid == 0 {
 			continue
 		}
-		var name string
-		tid := int32(tidKernel)
-		switch e.Kind {
-		case EvWireSend, EvWireRecv:
-			name = fmt.Sprintf("%s %s", e.Kind, e.Str)
-			tid = tidWire
-		case EvRemoteInvoke:
-			name = "invoke " + e.Str
-		case EvProxyForward:
-			name = "forward " + e.Str
-		case EvMonitorWait, EvMonitorSignal, EvMonitorBlock, EvGCCycle, EvFault,
-			EvThreadStop, EvThreadResume:
-			name = e.Kind.String()
-		default:
-			continue // conversion batches and frames are inside span slices
+		name := e.Kind.String()
+		if row.chrome != "" {
+			name = row.chrome + " " + e.Str
 		}
 		add(chromeEvent{Name: name, Cat: "kernel", Ph: "i", Ts: e.At,
-			Pid: e.Node, Tid: tid, S: "t",
+			Pid: e.Node, Tid: row.tid, S: "t",
 			Args: map[string]any{"detail": e.Text()}})
 	}
 
@@ -142,9 +137,14 @@ func WriteMetricsJSON(w io.Writer, s Snapshot) error {
 }
 
 // EventLog renders every retained event as one text line (with timestamp),
-// the format the determinism test compares byte-for-byte.
+// the format the determinism test compares byte-for-byte. When full rings
+// evicted events, a first line says the log is a tail: the evicted count
+// and the ring cap.
 func EventLog(r *Recorder) []byte {
 	var b strings.Builder
+	if d := r.Dropped(); d > 0 {
+		fmt.Fprintf(&b, "# tail: %d events evicted from full rings; each node keeps its last %d\n", d, r.ringCap)
+	}
 	for _, e := range r.Events() {
 		fmt.Fprintf(&b, "%6d [%8dµs] %s\n", e.Seq, e.At, e.Text())
 	}

@@ -23,7 +23,7 @@ import (
 type Kind uint8
 
 // Event kinds. The order is part of the (internal) stream format; new kinds
-// go at the end.
+// go at the end, each with its row in the kind table (kinds, below).
 const (
 	// EvText is a free-form kernel trace line (the legacy Trace hook is a
 	// text sink over the event stream; lines that have no typed event yet
@@ -124,76 +124,137 @@ const (
 	EvDirCompact
 )
 
+// kindRow states one event kind once: its name, its trace-line renderer
+// and its Chrome-trace lane. Kind.String, Event.Text and WriteChromeTrace
+// read it; no other code names, renders or places a kind.
+type kindRow struct {
+	name string
+	// tid is the lane of the kind's Chrome instants (tidKernel, tidWire),
+	// or 0 when the kind is no instant (conversion batches and frames are
+	// inside span slices).
+	tid int32
+	// chrome, when set, names the Chrome instant as chrome+" "+Str instead
+	// of by the kind's name.
+	chrome string
+	// text renders the event as a trace line, without the timestamp
+	// prefix the sink adds.
+	text func(e Event) string
+}
+
+var kinds = [...]kindRow{
+	EvText: {"text", 0, "", func(e Event) string { return e.Str }},
+	EvThreadStop: {"thread-stop", tidKernel, "", func(e Event) string {
+		return fmt.Sprintf("node%d frag%08x stopped at bus stop %d in %s", e.Node, e.Frag, e.A, e.Str)
+	}},
+	EvThreadResume: {"thread-resume", tidKernel, "", func(e Event) string {
+		return fmt.Sprintf("node%d frag%08x resumed (%d records respecialized)", e.Node, e.Frag, e.A)
+	}},
+	EvConvOut: {"conv-out", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d MD->MI conversion: %d calls, %d bytes", e.Node, e.A, e.B)
+	}},
+	EvConvIn: {"conv-in", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d MI->MD conversion: %d calls, %d bytes", e.Node, e.A, e.B)
+	}},
+	EvWireSend: {"wire-send", tidWire, "wire-send", func(e Event) string {
+		return fmt.Sprintf("node%d -> node%d %s (%d bytes)", e.Node, e.B, e.Str, e.A)
+	}},
+	EvWireRecv: {"wire-recv", tidWire, "wire-recv", func(e Event) string {
+		return fmt.Sprintf("node%d <- node%d %s (%d bytes)", e.Node, e.B, e.Str, e.A)
+	}},
+	EvNetFrame: {"net-frame", 0, "", func(e Event) string {
+		return fmt.Sprintf("net: frame from node%d, %d bytes (%d payload), %dµs on the medium", e.Node, e.A, e.B, e.Span)
+	}},
+	EvMigrateOut: {"migrate-out", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d migrate-out obj%08x -> node%d (%s, %d frags, span %d)", e.Node, e.Obj, e.B, e.Str, e.A, e.Span)
+	}},
+	EvMigrateIn: {"migrate-in", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d migrate-in obj%08x <- node%d (span %d)", e.Node, e.Obj, e.B, e.Span)
+	}},
+	EvRemoteInvoke: {"remote-invoke", tidKernel, "invoke", func(e Event) string {
+		return fmt.Sprintf("node%d remote invoke %s on obj%08x at node%d", e.Node, e.Str, e.Obj, e.B)
+	}},
+	EvProxyForward: {"proxy-forward", tidKernel, "forward", func(e Event) string {
+		return fmt.Sprintf("node%d forwarded %s about obj%08x to node%d", e.Node, e.Str, e.Obj, e.B)
+	}},
+	EvMonitorWait: {"monitor-wait", tidKernel, "", func(e Event) string {
+		return fmt.Sprintf("node%d frag%08x wait on cond %d of obj%08x", e.Node, e.Frag, e.A, e.Obj)
+	}},
+	EvMonitorSignal: {"monitor-signal", tidKernel, "", func(e Event) string {
+		return fmt.Sprintf("node%d frag%08x signal cond %d of obj%08x", e.Node, e.Frag, e.A, e.Obj)
+	}},
+	EvMonitorBlock: {"monitor-block", tidKernel, "", func(e Event) string {
+		return fmt.Sprintf("node%d frag%08x blocked at monitor entry of obj%08x", e.Node, e.Frag, e.Obj)
+	}},
+	EvGCCycle: {"gc-cycle", tidKernel, "", func(e Event) string {
+		return fmt.Sprintf("node%d gc: freed %d objects (%d bytes)", e.Node, e.A, e.B)
+	}},
+	EvFault: {"fault", tidKernel, "", func(e Event) string {
+		return fmt.Sprintf("node%d frag%08x FAULT: %s", e.Node, e.Frag, e.Str)
+	}},
+	EvFaultInject: {"fault-inject", 0, "", func(e Event) string {
+		return fmt.Sprintf("chaos: %s frame node%d -> node%d", e.Str, e.Node, e.B)
+	}},
+	EvRetransmit: {"retransmit", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d retransmit seq %d -> node%d (%s, attempt %d)", e.Node, e.A, e.B, e.Str, e.Span)
+	}},
+	EvMoveCommit: {"move-commit", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d move-commit obj%08x -> node%d (span %d)", e.Node, e.Obj, e.B, e.Span)
+	}},
+	EvMoveAbort: {"move-abort", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d move-abort obj%08x -> node%d (span %d): %s", e.Node, e.Obj, e.B, e.Span, e.Str)
+	}},
+	EvMoveDupDrop: {"move-dup-drop", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d dropped duplicate Move of obj%08x from node%d (span %d)", e.Node, e.Obj, e.B, e.Span)
+	}},
+	EvNodeCrash: {"node-crash", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d CRASHED", e.Node)
+	}},
+	EvNodeRestart: {"node-restart", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d restarted", e.Node)
+	}},
+	EvNodeSuspect: {"node-suspect", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d suspects node%d down (silent %dµs)", e.Node, e.B, e.A)
+	}},
+	EvNodeRecover: {"node-recover", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d heard from node%d again", e.Node, e.B)
+	}},
+	EvLinkDrop: {"link-drop", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d dropped frame from node%d (%s)", e.Node, e.B, e.Str)
+	}},
+	EvMoveGroupOut: {"move-group-out", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d move-group-out %d objects -> node%d (span %d)", e.Node, e.A, e.B, e.Span)
+	}},
+	EvMoveGroupIn: {"move-group-in", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d move-group-in %d objects <- node%d (span %d)", e.Node, e.A, e.B, e.Span)
+	}},
+	EvAutoDecision: {"auto-decision", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d auto-decision #%d: %s -> node%d", e.Node, e.A, e.Str, e.B)
+	}},
+	EvDirDecree: {"dir-decree", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d dir-decree obj%08x @ epoch %d -> node%d", e.Node, e.Obj, e.A, e.B)
+	}},
+	EvDirDegraded: {"dir-degraded", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d dir-degraded obj%08x: %s", e.Node, e.Obj, e.Str)
+	}},
+	EvDirLookup: {"dir-lookup", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d dir-lookup obj%08x: hit=%d node%d", e.Node, e.Obj, e.A, e.B)
+	}},
+	EvDirCompact: {"dir-compact", 0, "", func(e Event) string {
+		return fmt.Sprintf("node%d dir-compact obj%08x -> node%d (epoch %d)", e.Node, e.Obj, e.B, e.A)
+	}},
+}
+
+// row returns k's table row, or nil for a kind outside the table.
+func (k Kind) row() *kindRow {
+	if int(k) < len(kinds) && kinds[k].text != nil {
+		return &kinds[k]
+	}
+	return nil
+}
+
 func (k Kind) String() string {
-	switch k {
-	case EvText:
-		return "text"
-	case EvThreadStop:
-		return "thread-stop"
-	case EvThreadResume:
-		return "thread-resume"
-	case EvConvOut:
-		return "conv-out"
-	case EvConvIn:
-		return "conv-in"
-	case EvWireSend:
-		return "wire-send"
-	case EvWireRecv:
-		return "wire-recv"
-	case EvNetFrame:
-		return "net-frame"
-	case EvMigrateOut:
-		return "migrate-out"
-	case EvMigrateIn:
-		return "migrate-in"
-	case EvRemoteInvoke:
-		return "remote-invoke"
-	case EvProxyForward:
-		return "proxy-forward"
-	case EvMonitorWait:
-		return "monitor-wait"
-	case EvMonitorSignal:
-		return "monitor-signal"
-	case EvMonitorBlock:
-		return "monitor-block"
-	case EvGCCycle:
-		return "gc-cycle"
-	case EvFault:
-		return "fault"
-	case EvFaultInject:
-		return "fault-inject"
-	case EvRetransmit:
-		return "retransmit"
-	case EvMoveCommit:
-		return "move-commit"
-	case EvMoveAbort:
-		return "move-abort"
-	case EvMoveDupDrop:
-		return "move-dup-drop"
-	case EvNodeCrash:
-		return "node-crash"
-	case EvNodeRestart:
-		return "node-restart"
-	case EvNodeSuspect:
-		return "node-suspect"
-	case EvNodeRecover:
-		return "node-recover"
-	case EvLinkDrop:
-		return "link-drop"
-	case EvMoveGroupOut:
-		return "move-group-out"
-	case EvMoveGroupIn:
-		return "move-group-in"
-	case EvAutoDecision:
-		return "auto-decision"
-	case EvDirDecree:
-		return "dir-decree"
-	case EvDirDegraded:
-		return "dir-degraded"
-	case EvDirLookup:
-		return "dir-lookup"
-	case EvDirCompact:
-		return "dir-compact"
+	if r := k.row(); r != nil {
+		return r.name
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -218,75 +279,8 @@ type Event struct {
 // Text renders the event as a legacy-style kernel trace line (without the
 // timestamp prefix, which the sink adds).
 func (e Event) Text() string {
-	switch e.Kind {
-	case EvText:
-		return e.Str
-	case EvThreadStop:
-		return fmt.Sprintf("node%d frag%08x stopped at bus stop %d in %s", e.Node, e.Frag, e.A, e.Str)
-	case EvThreadResume:
-		return fmt.Sprintf("node%d frag%08x resumed (%d records respecialized)", e.Node, e.Frag, e.A)
-	case EvConvOut:
-		return fmt.Sprintf("node%d MD->MI conversion: %d calls, %d bytes", e.Node, e.A, e.B)
-	case EvConvIn:
-		return fmt.Sprintf("node%d MI->MD conversion: %d calls, %d bytes", e.Node, e.A, e.B)
-	case EvWireSend:
-		return fmt.Sprintf("node%d -> node%d %s (%d bytes)", e.Node, e.B, e.Str, e.A)
-	case EvWireRecv:
-		return fmt.Sprintf("node%d <- node%d %s (%d bytes)", e.Node, e.B, e.Str, e.A)
-	case EvNetFrame:
-		return fmt.Sprintf("net: frame from node%d, %d bytes (%d payload), %dµs on the medium", e.Node, e.A, e.B, e.Span)
-	case EvMigrateOut:
-		return fmt.Sprintf("node%d migrate-out obj%08x -> node%d (%s, %d frags, span %d)", e.Node, e.Obj, e.B, e.Str, e.A, e.Span)
-	case EvMigrateIn:
-		return fmt.Sprintf("node%d migrate-in obj%08x <- node%d (span %d)", e.Node, e.Obj, e.B, e.Span)
-	case EvRemoteInvoke:
-		return fmt.Sprintf("node%d remote invoke %s on obj%08x at node%d", e.Node, e.Str, e.Obj, e.B)
-	case EvProxyForward:
-		return fmt.Sprintf("node%d forwarded %s about obj%08x to node%d", e.Node, e.Str, e.Obj, e.B)
-	case EvMonitorWait:
-		return fmt.Sprintf("node%d frag%08x wait on cond %d of obj%08x", e.Node, e.Frag, e.A, e.Obj)
-	case EvMonitorSignal:
-		return fmt.Sprintf("node%d frag%08x signal cond %d of obj%08x", e.Node, e.Frag, e.A, e.Obj)
-	case EvMonitorBlock:
-		return fmt.Sprintf("node%d frag%08x blocked at monitor entry of obj%08x", e.Node, e.Frag, e.Obj)
-	case EvGCCycle:
-		return fmt.Sprintf("node%d gc: freed %d objects (%d bytes)", e.Node, e.A, e.B)
-	case EvFault:
-		return fmt.Sprintf("node%d frag%08x FAULT: %s", e.Node, e.Frag, e.Str)
-	case EvFaultInject:
-		return fmt.Sprintf("chaos: %s frame node%d -> node%d", e.Str, e.Node, e.B)
-	case EvRetransmit:
-		return fmt.Sprintf("node%d retransmit seq %d -> node%d (%s, attempt %d)", e.Node, e.A, e.B, e.Str, e.Span)
-	case EvMoveCommit:
-		return fmt.Sprintf("node%d move-commit obj%08x -> node%d (span %d)", e.Node, e.Obj, e.B, e.Span)
-	case EvMoveAbort:
-		return fmt.Sprintf("node%d move-abort obj%08x -> node%d (span %d): %s", e.Node, e.Obj, e.B, e.Span, e.Str)
-	case EvMoveDupDrop:
-		return fmt.Sprintf("node%d dropped duplicate Move of obj%08x from node%d (span %d)", e.Node, e.Obj, e.B, e.Span)
-	case EvNodeCrash:
-		return fmt.Sprintf("node%d CRASHED", e.Node)
-	case EvNodeRestart:
-		return fmt.Sprintf("node%d restarted", e.Node)
-	case EvNodeSuspect:
-		return fmt.Sprintf("node%d suspects node%d down (silent %dµs)", e.Node, e.B, e.A)
-	case EvNodeRecover:
-		return fmt.Sprintf("node%d heard from node%d again", e.Node, e.B)
-	case EvLinkDrop:
-		return fmt.Sprintf("node%d dropped frame from node%d (%s)", e.Node, e.B, e.Str)
-	case EvMoveGroupOut:
-		return fmt.Sprintf("node%d move-group-out %d objects -> node%d (span %d)", e.Node, e.A, e.B, e.Span)
-	case EvMoveGroupIn:
-		return fmt.Sprintf("node%d move-group-in %d objects <- node%d (span %d)", e.Node, e.A, e.B, e.Span)
-	case EvAutoDecision:
-		return fmt.Sprintf("node%d auto-decision #%d: %s -> node%d", e.Node, e.A, e.Str, e.B)
-	case EvDirDecree:
-		return fmt.Sprintf("node%d dir-decree obj%08x @ epoch %d -> node%d", e.Node, e.Obj, e.A, e.B)
-	case EvDirDegraded:
-		return fmt.Sprintf("node%d dir-degraded obj%08x: %s", e.Node, e.Obj, e.Str)
-	case EvDirLookup:
-		return fmt.Sprintf("node%d dir-lookup obj%08x: hit=%d node%d", e.Node, e.Obj, e.A, e.B)
-	case EvDirCompact:
-		return fmt.Sprintf("node%d dir-compact obj%08x -> node%d (epoch %d)", e.Node, e.Obj, e.B, e.A)
+	if r := e.Kind.row(); r != nil {
+		return r.text(e)
 	}
 	return fmt.Sprintf("node%d %s", e.Node, e.Kind)
 }
@@ -342,7 +336,7 @@ const DefaultRingCap = 8192
 type Recorder struct {
 	nodes   []NodeInfo
 	rings   []ring
-	cluster ring // events with Node < 0 (cluster-level text)
+	ringCap int // each ring's capacity (DefaultRingCap in a cluster)
 	spanMu  sync.Mutex
 	// spans[lane][idx] is the idx-th span opened by source node lane; a
 	// span's id encodes both (see BeginSpan), so lookup is two indexings.
@@ -355,15 +349,15 @@ type Recorder struct {
 // (at least 1) events.
 func NewRecorder(n, ringCap int) *Recorder {
 	r := &Recorder{
-		nodes: make([]NodeInfo, n),
-		rings: make([]ring, n),
-		spans: make([][]*Span, max(n, 1)),
-		reg:   NewRegistry(),
+		nodes:   make([]NodeInfo, n),
+		ringCap: ringCap,
+		rings:   make([]ring, n),
+		spans:   make([][]*Span, max(n, 1)),
+		reg:     NewRegistry(),
 	}
 	for i := range r.rings {
 		r.rings[i].buf = make([]Event, 0, ringCap)
 	}
-	r.cluster.buf = make([]Event, 0, min(ringCap, 1024))
 	return r
 }
 
@@ -394,14 +388,13 @@ func (r *Recorder) SetTextSink(f func(string)) { r.sink = f }
 
 // Emit records one event: stamps the owning ring's sequence number and
 // appends to that ring, rendering to the text sink if one is installed.
+// Every event belongs to a node: an event of a node outside the recorder
+// is a programming error, and panics.
 // Seq is per-ring (node), not global: a per-node counter is the only
 // emission order both engines can agree on, and it is what the canonical
 // (At, Node, Seq) merge in Events sorts by.
 func (r *Recorder) Emit(e Event) {
-	rg := &r.cluster
-	if e.Node >= 0 && int(e.Node) < len(r.rings) {
-		rg = &r.rings[e.Node]
-	}
+	rg := &r.rings[e.Node]
 	rg.seq++
 	e.Seq = rg.seq
 	if rg.wrapped || len(rg.buf) == cap(rg.buf) {
@@ -421,7 +414,7 @@ func (r *Recorder) Textf(at int64, node int32, format string, args ...any) {
 // Dropped reports how many events were evicted from full rings (coverage
 // caps are never silent).
 func (r *Recorder) Dropped() uint64 {
-	d := r.cluster.dropped
+	var d uint64
 	for i := range r.rings {
 		d += r.rings[i].dropped
 	}
@@ -429,16 +422,14 @@ func (r *Recorder) Dropped() uint64 {
 }
 
 // Events returns every retained event merged in the canonical
-// (At, Node, Seq) order — cluster-level events (Node < 0) first at each
-// instant, then nodes ascending, then each ring's own emission order.
-// This is the simulator's canonical event order, so the merge is identical
-// under the sequential and parallel engines.
+// (At, Node, Seq) order — time, then node, then each ring's own emission
+// order. This is the simulator's canonical event order, so the merge is
+// identical under the sequential and parallel engines.
 func (r *Recorder) Events() []Event {
 	var out []Event
 	for i := range r.rings {
 		out = append(out, r.rings[i].all()...)
 	}
-	out = append(out, r.cluster.all()...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.At != b.At {
@@ -459,11 +450,4 @@ func (r *Recorder) Events() []Event {
 func (r *Recorder) OnFrame(at int64, src, dst int, payload, frame int, xmitMicros int64) {
 	r.Emit(Event{At: at, Node: int32(src), Kind: EvNetFrame,
 		A: uint64(frame), B: uint64(payload), Span: uint32(xmitMicros)})
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -28,20 +28,19 @@ func TestRingBounded(t *testing.T) {
 
 func TestEventsMergeCanonical(t *testing.T) {
 	// Events merge in the canonical (At, Node, Seq) order: time first, then
-	// node (cluster-level Node=-1 ahead of node 0), then per-node emission
-	// order — the same total order under the sequential and parallel engines.
+	// node, then per-node emission order — the same total order under the
+	// sequential and parallel engines.
 	r := NewRecorder(2, 8)
 	r.Emit(Event{At: 5, Node: 1, Kind: EvText, Str: "a"})
 	r.Emit(Event{At: 5, Node: 0, Kind: EvText, Str: "b"})
-	r.Emit(Event{At: 5, Node: -1, Kind: EvText, Str: "c"})
 	r.Emit(Event{At: 5, Node: 1, Kind: EvText, Str: "d"})
 	r.Emit(Event{At: 2, Node: 1, Kind: EvText, Str: "e"})
 	var got []string
 	for _, e := range r.Events() {
 		got = append(got, e.Str)
 	}
-	if strings.Join(got, "") != "ecbad" {
-		t.Errorf("merged order %v, want [e c b a d]", got)
+	if strings.Join(got, "") != "ebad" {
+		t.Errorf("merged order %v, want [e b a d]", got)
 	}
 }
 
@@ -292,5 +291,22 @@ func TestChromeTraceWellFormed(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("chrome export is not deterministic")
+	}
+}
+
+// TestEveryKindHasOneRow: each kind from EvText to the last is stated in
+// the kind table, under a name no other kind has.
+func TestEveryKindHasOneRow(t *testing.T) {
+	seen := map[string]Kind{}
+	for k := EvText; k <= EvDirCompact; k++ {
+		row := k.row()
+		if row == nil {
+			t.Errorf("kind %d has no row in the kind table", k)
+			continue
+		}
+		if prev, dup := seen[row.name]; dup {
+			t.Errorf("kinds %d and %d are both named %q", prev, k, row.name)
+		}
+		seen[row.name] = k
 	}
 }
