@@ -58,13 +58,15 @@ emperf-smoke:
 
 # The emperf ledger's measuring protocol (EXPERIMENTS.md): build the
 # benchmark from `git archive $(REF)` and from the working tree, run N
-# alternating pairs of one workload, print medians, quartiles, pairs won
-# (W=all: the five workloads in turn, one table each):
-#   make emperf-pairs W=chaos_tour [N=10] [REF=HEAD]
+# alternating pairs of one workload (W=all: the five in turn), print a table
+# per workload on stderr and append one record per workload, labelled PR, to
+# LEDGER.jsonl (only once every workload has run):
+#   make emperf-pairs W=all PR=n [N=10] [REF=HEAD]
 N ?= 10
 REF ?= HEAD
 emperf-pairs:
-	$(GO) run ./tools/pairbench -w $(W) -n $(N) -ref $(REF)
+	@if [ -z "$(W)" ] || [ -z "$(PR)" ]; then echo "usage: make emperf-pairs W=workload|all PR=n [N=10] [REF=HEAD]" >&2; exit 2; fi
+	out=$$($(GO) run ./tools/pairbench -w $(W) -n $(N) -ref $(REF) -pr $(PR)) && echo "$$out" >> LEDGER.jsonl
 
 # The code census (ROADMAP emcut), the last ci step so the list cannot rot
 # between hand runs: which non-test functions does no shipped surface execute? Every

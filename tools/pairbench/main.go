@@ -1,25 +1,27 @@
 // Command pairbench measures a change against a reference commit the way
-// the emperf ledger in EXPERIMENTS.md is kept: it builds the benchmark
-// (bench/) once from `git archive <ref>` and once from the working tree,
-// runs N alternating pairs of `-workload W -trace 0` (odd pairs reference
-// first, even pairs change first, so host-speed drift lands on both sides),
-// and prints, per end-to-end metric, each side's median and quartiles, the
-// change of the medians and how many pairs the change won. Metrics the
-// simulation fixes (sim_ms, frames, wire bytes) and the allocation counts,
-// which repeat from run to run, also get an exact-equality column.
-// `-w all` runs every workload of BENCHMARK.json in turn off the same two
-// builds, one table each: the gate is "no metric worse on any workload".
+// the emperf ledger (LEDGER.jsonl, EXPERIMENTS.md) is kept: it builds the
+// benchmark (bench/) once from `git archive <ref>` and once from the working
+// tree, runs N alternating pairs of `-workload W -trace 0` (odd pairs
+// reference first, even pairs change first, so host-speed drift lands on
+// both sides), and prints one ledger record per workload on standard
+// output: per end-to-end metric, each side's median and quartiles, how many
+// pairs the change won and lost, and, where both sides repeated exactly,
+// whether they are equal. The same figures go to standard error as a table,
+// after the progress lines. `-w all` runs every workload of BENCHMARK.json
+// in turn off the same two builds: the gate is "no metric worse on any
+// workload".
 //
-// Run it from the repository root (`make emperf-pairs W=chaos_tour N=10`).
-// It reads BENCHMARK.json for the metric list and the better direction.
+// Run it from the repository root (`make emperf-pairs W=all N=10 PR=n`
+// appends its records to LEDGER.jsonl). It reads BENCHMARK.json for the
+// metric list and the better direction.
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -31,6 +33,31 @@ import (
 type metricDecl struct {
 	Name   string `json:"name"`
 	Better string `json:"better"`
+}
+
+// record is one line of LEDGER.jsonl: one workload of one change, measured
+// against its parent. A field a measurement did not state is absent.
+type record struct {
+	PR       int                `json:"pr"`
+	Workload string             `json:"workload"`
+	Parent   string             `json:"parent,omitempty"`
+	Pairs    int                `json:"pairs,omitempty"`
+	Metrics  map[string]outcome `json:"metrics"`
+}
+
+// outcome is one end-to-end metric of a record.
+type outcome struct {
+	Parent *spread `json:"parent,omitempty"`
+	Change *spread `json:"change,omitempty"`
+	Won    *int    `json:"won,omitempty"`
+	Lost   *int    `json:"lost,omitempty"`
+	Exact  string  `json:"exact,omitempty"` // both sides repeated exactly: "equal" or "differs"
+}
+
+type spread struct {
+	Median float64  `json:"median"`
+	Q1     *float64 `json:"q1,omitempty"`
+	Q3     *float64 `json:"q3,omitempty"`
 }
 
 // side is one of the two builds and the readings its runs produced.
@@ -45,19 +72,19 @@ func main() {
 	workload := flag.String("w", "", "workload to run (a name from BENCHMARK.json, or all)")
 	pairs := flag.Int("n", 10, "number of alternating pairs")
 	ref := flag.String("ref", "HEAD", "reference commit")
-	seconds := flag.Float64("seconds", 0, "pass -seconds to the benchmark (0: its default)")
+	pr := flag.Int("pr", 0, "the change's number, the records' label")
 	flag.Parse()
-	if *workload == "" || *pairs < 1 || flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: pairbench -w workload|all [-n pairs] [-ref commit] [-seconds s]")
+	if *workload == "" || *pairs < 1 || *pr < 1 || flag.NArg() != 0 {
+		fmt.Fprintln(os.Stderr, "usage: pairbench -w workload|all -pr n [-n pairs] [-ref commit]")
 		os.Exit(2)
 	}
-	if err := run(*workload, *pairs, *ref, *seconds); err != nil {
+	if err := run(*workload, *pairs, *ref, *pr); err != nil {
 		fmt.Fprintln(os.Stderr, "pairbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(workload string, pairs int, ref string, seconds float64) error {
+func run(workload string, pairs int, ref string, pr int) error {
 	workloads, decls, err := benchmarkDecl("BENCHMARK.json")
 	if err != nil {
 		return err
@@ -65,6 +92,11 @@ func run(workload string, pairs int, ref string, seconds float64) error {
 	if workload != "all" {
 		workloads = []string{workload}
 	}
+	hash, err := exec.Command("git", "rev-parse", "--verify", ref+"^{commit}").Output()
+	if err != nil {
+		return fmt.Errorf("resolve %s: %w", ref, err)
+	}
+	parent := strings.TrimSpace(string(hash))
 	tmp, err := os.MkdirTemp("", "pairbench")
 	if err != nil {
 		return err
@@ -75,7 +107,7 @@ func run(workload string, pairs int, ref string, seconds float64) error {
 	if err := os.Mkdir(refTree, 0o755); err != nil {
 		return err
 	}
-	if err := sh("", "git archive "+shellQuote(ref)+" | tar -x -C "+shellQuote(refTree)); err != nil {
+	if err := sh("", "git archive "+parent+" | tar -x -C "+shellQuote(refTree)); err != nil {
 		return fmt.Errorf("unpack %s: %w", ref, err)
 	}
 	work, err := filepath.Abs(".")
@@ -92,18 +124,21 @@ func run(workload string, pairs int, ref string, seconds float64) error {
 		}
 	}
 
+	enc := json.NewEncoder(os.Stdout)
 	for _, w := range workloads {
-		args := []string{"-workload", w, "-trace", "0"}
-		if seconds > 0 {
-			args = append(args, "-seconds", fmt.Sprint(seconds))
-		}
 		for p := 1; p <= pairs; p++ {
 			order := sides
 			if p%2 == 0 {
 				order[0], order[1] = order[1], order[0]
 			}
 			for _, s := range order {
-				m, err := oneRun(s, args)
+				cmd := exec.Command(s.bin, "-workload", w, "-trace", "0")
+				cmd.Dir, cmd.Stderr = s.dir, os.Stderr
+				out, err := cmd.Output()
+				var m map[string]float64
+				if err == nil {
+					m, err = parseResult(out, decls)
+				}
 				if err != nil {
 					return fmt.Errorf("%s, pair %d, %s: %w", w, p, s.label, err)
 				}
@@ -112,30 +147,20 @@ func run(workload string, pairs int, ref string, seconds float64) error {
 					w, p, pairs, s.label, m["wall_s"], m["mallocs_per_op"])
 			}
 		}
-		report(w, pairs, ref, decls, sides[0], sides[1])
+		rec := record{PR: pr, Workload: w, Parent: parent}
+		if err := enc.Encode(measure(os.Stderr, rec, ref, decls, sides[0], sides[1])); err != nil {
+			return err
+		}
 		sides[0].runs, sides[1].runs = nil, nil
 	}
 	return nil
 }
 
-// oneRun runs the benchmark once and returns the metrics of its result line
-// (the last line of standard output).
-func oneRun(s *side, args []string) (map[string]float64, error) {
-	cmd := exec.Command(s.bin, args...)
-	cmd.Dir = s.dir
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, err
-	}
-	var last []byte
-	sc := bufio.NewScanner(bytes.NewReader(out))
-	sc.Buffer(nil, 1<<20)
-	for sc.Scan() {
-		if len(bytes.TrimSpace(sc.Bytes())) > 0 {
-			last = append(last[:0], sc.Bytes()...)
-		}
-	}
+// parseResult reads the benchmark's result line (the last line of its
+// standard output): a run that failed ops or printed wrong output, or whose
+// line lacks a declared metric, is an error.
+func parseResult(out []byte, decls []metricDecl) (map[string]float64, error) {
+	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
 	var res struct {
 		Correct bool `json:"correct"`
 		Failed  int  `json:"failed"`
@@ -143,22 +168,32 @@ func oneRun(s *side, args []string) (map[string]float64, error) {
 			Value float64 `json:"value"`
 		} `json:"metrics"`
 	}
-	if err := json.Unmarshal(last, &res); err != nil {
+	if err := json.Unmarshal(lines[len(lines)-1], &res); err != nil {
 		return nil, fmt.Errorf("result line: %w", err)
 	}
-	if !res.Correct || res.Failed != 0 {
+	if res.Failed != 0 {
 		return nil, fmt.Errorf("benchmark reports %d failed ops", res.Failed)
 	}
+	if !res.Correct {
+		return nil, fmt.Errorf("benchmark reports wrong output")
+	}
 	m := map[string]float64{}
-	for name, v := range res.Metrics {
-		m[name] = v.Value
+	for _, d := range decls {
+		v, ok := res.Metrics[d.Name]
+		if !ok {
+			return nil, fmt.Errorf("result line lacks metric %s", d.Name)
+		}
+		m[d.Name] = v.Value
 	}
 	return m, nil
 }
 
-func report(workload string, pairs int, ref string, decls []metricDecl, a, b *side) {
-	fmt.Printf("%s: %d alternating pairs, %s vs working tree\n", workload, pairs, ref)
-	tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+// measure summarizes the runs of the two sides as rec's metrics and writes
+// the same figures to w as a table.
+func measure(w io.Writer, rec record, ref string, decls []metricDecl, a, b *side) record {
+	rec.Pairs, rec.Metrics = len(a.runs), map[string]outcome{}
+	fmt.Fprintf(w, "%s: %d alternating pairs, %s vs working tree\n", rec.Workload, rec.Pairs, ref)
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
 	fmt.Fprintln(tw, "metric\tref median [q1–q3]\tchange median [q1–q3]\tchange\tpairs won\texact")
 	for _, d := range decls {
 		xs, ys := column(a, d.Name), column(b, d.Name)
@@ -178,21 +213,23 @@ func report(workload string, pairs int, ref string, decls []metricDecl, a, b *si
 				lost++
 			}
 		}
-		exact := ""
+		o := outcome{Parent: &spread{amed, &aq1, &aq3}, Change: &spread{bmed, &bq1, &bq3}, Won: &won, Lost: &lost}
 		if constant(xs) && constant(ys) {
-			exact = "differs"
+			o.Exact = "differs"
 			if xs[0] == ys[0] {
-				exact = "equal"
+				o.Exact = "equal"
 			}
 		}
+		rec.Metrics[d.Name] = o
 		change := "n/a"
 		if amed != 0 {
 			change = fmt.Sprintf("%+.1f%%", 100*(bmed-amed)/amed)
 		}
 		fmt.Fprintf(tw, "%s\t%.6g [%.6g–%.6g]\t%.6g [%.6g–%.6g]\t%s\t%d won, %d lost of %d\t%s\n",
-			d.Name, amed, aq1, aq3, bmed, bq1, bq3, change, won, lost, len(xs), exact)
+			d.Name, amed, aq1, aq3, bmed, bq1, bq3, change, won, lost, len(xs), o.Exact)
 	}
 	tw.Flush()
+	return rec
 }
 
 func column(s *side, name string) []float64 {
