@@ -34,7 +34,6 @@ type DirResult struct {
 	Decrees       uint64  `json:"decrees"`        // directory decrees chosen (slots, incl. group members)
 	Lookups       uint64  `json:"lookups"`        // directory shard queries issued
 	Degraded      uint64  `json:"degraded"`       // decrees/lookups that fell back to the chase
-	Compactions   uint64  `json:"compactions"`    // proxies rewritten by the background compactor
 	LeaseHits     uint64  `json:"lease_hits"`     // lookups served from a cached read lease
 	LeaseExpired  uint64  `json:"lease_expired"`  // leases discarded at use time past their deadline
 	GroupDecrees  uint64  `json:"group_decrees"`  // batched group rounds run
@@ -135,8 +134,6 @@ func dirArm(label, src string, opts core.Options) (DirResult, error) {
 			r.Lookups += c.Value
 		case "dir_degraded":
 			r.Degraded += c.Value
-		case "dir_compactions":
-			r.Compactions += c.Value
 		case "dir_lease_hits":
 			r.LeaseHits += c.Value
 		case "dir_lease_expired":

@@ -3,8 +3,8 @@
 // recording the object's new home across the replicas of its shard — one
 // round, one proposer path, whether the decree covers a single move or the
 // members of a MoveGroup cohort that share a replica set; locates and stale-proxy re-resolution consult the directory first,
-// and a per-node background compactor rewrites chained proxies so
-// forwarding chains shrink to ≤1 hop. All directory traffic travels as
+// and repair the proxy they use — nothing repairs proxies in the
+// background. All directory traffic travels as
 // ordinary protocol messages through sendMsg — charged, observed and
 // fault-injected like any other kernel traffic — except that a node acting
 // as a replica of its own query answers locally for just the syscall
@@ -35,20 +35,12 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultDirCompactMicros is the default compactor tick period.
-const DefaultDirCompactMicros = 200000 // 200 simulated ms
-
 // dirMaxAttempts bounds a decree's rounds — the owner's accept-first round
 // and the two-phase retries after it — before degrading.
 const dirMaxAttempts = 3
 
-// dirCompactBatch bounds proxies refreshed per compactor tick.
-const dirCompactBatch = 4
-
-// armDir enables the directory: sizes the shard/replica layout, tabulates
-// each shard's replica set, and arms the per-node compactors. Compactor
-// ticks are weak events (they never keep a finished simulation alive),
-// mirroring heartbeats.
+// armDir enables the directory: sizes the shard/replica layout and
+// tabulates each shard's replica set.
 func (c *Cluster) armDir() {
 	c.dirOn = true
 	c.dirCfg = dir.Config{Replicas: c.Config.DirReplicas}.Normalize(len(c.Nodes))
@@ -59,16 +51,6 @@ func (c *Cluster) armDir() {
 	for s := range c.dirPlace {
 		c.dirPlace[s] = dir.ReplicaSet(s, c.dirCfg.Replicas, len(c.Nodes))
 	}
-	for _, n := range c.Nodes {
-		n.every(c.dirCompactPeriod(), n.dirCompactTick)
-	}
-}
-
-func (c *Cluster) dirCompactPeriod() netsim.Micros {
-	if c.Config.DirCompactPeriodMicros > 0 {
-		return netsim.Micros(c.Config.DirCompactPeriodMicros)
-	}
-	return DefaultDirCompactMicros
 }
 
 // dirReplicasOf returns the replica set of o's shard (from the placement
@@ -412,12 +394,11 @@ type dirLookup struct {
 
 // dirLookupQuery asks one replica of o's shard for its ownership record —
 // the O(1) locate. It prefers this node's own replica role (free and
-// synchronous), else the first unsuspected replica. timed arms a degrade
-// timeout under chaos; callers with a blocked fragment on the line want it,
-// the compactor does not (its queries carry no strong timers, so an idle
-// simulation can finish). done always fires exactly once; ok=false means
-// degraded or miss and the caller falls back to the forwarding chase.
-func (n *Node) dirLookupQuery(o oid.OID, timed bool, done func(ok bool, node int32, epoch uint32)) {
+// synchronous), else the first unsuspected replica; under chaos a remote
+// query arms a degrade timeout, since a blocked fragment waits on it. done
+// always fires exactly once; ok=false means degraded or miss and the caller
+// falls back to the forwarding chase.
+func (n *Node) dirLookupQuery(o oid.OID, done func(ok bool, node int32, epoch uint32)) {
 	lbl := n.labels
 	if n.cluster.dirLeasePeriod() > 0 {
 		if l, ok := n.dirLeases[o]; ok {
@@ -463,7 +444,7 @@ func (n *Node) dirLookupQuery(o oid.OID, timed bool, done func(ok bool, node int
 	n.dirTok++
 	lk := &dirLookup{oid: o, done: done, token: n.dirTok}
 	n.dirLooks[lk.token] = lk
-	if timed && n.chaosOn() && target != n.ID {
+	if n.chaosOn() && target != n.ID {
 		n.armDirLookupTimer(lk)
 	}
 	n.dirSend(target, &wire.DirLookup{Target: o, Token: lk.token})
@@ -513,28 +494,23 @@ func (n *Node) recvDirLookupReply(src int, p *wire.DirLookupReply) {
 // dirRefreshProxy applies a directory record to a local proxy. Records are
 // quorum-chosen truths, so they overwrite hint-derived knowledge of the
 // same epoch; strictly older records never regress the proxy (the same
-// monotonicity guard UpdateLoc uses). Reports whether the proxy moved.
-func (n *Node) dirRefreshProxy(o *Obj, node int32, epoch uint32) bool {
+// monotonicity guard UpdateLoc uses).
+func (n *Node) dirRefreshProxy(o *Obj, node int32, epoch uint32) {
 	if o.Resident || o.transit != nil || node < 0 || int(node) >= len(n.cluster.Nodes) {
-		return false
+		return
 	}
 	if int(node) == n.ID {
 		// The record names this node but the object is not resident here:
 		// an inbound move's decree raced the install, or we re-exported it.
 		// Never point a proxy at ourselves.
-		return false
+		return
 	}
-	if epoch > o.Epoch || (epoch == o.Epoch && int(node) != o.LastKnown) {
-		o.LastKnown = int(node)
-		o.Epoch = epoch
-		o.LocStale = false
-		o.chained = false
-		return true
+	if epoch < o.Epoch {
+		return
 	}
-	if epoch == o.Epoch && int(node) == o.LastKnown {
-		o.LocStale = false
-	}
-	return false
+	o.LastKnown = int(node)
+	o.Epoch = epoch
+	o.LocStale = false
 }
 
 // dirLocate services a locate for a blocked fragment: one shard query, then
@@ -542,7 +518,7 @@ func (n *Node) dirRefreshProxy(o *Obj, node int32, epoch uint32) bool {
 // the authoritative answer, the directory just collapses the walk to ≤1
 // hop. On miss or degrade the chase runs from the old hint unchanged.
 func (n *Node) dirLocate(f *Frag, o *Obj) {
-	n.dirLookupQuery(o.OID, true, func(ok bool, node int32, epoch uint32) {
+	n.dirLookupQuery(o.OID, func(ok bool, node int32, epoch uint32) {
 		if cur, live := n.objects[o.OID]; live && cur == o && !o.Resident {
 			if ok {
 				n.dirRefreshProxy(o, node, epoch)
@@ -569,7 +545,7 @@ func (n *Node) dirLocate(f *Frag, o *Obj) {
 // fault the directory-free path raises.
 func (n *Node) dirRerouteInvoke(f *Frag, recv *Obj, opName string, args []uint32) {
 	n.blockCall(f, -1)
-	n.dirLookupQuery(recv.OID, true, func(ok bool, node int32, epoch uint32) {
+	n.dirLookupQuery(recv.OID, func(ok bool, node int32, epoch uint32) {
 		if recv.Resident {
 			// An inbound move landed the callee here mid-query.
 			n.setStatus(f, FragStateReady)
@@ -597,8 +573,8 @@ func (n *Node) dirRerouteInvoke(f *Frag, recv *Obj, opName string, args []uint32
 
 // invalidateLocationsAt marks every proxy whose cached location points at
 // the newly suspected peer: the forwarding address may dangle. The marks
-// steer directory-armed lookups and the compactor; without the directory
-// they are inert bits.
+// steer directory-armed invokes into dirRerouteInvoke; without the
+// directory they are inert bits.
 func (n *Node) invalidateLocationsAt(peer int) {
 	for _, o := range n.objects {
 		if !o.Resident && o.transit == nil && o.LastKnown == peer {
@@ -611,48 +587,6 @@ func (n *Node) invalidateLocationsAt(peer int) {
 		if int(l.node) == peer {
 			delete(n.dirLeases, o)
 		}
-	}
-}
-
-// ------------------------------------------------------------ compactor
-
-// dirCompactTick is the background chain compactor: each tick it refreshes
-// a bounded batch of flagged proxies (chained through by traffic, or
-// location-stale after a suspicion) from the directory, rewriting them to
-// the decreed home so forwarding chains truncate to ≤1 hop. A weak
-// periodic tick, like heartbeats.
-func (n *Node) dirCompactTick() {
-	if !n.Up {
-		return
-	}
-	var ids []oid.OID
-	for id, o := range n.objects {
-		if !o.Resident && o.transit == nil && (o.LocStale || o.chained) {
-			ids = append(ids, id)
-		}
-	}
-	slices.Sort(ids)
-	if len(ids) > dirCompactBatch {
-		ids = ids[:dirCompactBatch]
-	}
-	for _, id := range ids {
-		id := id
-		n.dirLookupQuery(id, false, func(ok bool, node int32, epoch uint32) {
-			o := n.objects[id]
-			if o == nil || o.Resident {
-				return
-			}
-			// One query per flagging either way: a miss (the object never
-			// moved under the directory) clears the flags too, or the
-			// compactor would re-query it every tick forever.
-			if ok && n.dirRefreshProxy(o, node, epoch) {
-				n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
-					Kind: obs.EvDirCompact, Obj: uint32(id), A: uint64(epoch), B: uint64(uint32(node))})
-				n.cluster.Rec.Metrics().Add("dir_compactions", n.labels, 1)
-			}
-			o.LocStale = false
-			o.chained = false
-		})
 	}
 }
 

@@ -112,7 +112,7 @@ func TestDirLeaseInvalidation(t *testing.T) {
 	before := dirCounter(c, "dir_lease_expired")
 	lookupsBefore := dirCounter(c, "dir_lookups")
 	n0.dirLeases[ghost] = dirLease{node: 1, epoch: 3, expires: n0.now()}
-	n0.dirLookupQuery(ghost, false, func(ok bool, node int32, epoch uint32) {})
+	n0.dirLookupQuery(ghost, func(ok bool, node int32, epoch uint32) {})
 	if got := dirCounter(c, "dir_lease_expired"); got != before+1 {
 		t.Errorf("dir_lease_expired = %d, want %d", got, before+1)
 	}
@@ -148,7 +148,7 @@ end Main
 
 // healedPlan crashes the probe's home early and restarts it well before the
 // post-loop pings: the home is suspected (marking node 0's proxy stale),
-// then heals. The compactor is idled so the invoke-time path is what heals.
+// then heals.
 func healedPlan() *chaos.Plan {
 	return &chaos.Plan{
 		Seed:           1,
@@ -170,9 +170,7 @@ func healedPlan() *chaos.Plan {
 // on every invoke.
 func TestDirRerouteAfterRecovery(t *testing.T) {
 	models := []netsim.MachineModel{mSPARC, mSPARC, mSPARC}
-	cfg := dirConfig(3, healedPlan())
-	cfg.DirCompactPeriodMicros = 60_000_000 // idle the compactor
-	c := runSrc(t, healedPingSrc, models, cfg)
+	c := runSrc(t, healedPingSrc, models, dirConfig(3, healedPlan()))
 	want := "node1\nnode1\nnode1\nnode1"
 	if got := c.OutputText(); got != want {
 		t.Fatalf("output = %q, want %q", got, want)

@@ -48,7 +48,7 @@ func TestDirOffLeavesNoTrace(t *testing.T) {
 	}
 	for _, e := range c.Rec.Events() {
 		switch e.Kind {
-		case obs.EvDirDecree, obs.EvDirDegraded, obs.EvDirLookup, obs.EvDirCompact:
+		case obs.EvDirDecree, obs.EvDirDegraded, obs.EvDirLookup:
 			t.Fatalf("directory-off run emitted %v", e.Kind)
 		}
 	}
@@ -228,41 +228,22 @@ func TestDirRerouteStaleLocation(t *testing.T) {
 		t.Errorf("dir-off fault = %v, want ErrNodeDown", c.Faults[0].Err)
 	}
 
-	// Directory on: the same run reroutes and completes faultlessly. The
-	// compactor is idled (it would heal the proxy first and mask the
-	// invoke-time reroute path under test).
-	cfg := dirConfig(3, reroutePlan())
-	cfg.DirCompactPeriodMicros = 60_000_000
-	cOn := runSrc(t, rerouteSrc, models, cfg)
+	// Directory on: the same run reroutes and completes faultlessly, and
+	// the reroute leaves node 0's proxy at the real home, no longer stale.
+	cOn := runSrc(t, rerouteSrc, models, dirConfig(3, reroutePlan()))
 	if got := cOn.OutputText(); got != "node1\nnode2" {
 		t.Fatalf("dir-on output = %q, want %q", got, "node1\nnode2")
 	}
 	if dirCounter(cOn, "dir_reroutes") == 0 {
 		t.Error("dir-on run recorded no reroutes; the call did not go through the directory")
 	}
-}
-
-// TestDirCompactorHealsStaleProxies: with the compactor at its default
-// cadence, a proxy invalidated by a suspicion is rewritten from the
-// directory in the background — before any invocation needs it — so the
-// second ping goes direct without an invoke-time reroute.
-func TestDirCompactorHealsStaleProxies(t *testing.T) {
-	models := []netsim.MachineModel{mSPARC, mSPARC, mSPARC}
-	c := runSrc(t, rerouteSrc, models, dirConfig(3, reroutePlan()))
-	if got := c.OutputText(); got != "node1\nnode2" {
-		t.Fatalf("output = %q, want %q", got, "node1\nnode2")
-	}
-	if dirCounter(c, "dir_compactions") == 0 {
-		t.Error("compactor rewrote nothing; the stale proxy was not healed in the background")
-	}
-	// The healed proxy points at the real home with its flags cleared.
-	for _, o := range c.Nodes[0].objects {
+	for _, o := range cOn.Nodes[0].objects {
 		if !o.Resident && o.Kind == ObjPlain && o.Epoch > 0 {
 			if o.LastKnown != 2 {
 				t.Errorf("proxy still points at node %d, want 2", o.LastKnown)
 			}
-			if o.LocStale || o.chained {
-				t.Error("healed proxy still flagged stale/chained")
+			if o.LocStale {
+				t.Error("rerouted proxy still flagged stale")
 			}
 		}
 	}

@@ -258,7 +258,6 @@ func (n *Node) handleMsg(src int, p wire.Payload) {
 			o.LastKnown = int(p.Node)
 			o.Epoch = p.Epoch
 			o.LocStale = false
-			o.chained = false
 		}
 		n.followForward(src, p.Target, int(p.Node))
 	case *wire.Locate:
@@ -294,9 +293,6 @@ func (n *Node) forwardIfMoved(src int, target *Obj, p wire.Payload) bool {
 		Kind: obs.EvProxyForward, Obj: uint32(target.OID),
 		B: uint64(target.LastKnown), Str: wire.KindOf(p).String()})
 	n.cluster.Rec.Metrics().Add("proxy_forwards", n.labels, 1)
-	// This proxy just acted as a chain link: flag it so the directory
-	// compactor rewrites it to the decreed home.
-	target.chained = true
 	n.sendMsg(target.LastKnown, p)
 	n.sendMsg(src, &wire.UpdateLoc{Target: target.OID,
 		Node: int32(target.LastKnown), Epoch: target.Epoch})

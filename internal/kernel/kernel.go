@@ -225,14 +225,11 @@ type Config struct {
 	// internal/dir): every move commit drives a Paxos round recording the
 	// object's new home across that many replicas of its shard (clamped to
 	// the node count), locates consult the directory first (one shard query
-	// instead of a forwarding-address walk), and a background compactor
-	// rewrites stale proxies. 0 (the default) keeps both engines
+	// instead of a forwarding-address walk), and an invoke into a suspected
+	// or stale proxy re-resolves it there. 0 (the default) keeps both engines
 	// byte-identical to a directory-free build — no extra messages,
 	// metrics, events or timers.
 	DirReplicas int
-	// DirCompactPeriodMicros is the per-node compactor tick period (0
-	// selects DefaultDirCompactMicros).
-	DirCompactPeriodMicros int64
 	// DirLeaseMicros, when > 0 with the directory armed, makes shard
 	// replicas grant that many simulated microseconds of read lease on
 	// every positive lookup reply: the asker caches the record and repeat
@@ -624,10 +621,6 @@ type Obj struct {
 	// dangling forwarding address. Directory-armed runs re-resolve such
 	// proxies through the directory instead of retrying into the dead node.
 	LocStale bool
-	// chained marks a proxy this node has forwarded traffic through (it sits
-	// inside a forwarding chain); the directory compactor rewrites chained
-	// proxies to point at the decreed home so chains shrink to ≤1 hop.
-	chained bool
 	// transit is the in-flight two-phase move this object is the subject of
 	// (chaos runs only): while set, the object is still resident here but
 	// operations on it park on the transaction and replay after commit or

@@ -497,7 +497,6 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 		o.Resident = false
 		o.LastKnown = dest
 		o.LocStale = false
-		o.chained = false
 		o.Mon = nil
 		n.Migrations++
 	}})
@@ -662,7 +661,7 @@ func (n *Node) recvMove(src int, p *wire.Move) {
 	if err != nil {
 		n.violate(invMemory, p.Object, 0, "%v", err)
 	}
-	o.Resident, o.LocStale, o.chained, o.Addr, o.Fixed = true, false, false, addr, p.Fixed
+	o.Resident, o.LocStale, o.Addr, o.Fixed = true, false, addr, p.Fixed
 	if lc == nil {
 		o.Kind, o.ElemKind, o.Len = ObjArray, ir.VK(p.ArrayElemKind), uint32(len(p.Data))
 		n.st32(addr+arch.LenOff, o.Len)

@@ -609,9 +609,9 @@ func (n *Node) schedule() {
 }
 
 // every runs tick each period on n's timeline for the rest of the run, as
-// weak events — background ticks (heartbeats, the directory compactor)
-// never keep a finished simulation alive — re-arming before each run with
-// the one func bound here.
+// weak events — a background tick such as the heartbeat never keeps a
+// finished simulation alive — re-arming before each run with the one func
+// bound here.
 func (n *Node) every(period netsim.Micros, tick func()) {
 	var fire func()
 	fire = func() {

@@ -119,9 +119,6 @@ const (
 	// EvDirLookup: Node resolved a directory lookup for object Obj; A is 1
 	// on a hit (B is the recorded home node) and 0 on a miss/degrade.
 	EvDirLookup
-	// EvDirCompact: the background compactor on Node rewrote the stale
-	// proxy for object Obj to point at home node B (epoch A).
-	EvDirCompact
 )
 
 // kindRow states one event kind once: its name, its trace-line renderer
@@ -238,9 +235,6 @@ var kinds = [...]kindRow{
 	}},
 	EvDirLookup: {"dir-lookup", 0, "", func(e Event) string {
 		return fmt.Sprintf("node%d dir-lookup obj%08x: hit=%d node%d", e.Node, e.Obj, e.A, e.B)
-	}},
-	EvDirCompact: {"dir-compact", 0, "", func(e Event) string {
-		return fmt.Sprintf("node%d dir-compact obj%08x -> node%d (epoch %d)", e.Node, e.Obj, e.B, e.A)
 	}},
 }
 

@@ -298,7 +298,7 @@ func TestChromeTraceWellFormed(t *testing.T) {
 // the kind table, under a name no other kind has.
 func TestEveryKindHasOneRow(t *testing.T) {
 	seen := map[string]Kind{}
-	for k := EvText; k <= EvDirCompact; k++ {
+	for k := EvText; k <= EvDirLookup; k++ {
 		row := k.row()
 		if row == nil {
 			t.Errorf("kind %d has no row in the kind table", k)
