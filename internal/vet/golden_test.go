@@ -130,3 +130,42 @@ func TestGoldenPassCoverage(t *testing.T) {
 		})
 	}
 }
+
+// TestExamplesGolden pins every diagnostic, all severities, that vet
+// reports over the shipped example corpus, one "file: diagnostic" line
+// each, in testdata/examples.golden. TestExamplesClean only bars
+// warnings and errors; this also holds the info-severity findings and
+// their order. Regenerate with
+//
+//	go test ./internal/vet -run TestExamplesGolden -update
+func TestExamplesGolden(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "programs", "*.em"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example programs found: %v", err)
+	}
+	var b strings.Builder
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range vet.Check(compile(t, string(src))) {
+			fmt.Fprintf(&b, "%s: %s\n", filepath.Base(file), d)
+		}
+	}
+	got := b.String()
+	goldenPath := filepath.Join("testdata", "examples.golden")
+	if *update {
+		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("diagnostics differ from %s:\n--- got ---\n%s--- want ---\n%s", goldenPath, got, want)
+	}
+}
