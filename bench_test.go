@@ -212,7 +212,7 @@ func BenchmarkEmulatorFused(b *testing.B) {
 			emit(arch.Instr{Op: arch.OpSub, N: 3, Operands: [3]arch.Operand{arch.Reg(1), arch.Reg(2), arch.Reg(1)}})
 			emit(arch.Instr{Op: arch.OpBrnz, N: 1, Operands: [3]arch.Operand{arch.Reg(1)}, Target: uint16(top)})
 			emit(arch.Instr{Op: arch.OpRet})
-			pd, err := arch.Predecode(spec, code)
+			pd, err := arch.Predecode(spec, code, 0)
 			if err != nil {
 				b.Fatal(err)
 			}

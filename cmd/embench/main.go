@@ -155,12 +155,16 @@ func runStudy(s subcommand, outDir, baselineDir string) error {
 		return nil
 	}
 	doc.Benchmark = s.name
-	path, err := exp.WriteBenchJSON(outDir, *doc)
+	path, kept, err := exp.WriteBenchJSON(outDir, *doc)
 	if err != nil {
 		return err
 	}
 	// Reported on stderr so stdout stays a clean human-readable report.
-	fmt.Fprintf(os.Stderr, "embench: wrote %s\n", path)
+	if kept {
+		fmt.Fprintf(os.Stderr, "embench: kept %s (equal, host fields aside)\n", path)
+	} else {
+		fmt.Fprintf(os.Stderr, "embench: wrote %s\n", path)
+	}
 	if baselineDir == "" || doc.HostCPUs != 0 {
 		return nil
 	}

@@ -577,9 +577,9 @@ func TestDisassembleRoundtrip(t *testing.T) {
 		if strings.Contains(d, "undecodable") {
 			t.Errorf("%s: disassembly failed:\n%s", s.Name, d)
 		}
-		n, err := CountInstrs(s, code)
-		if err != nil || n != len(sampleInstrs(s)) {
-			t.Errorf("%s: counted %d instrs (err %v), want %d", s.Name, n, err, len(sampleInstrs(s)))
+		pd, err := Predecode(s, code, 0)
+		if err != nil || pd.NumInstrs() != len(sampleInstrs(s)) {
+			t.Errorf("%s: predecoded %v (err %v), want %d instrs", s.Name, pd, err, len(sampleInstrs(s)))
 		}
 	}
 }

@@ -24,18 +24,3 @@ func Disassemble(s *Spec, code []byte) string {
 	}
 	return b.String()
 }
-
-// CountInstrs returns the number of instructions in code.
-func CountInstrs(s *Spec, code []byte) (int, error) {
-	n := 0
-	pc := uint32(0)
-	for int(pc) < len(code) {
-		in, err := Decode(s, code, pc)
-		if err != nil {
-			return n, err
-		}
-		n++
-		pc += in.Size
-	}
-	return n, nil
-}

@@ -282,7 +282,7 @@ func RunFused(s *Spec, fz *Fused, cpu *CPU, mem []byte, budget int) (*Trap, uint
 // does not predecode cleanly runs on the legacy byte-at-a-time loop,
 // which fails at the instruction that does not decode.
 func Run(s *Spec, cpu *CPU, code []byte, mem []byte, budget int) (*Trap, uint64, int, error) {
-	if p, err := Predecode(s, code); err == nil {
+	if p, err := Predecode(s, code, 0); err == nil {
 		if fz := Fuse(s, p, PlanFusion(p)); fz != nil {
 			return RunFused(s, fz, cpu, mem, budget)
 		}

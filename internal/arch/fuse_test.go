@@ -10,7 +10,7 @@ import (
 func fuseCountdown(t testing.TB, s *Spec, iters uint32) ([]byte, *Predecoded, *Fused) {
 	t.Helper()
 	code := buildCountdown(t, s, iters)
-	pd, err := Predecode(s, code)
+	pd, err := Predecode(s, code, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestFusePlanSplitsAtStops(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			pd, err := Predecode(s, code)
+			pd, err := Predecode(s, code, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -319,7 +319,7 @@ var fusers = [NumArch]*fuser{VAX: {s: VAXSpec, flat: true}, M68K: {s: M68KSpec, 
 
 func fuseStream(t *testing.T, s *Spec, code []byte) *Fused {
 	t.Helper()
-	pd, err := Predecode(s, code)
+	pd, err := Predecode(s, code, 0)
 	if err != nil {
 		t.Fatalf("%s: encoded stream does not predecode: %v\ncode: %x", s.Name, err, code)
 	}

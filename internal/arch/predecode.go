@@ -20,9 +20,10 @@ type Predecoded struct {
 // The code generator emits decodable placeholders even for unreachable
 // slots, so any stream it produces predecodes fully; hand-built streams
 // that do not decode end-to-end return an error and callers fall back to
-// the byte-at-a-time path.
-func Predecode(s *Spec, code []byte) (*Predecoded, error) {
-	p := &Predecoded{index: make([]int32, len(code))}
+// the byte-at-a-time path. n is the instruction count when the caller
+// knows it (the code generator does), else 0; it only sizes the cache.
+func Predecode(s *Spec, code []byte, n int) (*Predecoded, error) {
+	p := &Predecoded{instrs: make([]Instr, 0, n), index: make([]int32, len(code))}
 	for i := range p.index {
 		p.index[i] = -1
 	}

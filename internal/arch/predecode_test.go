@@ -92,7 +92,7 @@ func TestPredecodedMatchesLegacyToCompletion(t *testing.T) {
 		t.Run(s.Name, func(t *testing.T) {
 			code := buildCountdown(t, s, 1000)
 			truncated := append(append([]byte(nil), code...), code[0])
-			if _, err := Predecode(s, truncated); err == nil {
+			if _, err := Predecode(s, truncated, 0); err == nil {
 				t.Fatal("stream with a truncated trailing encoding predecoded")
 			}
 			for _, code := range [][]byte{code, truncated} {

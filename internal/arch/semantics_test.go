@@ -651,7 +651,7 @@ func (row *semRow) check(t *testing.T, s *Spec) {
 		// kind, whose guard fails the row's clause in the starting state,
 		// and the block runs its instructions' own closures exactly when
 		// a clause fails.
-		pd, err := Predecode(s, code)
+		pd, err := Predecode(s, code, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

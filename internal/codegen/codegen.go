@@ -167,10 +167,18 @@ func CompileWithOptions(p *ir.Program, opts Options) (*Program, error) {
 				NumConds:      obj.NumConds,
 			},
 		}
+		// The stack maps and live masks come from the machine-independent
+		// IR, so each function is analysed once for every target.
+		facts := make([]funcFacts, len(obj.Funcs))
+		for i, f := range obj.Funcs {
+			if err := facts[i].analyze(obj, f); err != nil {
+				return nil, err
+			}
+		}
 		for _, spec := range specs {
 			ac := &ArchCode{Arch: spec.ID}
-			for _, f := range obj.Funcs {
-				fc, err := compileFunc(spec, obj, f, opts)
+			for i, f := range obj.Funcs {
+				fc, err := compileFunc(spec, f, &facts[i], opts)
 				if err != nil {
 					return nil, fmt.Errorf("%s on %s: %w", f.Name, spec.Name, err)
 				}
@@ -304,22 +312,47 @@ var sysTraps = map[ir.Op]struct {
 	ir.SysSignal:   {arch.TrapSignal, false, ir.VKInt},
 }
 
-type lowerer struct {
-	spec  *arch.Spec
-	opts  Options
-	f     *ir.Func
-	tmpl  *template.Activation
-	fi    *ir.FuncInfo
-	code  []byte
-	stops []busstop.Info
+// funcFacts is what lowering reads of one IR function that no target
+// changes. Lowering only reads it (busstop.NewTable copies the stack kinds a
+// stop records), so one value serves every target.
+type funcFacts struct {
+	fi *ir.FuncInfo
 	// liveMask[pc] is the frame-variable live mask recorded on any bus stop
 	// emitted while lowering IR instruction pc: the machine-independent
 	// liveOut of the instruction (the stop PC is the resumption point past
 	// it) with result slots always included — the kernel reads them at Ret
-	// on the caller's behalf. curLive is liveMask of the instruction being
-	// lowered.
+	// on the caller's behalf.
 	liveMask []uint64
-	curLive  uint64
+}
+
+// analyze verifies f and computes its stack maps and per-instruction live
+// masks.
+func (ff *funcFacts) analyze(obj *ir.Object, f *ir.Func) (err error) {
+	if ff.fi, err = ir.Analyze(f, obj.VarKinds); err != nil {
+		return err
+	}
+	li := ir.Liveness(f, ff.fi)
+	var resMask uint64
+	for v := f.NumParams; v < f.NumParams+f.NumResults && v < 64; v++ {
+		resMask |= 1 << uint(v)
+	}
+	ff.liveMask = make([]uint64, len(f.Code))
+	for pc := range f.Code {
+		ff.liveMask[pc] = li.LiveMask(pc, f.NumVars) | resMask
+	}
+	return nil
+}
+
+type lowerer struct {
+	*funcFacts
+	spec  *arch.Spec
+	opts  Options
+	f     *ir.Func
+	tmpl  *template.Activation
+	code  []byte
+	stops []busstop.Info
+	// curLive is liveMask of the instruction being lowered.
+	curLive uint64
 	// irOff[i] is the machine offset of IR instruction i; fixups record
 	// (branch machine offset, IR target) pairs patched after lowering.
 	irOff  []uint32
@@ -332,32 +365,19 @@ type fixup struct {
 	irTarget int32
 }
 
-func compileFunc(spec *arch.Spec, obj *ir.Object, f *ir.Func, opts Options) (*FuncCode, error) {
-	fi, err := ir.Analyze(f, obj.VarKinds)
-	if err != nil {
-		return nil, err
-	}
+func compileFunc(spec *arch.Spec, f *ir.Func, facts *funcFacts, opts Options) (*FuncCode, error) {
 	lo := &lowerer{
-		spec: spec, f: f, fi: fi, opts: opts,
-		tmpl:  layout(spec, f, fi.MaxStack),
+		funcFacts: facts, spec: spec, f: f, opts: opts,
+		tmpl:  layout(spec, f, facts.fi.MaxStack),
 		irOff: make([]uint32, len(f.Code)+1),
 	}
 	if err := lo.tmpl.Validate(); err != nil {
 		return nil, err
 	}
-	li := ir.Liveness(f, fi)
-	var resMask uint64
-	for v := f.NumParams; v < f.NumParams+f.NumResults && v < 64; v++ {
-		resMask |= 1 << uint(v)
-	}
-	lo.liveMask = make([]uint64, len(f.Code))
-	for pc := range f.Code {
-		lo.liveMask[pc] = li.LiveMask(pc, f.NumVars) | resMask
-	}
 	for pc, in := range f.Code {
 		lo.irOff[pc] = uint32(len(lo.code))
 		lo.curLive = lo.liveMask[pc]
-		if !fi.Reach[pc] {
+		if !lo.fi.Reach[pc] {
 			// Keep a decodable placeholder so offsets remain well formed;
 			// it can never execute.
 			lo.emit(arch.Instr{Op: arch.OpTrap, TrapKind: arch.TrapFault,
@@ -382,7 +402,7 @@ func compileFunc(spec *arch.Spec, obj *ir.Object, f *ir.Func, opts Options) (*Fu
 	if err != nil {
 		return nil, err
 	}
-	dec, err := arch.Predecode(spec, lo.code)
+	dec, err := arch.Predecode(spec, lo.code, lo.n)
 	if err != nil {
 		// The lowerer emits decodable placeholders even for unreachable
 		// slots, so a predecode failure here is a back-end bug.
@@ -415,12 +435,13 @@ func (lo *lowerer) emit(in arch.Instr) uint32 {
 }
 
 // stop registers a bus stop at the current PC (the address after the last
-// emitted instruction, i.e. the resumption point).
+// emitted instruction, i.e. the resumption point). kinds may alias the
+// shared stack map: busstop.NewTable copies it into the table.
 func (lo *lowerer) stop(kind busstop.Kind, exitOnly, pushes bool, rk ir.VK, depth int, kinds []ir.VK) {
 	lo.stops = append(lo.stops, busstop.Info{
 		Stop: len(lo.stops), PC: uint32(len(lo.code)), Kind: kind,
 		ExitOnly: exitOnly, Pushes: pushes, ResultKind: rk,
-		TempDepth: depth, TempKinds: append([]ir.VK(nil), kinds...),
+		TempDepth: depth, TempKinds: kinds,
 		LiveVars: lo.curLive,
 	})
 }

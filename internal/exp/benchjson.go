@@ -57,17 +57,23 @@ func (c Cell) MarshalJSON() ([]byte, error) {
 }
 
 // WriteBenchJSON writes doc as indented JSON to dir/BENCH_<doc.Benchmark>.json
-// and returns the path.
-func WriteBenchJSON(dir string, doc BenchDoc) (string, error) {
+// and returns the path. A file already there that CompareBenchJSON finds
+// equal to doc — host fields aside — is left untouched (kept is true): a
+// refresh does not churn a baseline whose host timings alone moved.
+func WriteBenchJSON(dir string, doc BenchDoc) (path string, kept bool, err error) {
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
-		return "", err
+		return "", false, err
 	}
-	path := filepath.Join(dir, "BENCH_"+doc.Benchmark+".json")
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return "", fmt.Errorf("writing %s: %w", path, err)
+	data = append(data, '\n')
+	path = filepath.Join(dir, "BENCH_"+doc.Benchmark+".json")
+	if old, err := os.ReadFile(path); err == nil && CompareBenchJSON(data, old) == nil {
+		return path, true, nil
 	}
-	return path, nil
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		return "", false, fmt.Errorf("writing %s: %w", path, err)
+	}
+	return path, false, nil
 }
 
 // CompareBenchJSON checks a fresh BENCH document against its committed

@@ -26,7 +26,7 @@ func sampleCells() []Cell {
 
 func TestBenchJSONRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path, err := WriteBenchJSON(dir, BenchDoc{Benchmark: "table1", Rows: sampleCells()})
+	path, _, err := WriteBenchJSON(dir, BenchDoc{Benchmark: "table1", Rows: sampleCells()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +63,11 @@ func TestBenchJSONRoundTrip(t *testing.T) {
 
 func TestBenchJSONDeterministic(t *testing.T) {
 	doc := BenchDoc{Benchmark: "table1", Rows: sampleCells()}
-	p1, err := WriteBenchJSON(t.TempDir(), doc)
+	p1, _, err := WriteBenchJSON(t.TempDir(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := WriteBenchJSON(t.TempDir(), doc)
+	p2, _, err := WriteBenchJSON(t.TempDir(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,6 +75,38 @@ func TestBenchJSONDeterministic(t *testing.T) {
 	b2, _ := os.ReadFile(p2)
 	if !bytes.Equal(b1, b2) {
 		t.Error("identical documents encoded to different bytes")
+	}
+}
+
+// Rewriting a baseline whose only change is a host timing leaves the file
+// as it was; any other change rewrites it.
+func TestWriteBenchJSONKeepsHostOnlyChange(t *testing.T) {
+	type row struct {
+		Instrs   int     `json:"instrs"`
+		HostMIPS float64 `json:"host_mips"`
+	}
+	dir := t.TempDir()
+	write := func(r row) (string, bool) {
+		t.Helper()
+		path, kept, err := WriteBenchJSON(dir, BenchDoc{Benchmark: "jit", Rows: []row{r}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data), kept
+	}
+	first, kept := write(row{1000, 4.36})
+	if kept {
+		t.Fatal("first write reported the file kept")
+	}
+	if got, kept := write(row{1000, 3.93}); !kept || got != first {
+		t.Errorf("host-only change: kept=%v, file\n%s\nwant unchanged\n%s", kept, got, first)
+	}
+	if got, kept := write(row{2000, 3.93}); kept || !strings.Contains(got, `"instrs": 2000`) {
+		t.Errorf("instrs change: kept=%v, file\n%s", kept, got)
 	}
 }
 

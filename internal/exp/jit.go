@@ -117,7 +117,7 @@ func JitStudy() ([]JitResult, string, error) {
 		if err != nil {
 			return nil, "", fmt.Errorf("%s: %w", s.Name, err)
 		}
-		pd, err := arch.Predecode(s, code)
+		pd, err := arch.Predecode(s, code, 0)
 		if err != nil {
 			return nil, "", fmt.Errorf("%s: predecode: %w", s.Name, err)
 		}

@@ -20,9 +20,15 @@ func compile(t *testing.T, src string) (*Program, map[*Func]*FuncInfo) {
 		t.Fatalf("check: %v", err)
 	}
 	p := Build(info)
-	fis, err := AnalyzeProgram(p)
-	if err != nil {
-		t.Fatalf("analyze: %v", err)
+	fis := map[*Func]*FuncInfo{}
+	for _, o := range p.Objects {
+		for _, f := range o.Funcs {
+			fi, err := Analyze(f, o.VarKinds)
+			if err != nil {
+				t.Fatalf("analyze: %v", err)
+			}
+			fis[f] = fi
+		}
 	}
 	return p, fis
 }

@@ -37,44 +37,36 @@ type LiveInfo struct {
 // fixpoint. Result slots are live at every Ret. Unreachable instructions
 // (per fi.Reach) keep all-false rows.
 func Liveness(f *Func, fi *FuncInfo) *LiveInfo {
-	nv := f.NumVars
-	li := &LiveInfo{
-		LiveOut: make([][]bool, len(f.Code)),
-		LiveIn:  make([][]bool, len(f.Code)),
-	}
+	n, nv := len(f.Code), f.NumVars
+	li := &LiveInfo{LiveOut: make([][]bool, n), LiveIn: make([][]bool, n)}
+	out, in := make([]bool, n*nv), make([]bool, n*nv) // one backing array each
 	for pc := range f.Code {
-		li.LiveOut[pc] = make([]bool, nv)
-		li.LiveIn[pc] = make([]bool, nv)
+		li.LiveOut[pc] = out[pc*nv : (pc+1)*nv : (pc+1)*nv]
+		li.LiveIn[pc] = in[pc*nv : (pc+1)*nv : (pc+1)*nv]
 	}
 	if nv == 0 {
 		return li
 	}
-	resultsLive := make([]bool, nv)
-	for v := f.NumParams; v < f.NumParams+f.NumResults; v++ {
-		resultsLive[v] = true
-	}
 	for changed := true; changed; {
 		changed = false
-		for pc := len(f.Code) - 1; pc >= 0; pc-- {
+		for pc := n - 1; pc >= 0; pc-- {
 			if !fi.Reach[pc] {
 				continue
 			}
 			in := f.Code[pc]
-			var out []bool
+			out := li.LiveOut[pc]
 			if in.Op == Ret {
-				out = resultsLive
-			} else {
-				out = li.LiveOut[pc]
 				for v := range out {
-					out[v] = false
+					out[v] = v >= f.NumParams && v < f.NumParams+f.NumResults
 				}
+			} else {
+				clear(out)
 				for _, s := range Succs(f, pc) {
 					for v := range out {
 						out[v] = out[v] || li.LiveIn[s][v]
 					}
 				}
 			}
-			li.LiveOut[pc] = out
 			for v := range out {
 				lv := out[v]
 				switch {

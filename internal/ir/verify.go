@@ -197,22 +197,6 @@ func checkPops(f *Func, i Instr, popped []VK) error {
 	return nil
 }
 
-// AnalyzeProgram analyzes every function of every object, returning the
-// FuncInfo keyed by function. It fails on the first invalid function.
-func AnalyzeProgram(p *Program) (map[*Func]*FuncInfo, error) {
-	out := make(map[*Func]*FuncInfo)
-	for _, o := range p.Objects {
-		for _, f := range o.Funcs {
-			fi, err := Analyze(f, o.VarKinds)
-			if err != nil {
-				return nil, err
-			}
-			out[f] = fi
-		}
-	}
-	return out, nil
-}
-
 // Dump renders a function's code for debugging and golden tests.
 func Dump(f *Func) string {
 	s := fmt.Sprintf("func %s params=%d results=%d vars=%d monitored=%v\n",

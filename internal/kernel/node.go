@@ -451,7 +451,7 @@ func (n *Node) loadCode(code oid.OID) (*loadedCode, error) {
 			// end-to-end leaves fz nil and runs on the legacy path, which
 			// reports the bad instruction if execution ever reaches it.
 			if pd == nil {
-				pd, _ = arch.Predecode(n.Spec, fc.Code)
+				pd, _ = arch.Predecode(n.Spec, fc.Code, fc.NumInstrs)
 			}
 			if pd != nil && plan == nil {
 				plan = arch.PlanFusion(pd)

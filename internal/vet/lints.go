@@ -13,20 +13,18 @@ import (
 
 // lintObject runs the dataflow lints over every function of one object.
 func (c *checker) lintObject(oc *codegen.ObjectCode) {
-	for _, f := range oc.IR.Funcs {
-		fi, err := ir.Analyze(f, oc.IR.VarKinds)
-		if err != nil {
+	facts := c.facts(oc)
+	for i, f := range oc.IR.Funcs {
+		ff := &facts[i]
+		if ff.err != nil {
 			continue // the liveness pass reports unverifiable IR
 		}
-		c.lintUnreachable(oc, f, fi)
-		c.lintAssignment(oc, f, fi)
-		c.lintDeadStores(oc, f, fi)
-		c.lintReentrancy(oc, f, fi)
+		c.lintUnreachable(oc, f, ff.fi)
+		c.lintAssignment(oc, f, ff.assigned)
+		c.lintDeadStores(oc, f, ff)
+		c.lintReentrancy(oc, f)
 	}
 }
-
-// succs returns the control-flow successors of instruction pc.
-func succs(f *ir.Func, pc int) []int { return ir.Succs(f, pc) }
 
 // lintUnreachable reports instructions control can never reach. The builder
 // unconditionally appends a final ret, which is legitimately unreachable
@@ -59,46 +57,8 @@ func (c *checker) lintUnreachable(oc *codegen.ObjectCode, f *ir.Func, fi *ir.Fun
 // but it can only ever yield zero/nil, which is almost always a bug.
 // Parameters are assigned by the caller. Loads that are unassigned on only
 // some paths are not reported: assignment under a condition is idiomatic.
-func (c *checker) lintAssignment(oc *codegen.ObjectCode, f *ir.Func, fi *ir.FuncInfo) {
-	nv := f.NumVars
-	if nv == 0 {
-		return
-	}
-	// Per-pc in-state: for each slot, whether some path reaching the pc has
-	// assigned it. A load is flagged when NO reaching path has.
-	mayAssigned := make([][]bool, len(f.Code))
-	entry := make([]bool, nv)
-	for v := 0; v < f.NumParams; v++ {
-		entry[v] = true
-	}
-	mayAssigned[0] = entry
-	work := []int{0}
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := append([]bool(nil), mayAssigned[pc]...)
-		if in := f.Code[pc]; in.Op == ir.StoreVar {
-			out[in.A] = true
-		}
-		for _, s := range succs(f, pc) {
-			if mayAssigned[s] == nil {
-				mayAssigned[s] = append([]bool(nil), out...)
-				work = append(work, s)
-				continue
-			}
-			changed := false
-			for v := range out {
-				if out[v] && !mayAssigned[s][v] {
-					mayAssigned[s][v] = true
-					changed = true
-				}
-			}
-			if changed {
-				work = append(work, s)
-			}
-		}
-	}
-	reported := make([]bool, nv)
+func (c *checker) lintAssignment(oc *codegen.ObjectCode, f *ir.Func, mayAssigned [][]bool) {
+	reported := make([]bool, f.NumVars)
 	for pc, in := range f.Code {
 		if in.Op != ir.LoadVar || mayAssigned[pc] == nil {
 			continue
@@ -117,16 +77,12 @@ func (c *checker) lintAssignment(oc *codegen.ObjectCode, f *ir.Func, fi *ir.Func
 // slots are live at every return (the kernel marshals them to the caller).
 // The same liveness also feeds the per-stop LiveVars masks codegen embeds,
 // but the lint itself only reports; it licenses no transformation.
-func (c *checker) lintDeadStores(oc *codegen.ObjectCode, f *ir.Func, fi *ir.FuncInfo) {
-	if f.NumVars == 0 {
-		return
-	}
-	li := ir.Liveness(f, fi)
+func (c *checker) lintDeadStores(oc *codegen.ObjectCode, f *ir.Func, ff *funcFacts) {
 	for pc, in := range f.Code {
-		if in.Op != ir.StoreVar || !fi.Reach[pc] {
+		if in.Op != ir.StoreVar || !ff.fi.Reach[pc] {
 			continue
 		}
-		if v := int(in.A); !li.LiveOut[pc][v] {
+		if v := int(in.A); !ff.li.LiveOut[pc][v] {
 			c.report("dead-store", SevWarning, oc.Name, f.Name, "", -1,
 				"value stored to %s at instruction %d is never read", f.VarNames[v], pc)
 		}
@@ -138,7 +94,7 @@ func (c *checker) lintDeadStores(oc *codegen.ObjectCode, f *ir.Func, fi *ir.Func
 // forever, §3.3's doubly-linked entry queues), so such a call is a
 // self-deadlock the moment it executes. Selfness of the receiver is tracked
 // as a may-analysis over the evaluation stack.
-func (c *checker) lintReentrancy(oc *codegen.ObjectCode, f *ir.Func, fi *ir.FuncInfo) {
+func (c *checker) lintReentrancy(oc *codegen.ObjectCode, f *ir.Func) {
 	if !f.Monitored {
 		return
 	}
@@ -173,7 +129,7 @@ func (c *checker) lintReentrancy(oc *codegen.ObjectCode, f *ir.Func, fi *ir.Func
 		for i := 0; i < push; i++ {
 			out = append(out, in.Op == ir.PushSelf)
 		}
-		for _, s := range succs(f, pc) {
+		for _, s := range ir.Succs(f, pc) {
 			if selfAt[s] == nil {
 				selfAt[s] = append([]bool(nil), out...)
 				work = append(work, s)

@@ -45,7 +45,8 @@ func (c *checker) stopIsomorphism(oc *codegen.ObjectCode) {
 // the local runtime must never try to convert that PC to a stop number.
 func (c *checker) exitOnlyPlacement(oc *codegen.ObjectCode, ac *codegen.ArchCode, spec *arch.Spec) {
 	for _, fc := range ac.Funcs {
-		for _, s := range fc.Stops.All() {
+		for n := range fc.Stops.Len() {
+			s, _ := fc.Stops.ByStop(n) // n is in range
 			switch {
 			case s.ExitOnly && !spec.HasAtomicUnlink:
 				c.report("stop-isomorphism", SevError, oc.Name, fc.Name, spec.Name, s.Stop,
@@ -67,30 +68,30 @@ func (c *checker) exitOnlyPlacement(oc *codegen.ObjectCode, ac *codegen.ArchCode
 // an instruction boundary inside the function, in increasing order, and that
 // the instruction ending at the stop PC belongs to the trap class the stop
 // kind claims. A misaligned PC makes number→PC conversion park an arriving
-// thread in the middle of an instruction.
+// thread in the middle of an instruction. The decoder walks forward with the
+// stop list; a stop behind it (out of order, or inside the instruction the
+// previous stop fell in — both already errors) restarts it from PC 0. A
+// stream that does not decode end to end is reported once, instead of any
+// stop finding.
 func (c *checker) pcAlignment(oc *codegen.ObjectCode, ac *codegen.ArchCode, spec *arch.Spec) {
 	const pass = "pc-alignment"
 	for _, fc := range ac.Funcs {
-		// endsAt[pc] is the instruction whose encoding ends at pc.
-		endsAt := map[uint32]arch.Instr{}
-		pc := uint32(0)
-		decodeOK := true
-		for int(pc) < len(fc.Code) {
-			in, err := arch.Decode(spec, fc.Code, pc)
-			if err != nil {
-				c.report(pass, SevError, oc.Name, fc.Name, spec.Name, -1,
-					"undecodable instruction at pc %#x: %v", pc, err)
-				decodeOK = false
-				break
+		mark := len(c.diags)
+		// pc is the next PC to decode; last is the instruction ending there.
+		var pc uint32
+		var last arch.Instr
+		var decodeErr error
+		decodeTo := func(to uint32) {
+			for pc < to && int(pc) < len(fc.Code) && decodeErr == nil {
+				last, decodeErr = arch.Decode(spec, fc.Code, pc)
+				if decodeErr == nil {
+					pc += last.Size
+				}
 			}
-			pc += in.Size
-			endsAt[pc] = in
-		}
-		if !decodeOK {
-			continue
 		}
 		prevPC := int64(-1)
-		for _, s := range fc.Stops.All() {
+		for n := range fc.Stops.Len() {
+			s, _ := fc.Stops.ByStop(n) // n is in range
 			if int(s.PC) > len(fc.Code) {
 				c.report(pass, SevError, oc.Name, fc.Name, spec.Name, s.Stop,
 					"pc %#x outside code of %d bytes", s.PC, len(fc.Code))
@@ -101,15 +102,27 @@ func (c *checker) pcAlignment(oc *codegen.ObjectCode, ac *codegen.ArchCode, spec
 					"pc %#x not after the previous stop's pc %#x", s.PC, prevPC)
 			}
 			prevPC = int64(s.PC)
-			in, ok := endsAt[s.PC]
-			if !ok {
+			if s.PC < pc {
+				pc = 0
+			}
+			decodeTo(s.PC)
+			if decodeErr != nil {
+				break
+			}
+			if pc != s.PC || pc == 0 {
 				c.report(pass, SevError, oc.Name, fc.Name, spec.Name, s.Stop,
 					"pc %#x is not an instruction boundary", s.PC)
 				continue
 			}
-			if msg := stopInstrMismatch(s, in); msg != "" {
+			if msg := stopInstrMismatch(s, last); msg != "" {
 				c.report(pass, SevError, oc.Name, fc.Name, spec.Name, s.Stop, "%s", msg)
 			}
+		}
+		decodeTo(uint32(len(fc.Code)))
+		if decodeErr != nil {
+			c.diags = c.diags[:mark]
+			c.report(pass, SevError, oc.Name, fc.Name, spec.Name, -1,
+				"undecodable instruction at pc %#x: %v", pc, decodeErr)
 		}
 	}
 }
@@ -192,9 +205,8 @@ type expStop struct {
 // the kernel, in lowering order, with which temporaries live. This is the
 // per-bus-stop information the enhanced compiler must emit (§3.3), derived
 // here a second time so a back-end bug cannot certify itself.
-func expectedStops(f *ir.Func, fi *ir.FuncInfo, omitLoopPolls bool) []expStop {
+func expectedStops(f *ir.Func, fi *ir.FuncInfo, li *ir.LiveInfo, omitLoopPolls bool) []expStop {
 	var out []expStop
-	li := ir.Liveness(f, fi)
 	var resMask uint64
 	for v := f.NumParams; v < f.NumParams+f.NumResults && v < 64; v++ {
 		resMask |= 1 << uint(v)
@@ -249,15 +261,15 @@ func expectedStops(f *ir.Func, fi *ir.FuncInfo, omitLoopPolls bool) []expStop {
 // mismatch corrupts every value above the skew.
 func (c *checker) livenessConsistency(oc *codegen.ObjectCode, ac *codegen.ArchCode, spec *arch.Spec) {
 	const pass = "liveness-consistency"
+	facts := c.facts(oc)
 	for i, fc := range ac.Funcs {
 		f := oc.IR.Funcs[i]
-		fi, err := ir.Analyze(f, oc.IR.VarKinds)
-		if err != nil {
+		if err := facts[i].err; err != nil {
 			c.report(pass, SevError, oc.Name, fc.Name, spec.Name, -1,
 				"IR does not verify: %v", err)
 			continue
 		}
-		exp := expectedStops(f, fi, c.prog.Opts.OmitLoopPolls)
+		exp := facts[i].exp
 		tbl := fc.Stops
 		if tbl.Len() != len(exp) {
 			c.report(pass, SevError, oc.Name, fc.Name, spec.Name, -1,
@@ -364,6 +376,7 @@ func (c *checker) objectTemplate(oc *codegen.ObjectCode) {
 // the kernel's thread-state conversion and GC stack walk rely on.
 func (c *checker) templateCoverage(oc *codegen.ObjectCode, ac *codegen.ArchCode, spec *arch.Spec) {
 	const pass = "template-coverage"
+	facts := c.facts(oc)
 	for i, fc := range ac.Funcs {
 		f := oc.IR.Funcs[i]
 		t := fc.Template
@@ -387,7 +400,7 @@ func (c *checker) templateCoverage(oc *codegen.ObjectCode, ac *codegen.ArchCode,
 		if t.Monitored != f.Monitored {
 			bad("template monitored=%v, IR monitored=%v", t.Monitored, f.Monitored)
 		}
-		if fi, err := ir.Analyze(f, oc.IR.VarKinds); err == nil && t.TempSlots < fi.MaxStack {
+		if fi := facts[i].fi; fi != nil && t.TempSlots < fi.MaxStack {
 			bad("temp area has %d slots, evaluation stack reaches %d", t.TempSlots, fi.MaxStack)
 		}
 		if len(t.Vars) != len(f.VarKinds) {

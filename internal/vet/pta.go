@@ -7,6 +7,7 @@
 package vet
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/codegen"
@@ -74,9 +75,10 @@ func (c *checker) ptrEscape(oc *codegen.ObjectCode, r *pta.Result) {
 // correctness. Only may-assigned slots are reported: a never-assigned
 // slot holds nil, which costs nothing to swizzle.
 func (c *checker) deadPtrAtStop(oc *codegen.ObjectCode) {
-	for _, f := range oc.IR.Funcs {
-		fi, err := ir.Analyze(f, oc.IR.VarKinds)
-		if err != nil {
+	facts := c.facts(oc)
+	for i, f := range oc.IR.Funcs {
+		ff := &facts[i]
+		if ff.err != nil {
 			continue
 		}
 		nLocals := f.NumVars - f.NumParams - f.NumResults
@@ -92,11 +94,8 @@ func (c *checker) deadPtrAtStop(oc *codegen.ObjectCode) {
 		if !hasPtrLocal {
 			continue
 		}
-		li := ir.Liveness(f, fi)
-		assigned := mayAssignedAt(f)
-		exp := expectedStops(f, fi, c.prog.Opts.OmitLoopPolls)
 		reported := map[int]bool{}
-		for n, e := range exp {
+		for n, e := range ff.exp {
 			if !inCycle(f, e.irPC) {
 				continue
 			}
@@ -104,10 +103,10 @@ func (c *checker) deadPtrAtStop(oc *codegen.ObjectCode) {
 				if f.VarKinds[v] != ir.VKPtr || reported[v] {
 					continue
 				}
-				if assigned[e.irPC] == nil || !assigned[e.irPC][v] {
+				if ff.assigned[e.irPC] == nil || !ff.assigned[e.irPC][v] {
 					continue
 				}
-				if li.LiveOut[e.irPC][v] {
+				if ff.li.LiveOut[e.irPC][v] {
 					continue
 				}
 				reported[v] = true
@@ -145,22 +144,22 @@ func (c *checker) immobileReach(oc *codegen.ObjectCode, r *pta.Result) {
 func mayAssignedAt(f *ir.Func) [][]bool {
 	nv := f.NumVars
 	out := make([][]bool, len(f.Code))
-	entry := make([]bool, nv)
+	out[0] = make([]bool, nv)
 	for v := 0; v < f.NumParams; v++ {
-		entry[v] = true
+		out[0][v] = true
 	}
-	out[0] = entry
+	st := make([]bool, nv)
 	work := []int{0}
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
-		st := append([]bool(nil), out[pc]...)
+		copy(st, out[pc])
 		if in := f.Code[pc]; in.Op == ir.StoreVar {
 			st[in.A] = true
 		}
 		for _, s := range ir.Succs(f, pc) {
 			if out[s] == nil {
-				out[s] = append([]bool(nil), st...)
+				out[s] = slices.Clone(st)
 				work = append(work, s)
 				continue
 			}

@@ -19,14 +19,17 @@
 //     (atomic monitor exit);
 //   - pc-alignment: every stop PC decodes to an instruction boundary and
 //     follows an instruction of the matching trap class;
-//   - liveness-consistency: per-stop temporary depth/kinds and push
-//     behaviour agree with an independently recomputed ir.Analyze stack
-//     map and the call/syscall signatures;
+//   - liveness-consistency: per-stop temporary depth/kinds, push behaviour
+//     and live masks agree with the stack map and liveness vet derives from
+//     the IR itself and with the call/syscall signatures;
 //   - template-coverage: templates cover every variable slot exactly once
 //     with the right kinds, register homes are legal for the ISA, and the
 //     saved-register area matches the homes (the marshalling/GC contract);
 //   - IR dataflow lints: definite-assignment, unreachable code, dead
 //     stores, and monitored-object reentrancy hazards.
+//
+// vet reads nothing codegen computed: it derives its facts about each
+// function from the IR, once, in its own table that every pass reads.
 //
 // The metadata passes report errors (a program failing them must not be
 // run, let alone migrated); the dataflow lints report warnings.
@@ -38,6 +41,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/codegen"
+	"repro/internal/ir"
 	"repro/internal/pta"
 )
 
@@ -196,14 +200,50 @@ type checker struct {
 	diags   []Diagnostic
 	pta     *pta.Result
 	ptaDone bool
+	funcs   map[*codegen.ObjectCode][]funcFacts
+}
+
+// funcFacts is what vet derives from one IR function, once per run, for
+// every pass and every architecture to read.
+type funcFacts struct {
+	fi  *ir.FuncInfo // nil when the IR does not verify
+	err error        // why it does not
+	li  *ir.LiveInfo
+	// exp is the stop stream every architecture's table must realize.
+	exp []expStop
+	// assigned[pc][v]: some path reaching pc has assigned slot v (nil
+	// rows: pc is unreachable).
+	assigned [][]bool
 }
 
 func newChecker(p *codegen.Program) *checker {
-	c := &checker{prog: p, specs: map[arch.ID]*arch.Spec{}}
+	c := &checker{prog: p, specs: map[arch.ID]*arch.Spec{}, funcs: map[*codegen.ObjectCode][]funcFacts{}}
 	for _, s := range p.Specs() {
 		c.specs[s.ID] = s
 	}
 	return c
+}
+
+// facts returns the per-function table of oc, indexed like oc.IR.Funcs,
+// deriving it from the IR on first use.
+func (c *checker) facts(oc *codegen.ObjectCode) []funcFacts {
+	if t, ok := c.funcs[oc]; ok {
+		return t
+	}
+	t := make([]funcFacts, len(oc.IR.Funcs))
+	for i, f := range oc.IR.Funcs {
+		fi, err := ir.Analyze(f, oc.IR.VarKinds)
+		if err != nil {
+			t[i].err = err
+			continue
+		}
+		li := ir.Liveness(f, fi)
+		t[i] = funcFacts{fi: fi, li: li,
+			exp:      expectedStops(f, fi, li, c.prog.Opts.OmitLoopPolls),
+			assigned: mayAssignedAt(f)}
+	}
+	c.funcs[oc] = t
+	return t
 }
 
 // specFor returns the spec the program was compiled against for id.
@@ -238,15 +278,14 @@ func (c *checker) checkObject(oc *codegen.ObjectCode) {
 		if ac == nil {
 			continue
 		}
-		c.checkArch(oc, ac)
+		c.checkArch(oc, ac, c.specFor(ac.Arch))
 	}
 	c.lintObject(oc)
 	c.ptaObject(oc)
 }
 
 // checkArch runs the per-architecture metadata passes over one object.
-func (c *checker) checkArch(oc *codegen.ObjectCode, ac *codegen.ArchCode) {
-	spec := c.specFor(ac.Arch)
+func (c *checker) checkArch(oc *codegen.ObjectCode, ac *codegen.ArchCode, spec *arch.Spec) {
 	c.exitOnlyPlacement(oc, ac, spec)
 	c.pcAlignment(oc, ac, spec)
 	c.livenessConsistency(oc, ac, spec)
@@ -264,10 +303,7 @@ func VetForLoad(p *codegen.Program, oc *codegen.ObjectCode, spec *arch.Spec) err
 	c.stopIsomorphism(oc)
 	c.objectTemplate(oc)
 	if ac := oc.PerArch[spec.ID]; ac != nil {
-		c.exitOnlyPlacement(oc, ac, spec)
-		c.pcAlignment(oc, ac, spec)
-		c.livenessConsistency(oc, ac, spec)
-		c.templateCoverage(oc, ac, spec)
+		c.checkArch(oc, ac, spec)
 	}
 	var nErr int
 	var first Diagnostic

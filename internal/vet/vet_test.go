@@ -154,6 +154,36 @@ func TestCorruptStopPC(t *testing.T) {
 	}
 }
 
+// TestOutOfOrderStopPC swaps the PCs of two print stops. Both PCs are still
+// boundaries after a syscall trap, so the only finding is the order: the
+// stop behind the previous one must still be decoded and pass.
+func TestOutOfOrderStopPC(t *testing.T) {
+	prog := compile(t, `
+object Main
+  process
+    print("a")
+    print("b")
+  end process
+end Main
+`)
+	proc := prog.Object("Main").PerArch[arch.VAX].Funcs
+	restop(t, proc[len(proc)-1], func(stops []busstop.Info) {
+		if len(stops) != 2 {
+			t.Fatalf("Main has %d stops, want 2", len(stops))
+		}
+		stops[0].PC, stops[1].PC = stops[1].PC, stops[0].PC
+	})
+	var got []string
+	for _, d := range vet.Check(prog) {
+		if d.Pass == "pc-alignment" {
+			got = append(got, d.String())
+		}
+	}
+	if len(got) != 1 || !strings.Contains(got[0], "stop 1: pc") || !strings.Contains(got[0], "not after the previous stop's pc") {
+		t.Errorf("pc-alignment findings %q, want one order finding at stop 1", got)
+	}
+}
+
 // TestCorruptExitOnly clears the exit-only flag on the VAX monitor-exit
 // stop — exactly the §3.3 atomic-UNLINK invariant.
 func TestCorruptExitOnly(t *testing.T) {
