@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/chaos"
+	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/interp"
@@ -71,7 +72,7 @@ func sanitize(s string) string {
 
 // Figure 2: the same program at each level of the specialization hierarchy.
 func BenchmarkFigure2(b *testing.B) {
-	info, prog, err := core.CompileInfo(exp.Fig2Workload)
+	info, prog, err := core.CompileWith(exp.Fig2Workload, codegen.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -58,15 +58,17 @@ type FuncCode struct {
 	// into closures. Nil for hand-built FuncCode values; the kernel plans
 	// those at load.
 	Runs *arch.FusePlan
-	// fused is Runs compiled for the architecture's stock spec by the first
-	// load (nodes load concurrently under the parallel engine). The function
-	// owns it: every node and cluster over the program shares it.
+	// fused is Runs compiled for the program's spec of the architecture by
+	// the first load (nodes load concurrently under the parallel engine).
+	// The function owns it: every node and cluster over the program shares
+	// it.
 	fuseOnce sync.Once
 	fused    *arch.Fused
 }
 
 // Fused returns the function's fused program, compiling it on first call. s
-// must be its architecture's stock spec (arch.SpecOf) and Decoded non-nil.
+// must be the spec the function was compiled against (Program.Spec) and
+// Decoded non-nil.
 func (fc *FuncCode) Fused(s *arch.Spec) *arch.Fused {
 	fc.fuseOnce.Do(func() { fc.fused = arch.Fuse(s, fc.Decoded, fc.Runs) })
 	return fc.fused
@@ -111,6 +113,18 @@ func (p *Program) Specs() []*arch.Spec {
 		return p.Opts.Specs
 	}
 	return arch.AllSpecs()
+}
+
+// Spec returns the spec the program was compiled against for id, or nil
+// when id is not among its targets. A node of that ISA runs on exactly
+// this spec: the code, templates and register homes were generated for it.
+func (p *Program) Spec(id arch.ID) *arch.Spec {
+	for _, s := range p.Specs() {
+		if s.ID == id {
+			return s
+		}
+	}
+	return nil
 }
 
 // Object returns the compiled object named name, or nil.

@@ -50,20 +50,15 @@ func Diagnostics(err error) []string {
 // producing native code, templates and bus-stop tables for every
 // architecture.
 func Compile(src string) (*codegen.Program, error) {
-	ast, err := parser.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
-	}
-	info, err := types.Check(ast)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck: %w", err)
-	}
-	return codegen.Compile(ir.Build(info))
+	_, p, err := CompileWith(src, codegen.Options{})
+	return p, err
 }
 
-// CompileInfo additionally returns the checked AST information (used by the
-// source and byte-code interpreters).
-func CompileInfo(src string) (*types.Info, *codegen.Program, error) {
+// CompileWith is the compiler pipeline: parse, type check, build the IR and
+// generate code under opts (the ablation builds: no loop polls, other
+// register homes). It also returns the checked AST information, which the
+// source and byte-code interpreters run.
+func CompileWith(src string, opts codegen.Options) (*types.Info, *codegen.Program, error) {
 	ast, err := parser.Parse(src)
 	if err != nil {
 		return nil, nil, fmt.Errorf("parse: %w", err)
@@ -72,7 +67,7 @@ func CompileInfo(src string) (*types.Info, *codegen.Program, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("typecheck: %w", err)
 	}
-	p, err := codegen.Compile(ir.Build(info))
+	p, err := codegen.CompileWithOptions(ir.Build(info), opts)
 	if err != nil {
 		return nil, nil, err
 	}

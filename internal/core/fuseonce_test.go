@@ -2,8 +2,9 @@
 // that loads it. arch.Fuse runs once per (function, ISA) pair of one
 // codegen.Program however many nodes of that ISA load the function,
 // however many clusters are built over the program and however often a
-// thread migrates through it; only a SpecOverride spec, a hand-built
-// FuncCode and LegacyDispatch stay off the shared program.
+// thread migrates through it, whichever specs the program was compiled
+// against; only a hand-built FuncCode and LegacyDispatch stay off the
+// shared program.
 package core
 
 import (
@@ -78,18 +79,25 @@ func TestFuseOncePerLoadedFunc(t *testing.T) {
 		t.Errorf("LegacyDispatch: Fuse ran %d times, want 0", builds)
 	}
 
-	// A SpecOverride spec fuses per node and leaves the functions' own
-	// programs unbuilt: the default cluster after it builds them all.
-	prog = compile()
-	override := Options{SpecOverride: func(id arch.ID) *arch.Spec {
-		s := *arch.SpecOf(id)
-		return &s
-	}}
-	if _, builds, loaded, _ := fuseRun(t, prog, Figure1Network(), override); builds != uint64(loaded) {
-		t.Errorf("SpecOverride: Fuse ran %d times for %d loaded functions, want one private build each", builds, loaded)
+	// A program compiled against copies of the stock specs runs each node on
+	// the program's own spec and still fuses once per (function, ISA) pair.
+	var copies []*arch.Spec
+	for _, s := range arch.AllSpecs() {
+		c := *s
+		copies = append(copies, &c)
 	}
-	if _, builds, _, distinct := fuseRun(t, prog, Figure1Network(), Options{}); builds != uint64(distinct) {
-		t.Errorf("default cluster after a SpecOverride one: Fuse ran %d times, want %d (nothing shared)", builds, distinct)
+	_, prog, err := CompileWith(kilroySource(t), codegen.Options{Specs: copies})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, builds, loaded, distinct = fuseRun(t, prog, Figure1Network(), Options{})
+	for _, n := range sys.Cluster.Nodes {
+		if want := prog.Spec(n.Spec.ID); n.Spec != want || n.Spec == arch.SpecOf(n.Spec.ID) {
+			t.Errorf("node %d runs on spec %p, want the program's %p", n.ID, n.Spec, want)
+		}
+	}
+	if distinct == 0 || builds != uint64(distinct) {
+		t.Errorf("copied specs: Fuse ran %d times for %d distinct (function, ISA) pairs (%d loaded functions)", builds, distinct, loaded)
 	}
 }
 

@@ -5,50 +5,26 @@ package exp
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/codegen"
-	"repro/internal/ir"
-	"repro/internal/kernel"
-	"repro/internal/lang/parser"
-	"repro/internal/lang/types"
+	"repro/internal/core"
 	"repro/internal/netsim"
 )
 
-// compileOpts compiles source with explicit codegen options.
-func compileOpts(src string, opts codegen.Options) (*codegen.Program, error) {
-	ast, err := parser.Parse(src)
+// runWith compiles src under opts and runs it on machines; a fault is an
+// error.
+func runWith(src string, opts codegen.Options, machines ...netsim.MachineModel) (*core.System, error) {
+	_, prog, err := core.CompileWith(src, opts)
 	if err != nil {
 		return nil, err
 	}
-	info, err := types.Check(ast)
+	sys, err := core.NewSystem(prog, machines, core.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return codegen.CompileWithOptions(ir.Build(info), opts)
-}
-
-// runSimMS compiles and runs src on machines, returning total simulated ms.
-func runSimMS(src string, opts codegen.Options, cfg kernel.Config,
-	machines []netsim.MachineModel) (float64, *kernel.Cluster, error) {
-	prog, err := compileOpts(src, opts)
-	if err != nil {
-		return 0, nil, err
-	}
-	cl, err := kernel.NewCluster(prog, machines, cfg)
-	if err != nil {
-		return 0, nil, err
-	}
-	cl.Start(nil)
-	if err := cl.Run(120_000_000); err != nil {
-		return 0, nil, err
-	}
-	if len(cl.Faults) > 0 {
-		return 0, nil, fmt.Errorf("fault: %s", cl.Faults[0].Msg)
-	}
-	return cl.Sim.Now().MS(), cl, nil
+	return sys, sys.Run()
 }
 
 // ---------------------------------------------------------------- polls
@@ -68,36 +44,27 @@ type BusStopDensityResult struct {
 // BusStopDensity runs a loop-heavy compute workload with and without
 // loop-bottom polls on one SPARC node.
 func BusStopDensity() (*BusStopDensityResult, error) {
-	machines := []netsim.MachineModel{netsim.SPARCstationSLC}
-	with, _, err := runSimMS(Fig2Workload, codegen.Options{}, kernel.Config{}, machines)
-	if err != nil {
-		return nil, err
-	}
-	without, _, err := runSimMS(Fig2Workload, codegen.Options{OmitLoopPolls: true}, kernel.Config{}, machines)
-	if err != nil {
-		return nil, err
-	}
-	countStops := func(opts codegen.Options) (int, error) {
-		prog, err := compileOpts(Fig2Workload, opts)
+	measure := func(opts codegen.Options) (ms float64, stops int, err error) {
+		sys, err := runWith(Fig2Workload, opts, netsim.SPARCstationSLC)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		n := 0
-		for _, oc := range prog.Objects {
+		for _, oc := range sys.Cluster.Prog.Objects {
 			for _, fc := range oc.PerArch[arch.SPARC].Funcs {
-				n += fc.Stops.Len()
+				stops += fc.Stops.Len()
 			}
 		}
-		return n, nil
+		return sys.ElapsedMS(), stops, nil
 	}
-	r := &BusStopDensityResult{WithPollsMS: with, WithoutPollsMS: without}
-	r.OverheadPct = (with - without) / without * 100
-	if r.StopsWith, err = countStops(codegen.Options{}); err != nil {
+	r := &BusStopDensityResult{}
+	var err error
+	if r.WithPollsMS, r.StopsWith, err = measure(codegen.Options{}); err != nil {
 		return nil, err
 	}
-	if r.StopsWithout, err = countStops(codegen.Options{OmitLoopPolls: true}); err != nil {
+	if r.WithoutPollsMS, r.StopsWithout, err = measure(codegen.Options{OmitLoopPolls: true}); err != nil {
 		return nil, err
 	}
+	r.OverheadPct = (r.WithPollsMS - r.WithoutPollsMS) / r.WithoutPollsMS * 100
 	return r, nil
 }
 
@@ -105,13 +72,12 @@ func BusStopDensity() (*BusStopDensityResult, error) {
 
 // homesVariant builds spec copies with a different number of register
 // variable homes (avoiding the scratch registers each back end reserves).
-func homesVariant(name string, vaxHomes, m68kHomes, sparcHomes []byte) []*arch.Spec {
+func homesVariant(vaxHomes, m68kHomes, sparcHomes []byte) []*arch.Spec {
 	cp := func(s *arch.Spec, homes []byte) *arch.Spec {
 		c := *s
 		c.HomeRegs = homes
 		return &c
 	}
-	_ = name
 	return []*arch.Spec{
 		cp(arch.VAXSpec, vaxHomes),
 		cp(arch.M68KSpec, m68kHomes),
@@ -136,9 +102,9 @@ func RegisterHomes() ([]RegisterHomesResult, error) {
 		name  string
 		specs []*arch.Spec
 	}{
-		{"memory-only (0 homes)", homesVariant("none", nil, nil, nil)},
+		{"memory-only (0 homes)", homesVariant(nil, nil, nil)},
 		{"paper defaults (4/6/8)", nil},
-		{"wide (8/10/11)", homesVariant("wide",
+		{"wide (8/10/11)", homesVariant(
 			[]byte{4, 5, 6, 7, 8, 9, 10, 11},
 			[]byte{2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
 			[]byte{5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})},
@@ -146,48 +112,23 @@ func RegisterHomes() ([]RegisterHomesResult, error) {
 	var out []RegisterHomesResult
 	for _, v := range variants {
 		opts := codegen.Options{Specs: v.specs}
-		var cfg kernel.Config
-		if v.specs != nil {
-			cfg.SpecOverride = func(id arch.ID) *arch.Spec {
-				for _, s := range v.specs {
-					if s.ID == id {
-						return s
-					}
-				}
-				return arch.SpecOf(id)
-			}
-		}
-		computeMS, _, err := runSimMS(intraNodeSrc(false), opts, cfg,
-			[]netsim.MachineModel{netsim.SPARCstationSLC, netsim.SPARCstationSLC})
+		compute, err := runWith(intraNodeSrc(false), opts, netsim.SPARCstationSLC, netsim.SPARCstationSLC)
 		if err != nil {
 			return nil, fmt.Errorf("%s compute: %w", v.name, err)
 		}
 		// Migration cost on a heterogeneous pair.
-		prog, err := compileOpts(Mobile13Source, opts)
+		moves, err := runWith(Mobile13Source, opts, netsim.SPARCstationSLC, netsim.VAXstation2000)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
-		cl, err := kernel.NewCluster(prog,
-			[]netsim.MachineModel{netsim.SPARCstationSLC, netsim.VAXstation2000}, cfg)
+		twoMoves, err := mobile13Moves(moves)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
-		cl.Start(nil)
-		if err := cl.Run(120_000_000); err != nil {
-			return nil, err
-		}
-		if len(cl.Faults) > 0 {
-			return nil, fmt.Errorf("%s: fault: %s", v.name, cl.Faults[0].Msg)
-		}
-		lines := cl.PrintedLines()
-		if len(lines) != 2 || lines[1] != "1624" {
-			return nil, fmt.Errorf("%s: workload corrupted: %v", v.name, lines)
-		}
-		elapsed, _ := strconv.Atoi(lines[0])
 		out = append(out, RegisterHomesResult{
 			Variant:    v.name,
-			ComputeMS:  computeMS,
-			TwoMovesMS: float64(elapsed) / mobile13Trips,
+			ComputeMS:  compute.ElapsedMS(),
+			TwoMovesMS: twoMoves,
 		})
 	}
 	return out, nil

@@ -20,6 +20,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -228,7 +229,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 	const trials = 60
 	for seed := int64(0); seed < trials; seed++ {
 		src := generate(seed, false, 1)
-		info, _, err := core.CompileInfo(src)
+		info, _, err := core.CompileWith(src, codegen.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v\nprogram:\n%s", seed, err, src)
 		}

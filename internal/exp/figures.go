@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -50,7 +51,7 @@ type Fig2Row struct {
 // mobile, slower); native code is machine dependent (fast, and mobile only
 // through the bus-stop conversion this system implements).
 func Figure2() ([]Fig2Row, error) {
-	info, prog, err := core.CompileInfo(Fig2Workload)
+	info, prog, err := core.CompileWith(Fig2Workload, codegen.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -176,26 +177,8 @@ end Main
 // the original system's (§3.6: "Measurements on both systems verify this
 // trivially").
 func IntraNode(m netsim.MachineModel) (*IntraNodeResult, error) {
-	run := func(src string, mode kernel.ConvMode, models []netsim.MachineModel) (*kernel.Cluster, error) {
-		prog, err := core.Compile(src)
-		if err != nil {
-			return nil, err
-		}
-		cl, err := kernel.NewCluster(prog, models, kernel.Config{Mode: mode})
-		if err != nil {
-			return nil, err
-		}
-		cl.Start(nil)
-		if err := cl.Run(80_000_000); err != nil {
-			return nil, err
-		}
-		if len(cl.Faults) > 0 {
-			return nil, fmt.Errorf("fault: %s", cl.Faults[0].Msg)
-		}
-		return cl, nil
-	}
-	phase := func(cl *kernel.Cluster) (float64, error) {
-		lines := cl.PrintedLines()
+	phase := func(sys *core.System) (float64, error) {
+		lines := sys.Lines()
 		if len(lines) != 2 {
 			return 0, fmt.Errorf("unexpected output %v", lines)
 		}
@@ -206,15 +189,16 @@ func IntraNode(m netsim.MachineModel) (*IntraNodeResult, error) {
 		return ms, nil
 	}
 
-	local, err := run(intraNodeSrc(false), kernel.ModeEnhanced, []netsim.MachineModel{m, netsim.SPARCstationSLC})
+	pair := []netsim.MachineModel{m, netsim.SPARCstationSLC}
+	local, err := core.RunSource(intraNodeSrc(false), pair, core.Options{Mode: kernel.ModeEnhanced})
 	if err != nil {
 		return nil, err
 	}
-	moved, err := run(intraNodeSrc(true), kernel.ModeEnhanced, []netsim.MachineModel{m, netsim.SPARCstationSLC})
+	moved, err := core.RunSource(intraNodeSrc(true), pair, core.Options{Mode: kernel.ModeEnhanced})
 	if err != nil {
 		return nil, err
 	}
-	orig, err := run(intraNodeSrc(false), kernel.ModeOriginal, []netsim.MachineModel{m, m})
+	orig, err := core.RunSource(intraNodeSrc(false), []netsim.MachineModel{m, m}, core.Options{Mode: kernel.ModeOriginal})
 	if err != nil {
 		return nil, err
 	}
@@ -228,8 +212,8 @@ func IntraNode(m netsim.MachineModel) (*IntraNodeResult, error) {
 	if res.OriginalSysMS, err = phase(orig); err != nil {
 		return nil, err
 	}
-	res.LocalInstrs = local.Nodes[0].Instrs
-	res.MigratedInstrs = moved.Nodes[0].Instrs
+	res.LocalInstrs = local.Cluster.Nodes[0].Instrs
+	res.MigratedInstrs = moved.Cluster.Nodes[0].Instrs
 	// timems() has millisecond resolution, so phases can differ by one
 	// quantization step; beyond that the invariant is exact.
 	within := func(a, b float64) bool {
@@ -259,27 +243,20 @@ func ConversionStudy() ([]ConvResult, error) {
 	for _, mode := range []kernel.ConvMode{
 		kernel.ModeOriginal, kernel.ModeEnhanced, kernel.ModeEnhancedBatched, kernel.ModeEnhancedFastPath,
 	} {
-		prog, err := core.Compile(Mobile13Source)
+		sys, err := core.RunSource(Mobile13Source,
+			[]netsim.MachineModel{netsim.SPARCstationSLC, netsim.SPARCstationSLC}, core.Options{Mode: mode})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", mode, err)
 		}
-		cl, err := kernel.NewCluster(prog,
-			[]netsim.MachineModel{netsim.SPARCstationSLC, netsim.SPARCstationSLC}, kernel.Config{Mode: mode})
+		moves, err := mobile13Moves(sys)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", mode, err)
 		}
-		cl.Start(nil)
-		if err := cl.Run(80_000_000); err != nil {
-			return nil, err
-		}
-		lines := cl.PrintedLines()
-		var elapsed float64
-		fmt.Sscanf(lines[0], "%f", &elapsed)
 		r := ConvResult{
 			Mode:      mode,
-			MovesMS:   elapsed / mobile13Trips,
-			ConvCalls: cl.ConvStats().Calls,
-			WireBytes: cl.Net.PayloadLen,
+			MovesMS:   moves,
+			ConvCalls: sys.Cluster.ConvStats().Calls,
+			WireBytes: sys.Cluster.Net.PayloadLen,
 		}
 		if r.WireBytes > 0 {
 			r.CallsPerByte = float64(r.ConvCalls) / float64(r.WireBytes)

@@ -20,8 +20,7 @@ import (
 	"strings"
 
 	"repro/internal/codegen"
-	"repro/internal/kernel"
-	"repro/internal/netsim"
+	"repro/internal/core"
 )
 
 // slotWireBytes is the frame payload cost of one variable slot on the
@@ -69,12 +68,16 @@ func Shrink(dir string) ([]ShrinkRow, error) {
 }
 
 func shrinkOne(name, src string) (*ShrinkRow, error) {
-	prog, err := compileOpts(src, codegen.Options{})
+	sys, err := runWith(src, codegen.Options{}, core.Figure1Network()...)
 	if err != nil {
 		return nil, err
 	}
 	row := &ShrinkRow{Program: strings.TrimSuffix(name, ".em")}
-	for _, oc := range prog.Objects {
+	for _, n := range sys.Cluster.Nodes {
+		row.RunMarshaled += n.MarshaledVarSlots
+		row.RunCanonicalized += n.CanonicalizedVarSlots
+	}
+	for _, oc := range sys.Cluster.Prog.Objects {
 		var ac *codegen.ArchCode
 		for _, cand := range oc.PerArch {
 			if cand != nil {
@@ -101,23 +104,6 @@ func shrinkOne(name, src string) (*ShrinkRow, error) {
 	row.BytesAll = slotWireBytes * row.SlotsAll
 	row.BytesLive = slotWireBytes * row.SlotsLive
 
-	cl, err := kernel.NewCluster(prog, []netsim.MachineModel{
-		netsim.Sun3_100, netsim.HP9000_433s, netsim.SPARCstationSLC, netsim.VAXstation2000,
-	}, kernel.Config{})
-	if err != nil {
-		return nil, err
-	}
-	cl.Start(nil)
-	if err := cl.Run(120_000_000); err != nil {
-		return nil, err
-	}
-	if len(cl.Faults) > 0 {
-		return nil, fmt.Errorf("fault: %s", cl.Faults[0].Msg)
-	}
-	for _, n := range cl.Nodes {
-		row.RunMarshaled += n.MarshaledVarSlots
-		row.RunCanonicalized += n.CanonicalizedVarSlots
-	}
 	return row, nil
 }
 

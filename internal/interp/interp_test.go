@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/kernel"
@@ -17,7 +18,7 @@ func buildIR(info *types.Info) *ir.Program { return ir.Build(info) }
 // returns (source, bytecode, native) outputs.
 func runAllLevels(t *testing.T, src string) (string, string, string) {
 	t.Helper()
-	info, prog, err := core.CompileInfo(src)
+	info, prog, err := core.CompileWith(src, codegen.Options{})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -249,7 +250,7 @@ object Main
   end process
 end Main
 `
-	info, _, err := core.CompileInfo(src)
+	info, _, err := core.CompileWith(src, codegen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ object Main
   end process
 end Main
 `
-	info, _, err := core.CompileInfo(src)
+	info, _, err := core.CompileWith(src, codegen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

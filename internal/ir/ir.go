@@ -179,19 +179,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", byte(o))
 }
 
-// IsBusStop reports whether the instruction transfers control to the kernel
-// and is therefore a potential bus stop in generated native code.
-func (o Op) IsBusStop() bool {
-	switch o {
-	case Call, New, NewArray, LoopBottom,
-		SysPrint, SysNodes, SysThisNode, SysNodeAt, SysTimeMS, SysYield,
-		SysStrOf, SysConcat, SysMove, SysFix, SysRefix, SysUnfix, SysLocate,
-		SysWait, SysSignal:
-		return true
-	}
-	return false
-}
-
 // Instr is one IR instruction.
 type Instr struct {
 	Op Op

@@ -318,21 +318,6 @@ end M
 	}
 }
 
-func TestBusStopClassification(t *testing.T) {
-	stops := []Op{Call, New, NewArray, LoopBottom, SysPrint, SysMove, SysWait, SysConcat}
-	for _, op := range stops {
-		if !op.IsBusStop() {
-			t.Errorf("%v should be a bus stop", op)
-		}
-	}
-	nonStops := []Op{AddI, LoadVar, Jump, BrFalse, Ret, CmpS, ALoad, PushInt}
-	for _, op := range nonStops {
-		if op.IsBusStop() {
-			t.Errorf("%v should not be a bus stop", op)
-		}
-	}
-}
-
 func TestVerifyCatchesBadCode(t *testing.T) {
 	bad := []*Func{
 		{Name: "underflow", Code: []Instr{{Op: Drop}, {Op: Ret}}},

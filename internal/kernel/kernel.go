@@ -160,10 +160,6 @@ type Config struct {
 	// Parallel makes Run drive each node's events on its own goroutine,
 	// with results identical to the sequential engine (DESIGN.md §12).
 	Parallel bool
-	// SpecOverride substitutes custom architecture specs (register-home
-	// ablations); nil uses arch.SpecOf. The program must have been compiled
-	// with the same specs.
-	SpecOverride func(arch.ID) *arch.Spec
 	// VetOnLoad runs the mobility-soundness metadata passes (internal/vet)
 	// over each code object the first time a node loads it, refusing the
 	// load when an error-severity finding exists. A program with skewed
@@ -319,8 +315,10 @@ type Cluster struct {
 	dirPlace [][]int
 }
 
-// NewCluster builds a cluster of the given machine models. In ModeOriginal
-// all models must share one architecture.
+// NewCluster builds a cluster of the given machine models. Each node runs
+// on the spec prog was compiled against for its ISA (prog.Spec), so every
+// model's ISA must be among prog's targets; in ModeOriginal all models must
+// share one architecture.
 func NewCluster(prog *codegen.Program, models []netsim.MachineModel, cfg Config) (*Cluster, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("kernel: need at least one node")
@@ -334,6 +332,12 @@ func NewCluster(prog *codegen.Program, models []netsim.MachineModel, cfg Config)
 	cfg = cfg.withDefaults()
 	if cfg.Mode < 0 || int(cfg.Mode) >= len(convRegimes) {
 		return nil, fmt.Errorf("kernel: unknown conversion mode %v", cfg.Mode)
+	}
+	for i, m := range models {
+		if prog.Spec(arch.ID(m.Arch)) == nil {
+			return nil, fmt.Errorf("kernel: node %d (%s) is %s, an ISA the program was not compiled for",
+				i, m.Name, arch.ID(m.Arch))
+		}
 	}
 	if cfg.Mode == ModeOriginal {
 		for _, m := range models[1:] {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/arch"
 	"repro/internal/codegen"
 	"repro/internal/ir"
 	"repro/internal/lang/parser"
@@ -480,5 +481,25 @@ end Main
 	}
 	if !strings.Contains(outs[0], "total=145") {
 		t.Errorf("wrong total: %s", outs[0])
+	}
+}
+
+// A node runs on the spec its program was compiled against, so a network
+// with an ISA the program has no code for is refused at construction,
+// naming the ISA.
+func TestNewClusterRefusesUncompiledISA(t *testing.T) {
+	prog := compileSrcWith(t, `
+object Main
+  process
+    print("hi")
+  end process
+end Main
+`, codegen.Options{Specs: []*arch.Spec{arch.SPARCSpec, arch.VAXSpec}})
+	if _, err := NewCluster(prog, []netsim.MachineModel{mSPARC, mVAX}, Config{}); err != nil {
+		t.Fatalf("compiled ISAs only: %v", err)
+	}
+	_, err := NewCluster(prog, []netsim.MachineModel{mSPARC, mSun3}, Config{})
+	if err == nil || !strings.Contains(err.Error(), "m68k") {
+		t.Fatalf("network with an uncompiled m68k node: err = %v, want one naming m68k", err)
 	}
 }

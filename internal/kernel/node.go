@@ -34,10 +34,10 @@ type loadedFunc struct {
 	litBase uint32 // address of the literal table (one ref word per string)
 	// fz is the fused superinstruction program runSlice dispatches over:
 	// fc's own (codegen.FuncCode.Fused: one per compiled function and ISA,
-	// whatever nodes and clusters load it) unless the node's spec is a
-	// SpecOverride or fc is hand-built, which fuse here, at load; nil
-	// forces the legacy byte-at-a-time path (Config.LegacyDispatch, or a
-	// hand-built stream that does not predecode).
+	// whatever nodes and clusters load it) unless fc is hand-built, which
+	// fuses here, at load; nil forces the legacy byte-at-a-time path
+	// (Config.LegacyDispatch, or a hand-built stream that does not
+	// predecode).
 	fz *arch.Fused
 	// plans caches compiled conversion plans per bus stop; see plan.go.
 	// Lazily filled on the first conversion (either way) at each stop.
@@ -217,10 +217,7 @@ type peerLink struct {
 }
 
 func newNode(c *Cluster, id, nodes int, m netsim.MachineModel) *Node {
-	spec := arch.SpecOf(arch.ID(m.Arch))
-	if c.SpecOverride != nil {
-		spec = c.SpecOverride(arch.ID(m.Arch))
-	}
+	spec := c.Prog.Spec(arch.ID(m.Arch))
 	n := &Node{
 		cluster:    c,
 		ID:         id,
@@ -442,18 +439,14 @@ func (n *Node) loadCode(code oid.OID) (*loadedCode, error) {
 		lf := &loadedFunc{code: lc, fc: fc, idx: i, desc: uint32(len(n.descs))}
 		switch pd, plan := fc.Decoded, fc.Runs; {
 		case n.cluster.LegacyDispatch: // fz stays nil: runSlice takes the reference path
-		case pd != nil && n.Spec == arch.SpecOf(ac.Arch):
+		case pd != nil:
 			lf.fz = fc.Fused(n.Spec) // the function's own, shared by every node of this ISA
 		default:
-			// A SpecOverride spec (other cycle charges baked in) and a
-			// hand-built FuncCode (tests, analyzers) fuse privately. The
-			// latter is predecoded here: a stream that does not decode
-			// end-to-end leaves fz nil and runs on the legacy path, which
-			// reports the bad instruction if execution ever reaches it.
-			if pd == nil {
-				pd, _ = arch.Predecode(n.Spec, fc.Code, fc.NumInstrs)
-			}
-			if pd != nil && plan == nil {
+			// A hand-built FuncCode (tests, analyzers) fuses privately,
+			// predecoded here: a stream that does not decode end-to-end
+			// leaves fz nil and runs on the legacy path, which reports the
+			// bad instruction if execution ever reaches it.
+			if pd, _ = arch.Predecode(n.Spec, fc.Code, fc.NumInstrs); pd != nil && plan == nil {
 				plan = arch.PlanFusion(pd)
 			}
 			lf.fz = arch.Fuse(n.Spec, pd, plan)

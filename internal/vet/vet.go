@@ -196,7 +196,6 @@ func Passes() []PassInfo {
 // checker carries the state of one vet run.
 type checker struct {
 	prog    *codegen.Program
-	specs   map[arch.ID]*arch.Spec
 	diags   []Diagnostic
 	pta     *pta.Result
 	ptaDone bool
@@ -217,11 +216,7 @@ type funcFacts struct {
 }
 
 func newChecker(p *codegen.Program) *checker {
-	c := &checker{prog: p, specs: map[arch.ID]*arch.Spec{}, funcs: map[*codegen.ObjectCode][]funcFacts{}}
-	for _, s := range p.Specs() {
-		c.specs[s.ID] = s
-	}
-	return c
+	return &checker{prog: p, funcs: map[*codegen.ObjectCode][]funcFacts{}}
 }
 
 // facts returns the per-function table of oc, indexed like oc.IR.Funcs,
@@ -244,14 +239,6 @@ func (c *checker) facts(oc *codegen.ObjectCode) []funcFacts {
 	}
 	c.funcs[oc] = t
 	return t
-}
-
-// specFor returns the spec the program was compiled against for id.
-func (c *checker) specFor(id arch.ID) *arch.Spec {
-	if s, ok := c.specs[id]; ok {
-		return s
-	}
-	return arch.SpecOf(id)
 }
 
 func (c *checker) report(pass string, sev Severity, obj, fn string, archName string, stop int, format string, args ...any) {
@@ -278,7 +265,7 @@ func (c *checker) checkObject(oc *codegen.ObjectCode) {
 		if ac == nil {
 			continue
 		}
-		c.checkArch(oc, ac, c.specFor(ac.Arch))
+		c.checkArch(oc, ac, c.prog.Spec(ac.Arch))
 	}
 	c.lintObject(oc)
 	c.ptaObject(oc)
