@@ -90,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, line)
 	}
 	if *autoLog {
-		for _, l := range sys.AutoDecisionLog() {
+		for _, l := range sys.Cluster.AutoDecisionLog() {
 			fmt.Fprintln(stderr, "auto:", l)
 		}
 	}

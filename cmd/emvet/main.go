@@ -30,7 +30,6 @@ import (
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/ir"
 	"repro/internal/pta"
 	"repro/internal/vet"
 )
@@ -73,11 +72,7 @@ func main() {
 			continue
 		}
 		if *graph {
-			p := &ir.Program{}
-			for _, oc := range prog.Objects {
-				p.Objects = append(p.Objects, oc.IR)
-			}
-			r, err := pta.Analyze(p)
+			r, err := pta.Analyze(prog.IR)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "%s: pta: %v\n", file, err)
 				fail = true

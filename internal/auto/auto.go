@@ -1,10 +1,10 @@
 // Package auto is the adaptive-placement subsystem: pluggable policies that
-// consume the kernel's metrics (per-node instruction pressure, per-link and
-// per-object invocation traffic) plus the static facts the points-to
-// analysis exports (group-migration cohorts, pinned classes) and decide,
-// periodically, which objects should live where. The package is pure
-// decision logic — it imports nothing from the kernel; the kernel builds a
-// View each tick and executes the returned Decisions (see kernel/auto.go).
+// consume the kernel's metrics (per-node instruction pressure and per-object
+// invocation traffic) and decide, periodically, which objects should live
+// where, plus the static facts (Facts: group-migration cohorts, pinned
+// classes) the kernel applies to every decision. The decision logic imports
+// nothing from the kernel; the kernel builds a View each tick and executes
+// the returned Decisions (see kernel/auto.go).
 //
 // Determinism is a hard requirement: the same sequence of Views must yield
 // the same sequence of Decisions and a byte-identical decision log, because
@@ -14,8 +14,12 @@ package auto
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
+
+	"repro/internal/ir"
+	"repro/internal/pta"
 )
 
 // ObjInfo describes one placement-eligible resident object.
@@ -36,27 +40,19 @@ type ObjCall struct {
 	Count uint64
 }
 
-// Link is the cumulative remote-invocation count over one (src,dst) pair.
-type Link struct {
-	Src, Dst int
-	Count    uint64
-}
-
 // View is one periodic observation of the cluster, with cumulative
 // counters; the engine differences successive views into per-window Deltas.
 type View struct {
 	Now      int64
 	Nodes    int
 	Instrs   []uint64  // per-node cumulative executed instructions
-	Links    []Link    // cumulative per-link remote invocations
-	ObjCalls []ObjCall // cumulative per-(object, caller) remote invocations
+	ObjCalls []ObjCall // cumulative per-(object, caller) remote invocations, any order
 	Objects  []ObjInfo // resident plain objects, any order
 }
 
 // Delta is the traffic of one observation window, numerically sorted.
 type Delta struct {
 	Instrs   []uint64
-	Links    []Link    // sorted by (Src, Dst)
 	ObjCalls []ObjCall // sorted by (OID, Src)
 }
 
@@ -77,20 +73,49 @@ type Policy interface {
 	Decide(v View, d Delta) []Decision
 }
 
-// Static carries the compile-time facts the points-to analysis exports.
-type Static struct {
-	// Cohorts are class-name groups that migrate together (pta.Cohorts).
-	Cohorts [][]string
-	// Pinned are class names reachable from fixed objects (immobile-reach):
-	// the engine never schedules their instances.
-	Pinned []string
+// Facts computes the static placement facts of p from the points-to
+// analysis. cohort maps each class to its cohort-mates: the classes of every
+// allocation closure (pta.Cohorts) that holds the class, over closures of at
+// least two classes; the kernel batches a moved object with its resident
+// cohort-mates. pinned holds every class a fix can reach from a process
+// thread (the immobile-reach facts); no instance of one is ever scheduled.
+func Facts(p *ir.Program) (cohort map[string]map[string]bool, pinned map[string]bool, err error) {
+	r, err := pta.Analyze(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	cohort = map[string]map[string]bool{}
+	for _, c := range r.Cohorts() {
+		set := map[string]bool{}
+		for _, m := range c.Members {
+			set[m.TypeName] = true
+		}
+		if len(set) < 2 {
+			continue
+		}
+		for cls := range set {
+			if cohort[cls] == nil {
+				cohort[cls] = map[string]bool{}
+			}
+			maps.Copy(cohort[cls], set)
+		}
+	}
+	pinned = map[string]bool{}
+	for _, obj := range p.Objects {
+		for _, reach := range r.ProcessPinnedReach(obj.Name) {
+			for _, cls := range reach.Classes {
+				pinned[cls] = true
+			}
+		}
+	}
+	return cohort, pinned, nil
 }
 
 // Names lists the registered policies.
 func Names() []string { return []string{"greedy-colocate", "load-balance"} }
 
 // New builds an engine driving the named policy.
-func New(policy string, st Static) (*Engine, error) {
+func New(policy string) (*Engine, error) {
 	var pol Policy
 	switch policy {
 	case "greedy-colocate":
@@ -101,7 +126,7 @@ func New(policy string, st Static) (*Engine, error) {
 		return nil, fmt.Errorf("auto: unknown policy %q (have: %s)",
 			policy, strings.Join(Names(), ", "))
 	}
-	return NewEngine(pol, st), nil
+	return NewEngine(pol), nil
 }
 
 // Engine differences successive Views, consults the policy, filters out
@@ -109,11 +134,8 @@ func New(policy string, st Static) (*Engine, error) {
 // decision log.
 type Engine struct {
 	pol       Policy
-	static    Static
 	prevInstr []uint64
-	prevLink  map[[2]int]uint64
 	prevObj   map[objKey]uint64
-	ticks     int
 	log       []string
 }
 
@@ -123,13 +145,8 @@ type objKey struct {
 }
 
 // NewEngine wraps a policy (useful for tests injecting custom policies).
-func NewEngine(pol Policy, st Static) *Engine {
-	return &Engine{
-		pol:      pol,
-		static:   st,
-		prevLink: map[[2]int]uint64{},
-		prevObj:  map[objKey]uint64{},
-	}
+func NewEngine(pol Policy) *Engine {
+	return &Engine{pol: pol, prevObj: map[objKey]uint64{}}
 }
 
 // Log returns the decision log: one line per decision, in decision order.
@@ -138,7 +155,6 @@ func (e *Engine) Log() []string { return e.log }
 // Tick consumes one observation and returns the legal decisions, stamped
 // with the policy name and appended to the log.
 func (e *Engine) Tick(v View) []Decision {
-	e.ticks++
 	d := e.delta(v)
 	sort.Slice(v.Objects, func(i, j int) bool { return v.Objects[i].OID < v.Objects[j].OID })
 	byOID := make(map[uint32]ObjInfo, len(v.Objects))
@@ -171,19 +187,6 @@ func (e *Engine) delta(v View) Delta {
 		d.Instrs[i] = cum - prev
 	}
 	e.prevInstr = append(e.prevInstr[:0], v.Instrs...)
-	for _, l := range v.Links {
-		k := [2]int{l.Src, l.Dst}
-		if w := l.Count - e.prevLink[k]; w > 0 {
-			d.Links = append(d.Links, Link{Src: l.Src, Dst: l.Dst, Count: w})
-		}
-		e.prevLink[k] = l.Count
-	}
-	sort.Slice(d.Links, func(i, j int) bool {
-		if d.Links[i].Src != d.Links[j].Src {
-			return d.Links[i].Src < d.Links[j].Src
-		}
-		return d.Links[i].Dst < d.Links[j].Dst
-	})
 	for _, oc := range v.ObjCalls {
 		k := objKey{oc.OID, oc.Src}
 		if w := oc.Count - e.prevObj[k]; w > 0 {

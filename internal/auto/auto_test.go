@@ -14,7 +14,7 @@ func view(now int64, nodes int, objs ...ObjInfo) View {
 // window must still trigger a move once the accumulated total crosses it,
 // and the moved object's history must reset.
 func TestGreedyColocateAccumulates(t *testing.T) {
-	eng := NewEngine(&GreedyColocate{MinCalls: 4, MaxMoves: 4}, Static{})
+	eng := NewEngine(&GreedyColocate{MinCalls: 4, MaxMoves: 4})
 	obj := ObjInfo{OID: 9, Class: "Service", Node: 0}
 
 	// Cumulative counters: 2 calls per window from node 1.
@@ -45,7 +45,7 @@ func TestGreedyColocateAccumulates(t *testing.T) {
 // TestEnginePinnedAndInvalidFiltered: pinned objects and malformed targets
 // never reach the decision log.
 func TestEnginePinnedAndInvalidFiltered(t *testing.T) {
-	eng := NewEngine(&GreedyColocate{MinCalls: 1, MaxMoves: 8}, Static{})
+	eng := NewEngine(&GreedyColocate{MinCalls: 1, MaxMoves: 8})
 	v := view(1000, 2,
 		ObjInfo{OID: 1, Class: "A", Node: 0, Pinned: true},
 		ObjInfo{OID: 2, Class: "B", Node: 0})
@@ -62,7 +62,7 @@ func TestEnginePinnedAndInvalidFiltered(t *testing.T) {
 // TestLoadBalanceSheds: a hot node above the ratio sheds its hottest
 // movable object to the coldest node, never a pinned one.
 func TestLoadBalanceSheds(t *testing.T) {
-	eng := NewEngine(&LoadBalance{MinInstrs: 1000, Ratio: 2}, Static{})
+	eng := NewEngine(&LoadBalance{MinInstrs: 1000, Ratio: 2})
 	v := view(1000, 3,
 		ObjInfo{OID: 5, Class: "Hot", Node: 0, Pinned: true},
 		ObjInfo{OID: 6, Class: "Warm", Node: 0})
@@ -82,11 +82,11 @@ func TestLoadBalanceSheds(t *testing.T) {
 
 // TestNewRejectsUnknown: the constructor names its valid policies.
 func TestNewRejectsUnknown(t *testing.T) {
-	if _, err := New("nope", Static{}); err == nil || !strings.Contains(err.Error(), "greedy-colocate") {
+	if _, err := New("nope"); err == nil || !strings.Contains(err.Error(), "greedy-colocate") {
 		t.Fatalf("New(nope) err = %v, want an error listing the policies", err)
 	}
 	for _, name := range Names() {
-		if _, err := New(name, Static{}); err != nil {
+		if _, err := New(name); err != nil {
 			t.Errorf("New(%s): %v", name, err)
 		}
 	}

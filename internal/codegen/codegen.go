@@ -99,6 +99,10 @@ func (o *ObjectCode) FuncIndex(name string) int { return o.IR.FuncIndex(name) }
 // each with code for every architecture.
 type Program struct {
 	Objects []*ObjectCode
+	// IR is the machine-independent program this was compiled from
+	// (IR.Objects[i] is Objects[i].IR): the input of whole-program
+	// analyses such as internal/pta.
+	IR *ir.Program
 	// Opts records the options the program was compiled with (with
 	// Opts.Specs normalized to the actual target list). Static analyses
 	// (internal/vet) consult them so that, e.g., an ablation build without
@@ -161,7 +165,7 @@ func CompileWithOptions(p *ir.Program, opts Options) (*Program, error) {
 		specs = arch.AllSpecs()
 	}
 	opts.Specs = specs
-	out := &Program{Opts: opts}
+	out := &Program{IR: p, Opts: opts}
 	for idx, obj := range p.Objects {
 		oc := &ObjectCode{
 			Name:       obj.Name,

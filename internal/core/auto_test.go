@@ -1,6 +1,5 @@
-// Adaptive-placement core tests: deterministic decision logs, the static
-// fact translation (pta cohorts and pinned classes to class names), and
-// the option-validation edges.
+// Adaptive-placement core tests: deterministic decision logs and the
+// option-validation edges.
 
 package core
 
@@ -23,7 +22,7 @@ func TestAutoDecisionLogDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		return strings.Join(sys.AutoDecisionLog(), "\n"), obs.EventLog(sys.Recorder())
+		return strings.Join(sys.Cluster.AutoDecisionLog(), "\n"), obs.EventLog(sys.Recorder())
 	}
 	log1, ev1 := run()
 	log2, ev2 := run()
@@ -53,68 +52,5 @@ func TestAutoPolicyValidation(t *testing.T) {
 	_, err = NewSystem(prog, Figure1Network(), Options{AutoPolicy: "greedy-colocate", Parallel: true})
 	if err == nil || !strings.Contains(err.Error(), "sequential engine") {
 		t.Errorf("auto + parallel: err = %v; the policy tick needs the sequential engine", err)
-	}
-}
-
-// TestAutoFactsCohortsAndPinned: the site-label translation must surface
-// the {Service, Stats} allocation cohort and pin every class a fix
-// statement reaches.
-func TestAutoFactsCohortsAndPinned(t *testing.T) {
-	src := `
-object Stats
-  var total: Int <- 0
-  operation note(x: Int)
-    total <- total + x
-  end
-end Stats
-
-object Service
-  var stats: Stats
-  operation work(x: Int) -> (r: Int)
-    stats.note(x)
-    r <- x
-  end
-  initially
-    stats <- new Stats
-  end initially
-end Service
-
-object Anchor
-  var n: Int <- 0
-end Anchor
-
-object Main
-  var s: Service
-  var a: Anchor
-  initially
-    s <- new Service
-    a <- new Anchor
-  end initially
-  process
-    fix a at thisnode()
-    print(s.work(3))
-  end process
-end Main
-`
-	prog, err := Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cohorts, pinned, err := AutoFacts(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, set := range cohorts {
-		if strings.Join(set, "|") == "Service|Stats" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("cohorts = %v, want one {Service, Stats} set", cohorts)
-	}
-	gotPinned := strings.Join(pinned, ",")
-	if !strings.Contains(gotPinned, "Anchor") {
-		t.Errorf("pinned = %v, want Anchor (reached by fix)", pinned)
 	}
 }

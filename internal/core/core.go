@@ -96,16 +96,8 @@ func Figure1Network() []netsim.MachineModel {
 	}
 }
 
-// NewSystem loads prog onto a cluster of the given machines. When a
-// placement policy is named it first computes the static facts the policy
-// needs (AutoFacts), so the kernel stays free of the analysis.
+// NewSystem loads prog onto a cluster of the given machines.
 func NewSystem(prog *codegen.Program, machines []netsim.MachineModel, opts Options) (*System, error) {
-	if opts.AutoPolicy != "" {
-		var err error
-		if opts.AutoCohorts, opts.AutoPinned, err = AutoFacts(prog); err != nil {
-			return nil, fmt.Errorf("core: placement analysis: %w", err)
-		}
-	}
 	cl, err := kernel.NewCluster(prog, machines, opts)
 	if err != nil {
 		return nil, err

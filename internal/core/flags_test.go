@@ -109,7 +109,7 @@ func TestCommandLines(t *testing.T) {
 			}
 			if l.golden != "" {
 				var log strings.Builder
-				for _, d := range sys.AutoDecisionLog() {
+				for _, d := range sys.Cluster.AutoDecisionLog() {
 					log.WriteString("auto: " + d + "\n")
 				}
 				want, err := os.ReadFile(filepath.Join(repoRoot, l.golden))

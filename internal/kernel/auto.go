@@ -1,5 +1,5 @@
 // The kernel side of adaptive placement: a periodic cluster-level tick
-// builds an auto.View from the metrics registry and the object tables,
+// builds an auto.View from the invoke_obj counters and the object tables,
 // consults the policy engine, and executes its decisions as (batched
 // cohort) migrations. The tick is a weak simulation event — placement never
 // keeps a finished program alive — and everything here is gated on
@@ -22,39 +22,40 @@ import (
 // times the cost of one move.
 const autoPeriod netsim.Micros = 20000
 
-// armAuto builds the policy engine and schedules the first tick.
+// armAuto builds the policy engine, computes the program's placement facts
+// and schedules the first tick.
 func (c *Cluster) armAuto() error {
-	eng, err := auto.New(c.AutoPolicy, auto.Static{Cohorts: c.AutoCohorts, Pinned: c.AutoPinned})
+	eng, err := auto.New(c.AutoPolicy)
 	if err != nil {
 		return err
 	}
+	if c.autoCohort, c.autoPinned, err = auto.Facts(c.Prog.IR); err != nil {
+		return fmt.Errorf("kernel: placement analysis: %w", err)
+	}
 	c.autoOn = true
 	c.autoEng = eng
-	c.autoCohort = map[string]map[string]bool{}
-	for _, set := range c.AutoCohorts {
-		for _, cls := range set {
-			m := c.autoCohort[cls]
-			if m == nil {
-				m = map[string]bool{}
-				c.autoCohort[cls] = m
-			}
-			for _, other := range set {
-				m[other] = true
-			}
-		}
-	}
-	c.autoPinned = map[string]bool{}
-	for _, cls := range c.AutoPinned {
-		c.autoPinned[cls] = true
-	}
-	c.linkLabels = make([]string, 0, len(c.Nodes)*len(c.Nodes))
-	for src := range c.Nodes {
-		for dst := range c.Nodes {
-			c.linkLabels = append(c.linkLabels, fmt.Sprintf("src=%d,dst=%d", src, dst))
-		}
-	}
+	c.autoObjCalls = map[objCaller]*obs.Ctr{}
 	c.Sim.AtWeak(autoPeriod, c.autoTick)
 	return nil
+}
+
+// objCaller names one invoke_obj series: the remote invocations of one
+// object from one caller node.
+type objCaller struct {
+	oid oid.OID
+	src int
+}
+
+// countObjCall feeds the placement policies one remote invocation of id
+// from node src, resolving the pair's invoke_obj counter on its first call.
+func (c *Cluster) countObjCall(id oid.OID, src int) {
+	k := objCaller{id, src}
+	ctr := c.autoObjCalls[k]
+	if ctr == nil {
+		ctr = c.Rec.Metrics().Ctr("invoke_obj", fmt.Sprintf("oid=%d,src=%d", uint32(id), src))
+		c.autoObjCalls[k] = ctr
+	}
+	ctr.Add(1)
 }
 
 // AutoDecisionLog returns the policy engine's canonical decision log (nil
@@ -81,27 +82,17 @@ func (c *Cluster) autoTick() {
 }
 
 // autoView snapshots the cluster for the policy engine: per-node
-// instruction pressure, the policy-feed traffic counters, and every
-// resident plain object with its pin status. Object order is canonical
-// (ascending OID).
+// instruction pressure, the invoke_obj counters (in map order: the engine
+// sorts its deltas), and every resident plain object with its pin status.
+// Object order is canonical (ascending OID).
 func (c *Cluster) autoView() auto.View {
 	v := auto.View{Now: int64(c.Sim.Now()), Nodes: len(c.Nodes)}
 	v.Instrs = make([]uint64, len(c.Nodes))
 	for i, n := range c.Nodes {
 		v.Instrs[i] = n.Instrs
 	}
-	for _, cp := range c.Rec.Metrics().CountersPrefix("invoke_link") {
-		var src, dst int
-		if _, err := fmt.Sscanf(cp.Labels, "src=%d,dst=%d", &src, &dst); err == nil {
-			v.Links = append(v.Links, auto.Link{Src: src, Dst: dst, Count: cp.Value})
-		}
-	}
-	for _, cp := range c.Rec.Metrics().CountersPrefix("invoke_obj") {
-		var id uint32
-		var src int
-		if _, err := fmt.Sscanf(cp.Labels, "oid=%d,src=%d", &id, &src); err == nil {
-			v.ObjCalls = append(v.ObjCalls, auto.ObjCall{OID: id, Src: src, Count: cp.Value})
-		}
+	for k, ctr := range c.autoObjCalls {
+		v.ObjCalls = append(v.ObjCalls, auto.ObjCall{OID: uint32(k.oid), Src: k.src, Count: ctr.Value()})
 	}
 	for _, n := range c.Nodes {
 		ids := make([]uint32, 0, len(n.objects))

@@ -132,13 +132,10 @@ func (n *Node) invokeRemote(f *Frag, recv *Obj, opName string, args []uint32) {
 		B: uint64(recv.LastKnown), Str: opName})
 	n.count(&n.ctr.invokes, "remote_invokes", n.labels, 1)
 	if c := n.cluster; c.autoOn {
-		// Per-link and per-object traffic for the placement policies: which
-		// (src,dst) pairs are chatty, and which objects the traffic is about.
-		// Recorded only when a policy is armed so policy-disabled runs keep
-		// byte-identical metric snapshots.
-		c.Rec.Metrics().Add("invoke_link", c.linkLabels[n.ID*len(c.Nodes)+recv.LastKnown], 1)
-		c.Rec.Metrics().Add("invoke_obj",
-			fmt.Sprintf("oid=%d,src=%d", uint32(recv.OID), n.ID), 1)
+		// Per-object traffic for the placement policies, recorded only when
+		// a policy is armed so policy-disabled runs keep byte-identical
+		// metric snapshots.
+		c.countObjCall(recv.OID, n.ID)
 	}
 	n.sendMsg(recv.LastKnown, &wire.Invoke{
 		Target:     recv.OID,

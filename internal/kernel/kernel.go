@@ -195,15 +195,6 @@ type Config struct {
 	// timers. Placement runs on the sequential engine only (the tick is a
 	// cluster-level simulation event).
 	AutoPolicy string
-	// AutoCohorts are class-name groups that migrate together, computed by
-	// internal/pta group-cohort analysis (core.NewSystem fills them in,
-	// translating site labels to class names so the kernel needs no pta
-	// dependency).
-	AutoCohorts [][]string
-	// AutoPinned are class names the policy must never schedule (the
-	// immobile-reach pinned constraint from internal/pta; filled in by
-	// core.NewSystem).
-	AutoPinned []string
 	// AutoNoBatch makes each policy decision move only the named object
 	// instead of its whole cohort in one batched transfer. The control arm
 	// of the batching experiment (embench auto); no flag.
@@ -298,14 +289,14 @@ type Cluster struct {
 	sharded bool
 
 	// Adaptive-placement state (see auto.go); autoOn gates the policy-feed
-	// metrics so policy-disabled runs stay byte-identical.
-	autoOn     bool
-	autoEng    *auto.Engine
-	autoCohort map[string]map[string]bool
-	autoPinned map[string]bool
-	// linkLabels[src*len(Nodes)+dst] is the invoke_link label of the
-	// (src,dst) pair, built once when placement is armed.
-	linkLabels []string
+	// metrics so policy-disabled runs stay byte-identical. autoCohort and
+	// autoPinned are the program's static facts (auto.Facts), autoObjCalls
+	// the invoke_obj counter of each (object, caller node) pair seen.
+	autoOn       bool
+	autoEng      *auto.Engine
+	autoCohort   map[string]map[string]bool
+	autoPinned   map[string]bool
+	autoObjCalls map[objCaller]*obs.Ctr
 
 	// Replicated-directory state (see dir.go); dirOn gates every directory
 	// code path so directory-off runs stay byte-identical. dirPlace is the

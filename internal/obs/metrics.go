@@ -66,6 +66,9 @@ func (c *Ctr) Add(delta uint64) {
 	}
 }
 
+// Value reads the counter.
+func (c *Ctr) Value() uint64 { return c.v.Load() }
+
 // Registry accumulates metrics. A mutex guards the series maps — creating
 // a series, reading by name, snapshotting — but not the updates of a
 // resolved handle: a Ctr adds atomically, and a Hist has one writer, which
@@ -160,7 +163,7 @@ func (r *Registry) Counter(name, labels string) uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.Value()
 }
 
 // SetGauge records an instantaneous value.

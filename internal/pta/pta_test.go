@@ -213,8 +213,8 @@ end Main
 func TestProcessPinnedReach(t *testing.T) {
 	r := analyze(t, pinnedSrc)
 	got := r.ProcessPinnedReach("Main")
-	if len(got) != 1 || !strings.Contains(got[0], "Anchor") ||
-		!strings.Contains(got[0], "Main.$initially@") {
+	if len(got) != 1 || !strings.Contains(got[0].String(), "Anchor") ||
+		!strings.Contains(got[0].String(), "Main.$initially@") {
 		t.Errorf("ProcessPinnedReach(Main) = %v, want one Anchor entry with its fix site", got)
 	}
 	// kilroy fixes nothing, so its thread reaches no pinned class.

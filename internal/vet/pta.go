@@ -23,11 +23,7 @@ func (c *checker) ptaResult() *pta.Result {
 		return c.pta
 	}
 	c.ptaDone = true
-	p := &ir.Program{}
-	for _, oc := range c.prog.Objects {
-		p.Objects = append(p.Objects, oc.IR)
-	}
-	if r, err := pta.Analyze(p); err == nil {
+	if r, err := pta.Analyze(c.prog.IR); err == nil {
 		c.pta = r
 	}
 	return c.pta
@@ -129,9 +125,13 @@ func (c *checker) immobileReach(oc *codegen.ObjectCode, r *pta.Result) {
 	if !oc.IR.HasProcess {
 		return
 	}
-	pinned := r.ProcessPinnedReach(oc.Name)
-	if len(pinned) == 0 {
+	reach := r.ProcessPinnedReach(oc.Name)
+	if len(reach) == 0 {
 		return
+	}
+	pinned := make([]string, len(reach))
+	for i, p := range reach {
+		pinned[i] = p.String()
 	}
 	c.report("immobile-reach", SevInfo, oc.Name, oc.Name+".$process", "", -1,
 		"process thread can reach node-fixed objects: %s — the thread's "+
