@@ -4,8 +4,8 @@
 # keeps every committed BENCH_*.json reproducible (that emrun's Chrome
 # trace and metrics exports parse as JSON is go test's: cmd/emrun
 # TestTraceDirectoryRun, core TestChromeTraceGoldenTwoHop). No recipe
-# spells a run-shaping emrun flag: what the chaos, directory, parallel and
-# placement command lines must print is pinned by `go test` (TestCommandLines
+# spells a run-shaping emrun flag: what the chaos, directory and placement
+# command lines must print is pinned by `go test` (TestCommandLines
 # in internal/core), under -race in the `race` step.
 
 GO ?= go
@@ -74,7 +74,7 @@ emperf-pairs:
 # emvet (diagnostics, -graph, -passes) over the corpus, emvet over its own
 # defect corpus and emc over testdata/census's ill-formed programs (a lexer,
 # a parse and a type error: the front end's error paths); emrun over the
-# corpus, both engines, and the run-shaping rows of TestCommandLines (chaos,
+# corpus, and the run-shaping rows of TestCommandLines (chaos,
 # directory with leases, both placement policies) plus the reference
 # emulator, vet-on-load and the text trace; emrun's exports (-chrome,
 # -metrics, -spans), its -faults report under the chaos plan and the text
@@ -95,7 +95,6 @@ census:
 	for f in examples/programs/*.em; do \
 		$(CENSUS)/emc -S -t -stops $$f > /dev/null; \
 		$(CENSUS)/emrun $$f > /dev/null; \
-		$(CENSUS)/emrun -parallel $$f > /dev/null; \
 	done; \
 	$(CENSUS)/emvet examples/programs/*.em > /dev/null; \
 	$(CENSUS)/emvet -passes > /dev/null; \

@@ -7,6 +7,8 @@ package repro
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -239,14 +241,19 @@ func BenchmarkEmulatorFused(b *testing.B) {
 	}
 }
 
-// benchWalkerChunk runs the compiled Walker.run of exp.RingProgram (the
-// compute_ring walker) for one hop on each ISA, from its entry to the
-// nodes() trap that follows the chunk loop: temp-stack pushes and pops,
-// frame slots and one poll per iteration, the code the benchmark's
-// compute_ring workload spends its time in.
+// benchWalkerChunk runs the compiled Walker.run of
+// internal/arch/testdata/walker.em (the compute_ring walker) for one hop
+// on each ISA, from its entry to the nodes() trap that follows the chunk
+// loop: temp-stack pushes and pops, frame slots and one poll per
+// iteration, the code the benchmark's compute_ring workload spends its
+// time in.
 func benchWalkerChunk(b *testing.B) {
 	const chunk = 2000
-	prog, err := core.Compile(exp.RingProgram(1, 1, chunk))
+	src, err := os.ReadFile(filepath.Join("internal", "arch", "testdata", "walker.em"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := core.Compile(string(src))
 	if err != nil {
 		b.Fatal(err)
 	}

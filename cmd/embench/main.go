@@ -8,10 +8,10 @@
 //	embench [-out dir] [-baseline dir] [-cpuprofile file] [-memprofile file] [subcommand...]
 //
 // Each named subcommand (table1, fig1, fig2, fig3, intranode, conv,
-// ablations, par, jit, auto, dir, shrink; none or "all" runs every one)
+// ablations, jit, auto, dir, shrink; none or "all" runs every one)
 // runs once, in the order listed by -h.
 //
-// The table1, fig2, conv, par, jit, auto and dir studies additionally
+// The table1, fig2, conv, jit, auto and dir studies additionally
 // write machine-readable results (BENCH_<name>.json) into -out (default:
 // the current directory) for CI and plotting scripts.
 //
@@ -20,8 +20,7 @@
 // repo root, where the committed baselines live); any difference outside
 // the "host"-prefixed fields is an error. The simulation is deterministic,
 // so an unintended behavior change shows up here even when the
-// human-readable report looks plausible. BENCH_par.json is never compared:
-// its rows are host wall-clock.
+// human-readable report looks plausible.
 package main
 
 import (
@@ -29,7 +28,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"repro/internal/arch"
@@ -84,22 +82,6 @@ var subcommands = []subcommand{
 		return exp.FormatConversionStudy(rs), &exp.BenchDoc{Workload: "Mobile13 on SPARC<->SPARC", Rows: rs}, nil
 	}},
 	{"ablations", ablations},
-	// par measures sequential-vs-parallel wall-clock over N-node rings.
-	// The byte-identity of the two engines is checked inside the
-	// experiment; the rows themselves are host wall-clock, which HostCPUs
-	// marks, so the document is written but never gated.
-	{"par", func() (string, *exp.BenchDoc, error) {
-		rs, err := exp.ParScaling([]int{1, 2, 4, 8}, 6, 30000)
-		if err != nil {
-			return "", nil, err
-		}
-		return exp.FormatParScaling(rs), &exp.BenchDoc{
-			Workload: "N-walker ring tour, identical per-node compute chunks",
-			HostCPUs: runtime.NumCPU(),
-			Claim:    "parallel engine byte-identical to sequential; wall-clock scales with nodes on multi-core hosts",
-			Rows:     rs,
-		}, nil
-	}},
 	// jit measures the two dispatch tiers (legacy reference stepper /
 	// fused superinstructions) on a compute-bound loop per ISA. Its
 	// emulated-MIPS fields are host wall-clock and carry the "host"
@@ -165,7 +147,7 @@ func runStudy(s subcommand, outDir, baselineDir string) error {
 	} else {
 		fmt.Fprintf(os.Stderr, "embench: wrote %s\n", path)
 	}
-	if baselineDir == "" || doc.HostCPUs != 0 {
+	if baselineDir == "" {
 		return nil
 	}
 	basePath := filepath.Join(baselineDir, filepath.Base(path))

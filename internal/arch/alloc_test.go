@@ -1,22 +1,27 @@
 package arch_test
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/exp"
 )
 
 // Steady-state fused dispatch must not allocate: closures and blocks are
 // built once at Fuse time and all mutable state — the register file and
 // the yield trap included — lives in the reusable FusedRunner. Two loops
 // per ISA: the all-register countdown, and the compiled Walker.run of
-// exp.RingProgram (the code benchWalkerChunk runs), whose temp-stack code
-// dispatches through blocks.
+// testdata/walker.em (the code benchWalkerChunk runs), whose temp-stack
+// code dispatches through blocks.
 func TestFusedDispatchSteadyStateAllocs(t *testing.T) {
 	const chunk = 200
-	prog, err := core.Compile(exp.RingProgram(1, 1, chunk))
+	src, err := os.ReadFile(filepath.Join("testdata", "walker.em"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := core.Compile(string(src))
 	if err != nil {
 		t.Fatal(err)
 	}

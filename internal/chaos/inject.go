@@ -4,11 +4,9 @@
 //
 // Randomness is partitioned per (src,dst) link: each link gets its own
 // splitmix64 stream derived from the plan seed, so a frame's verdict is a
-// pure function of (plan, link, that link's frame index). That makes
-// verdicts independent of how frames from different senders interleave —
-// required for the parallel engine, where each sending node draws its own
-// links' verdicts on its own goroutine, and the interleaving across nodes
-// is not deterministic (only the per-link frame order is).
+// pure function of (plan, link, that link's frame index), independent of
+// how frames from different senders interleave. The streams decide every
+// chaos verdict, so the chaos goldens pin them.
 package chaos
 
 import (
@@ -56,10 +54,7 @@ const (
 )
 
 // Injector implements netsim.Injector for a Plan. Verdicts are drawn from
-// per-link streams, so they are identical under the sequential and
-// parallel engines. Frame may be called concurrently for different links
-// (never concurrently for one link — a link's frames are sent by one
-// node's goroutine): every link's stream exists from NewInjector on, and
+// per-link streams: every link's stream exists from NewInjector on, and
 // only the link's sending node advances it, so Frame takes no lock.
 type Injector struct {
 	plan  *Plan

@@ -199,9 +199,9 @@ func TestInjectorPartition(t *testing.T) {
 
 // TestInjectorPerLinkStreams: a link's verdict sequence is a function of
 // the plan seed and that link's own frame count only. Frames on other
-// links interleaved arbitrarily between them must not perturb it — the
-// property the parallel engine needs, since under it the global
-// interleaving of Frame calls across links is schedule-dependent.
+// links interleaved arbitrarily between them must not perturb it, so a
+// change in one node's traffic leaves every other link's faults where
+// they were.
 func TestInjectorPerLinkStreams(t *testing.T) {
 	plan := &Plan{Seed: 7, Drop: 0.2, Dup: 0.2, Delay: 0.2, Corrupt: 0.2}
 

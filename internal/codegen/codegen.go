@@ -59,9 +59,9 @@ type FuncCode struct {
 	// those at load.
 	Runs *arch.FusePlan
 	// fused is Runs compiled for the program's spec of the architecture by
-	// the first load (nodes load concurrently under the parallel engine).
-	// The function owns it: every node and cluster over the program shares
-	// it.
+	// the first load. The function owns it: every node and cluster over the
+	// program shares it, and clusters over one program may run on
+	// different goroutines.
 	fuseOnce sync.Once
 	fused    *arch.Fused
 }

@@ -22,7 +22,8 @@ type Server struct {
 	byOID map[oid.OID]*codegen.ObjectCode
 	// FetchLatency simulates the NFS read for a cold fetch.
 	FetchLatency netsim.Micros
-	// fetches is atomic: nodes fetch concurrently under the parallel engine.
+	// fetches is atomic, so a reader on another goroutine sees a whole
+	// count.
 	fetches uint64
 }
 

@@ -37,8 +37,7 @@ func TestAutoDecisionLogDeterministic(t *testing.T) {
 	}
 }
 
-// TestAutoPolicyValidation: unknown policies and the parallel engine are
-// rejected up front.
+// TestAutoPolicyValidation: unknown policies are rejected up front.
 func TestAutoPolicyValidation(t *testing.T) {
 	src := "object Main\n  process\n    print(1)\n  end process\nend Main\n"
 	prog, err := Compile(src)
@@ -47,10 +46,5 @@ func TestAutoPolicyValidation(t *testing.T) {
 	}
 	if _, err := NewSystem(prog, Figure1Network(), Options{AutoPolicy: "nope"}); err == nil {
 		t.Error("unknown policy accepted")
-	}
-	// The engine check lives beside the engine, in kernel.NewCluster.
-	_, err = NewSystem(prog, Figure1Network(), Options{AutoPolicy: "greedy-colocate", Parallel: true})
-	if err == nil || !strings.Contains(err.Error(), "sequential engine") {
-		t.Errorf("auto + parallel: err = %v; the policy tick needs the sequential engine", err)
 	}
 }

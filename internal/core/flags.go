@@ -34,8 +34,7 @@ func RegisterFlags(fs *flag.FlagSet) *RunFlags {
 	fs.StringVar(&rf.chaos, "chaos", "", "seeded fault plan, e.g. seed=7,drop=0.05,dup=0.02,crash=1@20ms:60ms (see internal/chaos)")
 	fs.BoolVar(&rf.opts.VetOnLoad, "vetload", false, "nodes vet each code object's mobility metadata before loading it")
 	fs.BoolVar(&rf.opts.LegacyDispatch, "legacy", false, "force the byte-at-a-time reference emulator (slowest; identical results)")
-	fs.BoolVar(&rf.opts.Parallel, "parallel", false, "run each node on its own goroutine (identical results; see DESIGN.md §12)")
-	fs.StringVar(&rf.opts.AutoPolicy, "auto", "", "adaptive placement policy: greedy-colocate or load-balance (sequential engine only)")
+	fs.StringVar(&rf.opts.AutoPolicy, "auto", "", "adaptive placement policy: greedy-colocate or load-balance")
 	fs.IntVar(&rf.opts.DirReplicas, "dir", 0, "arm the replicated object directory with N replicas per shard (0: off)")
 	fs.Int64Var(&rf.opts.DirLeaseMicros, "dir-lease", 0, "directory read-lease duration in simulated µs (0: lease-free lookups)")
 	return rf

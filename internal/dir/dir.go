@@ -3,10 +3,10 @@
 // The paper's kernels locate objects by chasing forwarding addresses left
 // behind by moves (§4.3); a crash in the middle of a chain orphans every
 // proxy pointing through the dead node. emdir replaces the chain as the
-// primary location mechanism with sharded ownership records — OID → (home
-// node, epoch) — replicated across a small replica set and updated by one
-// Paxos round per move commit (one round for a whole cohort of objects that
-// move together: see Proposal). Each move of an object is its own consensus
+// primary location mechanism with ownership records — OID → (home node,
+// epoch) — split into shards, replicated across a small replica set and
+// updated by one Paxos round per move commit (one round for a whole
+// cohort of objects that move together: see Proposal). Each move of an object is its own consensus
 // instance, keyed by the (oid, epoch) slot the move's epoch bump created, so
 // decrees from different moves never collide and a decree is immutable once
 // chosen. After a crash/restart a locate is one shard query instead of a

@@ -27,11 +27,8 @@ type BenchDoc struct {
 	Benchmark string `json:"benchmark"`
 	Unit      string `json:"unit,omitempty"`
 	Workload  string `json:"workload,omitempty"`
-	// HostCPUs is set only by a document whose rows are host wall-clock
-	// measurements; such a document is written but never gated.
-	HostCPUs int    `json:"host_cpus,omitempty"`
-	Claim    string `json:"claim,omitempty"`
-	Rows     any    `json:"rows"`
+	Claim     string `json:"claim,omitempty"`
+	Rows      any    `json:"rows"`
 }
 
 // MarshalJSON writes a Table 1 cell as one flat row: the pair's label and

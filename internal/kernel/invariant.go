@@ -3,7 +3,7 @@
 // applies CheckInvariants to every run the engine finishes. A broken
 // invariant is a *Violation, the kernel's one failure path: the node that
 // detects it mid-run unwinds the event with it (violate), and Run returns
-// it under either engine (DESIGN.md §10, "Kernel invariants").
+// it (DESIGN.md §10, "Kernel invariants").
 
 package kernel
 
@@ -54,9 +54,8 @@ func (n *Node) violation(inv string, o oid.OID, frag uint32, format string, args
 		Detail: fmt.Sprintf(format, args...)}
 }
 
-// violate unwinds the current event with a violation; Cluster.Run returns
-// it (the parallel engine's runner recovers it and the coordinator
-// re-raises the earliest on Run's goroutine).
+// violate unwinds the current event with a violation; Cluster.Run
+// recovers it and returns it.
 func (n *Node) violate(inv string, o oid.OID, frag uint32, format string, args ...any) {
 	panic(n.violation(inv, o, frag, format, args...))
 }

@@ -11,12 +11,11 @@ import (
 	"repro/internal/netsim"
 )
 
-// seededRun runs kilroy on the Figure 1 machines under either engine with
-// seed scheduled as node events before the run, and returns Run's error.
-func seededRun(t *testing.T, parallel bool, seed func(c *Cluster)) error {
+// seededRun runs kilroy on the Figure 1 machines with seed scheduled as
+// node events before the run, and returns Run's error.
+func seededRun(t *testing.T, seed func(c *Cluster)) error {
 	t.Helper()
-	c, err := NewCluster(compileSrc(t, kilroySrc(t)), []netsim.MachineModel{mSun3, mHP1, mSPARC, mVAX},
-		Config{Parallel: parallel})
+	c, err := NewCluster(compileSrc(t, kilroySrc(t)), []netsim.MachineModel{mSun3, mHP1, mSPARC, mVAX}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,9 +24,8 @@ func seededRun(t *testing.T, parallel bool, seed func(c *Cluster)) error {
 	return c.Run(5_000_000)
 }
 
-// A broken invariant ends the run as a *Violation under either engine:
-// mid-run, the earliest in (time, node) order; at the end, what
-// CheckInvariants finds.
+// A broken invariant ends the run as a *Violation: mid-run, the earliest in
+// (time, node) order; at the end, what CheckInvariants finds.
 func TestViolationIsAValue(t *testing.T) {
 	revive := func(c *Cluster, node int) func() {
 		return func() {
@@ -52,20 +50,18 @@ func TestViolationIsAValue(t *testing.T) {
 		}, Violation{Node: 2, Frag: 2<<24 | 1, Invariant: invQuiescence}},
 	}
 	for _, tc := range cases {
-		for _, parallel := range []bool{false, true} {
-			err := seededRun(t, parallel, tc.seed)
-			var v *Violation
-			if !errors.As(err, &v) {
-				t.Fatalf("%s, parallel=%v: Run = %v, want a *Violation", tc.name, parallel, err)
-			}
-			got := *v
-			got.Detail = ""
-			if tc.want.At == 0 {
-				got.At = 0 // the end-of-run instant is the run's length
-			}
-			if got != tc.want {
-				t.Errorf("%s, parallel=%v: violation %+v, want %+v", tc.name, parallel, got, tc.want)
-			}
+		err := seededRun(t, tc.seed)
+		var v *Violation
+		if !errors.As(err, &v) {
+			t.Fatalf("%s: Run = %v, want a *Violation", tc.name, err)
+		}
+		got := *v
+		got.Detail = ""
+		if tc.want.At == 0 {
+			got.At = 0 // the end-of-run instant is the run's length
+		}
+		if got != tc.want {
+			t.Errorf("%s: violation %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
 }

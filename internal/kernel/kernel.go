@@ -157,9 +157,6 @@ type Config struct {
 	// Placement maps root objects to nodes for core.System.Run (nil: all
 	// on node 0).
 	Placement func(objName string, rootIdx int) int
-	// Parallel makes Run drive each node's events on its own goroutine,
-	// with results identical to the sequential engine (DESIGN.md §12).
-	Parallel bool
 	// VetOnLoad runs the mobility-soundness metadata passes (internal/vet)
 	// over each code object the first time a node loads it, refusing the
 	// load when an error-severity finding exists. A program with skewed
@@ -178,7 +175,6 @@ type Config struct {
 	// Trace, when set, receives kernel event lines (for debugging). It is
 	// installed as a text sink over the structured event stream (see
 	// internal/obs): every emitted event renders as one legacy-style line.
-	// The sink is a plain callback, so NewCluster refuses it under Parallel.
 	Trace func(string)
 	// Chaos, when non-nil, arms the deterministic fault plan (frame drops,
 	// duplicates, delays, corruption, partitions, node crashes) and switches
@@ -192,8 +188,7 @@ type Config struct {
 	// a metrics view, asks the policy for placement decisions, and executes
 	// them as (batched cohort) migrations. Empty keeps the engine byte-
 	// identical to a policy-free build — no extra metrics, events or
-	// timers. Placement runs on the sequential engine only (the tick is a
-	// cluster-level simulation event).
+	// timers. The policy tick is a cluster-level simulation event.
 	AutoPolicy string
 	// AutoNoBatch makes each policy decision move only the named object
 	// instead of its whole cohort in one batched transfer. The control arm
@@ -213,7 +208,7 @@ type Config struct {
 	// object's new home across that many replicas of its shard (clamped to
 	// the node count), locates consult the directory first (one shard query
 	// instead of a forwarding-address walk), and an invoke into a suspected
-	// or stale proxy re-resolves it there. 0 (the default) keeps both engines
+	// or stale proxy re-resolves it there. 0 (the default) keeps a run
 	// byte-identical to a directory-free build — no extra messages,
 	// metrics, events or timers.
 	DirReplicas int
@@ -283,11 +278,6 @@ type Cluster struct {
 	Output []OutputLine
 	Faults []Fault
 
-	// sharded is set while Run drives the cluster on the parallel engine:
-	// printed lines and faults shard into per-node logs (merged afterwards)
-	// instead of appending to the shared slices above.
-	sharded bool
-
 	// Adaptive-placement state (see auto.go); autoOn gates the policy-feed
 	// metrics so policy-disabled runs stay byte-identical. autoCohort and
 	// autoPinned are the program's static facts (auto.Facts), autoObjCalls
@@ -313,12 +303,6 @@ type Cluster struct {
 func NewCluster(prog *codegen.Program, models []netsim.MachineModel, cfg Config) (*Cluster, error) {
 	if len(models) == 0 {
 		return nil, fmt.Errorf("kernel: need at least one node")
-	}
-	if cfg.AutoPolicy != "" && cfg.Parallel {
-		return nil, fmt.Errorf("kernel: adaptive placement (-auto) requires the sequential engine")
-	}
-	if cfg.Trace != nil && cfg.Parallel {
-		return nil, fmt.Errorf("kernel: the text trace (-trace) requires the sequential engine")
 	}
 	cfg = cfg.withDefaults()
 	if cfg.Mode < 0 || int(cfg.Mode) >= len(convRegimes) {
@@ -433,49 +417,22 @@ func (c *Cluster) StartRoots(roots []string, placement func(objName string, root
 	}
 }
 
-// Run drives the simulation to completion (or the event budget) on the
-// engine Config.Parallel selects, then checks the end-of-run invariants.
-// The parallel engine runs one goroutine per node; its observable results
-// — printed lines, faults, events, spans, metrics, per-node counters — are
-// identical to the sequential engine's (DESIGN.md §12 has the argument),
-// and so is a broken invariant, which Run returns as a *Violation.
+// Run drives the simulation to completion (or the event budget), then
+// checks the end-of-run invariants. A broken invariant, mid-run or at the
+// end, is Run's error, a *Violation.
 func (c *Cluster) Run(maxEvents uint64) (err error) {
 	defer func() {
 		r := recover()
-		if c.sharded {
-			c.sharded = false
-			c.mergeShards()
-		}
 		if v, ok := r.(*Violation); ok {
 			err = v
 		} else if r != nil {
 			panic(r) // not a violation: a programming error, re-raised
 		}
 	}()
-	if c.Parallel {
-		c.sharded = true
-		err = c.Sim.RunParallel(c.Net, len(c.Nodes), maxEvents)
-	} else {
-		err = c.Sim.Run(maxEvents)
-	}
-	if err == nil {
+	if err = c.Sim.Run(maxEvents); err == nil {
 		err = c.CheckInvariants()
 	}
 	return err
-}
-
-// mergeShards folds the per-node output and fault shards accumulated during
-// a parallel run into the shared cluster slices, in the canonical order the
-// sequential engine produces: (At, Node, per-node emission order). A stable
-// sort by At over the node-ordered concatenation yields exactly that.
-func (c *Cluster) mergeShards() {
-	for _, n := range c.Nodes {
-		c.Output = append(c.Output, n.out...)
-		c.Faults = append(c.Faults, n.faultLog...)
-		n.out, n.faultLog = nil, nil
-	}
-	sort.SliceStable(c.Output, func(i, j int) bool { return c.Output[i].At < c.Output[j].At })
-	sort.SliceStable(c.Faults, func(i, j int) bool { return c.Faults[i].At < c.Faults[j].At })
 }
 
 // PrintedLines returns all output text in order.

@@ -155,29 +155,19 @@ type Node struct {
 	MarshaledVarSlots     uint64
 	CanonicalizedVarSlots uint64
 
-	// sched is this node's scheduling handle: clock and timers routed to
-	// the node's own event queue under the parallel engine, and to the
-	// shared heap (tagged with the node) under the sequential one. All
-	// kernel timer/clock access goes through it so both engines see the
-	// same per-node timeline.
+	// sched is this node's scheduling handle: clock and timers tagged with
+	// the node, which places its events in the canonical order. All kernel
+	// timer/clock access goes through it.
 	sched netsim.NodeSched
 	// msgSeq numbers this node's outbound protocol messages. Per-node
-	// (src, seq) pairs stay unique cluster-wide, and a node-local counter
-	// is computable without cross-node coordination — the wire encoding is
-	// fixed-width, so the numbering scheme does not affect sizes or
-	// timings.
+	// (src, seq) pairs stay unique cluster-wide, which is all the link
+	// layer needs; the numbers are on the wire, so the goldens pin them.
 	msgSeq uint32
 	// inbox is what every received message is decoded into. A payload a
 	// handler is given lives there (or, for a directory message this node
 	// sent itself, on its sender's stack) and is valid until the handler
 	// returns: a handler that keeps one copies it first (DESIGN.md §11).
 	inbox wire.Inbox
-	// out and faultLog shard printed lines and runtime faults per node
-	// during a parallel run; Cluster.mergeShards folds them into
-	// Cluster.Output/Faults in canonical order after the run. Sequential
-	// runs append to the cluster slices directly.
-	out      []OutputLine
-	faultLog []Fault
 
 	// labels is this node's metric label string ("node=0,arch=sparc"),
 	// built once: every per-node metric update reuses it.
@@ -670,12 +660,7 @@ func (n *Node) runSlice(f *Frag) {
 
 // print records one print statement's output line.
 func (n *Node) print(text string) {
-	line := OutputLine{Node: n.ID, At: n.now(), Text: text}
-	if n.cluster.sharded {
-		n.out = append(n.out, line)
-	} else {
-		n.cluster.Output = append(n.cluster.Output, line)
-	}
+	n.cluster.Output = append(n.cluster.Output, OutputLine{Node: n.ID, At: n.now(), Text: text})
 }
 
 // fault kills a thread with a runtime error, releasing any held monitor.
@@ -683,12 +668,7 @@ func (n *Node) fault(f *Frag, msg string) { n.faultErr(f, nil, msg) }
 
 // faultErr is fault with a typed cause (e.g. ErrNodeDown).
 func (n *Node) faultErr(f *Frag, cause error, msg string) {
-	rec := Fault{Node: n.ID, At: n.now(), Frag: f.ID, Msg: msg, Err: cause}
-	if n.cluster.sharded {
-		n.faultLog = append(n.faultLog, rec)
-	} else {
-		n.cluster.Faults = append(n.cluster.Faults, rec)
-	}
+	n.cluster.Faults = append(n.cluster.Faults, Fault{Node: n.ID, At: n.now(), Frag: f.ID, Msg: msg, Err: cause})
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvFault,
 		Frag: f.ID, Str: msg})
 	n.cluster.Rec.Metrics().Add("faults", n.labels, 1)

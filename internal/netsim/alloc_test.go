@@ -108,7 +108,7 @@ func TestEventHeapPopsInCanonicalOrder(t *testing.T) {
 				continue
 			}
 			// Sequence numbers are unique but not monotonic in push order:
-			// the parallel engine inserts deliveries stamped at the barrier.
+			// the heap orders by the key alone, never by arrival.
 			seq++
 			e := event{at: Micros(rng.Intn(6)), node: nodes[rng.Intn(len(nodes))],
 				class: int8(rng.Intn(2)), seq: seq ^ uint64(rng.Intn(4))<<32 ^ uint64(rng.Intn(2))<<63,

@@ -8,13 +8,9 @@
 // medium. All experiment timings (Table 1) are measured in this simulated
 // time, so runs are exactly reproducible.
 //
-// The simulator has two engines over one event order. The sequential
-// engine (Run) is the reference: a single goroutine draining one heap.
-// The parallel engine (RunParallel, par.go) runs each node's events on its
-// own goroutine, using the network's per-frame latency as conservative
-// lookahead. Both engines execute events in the same canonical total
-// order — (time, node, class, per-node sequence) — which is what makes
-// their observable results byte-identical (DESIGN.md §12).
+// One goroutine drains one heap of events in a canonical total order —
+// (time, node, class, scheduling sequence) — so a run's observable results
+// are a function of its inputs alone (DESIGN.md §12).
 package netsim
 
 import (
@@ -29,11 +25,8 @@ type Micros int64
 func (m Micros) MS() float64 { return float64(m) / 1000 }
 
 // Event classes: at one (time, node) instant, locally scheduled work runs
-// before frame deliveries. The split exists because the parallel engine
-// cannot reproduce a global "scheduling moment" tiebreak between a node's
-// own timers and frames arbitrated on the shared medium; the class makes
-// the tie a pure function of the event's origin, computable in both
-// engines.
+// before frame deliveries. The class makes that tie a pure function of the
+// event's origin; it fixes the event order every golden event log pins.
 const (
 	classLocal    = int8(0)
 	classDelivery = int8(1)
@@ -55,7 +48,7 @@ type event struct {
 	buf []byte   // delivery: network-owned scratch copy of the payload
 	src int32    // delivery: sending node
 
-	node  int32 // owning node; -1 for setup/cluster events (sequential only)
+	node  int32 // owning node; -1 for setup/cluster events
 	class int8  // classLocal or classDelivery
 	weak  bool
 }
@@ -74,12 +67,10 @@ type eventKey struct {
 	slot uint32 // the event's index in eventHeap.slab
 }
 
-// less is the canonical event order both engines share: time, then node
-// (cluster events first), then class (local work before deliveries), then
-// scheduling sequence. Within one (node, class) the sequence numbers are
-// assigned in execution order by both engines, so the whole order is
-// engine-independent. (event.less, in the tests, states the same order
-// over the event's own fields.)
+// less is the canonical event order: time, then node (cluster events
+// first), then class (local work before deliveries), then scheduling
+// sequence. (event.less, in the tests, states the same order over the
+// event's own fields.)
 func (k *eventKey) less(o *eventKey) bool {
 	if k.at != o.at {
 		return k.at < o.at
@@ -90,8 +81,7 @@ func (k *eventKey) less(o *eventKey) bool {
 	return k.seq < o.seq
 }
 
-// eventHeap is a binary min-heap of events in the canonical order: the one
-// queue type of both engines. The order is total (no two events compare
+// eventHeap is a binary min-heap of events in the canonical order. The order is total (no two events compare
 // equal), so the pop sequence is a function of the pushed set alone, not of
 // the heap's internal layout. The heap sifts keys; each event sits in a
 // slab slot from push to pop, and a popped slot is zeroed (so it pins no
@@ -104,10 +94,6 @@ type eventHeap struct {
 }
 
 func (h *eventHeap) len() int { return len(h.keys) }
-
-// head returns the earliest pending event's time; the heap must not be
-// empty.
-func (h *eventHeap) head() Micros { return h.keys[0].at }
 
 // push queues *e (a copy: the caller keeps e).
 func (h *eventHeap) push(e *event) {
@@ -180,27 +166,20 @@ type Sim struct {
 	seq    uint64
 	events uint64
 	strong int // pending non-weak events; Run stops when this hits zero
-
-	// par is non-nil while RunParallel owns the clock; NodeSched and the
-	// Network route through it. It is installed before the node goroutines
-	// start and cleared after they exit, so they never observe it changing.
-	par *parRun
 }
 
 // NewSim returns an empty simulation at time zero.
 func NewSim() *Sim { return &Sim{} }
 
-// Now returns the current simulated time. During a parallel run each node
-// has its own clock; use NodeSched.Now from node code.
+// Now returns the current simulated time.
 func (s *Sim) Now() Micros { return s.now }
 
 // Events returns the number of events processed so far.
 func (s *Sim) Events() uint64 { return s.events }
 
 // At schedules fn at now+delay (FIFO among equal times). Events scheduled
-// this way belong to no node; they are fine for the sequential engine but
-// RunParallel refuses them — node work must go through AtNode or a
-// NodeSched so the parallel engine knows which queue owns it.
+// this way belong to no node: they run before every node's events at their
+// instant. Node work goes through AtNode or a NodeSched.
 func (s *Sim) At(delay Micros, fn func()) { s.schedule(-1, delay, fn, false) }
 
 // AtWeak schedules fn like At but weakly: weak events do not keep the
@@ -249,7 +228,7 @@ func (s *Sim) Step() bool {
 	if e.fn != nil {
 		e.fn()
 	} else {
-		e.net.arrive(s.now, &e.net.bufs, &e)
+		e.net.arrive(s.now, &e)
 	}
 	return true
 }
@@ -282,12 +261,9 @@ func (s *Sim) dropAbandoned() { s.queue.drop() }
 // counts only abandoned work; the quiesce path clears it to zero).
 func (s *Sim) PendingEvents() int { return s.queue.len() }
 
-// NodeSched is a node-owned scheduling handle: the same three operations a
-// node kernel needs (clock, timer, weak timer) in both engines. In the
-// sequential engine it tags events with the node on the shared heap; during
-// a parallel run it routes to the node's own queue and per-node clock.
-// A NodeSched must only be used from the owning node's execution context
-// (its event closures), which is exactly where the kernel uses it.
+// NodeSched is a node-owned scheduling handle: the three operations a node
+// kernel needs (clock, timer, weak timer). It tags every event with the
+// node, which places it in the canonical order.
 type NodeSched struct {
 	s    *Sim
 	node int
@@ -296,31 +272,14 @@ type NodeSched struct {
 // NodeSched returns node's scheduling handle.
 func (s *Sim) NodeSched(node int) NodeSched { return NodeSched{s: s, node: node} }
 
-// Now returns the owning node's current simulated time.
-func (ns NodeSched) Now() Micros {
-	if p := ns.s.par; p != nil {
-		return p.runners[ns.node].now
-	}
-	return ns.s.now
-}
+// Now returns the current simulated time.
+func (ns NodeSched) Now() Micros { return ns.s.now }
 
-// At schedules fn at the node's now+delay.
-func (ns NodeSched) At(delay Micros, fn func()) {
-	if p := ns.s.par; p != nil {
-		p.runners[ns.node].at(classLocal, delay, fn, false)
-		return
-	}
-	ns.s.schedule(int32(ns.node), delay, fn, false)
-}
+// At schedules fn at now+delay on the node's timeline.
+func (ns NodeSched) At(delay Micros, fn func()) { ns.s.schedule(int32(ns.node), delay, fn, false) }
 
-// AtWeak schedules fn weakly at the node's now+delay.
-func (ns NodeSched) AtWeak(delay Micros, fn func()) {
-	if p := ns.s.par; p != nil {
-		p.runners[ns.node].at(classLocal, delay, fn, true)
-		return
-	}
-	ns.s.schedule(int32(ns.node), delay, fn, true)
-}
+// AtWeak schedules fn weakly at now+delay on the node's timeline.
+func (ns NodeSched) AtWeak(delay Micros, fn func()) { ns.s.schedule(int32(ns.node), delay, fn, true) }
 
 // ---------------------------------------------------------------- CPU model
 
@@ -360,9 +319,7 @@ type Network struct {
 	sim *Sim
 	// BitsPerSecond is the raw medium rate (default 10 Mbit/s).
 	BitsPerSecond float64
-	// LatencyMicros is propagation plus interface latency per frame. It is
-	// also the parallel engine's lookahead: a frame sent at t cannot arrive
-	// before t+LatencyMicros, so nodes may run that far ahead independently.
+	// LatencyMicros is propagation plus interface latency per frame.
 	LatencyMicros Micros
 	// MinFrameBytes pads small frames (Ethernet minimum 64 bytes).
 	MinFrameBytes int
@@ -371,10 +328,7 @@ type Network struct {
 
 	mediumFree Micros
 	// handlers[i] is node i's frame handler (nil: not attached) and down[i]
-	// marks node i crashed. Indexed, not maps: a Send costs no hashing, and
-	// during a parallel run node i's own crash/restart events and its
-	// deliveries (the only writers and readers of entry i) never share
-	// memory with another node's entry.
+	// marks node i crashed. Indexed, not maps: a Send costs no hashing.
 	handlers []Handler
 	down     []bool
 
@@ -383,15 +337,11 @@ type Network struct {
 	Observer FrameObserver
 
 	// Inject, when set, decides per-frame fault injection (drops,
-	// duplicates, delays, corruption); see internal/chaos. During a
-	// parallel run it is called from the sending node's goroutine, so an
-	// injector must derive its randomness per (src,dst) link, not from one
-	// shared stream (internal/chaos does).
+	// duplicates, delays, corruption); see internal/chaos.
 	Inject Injector
 
 	// OnLost, when set, is called when a frame is discarded at delivery
-	// time because the destination node is down. During a parallel run it
-	// is called on the destination node's goroutine.
+	// time because the destination node is down.
 	OnLost func(at Micros, src, dst int)
 
 	// Counters.
@@ -400,8 +350,8 @@ type Network struct {
 	PayloadLen uint64
 	// Lost counts frames sent but never delivered (injected drops plus
 	// frames addressed to down nodes); Dups counts injected duplicates.
-	// Lost is updated with atomics: delivery-time discards run on node
-	// goroutines in the parallel engine.
+	// Lost is updated with atomics, so a reader on another goroutine sees a
+	// whole count.
 	Lost uint64
 	Dups uint64
 	// BusyMicros accumulates serialization time on the shared medium (the
@@ -413,9 +363,6 @@ type Network struct {
 	// marshal buffer immediately), and arrive returns the scratch to the
 	// freelist after the handler runs — handlers fully consume the frame
 	// synchronously — so steady-state traffic does not allocate per frame.
-	// This pool is only touched by the sequential engine (one goroutine);
-	// the parallel engine gives each node runner its own bufPool instead
-	// of sharing one across goroutines (see par.go).
 	bufs bufPool
 }
 
@@ -426,10 +373,7 @@ const (
 )
 
 // bufPool is a size-classed freelist of delivery scratch buffers. It is
-// not safe for concurrent use: every pool is owned by exactly one event
-// loop (the sequential engine's, or one parallel node runner's), and a
-// buffer may migrate between pools only through an ordered hand-off (a
-// frame in flight, released into its destination's pool).
+// not safe for concurrent use: the network's event loop owns it.
 type bufPool struct {
 	free [bufNumClasses][][]byte
 }
@@ -478,9 +422,9 @@ type Verdict struct {
 }
 
 // Injector decides the fate of each frame the medium carries. It must be
-// deterministic in (at, src, dst, payloadLen) and its own internal state,
-// and that state must be partitioned per (src,dst) link so verdicts do not
-// depend on how frames from different senders interleave.
+// deterministic in (at, src, dst, payloadLen) and its own internal state.
+// internal/chaos keeps one random stream per (src,dst) link, and the chaos
+// goldens pin the verdicts those streams draw.
 type Injector interface {
 	Frame(at Micros, src, dst, payloadLen int) Verdict
 }
@@ -556,9 +500,7 @@ func (n *Network) frameSize(payloadLen int) (size int, xmit Micros) {
 
 // arbitrate claims the shared medium for one frame: transmission begins no
 // earlier than the send instant, the sender's CPU being free, and the
-// medium freeing up. It returns the delivery instant. Both engines call
-// this in the same canonical frame order, so mediumFree evolves
-// identically.
+// medium freeing up. It returns the delivery instant.
 func (n *Network) arbitrate(sendAt, earliest Micros, xmit Micros, size, payloadLen int) (deliverAt Micros) {
 	n.Frames++
 	n.Bytes += uint64(size)
@@ -582,9 +524,6 @@ func (n *Network) arbitrate(sendAt, earliest Micros, xmit Micros, size, payloadL
 func (n *Network) Send(src, dst int, payload []byte, earliest Micros) error {
 	if dst < 0 || dst >= len(n.handlers) || n.handlers[dst] == nil {
 		return fmt.Errorf("netsim: no node %d attached", dst)
-	}
-	if p := n.sim.par; p != nil {
-		return n.sendParallel(p, src, dst, payload, earliest)
 	}
 	size, xmit := n.frameSize(len(payload))
 	if n.Observer != nil {
@@ -640,14 +579,12 @@ func (n *Network) delivery(at Micros, src, dst int, buf []byte) event {
 		net: n, h: n.handlers[dst], src: int32(src), buf: buf}
 }
 
-// arrive runs a delivery event — the one delivery routine of both engines.
-// A frame addressed to a node that is down at the delivery instant
-// vanishes. Either way the scratch buffer goes back to pool, the pool of
-// the event loop running the event (the network's own under the sequential
-// engine, the destination runner's under the parallel one), so handlers
-// must not retain it: they copy whatever outlives the call — Unmarshal
-// copies strings, the chaos link layer copies held frames.
-func (n *Network) arrive(now Micros, pool *bufPool, e *event) {
+// arrive runs a delivery event. A frame addressed to a node that is down at
+// the delivery instant vanishes. Either way the scratch buffer goes back to
+// the network's pool, so handlers must not retain it: they copy whatever
+// outlives the call — Unmarshal copies strings, the chaos link layer copies
+// held frames.
+func (n *Network) arrive(now Micros, e *event) {
 	src, dst := int(e.src), int(e.node)
 	if !n.NodeUp(dst) {
 		atomic.AddUint64(&n.Lost, 1)
@@ -657,7 +594,7 @@ func (n *Network) arrive(now Micros, pool *bufPool, e *event) {
 	} else {
 		e.h(src, e.buf)
 	}
-	pool.release(e.buf)
+	n.bufs.release(e.buf)
 }
 
 // ---------------------------------------------------------------- machines

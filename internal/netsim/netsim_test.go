@@ -157,6 +157,90 @@ func TestMachineModels(t *testing.T) {
 // depth: each op runs the earliest event, which queues its own successor,
 // so the queue holds depth events throughout — two node timers for every
 // frame delivery, spread over four nodes as a cluster's would be.
+// TestRunExactBudget: a run that quiesces in exactly maxEvents events must
+// succeed. The pre-fix Run checked the budget before the termination
+// condition, so an exact-budget run spuriously reported exhaustion.
+func TestRunExactBudget(t *testing.T) {
+	s := NewSim()
+	for i := 0; i < 5; i++ {
+		s.At(Micros(i), func() {})
+	}
+	if err := s.Run(5); err != nil {
+		t.Fatalf("run with exact event budget failed: %v", err)
+	}
+	// One fewer must still trip the guard.
+	s2 := NewSim()
+	for i := 0; i < 5; i++ {
+		s2.At(Micros(i), func() {})
+	}
+	if err := s2.Run(4); err == nil {
+		t.Fatal("run over budget succeeded")
+	}
+}
+
+// TestRunClearsAbandonedWeak: weak events left behind at quiesce must be
+// dropped from the queue, and nothing the queue ever held may stay pinned
+// by its backing array — neither an abandoned closure nor the buffer a
+// delivered frame carried.
+func TestRunClearsAbandonedWeak(t *testing.T) {
+	s := NewSim()
+	net := NewNetwork(s)
+	net.Attach(0, func(int, []byte) {})
+	net.Attach(1, func(int, []byte) {})
+	s.At(10, func() {
+		for i := 0; i < 4; i++ {
+			if err := net.Send(0, 1, []byte{1, 2, 3}, 0); err != nil {
+				t.Errorf("send: %v", err)
+			}
+		}
+	})
+	var weakRan bool
+	s.AtWeak(100_000, func() { weakRan = true })
+	if err := s.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	if weakRan {
+		t.Error("abandoned weak event ran")
+	}
+	if got := s.PendingEvents(); got != 0 {
+		t.Errorf("pending events after quiesce = %d, want 0", got)
+	}
+	assertHeapZeroed(t, s.queue)
+
+	// drop on its own: an abandoned entry that carries a buffer.
+	var h eventHeap
+	d := net.delivery(5, 0, 1, make([]byte, 8))
+	h.push(&d)
+	h.push(&event{at: 7, fn: func() {}, weak: true})
+	h.drop()
+	if h.len() != 0 {
+		t.Errorf("dropped heap holds %d events", h.len())
+	}
+	assertHeapZeroed(t, h)
+}
+
+// assertHeapZeroed checks every slab slot no pending event occupies — the
+// free list's and those past the slab's length: popped and dropped events
+// must have been cleared.
+func assertHeapZeroed(t *testing.T, h eventHeap) {
+	t.Helper()
+	used := make(map[uint32]bool, h.len())
+	for _, k := range h.keys {
+		used[k.slot] = true
+	}
+	if got, want := len(h.free)+h.len(), len(h.slab); got != want {
+		t.Errorf("%d free + %d pending slots, slab has %d", len(h.free), h.len(), want)
+	}
+	for i, e := range h.slab[:cap(h.slab)] {
+		if used[uint32(i)] {
+			continue
+		}
+		if e.fn != nil || e.buf != nil || e.h != nil || e.net != nil || identityOf(e) != (identity{}) {
+			t.Errorf("vacated slab slot %d is not zero: %+v", i, identityOf(e))
+		}
+	}
+}
+
 func BenchmarkSimStep(b *testing.B) {
 	for _, depth := range []int{1, 8, 48} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {

@@ -50,9 +50,9 @@ func (h *Hist) Observe(v uint64) {
 }
 
 // Ctr is a handle on one counter series. Add is safe from any goroutine
-// (the parallel engine's nodes share series such as msgs{msg=invoke}), and
-// every update is a commutative sum, so the final value is deterministic
-// regardless of interleaving.
+// (nodes share series such as msgs{msg=invoke}), and every update is a
+// commutative sum, so the final value does not depend on the order of the
+// updates.
 type Ctr struct {
 	v    atomic.Uint64
 	live atomic.Bool // set by the first Add: the series is in snapshots

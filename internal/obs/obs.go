@@ -255,9 +255,8 @@ func (k Kind) String() string {
 
 // Event is one structured trace event. Field meaning depends on Kind (see
 // the kind constants); unused fields are zero. At is simulated microseconds,
-// Seq the event's emission index within its node's ring (per-node, so the
-// numbering is identical whether the simulation ran sequentially or in
-// parallel; cross-node order comes from sorting on (At, Node, Seq)).
+// Seq the event's emission index within its node's ring (per-node; cross-
+// node order comes from sorting on (At, Node, Seq)).
 type Event struct {
 	Seq  uint64
 	At   int64
@@ -282,7 +281,8 @@ func (e Event) Text() string {
 // ring is a bounded per-node event buffer: the most recent cap events.
 // Each ring numbers its own events (seq) and counts its own evictions
 // (dropped): a ring is only ever written by its node's execution context,
-// so per-ring state is what lets the parallel engine emit without locks.
+// and a bounded ring per node keeps one busy node from evicting another's
+// events.
 type ring struct {
 	buf     []Event
 	next    int
@@ -323,10 +323,8 @@ const DefaultRingCap = 8192
 
 // Recorder collects events, spans and metrics for one cluster. Per-node
 // event emission is partitioned: node i's events go to node i's ring,
-// numbered by that ring's own counter, so concurrent node goroutines (the
-// parallel engine) never share emission state. The span table and metrics
-// registry are internally locked; the text sink is not (install one only
-// for sequential runs).
+// numbered by that ring's own counter. The span table and metrics
+// registry are internally locked; the text sink is not.
 type Recorder struct {
 	nodes   []NodeInfo
 	rings   []ring
@@ -384,9 +382,8 @@ func (r *Recorder) SetTextSink(f func(string)) { r.sink = f }
 // appends to that ring, rendering to the text sink if one is installed.
 // Every event belongs to a node: an event of a node outside the recorder
 // is a programming error, and panics.
-// Seq is per-ring (node), not global: a per-node counter is the only
-// emission order both engines can agree on, and it is what the canonical
-// (At, Node, Seq) merge in Events sorts by.
+// Seq is per-ring (node), not global: it is what the canonical
+// (At, Node, Seq) merge in Events sorts by, and the event log prints it.
 func (r *Recorder) Emit(e Event) {
 	rg := &r.rings[e.Node]
 	rg.seq++
@@ -417,8 +414,7 @@ func (r *Recorder) Dropped() uint64 {
 
 // Events returns every retained event merged in the canonical
 // (At, Node, Seq) order — time, then node, then each ring's own emission
-// order. This is the simulator's canonical event order, so the merge is
-// identical under the sequential and parallel engines.
+// order. This is the simulator's canonical event order.
 func (r *Recorder) Events() []Event {
 	var out []Event
 	for i := range r.rings {

@@ -28,8 +28,7 @@ func TestRingBounded(t *testing.T) {
 
 func TestEventsMergeCanonical(t *testing.T) {
 	// Events merge in the canonical (At, Node, Seq) order: time first, then
-	// node, then per-node emission order — the same total order under the
-	// sequential and parallel engines.
+	// node, then per-node emission order.
 	r := NewRecorder(2, 8)
 	r.Emit(Event{At: 5, Node: 1, Kind: EvText, Str: "a"})
 	r.Emit(Event{At: 5, Node: 0, Kind: EvText, Str: "b"})
@@ -166,8 +165,7 @@ func TestCtrAddAllocatesNothing(t *testing.T) {
 	}
 }
 
-// Adds on one handle from many goroutines — the parallel engine's nodes
-// share series such as msgs{msg=invoke} — sum exactly, through the handle
+// Adds on one handle from many goroutines sum exactly, through the handle
 // and through Registry.Add alike (run under -race by make ci).
 func TestCtrConcurrentAddsSumExactly(t *testing.T) {
 	reg := NewRegistry()

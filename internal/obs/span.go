@@ -71,8 +71,7 @@ func (s *Span) String() string {
 //
 // IDs are minted per source node — ID = idx·stride + src + 1, where idx is
 // the node's span-creation count — so the numbering needs no cross-node
-// counter and comes out identical under the sequential and parallel
-// engines. Only the table itself is locked (source and destination touch a
+// counter. Only the table itself is locked (source and destination touch a
 // span's fields at causally ordered instants, never concurrently).
 func (r *Recorder) BeginSpan(at int64, src, dst int32, obj uint32, objKind string) *Span {
 	stride := uint32(len(r.spans))
@@ -103,8 +102,7 @@ func (r *Recorder) Span(id uint32) *Span {
 }
 
 // Spans returns every span opened so far, ordered by (Start, Src, ID) —
-// a canonical order equal to creation order for the sequential engine and
-// identical under the parallel one.
+// a canonical order equal to creation order.
 func (r *Recorder) Spans() []*Span {
 	r.spanMu.Lock()
 	var out []*Span
