@@ -3,8 +3,9 @@
 // Predecode walks a function once — at compile time for compiler output
 // — and caches the decoded instructions with a PC index; the fusion
 // planner and compiler (fuse.go) and the fused executor (fexec.go) work
-// over this cache. Step keeps decoding byte at a time, so a hand-built
-// stream that does not predecode still fails where it would.
+// over this cache, and vet's pc-alignment pass reads it. Step keeps
+// decoding byte at a time, so a hand-built stream that does not predecode
+// still fails where it would.
 
 package arch
 
@@ -41,6 +42,26 @@ func Predecode(s *Spec, code []byte, n int) (*Predecoded, error) {
 
 // NumInstrs reports how many instructions were decoded.
 func (p *Predecoded) NumInstrs() int { return len(p.instrs) }
+
+// CodeLen reports the length in bytes of the code that was decoded.
+func (p *Predecoded) CodeLen() int { return len(p.index) }
+
+// EndingAt returns the instruction that ends at pc, the one a thread
+// stopped at pc has just executed. ok is false when no instruction ends
+// there: pc is 0, past the code, or inside an encoding.
+func (p *Predecoded) EndingAt(pc uint32) (in Instr, ok bool) {
+	var next int32 // the index of the instruction starting at pc
+	switch n := int64(len(p.index)); {
+	case int64(pc) < n:
+		next = p.index[pc]
+	case int64(pc) == n:
+		next = int32(len(p.instrs))
+	}
+	if next <= 0 {
+		return Instr{}, false
+	}
+	return p.instrs[next-1], true
+}
 
 // indexAt maps a PC to its cache slot, or -1 if pc does not start an
 // instruction (out of range, or inside a multi-byte encoding).

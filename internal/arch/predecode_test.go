@@ -115,3 +115,36 @@ func TestPredecodedMatchesLegacyToCompletion(t *testing.T) {
 		})
 	}
 }
+
+// EndingAt names the instruction a thread stopped at pc has just executed:
+// one ends at every instruction boundary after PC 0, the end of the code
+// included, and none at PC 0, inside an encoding or past the code.
+func TestPredecodedEndingAt(t *testing.T) {
+	for _, s := range AllSpecs() {
+		t.Run(s.Name, func(t *testing.T) {
+			code := buildCountdown(t, s, 3)
+			pd, err := Predecode(s, code, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pd.CodeLen() != len(code) {
+				t.Errorf("CodeLen %d, want %d", pd.CodeLen(), len(code))
+			}
+			ends := map[uint32]Instr{} // end PC -> the instruction ending there
+			for pc := uint32(0); int(pc) < len(code); {
+				in, err := Decode(s, code, pc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pc += in.Size
+				ends[pc] = in
+			}
+			for pc := uint32(0); int(pc) <= len(code)+1; pc++ {
+				in, ok := pd.EndingAt(pc)
+				if want, wantOK := ends[pc]; ok != wantOK || in != want {
+					t.Errorf("pc %#x: EndingAt = %v, %v; want %v, %v", pc, in, ok, want, wantOK)
+				}
+			}
+		})
+	}
+}

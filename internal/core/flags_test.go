@@ -243,16 +243,32 @@ func TestResolveDiagnostics(t *testing.T) {
 	}
 }
 
-// TestRunFlagsDeclaredOnce walks the FlagSet RegisterFlags fills and fails
-// if any non-test file other than flags.go defines a flag of one of those
-// names: a run-shaping flag has one declaration, shared by every driver.
+// TestRunFlagsDeclaredOnce walks the FlagSet RegisterFlags fills. Its names
+// must be exactly the -flag names in the Flag column of DESIGN.md §17, and
+// the test fails if any non-test file other than flags.go defines a flag of
+// one of those names: a run-shaping flag has one declaration, shared by
+// every driver.
 func TestRunFlagsDeclaredOnce(t *testing.T) {
 	flags := flag.NewFlagSet("", flag.ContinueOnError)
 	RegisterFlags(flags)
 	runFlag := map[string]bool{}
 	flags.VisitAll(func(f *flag.Flag) { runFlag[f.Name] = true })
-	if len(runFlag) != 8 {
-		t.Errorf("%d run flags; DESIGN.md's Configuration table lists 8", len(runFlag))
+	documented := map[string]bool{}
+	flagName := regexp.MustCompile("`-([a-z-]+)`")
+	for _, row := range configRows(t) {
+		for _, m := range flagName.FindAllStringSubmatch(row[2], -1) {
+			documented[m[1]] = true
+		}
+	}
+	for name := range runFlag {
+		if !documented[name] {
+			t.Errorf("run flag -%s is not in the Flag column of DESIGN.md §17", name)
+		}
+	}
+	for name := range documented {
+		if !runFlag[name] {
+			t.Errorf("DESIGN.md §17 lists -%s, which RegisterFlags does not register", name)
+		}
 	}
 	definers := map[string]bool{
 		"String": true, "StringVar": true, "Bool": true, "BoolVar": true, "Int": true, "IntVar": true,
@@ -352,11 +368,10 @@ func TestZeroConfigIsShippedSystem(t *testing.T) {
 	}
 }
 
-// TestConfigTableListsEveryField holds DESIGN.md §17's knob table to
-// kernel.Config: the field names in the table's first column must be
-// exactly the struct's fields, so a field cannot be added, or linger,
-// without its row saying who sets it.
-func TestConfigTableListsEveryField(t *testing.T) {
+// configRows returns the rows of DESIGN.md §17's table, each split at its
+// "|" separators: row[1] is the Field column and row[2] the Flag column.
+func configRows(t *testing.T) [][]string {
+	t.Helper()
 	design, err := os.ReadFile(filepath.Join(repoRoot, "DESIGN.md"))
 	if err != nil {
 		t.Fatal(err)
@@ -366,14 +381,24 @@ func TestConfigTableListsEveryField(t *testing.T) {
 		t.Fatal("DESIGN.md has no §17 Configuration")
 	}
 	sec, _, _ = strings.Cut(sec, "\n## ")
+	var rows [][]string
+	for _, line := range strings.Split(sec, "\n") {
+		if strings.HasPrefix(line, "| ") {
+			rows = append(rows, strings.Split(line, "|"))
+		}
+	}
+	return rows
+}
+
+// TestConfigTableListsEveryField holds DESIGN.md §17's knob table to
+// kernel.Config: the field names in the table's first column must be
+// exactly the struct's fields, so a field cannot be added, or linger,
+// without its row saying who sets it.
+func TestConfigTableListsEveryField(t *testing.T) {
 	name := regexp.MustCompile("`([A-Za-z]+)`")
 	listed := map[string]bool{}
-	for _, line := range strings.Split(sec, "\n") {
-		if !strings.HasPrefix(line, "| ") {
-			continue
-		}
-		first := strings.Split(line, "|")[1]
-		for _, m := range name.FindAllStringSubmatch(first, -1) {
+	for _, row := range configRows(t) {
+		for _, m := range name.FindAllStringSubmatch(row[1], -1) {
 			if listed[m[1]] {
 				t.Errorf("§17 lists %s twice", m[1])
 			}

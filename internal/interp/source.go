@@ -190,7 +190,7 @@ func (s *Source) execStmt(env *srcEnv, st ast.Stmt) ctl {
 		v := s.eval(env, st.Rhs)
 		switch lhs := st.Lhs.(type) {
 		case *ast.Ident:
-			sym := s.info.Uses[lhs]
+			sym := s.info.UseOf(lhs)
 			v = s.convert(v, sym.Type)
 			if sym.Kind == types.SymLocal {
 				env.locals[sym.Index] = v
@@ -300,7 +300,7 @@ func (s *Source) eval(env *srcEnv, e ast.Expr) any {
 	case *ast.SelfExpr:
 		return env.self
 	case *ast.Ident:
-		sym := s.info.Uses[e]
+		sym := s.info.UseOf(e)
 		if sym.Kind == types.SymLocal {
 			return env.locals[sym.Index]
 		}
@@ -445,7 +445,7 @@ func (s *Source) evalNew(env *srcEnv, e *ast.New) any {
 }
 
 func (s *Source) evalInvoke(env *srcEnv, e *ast.Invoke) any {
-	tgt := s.info.Targets[e]
+	tgt := s.info.TargetOf(e)
 	if tgt.Builtin != "" {
 		return s.builtin(env, e, tgt.Builtin)
 	}

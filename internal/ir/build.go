@@ -305,7 +305,7 @@ func (b *builder) ifStmt(s *ast.IfStmt) {
 func (b *builder) assign(s *ast.AssignStmt) {
 	switch lhs := s.Lhs.(type) {
 	case *ast.Ident:
-		sym := b.info.Uses[lhs]
+		sym := b.info.UseOf(lhs)
 		b.exprConv(s.Rhs, sym.Type)
 		switch sym.Kind {
 		case types.SymLocal:
@@ -356,7 +356,7 @@ func (b *builder) expr(e ast.Expr) {
 	case *ast.SelfExpr:
 		b.emit(Instr{Op: PushSelf})
 	case *ast.Ident:
-		sym := b.info.Uses[e]
+		sym := b.info.UseOf(e)
 		switch sym.Kind {
 		case types.SymLocal:
 			b.emit(Instr{Op: LoadVar, A: int32(sym.Index)})
@@ -493,7 +493,7 @@ func (b *builder) newExpr(e *ast.New) {
 }
 
 func (b *builder) invoke(e *ast.Invoke) {
-	tgt := b.info.Targets[e]
+	tgt := b.info.TargetOf(e)
 	if tgt == nil {
 		panic("ir: unresolved invocation " + e.OpName)
 	}

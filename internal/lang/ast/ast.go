@@ -12,6 +12,9 @@ import "repro/internal/lang/token"
 // Program is a parsed compilation unit.
 type Program struct {
 	Objects []*ObjectDecl
+	// NumExprs is the number of expression nodes: their Nums are 0 to
+	// NumExprs-1, each used once.
+	NumExprs int
 }
 
 // ObjectDecl declares an object constructor ("class" in this subset;
@@ -234,11 +237,22 @@ func (s *SignalStmt) stmt() {}
 // position: every front-end error site names one.
 type Expr interface {
 	Pos() token.Pos
+	ExprNum() int
 	expr()
 }
 
+// Num is an expression's number. The parser gives each expression node the
+// next number as it builds it, so the type checker can keep what it learns
+// about expressions in slices indexed by number instead of maps keyed by
+// node. Every expression struct embeds one.
+type Num int32
+
+// ExprNum returns the expression's number.
+func (n Num) ExprNum() int { return int(n) }
+
 // Ident names a variable, parameter, result, or object declaration.
 type Ident struct {
+	Num
 	NamePos token.Pos
 	Name    string
 }
@@ -248,6 +262,7 @@ func (e *Ident) expr()          {}
 
 // IntLit is an integer literal.
 type IntLit struct {
+	Num
 	LitPos token.Pos
 	Value  int64
 }
@@ -257,6 +272,7 @@ func (e *IntLit) expr()          {}
 
 // RealLit is a floating-point literal.
 type RealLit struct {
+	Num
 	LitPos token.Pos
 	Value  float64
 }
@@ -266,6 +282,7 @@ func (e *RealLit) expr()          {}
 
 // StringLit is a string literal (decoded).
 type StringLit struct {
+	Num
 	LitPos token.Pos
 	Value  string
 }
@@ -275,6 +292,7 @@ func (e *StringLit) expr()          {}
 
 // BoolLit is true/false.
 type BoolLit struct {
+	Num
 	LitPos token.Pos
 	Value  bool
 }
@@ -283,19 +301,26 @@ func (e *BoolLit) Pos() token.Pos { return e.LitPos }
 func (e *BoolLit) expr()          {}
 
 // NilLit is the nil reference.
-type NilLit struct{ LitPos token.Pos }
+type NilLit struct {
+	Num
+	LitPos token.Pos
+}
 
 func (e *NilLit) Pos() token.Pos { return e.LitPos }
 func (e *NilLit) expr()          {}
 
 // SelfExpr is `self`.
-type SelfExpr struct{ SelfPos token.Pos }
+type SelfExpr struct {
+	Num
+	SelfPos token.Pos
+}
 
 func (e *SelfExpr) Pos() token.Pos { return e.SelfPos }
 func (e *SelfExpr) expr()          {}
 
 // Unary is -x or !x.
 type Unary struct {
+	Num
 	OpPos token.Pos
 	Op    token.Kind // Minus or Not
 	X     Expr
@@ -306,6 +331,7 @@ func (e *Unary) expr()          {}
 
 // Binary is x op y.
 type Binary struct {
+	Num
 	Op   token.Kind
 	X, Y Expr
 }
@@ -315,6 +341,7 @@ func (e *Binary) expr()          {}
 
 // Invoke is recv.op(args), or a builtin/self call op(args) with Recv nil.
 type Invoke struct {
+	Num
 	Recv   Expr // nil for bare calls (self-invocation or builtin)
 	OpPos  token.Pos
 	OpName string
@@ -331,6 +358,7 @@ func (e *Invoke) expr() {}
 
 // New creates an object: `new Name(args)` or `new Array[T](n)`.
 type New struct {
+	Num
 	NewPos token.Pos
 	Type   *TypeExpr
 	Args   []Expr
@@ -341,6 +369,7 @@ func (e *New) expr()          {}
 
 // Index is a[i].
 type Index struct {
+	Num
 	X     Expr
 	LBPos token.Pos
 	I     Expr

@@ -40,6 +40,9 @@ type parser struct {
 	tok  token.Token // current token
 	next token.Token // one-token lookahead
 	errs ErrorList
+	// nexprs is the number of expression nodes built so far, and so the
+	// next one's ast.Num.
+	nexprs int
 }
 
 // Parse parses a complete program. If err is non-nil it is an ErrorList.
@@ -48,6 +51,7 @@ func Parse(src string) (*ast.Program, error) {
 	p.tok = p.lex.Next()
 	p.next = p.lex.Next()
 	prog := p.parseProgram()
+	prog.NumExprs = p.nexprs
 	for _, le := range p.lex.Errors() {
 		p.errs = append(p.errs, &Error{Pos: le.Pos, Msg: le.Msg})
 	}
@@ -55,6 +59,13 @@ func Parse(src string) (*ast.Program, error) {
 		return prog, p.errs
 	}
 	return prog, nil
+}
+
+// num numbers the expression node being built.
+func (p *parser) num() ast.Num {
+	n := ast.Num(p.nexprs)
+	p.nexprs++
+	return n
 }
 
 func (p *parser) advance() {
@@ -407,7 +418,7 @@ func (p *parser) parseBinary(minPrec int) ast.Expr {
 		op := p.tok.Kind
 		p.advance()
 		y := p.parseBinary(prec + 1)
-		x = &ast.Binary{Op: op, X: x, Y: y}
+		x = &ast.Binary{Num: p.num(), Op: op, X: x, Y: y}
 	}
 }
 
@@ -416,7 +427,7 @@ func (p *parser) parseUnary() ast.Expr {
 	case token.Minus, token.Not:
 		pos, op := p.tok.Pos, p.tok.Kind
 		p.advance()
-		return &ast.Unary{OpPos: pos, Op: op, X: p.parseUnary()}
+		return &ast.Unary{Num: p.num(), OpPos: pos, Op: op, X: p.parseUnary()}
 	}
 	return p.parsePostfix()
 }
@@ -428,7 +439,7 @@ func (p *parser) parsePostfix() ast.Expr {
 		case token.Dot:
 			p.advance()
 			name, pos := p.expectIdent()
-			inv := &ast.Invoke{Recv: x, OpPos: pos, OpName: name}
+			inv := &ast.Invoke{Num: p.num(), Recv: x, OpPos: pos, OpName: name}
 			p.expect(token.LParen)
 			inv.Args = p.parseArgs()
 			p.expect(token.RParen)
@@ -438,7 +449,7 @@ func (p *parser) parsePostfix() ast.Expr {
 			p.advance()
 			i := p.parseExpr()
 			p.expect(token.RBracket)
-			x = &ast.Index{X: x, LBPos: pos, I: i}
+			x = &ast.Index{Num: p.num(), X: x, LBPos: pos, I: i}
 		default:
 			return x
 		}
@@ -467,29 +478,29 @@ func (p *parser) parsePrimary() ast.Expr {
 		if err != nil {
 			p.errorf(t.Pos, "invalid integer literal %q", t.Lit)
 		}
-		return &ast.IntLit{LitPos: t.Pos, Value: v}
+		return &ast.IntLit{Num: p.num(), LitPos: t.Pos, Value: v}
 	case token.Real:
 		p.advance()
 		v, err := strconv.ParseFloat(t.Lit, 64)
 		if err != nil {
 			p.errorf(t.Pos, "invalid real literal %q", t.Lit)
 		}
-		return &ast.RealLit{LitPos: t.Pos, Value: v}
+		return &ast.RealLit{Num: p.num(), LitPos: t.Pos, Value: v}
 	case token.String:
 		p.advance()
-		return &ast.StringLit{LitPos: t.Pos, Value: t.Lit}
+		return &ast.StringLit{Num: p.num(), LitPos: t.Pos, Value: t.Lit}
 	case token.KwTrue, token.KwFalse:
 		p.advance()
-		return &ast.BoolLit{LitPos: t.Pos, Value: t.Kind == token.KwTrue}
+		return &ast.BoolLit{Num: p.num(), LitPos: t.Pos, Value: t.Kind == token.KwTrue}
 	case token.KwNil:
 		p.advance()
-		return &ast.NilLit{LitPos: t.Pos}
+		return &ast.NilLit{Num: p.num(), LitPos: t.Pos}
 	case token.KwSelf:
 		p.advance()
-		return &ast.SelfExpr{SelfPos: t.Pos}
+		return &ast.SelfExpr{Num: p.num(), SelfPos: t.Pos}
 	case token.KwNew:
 		p.advance()
-		n := &ast.New{NewPos: t.Pos, Type: p.parseType()}
+		n := &ast.New{Num: p.num(), NewPos: t.Pos, Type: p.parseType()}
 		if p.accept(token.LParen) {
 			n.Args = p.parseArgs()
 			p.expect(token.RParen)
@@ -504,15 +515,15 @@ func (p *parser) parsePrimary() ast.Expr {
 		p.advance()
 		if p.tok.Kind == token.LParen {
 			// Bare call: builtin or self-operation.
-			inv := &ast.Invoke{OpPos: t.Pos, OpName: t.Lit}
+			inv := &ast.Invoke{Num: p.num(), OpPos: t.Pos, OpName: t.Lit}
 			p.expect(token.LParen)
 			inv.Args = p.parseArgs()
 			p.expect(token.RParen)
 			return inv
 		}
-		return &ast.Ident{NamePos: t.Pos, Name: t.Lit}
+		return &ast.Ident{Num: p.num(), NamePos: t.Pos, Name: t.Lit}
 	}
 	p.errorf(t.Pos, "expected expression, found %s", t)
 	p.advance()
-	return &ast.IntLit{LitPos: t.Pos}
+	return &ast.IntLit{Num: p.num(), LitPos: t.Pos}
 }

@@ -2,6 +2,9 @@ package parser
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -367,5 +370,65 @@ func TestQuickParserNeverPanics(t *testing.T) {
 			b.WriteByte(' ')
 		}
 		_, _ = Parse(b.String())
+	}
+}
+
+// eachExpr calls f for every expression node reachable from v. It finds
+// them by reflection, so a new node type needs no case here.
+func eachExpr(v reflect.Value, f func(ast.Expr)) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return
+		}
+		if e, ok := v.Interface().(ast.Expr); ok {
+			f(e)
+		}
+		eachExpr(v.Elem(), f)
+	case reflect.Interface:
+		if !v.IsNil() {
+			eachExpr(v.Elem(), f)
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			eachExpr(v.Field(i), f)
+		}
+	case reflect.Slice:
+		for i := range v.Len() {
+			eachExpr(v.Index(i), f)
+		}
+	}
+}
+
+// TestExprNumbering checks that the expressions of every example program
+// are numbered 0 to NumExprs-1, each number used once: the type checker
+// keeps its facts in slices indexed by these numbers.
+func TestExprNumbering(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "..", "examples", "programs", "*.em"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example programs found: %v", err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := mustParse(t, string(src))
+		used := make([]bool, prog.NumExprs)
+		exprs := 0
+		eachExpr(reflect.ValueOf(prog), func(e ast.Expr) {
+			exprs++
+			switch n := e.ExprNum(); {
+			case n < 0 || n >= len(used):
+				t.Errorf("%s: %T at %s numbered %d, outside 0..%d", file, e, e.Pos(), n, len(used)-1)
+			case used[n]:
+				t.Errorf("%s: %T at %s reuses number %d", file, e, e.Pos(), n)
+			default:
+				used[n] = true
+			}
+		})
+		if exprs != prog.NumExprs {
+			t.Errorf("%s: %d expressions, NumExprs %d", file, exprs, prog.NumExprs)
+		}
 	}
 }

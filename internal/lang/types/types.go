@@ -216,23 +216,34 @@ type Info struct {
 	// InitOf / ProcessOf find the synthetic functions per object.
 	InitOf    map[*ast.ObjectDecl]*Func
 	ProcessOf map[*ast.ObjectDecl]*Func
-	// Types records the type of every expression.
-	Types map[ast.Expr]*Type
-	// Uses resolves identifiers to symbols.
-	Uses map[*ast.Ident]*Symbol
 	// LocalDecls resolves local variable declarations to their symbols.
 	LocalDecls map[*ast.VarDecl]*Symbol
-	// Targets records invocation resolution.
-	Targets map[*ast.Invoke]*InvokeTarget
+	// facts holds what the checker learned about each expression, indexed
+	// by its number (ast.Num): Program.NumExprs entries. Read it through
+	// TypeOf, UseOf and TargetOf.
+	facts []exprFacts
+}
+
+// exprFacts is what the checker records about one expression.
+type exprFacts struct {
+	typ    *Type         // every checked expression
+	use    *Symbol       // an identifier's resolution
+	target *InvokeTarget // an invocation's resolution
 }
 
 // TypeOf returns the checked type of e (Void if unknown).
 func (in *Info) TypeOf(e ast.Expr) *Type {
-	if t, ok := in.Types[e]; ok {
+	if t := in.facts[e.ExprNum()].typ; t != nil {
 		return t
 	}
 	return Void
 }
+
+// UseOf returns the symbol id resolves to, or nil if it did not resolve.
+func (in *Info) UseOf(id *ast.Ident) *Symbol { return in.facts[id.Num].use }
+
+// TargetOf returns what e resolved to, or nil if it did not resolve.
+func (in *Info) TargetOf(e *ast.Invoke) *InvokeTarget { return in.facts[e.Num].target }
 
 // Error is a semantic error.
 type Error struct {
@@ -278,10 +289,8 @@ func Check(prog *ast.Program) (*Info, error) {
 		FuncOf:     map[*ast.OpDecl]*Func{},
 		InitOf:     map[*ast.ObjectDecl]*Func{},
 		ProcessOf:  map[*ast.ObjectDecl]*Func{},
-		Types:      map[ast.Expr]*Type{},
-		Uses:       map[*ast.Ident]*Symbol{},
 		LocalDecls: map[*ast.VarDecl]*Symbol{},
-		Targets:    map[*ast.Invoke]*InvokeTarget{},
+		facts:      make([]exprFacts, prog.NumExprs),
 	}}
 	c.collect(prog)
 	for _, od := range prog.Objects {
@@ -608,8 +617,7 @@ func (c *checker) checkAssign(s *ast.AssignStmt) {
 			c.errorf(lhs.NamePos, "undefined: %s", lhs.Name)
 			return
 		}
-		c.info.Uses[lhs] = sym
-		c.info.Types[lhs] = sym.Type
+		c.info.facts[lhs.Num] = exprFacts{typ: sym.Type, use: sym}
 		if sym.Kind == SymGlobal {
 			c.errorf(lhs.NamePos, "cannot assign to object name %s", lhs.Name)
 			return
@@ -639,7 +647,7 @@ func (c *checker) checkAssign(s *ast.AssignStmt) {
 			c.errorf(lhs.LBPos, "indexed assignment requires an array, got %s", at)
 			return
 		}
-		c.info.Types[lhs] = at.Elem
+		c.info.facts[lhs.Num].typ = at.Elem
 		if !AssignableTo(rt, at.Elem) {
 			c.errorf(lhs.LBPos, "cannot assign %s to element of %s", rt, at)
 		}
@@ -670,7 +678,7 @@ func (c *checker) requireNode(e ast.Expr) {
 
 func (c *checker) checkExpr(e ast.Expr) *Type {
 	t := c.exprType(e)
-	c.info.Types[e] = t
+	c.info.facts[e.ExprNum()].typ = t
 	return t
 }
 
@@ -698,7 +706,7 @@ func (c *checker) exprType(e ast.Expr) *Type {
 			c.errorf(e.NamePos, "undefined: %s", e.Name)
 			return Any
 		}
-		c.info.Uses[e] = sym
+		c.info.facts[e.Num].use = sym
 		if sym.Kind == SymObjVar {
 			if c.fn.Object != sym.Obj {
 				c.errorf(e.NamePos, "cannot access %s.%s from outside", sym.Obj.Name, e.Name)
@@ -844,7 +852,7 @@ func (c *checker) checkInvoke(e *ast.Invoke, _ bool) *Type {
 		// Bare call: self-operation first, then builtin.
 		if c.obj != nil && c.obj.Op(e.OpName) != nil {
 			op := c.obj.Op(e.OpName)
-			c.info.Targets[e] = &InvokeTarget{Op: op, OnSelf: true}
+			c.info.facts[e.Num].target = &InvokeTarget{Op: op, OnSelf: true}
 			return c.checkOpCall(e, op)
 		}
 		sig, ok := builtins[e.OpName]
@@ -852,7 +860,7 @@ func (c *checker) checkInvoke(e *ast.Invoke, _ bool) *Type {
 			c.errorf(e.OpPos, "undefined operation or builtin %s", e.OpName)
 			return Any
 		}
-		c.info.Targets[e] = &InvokeTarget{Builtin: e.OpName}
+		c.info.facts[e.Num].target = &InvokeTarget{Builtin: e.OpName}
 		return c.checkBuiltin(e, sig)
 	}
 	rt := c.checkExpr(e.Recv)
@@ -862,7 +870,7 @@ func (c *checker) checkInvoke(e *ast.Invoke, _ bool) *Type {
 			if len(e.Args) != 0 {
 				c.errorf(e.OpPos, "size() takes no arguments")
 			}
-			c.info.Targets[e] = &InvokeTarget{Builtin: ast.BuiltinSize}
+			c.info.facts[e.Num].target = &InvokeTarget{Builtin: ast.BuiltinSize}
 			return Int
 		}
 		c.errorf(e.OpPos, "arrays have no operation %s", e.OpName)
@@ -872,7 +880,7 @@ func (c *checker) checkInvoke(e *ast.Invoke, _ bool) *Type {
 			if len(e.Args) != 0 {
 				c.errorf(e.OpPos, "size() takes no arguments")
 			}
-			c.info.Targets[e] = &InvokeTarget{Builtin: ast.BuiltinSize}
+			c.info.facts[e.Num].target = &InvokeTarget{Builtin: ast.BuiltinSize}
 			return Int
 		}
 		c.errorf(e.OpPos, "strings have no operation %s", e.OpName)
@@ -883,14 +891,14 @@ func (c *checker) checkInvoke(e *ast.Invoke, _ bool) *Type {
 			c.errorf(e.OpPos, "%s has no operation %s", rt.Obj.Name, e.OpName)
 			return Any
 		}
-		c.info.Targets[e] = &InvokeTarget{Op: op}
+		c.info.facts[e.Num].target = &InvokeTarget{Op: op}
 		return c.checkOpCall(e, op)
 	case KAny:
 		// Dynamic dispatch: arguments are checked for arity at run time.
 		for _, a := range e.Args {
 			c.checkExpr(a)
 		}
-		c.info.Targets[e] = &InvokeTarget{Dynamic: true}
+		c.info.facts[e.Num].target = &InvokeTarget{Dynamic: true}
 		return Any
 	}
 	c.errorf(e.OpPos, "cannot invoke %s on %s", e.OpName, rt)

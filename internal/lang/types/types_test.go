@@ -1,6 +1,9 @@
 package types
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -287,7 +290,7 @@ end M
 	od := info.Objects["M"]
 	f := od.Op("f")
 	bare := f.Body.Stmts[0].(*ast.AssignStmt).Rhs.(*ast.Invoke)
-	tgt := info.Targets[bare]
+	tgt := info.TargetOf(bare)
 	if tgt == nil || !tgt.OnSelf || tgt.Op == nil {
 		t.Fatalf("bare call target = %+v", tgt)
 	}
@@ -332,7 +335,7 @@ object M
 end M
 `)
 	inv := info.Objects["M"].Ops[0].Body.Stmts[1].(*ast.ExprStmt).X.(*ast.Invoke)
-	if !info.Targets[inv].Dynamic {
+	if !info.TargetOf(inv).Dynamic {
 		t.Error("Any invocation should be dynamic")
 	}
 }
@@ -484,5 +487,69 @@ end M
 	f := info.FuncOf[info.Objects["M"].Ops[0]]
 	if len(f.Locals) != 2 {
 		t.Fatalf("locals = %d, want 2 (both x's get slots)", len(f.Locals))
+	}
+}
+
+// eachExpr calls f for every expression node reachable from v. It finds
+// them by reflection, so a new node type needs no case here.
+func eachExpr(v reflect.Value, f func(ast.Expr)) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return
+		}
+		if e, ok := v.Interface().(ast.Expr); ok {
+			f(e)
+		}
+		eachExpr(v.Elem(), f)
+	case reflect.Interface:
+		if !v.IsNil() {
+			eachExpr(v.Elem(), f)
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			eachExpr(v.Field(i), f)
+		}
+	case reflect.Slice:
+		for i := range v.Len() {
+			eachExpr(v.Index(i), f)
+		}
+	}
+}
+
+// TestFactsCoverExamples checks, over every example program, that the
+// checker recorded a type for every expression number, a symbol for every
+// identifier and a target for every invocation: the facts ir.Build reads.
+func TestFactsCoverExamples(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "..", "examples", "programs", "*.em"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example programs found: %v", err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info := mustCheck(t, string(src))
+		if len(info.facts) != info.Program.NumExprs {
+			t.Fatalf("%s: %d facts for %d expressions", file, len(info.facts), info.Program.NumExprs)
+		}
+		for n, f := range info.facts {
+			if f.typ == nil {
+				t.Errorf("%s: expression %d has no type", file, n)
+			}
+		}
+		eachExpr(reflect.ValueOf(info.Program), func(e ast.Expr) {
+			switch e := e.(type) {
+			case *ast.Ident:
+				if info.UseOf(e) == nil {
+					t.Errorf("%s: identifier %s at %s has no symbol", file, e.Name, e.Pos())
+				}
+			case *ast.Invoke:
+				if info.TargetOf(e) == nil {
+					t.Errorf("%s: invocation %s at %s has no target", file, e.OpName, e.Pos())
+				}
+			}
+		})
 	}
 }

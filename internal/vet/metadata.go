@@ -64,29 +64,24 @@ func (c *checker) exitOnlyPlacement(oc *codegen.ObjectCode, ac *codegen.ArchCode
 
 // ---------------------------------------------------------- pc-alignment
 
-// pcAlignment decodes each function's code and checks that every stop PC is
-// an instruction boundary inside the function, in increasing order, and that
-// the instruction ending at the stop PC belongs to the trap class the stop
-// kind claims. A misaligned PC makes number→PC conversion park an arriving
-// thread in the middle of an instruction. The decoder walks forward with the
-// stop list; a stop behind it (out of order, or inside the instruction the
-// previous stop fell in — both already errors) restarts it from PC 0. A
-// stream that does not decode end to end is reported once, instead of any
-// stop finding.
+// pcAlignment checks that every stop PC is an instruction boundary inside
+// the function, in increasing order, and that the instruction ending at the
+// stop PC belongs to the trap class the stop kind claims. A misaligned PC
+// makes number→PC conversion park an arriving thread in the middle of an
+// instruction. It reads the decode the code generator made at compile time
+// (FuncCode.Decoded); a FuncCode without one that covers its code is
+// decoded here. A stream that does not decode end to end is reported once,
+// instead of any stop finding.
 func (c *checker) pcAlignment(oc *codegen.ObjectCode, ac *codegen.ArchCode, spec *arch.Spec) {
 	const pass = "pc-alignment"
 	for _, fc := range ac.Funcs {
-		mark := len(c.diags)
-		// pc is the next PC to decode; last is the instruction ending there.
-		var pc uint32
-		var last arch.Instr
-		var decodeErr error
-		decodeTo := func(to uint32) {
-			for pc < to && int(pc) < len(fc.Code) && decodeErr == nil {
-				last, decodeErr = arch.Decode(spec, fc.Code, pc)
-				if decodeErr == nil {
-					pc += last.Size
-				}
+		dec := fc.Decoded
+		if dec == nil || dec.CodeLen() != len(fc.Code) {
+			var err error
+			if dec, err = arch.Predecode(spec, fc.Code, fc.NumInstrs); err != nil {
+				c.report(pass, SevError, oc.Name, fc.Name, spec.Name, -1,
+					"undecodable instruction: %v", err)
+				continue
 			}
 		}
 		prevPC := int64(-1)
@@ -102,14 +97,8 @@ func (c *checker) pcAlignment(oc *codegen.ObjectCode, ac *codegen.ArchCode, spec
 					"pc %#x not after the previous stop's pc %#x", s.PC, prevPC)
 			}
 			prevPC = int64(s.PC)
-			if s.PC < pc {
-				pc = 0
-			}
-			decodeTo(s.PC)
-			if decodeErr != nil {
-				break
-			}
-			if pc != s.PC || pc == 0 {
+			last, ok := dec.EndingAt(s.PC)
+			if !ok {
 				c.report(pass, SevError, oc.Name, fc.Name, spec.Name, s.Stop,
 					"pc %#x is not an instruction boundary", s.PC)
 				continue
@@ -117,12 +106,6 @@ func (c *checker) pcAlignment(oc *codegen.ObjectCode, ac *codegen.ArchCode, spec
 			if msg := stopInstrMismatch(s, last); msg != "" {
 				c.report(pass, SevError, oc.Name, fc.Name, spec.Name, s.Stop, "%s", msg)
 			}
-		}
-		decodeTo(uint32(len(fc.Code)))
-		if decodeErr != nil {
-			c.diags = c.diags[:mark]
-			c.report(pass, SevError, oc.Name, fc.Name, spec.Name, -1,
-				"undecodable instruction at pc %#x: %v", pc, decodeErr)
 		}
 	}
 }

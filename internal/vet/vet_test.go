@@ -6,6 +6,7 @@ package vet_test
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -182,6 +183,90 @@ end Main
 	if len(got) != 1 || !strings.Contains(got[0], "stop 1: pc") || !strings.Contains(got[0], "not after the previous stop's pc") {
 		t.Errorf("pc-alignment findings %q, want one order finding at stop 1", got)
 	}
+}
+
+// TestUndecodableStream hands vet a FuncCode built without a decode whose
+// stream ends inside an instruction: pc-alignment decodes the bytes itself
+// and reports the stream once, instead of judging its stops.
+func TestUndecodableStream(t *testing.T) {
+	prog := compile(t, monitoredSrc)
+	ac := prog.Object("Counter").PerArch[arch.VAX]
+	fc := ac.Funcs[0]
+	// Cut the stream one byte into its last instruction longer than a byte.
+	cut := len(fc.Code)
+	for {
+		in, ok := fc.Decoded.EndingAt(uint32(cut))
+		if !ok {
+			t.Fatalf("%s has no instruction longer than a byte", fc.Name)
+		}
+		cut -= int(in.Size)
+		if in.Size > 1 {
+			cut++
+			break
+		}
+	}
+	ac.Funcs[0] = &codegen.FuncCode{
+		Name: fc.Name, OpName: fc.OpName, Code: fc.Code[:cut], Template: fc.Template,
+		Stops: fc.Stops, Strings: fc.Strings, NumInstrs: fc.NumInstrs,
+	}
+	var got []string
+	for _, d := range vet.Check(prog) {
+		if d.Pass == "pc-alignment" {
+			got = append(got, d.String())
+		}
+	}
+	if len(got) != 1 || !strings.Contains(got[0], "undecodable instruction") {
+		t.Errorf("pc-alignment findings %q, want one undecodable-instruction finding", got)
+	}
+}
+
+// TestByteDecodeAgrees runs vet over every example program, and over one
+// with a stop PC off its instruction boundary, twice: reading the compile-time decode, and
+// with every FuncCode's Decoded cleared so pc-alignment decodes the bytes.
+// The two must report the same diagnostics.
+func TestByteDecodeAgrees(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "programs", "*.em"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no example programs found: %v", err)
+	}
+	check := func(t *testing.T, src string, tamper func(*codegen.Program)) {
+		t.Helper()
+		var runs [2][]vet.Diagnostic
+		for i := range runs {
+			prog := compile(t, src)
+			tamper(prog)
+			if i == 1 {
+				for _, oc := range prog.Objects {
+					for _, ac := range oc.PerArch {
+						if ac != nil {
+							for _, fc := range ac.Funcs {
+								fc.Decoded = nil
+							}
+						}
+					}
+				}
+			}
+			runs[i] = vet.Check(prog)
+		}
+		if !slices.Equal(runs[0], runs[1]) {
+			t.Errorf("decoded walk reported %v, byte walk %v", runs[0], runs[1])
+		}
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, string(src), func(*codegen.Program) {})
+	}
+	check(t, monitoredSrc, func(prog *codegen.Program) {
+		restop(t, vaxFunc(t, prog, "Counter"), func(stops []busstop.Info) {
+			stops[len(stops)-1].PC--
+		})
+		if diags := vet.Check(prog); !passNames(diags)["pc-alignment"] {
+			t.Fatalf("skewed stop drew no pc-alignment finding: %v", diags)
+		}
+	})
 }
 
 // TestCorruptExitOnly clears the exit-only flag on the VAX monitor-exit
