@@ -86,7 +86,25 @@ var commandLines = []commandLine{
 	// caller must follow the forward to notice node 2 is down.
 	{"-chaos seed=1,crash=2@76ms examples/programs/zipf_hot.em", "", "", kernel.ErrNodeDown},
 	{"-chaos seed=1,crash=2@76ms -dir 3 examples/programs/zipf_hot.em", "", "", kernel.ErrNodeDown},
+	// A call forwarded twice, 1 -> 2 -> 3, whose host crashes for good
+	// while it runs: the caller, on node 0, must hear where its call went
+	// and fail when node 3 is suspected, with the directory as without it.
+	{"-chaos " + strandPlan + " -net sparc,sparc,sparc,sparc " + strand, "", "", kernel.ErrNodeDown},
+	{"-chaos " + strandPlan + " -dir 3 -net sparc,sparc,sparc,sparc " + strand, "", "", kernel.ErrNodeDown},
+	// The same chain, but node 3 is down before node 0 asks where the
+	// object is: the locate's chase must fail, not wait for ever.
+	{"-chaos " + locateStrandPlan + " -net sparc,sparc,sparc,sparc " + locateStrand, "", "", kernel.ErrNodeDown},
+	{"-chaos " + locateStrandPlan + " -dir 3 -net sparc,sparc,sparc,sparc " + locateStrand, "", "", kernel.ErrNodeDown},
 }
+
+// The two-forward chains of internal/core/testdata: node 3 crashes for good
+// 0.5 s into strand's 2 s call, and 0.4 s before locate_strand's locate.
+const (
+	strand           = "internal/core/testdata/strand.em"
+	strandPlan       = "seed=1,hb=20ms,suspect=100ms,crash=3@1s"
+	locateStrand     = "internal/core/testdata/locate_strand.em"
+	locateStrandPlan = "seed=1,hb=20ms,suspect=100ms,crash=3@600ms"
+)
 
 func TestCommandLines(t *testing.T) {
 	for _, l := range commandLines {
