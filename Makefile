@@ -75,7 +75,8 @@ emperf-pairs:
 # defect corpus and emc over testdata/census's ill-formed programs (a lexer,
 # a parse and a type error: the front end's error paths); emrun over the
 # corpus, and the run-shaping rows of TestCommandLines (chaos,
-# directory with leases, both placement policies) plus the reference
+# directory with leases, both placement policies, the two-forward strand
+# chains of internal/core/testdata, directory off and on) plus the reference
 # emulator, vet-on-load and the text trace; emrun's exports (-chrome,
 # -metrics, -spans), its -faults report under the chaos plan and the text
 # trace of a run that faults (exit status 1 accepted); every embench
@@ -86,6 +87,8 @@ emperf-pairs:
 # dropped: `go tool cover -func` cannot resolve the nested module's package.
 CENSUS := $(CURDIR)/.ci/census
 CENSUS_CHAOS := seed=7,drop=0.05,dup=0.03,delay=0.05:500us,corrupt=0.02,crash=2@76ms:156ms
+STRAND_CHAOS := seed=1,hb=20ms,suspect=100ms,crash=3
+STRAND_NET := -net sparc,sparc,sparc,sparc
 census:
 	rm -rf $(CENSUS)
 	mkdir -p $(CENSUS)/cov $(CENSUS)/out
@@ -115,6 +118,10 @@ census:
 	$(CENSUS)/emrun -chrome $(CENSUS)/out/t.json -metrics $(CENSUS)/out/m.json -spans examples/programs/kilroy.em > /dev/null 2>&1; \
 	$(CENSUS)/emrun -faults -chaos $(CENSUS_CHAOS) examples/programs/kilroy.em > /dev/null 2>&1; \
 	$(CENSUS)/emrun -trace -chaos seed=1,crash=2@76ms examples/programs/zipf_hot.em > /dev/null 2>&1 || [ $$? -eq 1 ]; \
+	for d in 0 3; do \
+		$(CENSUS)/emrun -dir $$d -chaos $(STRAND_CHAOS)@1s $(STRAND_NET) internal/core/testdata/strand.em > /dev/null 2>&1 || [ $$? -eq 1 ]; \
+		$(CENSUS)/emrun -dir $$d -chaos $(STRAND_CHAOS)@600ms $(STRAND_NET) internal/core/testdata/locate_strand.em > /dev/null 2>&1 || [ $$? -eq 1 ]; \
+	done; \
 	$(CENSUS)/embench -out $(CENSUS)/out -baseline . all > /dev/null; \
 	$(CENSUS)/bench -quick > /dev/null
 	$(GO) tool covdata textfmt -i=$(CENSUS)/cov -o $(CENSUS)/all.cov

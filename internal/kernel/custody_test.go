@@ -1,0 +1,187 @@
+package kernel
+
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"repro/internal/chaos"
+	"repro/internal/netsim"
+	"repro/internal/oid"
+	"repro/internal/wire"
+)
+
+// custodyNode returns node 0 of a fresh four-node cluster under chaos (and
+// cfg), and on it a proxy of a remote object last learned at node 1, epoch
+// 1, and a call on that object that node 1 holds.
+func custodyNode(t *testing.T, cfg Config) (*Cluster, *Node, *Obj, *Frag) {
+	t.Helper()
+	models := []netsim.MachineModel{mSPARC, mSPARC, mSPARC, mSPARC}
+	cfg.Chaos = &chaos.Plan{Seed: 1}
+	c, err := NewCluster(compileSrc(t, probeSrc), models, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.Nodes[0]
+	o := n.proxyFor(oid.ForRuntime(1, 900), 1)
+	o.Epoch = 1
+	f := n.newFrag()
+	n.blockCall(f, 1, o.OID)
+	return c, n, o, f
+}
+
+// learnLoc moves a proxy only forward in epoch, a tie included, and only
+// to another node of the cluster; it leaves resident objects and objects
+// in transit alone. What it learns is not stale, and learning a suspected
+// node fails the calls blocked on the object.
+func TestLearnLoc(t *testing.T) {
+	cases := []struct {
+		name              string
+		resident, transit bool
+		node              int
+		epoch             uint32
+		learned           bool
+	}{
+		{"older epoch", false, false, 2, 0, false},
+		{"equal epoch", false, false, 1, 1, true},
+		{"newer epoch", false, false, 2, 2, true},
+		{"this node", false, false, 0, 2, false},
+		{"below the cluster", false, false, -1, 2, false},
+		{"past the cluster", false, false, 4, 2, false},
+		{"resident", true, false, 2, 2, false},
+		{"in transit", true, true, 2, 2, false},
+		{"suspected node", false, false, 3, 2, true},
+	}
+	for _, tc := range cases {
+		c, n, o, f := custodyNode(t, Config{})
+		o.Resident = tc.resident
+		if tc.transit {
+			o.transit = &moveTxn{obj: o}
+		}
+		n.peers[1].downs++ // node 1 has been suspected since o learned it
+		n.peers[3].suspect = true
+		n.learnLoc(o, tc.node, tc.epoch)
+		wantNode, wantEpoch := 1, uint32(1)
+		if tc.learned {
+			wantNode, wantEpoch = tc.node, tc.epoch
+		}
+		if o.LastKnown != wantNode || o.Epoch != wantEpoch {
+			t.Errorf("%s: proxy at node %d epoch %d, want node %d epoch %d", tc.name, o.LastKnown, o.Epoch, wantNode, wantEpoch)
+		}
+		if !tc.resident && n.locStale(o) == tc.learned {
+			t.Errorf("%s: stale = %v, want %v", tc.name, n.locStale(o), !tc.learned)
+		}
+		faulted := len(c.Faults) == 1 && errors.Is(c.Faults[0].Err, ErrNodeDown) && c.Faults[0].Frag == f.ID
+		if want := tc.node == 3; faulted != want || len(c.Faults) > 1 {
+			t.Errorf("%s: faults %+v, want the call failed: %v", tc.name, c.Faults, want)
+		}
+	}
+}
+
+// A call forwarded 1 -> 2 -> 3: each forwarder reports its forward to the
+// caller's node, over its own link, so the reports can arrive in either
+// order. Only the node that holds the call moves it, so reversed, the call
+// still waits at node 2; the proxy has learned node 3 all the same, and
+// node 3's suspicion fails the call either way.
+func TestCustodyReportsReversed(t *testing.T) {
+	for _, reversed := range []bool{false, true} {
+		c, n, o, f := custodyNode(t, Config{})
+		from1 := &wire.UpdateLoc{Target: o.OID, Node: 2, Epoch: 2}
+		from2 := &wire.UpdateLoc{Target: o.OID, Node: 3, Epoch: 3}
+		wantWait := int32(3)
+		if reversed {
+			n.recvUpdateLoc(2, from2)
+			if f.waitNode != 1 {
+				t.Errorf("node 2's report moved a call node 1 holds to node %d", f.waitNode)
+			}
+			n.recvUpdateLoc(1, from1)
+			wantWait = 2
+		} else {
+			n.recvUpdateLoc(1, from1)
+			n.recvUpdateLoc(2, from2)
+		}
+		if f.waitNode != wantWait || o.LastKnown != 3 || o.Epoch != 3 {
+			t.Errorf("reversed=%v: call waits at node %d, proxy at node %d epoch %d; want %d, 3, 3",
+				reversed, f.waitNode, o.LastKnown, o.Epoch, wantWait)
+		}
+		n.peers[3].suspect = true
+		n.failWaitersOn(3)
+		if len(c.Faults) != 1 || !errors.Is(c.Faults[0].Err, ErrNodeDown) {
+			t.Errorf("reversed=%v: faults %+v, want the call failed with ErrNodeDown", reversed, c.Faults)
+		}
+	}
+}
+
+// dirAsk answers with the proxy's own knowledge when the directory's
+// record is older than it, so that the proxy is not stale afterwards and a
+// call that asked does not ask again for ever.
+func TestDirAskKeepsNewerKnowledge(t *testing.T) {
+	_, n, o, f := custodyNode(t, Config{DirReplicas: 3, DirLeaseMicros: 2_000_000})
+	o.Epoch = 5
+	n.peers[1].downs++
+	n.dirLeases[o.OID] = dirLease{node: 2, epoch: 3, expires: n.now() + 1_000_000}
+	resumed := false
+	n.dirAsk(f, o, func(*Node, *Frag, *Obj) { resumed = true })
+	if !resumed || o.LastKnown != 1 || o.Epoch != 5 || n.locStale(o) {
+		t.Errorf("resumed %v, proxy at node %d epoch %d, stale %v; want true, 1, 5, false",
+			resumed, o.LastKnown, o.Epoch, n.locStale(o))
+	}
+}
+
+// strandRun runs core's strand program on four SPARCs under its plan: node
+// 0 calls an object through two forwarders, 1 and 2, and node 3, where the
+// call runs, crashes for good at 1 s. seed, when set, is scheduled before
+// the run. It returns the cluster and Run's error.
+func strandRun(t *testing.T, seed func(c *Cluster)) (*Cluster, error) {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("..", "core", "testdata", "strand.em"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := chaos.ParsePlan("seed=1,hb=20ms,suspect=100ms,crash=3@1s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []netsim.MachineModel{mSPARC, mSPARC, mSPARC, mSPARC}
+	c, err := NewCluster(compileSrc(t, string(src)), models, Config{Chaos: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start(nil)
+	if seed != nil {
+		seed(c)
+	}
+	return c, c.Run(5_000_000)
+}
+
+// A call whose returning piece sits on a node that is down, and that the
+// caller's node suspects, is a lost thread: no suspicion will fail it. The
+// seed puts node 0's caller back where it waited before its custody
+// followed the call to node 3, on node 2 with its proxy at node 2, just
+// after the crash and before anyone suspects it; unseeded, node 3's
+// suspicion fails the call.
+func TestStrandedCallIsLost(t *testing.T) {
+	c, err := strandRun(t, nil)
+	if err != nil {
+		t.Fatalf("unseeded: Run = %v", err)
+	}
+	if len(c.Faults) != 1 || c.Faults[0].Node != 0 || !errors.Is(c.Faults[0].Err, ErrNodeDown) {
+		t.Fatalf("unseeded: faults %+v, want one ErrNodeDown on node 0", c.Faults)
+	}
+	_, err = strandRun(t, func(c *Cluster) {
+		c.Sim.AtNode(0, 1_050_000, func() {
+			n := c.Nodes[0]
+			for _, f := range n.frags {
+				if f.Status == FragStateBlockedCall {
+					f.waitNode = 2
+					n.objects[f.waitObj].LastKnown = 2
+				}
+			}
+		})
+	})
+	var v *Violation
+	if !errors.As(err, &v) || v.Invariant != invLostThread || v.Node != 0 {
+		t.Fatalf("seeded: Run = %v, want a lost-thread violation on node 0", err)
+	}
+}

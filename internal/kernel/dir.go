@@ -2,14 +2,14 @@
 // > 0. Every committed move drives one Paxos round (see internal/dir)
 // recording the object's new home across the replicas of its shard — one
 // round, one proposer path, whether the decree covers a single move or the
-// members of a MoveGroup cohort that share a replica set; locates and stale-proxy re-resolution consult the directory first,
-// and repair the proxy they use — nothing repairs proxies in the
-// background. All directory traffic travels as
-// ordinary protocol messages through sendMsg — charged, observed and
-// fault-injected like any other kernel traffic — except that a node acting
-// as a replica of its own query answers locally for just the syscall
-// charge. Directory-off runs take none of these code paths: no messages,
-// metrics, events or timers.
+// members of a MoveGroup cohort that share a replica set; locates and
+// calls at a stale proxy consult the directory first (dirAsk), and repair
+// the proxy they use — nothing repairs proxies in the background. All
+// directory traffic travels as ordinary protocol messages through sendMsg
+// — charged, observed and fault-injected like any other kernel traffic —
+// except that a node acting as a replica of its own query answers locally
+// for just the syscall charge. Directory-off runs take none of these code
+// paths: no messages, metrics, events or timers.
 //
 // Ordering with the two-phase move commit (twophase.go): under chaos the
 // source proposes the decree only after the destination's positive MoveAck,
@@ -25,7 +25,6 @@
 package kernel
 
 import (
-	"fmt"
 	"slices"
 
 	"repro/internal/dir"
@@ -415,7 +414,7 @@ func (n *Node) dirLookupQuery(o oid.OID, done func(ok bool, node int32, epoch ui
 				// Lease hit: answer from the cached record for just the
 				// syscall charge — no shard query, no messages. The same
 				// monotonic epoch guard that fences replica records
-				// (dirRefreshProxy) fences this one at the caller.
+				// (learnLoc) fences this one at the caller.
 				n.charge(uint64(n.cluster.Costs.SyscallCycles))
 				n.cluster.Rec.Metrics().Add("dir_lease_hits", lbl, 1)
 				done(true, l.node, l.epoch)
@@ -491,98 +490,27 @@ func (n *Node) recvDirLookupReply(src int, p *wire.DirLookupReply) {
 	lk.done(p.Ok, p.Node, p.Epoch)
 }
 
-// dirRefreshProxy applies a directory record to a local proxy. Records are
-// quorum-chosen truths, so they overwrite hint-derived knowledge of the
-// same epoch; strictly older records never regress the proxy (the same
-// monotonicity guard UpdateLoc uses).
-func (n *Node) dirRefreshProxy(o *Obj, node int32, epoch uint32) {
-	if o.Resident || o.transit != nil || node < 0 || int(node) >= len(n.cluster.Nodes) {
-		return
-	}
-	if int(node) == n.ID {
-		// The record names this node but the object is not resident here:
-		// an inbound move's decree raced the install, or we re-exported it.
-		// Never point a proxy at ourselves.
-		return
-	}
-	if epoch < o.Epoch {
-		return
-	}
-	o.LastKnown = int(node)
-	o.Epoch = epoch
-	o.LocStale = false
-}
-
-// dirLocate services a locate for a blocked fragment: one shard query, then
-// the (refreshed) forwarding protocol — the resident node still produces
-// the authoritative answer, the directory just collapses the walk to ≤1
-// hop. On miss or degrade the chase runs from the old hint unchanged.
-func (n *Node) dirLocate(f *Frag, o *Obj) {
+// dirAsk blocks f while o's shard says where o is, learns the answer and
+// resumes f with k, which finds o resident if it arrived meanwhile. The
+// proxy's own knowledge stands in for a miss, a degraded query and a
+// record older than it or naming this node, so a proxy is never stale
+// after dirAsk.
+func (n *Node) dirAsk(f *Frag, o *Obj, k func(n *Node, f *Frag, o *Obj)) {
+	n.blockCall(f, -1, 0)
 	n.dirLookupQuery(o.OID, func(ok bool, node int32, epoch uint32) {
-		if cur, live := n.objects[o.OID]; live && cur == o && !o.Resident {
-			if ok {
-				n.dirRefreshProxy(o, node, epoch)
-			}
-			n.sendMsg(o.LastKnown, &wire.Locate{
-				Target: o.OID, Origin: int32(n.ID), ReplyFrag: f.ID,
-			})
-			return
+		if !ok || epoch < o.Epoch || int(node) == n.ID {
+			node, epoch = int32(o.LastKnown), o.Epoch
 		}
-		// The object became resident here while the query was in flight
-		// (an inbound move landed): answer directly.
-		n.pushTemp(f, uint32(n.ID))
-		n.enqueue(f)
+		n.learnLoc(o, int(node), epoch)
+		n.setStatus(f, FragStateReady)
+		k(n, f, o)
 	})
 }
 
-// dirRerouteInvoke re-resolves a suspected-or-stale callee location through
-// the directory before giving up on the invocation. Any record naming a
-// healthy home lets the call redispatch — including the record that merely
-// confirms the proxy's current knowledge (the home crashed, restarted and
-// was unsuspected again while LocStale was still set: the call must go
-// through, not fault). Only when the freshest location the directory knows
-// is still a suspected node does the invocation fail, with the same typed
-// fault the directory-free path raises.
-func (n *Node) dirRerouteInvoke(f *Frag, recv *Obj, opName string, args []uint32) {
-	n.blockCall(f, -1)
-	n.dirLookupQuery(recv.OID, func(ok bool, node int32, epoch uint32) {
-		if recv.Resident {
-			// An inbound move landed the callee here mid-query.
-			n.setStatus(f, FragStateReady)
-			n.dispatchCall(f, recv, opName, args)
-			return
-		}
-		if ok {
-			n.dirRefreshProxy(recv, node, epoch)
-		}
-		if !n.suspected(recv.LastKnown) {
-			// The redispatch target is as fresh as the directory can make
-			// it; clear the stale bit so the next invoke takes the fast
-			// path instead of re-querying the shard every call.
-			recv.LocStale = false
-			n.cluster.Rec.Metrics().Add("dir_reroutes", n.labels, 1)
-			n.setStatus(f, FragStateReady)
-			n.invokeRemote(f, recv, opName, args)
-			return
-		}
-		recv.LocStale = false // fault now; a later suspicion re-marks
-		n.faultErr(f, ErrNodeDown, fmt.Sprintf("remote invocation of %s on %v: node %d is down",
-			opName, recv.OID, recv.LastKnown))
-	})
-}
-
-// invalidateLocationsAt marks every proxy whose cached location points at
-// the newly suspected peer: the forwarding address may dangle. The marks
-// steer directory-armed invokes into dirRerouteInvoke; without the
-// directory they are inert bits.
-func (n *Node) invalidateLocationsAt(peer int) {
-	for _, o := range n.objects {
-		if !o.Resident && o.transit == nil && o.LastKnown == peer {
-			o.LocStale = true
-		}
-	}
-	// Leases pointing at the suspect peer drop too: a crashed home's record
-	// is exactly the staleness a lease must not serve through.
+// dropLeasesAt drops the leases that name the newly suspected peer: a
+// crashed home's record is exactly the staleness a lease must not serve
+// through.
+func (n *Node) dropLeasesAt(peer int) {
 	for o, l := range n.dirLeases {
 		if int(l.node) == peer {
 			delete(n.dirLeases, o)

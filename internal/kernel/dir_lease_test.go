@@ -99,7 +99,7 @@ func TestDirLeaseInvalidation(t *testing.T) {
 	other := oid.ForRuntime(0, 902)
 	n0.dirLeases[ghost] = dirLease{node: 1, epoch: 3, expires: n0.now() + 50_000}
 	n0.dirLeases[other] = dirLease{node: 0, epoch: 1, expires: n0.now() + 50_000}
-	n0.invalidateLocationsAt(1)
+	n0.dropLeasesAt(1)
 	if _, ok := n0.dirLeases[ghost]; ok {
 		t.Fatal("lease pointing at the suspect peer survived")
 	}

@@ -242,7 +242,7 @@ func TestDirRerouteStaleLocation(t *testing.T) {
 			if o.LastKnown != 2 {
 				t.Errorf("proxy still points at node %d, want 2", o.LastKnown)
 			}
-			if o.LocStale {
+			if cOn.Nodes[0].locStale(o) {
 				t.Error("rerouted proxy still flagged stale")
 			}
 		}

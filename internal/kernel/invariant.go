@@ -85,11 +85,12 @@ func (n *Node) setStatus(f *Frag, to FragState) {
 	f.Status = to
 }
 
-// blockCall blocks f awaiting a Return from node from (-1: a parked
-// operation or a locate, which no crash suspicion fails).
-func (n *Node) blockCall(f *Frag, from int32) {
+// blockCall blocks f awaiting a Return about object obj from node from
+// (-1, with no object: a parked operation or a directory query, which no
+// crash suspicion fails).
+func (n *Node) blockCall(f *Frag, from int32, obj oid.OID) {
 	n.setStatus(f, FragStateBlockedCall)
-	f.waitNode = from
+	f.waitNode, f.waitObj = from, obj
 }
 
 // CheckInvariants checks the clauses that must hold once a run has
@@ -226,7 +227,9 @@ func (c *Cluster) homeConflict(s dir.Slot, home int32, from int) int {
 
 // checkFrags checks an up node's fragments at quiescence: none is runnable
 // or in transit, and some fragment's Link names each blocked-call one (the
-// piece a Return will come back to it from).
+// piece a Return will come back to it from) from a node that is up or that
+// n does not suspect. A call whose returning pieces all sit on nodes that
+// n suspects down waits on a Return that no suspicion will fail.
 func (c *Cluster) checkFrags(n *Node) *Violation {
 	var l least
 	for _, f := range n.frags {
@@ -234,16 +237,20 @@ func (c *Cluster) checkFrags(n *Node) *Violation {
 		case !n.Up:
 		case (s == FragStateReady || s == FragStateRunning || s == FragStateInTransit) && l.better(uint64(f.ID)):
 			l.v = n.violation(invQuiescence, 0, f.ID, "%s at quiescence in %s", s, f.topName())
-		case s == FragStateBlockedCall && !c.linked(f.ID) && l.better(uint64(f.ID)):
-			l.v = n.violation(invLostThread, 0, f.ID, "blocked-call in %s, and no fragment returns to it", f.topName())
+		case s == FragStateBlockedCall && !c.linked(n, f.ID) && l.better(uint64(f.ID)):
+			l.v = n.violation(invLostThread, 0, f.ID, "blocked-call in %s, and no fragment on a live node returns to it", f.topName())
 		}
 	}
 	return l.v
 }
 
-// linked reports whether some fragment's Link names fragment id.
-func (c *Cluster) linked(id uint32) bool {
+// linked reports whether some fragment's Link names fragment id, on a node
+// that is up or that n does not suspect.
+func (c *Cluster) linked(n *Node, id uint32) bool {
 	for _, m := range c.Nodes {
+		if !m.Up && n.suspected(m.ID) {
+			continue
+		}
 		for _, g := range m.frags {
 			if g.Link.Node >= 0 && g.Link.Frag == id {
 				return true

@@ -40,7 +40,7 @@ func (n *Node) handleCall(f *Frag, tr *arch.Trap) {
 	if recv.transit != nil {
 		// The receiver is mid-move: block and replay the dispatch once the
 		// move commits (remote path) or aborts (local path).
-		n.blockCall(f, -1)
+		n.blockCall(f, -1, 0)
 		recv.transit.parked = append(recv.transit.parked,
 			func() { n.dispatchCall(f, recv, opName, args) })
 		return
@@ -92,18 +92,8 @@ func (n *Node) invokeLocal(f *Frag, recv *Obj, opName string, args []uint32) {
 // fragment blocks until the Return arrives (possibly at another node, if
 // the fragment migrates meanwhile).
 func (n *Node) invokeRemote(f *Frag, recv *Obj, opName string, args []uint32) {
-	if n.chaosOn() && (n.suspected(recv.LastKnown) || (n.cluster.dirOn && recv.LocStale)) {
-		if n.cluster.dirOn {
-			// The cached location is a suspected node (or was invalidated
-			// when one fell): ask the directory for the decreed home before
-			// giving up on the call.
-			n.dirRerouteInvoke(f, recv, opName, args)
-			return
-		}
-		// The last known host is suspected down: fail fast with the typed
-		// cause instead of blocking on a Return that will not come.
-		n.faultErr(f, ErrNodeDown, fmt.Sprintf("remote invocation of %s on %v: node %d is down",
-			opName, recv.OID, recv.LastKnown))
+	if n.stale(recv) {
+		n.reroute(f, recv, "remote invocation of "+opName, func() { n.dispatchCall(f, recv, opName, args) })
 		return
 	}
 	// Marshalling needs each argument's kind. The program database (every
@@ -125,8 +115,7 @@ func (n *Node) invokeRemote(f *Frag, recv *Obj, opName string, args []uint32) {
 		wargs[i] = v
 	}
 	n.chargeConv(conv, prev)
-	n.blockCall(f, int32(recv.LastKnown))
-	f.waitObj = recv.OID
+	n.blockCall(f, int32(recv.LastKnown), recv.OID)
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 		Kind: obs.EvRemoteInvoke, Frag: f.ID, Obj: uint32(recv.OID),
 		B: uint64(recv.LastKnown), Str: opName})
@@ -145,6 +134,42 @@ func (n *Node) invokeRemote(f *Frag, recv *Obj, opName string, args []uint32) {
 		Args:       wargs,
 		Hints:      n.collectHints(wargs),
 	})
+}
+
+// stale reports whether a request must not go straight to o's proxy: its
+// node is suspected or, with the directory armed, has been suspected since
+// the proxy learned it. This is the one check before a call, a remote
+// array access or a locate leaves for a proxy.
+func (n *Node) stale(o *Obj) bool {
+	return n.suspected(o.LastKnown) || n.cluster.dirOn && n.locStale(o)
+}
+
+// reroute is what a call (an invocation or a remote array access; what
+// names it) does at a stale proxy: with the directory armed, f asks where
+// o is and runs retry on the answer, unless that is a node still
+// suspected; without it, or then, f fails with ErrNodeDown.
+func (n *Node) reroute(f *Frag, o *Obj, what string, retry func()) {
+	if !n.cluster.dirOn {
+		n.faultDown(f, o, what)
+		return
+	}
+	n.dirAsk(f, o, func(n *Node, f *Frag, o *Obj) {
+		switch {
+		case o.Resident:
+			retry()
+		case n.suspected(o.LastKnown):
+			n.faultDown(f, o, what)
+		default:
+			n.cluster.Rec.Metrics().Add("dir_reroutes", n.labels, 1)
+			retry()
+		}
+	})
+}
+
+// faultDown fails f's request about o (what names it) because o's proxy
+// names a node suspected down.
+func (n *Node) faultDown(f *Frag, o *Obj, what string) {
+	n.faultErr(f, ErrNodeDown, fmt.Sprintf("%s on %v: node %d is down", what, o.OID, o.LastKnown))
 }
 
 // signatureOf returns the parameter kinds of opName on recv's class, using
@@ -251,12 +276,7 @@ func (n *Node) handleMsg(src int, p wire.Payload) {
 	case *wire.MoveAck:
 		n.recvMoveAck(src, p)
 	case *wire.UpdateLoc:
-		if o, ok := n.objects[p.Target]; ok && !o.Resident && p.Epoch > o.Epoch {
-			o.LastKnown = int(p.Node)
-			o.Epoch = p.Epoch
-			o.LocStale = false
-		}
-		n.followForward(src, p.Target, int(p.Node))
+		n.recvUpdateLoc(src, p)
 	case *wire.Locate:
 		n.recvLocate(src, p)
 	case *wire.DirPrepare:
@@ -281,8 +301,11 @@ func (n *Node) handleMsg(src int, p wire.Payload) {
 }
 
 // forwardIfMoved forwards a message about an object not resident here and
-// tells the sender where it went. It reports whether forwarding happened.
-func (n *Node) forwardIfMoved(src int, target *Obj, p wire.Payload) bool {
+// reports the forward to node to: the request's origin, where it names one
+// (a call's custody report), else its sender. When to is this node, its
+// fragment frag, which awaits the reply, now awaits it from the new
+// location. It reports whether forwarding happened.
+func (n *Node) forwardIfMoved(to int, frag uint32, target *Obj, p wire.Payload) bool {
 	if target.Resident {
 		return false
 	}
@@ -291,8 +314,12 @@ func (n *Node) forwardIfMoved(src int, target *Obj, p wire.Payload) bool {
 		B: uint64(target.LastKnown), Str: wire.KindOf(p).String()})
 	n.cluster.Rec.Metrics().Add("proxy_forwards", n.labels, 1)
 	n.sendMsg(target.LastKnown, p)
-	n.sendMsg(src, &wire.UpdateLoc{Target: target.OID,
-		Node: int32(target.LastKnown), Epoch: target.Epoch})
+	if to != n.ID {
+		n.sendMsg(to, &wire.UpdateLoc{Target: target.OID,
+			Node: int32(target.LastKnown), Epoch: target.Epoch})
+	} else if f := n.frags[frag]; f != nil && f.Status == FragStateBlockedCall && f.waitObj == target.OID {
+		f.waitNode = int32(target.LastKnown)
+	}
 	return true
 }
 
@@ -306,7 +333,7 @@ func (n *Node) recvInvoke(src int, p *wire.Invoke) {
 	}
 	target, ok := n.objects[p.Target]
 	if !ok || !target.Resident {
-		if ok && n.forwardIfMoved(src, target, p) {
+		if ok && n.forwardIfMoved(origin, p.CallerFrag, target, p) {
 			return
 		}
 		// Entirely unknown object: the sender's hint was wrong; bounce a
@@ -439,6 +466,25 @@ func keepPayload(p wire.Payload) wire.Payload {
 // crash-era hints, and the chase fails cleanly instead of ping-ponging.
 const maxLocateHops = 16
 
+// locate answers f's locate(o): here when o is resident, otherwise by the
+// forwarding chase from o's proxy, whose resident node replies directly.
+// The proxy's node holds the Locate and each forwarder reports the next,
+// as for a call, so a crash on the chase fails f. A stale proxy fails f at
+// once: with the directory armed, f has just asked it.
+func (n *Node) locate(f *Frag, o *Obj) {
+	if o.Resident {
+		n.pushTemp(f, uint32(n.ID))
+		n.enqueue(f)
+		return
+	}
+	if n.stale(o) {
+		n.faultDown(f, o, "locate")
+		return
+	}
+	n.blockCall(f, int32(o.LastKnown), o.OID)
+	n.sendMsg(o.LastKnown, &wire.Locate{Target: o.OID, Origin: int32(n.ID), ReplyFrag: f.ID})
+}
+
 // recvLocate answers or chases a location query (forwarding-address walk).
 func (n *Node) recvLocate(src int, p *wire.Locate) {
 	lbl := n.labels
@@ -456,7 +502,7 @@ func (n *Node) recvLocate(src int, p *wire.Locate) {
 		answer(int32(n.ID))
 	case ok && p.Hops < maxLocateHops:
 		p.Hops++
-		n.sendMsg(o.LastKnown, p)
+		n.forwardIfMoved(int(p.Origin), p.ReplyFrag, o, p)
 	default:
 		if ok {
 			// The chase walked p.Hops forwards before exhausting its
@@ -479,7 +525,7 @@ func (n *Node) recvMoveReq(src int, p *wire.MoveReq) {
 		n.tracef("node%d: movereq for unknown %v dropped", n.ID, p.Target)
 		return
 	}
-	if n.forwardIfMoved(src, target, p) {
+	if n.forwardIfMoved(src, 0, target, p) {
 		return
 	}
 	n.moveGroup([]*Obj{target}, int(p.Dest), p.Fix)
@@ -491,7 +537,7 @@ func (n *Node) recvUnfixReq(src int, p *wire.UnfixReq) {
 	if !ok {
 		return
 	}
-	if n.forwardIfMoved(src, target, p) {
+	if n.forwardIfMoved(src, 0, target, p) {
 		return
 	}
 	if target.transit != nil {

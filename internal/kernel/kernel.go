@@ -566,13 +566,10 @@ type Obj struct {
 	Mon      *Monitor
 	// Epoch counts the object's moves (a forwarding-address timestamp).
 	Epoch uint32
-	// Proxy state.
+	// Proxy state: where the object was last learned to be (learnLoc), and
+	// how many times this node had suspected that node then (locStale).
 	LastKnown int
-	// LocStale marks a proxy whose LastKnown points at a node that has been
-	// suspected down since we learned it: the cached location may be a
-	// dangling forwarding address. Directory-armed runs re-resolve such
-	// proxies through the directory instead of retrying into the dead node.
-	LocStale bool
+	locDowns  uint32
 	// transit is the in-flight two-phase move this object is the subject of
 	// (chaos runs only): while set, the object is still resident here but
 	// operations on it park on the transaction and replay after commit or

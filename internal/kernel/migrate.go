@@ -495,8 +495,7 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 	// operation: the object stays resident until the destination acks.
 	n.col.items = append(n.col.items, groupItem{msg: msg, tx: tx, sp: sp, commit: func() {
 		o.Resident = false
-		o.LastKnown = dest
-		o.LocStale = false
+		o.LastKnown, o.locDowns = dest, n.peers[dest].downs
 		o.Mon = nil
 		n.Migrations++
 	}})
@@ -661,7 +660,7 @@ func (n *Node) recvMove(src int, p *wire.Move) {
 	if err != nil {
 		n.violate(invMemory, p.Object, 0, "%v", err)
 	}
-	o.Resident, o.LocStale, o.Addr, o.Fixed = true, false, addr, p.Fixed
+	o.Resident, o.Addr, o.Fixed = true, addr, p.Fixed
 	if lc == nil {
 		o.Kind, o.ElemKind, o.Len = ObjArray, ir.VK(p.ArrayElemKind), uint32(len(p.Data))
 		n.st32(addr+arch.LenOff, o.Len)

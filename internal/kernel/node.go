@@ -203,7 +203,8 @@ type peerLink struct {
 	// lastSent is when this node last put a link frame to it on the wire,
 	// so heartbeats go out on idle links only.
 	lastHeard, lastSent netsim.Micros
-	suspect             bool // heartbeat silence: the peer looks down
+	suspect             bool   // heartbeat silence: the peer looks down
+	downs               uint32 // how many times the peer has been suspected
 }
 
 func newNode(c *Cluster, id, nodes int, m netsim.MachineModel) *Node {
@@ -380,7 +381,7 @@ func (n *Node) proxyFor(id oid.OID, hint int) *Obj {
 	if o, ok := n.objects[id]; ok {
 		return o
 	}
-	o := &Obj{OID: id, Resident: false, LastKnown: hint}
+	o := &Obj{OID: id, Resident: false, LastKnown: hint, locDowns: n.peers[hint].downs}
 	n.register(o)
 	return o
 }

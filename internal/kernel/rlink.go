@@ -18,7 +18,6 @@ import (
 	"slices"
 
 	"repro/internal/obs"
-	"repro/internal/oid"
 	"repro/internal/wire"
 )
 
@@ -201,22 +200,26 @@ func (n *Node) heartbeatTick() {
 			n.cluster.Rec.Emit(obs.Event{At: int64(now), Node: int32(n.ID),
 				Kind: obs.EvNodeSuspect, B: uint64(id)})
 			n.cluster.Rec.Metrics().Add("node_suspects", n.labels, 1)
+			// Every location learned at the peer so far is now stale
+			// (locStale): its forwarding addresses may dangle.
+			p.downs++
 			n.failWaitersOn(id)
-			// The peer's forwarding addresses may dangle now: mark every
-			// proxy cached at it stale so directory-armed paths re-resolve
-			// instead of retrying into a dead node.
-			n.invalidateLocationsAt(id)
+			n.dropLeasesAt(id)
 		}
 	}
 }
 
-// failWaitersOn faults every fragment blocked on a Return from the newly
-// suspected peer: its forwarding address is stale and the in-flight
-// invocation is considered lost.
+// failWaitersOn faults every fragment blocked on a Return that the newly
+// suspected peer may hold: its call's custodian is the peer, or the
+// object's learned home is. The second catches a call whose custody
+// reports crossed on two links, left waiting at a forwarder that has
+// passed it on (DESIGN.md §10, "Custody of a call").
 func (n *Node) failWaitersOn(peer int) {
 	ids := make([]uint32, 0, len(n.frags))
 	for id, f := range n.frags {
-		if f.Status == FragStateBlockedCall && f.waitNode == int32(peer) {
+		o := n.objects[f.waitObj]
+		home := f.waitNode >= 0 && o != nil && !o.Resident && o.LastKnown == peer
+		if f.Status == FragStateBlockedCall && (f.waitNode == int32(peer) || home) {
 			ids = append(ids, id)
 		}
 	}
@@ -228,20 +231,43 @@ func (n *Node) failWaitersOn(peer int) {
 	}
 }
 
-// followForward moves the calls this node awaits from src on target along
-// to node: src forwarded them there (its UpdateLoc says so), so the Return,
-// or a crashed node's silence, now comes from node. Calls forwarded to a
-// node already suspected fail as its suspicion failed the others.
-func (n *Node) followForward(src int, target oid.OID, node int) {
+// recvUpdateLoc takes a forwarder's custody report: src passed on a
+// request about p.Target, made here, to p.Node. The calls this node
+// awaits from src on that object now await p.Node, and the proxy learns
+// the location. Only the node that holds a call moves it: a call still
+// queued at a slower forwarder stays where it is.
+func (n *Node) recvUpdateLoc(src int, p *wire.UpdateLoc) {
 	for _, f := range n.frags {
-		if f.Status == FragStateBlockedCall && f.waitNode == int32(src) && f.waitObj == target {
-			f.waitNode = int32(node)
+		if f.Status == FragStateBlockedCall && f.waitNode == int32(src) && f.waitObj == p.Target {
+			f.waitNode = p.Node
 		}
+	}
+	if o := n.objects[p.Target]; o != nil {
+		n.learnLoc(o, int(p.Node), p.Epoch)
+	}
+}
+
+// learnLoc records that o was at node at epoch: a custody report, a
+// directory record, or the proxy's own knowledge confirmed. Apart from a
+// move's commit and install it is the only writer of a proxy's location.
+// It ignores resident objects and objects in transit, nodes outside the
+// cluster and this node, and moves a proxy only forward in epoch: a tie
+// is learned, which renews the location, for one (oid, epoch) has one
+// home. A learned location is not stale. When node is already suspected,
+// the calls blocked on o fail, as its suspicion failed the others.
+func (n *Node) learnLoc(o *Obj, node int, epoch uint32) {
+	if !o.Resident && o.transit == nil && node >= 0 && node < len(n.peers) && node != n.ID && epoch >= o.Epoch {
+		o.LastKnown, o.Epoch, o.locDowns = node, epoch, n.peers[node].downs
 	}
 	if n.suspected(node) {
 		n.failWaitersOn(node)
 	}
 }
+
+// locStale reports whether o's proxy names a node that has been suspected
+// since the proxy learned it: the location may be a dangling forwarding
+// address.
+func (n *Node) locStale(o *Obj) bool { return n.peers[o.LastKnown].downs != o.locDowns }
 
 // crash takes the node down fail-stop: it stops running and receiving, but
 // its memory, object table and link state are durable across the outage.

@@ -82,9 +82,10 @@ type Frag struct {
 	// queued guards against double-enqueueing.
 	queued bool
 	// waitNode is the node a FragStateBlockedCall fragment awaits a Return
-	// from (-1: none); crash suspicion fails such waiters with ErrNodeDown.
-	// waitObj is the object its Invoke is about: a forwarder's UpdateLoc
-	// about it moves waitNode along (followForward).
+	// from (-1: none), its call's custodian; crash suspicion fails such
+	// waiters with ErrNodeDown. waitObj is the object its Invoke or Locate
+	// is about: a forwarder's custody report about it moves waitNode along
+	// (recvUpdateLoc).
 	waitNode int32
 	waitObj  oid.OID
 }
@@ -356,22 +357,13 @@ func (n *Node) handleTrap(f *Frag, tr *arch.Trap) bool {
 			n.fault(f, "locate: "+err.Error())
 			return false
 		}
-		if o.Resident {
-			n.pushTemp(f, uint32(n.ID))
-			n.enqueue(f)
-			return false
-		}
-		n.blockCall(f, -1)
-		if n.cluster.dirOn {
+		if !o.Resident && n.cluster.dirOn {
 			// One shard query refreshes the proxy to the decreed home, so
-			// the chase below is ≤1 hop (or runs unchanged on degrade).
-			n.dirLocate(f, o)
+			// the chase is ≤1 hop (or runs unchanged on a miss).
+			n.dirAsk(f, o, (*Node).locate)
 			return false
 		}
-		// Chase the forwarding chain; the resident node replies directly.
-		n.sendMsg(o.LastKnown, &wire.Locate{
-			Target: o.OID, Origin: int32(n.ID), ReplyFrag: f.ID,
-		})
+		n.locate(f, o)
 		return false
 	case arch.TrapMove, arch.TrapFix, arch.TrapRefix:
 		n.handleMoveFamily(f, tr)
@@ -745,7 +737,7 @@ func (n *Node) handleArrayOp(f *Frag, tr *arch.Trap) {
 	if o.transit != nil {
 		// The array is mid-move: block and replay once the move resolves.
 		kind := tr.Kind
-		n.blockCall(f, -1)
+		n.blockCall(f, -1, 0)
 		o.transit.parked = append(o.transit.parked,
 			func() { n.arrayOpOn(f, kind, elem, o, idx, val) })
 		return
@@ -772,9 +764,8 @@ func (n *Node) arrayOpOn(f *Frag, kind arch.TrapKind, elem ir.VK, o *Obj, idx, v
 		n.enqueue(f)
 		return
 	}
-	if n.chaosOn() && n.suspected(o.LastKnown) {
-		n.faultErr(f, ErrNodeDown, fmt.Sprintf("remote array access on %v: node %d is down",
-			o.OID, o.LastKnown))
+	if n.stale(o) {
+		n.reroute(f, o, "remote array access", func() { n.arrayOpOn(f, kind, elem, o, idx, val) })
 		return
 	}
 	// Remote array: marshal the access as a kernel-served invocation.
@@ -798,8 +789,7 @@ func (n *Node) arrayOpOn(f *Frag, kind arch.TrapKind, elem ir.VK, o *Obj, idx, v
 		opName = arrSizeOp
 	}
 	n.chargeConv(conv, prev)
-	n.blockCall(f, int32(o.LastKnown))
-	f.waitObj = o.OID
+	n.blockCall(f, int32(o.LastKnown), o.OID)
 	n.sendMsg(o.LastKnown, &wire.Invoke{
 		Target: o.OID, OpName: opName, Origin: int32(n.ID), CallerFrag: f.ID,
 		Args: args, Hints: n.collectHints(args),
