@@ -343,13 +343,13 @@ type funcFacts struct {
 	liveMask []uint64
 }
 
-// analyze verifies f and computes its stack maps and per-instruction live
-// masks.
+// analyze reads f's shared stack maps and liveness (ir.Func.Facts, which
+// verifies f on first use) and computes its per-instruction live masks.
 func (ff *funcFacts) analyze(obj *ir.Object, f *ir.Func) (err error) {
-	if ff.fi, err = ir.Analyze(f, obj.VarKinds); err != nil {
+	var li *ir.LiveInfo
+	if ff.fi, li, err = f.Facts(obj.VarKinds); err != nil {
 		return err
 	}
-	li := ir.Liveness(f, ff.fi)
 	var resMask uint64
 	for v := f.NumParams; v < f.NumParams+f.NumResults && v < 64; v++ {
 		resMask |= 1 << uint(v)

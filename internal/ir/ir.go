@@ -16,7 +16,10 @@
 // generated native code.
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // VK is the storage kind of a 32-bit value slot. Bool, Node and Condition
 // values are stored as integers; every object/string/array reference is a
@@ -225,6 +228,14 @@ type Func struct {
 	Monitored  bool
 	Code       []Instr
 	Strings    []string // string pool (also operation/object names for Call/New)
+
+	// The stack maps and liveness Facts computes once for codegen, pta and
+	// vet alike. Loads of one program on two goroutines can vet the same
+	// function, hence the Once.
+	factsOnce sync.Once
+	fi        *FuncInfo
+	li        *LiveInfo
+	factsErr  error
 }
 
 // Object is the compiled form of one object declaration.

@@ -9,9 +9,15 @@
 
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// FuncInfo is the result of analyzing one function.
+// FuncInfo is the result of analyzing one function. It is read-only: the
+// FuncInfo that Func.Facts returns is shared by every consumer of the
+// function, and the StackIn rows are cap-limited views of one arena, so an
+// append to a row copies it instead of writing into a neighbour's map.
 type FuncInfo struct {
 	// StackIn[i] holds the evaluation-stack kinds before instruction i
 	// (bottom first). nil marks unreachable instructions.
@@ -22,49 +28,65 @@ type FuncInfo struct {
 	MaxStack int
 }
 
+// Facts returns f's stack maps and liveness, computing them with Analyze
+// and Liveness on the first call; every later call, from any goroutine,
+// returns the same values. objKinds is the data-area layout of the object
+// owning f (a function belongs to one object, so every caller passes the
+// same layout). The results are shared and must not be written, and f's
+// code must not change after the first call.
+func (f *Func) Facts(objKinds []VK) (*FuncInfo, *LiveInfo, error) {
+	f.factsOnce.Do(func() {
+		if f.fi, f.factsErr = Analyze(f, objKinds); f.factsErr == nil {
+			f.li = Liveness(f, f.fi)
+		}
+	})
+	return f.fi, f.li, f.factsErr
+}
+
 // Analyze verifies f against the program and object layouts and returns the
 // stack maps. objKinds is the data-area layout of the object owning f.
+// Consumers read the shared copy through Func.Facts.
 func Analyze(f *Func, objKinds []VK) (*FuncInfo, error) {
 	n := len(f.Code)
 	if n == 0 || f.Code[n-1].Op != Ret && f.Code[n-1].Op != Jump {
 		return nil, fmt.Errorf("%s: function must end in ret or jump", f.Name)
 	}
 	info := &FuncInfo{StackIn: make([][]VK, n), Reach: make([]bool, n)}
+	// The rows of StackIn are cut from arena; a full arena is replaced by
+	// one twice as large, so the rows already cut stay where they are and
+	// the allocations grow with the logarithm of the code size.
+	arena := make([]VK, 0, 2*n)
 	type workItem struct {
 		pc    int
-		stack []VK
+		stack []VK // a row of StackIn, copied into stack when popped
 	}
 	work := []workItem{{0, nil}}
+	var stack []VK // the stack being walked, reused across work items
 	errf := func(pc int, format string, args ...any) error {
 		return fmt.Errorf("%s@%d (%s): %s", f.Name, pc, f.Code[pc], fmt.Sprintf(format, args...))
-	}
-	sameStack := func(a, b []VK) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
 	}
 	for len(work) > 0 {
 		it := work[len(work)-1]
 		work = work[:len(work)-1]
-		pc, stack := it.pc, it.stack
+		pc := it.pc
+		stack = append(stack[:0], it.stack...)
 		for {
 			if pc < 0 || pc >= n {
 				return nil, fmt.Errorf("%s: control flows to invalid pc %d", f.Name, pc)
 			}
 			if info.Reach[pc] {
-				if !sameStack(info.StackIn[pc], stack) {
+				if !slices.Equal(info.StackIn[pc], stack) {
 					return nil, errf(pc, "stack mismatch at join: %v vs %v", info.StackIn[pc], stack)
 				}
 				break
 			}
 			info.Reach[pc] = true
-			info.StackIn[pc] = append([]VK(nil), stack...)
+			if len(arena)+len(stack) > cap(arena) {
+				arena = make([]VK, 0, max(2*cap(arena), len(stack)))
+			}
+			lo := len(arena)
+			arena = append(arena, stack...)
+			info.StackIn[pc] = arena[lo:len(arena):len(arena)]
 			if len(stack) > info.MaxStack {
 				info.MaxStack = len(stack)
 			}
@@ -131,7 +153,10 @@ func Analyze(f *Func, objKinds []VK) (*FuncInfo, error) {
 			case Jump:
 				pc = int(i.A)
 			case BrFalse, BrTrue:
-				work = append(work, workItem{int(i.A), append([]VK(nil), stack...)})
+				// A branch only pops its condition, so the stack at its
+				// target is a prefix of the row just cut for pc.
+				row := info.StackIn[pc]
+				work = append(work, workItem{int(i.A), row[: len(row)-1 : len(row)-1]})
 				pc++
 			default:
 				pc++

@@ -40,6 +40,7 @@ package pta
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -115,8 +116,9 @@ type Result struct {
 	fieldV  [][]int32 // per object index, per data slot
 	varV    [][]int32 // per global func id, per frame slot
 	funcs   []*ir.Func
-	funcObj []int          // owning object index per global func id
-	fidOf   map[string]int // "Obj.func" -> global func id
+	funcObj []int            // owning object index per global func id
+	fidOf   map[string]int   // "Obj.func" -> global func id
+	byOp    map[string][]int // operation name -> func ids declaring it, ascending
 
 	sites   []Site
 	siteECR []int32
@@ -203,9 +205,22 @@ func Analyze(p *ir.Program) (*Result, error) {
 	r := &Result{
 		prog:     p,
 		fidOf:    map[string]int{},
+		byOp:     map[string][]int{},
 		callees:  map[int][]int{},
 		pinSites: map[int32][]string{},
 	}
+	// Size the union-find for about one class per slot and instruction (no
+	// instruction makes more than two), so it rarely grows.
+	size := 2
+	for _, obj := range p.Objects {
+		size += 1 + len(obj.VarKinds)
+		for _, f := range obj.Funcs {
+			size += f.NumVars + len(f.Code)
+		}
+	}
+	r.parent = make([]int32, 0, size)
+	r.rank = make([]byte, 0, size)
+	r.elem = make([]int32, 0, size)
 	r.scalar = r.fresh()
 	r.str = r.fresh()
 
@@ -225,6 +240,7 @@ func Analyze(p *ir.Program) (*Result, error) {
 			r.funcs = append(r.funcs, f)
 			r.funcObj = append(r.funcObj, oi)
 			r.fidOf[f.Name] = fid
+			r.byOp[f.OpName] = append(r.byOp[f.OpName], fid)
 			vv := make([]int32, f.NumVars)
 			for v := 0; v < f.NumVars; v++ {
 				vv[v] = r.fresh()
@@ -236,8 +252,9 @@ func Analyze(p *ir.Program) (*Result, error) {
 		}
 	}
 
+	var sc genScratch
 	for fid := range r.funcs {
-		if err := r.genFunc(fid); err != nil {
+		if err := r.genFunc(fid, &sc); err != nil {
 			return nil, err
 		}
 	}
@@ -250,11 +267,11 @@ func Analyze(p *ir.Program) (*Result, error) {
 // with elementwise unification at control-flow joins. One visit suffices
 // because every constraint is a unification — symmetric and idempotent —
 // so later class growth at a join needs no re-propagation.
-func (r *Result) genFunc(fid int) error {
+func (r *Result) genFunc(fid int, sc *genScratch) error {
 	f := r.funcs[fid]
 	oi := r.funcObj[fid]
 	obj := r.prog.Objects[oi]
-	fi, err := ir.Analyze(f, obj.VarKinds)
+	fi, _, err := f.Facts(obj.VarKinds)
 	if err != nil {
 		return fmt.Errorf("pta: %s.%s: %w", obj.Name, f.Name, err)
 	}
@@ -301,10 +318,18 @@ func (r *Result) genFunc(fid int) error {
 	sort.Ints(calleeSet)
 	r.callees[fid] = dedupInts(calleeSet)
 
-	stackAt := make([][]int32, len(f.Code))
-	stackAt[0] = []int32{}
-	work := []int{0}
-	visited := make([]bool, len(f.Code))
+	n := len(f.Code)
+	stackAt := slices.Grow(sc.stackAt[:0], n)[:n]
+	clear(stackAt)
+	visited := slices.Grow(sc.visited[:0], n)[:n]
+	clear(visited)
+	sc.stackAt, sc.visited = stackAt, visited
+	if cap(sc.arena) == 0 {
+		sc.arena = make([]int32, 0, 2*n)
+	}
+	sc.arena = sc.arena[:0]
+	stackAt[0] = sc.arena[:0:0]
+	work := append(sc.work[:0], 0)
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -319,7 +344,7 @@ func (r *Result) genFunc(fid int) error {
 			push = 1
 		}
 		ops := sf[len(sf)-pop:]
-		out := append([]int32(nil), sf[:len(sf)-pop]...)
+		out := append(sc.out[:0], sf[:len(sf)-pop]...)
 		pushed := r.scalar
 		switch in.Op {
 		case ir.PushStr, ir.SysStrOf, ir.SysConcat:
@@ -382,9 +407,16 @@ func (r *Result) genFunc(fid int) error {
 		for i := 0; i < push; i++ {
 			out = append(out, pushed)
 		}
-		for _, s := range ir.Succs(f, pc) {
+		sc.out = out
+		succ, ns := ir.Succs(f, pc)
+		for _, s := range succ[:ns] {
 			if stackAt[s] == nil {
-				stackAt[s] = append([]int32(nil), out...)
+				if len(sc.arena)+len(out) > cap(sc.arena) {
+					sc.arena = make([]int32, 0, max(2*cap(sc.arena), len(out)))
+				}
+				lo := len(sc.arena)
+				sc.arena = append(sc.arena, out...)
+				stackAt[s] = sc.arena[lo:len(sc.arena):len(sc.arena)]
 				work = append(work, s)
 				continue
 			}
@@ -396,7 +428,21 @@ func (r *Result) genFunc(fid int) error {
 			}
 		}
 	}
+	sc.work = work
 	return nil
+}
+
+// genScratch is genFunc's working storage, reused from one function to the
+// next.
+type genScratch struct {
+	// stackAt[pc] is the ECR stack before pc (nil: not reached yet). Its
+	// rows are cut from arena; a full arena is replaced by one twice as
+	// large, so the rows already cut stay valid.
+	stackAt [][]int32
+	arena   []int32
+	out     []int32 // the stack after the instruction being visited
+	visited []bool
+	work    []int
 }
 
 func (r *Result) objIndex(name string) int {
@@ -409,19 +455,14 @@ func (r *Result) objIndex(name string) int {
 }
 
 // calleesOf resolves an operation name to every function it may invoke:
-// each object type declaring an operation of that name. Internal
-// functions ($init, $initially, $process) are never invoke targets.
+// each object type declaring an operation of that name, in func-id order.
+// Internal functions ($init, $initially, $process) are never invoke
+// targets.
 func (r *Result) calleesOf(op string) []int {
-	var out []int
 	if strings.HasPrefix(op, "$") {
 		return nil
 	}
-	for fid, f := range r.funcs {
-		if f.OpName == op {
-			out = append(out, fid)
-		}
-	}
-	return out
+	return r.byOp[op]
 }
 
 // finish builds the post-solve caches: per-class site labels, type

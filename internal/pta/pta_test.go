@@ -284,3 +284,47 @@ func BenchmarkPTA(b *testing.B) {
 		}
 	}
 }
+
+// straightLine is a program whose process makes n calls in a row, the shape
+// of one unrolled benchmark session.
+func straightLine(n int) string {
+	var b strings.Builder
+	b.WriteString(`
+object Svc
+  operation f(x: Int) -> (r: Int)
+    r <- x + 1
+  end
+end Svc
+object Main
+  process
+    var s: Svc <- new Svc
+    var t: Int <- 0
+`)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "    t <- s.f(t + %d)\n", i)
+	}
+	b.WriteString("    print(t)\n  end process\nend Main\n")
+	return b.String()
+}
+
+// TestAnalyzeAllocsDoNotGrowWithCode: the solve reuses one scratch stack
+// and cuts its per-instruction stacks from one arena, so its allocation
+// count grows with the logarithm of the code size, not with the
+// instruction count. Bound: quadrupling the calls from 1 000 to 4 000 adds
+// at most 12 allocations (each growth of the arena or of the call-site list
+// is one; a copy per instruction would add thousands).
+func TestAnalyzeAllocsDoNotGrowWithCode(t *testing.T) {
+	allocs := func(n int) float64 {
+		p := buildIR(t, straightLine(n))
+		return testing.AllocsPerRun(5, func() {
+			if _, err := pta.Analyze(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(4000)
+	t.Logf("pta.Analyze allocations: %v at 1000 calls, %v at 4000", small, large)
+	if large > small+12 {
+		t.Errorf("pta.Analyze makes %v allocations at 4000 calls, %v at 1000: want at most %v", large, small, small+12)
+	}
+}

@@ -20,7 +20,7 @@ func (c *checker) lintObject(oc *codegen.ObjectCode) {
 			continue // the liveness pass reports unverifiable IR
 		}
 		c.lintUnreachable(oc, f, ff.fi)
-		c.lintAssignment(oc, f, ff.assigned)
+		c.lintAssignment(oc, f, ff)
 		c.lintDeadStores(oc, f, ff)
 		c.lintReentrancy(oc, f)
 	}
@@ -57,13 +57,13 @@ func (c *checker) lintUnreachable(oc *codegen.ObjectCode, f *ir.Func, fi *ir.Fun
 // but it can only ever yield zero/nil, which is almost always a bug.
 // Parameters are assigned by the caller. Loads that are unassigned on only
 // some paths are not reported: assignment under a condition is idiomatic.
-func (c *checker) lintAssignment(oc *codegen.ObjectCode, f *ir.Func, mayAssigned [][]bool) {
+func (c *checker) lintAssignment(oc *codegen.ObjectCode, f *ir.Func, ff *funcFacts) {
 	reported := make([]bool, f.NumVars)
 	for pc, in := range f.Code {
-		if in.Op != ir.LoadVar || mayAssigned[pc] == nil {
+		if in.Op != ir.LoadVar || !ff.fi.Reach[pc] {
 			continue
 		}
-		if v := int(in.A); !mayAssigned[pc][v] && !reported[v] {
+		if v := int(in.A); !ff.mayAssigned(f, pc, v) && !reported[v] {
 			reported[v] = true
 			c.report("definite-assignment", SevWarning, oc.Name, f.Name, "", -1,
 				"variable %s is read at instruction %d but assigned on no path (always zero)",
@@ -82,7 +82,7 @@ func (c *checker) lintDeadStores(oc *codegen.ObjectCode, f *ir.Func, ff *funcFac
 		if in.Op != ir.StoreVar || !ff.fi.Reach[pc] {
 			continue
 		}
-		if v := int(in.A); !ff.li.LiveOut[pc][v] {
+		if v := int(in.A); !ff.li.Out(pc)[v] {
 			c.report("dead-store", SevWarning, oc.Name, f.Name, "", -1,
 				"value stored to %s at instruction %d is never read", f.VarNames[v], pc)
 		}
@@ -129,7 +129,8 @@ func (c *checker) lintReentrancy(oc *codegen.ObjectCode, f *ir.Func) {
 		for i := 0; i < push; i++ {
 			out = append(out, in.Op == ir.PushSelf)
 		}
-		for _, s := range ir.Succs(f, pc) {
+		succ, ns := ir.Succs(f, pc)
+		for _, s := range succ[:ns] {
 			if selfAt[s] == nil {
 				selfAt[s] = append([]bool(nil), out...)
 				work = append(work, s)

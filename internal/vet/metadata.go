@@ -148,26 +148,28 @@ func stopInstrMismatch(s busstop.Info, in arch.Instr) string {
 // sysSigs mirrors the kernel's syscall signatures independently of the
 // codegen lowering tables: whether each syscall pushes a result, and of what
 // kind. The duplication is deliberate — vet recomputes the contract rather
-// than trusting the code under test.
-var sysSigs = map[ir.Op]struct {
+// than trusting the code under test. It is indexed by op; sys is false for
+// every op that is not a syscall.
+var sysSigs = [ir.NumOps]struct {
+	sys    bool
 	pushes bool
 	rk     ir.VK
 }{
-	ir.SysPrint:    {false, ir.VKInt},
-	ir.SysNodes:    {true, ir.VKInt},
-	ir.SysThisNode: {true, ir.VKInt},
-	ir.SysNodeAt:   {true, ir.VKInt},
-	ir.SysTimeMS:   {true, ir.VKInt},
-	ir.SysYield:    {false, ir.VKInt},
-	ir.SysStrOf:    {true, ir.VKPtr},
-	ir.SysConcat:   {true, ir.VKPtr},
-	ir.SysMove:     {false, ir.VKInt},
-	ir.SysFix:      {false, ir.VKInt},
-	ir.SysRefix:    {false, ir.VKInt},
-	ir.SysUnfix:    {false, ir.VKInt},
-	ir.SysLocate:   {true, ir.VKInt},
-	ir.SysWait:     {false, ir.VKInt},
-	ir.SysSignal:   {false, ir.VKInt},
+	ir.SysPrint:    {true, false, ir.VKInt},
+	ir.SysNodes:    {true, true, ir.VKInt},
+	ir.SysThisNode: {true, true, ir.VKInt},
+	ir.SysNodeAt:   {true, true, ir.VKInt},
+	ir.SysTimeMS:   {true, true, ir.VKInt},
+	ir.SysYield:    {true, false, ir.VKInt},
+	ir.SysStrOf:    {true, true, ir.VKPtr},
+	ir.SysConcat:   {true, true, ir.VKPtr},
+	ir.SysMove:     {true, false, ir.VKInt},
+	ir.SysFix:      {true, false, ir.VKInt},
+	ir.SysRefix:    {true, false, ir.VKInt},
+	ir.SysUnfix:    {true, false, ir.VKInt},
+	ir.SysLocate:   {true, true, ir.VKInt},
+	ir.SysWait:     {true, false, ir.VKInt},
+	ir.SysSignal:   {true, false, ir.VKInt},
 }
 
 // expStop is one element of the machine-independent expected stop stream of
@@ -179,7 +181,7 @@ type expStop struct {
 	monExit bool
 	pushes  bool
 	rk      ir.VK
-	kinds   []ir.VK // temporaries below the stop, bottom first
+	kinds   []ir.VK // temporaries below the stop, bottom first (a view of the shared stack map)
 	live    uint64  // frame-variable live mask (liveOut of irPC | result slots)
 }
 
@@ -202,7 +204,7 @@ func expectedStops(f *ir.Func, fi *ir.FuncInfo, li *ir.LiveInfo, omitLoopPolls b
 		add := func(kind busstop.Kind, monExit, pushes bool, rk ir.VK, depth int) {
 			out = append(out, expStop{
 				irPC: pc, kind: kind, monExit: monExit, pushes: pushes, rk: rk,
-				kinds: append([]ir.VK(nil), st[:depth]...),
+				kinds: st[:depth:depth],
 				live:  li.LiveMask(pc, f.NumVars) | resMask,
 			})
 		}
@@ -228,7 +230,7 @@ func expectedStops(f *ir.Func, fi *ir.FuncInfo, li *ir.LiveInfo, omitLoopPolls b
 				add(busstop.KindMonExit, true, false, ir.VKInt, len(st))
 			}
 		default:
-			if sig, ok := sysSigs[in.Op]; ok {
+			if sig := sysSigs[in.Op]; sig.sys {
 				pop, _ := ir.StackEffect(in)
 				add(busstop.KindSyscall, false, sig.pushes, sig.rk, len(st)-pop)
 			}

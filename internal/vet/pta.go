@@ -7,7 +7,6 @@
 package vet
 
 import (
-	"slices"
 	"strings"
 
 	"repro/internal/codegen"
@@ -91,18 +90,19 @@ func (c *checker) deadPtrAtStop(oc *codegen.ObjectCode) {
 			continue
 		}
 		reported := map[int]bool{}
+		cyclic := onCycle(f)
 		for n, e := range ff.exp {
-			if !inCycle(f, e.irPC) {
+			if !cyclic[e.irPC] {
 				continue
 			}
 			for v := f.NumParams + f.NumResults; v < f.NumVars; v++ {
 				if f.VarKinds[v] != ir.VKPtr || reported[v] {
 					continue
 				}
-				if ff.assigned[e.irPC] == nil || !ff.assigned[e.irPC][v] {
+				if !ff.mayAssigned(f, e.irPC, v) {
 					continue
 				}
-				if ff.li.LiveOut[e.irPC][v] {
+				if ff.li.Out(e.irPC)[v] {
 					continue
 				}
 				reported[v] = true
@@ -139,62 +139,101 @@ func (c *checker) immobileReach(oc *codegen.ObjectCode, r *pta.Result) {
 }
 
 // mayAssignedAt computes, per instruction, which frame slots some path
-// reaching it has assigned (parameters count as assigned at entry). Rows
-// of unreachable instructions stay nil.
-func mayAssignedAt(f *ir.Func) [][]bool {
+// reaching it has assigned (parameters count as assigned at entry): slot v
+// at pc is element pc*NumVars+v of the result, all false at the
+// instructions fi marks unreachable.
+func mayAssignedAt(f *ir.Func, fi *ir.FuncInfo) []bool {
 	nv := f.NumVars
-	out := make([][]bool, len(f.Code))
-	out[0] = make([]bool, nv)
+	out := make([]bool, len(f.Code)*nv)
 	for v := 0; v < f.NumParams; v++ {
-		out[0][v] = true
+		out[v] = true
 	}
 	st := make([]bool, nv)
-	work := []int{0}
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		copy(st, out[pc])
-		if in := f.Code[pc]; in.Op == ir.StoreVar {
-			st[in.A] = true
-		}
-		for _, s := range ir.Succs(f, pc) {
-			if out[s] == nil {
-				out[s] = slices.Clone(st)
-				work = append(work, s)
+	// A pass runs forwards, so it has already pushed its facts along every
+	// forward edge into an instruction by the time it visits it: only a
+	// back edge can need another pass.
+	for changed := true; changed; {
+		changed = false
+		for pc, in := range f.Code {
+			if !fi.Reach[pc] {
 				continue
 			}
-			changed := false
-			for v := range st {
-				if st[v] && !out[s][v] {
-					out[s][v] = true
-					changed = true
-				}
+			copy(st, out[pc*nv:])
+			if in.Op == ir.StoreVar {
+				st[in.A] = true
 			}
-			if changed {
-				work = append(work, s)
+			succ, ns := ir.Succs(f, pc)
+			for _, s := range succ[:ns] {
+				row := out[s*nv : (s+1)*nv]
+				for v, a := range st {
+					if a && !row[v] {
+						row[v] = true
+						changed = changed || s <= pc
+					}
+				}
 			}
 		}
 	}
 	return out
 }
 
-// inCycle reports whether pc lies on a control-flow cycle: whether pc is
-// reachable from its own successors. Bus stops on a cycle are the ones a
-// thread crosses repeatedly, where per-transfer waste compounds.
-func inCycle(f *ir.Func, pc int) bool {
-	seen := make([]bool, len(f.Code))
-	work := append([]int(nil), ir.Succs(f, pc)...)
-	for len(work) > 0 {
-		p := work[len(work)-1]
-		work = work[:len(work)-1]
-		if p == pc {
-			return true
-		}
-		if seen[p] {
+// onCycle reports, for every instruction reachable from f's entry, whether
+// it lies on a control-flow cycle: whether it is reachable from its own
+// successors. Bus stops on a cycle are the ones a thread crosses
+// repeatedly, where per-transfer waste compounds. An instruction is on a
+// cycle when its strongly connected component has two or more members or
+// it branches to itself; the components come from one iterative pass of
+// Tarjan's algorithm, so the cost is linear in the code.
+func onCycle(f *ir.Func) []bool {
+	n := len(f.Code)
+	cyclic := make([]bool, n)
+	index := make([]int, n) // discovery order + 1; 0: not yet visited
+	low := make([]int, n)
+	onStack := make([]bool, n)
+	type frame struct{ pc, next int } // next: the successor to visit next
+	call := []frame{{0, 0}}
+	stack := []int{0}
+	visited := 1
+	index[0], low[0] = visited, visited
+	onStack[0] = true
+	for len(call) > 0 {
+		top := &call[len(call)-1]
+		pc := top.pc
+		if succ, ns := ir.Succs(f, pc); top.next < ns {
+			s := succ[top.next]
+			top.next++
+			switch {
+			case s == pc:
+				cyclic[pc] = true
+			case index[s] == 0:
+				visited++
+				index[s], low[s] = visited, visited
+				stack = append(stack, s)
+				onStack[s] = true
+				call = append(call, frame{s, 0})
+			case onStack[s]:
+				low[pc] = min(low[pc], index[s])
+			}
 			continue
 		}
-		seen[p] = true
-		work = append(work, ir.Succs(f, p)...)
+		call = call[:len(call)-1]
+		if len(call) > 0 {
+			parent := call[len(call)-1].pc
+			low[parent] = min(low[parent], low[pc])
+		}
+		if low[pc] != index[pc] {
+			continue
+		}
+		// pc roots a component: the stack down to pc.
+		root := len(stack) - 1
+		for stack[root] != pc {
+			root--
+		}
+		for _, q := range stack[root:] {
+			cyclic[q] = cyclic[q] || len(stack)-root > 1
+			onStack[q] = false
+		}
+		stack = stack[:root]
 	}
-	return false
+	return cyclic
 }

@@ -28,8 +28,10 @@
 //   - IR dataflow lints: definite-assignment, unreachable code, dead
 //     stores, and monitored-object reentrancy hazards.
 //
-// vet reads nothing codegen computed: it derives its facts about each
-// function from the IR, once, in its own table that every pass reads.
+// vet reads nothing codegen computed: each function's stack maps and
+// liveness are facts of the IR (ir.Func.Facts, computed once per function
+// and shared read-only with codegen and pta), and vet derives the rest
+// from them, once, in its own table that every pass reads.
 //
 // The metadata passes report errors (a program failing them must not be
 // run, let alone migrated); the dataflow lints report warnings.
@@ -202,17 +204,23 @@ type checker struct {
 	funcs   map[*codegen.ObjectCode][]funcFacts
 }
 
-// funcFacts is what vet derives from one IR function, once per run, for
-// every pass and every architecture to read.
+// funcFacts is what vet reads and derives from one IR function, once per
+// run, for every pass and every architecture to read.
 type funcFacts struct {
 	fi  *ir.FuncInfo // nil when the IR does not verify
 	err error        // why it does not
 	li  *ir.LiveInfo
 	// exp is the stop stream every architecture's table must realize.
 	exp []expStop
-	// assigned[pc][v]: some path reaching pc has assigned slot v (nil
-	// rows: pc is unreachable).
-	assigned [][]bool
+	// assigned[pc*NumVars+v]: some path reaching pc has assigned slot v
+	// (all false where pc is unreachable).
+	assigned []bool
+}
+
+// mayAssigned reports whether some path reaching pc has assigned slot v of
+// f.
+func (ff *funcFacts) mayAssigned(f *ir.Func, pc, v int) bool {
+	return ff.assigned[pc*f.NumVars+v]
 }
 
 func newChecker(p *codegen.Program) *checker {
@@ -220,22 +228,21 @@ func newChecker(p *codegen.Program) *checker {
 }
 
 // facts returns the per-function table of oc, indexed like oc.IR.Funcs,
-// deriving it from the IR on first use.
+// deriving it from the IR's shared facts on first use.
 func (c *checker) facts(oc *codegen.ObjectCode) []funcFacts {
 	if t, ok := c.funcs[oc]; ok {
 		return t
 	}
 	t := make([]funcFacts, len(oc.IR.Funcs))
 	for i, f := range oc.IR.Funcs {
-		fi, err := ir.Analyze(f, oc.IR.VarKinds)
+		fi, li, err := f.Facts(oc.IR.VarKinds)
 		if err != nil {
 			t[i].err = err
 			continue
 		}
-		li := ir.Liveness(f, fi)
 		t[i] = funcFacts{fi: fi, li: li,
 			exp:      expectedStops(f, fi, li, c.prog.Opts.OmitLoopPolls),
-			assigned: mayAssignedAt(f)}
+			assigned: mayAssignedAt(f, fi)}
 	}
 	c.funcs[oc] = t
 	return t
