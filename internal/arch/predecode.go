@@ -14,7 +14,10 @@ package arch
 // never mutates it.
 type Predecoded struct {
 	instrs []Instr
-	index  []int32 // PC -> index into instrs; -1 when PC is mid-instruction
+	// index[pc] is 1 + the index into instrs of the instruction starting
+	// at pc, 0 when pc is inside an encoding: a fresh array is already
+	// "nothing starts here" everywhere.
+	index []int32
 }
 
 // Predecode decodes every instruction in code, walking linearly from PC 0.
@@ -25,16 +28,13 @@ type Predecoded struct {
 // knows it (the code generator does), else 0; it only sizes the cache.
 func Predecode(s *Spec, code []byte, n int) (*Predecoded, error) {
 	p := &Predecoded{instrs: make([]Instr, 0, n), index: make([]int32, len(code))}
-	for i := range p.index {
-		p.index[i] = -1
-	}
 	for pc := uint32(0); int(pc) < len(code); {
 		in, err := Decode(s, code, pc)
 		if err != nil {
 			return nil, err
 		}
-		p.index[pc] = int32(len(p.instrs))
 		p.instrs = append(p.instrs, in)
+		p.index[pc] = int32(len(p.instrs))
 		pc += in.Size
 	}
 	return p, nil
@@ -50,17 +50,17 @@ func (p *Predecoded) CodeLen() int { return len(p.index) }
 // stopped at pc has just executed. ok is false when no instruction ends
 // there: pc is 0, past the code, or inside an encoding.
 func (p *Predecoded) EndingAt(pc uint32) (in Instr, ok bool) {
-	var next int32 // the index of the instruction starting at pc
+	var next int32 // 1 + the index of the instruction starting at pc
 	switch n := int64(len(p.index)); {
 	case int64(pc) < n:
 		next = p.index[pc]
 	case int64(pc) == n:
-		next = int32(len(p.instrs))
+		next = int32(len(p.instrs)) + 1
 	}
-	if next <= 0 {
+	if next <= 1 {
 		return Instr{}, false
 	}
-	return p.instrs[next-1], true
+	return p.instrs[next-2], true
 }
 
 // indexAt maps a PC to its cache slot, or -1 if pc does not start an
@@ -69,5 +69,5 @@ func (p *Predecoded) indexAt(pc uint32) int32 {
 	if int64(pc) >= int64(len(p.index)) {
 		return -1
 	}
-	return p.index[pc]
+	return p.index[pc] - 1
 }

@@ -53,12 +53,14 @@ func TestAnalyzeAllocsDoNotGrowWithCode(t *testing.T) {
 }
 
 // TestStackInRowsAreCapLimited: an append to one stack map must copy it,
-// never write into the row of the next instruction.
+// never write into the row of the next instruction; a row is nil exactly
+// when its instruction is unreachable.
 func TestStackInRowsAreCapLimited(t *testing.T) {
 	_, fis := compile(t, straightLine(20))
 	for f, fi := range fis {
-		for pc, row := range fi.StackIn {
-			if fi.Reach[pc] && (row == nil || cap(row) != len(row)) {
+		for pc, reach := range fi.Reach {
+			row := fi.Stack(pc)
+			if reach != (row != nil) || cap(row) != len(row) {
 				t.Fatalf("%s@%d: row len %d cap %d (nil %v)", f.Name, pc, len(row), cap(row), row == nil)
 			}
 		}

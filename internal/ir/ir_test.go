@@ -152,7 +152,7 @@ end M
 		}
 		calls++
 		if calls == 2 {
-			st := fi.StackIn[pc]
+			st := fi.Stack(pc)
 			want := []VK{VKInt, VKPtr, VKInt}
 			if len(st) != len(want) {
 				t.Fatalf("stack at 2nd call = %v, want %v", st, want)

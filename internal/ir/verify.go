@@ -16,16 +16,29 @@ import (
 
 // FuncInfo is the result of analyzing one function. It is read-only: the
 // FuncInfo that Func.Facts returns is shared by every consumer of the
-// function, and the StackIn rows are cap-limited views of one arena, so an
-// append to a row copies it instead of writing into a neighbour's map.
+// function.
 type FuncInfo struct {
-	// StackIn[i] holds the evaluation-stack kinds before instruction i
-	// (bottom first). nil marks unreachable instructions.
-	StackIn [][]VK
 	// Reach[i] reports whether instruction i is reachable.
 	Reach []bool
 	// MaxStack is the deepest evaluation stack at any point.
 	MaxStack int
+	// stacks holds every stack map in instruction order: the map before
+	// instruction i is stacks[off[i]:off[i+1]] (empty when i is
+	// unreachable), so a map costs 4 bytes of offset besides its kinds.
+	stacks []VK
+	off    []uint32
+}
+
+// Stack returns the evaluation-stack kinds before instruction pc (bottom
+// first), or nil when pc is unreachable; a reachable empty stack is a
+// non-nil empty row. The row is a cap-limited view of the shared maps, so
+// an append to it copies it instead of writing into a neighbour's map.
+func (fi *FuncInfo) Stack(pc int) []VK {
+	if !fi.Reach[pc] {
+		return nil
+	}
+	lo, hi := fi.off[pc], fi.off[pc+1]
+	return fi.stacks[lo:hi:hi]
 }
 
 // Facts returns f's stack maps and liveness, computing them with Analyze
@@ -51,16 +64,20 @@ func Analyze(f *Func, objKinds []VK) (*FuncInfo, error) {
 	if n == 0 || f.Code[n-1].Op != Ret && f.Code[n-1].Op != Jump {
 		return nil, fmt.Errorf("%s: function must end in ret or jump", f.Name)
 	}
-	info := &FuncInfo{StackIn: make([][]VK, n), Reach: make([]bool, n)}
-	// The rows of StackIn are cut from arena; a full arena is replaced by
-	// one twice as large, so the rows already cut stay where they are and
-	// the allocations grow with the logarithm of the code size.
+	info := &FuncInfo{Reach: make([]bool, n), off: make([]uint32, n+1)}
+	// The walk appends each reached instruction's stack to arena, at
+	// start[pc], and keeps its depth in off[pc+1]; the maps are copied
+	// into instruction order once the walk is done. Offsets survive the
+	// arena's growth, so the allocations grow with the logarithm of the
+	// code size.
 	arena := make([]VK, 0, 2*n)
+	start := make([]uint32, n)
+	row := func(pc int) []VK { return arena[start[pc] : start[pc]+info.off[pc+1]] }
 	type workItem struct {
 		pc    int
-		stack []VK // a row of StackIn, copied into stack when popped
+		at, n uint32 // the stack to walk from: arena[at:at+n]
 	}
-	work := []workItem{{0, nil}}
+	work := []workItem{{0, 0, 0}}
 	var stack []VK // the stack being walked, reused across work items
 	errf := func(pc int, format string, args ...any) error {
 		return fmt.Errorf("%s@%d (%s): %s", f.Name, pc, f.Code[pc], fmt.Sprintf(format, args...))
@@ -69,24 +86,20 @@ func Analyze(f *Func, objKinds []VK) (*FuncInfo, error) {
 		it := work[len(work)-1]
 		work = work[:len(work)-1]
 		pc := it.pc
-		stack = append(stack[:0], it.stack...)
+		stack = append(stack[:0], arena[it.at:it.at+it.n]...)
 		for {
 			if pc < 0 || pc >= n {
 				return nil, fmt.Errorf("%s: control flows to invalid pc %d", f.Name, pc)
 			}
 			if info.Reach[pc] {
-				if !slices.Equal(info.StackIn[pc], stack) {
-					return nil, errf(pc, "stack mismatch at join: %v vs %v", info.StackIn[pc], stack)
+				if !slices.Equal(row(pc), stack) {
+					return nil, errf(pc, "stack mismatch at join: %v vs %v", row(pc), stack)
 				}
 				break
 			}
 			info.Reach[pc] = true
-			if len(arena)+len(stack) > cap(arena) {
-				arena = make([]VK, 0, max(2*cap(arena), len(stack)))
-			}
-			lo := len(arena)
+			start[pc], info.off[pc+1] = uint32(len(arena)), uint32(len(stack))
 			arena = append(arena, stack...)
-			info.StackIn[pc] = arena[lo:len(arena):len(arena)]
 			if len(stack) > info.MaxStack {
 				info.MaxStack = len(stack)
 			}
@@ -154,15 +167,21 @@ func Analyze(f *Func, objKinds []VK) (*FuncInfo, error) {
 				pc = int(i.A)
 			case BrFalse, BrTrue:
 				// A branch only pops its condition, so the stack at its
-				// target is a prefix of the row just cut for pc.
-				row := info.StackIn[pc]
-				work = append(work, workItem{int(i.A), row[: len(row)-1 : len(row)-1]})
+				// target is a prefix of the row just appended for pc.
+				work = append(work, workItem{int(i.A), start[pc], info.off[pc+1] - 1})
 				pc++
 			default:
 				pc++
 			}
 		}
 	nextWork:
+	}
+	for pc := range n {
+		info.off[pc+1] += info.off[pc]
+	}
+	info.stacks = make([]VK, info.off[n])
+	for pc := range n {
+		copy(info.stacks[info.off[pc]:info.off[pc+1]], arena[start[pc]:])
 	}
 	return info, nil
 }

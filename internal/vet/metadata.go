@@ -200,7 +200,7 @@ func expectedStops(f *ir.Func, fi *ir.FuncInfo, li *ir.LiveInfo, omitLoopPolls b
 		if !fi.Reach[pc] {
 			continue
 		}
-		st := fi.StackIn[pc]
+		st := fi.Stack(pc)
 		add := func(kind busstop.Kind, monExit, pushes bool, rk ir.VK, depth int) {
 			out = append(out, expStop{
 				irPC: pc, kind: kind, monExit: monExit, pushes: pushes, rk: rk,
