@@ -44,7 +44,7 @@ const (
 	invResidency  = "residency"   // a mutable object is resident on more or fewer than one node
 	invDirectory  = "directory"   // a learned record disagrees with residency at its epoch
 	invHome       = "home"        // two homes for one (oid, epoch)
-	invQuiescence = "quiescence"  // a fragment on an up node is still runnable or in transit
+	invQuiescence = "quiescence"  // a fragment on an up node is still runnable or held by a move
 	invLostThread = "lost-thread" // a blocked-call fragment nothing will return to
 )
 
@@ -62,19 +62,16 @@ func (n *Node) violate(inv string, o oid.OID, frag uint32, format string, args .
 
 // fragNext[s] holds bit t when a fragment in state s may move to state t.
 // The rows are the transitions the kernel makes, measured over the kernel,
-// core and exp tests, plus resumeSuspended's return from in-transit to the
-// pre-transit state. A same-state write is a no-op and needs no bit.
+// core and exp tests. A same-state write is a no-op and needs no bit.
 var fragNext = [...]uint8{
 	FragStateReady: 1<<FragStateRunning | 1<<FragStateBlockedCall | 1<<FragStateBlockedEntry |
-		1<<FragStateWaitCond | 1<<FragStateInTransit | 1<<FragStateDead,
+		1<<FragStateWaitCond | 1<<FragStateDead,
 	FragStateRunning: 1<<FragStateReady | 1<<FragStateBlockedCall | 1<<FragStateBlockedEntry |
 		1<<FragStateWaitCond | 1<<FragStateDead,
 	FragStateBlockedCall:  1<<FragStateReady | 1<<FragStateDead,
 	FragStateBlockedEntry: 1<<FragStateReady | 1<<FragStateDead,
 	FragStateWaitCond:     1<<FragStateBlockedEntry | 1<<FragStateDead,
 	FragStateDead:         0,
-	FragStateInTransit: 1<<FragStateReady | 1<<FragStateBlockedCall | 1<<FragStateBlockedEntry |
-		1<<FragStateWaitCond | 1<<FragStateDead,
 }
 
 // setStatus moves f to state to: the one writer of Frag.Status.
@@ -226,7 +223,7 @@ func (c *Cluster) homeConflict(s dir.Slot, home int32, from int) int {
 }
 
 // checkFrags checks an up node's fragments at quiescence: none is runnable
-// or in transit, and some fragment's Link names each blocked-call one (the
+// or held by a move, and some fragment's Link names each blocked-call one (the
 // piece a Return will come back to it from) from a node that is up or that
 // n does not suspect. A call whose returning pieces all sit on nodes that
 // n suspects down waits on a Return that no suspicion will fail.
@@ -235,8 +232,8 @@ func (c *Cluster) checkFrags(n *Node) *Violation {
 	for _, f := range n.frags {
 		switch s := f.Status; {
 		case !n.Up:
-		case (s == FragStateReady || s == FragStateRunning || s == FragStateInTransit) && l.better(uint64(f.ID)):
-			l.v = n.violation(invQuiescence, 0, f.ID, "%s at quiescence in %s", s, f.topName())
+		case (s == FragStateReady || s == FragStateRunning || f.held) && l.better(uint64(f.ID)):
+			l.v = n.violation(invQuiescence, 0, f.ID, "%s (held %t) at quiescence in %s", s, f.held, f.topName())
 		case s == FragStateBlockedCall && !c.linked(n, f.ID) && l.better(uint64(f.ID)):
 			l.v = n.violation(invLostThread, 0, f.ID, "blocked-call in %s, and no fragment on a live node returns to it", f.topName())
 		}

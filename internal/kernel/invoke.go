@@ -6,7 +6,6 @@ package kernel
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/ir"
@@ -408,16 +407,15 @@ func (n *Node) recvReturn(src int, p *wire.Return) {
 			n.sendMsg(dest, p)
 			return
 		}
-		for _, tx := range n.pendingCommits {
-			if slices.Contains(tx.pieces, p.CallerFrag) {
-				// The caller is a remainder piece this move creates at
-				// commit, and the moved thread returned into it first.
-				q := keepPayload(p).(*wire.Return)
-				tx.parked = append(tx.parked, func() { n.recvReturn(src, q) })
-				return
-			}
+	}
+	if !ok || f.held {
+		// A live move holds the caller, or creates it at commit as a
+		// remainder piece the moved thread returned into first: deliver
+		// once the move resolves (after a commit, forwarded if it left).
+		q := keepPayload(p).(*wire.Return)
+		if !n.parkOn(p.CallerFrag, func() { n.recvReturn(src, q) }) {
+			n.tracef("node%d: return for unknown frag %08x dropped", n.ID, p.CallerFrag)
 		}
-		n.tracef("node%d: return for unknown frag %08x dropped", n.ID, p.CallerFrag)
 		return
 	}
 	if !p.Ok {

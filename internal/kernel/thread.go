@@ -28,10 +28,6 @@ const (
 	FragStateBlockedEntry // queued on a monitor
 	FragStateWaitCond     // waiting on a condition variable
 	FragStateDead
-	// FragStateInTransit suspends a fragment while an object whose frames it
-	// carries is mid-move under the two-phase commit protocol (chaos runs
-	// only); the previous state is restored on abort.
-	FragStateInTransit
 )
 
 func (s FragState) String() string {
@@ -48,8 +44,6 @@ func (s FragState) String() string {
 		return "wait-cond"
 	case FragStateDead:
 		return "dead"
-	case FragStateInTransit:
-		return "in-transit"
 	}
 	return "?"
 }
@@ -81,6 +75,9 @@ type Frag struct {
 	condIndex uint16
 	// queued guards against double-enqueueing.
 	queued bool
+	// held: a live move ships the fragment's frames (moveTxn.held); it
+	// does not run, and what is delivered to it awaits the move's outcome.
+	held bool
 	// waitNode is the node a FragStateBlockedCall fragment awaits a Return
 	// from (-1: none), its call's custodian; crash suspicion fails such
 	// waiters with ErrNodeDown. waitObj is the object its Invoke or Locate
