@@ -91,17 +91,51 @@ var commandLines = []commandLine{
 	// and fail when node 3 is suspected, with the directory as without it.
 	{"-chaos " + strandPlan + " -net sparc,sparc,sparc,sparc " + strand, "", "", kernel.ErrNodeDown},
 	{"-chaos " + strandPlan + " -dir 3 -net sparc,sparc,sparc,sparc " + strand, "", "", kernel.ErrNodeDown},
+	// The same call, its host crashing at 1.5 s, after the last event that
+	// kept the run alive: node 0's heartbeat must stay strong until it
+	// suspects node 3, or the run ends with the call still blocked.
+	{"-chaos " + strandLatePlan + " -net sparc,sparc,sparc,sparc " + strand, "", "", kernel.ErrNodeDown},
+	{"-chaos " + strandLatePlan + " -dir 3 -net sparc,sparc,sparc,sparc " + strand, "", "", kernel.ErrNodeDown},
 	// The same chain, but node 3 is down before node 0 asks where the
 	// object is: the locate's chase must fail, not wait for ever.
 	{"-chaos " + locateStrandPlan + " -net sparc,sparc,sparc,sparc " + locateStrand, "", "", kernel.ErrNodeDown},
 	{"-chaos " + locateStrandPlan + " -dir 3 -net sparc,sparc,sparc,sparc " + locateStrand, "", "", kernel.ErrNodeDown},
+	// An object moves under a chaos plan while a thread inside it is
+	// blocked: in a remote call, with the call's Return landing before the
+	// move commits, on a condition, at the monitor's entry, and on another
+	// object's move. Each prints
+	// what it prints without faults, with the directory as without it.
+	{"-chaos seed=1 -net sparc,sparc,sparc " + custodyCall, "", "", nil},
+	{"-chaos seed=1 -dir 3 -net sparc,sparc,sparc " + custodyCall, "", "", nil},
+	{"-chaos seed=1 -net sparc,sparc,sparc " + custodyWindow, "", "", nil},
+	{"-chaos seed=1 -dir 3 -net sparc,sparc,sparc " + custodyWindow, "", "", nil},
+	{"-chaos seed=1 -net sparc,sparc,sparc " + custodyWait, "", "", nil},
+	{"-chaos seed=1 -dir 3 -net sparc,sparc,sparc " + custodyWait, "", "", nil},
+	{"-chaos seed=1 -net sparc,sparc,sparc " + custodyEntry, "", "", nil},
+	{"-chaos seed=1 -dir 3 -net sparc,sparc,sparc " + custodyEntry, "", "", nil},
+	{"-chaos seed=1 -net sparc,sparc,sparc " + custodyLocal, "", "", nil},
+	{"-chaos seed=1 -dir 3 -net sparc,sparc,sparc " + custodyLocal, "", "", nil},
+	// The moved call's callee crashes for good: the call's new node
+	// suspects it and fails the call.
+	{"-chaos seed=1,crash=1@1000ms -net sparc,sparc,sparc " + custodyCall, "", "", kernel.ErrNodeDown},
+	{"-chaos seed=1,crash=1@1000ms -dir 3 -net sparc,sparc,sparc " + custodyCall, "", "", kernel.ErrNodeDown},
 }
+
+// The moves of internal/core/testdata with a blocked thread aboard.
+const (
+	custodyCall   = "internal/core/testdata/custody_call.em"
+	custodyWindow = "internal/core/testdata/custody_window.em"
+	custodyWait   = "internal/core/testdata/custody_wait.em"
+	custodyEntry  = "internal/core/testdata/custody_entry.em"
+	custodyLocal  = "internal/core/testdata/custody_local.em"
+)
 
 // The two-forward chains of internal/core/testdata: node 3 crashes for good
 // 0.5 s into strand's 2 s call, and 0.4 s before locate_strand's locate.
 const (
 	strand           = "internal/core/testdata/strand.em"
 	strandPlan       = "seed=1,hb=20ms,suspect=100ms,crash=3@1s"
+	strandLatePlan   = "seed=1,hb=20ms,suspect=100ms,crash=3@1500ms"
 	locateStrand     = "internal/core/testdata/locate_strand.em"
 	locateStrandPlan = "seed=1,hb=20ms,suspect=100ms,crash=3@600ms"
 )

@@ -259,6 +259,10 @@ func TestValidateMoveRejects(t *testing.T) {
 			Frags:  []wire.Fragment{{FragID: 1}},
 			SpanID: 910_003},
 	}
+	// A fragment status past the last.
+	probe := statusMove(t, n1, "Probe", wire.FragBlockedEntry+1)
+	probe.SpanID = 910_004
+	bad = append(bad, probe)
 	for _, mv := range bad {
 		n1.recvMove(0, mv)
 		if o, ok := n1.objects[mv.Object]; ok && o.Resident {
@@ -268,6 +272,51 @@ func TestValidateMoveRejects(t *testing.T) {
 			t.Errorf("rejected span %d was marked seen; a corrected retry would be dropped", mv.SpanID)
 		}
 	}
+
+	// Every status a move ships passes: runnable, waiting on a condition,
+	// blocked in a call, queued at the monitor's entry.
+	g := runSrc(t, `
+object Gate
+  monitor
+    var open: Bool <- false
+    var opened: Condition
+    operation pass()
+      while !open do
+        wait opened
+      end
+    end
+  end monitor
+end Gate
+object Main
+  process
+    var g: Gate <- new Gate
+    print(g == nil)
+  end process
+end Main
+`, []netsim.MachineModel{mSun3, mSPARC}, chaosConfig(&chaos.Plan{Seed: 1}))
+	for st := wire.FragRunnable; st <= wire.FragBlockedEntry; st++ {
+		if err := g.Nodes[0].validateMove(statusMove(t, g.Nodes[0], "Gate", st)); err != nil {
+			t.Errorf("a %v fragment was refused: %v", st, err)
+		}
+	}
+}
+
+// statusMove builds a Move of a fresh object of n's loaded code name that
+// ships one fragment of the given status, its top at the entry of the
+// code's first operation.
+func statusMove(t *testing.T, n *Node, name string, st wire.FragStatus) *wire.Move {
+	t.Helper()
+	for _, lc := range n.codeByOID {
+		if lc.oc.Name != name {
+			continue
+		}
+		return &wire.Move{Object: oid.ForRuntime(0, 900), CodeOID: lc.oc.CodeOID,
+			Data: make([]wire.Value, len(lc.oc.Template.Slots)),
+			Frags: []wire.Fragment{{FragID: 1, Status: st, Executing: true,
+				Acts: []wire.MIActivation{{CodeOID: lc.oc.CodeOID, Stop: wire.EntryStop}}}}}
+	}
+	t.Fatalf("node %d has no code %s", n.ID, name)
+	return nil
 }
 
 // TestChaosAggressiveDupSmoke is the pooled-buffer-lifetime regression

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/oid"
 	"repro/internal/wire"
 )
@@ -134,17 +135,27 @@ func TestDirAskKeepsNewerKnowledge(t *testing.T) {
 // call runs, crashes for good at 1 s. seed, when set, is scheduled before
 // the run. It returns the cluster and Run's error.
 func strandRun(t *testing.T, seed func(c *Cluster)) (*Cluster, error) {
+	return testdataRun(t, "strand.em", "seed=1,hb=20ms,suspect=100ms,crash=3@1s", 4, seed)
+}
+
+// testdataRun runs core's testdata program name on nodes SPARCs under the
+// chaos plan; seed, when set, is scheduled before the run. It returns the
+// cluster and Run's error.
+func testdataRun(t *testing.T, name, plan string, nodes int, seed func(c *Cluster)) (*Cluster, error) {
 	t.Helper()
-	src, err := os.ReadFile(filepath.Join("..", "core", "testdata", "strand.em"))
+	src, err := os.ReadFile(filepath.Join("..", "core", "testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := chaos.ParsePlan("seed=1,hb=20ms,suspect=100ms,crash=3@1s")
+	p, err := chaos.ParsePlan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	models := []netsim.MachineModel{mSPARC, mSPARC, mSPARC, mSPARC}
-	c, err := NewCluster(compileSrc(t, string(src)), models, Config{Chaos: plan})
+	models := make([]netsim.MachineModel, nodes)
+	for i := range models {
+		models[i] = mSPARC
+	}
+	c, err := NewCluster(compileSrc(t, string(src)), models, Config{Chaos: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +164,49 @@ func strandRun(t *testing.T, seed func(c *Cluster)) (*Cluster, error) {
 		seed(c)
 	}
 	return c, c.Run(5_000_000)
+}
+
+// A call whose callee's node is suspected while a move holds it fails
+// where it ends up. Node 0's A.f awaits b.g() from node 1, and a move of A
+// to node 2 holds the call from 318 ms to its commit at 356 ms. Node 1
+// crashes at 320 ms: node 0 suspects it at 350 ms, inside the commit
+// window, so that failure waits for the commit and lapses, and node 2,
+// which installed the call with node 1 as its custodian, fails it. Node 1
+// crashes at 300 ms: node 2 suspects it at 330 ms, before the call
+// arrives at 331 ms, and fails it on arrival.
+func TestHeldCallFailsWhereItMoved(t *testing.T) {
+	for _, crash := range []string{"320ms", "300ms"} {
+		c, err := testdataRun(t, "custody_call.em", "seed=1,hb=10ms,suspect=30ms,crash=1@"+crash, 3, nil)
+		if err != nil {
+			t.Fatalf("crash at %s: Run = %v", crash, err)
+		}
+		if len(c.Faults) == 0 || c.Faults[0].Node != 2 || !errors.Is(c.Faults[0].Err, ErrNodeDown) {
+			t.Errorf("crash at %s: faults %+v, want the first an ErrNodeDown on node 2", crash, c.Faults)
+		}
+	}
+}
+
+// A move whose thread's top waits on a local continuation defers until
+// the wait ends, rather than ship a call that has no custodian for the
+// destination to refuse: a's move in custody_local.em commits at its
+// first attempt, after c's.
+func TestLocalWaitDefersMove(t *testing.T) {
+	c, err := testdataRun(t, "custody_local.em", "seed=1", 3, nil)
+	if err != nil || c.OutputText() != "5" {
+		t.Fatalf("Run = %v, output %q; want nil, \"5\"", err, c.OutputText())
+	}
+	var commits int
+	for _, e := range c.Rec.Events() {
+		switch e.Kind {
+		case obs.EvMoveAbort:
+			t.Errorf("move of %v aborted: %s", e.Obj, e.Str)
+		case obs.EvMoveCommit:
+			commits++
+		}
+	}
+	if commits != 2 {
+		t.Errorf("%d move commits, want 2", commits)
+	}
 }
 
 // A call whose returning piece sits on a node that is down, and that the

@@ -379,7 +379,7 @@ func (c *Cluster) armChaos(plan *chaos.Plan) error {
 		}
 	}
 	for _, n := range c.Nodes {
-		n.every(plan.HeartbeatPeriod(), n.heartbeatTick)
+		n.every(plan.HeartbeatPeriod(), n.heartbeatTick, n.awaitsDown)
 	}
 	return nil
 }

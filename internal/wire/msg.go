@@ -803,16 +803,38 @@ type Fragment struct {
 	Status    FragStatus
 	CondIndex uint16
 	Executing bool // this piece carries the thread's active top
-	Acts      []MIActivation
+	// Custody: the piece is the executing top of a call blocked at node
+	// WaitNode about object WaitObj, its custodian, which the call's new
+	// node watches. Coded only when set: the status byte's top bit, then
+	// the two fields after the fixed header.
+	Custody  bool
+	WaitNode int32
+	WaitObj  oid.OID
+	Acts     []MIActivation
 }
+
+// custodyBit marks a Fragment's status byte as followed by its custody.
+const custodyBit = 0x80
 
 func (c *codec) frag(f *Fragment) {
 	c.u32(&f.FragID)
 	c.i32(&f.LinkNode)
 	c.u32(&f.LinkFrag)
-	c.u8((*byte)(&f.Status))
+	st := byte(f.Status)
+	if f.Custody {
+		st |= custodyBit
+	}
+	c.u8(&st)
 	c.u16(&f.CondIndex)
 	c.bool(&f.Executing)
+	if c.e == nil {
+		f.Status, f.Custody = FragStatus(st&^custodyBit), st&custodyBit != 0
+		f.WaitNode, f.WaitObj = 0, 0
+	}
+	if f.Custody {
+		c.i32(&f.WaitNode)
+		c.oid(&f.WaitObj)
+	}
 	n := c.count(len(f.Acts), minActBytes)
 	if c.e == nil {
 		f.Acts = c.d.acts.carve(n, n)

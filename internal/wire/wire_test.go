@@ -280,6 +280,10 @@ func TestMoveRoundtrip(t *testing.T) {
 		}, {
 			FragID: 8, LinkNode: 1, LinkFrag: 44, Status: FragBlockedEntry,
 			Acts: []MIActivation{{CodeOID: 2, FuncIndex: 1, Stop: EntryStop}},
+		}, {
+			FragID: 9, LinkNode: 0, LinkFrag: 45, Status: FragBlockedCall, Executing: true,
+			Custody: true, WaitNode: 2, WaitObj: 101,
+			Acts: []MIActivation{{CodeOID: 2, FuncIndex: 0, Stop: 2}},
 		}},
 		Hints: []LocHint{{OID: 101, Node: 0}},
 	}}
