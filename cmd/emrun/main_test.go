@@ -233,9 +233,9 @@ func TestFaultsReadTheRegistry(t *testing.T) {
 		t.Errorf("-faults printed %d counts, want %d:\n%s", counts, want, stderr.String())
 	}
 	for _, want := range []string{
-		"all nodes: retransmits=4230 move_commits=6000 ",
-		"chaos_injected, cluster-wide: drop=5334 dup=2188\n",
-		"link_drops, cluster-wide: dup=3773\n",
+		"all nodes: retransmits=1424 move_commits=6000 ",
+		"chaos_injected, cluster-wide: drop=5079 dup=2068\n",
+		"link_drops, cluster-wide: dup=1077\n",
 	} {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("-faults does not print %q:\n%s", want, stderr.String())
