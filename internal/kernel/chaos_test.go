@@ -169,9 +169,8 @@ end Main
 // remote invocation must fail with a typed ErrNodeDown fault instead of
 // hanging the simulation.
 func TestNodeDownFaultTyped(t *testing.T) {
-	// Message sends cost SendCycles of CPU (~8.5ms at 20 MHz), so every
-	// protocol window here is generous relative to that: the crash lands
-	// deep inside the spin loop, long after the first ping's round trip.
+	// The crash lands deep inside the spin loop, long after the first
+	// ping's round trip.
 	plan := &chaos.Plan{
 		Seed:           1,
 		Crashes:        []chaos.Crash{{Node: 1, At: 250_000}}, // never restarts

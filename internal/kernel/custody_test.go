@@ -135,13 +135,13 @@ func TestDirAskKeepsNewerKnowledge(t *testing.T) {
 // call runs, crashes for good at 1 s. seed, when set, is scheduled before
 // the run. It returns the cluster and Run's error.
 func strandRun(t *testing.T, seed func(c *Cluster)) (*Cluster, error) {
-	return testdataRun(t, "strand.em", "seed=1,hb=20ms,suspect=100ms,crash=3@1s", 4, seed)
+	return testdataRun(t, "strand.em", "seed=1,hb=20ms,suspect=100ms,crash=3@1s", 4, Config{}, seed)
 }
 
-// testdataRun runs core's testdata program name on nodes SPARCs under the
-// chaos plan; seed, when set, is scheduled before the run. It returns the
-// cluster and Run's error.
-func testdataRun(t *testing.T, name, plan string, nodes int, seed func(c *Cluster)) (*Cluster, error) {
+// testdataRun runs core's testdata program name on nodes SPARCs under cfg
+// and the chaos plan; seed, when set, is scheduled before the run. It
+// returns the cluster and Run's error.
+func testdataRun(t *testing.T, name, plan string, nodes int, cfg Config, seed func(c *Cluster)) (*Cluster, error) {
 	t.Helper()
 	src, err := os.ReadFile(filepath.Join("..", "core", "testdata", name))
 	if err != nil {
@@ -155,7 +155,8 @@ func testdataRun(t *testing.T, name, plan string, nodes int, seed func(c *Cluste
 	for i := range models {
 		models[i] = mSPARC
 	}
-	c, err := NewCluster(compileSrc(t, string(src)), models, Config{Chaos: p})
+	cfg.Chaos = p
+	c, err := NewCluster(compileSrc(t, string(src)), models, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func testdataRun(t *testing.T, name, plan string, nodes int, seed func(c *Cluste
 // arrives at 331 ms, and fails it on arrival.
 func TestHeldCallFailsWhereItMoved(t *testing.T) {
 	for _, crash := range []string{"320ms", "300ms"} {
-		c, err := testdataRun(t, "custody_call.em", "seed=1,hb=10ms,suspect=30ms,crash=1@"+crash, 3, nil)
+		c, err := testdataRun(t, "custody_call.em", "seed=1,hb=10ms,suspect=30ms,crash=1@"+crash, 3, Config{}, nil)
 		if err != nil {
 			t.Fatalf("crash at %s: Run = %v", crash, err)
 		}
@@ -186,12 +187,45 @@ func TestHeldCallFailsWhereItMoved(t *testing.T) {
 	}
 }
 
+// custody_window.em's Return reaches node 0 after the move of A to node 2
+// left and before it commits, so it waits for the outcome and follows the
+// call to node 2 at the commit: without the directory it lands at 376 ms
+// in a window of 368-406 ms, and with it at 434 ms in 368-453 ms. Its
+// TestCommandLines rows check only the output, which a Return landing
+// outside the window prints too.
+func TestReturnLandsInCommitWindow(t *testing.T) {
+	for _, dir := range []int{0, 3} {
+		c, err := testdataRun(t, "custody_window.em", "seed=1", 3, Config{DirReplicas: dir}, nil)
+		if err != nil || c.OutputText() != "true" {
+			t.Fatalf("dir %d: Run = %v, output %q; want nil, \"true\"", dir, err, c.OutputText())
+		}
+		var out, commit, ret, fwd int64 = -1, -1, -1, -1
+		for _, e := range c.Rec.Events() {
+			switch {
+			case e.Node != 0:
+			case e.Kind == obs.EvMigrateOut && e.B == 2 && out < 0:
+				out = e.At
+			case e.Kind == obs.EvMoveCommit && e.B == 2:
+				commit = e.At
+			case e.Kind == obs.EvWireRecv && e.Str == "return" && e.B == 1 && ret < 0:
+				ret = e.At
+			case e.Kind == obs.EvWireSend && e.Str == "return" && e.B == 2 && fwd < 0:
+				fwd = e.At
+			}
+		}
+		if !(out >= 0 && out < ret && ret < commit && fwd == commit) {
+			t.Errorf("dir %d: move out at %d µs, Return from node 1 at %d, commit at %d, Return sent to node 2 at %d; want out < Return < commit = send",
+				dir, out, ret, commit, fwd)
+		}
+	}
+}
+
 // A move whose thread's top waits on a local continuation defers until
 // the wait ends, rather than ship a call that has no custodian for the
 // destination to refuse: a's move in custody_local.em commits at its
 // first attempt, after c's.
 func TestLocalWaitDefersMove(t *testing.T) {
-	c, err := testdataRun(t, "custody_local.em", "seed=1", 3, nil)
+	c, err := testdataRun(t, "custody_local.em", "seed=1", 3, Config{}, nil)
 	if err != nil || c.OutputText() != "5" {
 		t.Fatalf("Run = %v, output %q; want nil, \"5\"", err, c.OutputText())
 	}
