@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/netsim"
-	"repro/internal/wire"
 )
 
 // The kernel's share of the allocation budget (DESIGN.md §11): a scheduler
@@ -63,21 +62,21 @@ func TestYieldEnqueueSchedPassAllocatesNothing(t *testing.T) {
 
 // One reliable frame's life — sent, delivered, acknowledged, its ack
 // received, the frame retired and its timer fired dead — allocates the
-// three things that outlive the send: the pendingFrame, its exact-size
+// three things that outlive the send: the link.Frame, its exact-size
 // retransmission copy and its one timer func. The events, both CRCs, both
-// parses and the ack's marshalling allocate nothing. Node 1 answers with
-// only its link layer (the payload here is not a protocol message).
+// parses, the release and the ack's marshalling allocate nothing. Node 1
+// answers with only its link (the payload here is not a protocol message).
 func TestReliableFrameLifeAllocatesThree(t *testing.T) {
 	c := quiescedCluster(t, []netsim.MachineModel{mSPARC, mVAX}, chaosConfig(&chaos.Plan{Seed: 1}))
 	n0, n1 := c.Nodes[0], c.Nodes[1]
 	acked := 0
 	c.Net.Attach(1, func(src int, buf []byte) {
-		lf, err := wire.ParseLinkFrame(buf)
-		if err != nil || lf.Kind != wire.LData {
-			t.Fatalf("node 1 received %+v, %v; want a data frame", lf, err)
+		a, err := n1.link.Recv(src, buf, n1.now())
+		if err != nil || len(a.Release) != 1 {
+			t.Fatalf("node 1 received %+v, %v; want a data frame released", a, err)
 		}
 		acked++
-		n1.sendLinkAck(src, lf.Seq)
+		n1.netSend(src, a.Ack)
 	})
 	inner := make([]byte, 48)
 	life := func() {
@@ -85,11 +84,11 @@ func TestReliableFrameLifeAllocatesThree(t *testing.T) {
 		if err := c.Run(1000); err != nil {
 			t.Fatal(err)
 		}
-		if len(n0.unacked) != 0 {
+		if !n0.link.Acked(1, n0.link.LastSeq(1)) {
 			t.Fatal("frame still unacked after the run quiesced")
 		}
 	}
-	life() // warm: queue, buffer pool, ack scratch, map buckets
+	life() // warm: queue, buffer pool, ack scratch, release scratch
 	got := testing.AllocsPerRun(200, life)
 	if got > 3 {
 		t.Errorf("one reliable frame sent, acked and retired = %v allocs, want <= 3", got)

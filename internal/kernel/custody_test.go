@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/link"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/oid"
@@ -30,6 +31,17 @@ func custodyNode(t *testing.T, cfg Config) (*Cluster, *Node, *Obj, *Frag) {
 	f := n.newFrag()
 	n.blockCall(f, 1, o.OID)
 	return c, n, o, f
+}
+
+// suspect has n suspect peer p, as heartbeat silence would; heard, p is
+// heard from again at once, so the suspicion is only counted.
+func suspect(n *Node, p int, heard bool) {
+	n.link.Tick(p, n.now()+1<<40)
+	if heard {
+		if _, err := n.link.Recv(p, link.Heartbeat, n.now()); err != nil {
+			panic(err)
+		}
+	}
 }
 
 // learnLoc moves a proxy only forward in epoch, a tie included, and only
@@ -60,8 +72,8 @@ func TestLearnLoc(t *testing.T) {
 		if tc.transit {
 			o.transit = &moveTxn{obj: o}
 		}
-		n.peers[1].downs++ // node 1 has been suspected since o learned it
-		n.peers[3].suspect = true
+		suspect(n, 1, true) // node 1 has been suspected since o learned it
+		suspect(n, 3, false)
 		n.learnLoc(o, tc.node, tc.epoch)
 		wantNode, wantEpoch := 1, uint32(1)
 		if tc.learned {
@@ -106,7 +118,7 @@ func TestCustodyReportsReversed(t *testing.T) {
 			t.Errorf("reversed=%v: call waits at node %d, proxy at node %d epoch %d; want %d, 3, 3",
 				reversed, f.waitNode, o.LastKnown, o.Epoch, wantWait)
 		}
-		n.peers[3].suspect = true
+		suspect(n, 3, false)
 		n.failWaitersOn(3)
 		if len(c.Faults) != 1 || !errors.Is(c.Faults[0].Err, ErrNodeDown) {
 			t.Errorf("reversed=%v: faults %+v, want the call failed with ErrNodeDown", reversed, c.Faults)
@@ -120,7 +132,7 @@ func TestCustodyReportsReversed(t *testing.T) {
 func TestDirAskKeepsNewerKnowledge(t *testing.T) {
 	_, n, o, f := custodyNode(t, Config{DirReplicas: 3, DirLeaseMicros: 2_000_000})
 	o.Epoch = 5
-	n.peers[1].downs++
+	suspect(n, 1, true)
 	n.dirLeases[o.OID] = dirLease{node: 2, epoch: 3, expires: n.now() + 1_000_000}
 	resumed := false
 	n.dirAsk(f, o, func(*Node, *Frag, *Obj) { resumed = true })

@@ -404,7 +404,7 @@ func (n *Node) dirLookupQuery(o oid.OID, done func(ok bool, node int32, epoch ui
 			if n.now() >= l.expires {
 				delete(n.dirLeases, o)
 				n.cluster.Rec.Metrics().Add("dir_lease_expired", lbl, 1)
-			} else if n.suspected(int(l.node)) || int(l.node) == n.ID {
+			} else if n.link.Suspected(int(l.node)) || int(l.node) == n.ID {
 				// The leased home is suspect (the record is about to be
 				// superseded or the chase must cover it) or names this very
 				// node while the object is not resident here — either way
@@ -429,7 +429,7 @@ func (n *Node) dirLookupQuery(o oid.OID, done func(ok bool, node int32, epoch ui
 			target = r
 			break
 		}
-		if target < 0 && !n.suspected(r) {
+		if target < 0 && !n.link.Suspected(r) {
 			target = r
 		}
 	}

@@ -86,7 +86,7 @@ func (n *Node) joinCohort(o *Obj, dest int, fix bool) {
 			})
 			return
 		}
-		if n.suspected(dest) {
+		if n.link.Suspected(dest) {
 			// The destination looks dead: degrade gracefully — the object
 			// stays resident here and callers keep reaching it by remote
 			// invocation.
@@ -148,9 +148,9 @@ func (n *Node) sendCohort(dest int) {
 	switch {
 	case items[0].tx.live:
 		// Under chaos every member transaction pins to the cohort's single
-		// frame (lastFrame after the one send above): per-member MoveAcks
-		// resolve the transactions independently, and an abort's filler
-		// swap is idempotent across members sharing the frame. With group
+		// frame, the last sent to dest: per-member MoveAcks resolve the
+		// transactions independently, and an abort's filler swap is
+		// idempotent across members sharing the frame. With group
 		// decrees on, the members of a larger cohort also share one
 		// dirGroupBatch: their decrees wait for the last member's MoveAck
 		// and then go out together; otherwise each member proposes alone

@@ -245,7 +245,7 @@ func (c *Cluster) checkFrags(n *Node) *Violation {
 // that is up or that n does not suspect.
 func (c *Cluster) linked(n *Node, id uint32) bool {
 	for _, m := range c.Nodes {
-		if !m.Up && n.suspected(m.ID) {
+		if !m.Up && n.link.Suspected(m.ID) {
 			continue
 		}
 		for _, g := range m.frags {

@@ -140,7 +140,7 @@ func (n *Node) invokeRemote(f *Frag, recv *Obj, opName string, args []uint32) {
 // the proxy learned it. This is the one check before a call, a remote
 // array access or a locate leaves for a proxy.
 func (n *Node) stale(o *Obj) bool {
-	return n.suspected(o.LastKnown) || n.cluster.dirOn && n.locStale(o)
+	return n.link.Suspected(o.LastKnown) || n.cluster.dirOn && n.locStale(o)
 }
 
 // reroute is what a call (an invocation or a remote array access; what
@@ -156,7 +156,7 @@ func (n *Node) reroute(f *Frag, o *Obj, what string, retry func()) {
 		switch {
 		case o.Resident:
 			retry()
-		case n.suspected(o.LastKnown):
+		case n.link.Suspected(o.LastKnown):
 			n.faultDown(f, o, what)
 		default:
 			n.cluster.Rec.Metrics().Add("dir_reroutes", n.labels, 1)

@@ -504,7 +504,7 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 	// operation: the object stays resident until the destination acks.
 	n.col.items = append(n.col.items, groupItem{msg: msg, tx: tx, sp: sp, commit: func() {
 		o.Resident = false
-		o.LastKnown, o.locDowns = dest, n.peers[dest].downs
+		o.LastKnown, o.locDowns = dest, n.link.Downs(dest)
 		o.Mon = nil
 		n.Migrations++
 	}})
@@ -708,7 +708,7 @@ func (n *Node) recvMove(src int, p *wire.Move) {
 	n.finishMoveIn(src, p, conv, prev, respecStart)
 	n.ackMove(src, p)
 	for i := range p.Frags {
-		if wf := &p.Frags[i]; wf.Custody && n.suspected(int(wf.WaitNode)) {
+		if wf := &p.Frags[i]; wf.Custody && n.link.Suspected(int(wf.WaitNode)) {
 			// This node suspected the call's custodian before the call came.
 			n.failWaitersOn(int(wf.WaitNode))
 		}

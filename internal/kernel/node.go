@@ -10,6 +10,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/dir"
 	"repro/internal/ir"
+	"repro/internal/link"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/oid"
@@ -106,10 +107,8 @@ type Node struct {
 	// Crash-tolerance state, live only under a chaos plan (Config.Chaos).
 	// Up is the fail-stop flag: a crashed node neither runs nor receives.
 	Up bool
-	// peers[p] is the link state toward node p, one entry per cluster node.
-	peers []peerLink
-	// unacked holds in-flight reliable frames keyed by linkKey(dst, seq).
-	unacked map[uint64]*pendingFrame
+	// link is the reliable link's state toward every peer.
+	link link.Link
 	// seenSpans deduplicates Move deliveries by SpanID so an object is
 	// never installed twice; pendingCommits are this node's outbound moves
 	// awaiting a MoveAck; abortedSpans tombstones aborted move spans to
@@ -120,12 +119,6 @@ type Node struct {
 	// stalled are the protocol timers that fired while the node was down;
 	// restart re-arms them.
 	stalled []stalledTimer
-	// lastFrame is the pendingFrame of the most recent sendReliable call,
-	// so the move protocol can locate the frame backing a just-sent Move.
-	lastFrame *pendingFrame
-	// ackBuf is the scratch a link ack is marshalled into (netsim.Send
-	// copies the frame, so one buffer serves every ack).
-	ackBuf []byte
 
 	// Replicated-directory state, live only when Config.DirReplicas > 0
 	// (see dir.go). dirAcc/dirStore are this node's replica roles (acceptor
@@ -191,22 +184,6 @@ type Node struct {
 	ProtoConvCalls uint64
 }
 
-// peerLink is a node's link state toward one peer under a chaos plan: the
-// reliable link layer's per-channel sequence numbers and hold buffer, and
-// the heartbeat clocks that drive crash suspicion.
-type peerLink struct {
-	outSeq uint32 // the last LData sequence number sent to the peer
-	inDone uint32 // the last one released from it, in order
-	// inBuf holds the peer's out-of-order frames until the gap fills.
-	inBuf map[uint32][]byte
-	// lastHeard is when a valid link frame last arrived from the peer;
-	// lastSent is when this node last put a link frame to it on the wire,
-	// so heartbeats go out on idle links only.
-	lastHeard, lastSent netsim.Micros
-	suspect             bool   // heartbeat silence: the peer looks down
-	downs               uint32 // how many times the peer has been suspected
-}
-
 func newNode(c *Cluster, id, nodes int, m netsim.MachineModel) *Node {
 	spec := c.Prog.Spec(arch.ID(m.Arch))
 	n := &Node{
@@ -227,8 +204,7 @@ func newNode(c *Cluster, id, nodes int, m netsim.MachineModel) *Node {
 		labels:     obs.NodeLabels(id, spec.ID.String()),
 
 		Up:             true,
-		peers:          make([]peerLink, nodes),
-		unacked:        map[uint64]*pendingFrame{},
+		link:           link.New(nodes, c.Chaos),
 		seenSpans:      map[uint32]bool{},
 		pendingCommits: map[uint32]*moveTxn{},
 		abortedSpans:   map[uint32]bool{},
@@ -252,9 +228,6 @@ func (n *Node) chaosOn() bool { return n.cluster.Chaos != nil }
 
 // now returns this node's current simulated time.
 func (n *Node) now() netsim.Micros { return n.sched.Now() }
-
-// suspected reports whether heartbeat silence has node p suspected down.
-func (n *Node) suspected(p int) bool { return p >= 0 && p < len(n.peers) && n.peers[p].suspect }
 
 // count adds delta to the counter series (name, labels) through the handle
 // *p, resolving it on first use.
@@ -381,7 +354,7 @@ func (n *Node) proxyFor(id oid.OID, hint int) *Obj {
 	if o, ok := n.objects[id]; ok {
 		return o
 	}
-	o := &Obj{OID: id, Resident: false, LastKnown: hint, locDowns: n.peers[hint].downs}
+	o := &Obj{OID: id, Resident: false, LastKnown: hint, locDowns: n.link.Downs(hint)}
 	n.register(o)
 	return o
 }
@@ -768,77 +741,52 @@ func (n *Node) sendMsg(dst int, p wire.Payload) (int, netsim.Micros) {
 	// Transmission starts once the CPU has finished marshalling.
 	if n.chaosOn() {
 		n.sendReliable(dst, buf, k.String())
-	} else if err := n.cluster.Net.Send(n.ID, dst, buf, n.CPU.FreeAt); err != nil {
-		panic(fmt.Sprintf("kernel: %v", err)) // a programming error: dst is no attached node
+	} else {
+		n.netSend(dst, buf)
 	}
 	e.Release()
 	return size, n.CPU.FreeAt
 }
 
-// netSend puts one raw frame on the medium (chaos paths; no protocol
-// charges — callers account their own link-level costs).
+// netSend puts one frame on the medium as soon as the CPU is free; it
+// charges nothing, callers account their own costs.
 func (n *Node) netSend(dst int, frame []byte) {
-	n.peers[dst].lastSent = n.now()
 	if err := n.cluster.Net.Send(n.ID, dst, frame, n.CPU.FreeAt); err != nil {
 		panic(fmt.Sprintf("kernel: %v", err)) // a programming error: dst is no attached node
 	}
 }
 
-// deliver is the network receive handler. Chaos-off it is the legacy direct
-// path; under a chaos plan it first runs the link layer: CRC check,
-// acknowledgment, per-source deduplication and in-order release.
+// deliver is the network receive handler (netsim delivers nothing to a node
+// that is down). Chaos-off it is the legacy direct path; under a chaos plan
+// the link takes the frame first: CRC, liveness, ack, in-order release.
 func (n *Node) deliver(src int, buf []byte) {
 	if !n.chaosOn() {
 		n.deliverInner(src, buf)
 		return
 	}
-	if !n.Up {
-		return // netsim drops frames to down nodes; belt and braces
-	}
-	lf, err := wire.ParseLinkFrame(buf)
+	a, err := n.link.Recv(src, buf, n.now())
 	if err != nil {
 		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvLinkDrop,
 			B: uint64(src), Str: "crc"})
 		n.count(&n.ctr.crcDrops, "link_drops", "reason=crc", 1)
 		return // retransmission recovers
 	}
-	n.heard(src)
+	if a.Recovered {
+		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvNodeRecover, B: uint64(src)})
+		for _, f := range n.link.Revive(n.now()) {
+			n.transmit(f)
+		}
+	}
 	n.charge(uint64(n.cluster.Costs.SyscallCycles))
-	switch lf.Kind {
-	case wire.LRaw: // heartbeat: liveness signal only
-		return
-	case wire.LAck:
-		n.recvAck(src, lf.Seq)
-		return
+	if a.Ack != nil {
+		n.charge(uint64(n.cluster.Costs.SyscallCycles))
+		n.netSend(src, a.Ack)
 	}
-	// LData: always acknowledge (acks are idempotent), then release in order.
-	n.sendLinkAck(src, lf.Seq)
-	p := &n.peers[src]
-	next := p.inDone + 1
-	if lf.Seq < next {
+	if a.Dup {
 		n.count(&n.ctr.dupDrops, "link_drops", "reason=dup", 1)
-		return // duplicate of an already-delivered frame
 	}
-	if lf.Seq > next {
-		// Out of order: hold until the gap fills.
-		if p.inBuf == nil {
-			p.inBuf = map[uint32][]byte{}
-		}
-		if _, held := p.inBuf[lf.Seq]; !held {
-			p.inBuf[lf.Seq] = append([]byte(nil), lf.Inner...)
-		}
-		return
-	}
-	n.deliverInner(src, lf.Inner)
-	for {
-		p.inDone = next
-		next++
-		held, ok := p.inBuf[next]
-		if !ok {
-			break
-		}
-		delete(p.inBuf, next)
-		n.deliverInner(src, held)
+	for _, inner := range a.Release {
+		n.deliverInner(src, inner)
 	}
 }
 

@@ -1,13 +1,11 @@
 // Reliable link layer and crash handling, active only under a chaos plan
-// (Config.Chaos). Every protocol message travels as a CRC'd, sequence-
-// numbered LData frame that the receiver acknowledges and the sender
-// retransmits on an exponential-backoff timer until acked. Per-source
-// in-order release (node.go deliver) makes delivery exactly-once and FIFO
-// per channel, which the forwarding-address protocol's loop-freedom relies
-// on. Nodes crash fail-stop with durable kernel and link state: a crashed
-// node is simply unresponsive, and on restart its stalled frames and timers
-// re-arm. Heartbeats drive crash suspicion, which fails in-flight remote
-// invocations with the typed ErrNodeDown.
+// (Config.Chaos). The link's protocol state is internal/link's; this file
+// does what it asks: puts its frames on the wire with their CPU charges,
+// arms its retransmit timers, emits its events and counts its metrics.
+// Nodes crash fail-stop with durable kernel and link state: a crashed
+// node is simply unresponsive, and on restart its stalled frames and
+// timers re-arm. Heartbeats drive crash suspicion, which fails in-flight
+// remote invocations with the typed ErrNodeDown.
 
 package kernel
 
@@ -17,6 +15,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/link"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -25,184 +24,69 @@ import (
 // test and callers match it with errors.Is.
 var ErrNodeDown = errors.New("node down")
 
-// pendingFrame is one unacked reliable frame.
-type pendingFrame struct {
-	dst      int
-	seq      uint32
-	frame    []byte // marshalled LinkFrame, retransmitted verbatim
-	kind     string // payload kind, for the retransmit event
-	attempts int
-	acked    bool
-	// stalled parks the frame: retries exhausted against a suspected peer,
-	// or the retransmit timer fired while this node was down. Parked frames
-	// re-arm when the peer recovers or this node restarts — the channel
-	// sequence must stay contiguous, so frames are never abandoned.
-	stalled bool
-	// timer is the frame's retransmission check, bound once: every arming
-	// schedules this same func.
-	timer func()
-}
-
-// heartbeatFrame is the one heartbeat a node sends a peer on a tick that
-// finds their link idle: an empty LRaw frame, constant, so it is marshalled
-// once.
-var heartbeatFrame = wire.LinkFrame{Kind: wire.LRaw}.Marshal()
-
-func linkKey(dst int, seq uint32) uint64 { return uint64(uint32(dst))<<32 | uint64(seq) }
-
-// sendReliable wraps inner in an LData frame, registers it for
-// retransmission and puts it on the wire.
+// sendReliable sends inner to dst as the link's next data frame.
 func (n *Node) sendReliable(dst int, inner []byte, kind string) {
-	n.peers[dst].outSeq++
-	seq := n.peers[dst].outSeq
-	lf := wire.LinkFrame{Kind: wire.LData, Seq: seq, Inner: inner}
-	pf := &pendingFrame{dst: dst, seq: seq, frame: lf.Marshal(), kind: kind}
-	pf.timer = func() { n.retransmitCheck(pf) }
-	n.unacked[linkKey(dst, seq)] = pf
-	n.lastFrame = pf
-	n.transmit(pf)
+	f := n.link.Send(dst, inner, kind, n.now())
+	f.Timer = func() {
+		if n.link.Timeout(f, n.Up, n.now()) == link.Resend {
+			n.transmit(f)
+		}
+	}
+	n.transmit(f)
 }
 
-// transmit puts one attempt of pf on the medium and arms the next
-// retransmission timer.
-func (n *Node) transmit(pf *pendingFrame) {
-	pf.attempts++
-	if pf.attempts > 1 {
+// transmit puts the attempt of f the link counted on the medium and arms
+// its retransmission timer.
+func (n *Node) transmit(f *link.Frame) {
+	if f.Attempts > 1 {
 		// A retransmission resends the already-marshalled frame from the
 		// kernel's buffer: it costs a timer pop and a copy, not the full
 		// per-message protocol-stack charge the first send paid (charging
 		// SendCycles here would snowball the CPU queue under loss and
 		// collapse the link).
 		n.charge(uint64(n.cluster.Costs.SyscallCycles) +
-			uint64(n.cluster.Costs.PerByteCycles)*uint64(len(pf.frame)))
+			uint64(n.cluster.Costs.PerByteCycles)*uint64(len(f.Wire)))
 		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvRetransmit,
-			A: uint64(pf.seq), B: uint64(pf.dst), Str: pf.kind, Span: uint32(pf.attempts)})
+			A: uint64(f.Seq), B: uint64(f.Dst), Str: f.Kind, Span: uint32(f.Attempts)})
 		n.count(&n.ctr.retransmits, "retransmits", n.labels, 1)
 	}
-	n.netSend(pf.dst, pf.frame)
-	n.armRetransmit(pf)
-}
-
-// armRetransmit schedules the retransmission check for pf's current attempt
-// with exponential backoff. The timer is strong (it keeps the simulation
-// alive) because an unacked frame is unfinished protocol work.
-func (n *Node) armRetransmit(pf *pendingFrame) {
-	plan := n.cluster.Chaos
-	rto := plan.RTOMin()
-	for i := 1; i < pf.attempts; i++ {
-		rto *= 2
-		if rto >= plan.RTOCap() {
-			rto = plan.RTOCap()
-			break
-		}
-	}
+	n.netSend(f.Dst, f.Wire)
 	// The frame reaches the wire only after the CPU drains the marshalling
 	// work already queued (netSend passes CPU.FreeAt as the earliest start);
 	// count the timeout from there, or a long marshal alone triggers a
-	// spurious retransmission.
-	if wait := n.CPU.FreeAt - n.now(); wait > 0 {
-		rto += wait
-	}
-	n.sched.At(rto, pf.timer)
-}
-
-// retransmitCheck is pf's timer body: resend unless the frame was acked or
-// must park.
-func (n *Node) retransmitCheck(pf *pendingFrame) {
-	if pf.acked || pf.stalled {
-		return
-	}
-	if !n.Up {
-		// Fired while crashed: park; restart re-arms.
-		pf.stalled = true
-		return
-	}
-	if pf.attempts >= n.cluster.Chaos.Retries() && n.suspected(pf.dst) {
-		// The peer looks dead: park until it is heard from again.
-		pf.stalled = true
-		return
-	}
-	n.transmit(pf)
-}
-
-// sendLinkAck acknowledges one LData sequence number (fire-and-forget; a
-// lost ack is recovered by the sender's retransmission, which is re-acked).
-func (n *Node) sendLinkAck(dst int, seq uint32) {
-	n.charge(uint64(n.cluster.Costs.SyscallCycles))
-	n.ackBuf = wire.LinkFrame{Kind: wire.LAck, Seq: seq}.AppendTo(n.ackBuf[:0])
-	n.netSend(dst, n.ackBuf)
-}
-
-// recvAck retires an unacked frame (a move in transit reads its acked flag).
-func (n *Node) recvAck(src int, seq uint32) {
-	pf, ok := n.unacked[linkKey(src, seq)]
-	if !ok {
-		return // duplicate ack
-	}
-	pf.acked = true
-	delete(n.unacked, linkKey(src, seq))
-}
-
-// heard notes liveness evidence from src, clearing suspicion and reviving
-// any frames parked against it.
-func (n *Node) heard(src int) {
-	p := &n.peers[src]
-	p.lastHeard = n.now()
-	if p.suspect {
-		p.suspect = false
-		n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
-			Kind: obs.EvNodeRecover, B: uint64(src)})
-		n.reviveStalled(func(pf *pendingFrame) bool { return pf.dst == src })
-	}
-}
-
-// reviveStalled re-arms parked frames matching the filter, in (dst, seq)
-// order for determinism.
-func (n *Node) reviveStalled(match func(*pendingFrame) bool) {
-	keys := make([]uint64, 0, len(n.unacked))
-	for k, pf := range n.unacked {
-		if pf.stalled && match(pf) {
-			keys = append(keys, k)
-		}
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		pf := n.unacked[k]
-		pf.stalled = false
-		n.transmit(pf)
-	}
+	// spurious retransmission. The timer is strong (it keeps the simulation
+	// alive) because an unacked frame is unfinished protocol work.
+	n.sched.At(f.RTO+max(n.CPU.FreeAt-n.now(), 0), f.Timer)
 }
 
 // heartbeatTick is the per-node liveness beacon and suspicion sweep, run
 // every heartbeat period. It keeps ticking (without sending) while the node
 // is down so the cadence survives a restart. Only idle links beat: every
 // valid link frame — data, ack, retransmission — is liveness evidence at the
-// receiver (deliver calls heard before it looks at the kind), so a peer
-// this node sent anything to within the last period needs no beacon. A
-// live peer is therefore heard from at least every two periods, loss aside.
+// receiver, so a peer this node sent anything to within the last period
+// needs no beacon. A live peer is therefore heard from at least every two
+// periods, loss aside.
 func (n *Node) heartbeatTick() {
-	plan := n.cluster.Chaos
 	if !n.Up {
 		return
 	}
 	now := n.now()
-	for id := range n.peers {
+	for id := range n.cluster.Nodes {
 		if id == n.ID {
 			continue
 		}
-		if now-n.peers[id].lastSent >= plan.HeartbeatPeriod() {
+		beat, suspect := n.link.Tick(id, now)
+		if beat {
 			n.charge(uint64(n.cluster.Costs.SyscallCycles))
-			n.netSend(id, heartbeatFrame)
+			n.netSend(id, link.Heartbeat)
 			n.count(&n.ctr.heartbeats, "heartbeats", n.labels, 1)
 		}
-		if p := &n.peers[id]; !p.suspect && now-p.lastHeard > plan.SuspectTimeout() {
-			p.suspect = true
+		if suspect {
 			n.cluster.Rec.Emit(obs.Event{At: int64(now), Node: int32(n.ID),
 				Kind: obs.EvNodeSuspect, B: uint64(id)})
 			n.cluster.Rec.Metrics().Add("node_suspects", n.labels, 1)
 			// Every location learned at the peer so far is now stale
 			// (locStale): its forwarding addresses may dangle.
-			p.downs++
 			n.failWaitersOn(id)
 			n.dropLeasesAt(id)
 		}
@@ -225,7 +109,7 @@ func (n *Node) awaitsDown() bool {
 }
 
 // downUnsuspected reports whether node m is down and n does not suspect it.
-func (n *Node) downUnsuspected(m *Node) bool { return !m.Up && !n.suspected(m.ID) }
+func (n *Node) downUnsuspected(m *Node) bool { return !m.Up && !n.link.Suspected(m.ID) }
 
 // failWaitersOn faults every fragment blocked on a Return that the newly
 // suspected peer may hold: its call's custodian is the peer, or the
@@ -278,10 +162,10 @@ func (n *Node) recvUpdateLoc(src int, p *wire.UpdateLoc) {
 // home. A learned location is not stale. When node is already suspected,
 // the calls blocked on o fail, as its suspicion failed the others.
 func (n *Node) learnLoc(o *Obj, node int, epoch uint32) {
-	if !o.Resident && o.transit == nil && node >= 0 && node < len(n.peers) && node != n.ID && epoch >= o.Epoch {
-		o.LastKnown, o.Epoch, o.locDowns = node, epoch, n.peers[node].downs
+	if !o.Resident && o.transit == nil && node >= 0 && node < len(n.cluster.Nodes) && node != n.ID && epoch >= o.Epoch {
+		o.LastKnown, o.Epoch, o.locDowns = node, epoch, n.link.Downs(node)
 	}
-	if n.suspected(node) {
+	if n.link.Suspected(node) {
 		n.failWaitersOn(node)
 	}
 }
@@ -289,7 +173,7 @@ func (n *Node) learnLoc(o *Obj, node int, epoch uint32) {
 // locStale reports whether o's proxy names a node that has been suspected
 // since the proxy learned it: the location may be a dangling forwarding
 // address.
-func (n *Node) locStale(o *Obj) bool { return n.peers[o.LastKnown].downs != o.locDowns }
+func (n *Node) locStale(o *Obj) bool { return n.link.Downs(o.LastKnown) != o.locDowns }
 
 // crash takes the node down fail-stop: it stops running and receiving, but
 // its memory, object table and link state are durable across the outage.
@@ -321,13 +205,9 @@ func (n *Node) restart() {
 	n.Up = true
 	n.cluster.Net.SetNodeUp(n.ID, true)
 	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvNodeRestart})
-	// Do not instantly suspect everyone after a long outage.
-	for id := range n.peers {
-		if id != n.ID {
-			n.peers[id].lastHeard = n.now()
-		}
+	for _, f := range n.link.Restart(n.now()) {
+		n.transmit(f)
 	}
-	n.reviveStalled(func(pf *pendingFrame) bool { return !n.suspected(pf.dst) })
 	// Re-arm the timers that fired while down, by class and then key, each
 	// once (several move-retry timers ask for one pass).
 	slices.SortFunc(n.stalled, func(a, b stalledTimer) int {

@@ -27,6 +27,7 @@ type moveTxn struct {
 	obj  *Obj
 	dest int
 	span uint32
+	seq  uint32 // the link sequence number of the frame carrying the Move to dest
 	fix  bool
 	// live: chaos is on, so destructive operations defer until commit.
 	live bool
@@ -45,9 +46,6 @@ type moveTxn struct {
 	// pieces are the ids minted for the local remainder pieces commit
 	// creates: a Return to one that arrives first parks here.
 	pieces []uint32
-	// moveFrame is the reliable link frame carrying the Move; it is acked
-	// once the destination has the Move.
-	moveFrame *pendingFrame
 	// dirBatch groups this transaction with the rest of its MoveGroup
 	// cohort so the directory commits the whole cohort in shared decree
 	// rounds (nil for solo moves or when group decrees are disabled).
@@ -107,7 +105,7 @@ func (n *Node) replayParked(tx *moveTxn) {
 // collector, incoming operations park, and the commit timer arms.
 func (n *Node) beginTransit(tx *moveTxn, span uint32) {
 	tx.span = span
-	tx.moveFrame = n.lastFrame
+	tx.seq = n.link.LastSeq(tx.dest)
 	tx.obj.transit = tx
 	n.exported[tx.obj.OID] = true
 	n.pendingCommits[span] = tx
@@ -129,10 +127,10 @@ func (n *Node) armCommitTimer(tx *moveTxn) {
 			n.stall(stallCommit, uint64(tx.span), func() { n.armCommitTimer(tx) })
 			return
 		}
-		if tx.moveFrame.acked {
+		if n.link.Acked(tx.dest, tx.seq) {
 			return
 		}
-		if !n.suspected(tx.dest) {
+		if !n.link.Suspected(tx.dest) {
 			n.armCommitTimer(tx)
 			return
 		}
@@ -199,17 +197,16 @@ func (n *Node) abortMove(tx *moveTxn, reason string) {
 	n.dirBatchDrop(tx)
 	delete(n.pendingCommits, tx.span)
 	n.abortedSpans[tx.span] = true
-	if pf := tx.moveFrame; pf != nil && !pf.acked {
+	if !n.link.Acked(tx.dest, tx.seq) {
 		// The Move must not install at the destination, but its link
 		// sequence number must still be delivered — in-order release would
 		// otherwise stall on the gap forever. Swap the payload for a
 		// harmless same-sequence filler: a negative MoveAck for this very
 		// span, which the destination ignores.
-		noop := &wire.Msg{Src: int32(n.ID), Dst: int32(pf.dst), Seq: n.nextSeq(),
+		noop := &wire.Msg{Src: int32(n.ID), Dst: int32(tx.dest), Seq: n.nextSeq(),
 			Payload: &wire.MoveAck{Object: tx.obj.OID, SpanID: tx.span, Epoch: tx.obj.Epoch,
 				Ok: false, Err: "aborted"}}
-		pf.frame = wire.LinkFrame{Kind: wire.LData, Seq: pf.seq, Inner: noop.Marshal()}.Marshal()
-		pf.kind = "moveack"
+		n.link.Replace(tx.dest, tx.seq, noop.Marshal(), "moveack")
 	}
 	tx.obj.Epoch--
 	tx.obj.transit = nil
