@@ -10,8 +10,6 @@
 package chaos
 
 import (
-	"sync/atomic"
-
 	"repro/internal/netsim"
 	"repro/internal/obs"
 )
@@ -64,7 +62,6 @@ type Injector struct {
 	// streams[src*nodes+dst] is the (src,dst) link's PRNG stream.
 	streams []rng
 
-	injected [numKinds]uint64 // atomic
 	// ctrs[k] is the chaos_injected counter of fault kind k (nil without
 	// a recorder), resolved here: Frame runs on every sending node's
 	// goroutine, so it must not resolve one itself.
@@ -90,18 +87,6 @@ func NewInjector(plan *Plan, nodes int, rec *obs.Recorder) *Injector {
 
 // stream returns the (src,dst) link's PRNG stream.
 func (in *Injector) stream(src, dst int) *rng { return &in.streams[src*in.nodes+dst] }
-
-// Injected returns the verdict counts by kind (drop, dup, delay, corrupt,
-// partition).
-func (in *Injector) Injected() map[string]uint64 {
-	out := map[string]uint64{}
-	for i, k := range faultKinds {
-		if v := atomic.LoadUint64(&in.injected[i]); v > 0 {
-			out[k] = v
-		}
-	}
-	return out
-}
 
 // Frame implements netsim.Injector.
 func (in *Injector) Frame(at netsim.Micros, src, dst, payloadLen int) netsim.Verdict {
@@ -151,7 +136,6 @@ func (in *Injector) partitioned(at netsim.Micros, src, dst int) bool {
 }
 
 func (in *Injector) note(at netsim.Micros, src, dst int, kind int) {
-	atomic.AddUint64(&in.injected[kind], 1)
 	if in.rec == nil {
 		return
 	}

@@ -72,69 +72,37 @@ const (
 )
 
 // HeartbeatPeriod returns the effective heartbeat period.
-func (p *Plan) HeartbeatPeriod() netsim.Micros {
-	if p.HeartbeatEvery > 0 {
-		return p.HeartbeatEvery
-	}
-	return defHeartbeat
-}
+func (p *Plan) HeartbeatPeriod() netsim.Micros { return orDefault(p.HeartbeatEvery, defHeartbeat) }
 
 // SuspectTimeout returns the silence interval after which a peer is
 // suspected down.
-func (p *Plan) SuspectTimeout() netsim.Micros {
-	if p.SuspectAfter > 0 {
-		return p.SuspectAfter
-	}
-	return defSuspect
-}
+func (p *Plan) SuspectTimeout() netsim.Micros { return orDefault(p.SuspectAfter, defSuspect) }
 
 // CommitWindow returns how long a move source waits for the destination's
 // install ack before aborting the move.
-func (p *Plan) CommitWindow() netsim.Micros {
-	if p.CommitTimeout > 0 {
-		return p.CommitTimeout
-	}
-	return defCommit
-}
+func (p *Plan) CommitWindow() netsim.Micros { return orDefault(p.CommitTimeout, defCommit) }
 
 // RTOMin returns the first retransmission timeout.
-func (p *Plan) RTOMin() netsim.Micros {
-	if p.RTOBase > 0 {
-		return p.RTOBase
-	}
-	return defRTOBase
-}
+func (p *Plan) RTOMin() netsim.Micros { return orDefault(p.RTOBase, defRTOBase) }
 
 // RTOCap returns the retransmission backoff ceiling.
-func (p *Plan) RTOCap() netsim.Micros {
-	if p.RTOMax > 0 {
-		return p.RTOMax
-	}
-	return defRTOMax
-}
+func (p *Plan) RTOCap() netsim.Micros { return orDefault(p.RTOMax, defRTOMax) }
 
 // Retries returns the retransmission attempt bound.
-func (p *Plan) Retries() int {
-	if p.MaxRetrans > 0 {
-		return p.MaxRetrans
-	}
-	return defMaxRetrans
-}
+func (p *Plan) Retries() int { return orDefault(p.MaxRetrans, defMaxRetrans) }
 
 // RetryMoveAfter returns the delay before an aborted move is retried.
-func (p *Plan) RetryMoveAfter() netsim.Micros {
-	if p.MoveRetry > 0 {
-		return p.MoveRetry
-	}
-	return defMoveRetry
-}
+func (p *Plan) RetryMoveAfter() netsim.Micros { return orDefault(p.MoveRetry, defMoveRetry) }
 
 // DelayBound returns the delayed-frame extra-delay bound.
-func (p *Plan) DelayBound() netsim.Micros {
-	if p.DelayMicros > 0 {
-		return p.DelayMicros
+func (p *Plan) DelayBound() netsim.Micros { return orDefault(p.DelayMicros, defDelayBound) }
+
+// orDefault returns v when it is set (positive), def otherwise.
+func orDefault[T int | netsim.Micros](v, def T) T {
+	if v > 0 {
+		return v
 	}
-	return defDelayBound
+	return def
 }
 
 // ParsePlan parses the -chaos flag grammar: comma-separated key=value

@@ -338,7 +338,7 @@ func TestChaosAggressiveDupSmoke(t *testing.T) {
 		t.Fatalf("aggressive-dup run output differs from fault-free run:\nfault-free:\n%s\nchaos:\n%s",
 			base.OutputText(), got)
 	}
-	if dups := c1.Net.Dups; dups < 10 {
+	if dups := c1.Rec.Metrics().Counter("chaos_injected", "kind=dup"); dups < 10 {
 		t.Errorf("only %d duplicates injected; smoke is not aggressive", dups)
 	}
 	c2 := runSrc(t, src, models, chaosConfig(plan()))

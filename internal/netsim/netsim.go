@@ -14,10 +14,7 @@
 // are a function of its inputs alone (DESIGN.md §12).
 package netsim
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Micros is a simulated time in microseconds.
 type Micros int64
@@ -357,12 +354,6 @@ type Network struct {
 	Frames     uint64
 	Bytes      uint64
 	PayloadLen uint64
-	// Lost counts frames sent but never delivered (injected drops plus
-	// frames addressed to down nodes); Dups counts injected duplicates.
-	// Lost is updated with atomics, so a reader on another goroutine sees a
-	// whole count.
-	Lost uint64
-	Dups uint64
 	// BusyMicros accumulates serialization time on the shared medium (the
 	// network's utilization clock).
 	BusyMicros Micros
@@ -551,15 +542,12 @@ func (n *Network) Send(src, dst int, payload []byte, earliest Micros) error {
 		v = n.Inject.Frame(n.sim.Now(), src, dst, len(payload))
 	}
 	deliverAt := n.arbitrate(n.sim.Now(), earliest, xmit, size, len(payload))
-	if v.Drop {
-		atomic.AddUint64(&n.Lost, 1)
-	} else {
+	if !v.Drop {
 		buf := n.bufs.grab(payload)
 		corrupt(buf, v)
 		n.sim.push(n.delivery(deliverAt+v.ExtraDelay, src, dst, buf))
 	}
 	if v.Dup {
-		n.Dups++
 		// The duplicate gets its own copy of the (uncorrupted) payload:
 		// both copies are released independently after their handlers run,
 		// so they must never share a pooled buffer.
@@ -603,13 +591,10 @@ func (n *Network) delivery(at Micros, src, dst int, buf []byte) event {
 // held frames.
 func (n *Network) arrive(now Micros, e *event) {
 	src, dst := int(e.src), int(e.node)
-	if !n.NodeUp(dst) {
-		atomic.AddUint64(&n.Lost, 1)
-		if n.OnLost != nil {
-			n.OnLost(now, src, dst)
-		}
-	} else {
+	if n.NodeUp(dst) {
 		e.h(src, e.buf)
+	} else if n.OnLost != nil {
+		n.OnLost(now, src, dst)
 	}
 	n.bufs.release(e.buf)
 }
