@@ -60,7 +60,8 @@ emperf-smoke:
 # benchmark from `git archive $(REF)` and from the working tree, run N
 # alternating pairs of one workload (W=all: the five in turn), print a table
 # per workload on stderr and append one record per workload, labelled PR, to
-# LEDGER.jsonl (only once every workload has run):
+# LEDGER.jsonl (only once every workload has run). A working tree that is
+# REF's own (a committed change against HEAD) is refused: name the parent.
 #   make emperf-pairs W=all PR=n [N=10] [REF=HEAD]
 N ?= 10
 REF ?= HEAD
@@ -127,6 +128,7 @@ census:
 			$(CENSUS)/emrun -dir $$d -chaos seed=1 -net sparc,sparc,sparc $$f > /dev/null; \
 		done; \
 		$(CENSUS)/emrun -dir $$d -chaos seed=1,crash=1@1000ms -net sparc,sparc,sparc internal/core/testdata/custody_call.em > /dev/null 2>&1 || [ $$? -eq 1 ]; \
+		$(CENSUS)/emrun -dir $$d -chaos seed=1,crash=0@390ms:1500ms -net sparc,sparc,sparc internal/core/testdata/custody_window.em > /dev/null; \
 	done; \
 	$(CENSUS)/embench -out $(CENSUS)/out -baseline . all > /dev/null; \
 	$(CENSUS)/bench -quick > /dev/null

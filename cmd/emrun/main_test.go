@@ -163,6 +163,29 @@ func evictingRun(t *testing.T) (path string, args []string) {
 	return path, []string{"-chaos", "seed=7,drop=0.05,dup=0.02"}
 }
 
+// runEvicting runs evictingRun's program and plan in-process.
+func runEvicting(t *testing.T) *core.System {
+	prog, chaos := evictingRun(t)
+	src, err := os.ReadFile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("emrun", flag.ContinueOnError)
+	runFlags := core.RegisterFlags(fs)
+	if err := fs.Parse(chaos); err != nil {
+		t.Fatal(err)
+	}
+	machines, opts, err := runFlags.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.RunSource(string(src), machines, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 // TestFaultsReadTheRegistry: on a run whose rings evicted most events,
 // every count -faults prints equals its series in the metrics snapshot.
 func TestFaultsReadTheRegistry(t *testing.T) {
@@ -247,25 +270,7 @@ func TestFaultsReadTheRegistry(t *testing.T) {
 // line stating the evicted count and the ring cap, and its Chrome trace
 // states both in one metadata event.
 func TestExportsSayTheyAreATail(t *testing.T) {
-	prog, chaos := evictingRun(t)
-	src, err := os.ReadFile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := flag.NewFlagSet("emrun", flag.ContinueOnError)
-	runFlags := core.RegisterFlags(fs)
-	if err := fs.Parse(chaos); err != nil {
-		t.Fatal(err)
-	}
-	machines, opts, err := runFlags.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.RunSource(string(src), machines, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := sys.Recorder()
+	rec := runEvicting(t).Recorder()
 	if rec.Dropped() == 0 {
 		t.Fatal("the run evicted no event")
 	}
@@ -292,5 +297,45 @@ func TestExportsSayTheyAreATail(t *testing.T) {
 	}
 	if first.Name != "trace_tail" || first.Ph != "M" || first.Args["dropped"] != rec.Dropped() || first.Args["ring_cap"] != obs.DefaultRingCap {
 		t.Errorf("Chrome trace opens with %+v, want the trace_tail metadata event (dropped %d, ring_cap %d)", first, rec.Dropped(), obs.DefaultRingCap)
+	}
+}
+
+// TestExperimentsChaosNumbers: EXPERIMENTS.md's seeded-chaos figures are
+// what emrun prints today. The -faults block is rerun from its own
+// command line and must match to the byte; the evicting run's sentence
+// (rallies, plan, evicted events) must name evictingRun's run and its
+// eviction count.
+func TestExperimentsChaosNumbers(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := regexp.MustCompile("(?s)```\ngo run \\./cmd/emrun (-faults .*?)\n```\n\n```\n(.*?)```\n").FindSubmatch(doc)
+	if block == nil {
+		t.Fatal("EXPERIMENTS.md has no `go run ./cmd/emrun -faults` block followed by its output")
+	}
+	var args []string
+	for _, arg := range strings.Fields(strings.ReplaceAll(string(block[1]), "\\\n", " ")) {
+		args = append(args, strings.Trim(arg, "'"))
+	}
+	args[len(args)-1] = filepath.Join("..", "..", args[len(args)-1])
+	var stderr bytes.Buffer
+	if code := run(args, io.Discard, &stderr); code != 0 {
+		t.Fatalf("emrun %v: exit %d\n%s", args, code, stderr.String())
+	}
+	if got := stderr.String(); got != string(block[2]) {
+		t.Errorf("emrun %s prints\n%s\nEXPERIMENTS.md shows\n%s", strings.Join(args, " "), got, block[2])
+	}
+
+	sentence := regexp.MustCompile("pingpong at ([\\d ]+) round trips under\\s+`([^`]+)` evicts ([\\d ]+) events").FindSubmatch(doc)
+	if sentence == nil {
+		t.Fatal("EXPERIMENTS.md does not say how many events the pingpong run evicts")
+	}
+	digits := func(b []byte) string { return strings.ReplaceAll(string(b), " ", "") }
+	if _, chaos := evictingRun(t); digits(sentence[1]) != "3000" || "-chaos "+string(sentence[2]) != strings.Join(chaos, " ") {
+		t.Errorf("EXPERIMENTS.md's evicting run is %s rallies under %s, not evictingRun's", sentence[1], sentence[2])
+	}
+	if got := fmt.Sprint(runEvicting(t).Recorder().Dropped()); digits(sentence[3]) != got {
+		t.Errorf("EXPERIMENTS.md says the pingpong run evicts %s events; it evicts %s", sentence[3], got)
 	}
 }

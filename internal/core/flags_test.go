@@ -115,6 +115,11 @@ var commandLines = []commandLine{
 	{"-chaos seed=1 -dir 3 -net sparc,sparc,sparc " + custodyEntry, "", "", nil},
 	{"-chaos seed=1 -net sparc,sparc,sparc " + custodyLocal, "", "", nil},
 	{"-chaos seed=1 -dir 3 -net sparc,sparc,sparc " + custodyLocal, "", "", nil},
+	// The move's source crashes inside the move's commit window, so the
+	// commit timer fires while the source is down, and the restart re-arms
+	// it.
+	{"-chaos seed=1,crash=0@390ms:1500ms -net sparc,sparc,sparc " + custodyWindow, "", "", nil},
+	{"-chaos seed=1,crash=0@390ms:1500ms -dir 3 -net sparc,sparc,sparc " + custodyWindow, "", "", nil},
 	// The moved call's callee crashes for good: the call's new node
 	// suspects it and fails the call.
 	{"-chaos seed=1,crash=1@1000ms -net sparc,sparc,sparc " + custodyCall, "", "", kernel.ErrNodeDown},

@@ -97,6 +97,9 @@ func run(workload string, pairs int, ref string, pr int) error {
 		return fmt.Errorf("resolve %s: %w", ref, err)
 	}
 	parent := strings.TrimSpace(string(hash))
+	if exec.Command("git", "diff", "--quiet", parent, "--", ".", ":!LEDGER.jsonl").Run() == nil {
+		return fmt.Errorf("the working tree is %s's (LEDGER.jsonl aside): name the parent commit with REF=", ref)
+	}
 	tmp, err := os.MkdirTemp("", "pairbench")
 	if err != nil {
 		return err

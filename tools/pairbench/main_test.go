@@ -7,6 +7,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -105,6 +107,48 @@ func readLedger(t *testing.T) []record {
 		t.Fatal(err)
 	}
 	return recs
+}
+
+// A change measured against its own commit is refused before anything is
+// built: once a change is committed, the default REF=HEAD would compare it
+// with itself and record it as its own parent. The ledger the run appends
+// to does not count as a change; any other tracked file does.
+func TestRefusesSelfComparison(t *testing.T) {
+	dir := t.TempDir()
+	git := func(args ...string) {
+		cmd := exec.Command("git", append([]string{"-c", "user.name=t", "-c", "user.email=t@example.com"}, args...)...)
+		cmd.Dir = dir
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+	}
+	write := func(name, text string) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("BENCHMARK.json", `{"workloads":[{"name":"w"}],"end_to_end":[{"name":"wall_s","better":"lower"}]}`)
+	write("LEDGER.jsonl", "")
+	git("init", "-q")
+	git("add", ".")
+	git("commit", "-q", "-m", "parent")
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+
+	write("LEDGER.jsonl", "{}\n")
+	if err := run("all", 1, "HEAD", 1); err == nil || !strings.Contains(err.Error(), "REF=") {
+		t.Errorf("run against the working tree's own commit: %v, want a refusal naming REF=", err)
+	}
+	write("BENCHMARK.json", `{"workloads":[],"end_to_end":[]}`)
+	if err := run("all", 1, "HEAD", 1); err == nil || strings.Contains(err.Error(), "REF=") {
+		t.Errorf("run with a changed BENCHMARK.json: %v, want it past the check (and failing to build)", err)
+	}
 }
 
 func TestLedger(t *testing.T) {
