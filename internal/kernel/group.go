@@ -26,10 +26,10 @@ type moveCollector struct {
 	txs   []*moveTxn
 }
 
-// groupItem is one prepared member move: its wire message, transaction,
-// span, and deferred residency-flip commit operation.
+// groupItem is one prepared member move: its wire message (dead once
+// marshalled), transaction, span, and deferred residency-flip commit.
 type groupItem struct {
-	msg    *wire.Move
+	msg    wire.Move
 	tx     *moveTxn
 	sp     *obs.Span
 	commit func()
@@ -43,7 +43,7 @@ func (n *Node) moveGroup(objs []*Obj, dest int, fix bool) {
 	if dest < 0 || dest >= len(n.cluster.Nodes) {
 		return
 	}
-	n.mv.frags, n.mv.acts = reset(n.mv.frags), reset(n.mv.acts)
+	n.mv.frags, n.mv.acts, n.mv.vals = reset(n.mv.frags), reset(n.mv.acts), reset(n.mv.vals)
 	for _, o := range objs {
 		n.joinCohort(o, dest, fix)
 	}
@@ -113,11 +113,11 @@ func (n *Node) sendCohort(dest int) {
 	items := col.items
 	rec := n.cluster.Rec
 	if len(items) == 1 {
-		bytes, sendAt := n.sendMsg(dest, items[0].msg)
+		bytes, sendAt := n.sendMsg(dest, &items[0].msg)
 		rec.SpanSent(items[0].sp.ID, bytes, int64(sendAt))
 	} else {
-		for _, it := range items {
-			col.inner = append(col.inner, it.msg)
+		for i := range items {
+			col.inner = append(col.inner, &items[i].msg)
 		}
 		frameBytes, sendAt := n.sendMsg(dest, &wire.MoveGroup{Inner: col.inner})
 		// Per-member span accounting: each member's span carries its own
@@ -125,12 +125,12 @@ func (n *Node) sendCohort(dest int) {
 		// — plus the n-1 saved frame overheads — is what the batch
 		// amortizes.
 		memberBytes := 0
-		for _, it := range items {
-			pb := wire.PayloadSize(it.msg)
+		for i, msg := range col.inner {
+			pb := wire.PayloadSize(msg)
 			memberBytes += pb
-			rec.SpanSent(it.sp.ID, pb, int64(sendAt))
+			rec.SpanSent(items[i].sp.ID, pb, int64(sendAt))
 		}
-		first := items[0]
+		first := &items[0]
 		rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
 			Kind: obs.EvMoveGroupOut, Span: first.sp.ID, Obj: uint32(first.tx.obj.OID),
 			A: uint64(len(items)), B: uint64(dest)})

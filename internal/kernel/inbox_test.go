@@ -5,7 +5,6 @@ import (
 	"os/exec"
 	"reflect"
 	"regexp"
-	"slices"
 	"strings"
 	"testing"
 
@@ -155,10 +154,10 @@ func TestFixedShapeMessageAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestPayloadLiteralsStayOnTheStack asks the compiler: of every &wire.X{…}
-// literal in this package, only the Move that a group collector may hold
-// on to may escape to the heap. One p.Kind()-style call through the
-// Payload interface on the send path would put all the others back there.
+// TestPayloadLiteralsStayOnTheStack asks the compiler: no &wire.X{…}
+// literal in this package escapes to the heap (a cohort's Moves live by
+// value in the node's collector). One p.Kind()-style call through the
+// Payload interface on the send path would put them all back there.
 func TestPayloadLiteralsStayOnTheStack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recompiles the package with -gcflags=-m")
@@ -176,10 +175,7 @@ func TestPayloadLiteralsStayOnTheStack(t *testing.T) {
 		FindAllStringSubmatch(string(out), -1) {
 		got = append(got, m[1]+" "+m[2])
 	}
-	slices.Sort(got)
-	want := []string{"migrate.go &wire.Move"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("wire literals escaping to the heap:\n  %s\nwant only:\n  %s",
-			strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	if len(got) > 0 {
+		t.Errorf("wire literals escaping to the heap, want none:\n  %s", strings.Join(got, "\n  "))
 	}
 }

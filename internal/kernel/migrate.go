@@ -225,11 +225,12 @@ type moveScratch struct {
 	segs    []moveSeg
 	ids     []uint32
 	refs    []wire.Value // every shipped value, for hint collection
-	// frags and acts back the outgoing Moves' Frags and their Acts: a
-	// cohort's members share the two arenas until moveGroup's send tail
-	// marshals them, and moveGroup empties them for the next cohort.
+	// frags, acts and vals back the outgoing Moves' Frags, Acts and the
+	// Acts' values: a cohort's members share them until moveGroup's send
+	// tail marshals them, and moveGroup empties them for the next cohort.
 	frags []wire.Fragment
 	acts  []wire.MIActivation
+	vals  []wire.Value
 	// Install side (installFragment): converted frames, and one arena for
 	// their variable and temporary words.
 	cfs   []convFrame
@@ -468,7 +469,7 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 
 	o.Epoch++
 	sp.Frags = len(wireFrags)
-	msg := &wire.Move{
+	msg := wire.Move{
 		Object: o.OID, Epoch: o.Epoch, Fixed: fix,
 		Data: data, Frags: wireFrags, SpanID: sp.ID,
 	}

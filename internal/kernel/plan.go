@@ -23,6 +23,8 @@
 package kernel
 
 import (
+	"slices"
+
 	"repro/internal/busstop"
 	"repro/internal/ir"
 	"repro/internal/wire"
@@ -101,9 +103,9 @@ func (n *Node) planFor(lf *loadedFunc, stopNum uint16) *convPlan {
 // marshalFrame converts one activation to machine-independent form,
 // returning also the shipped values (for hint collection). It runs over
 // the cached conversion plan for (function, stop), compiling it on the
-// first hop through this stop. One backing array serves vars, temps
-// and the shipped-value list — sized from the plan, so steady-state
-// marshalling performs a single allocation per frame.
+// first hop through this stop. One run of the node's moveScratch.vals
+// arena serves vars, temps and the shipped-value list, so steady-state
+// marshalling allocates nothing.
 func (n *Node) marshalFrame(conv *wire.Converter, fi frameInfo) (wire.MIActivation, []wire.Value) {
 	act := wire.MIActivation{
 		CodeOID:   fi.lf.code.oc.CodeOID,
@@ -121,7 +123,9 @@ func (n *Node) marshalFrame(conv *wire.Converter, fi frameInfo) (wire.MIActivati
 	if nv+nt == 0 {
 		return act, nil
 	}
-	all := make([]wire.Value, nv+nt)
+	at := len(n.mv.vals)
+	n.mv.vals = slices.Grow(n.mv.vals, nv+nt)[:at+nv+nt]
+	all := n.mv.vals[at:len(n.mv.vals):len(n.mv.vals)]
 	n.MarshaledVarSlots += uint64(nv)
 	for i := range pl.vars {
 		vp := &pl.vars[i]

@@ -128,6 +128,7 @@ func warmPlanRoundtrip(t *testing.T, cfg Config) (n *Node, pl *convPlan, want, b
 	back = make([]uint32, len(want))
 	var m wire.MIActivation
 	allocs = testing.AllocsPerRun(100, func() {
+		n.mv.vals = n.mv.vals[:0] // as moveGroup empties it, cohort after cohort
 		a, vals := n.marshalFrame(conv, fi)
 		m = a
 		for i, v := range vals {
@@ -144,18 +145,19 @@ func warmPlanRoundtrip(t *testing.T, cfg Config) (n *Node, pl *convPlan, want, b
 	return n, pl, want, back, allocs
 }
 
-// One warm-plan MD→MI→MD conversion of a frame is pinned at a single
-// allocation: the combined value slice marshalFrame returns. Plan
-// compilation, template interpretation and per-value boxing must all be
-// off the steady-state path. Sharpening is off here so the roundtrip
-// must reproduce every machine-dependent word exactly (same float format
-// on both sides of MI for identical codecs, identity for ints) — the
-// alloc pin is not measuring a path that silently stopped converting.
+// One warm-plan MD→MI→MD conversion of a frame allocates nothing: the
+// value slice marshalFrame returns is a run of the node's moveScratch.vals
+// arena. Plan compilation, template interpretation and per-value boxing
+// must all be off the steady-state path. Sharpening is off here so the
+// roundtrip must reproduce every machine-dependent word exactly (same
+// float format on both sides of MI for identical codecs, identity for
+// ints) — the alloc pin is not measuring a path that silently stopped
+// converting.
 func TestWarmPlanConversionAllocs(t *testing.T) {
 	cfg := Config{NoSharpen: true}
 	_, _, want, back, allocs := warmPlanRoundtrip(t, cfg)
-	if allocs > 1 {
-		t.Errorf("warm MD→MI→MD conversion allocates %.1f allocs/run, want <= 1", allocs)
+	if allocs != 0 {
+		t.Errorf("warm MD→MI→MD conversion allocates %.1f allocs/run, want 0", allocs)
 	}
 	for i, w := range back {
 		if w != want[i] {
@@ -164,14 +166,14 @@ func TestWarmPlanConversionAllocs(t *testing.T) {
 	}
 }
 
-// The sharpened path must stay on the same ≤1-alloc budget, reproduce
+// The sharpened path must stay on the same zero-alloc budget, reproduce
 // every live slot exactly, and restore every pta-dead slot as the
 // canonical zero of its kind — and the fixture must actually exercise
 // that (at least one dead slot, never a pointer one).
 func TestWarmPlanConversionAllocsSharpened(t *testing.T) {
 	n, pl, want, back, allocs := warmPlanRoundtrip(t, Config{})
-	if allocs > 1 {
-		t.Errorf("sharpened warm conversion allocates %.1f allocs/run, want <= 1", allocs)
+	if allocs != 0 {
+		t.Errorf("sharpened warm conversion allocates %.1f allocs/run, want 0", allocs)
 	}
 	dead := 0
 	for i := range back {

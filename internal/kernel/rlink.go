@@ -24,12 +24,15 @@ import (
 // test and callers match it with errors.Is.
 var ErrNodeDown = errors.New("node down")
 
-// sendReliable sends inner to dst as the link's next data frame.
+// sendReliable sends inner to dst as the link's next data frame. A frame
+// the link reuses keeps its timer: the func names the frame, not its seq.
 func (n *Node) sendReliable(dst int, inner []byte, kind string) {
 	f := n.link.Send(dst, inner, kind, n.now())
-	f.Timer = func() {
-		if n.link.Timeout(f, n.Up, n.now()) == link.Resend {
-			n.transmit(f)
+	if f.Timer == nil {
+		f.Timer = func() {
+			if n.link.Timeout(f, n.Up, n.now()) == link.Resend {
+				n.transmit(f)
+			}
 		}
 	}
 	n.transmit(f)

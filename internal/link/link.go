@@ -26,7 +26,7 @@ type Frame struct {
 	Kind     string        // the payload's kind, for the retransmit event
 	Attempts int           // times put on the wire, this one included
 	RTO      netsim.Micros // RTOMin, doubled per attempt up to RTOCap
-	Timer    func()        // the sender's retransmit timer, bound once; never called here
+	Timer    func()        // the sender's retransmit timer, bound once and kept on reuse; never called here
 }
 
 // Verdict is what a retransmit timeout asks of the sender.
@@ -54,6 +54,7 @@ type Link struct {
 	ackBuf  []byte   // netsim.Send copies a frame, so one buffer serves every ack
 	release [][]byte // Arrival.Release's backing array
 	revived []*Frame // Revive's result, valid until the next Revive
+	free    []*Frame // frames retired by Timeout, for Send to reuse
 }
 
 type peer struct {
@@ -90,13 +91,19 @@ func (l *Link) Downs(p int) uint32 { return l.peers[p].downs }
 // LastSeq is the sequence number of the last frame sent to dst.
 func (l *Link) LastSeq(dst int) uint32 { return l.peers[dst].out }
 
-// Send wraps inner in the next data frame to dst and returns it, its
-// first attempt counted, to put on the wire.
+// Send wraps inner in the next data frame to dst (one Timeout retired, if
+// any) and returns it, its first attempt counted, to put on the wire.
 func (l *Link) Send(dst int, inner []byte, kind string, now netsim.Micros) *Frame {
 	p := &l.peers[dst]
 	p.out++
-	f := &Frame{Dst: dst, Seq: p.out, Kind: kind,
-		Wire: wire.LinkFrame{Kind: wire.LData, Seq: p.out, Inner: inner}.Marshal()}
+	var f *Frame
+	if k := len(l.free) - 1; k >= 0 {
+		f, l.free = l.free[k], l.free[:k]
+	} else {
+		f = &Frame{}
+	}
+	f.Dst, f.Seq, f.Kind, f.Attempts = dst, p.out, kind, 0
+	f.Wire = wire.LinkFrame{Kind: wire.LData, Seq: p.out, Inner: inner}.AppendTo(f.Wire[:0])
 	p.unacked = append(p.unacked, f)
 	l.attempt(f, now)
 	return f
@@ -127,14 +134,18 @@ func (l *Link) Acked(dst int, seq uint32) bool {
 func (l *Link) Replace(dst int, seq uint32, inner []byte, kind string) {
 	if !l.Acked(dst, seq) {
 		f := l.peers[dst].unacked[l.peers[dst].slot(seq)]
-		f.Wire, f.Kind = wire.LinkFrame{Kind: wire.LData, Seq: seq, Inner: inner}.Marshal(), kind
+		f.Wire, f.Kind = wire.LinkFrame{Kind: wire.LData, Seq: seq, Inner: inner}.AppendTo(f.Wire[:0]), kind
 	}
 }
 
-// Timeout is f's retransmit timer firing; up is whether this node runs.
+// Timeout is f's retransmit timer firing; up is whether this node runs. An
+// acked frame, which nothing else holds now, is retired for Send to reuse.
 func (l *Link) Timeout(f *Frame, up bool, now netsim.Micros) Verdict {
 	switch {
-	case f.stalled || l.Acked(f.Dst, f.Seq):
+	case f.stalled:
+		return Done
+	case l.Acked(f.Dst, f.Seq):
+		l.free = append(l.free, f)
 		return Done
 	case !up || f.Attempts >= l.plan.Retries() && l.peers[f.Dst].suspect:
 		f.stalled = true

@@ -53,10 +53,17 @@ type harness struct {
 	got [][][]string
 	// revived counts the frames revived after a peer was heard again.
 	revived int
+	// armed counts each frame's pending timers; sent holds every frame
+	// Send has returned, and reused counts the sends that returned one of
+	// them again.
+	armed  map[*Frame]int
+	sent   map[*Frame]bool
+	reused int
 }
 
 func newHarness(t *testing.T, seed int64, nodes int, plan *chaos.Plan) *harness {
-	h := &harness{t: t, rng: rand.New(rand.NewSource(seed)), got: make([][][]string, nodes)}
+	h := &harness{t: t, rng: rand.New(rand.NewSource(seed)), got: make([][][]string, nodes),
+		armed: map[*Frame]int{}, sent: map[*Frame]bool{}}
 	for i := 0; i < nodes; i++ {
 		l := New(nodes, plan)
 		h.links = append(h.links, &l)
@@ -88,19 +95,45 @@ func (h *harness) wire(src, dst int, frame []byte) {
 	}
 }
 
-// send is what the kernel's sendReliable does.
+// send is what the kernel's sendReliable does. A frame Send hands out
+// must be in no other unacked slot and have no timer pending.
 func (h *harness) send(src, dst int, payload string) {
 	f := h.links[src].Send(dst, []byte(payload), "test", h.now)
-	f.Timer = func() {
-		if h.links[src].Timeout(f, true, h.now) == Resend {
-			h.transmit(src, f)
+	if h.armed[f] != 0 {
+		h.t.Fatalf("Send returned frame %d.%d with %d timers pending", f.Dst, f.Seq, h.armed[f])
+	}
+	slots := 0
+	for _, p := range h.links[src].peers {
+		for _, g := range p.unacked {
+			if g == f {
+				slots++
+			}
+		}
+	}
+	if slots != 1 {
+		h.t.Fatalf("Send returned frame %d.%d, found in %d unacked slots, want its own only", f.Dst, f.Seq, slots)
+	}
+	if h.sent[f] {
+		h.reused++
+	}
+	h.sent[f] = true
+	if f.Timer == nil {
+		f.Timer = func() {
+			h.armed[f]--
+			if h.links[src].Timeout(f, true, h.now) == Resend {
+				h.transmit(src, f)
+			}
 		}
 	}
 	h.transmit(src, f)
 }
 
 func (h *harness) transmit(src int, f *Frame) {
+	if h.armed[f] != 0 {
+		h.t.Fatalf("frame %d.%d armed a second timer", f.Dst, f.Seq)
+	}
 	h.wire(src, f.Dst, f.Wire)
+	h.armed[f]++
 	h.at(f.RTO, f.Timer)
 }
 
@@ -181,9 +214,10 @@ func count(ps [][][]string) int {
 // payload is released exactly once and in order on its channel, and every
 // frame ends acked. Heartbeats run under a suspicion timeout short enough
 // that loss bursts get peers suspected, so frames stall and revive too.
+// Retired frames are reused, never while unacked or with a timer pending.
 func TestExactlyOnceInOrder(t *testing.T) {
 	const nodes, perChannel = 3, 40
-	revived := 0
+	revived, reused := 0, 0
 	for seed := int64(1); seed <= 30; seed++ {
 		plan := &chaos.Plan{HeartbeatEvery: 5_000, SuspectAfter: 20_000, RTOBase: 4_000, RTOMax: 30_000, MaxRetrans: 3}
 		h := newHarness(t, seed, nodes, plan)
@@ -210,6 +244,7 @@ func TestExactlyOnceInOrder(t *testing.T) {
 			t.Errorf("seed %d: payloads released out of order or more than once:\n%v\nwant\n%v", seed, h.got, want)
 		}
 		revived += h.revived
+		reused += h.reused
 		for _, l := range h.links {
 			for _, p := range l.peers {
 				if len(p.hold) != 0 || len(p.unacked) != 0 {
@@ -220,6 +255,9 @@ func TestExactlyOnceInOrder(t *testing.T) {
 	}
 	if revived == 0 {
 		t.Error("no stalled frame was ever revived: the stall paths went untested")
+	}
+	if reused == 0 {
+		t.Error("no retired frame was ever reused: the free list went untested")
 	}
 }
 
@@ -353,9 +391,81 @@ func TestReplace(t *testing.T) {
 	if _, err := l.Recv(1, ack(f.Seq), 1); err != nil {
 		t.Fatal(err)
 	}
-	before := f.Wire
+	before := string(f.Wire)
 	l.Replace(1, f.Seq, []byte("late"), "late")
-	if &before[0] != &f.Wire[0] || f.Kind != "moveack" {
+	if string(f.Wire) != before || f.Kind != "moveack" {
 		t.Error("Replace rewrote an acked frame")
+	}
+}
+
+// The timeout that finds a frame acked retires it, and the next Send
+// returns that frame as a fresh one: its new seq and payload, one attempt,
+// and a Wire equal to the frame marshalled anew.
+func TestAckedFrameIsReused(t *testing.T) {
+	l, f := fixture(nil)
+	f.Timer = func() {}
+	if _, err := l.Recv(1, ack(f.Seq), 10); err != nil {
+		t.Fatal(err)
+	}
+	if v := l.Timeout(f, true, 20_000); v != Done {
+		t.Fatalf("timeout of an acked frame: %v, want Done", v)
+	}
+	g := l.Send(1, []byte("next"), "again", 30_000)
+	want := wire.LinkFrame{Kind: wire.LData, Seq: 2, Inner: []byte("next")}.Marshal()
+	if g != f || g.Dst != 1 || g.Seq != 2 || g.Kind != "again" || g.Attempts != 1 || g.Timer == nil {
+		t.Errorf("next send returned %+v, want frame %p reused as seq 2 with its timer", g, f)
+	}
+	if !reflect.DeepEqual(g.Wire, want) {
+		t.Errorf("reused frame's Wire = %x, want %x", g.Wire, want)
+	}
+	if l.Acked(1, 2) {
+		t.Error("the reused frame is acked already")
+	}
+}
+
+// A frame acked while stalled has no timer left to retire it: it is never
+// revived, and Send never hands it out again.
+func TestStalledThenAckedFrameIsNotReused(t *testing.T) {
+	l, f := fixture(nil)
+	if v := l.Timeout(f, false, 20_000); v != Stall {
+		t.Fatalf("timeout on a node that is down: %v, want Stall", v)
+	}
+	if _, err := l.Recv(1, ack(f.Seq), 30_000); err != nil {
+		t.Fatal(err)
+	}
+	if v := l.Timeout(f, true, 40_000); v != Done {
+		t.Errorf("timeout of a stalled, acked frame: %v, want Done", v)
+	}
+	if got := l.Restart(50_000); len(got) != 0 {
+		t.Errorf("restart revived %d frames, want none: the only one is acked", len(got))
+	}
+	for dst := 1; dst <= 2; dst++ {
+		if g := l.Send(dst, []byte("next"), "test", 60_000); g == f {
+			t.Errorf("send to %d returned the stalled-then-acked frame", dst)
+		}
+	}
+}
+
+// In steady state a frame's life on the sending link — Send, its ack's
+// Recv, the Timeout that retires it — allocates nothing.
+func TestFrameLifeAllocatesNothing(t *testing.T) {
+	l := New(2, nil)
+	inner := make([]byte, 48)
+	var ackBuf []byte
+	now := netsim.Micros(0)
+	life := func() {
+		f := l.Send(1, inner, "test", now)
+		ackBuf = wire.LinkFrame{Kind: wire.LAck, Seq: f.Seq}.AppendTo(ackBuf[:0])
+		if _, err := l.Recv(1, ackBuf, now+1); err != nil {
+			t.Fatal(err)
+		}
+		if v := l.Timeout(f, true, now+f.RTO); v != Done {
+			t.Fatalf("timeout of an acked frame: %v, want Done", v)
+		}
+		now += f.RTO
+	}
+	life() // warm: the free list, the unacked slice, the ack buffer
+	if got := testing.AllocsPerRun(200, life); got != 0 {
+		t.Errorf("Send → Recv(ack) → Timeout = %v allocs, want 0", got)
 	}
 }

@@ -88,7 +88,7 @@ func (f LinkFrame) AppendTo(dst []byte) []byte {
 }
 
 // Marshal serializes the frame into a new buffer of exactly its size (a
-// reliable frame is retained for retransmission).
+// frame kept for good, like the link's heartbeat).
 func (f LinkFrame) Marshal() []byte {
 	return f.AppendTo(make([]byte, 0, linkHeaderBytes+len(f.Inner)))
 }
