@@ -13,20 +13,24 @@
 //
 // Run it from the repository root (`make emperf-pairs W=all N=10 PR=n`
 // appends its records to LEDGER.jsonl). It reads BENCHMARK.json for the
-// metric list and the better direction.
+// metric list and the better direction. Interrupted (SIGINT, SIGTERM), it
+// kills what it started, removes its temporary directory and exits 1.
 package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
 	"sort"
 	"strings"
+	"syscall"
 	"text/tabwriter"
 )
 
@@ -78,13 +82,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: pairbench -w workload|all -pr n [-n pairs] [-ref commit]")
 		os.Exit(2)
 	}
-	if err := run(*workload, *pairs, *ref, *pr); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, *workload, *pairs, *ref, *pr); err != nil {
+		if ctx.Err() != nil {
+			err = fmt.Errorf("interrupted: %w", err)
+		}
 		fmt.Fprintln(os.Stderr, "pairbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(workload string, pairs int, ref string, pr int) error {
+func run(ctx context.Context, workload string, pairs int, ref string, pr int) error {
 	workloads, decls, err := benchmarkDecl("BENCHMARK.json")
 	if err != nil {
 		return err
@@ -110,7 +119,7 @@ func run(workload string, pairs int, ref string, pr int) error {
 	if err := os.Mkdir(refTree, 0o755); err != nil {
 		return err
 	}
-	if err := sh("", "git archive "+parent+" | tar -x -C "+shellQuote(refTree)); err != nil {
+	if err := sh(ctx, "", "git archive "+parent+" | tar -x -C "+shellQuote(refTree)); err != nil {
 		return fmt.Errorf("unpack %s: %w", ref, err)
 	}
 	work, err := filepath.Abs(".")
@@ -122,7 +131,7 @@ func run(workload string, pairs int, ref string, pr int) error {
 		{label: "change", bin: filepath.Join(tmp, "bench_change"), dir: filepath.Join(work, "bench")},
 	}
 	for _, s := range sides {
-		if err := sh(s.dir, "go build -o "+shellQuote(s.bin)+" ."); err != nil {
+		if err := sh(ctx, s.dir, "go build -o "+shellQuote(s.bin)+" ."); err != nil {
 			return fmt.Errorf("build %s: %w", s.label, err)
 		}
 	}
@@ -135,8 +144,8 @@ func run(workload string, pairs int, ref string, pr int) error {
 				order[0], order[1] = order[1], order[0]
 			}
 			for _, s := range order {
-				cmd := exec.Command(s.bin, "-workload", w, "-trace", "0")
-				cmd.Dir, cmd.Stderr = s.dir, os.Stderr
+				cmd := command(ctx, s.dir, s.bin, "-workload", w, "-trace", "0")
+				cmd.Stderr = os.Stderr
 				out, err := cmd.Output()
 				var m map[string]float64
 				if err == nil {
@@ -289,12 +298,21 @@ func benchmarkDecl(path string) (workloads []string, metrics []metricDecl, err e
 }
 
 // sh runs a shell command line in dir, passing its output through.
-func sh(dir, line string) error {
-	cmd := exec.Command("sh", "-c", line)
-	cmd.Dir = dir
+func sh(ctx context.Context, dir, line string) error {
+	cmd := command(ctx, dir, "sh", "-c", line)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	return cmd.Run()
+}
+
+// command runs name in dir in a process group of its own, killed once ctx
+// is done, before run removes the directory it works in.
+func command(ctx context.Context, dir, name string, args ...string) *exec.Cmd {
+	cmd := exec.CommandContext(ctx, name, args...)
+	cmd.Dir = dir
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	cmd.Cancel = func() error { return syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL) }
+	return cmd
 }
 
 func shellQuote(s string) string { return "'" + strings.ReplaceAll(s, "'", `'\''`) + "'" }

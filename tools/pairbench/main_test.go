@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite the ledger table in EXPERIMENTS.md")
@@ -142,12 +144,91 @@ func TestRefusesSelfComparison(t *testing.T) {
 	defer os.Chdir(wd)
 
 	write("LEDGER.jsonl", "{}\n")
-	if err := run("all", 1, "HEAD", 1); err == nil || !strings.Contains(err.Error(), "REF=") {
+	if err := run(context.Background(), "all", 1, "HEAD", 1); err == nil || !strings.Contains(err.Error(), "REF=") {
 		t.Errorf("run against the working tree's own commit: %v, want a refusal naming REF=", err)
 	}
 	write("BENCHMARK.json", `{"workloads":[],"end_to_end":[]}`)
-	if err := run("all", 1, "HEAD", 1); err == nil || strings.Contains(err.Error(), "REF=") {
+	if err := run(context.Background(), "all", 1, "HEAD", 1); err == nil || strings.Contains(err.Error(), "REF=") {
 		t.Errorf("run with a changed BENCHMARK.json: %v, want it past the check (and failing to build)", err)
+	}
+}
+
+// fakeBench is a benchmark that marks that it runs, then sleeps past any
+// test: only an interrupt of pairbench ends it.
+const fakeBench = `package main
+
+import (
+	"os"
+	"time"
+)
+
+func main() {
+	os.WriteFile(os.Getenv("FAKEBENCH_MARKER"), nil, 0o644)
+	time.Sleep(time.Minute)
+}
+`
+
+// A pairbench interrupted mid-pair removes its temporary directory (the
+// unpacked reference tree and both builds) and exits non-zero.
+func TestInterruptRemovesTempDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds pairbench and a benchmark")
+	}
+	dir, tmp := t.TempDir(), t.TempDir()
+	bin := filepath.Join(t.TempDir(), "pairbench")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	git := func(args ...string) {
+		cmd := exec.Command("git", append([]string{"-c", "user.name=t", "-c", "user.email=t@example.com"}, args...)...)
+		cmd.Dir = dir
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+	}
+	write := func(name, text string) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Mkdir(filepath.Join(dir, "bench"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	write("BENCHMARK.json", `{"workloads":[{"name":"w"}],"end_to_end":[{"name":"wall_s","better":"lower"}]}`)
+	write("bench/go.mod", "module fakebench\n\ngo 1.22\n")
+	write("bench/main.go", fakeBench)
+	git("init", "-q")
+	git("add", ".")
+	git("commit", "-q", "-m", "parent")
+	write("bench/main.go", fakeBench+"// the change\n")
+
+	marker := filepath.Join(t.TempDir(), "running")
+	cmd := exec.Command(bin, "-w", "w", "-n", "1", "-pr", "1")
+	var stderr bytes.Buffer
+	cmd.Dir, cmd.Stderr = dir, &stderr
+	cmd.Env = append(os.Environ(), "TMPDIR="+tmp, "FAKEBENCH_MARKER="+marker)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(50 * time.Millisecond) {
+		if _, err := os.Stat(marker); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			cmd.Wait()
+			t.Fatalf("the first run of the pair never started:\n%s", stderr.String())
+		}
+	}
+	if err := cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err == nil || !strings.Contains(stderr.String(), "interrupted") {
+		t.Errorf("interrupted pairbench: %v, want a non-zero exit saying it was interrupted:\n%s", err, stderr.String())
+	}
+	left, err := filepath.Glob(filepath.Join(tmp, "pairbench*"))
+	if err != nil || len(left) != 0 {
+		t.Errorf("left behind in TMPDIR: %v (%v)", left, err)
 	}
 }
 
