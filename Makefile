@@ -79,7 +79,8 @@ emperf-pairs:
 # directory with leases, both placement policies, the two-forward strand
 # chains and the custody moves of internal/core/testdata, directory off and
 # on) plus the reference
-# emulator, vet-on-load and the text trace; emrun's exports (-chrome,
+# emulator, vet-on-load, the text trace and a cohort's directory decrees
+# under a chaos plan (greedy placement on zipf_hot); emrun's exports (-chrome,
 # -metrics, -spans), its -faults report under the chaos plan and the text
 # trace of a run that faults (exit status 1 accepted); every embench
 # study, gated on the committed baselines; the 1/50-scale benchmark. The
@@ -113,6 +114,7 @@ census:
 	$(CENSUS)/emrun -dir 3 -chaos $(CENSUS_CHAOS) examples/programs/kilroy.em > /dev/null; \
 	$(CENSUS)/emrun -chaos seed=7 -dir 3 -net vax,vax,vax examples/programs/pingpong.em > /dev/null; \
 	$(CENSUS)/emrun -auto greedy-colocate -auto-log examples/programs/zipf_hot.em > /dev/null 2>&1; \
+	$(CENSUS)/emrun -auto greedy-colocate -dir 3 -chaos seed=1 examples/programs/zipf_hot.em > /dev/null; \
 	$(CENSUS)/emrun -auto load-balance -auto-log examples/programs/fixed_pool.em > /dev/null 2>&1; \
 	$(CENSUS)/emrun -legacy examples/programs/kilroy.em > /dev/null; \
 	$(CENSUS)/emrun -trace examples/programs/kilroy.em > /dev/null 2>&1; \
@@ -148,14 +150,16 @@ bench-baselines:
 
 # The fuzz seeds of the wire decoder (bounds-checked frame/message parsing),
 # of the -chaos plan grammar, of the .em front end and code generator
-# (every bus stop heads a fusion run) and of the run flags (whatever
-# Resolve accepts builds a cluster or fails with an error) must hold; full
-# fuzzing runs separately with -fuzz.
+# (every bus stop heads a fusion run), of the run flags (whatever
+# Resolve accepts builds a cluster or fails with an error) and of the move
+# commit machine (acks, windows and decrees interleaved over a cohort) must
+# hold; full fuzzing runs separately with -fuzz.
 fuzz-smoke:
 	$(GO) test -run FuzzMsgDecode ./internal/wire
 	$(GO) test -run FuzzParsePlan ./internal/chaos
 	$(GO) test -run FuzzCompile ./internal/codegen
 	$(GO) test -run FuzzResolve ./internal/core
+	$(GO) test -run FuzzCommit ./internal/commit
 
 # The points-to object-graph report must build for the whole corpus and find
 # at least one group-migration cohort in producer_consumer (that repeated

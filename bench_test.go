@@ -436,8 +436,8 @@ func checkThreadHops(tb testing.TB, sys *core.System) {
 }
 
 // TestThreadHopAllocBudget pins the move path's share of the allocation
-// budget (DESIGN.md §11): a hop of the Table 1 thread allocates at most 9
-// objects on the host, end to end (8.2 measured: the decode is the
+// budget (DESIGN.md §11): a hop of the Table 1 thread allocates at most 7
+// objects on the host, end to end (6.2 measured: the decode is the
 // destination inbox's, not the hop's). Bootstrap, code loading and plan
 // compilation are amortized over the run's 5000 hops.
 func TestThreadHopAllocBudget(t *testing.T) {
@@ -450,8 +450,8 @@ func TestThreadHopAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	checkThreadHops(t, sys)
-	if got := float64(after.Mallocs-before.Mallocs) / hops; got > 9 {
-		t.Errorf("%.1f allocs per thread hop, want <= 9", got)
+	if got := float64(after.Mallocs-before.Mallocs) / hops; got > 7 {
+		t.Errorf("%.1f allocs per thread hop, want <= 7", got)
 	}
 }
 

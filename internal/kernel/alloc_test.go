@@ -126,13 +126,13 @@ func TestDirDecreeAllocBudget(t *testing.T) {
 			c := quiescedCluster(t, []netsim.MachineModel{mSPARC, mVAX, mSun3, mHP1}, dirConfig(3, tc.plan))
 			n0 := c.Nodes[0]
 			o := &Obj{OID: 4} // shard 0 of 4: replicas 0, 1, 2
-			tx := &moveTxn{obj: o, dest: 1, live: tc.plan != nil}
+			mv := &liveMove{Dest: 1, Data: moveData{obj: o}}
 			if set := n0.dirReplicasOf(o.OID); len(set) != 3 || set[0] != 0 {
 				t.Fatalf("replica set %v, want three replicas led by the proposer", set)
 			}
 			decree := func() {
 				o.Epoch++ // every move opens a fresh slot
-				n0.dirPropose([]*moveTxn{tx})
+				n0.dirPropose([]*liveMove{mv})
 				if err := c.Run(1000); err != nil {
 					t.Fatal(err)
 				}
@@ -157,9 +157,11 @@ func TestDirDecreeAllocBudget(t *testing.T) {
 	}
 }
 
-// spinnerSrc starts one compute-bound thread inside object A.
+// spinnerSrc starts one compute-bound thread inside object A, which has a
+// data slot (a move ships its value).
 const spinnerSrc = `
 object A
+  var n: Int <- 7
   process
     var i: Int <- 0
     while i < 100000000 do
@@ -171,9 +173,11 @@ end A
 
 // One steady-state chaos-off move of a plain object with a thread inside
 // it — prepared, sent as a cohort of one, delivered and installed — costs
-// at most 6 allocations: the collector holds the Move by value and the
-// activations' values come from the node's scratch arena, so a lone move
-// pays nothing for either.
+// at most 4 allocations: the move, its span, and the destination's
+// fragment and monitor. The collector holds the Move by value, the slots'
+// and activations' values come from the node's scratch arena, and
+// chaos-off the move's commit steps run where they are made, so a lone
+// move pays nothing for any of them.
 func TestLoneMoveAllocBudget(t *testing.T) {
 	c, err := NewCluster(compileSrc(t, spinnerSrc), []netsim.MachineModel{mSPARC, mVAX}, Config{})
 	if err != nil {
@@ -208,8 +212,8 @@ func TestLoneMoveAllocBudget(t *testing.T) {
 	}
 	migrations := c.Nodes[0].Migrations + c.Nodes[1].Migrations
 	got := testing.AllocsPerRun(200, hop)
-	if got > 6 {
-		t.Errorf("one plain move with its thread = %v allocs, want <= 6", got)
+	if got > 4 {
+		t.Errorf("one plain move with its thread = %v allocs, want <= 4", got)
 	}
 	if m := c.Nodes[0].Migrations + c.Nodes[1].Migrations - migrations; m != 201 {
 		t.Errorf("%d migrations, want 201", m)

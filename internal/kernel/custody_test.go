@@ -70,7 +70,7 @@ func TestLearnLoc(t *testing.T) {
 		c, n, o, f := custodyNode(t, Config{})
 		o.Resident = tc.resident
 		if tc.transit {
-			o.transit = &moveTxn{obj: o}
+			o.transit = &liveMove{Data: moveData{obj: o}}
 		}
 		suspect(n, 1, true) // node 1 has been suspected since o learned it
 		suspect(n, 3, false)

@@ -9,18 +9,10 @@
 // — charged, observed and fault-injected like any other kernel traffic —
 // except that a node acting as a replica of its own query answers locally
 // for just the syscall charge. Directory-off runs take none of these code
-// paths: no messages, metrics, events or timers.
-//
-// Ordering with the two-phase move commit (twophase.go): under chaos the
-// source proposes the decree only after the destination's positive MoveAck,
-// and releases the object (commitMove) only once the decree resolves — so a
-// chosen record never names a home that refused the install, and after a
-// crash/restart a locate is one shard query. If the decree cannot complete
-// (replica majority down), the round degrades after bounded attempts and
-// the move commits anyway: availability of the move protocol is preserved
-// and the forwarding-address chase covers the stale record. Chaos-off,
-// delivery is certain and there are no competing proposers, so the decree
-// is fire-and-forget at dispatch time.
+// paths: no messages, metrics, events or timers. Under chaos a decree is
+// proposed after the destination's positive MoveAck and the move commits
+// when it resolves, chosen or degraded (twophase.go); chaos-off it is
+// fire-and-forget from the send tail.
 
 package kernel
 
@@ -113,41 +105,40 @@ type dirProposal struct {
 	one   [1]wire.DirEntry
 	// commit holds the moves whose two-phase commit gates on this decree
 	// (under chaos only): they commit once it resolves, chosen or degraded.
-	commit []*moveTxn
+	commit []*liveMove
 }
 
-// dirPropose starts the decrees recording the moves txs — one move, or a
+// dirPropose starts the decrees recording the moves — one move, or a
 // cohort's members — at their destinations: one decree per shard replica
 // set, so members whose shards replicate on the same node set share one
-// round (with DirNoGroupDecrees, one decree per move). It reorders txs in
+// round (with DirNoGroupDecrees, one decree per move). It reorders moves in
 // place, stably, grouping each replica set's members. A proposal is filed
 // under its first slot: a slot has one proposer and one proposal, so that
-// is unique. Under chaos the moves are positively acked and still pending,
-// and commit when their decree resolves; chaos-off they committed at
-// dispatch, delivery is certain, and the decrees are fire-and-forget.
-func (n *Node) dirPropose(txs []*moveTxn) {
-	for len(txs) > 0 {
-		// txs[:k] becomes the members on txs[0]'s replica set, in order.
+// is unique. Under chaos the moves commit when their decree resolves.
+func (n *Node) dirPropose(moves []*liveMove) {
+	for len(moves) > 0 {
+		// moves[:k] becomes the members on moves[0]'s replica set, in order.
 		k := 1
 		if !n.cluster.Config.DirNoGroupDecrees {
-			set := n.dirReplicasOf(txs[0].obj.OID)
-			for i := 1; i < len(txs); i++ {
-				if tx := txs[i]; slices.Equal(n.dirReplicasOf(tx.obj.OID), set) {
-					copy(txs[k+1:i+1], txs[k:i])
-					txs[k] = tx
+			set := n.dirReplicasOf(moves[0].Data.obj.OID)
+			for i := 1; i < len(moves); i++ {
+				if mv := moves[i]; slices.Equal(n.dirReplicasOf(mv.Data.obj.OID), set) {
+					copy(moves[k+1:i+1], moves[k:i])
+					moves[k] = mv
 					k++
 				}
 			}
 		}
-		same := txs[:k]
-		txs = txs[k:]
+		same := moves[:k]
+		moves = moves[k:]
 		es := make([]dir.Entry, len(same))
-		for i, tx := range same {
-			es[i] = dir.Entry{Slot: dir.Slot{OID: tx.obj.OID, Epoch: tx.obj.Epoch}, Value: int32(tx.dest)}
+		for i, mv := range same {
+			o := mv.Data.obj
+			es[i] = dir.Entry{Slot: dir.Slot{OID: o.OID, Epoch: o.Epoch}, Value: int32(mv.Dest)}
 		}
 		dp := &dirProposal{
 			Proposal: dir.NewProposal(es, int32(n.ID), n.cluster.dirCfg.Quorum()),
-			replicas: n.dirReplicasOf(same[0].obj.OID),
+			replicas: n.dirReplicasOf(same[0].Data.obj.OID),
 		}
 		dp.slots = dp.one[:0]
 		live, joined := n.dirProps[dp.Key()]
@@ -156,7 +147,7 @@ func (n *Node) dirPropose(txs []*moveTxn) {
 		} else {
 			n.dirProps[dp.Key()] = dp
 		}
-		if same[0].live {
+		if n.chaosOn() {
 			dp.commit = append(dp.commit, same...)
 		}
 		if !joined {
@@ -256,15 +247,8 @@ func (n *Node) dirResolve(dp *dirProposal, chosen bool) {
 		}
 		n.cluster.Rec.Metrics().Add("dir_degraded", n.labels, uint64(len(dp.Entries)))
 	}
-	// Release the waiting moves, provided each is still pending (the commit
-	// timer cannot have aborted it: a delivered, acked move retires the
-	// timer; this is belt and braces).
-	txs := dp.commit
-	dp.commit = nil
-	for _, tx := range txs {
-		if cur, live := n.pendingCommits[tx.span]; live && cur == tx {
-			n.commitMove(tx)
-		}
+	for _, mv := range dp.commit { // those still live commit
+		n.decide(n.moves.Resolve(mv), "")
 	}
 }
 
@@ -515,44 +499,5 @@ func (n *Node) dropLeasesAt(peer int) {
 		if int(l.node) == peer {
 			delete(n.dirLeases, o)
 		}
-	}
-}
-
-// -------------------------------------------------- cohort decrees
-
-// dirGroupBatch collects one MoveGroup cohort's in-flight transactions
-// under chaos so their decrees ride shared rounds: members' MoveAcks arrive
-// back to back (the whole cohort installs in one frame event), the batch
-// waits until every member resolves — positively acked, refused or aborted —
-// then proposes the acked members as a cohort. Each member's commit still
-// gates on its decree resolving, like the single-object path.
-type dirGroupBatch struct {
-	outstanding int
-	ready       []*moveTxn
-}
-
-// dirBatchAcked records one positively-acked member; the last resolution
-// triggers the cohort's proposals.
-func (n *Node) dirBatchAcked(tx *moveTxn) {
-	b := tx.dirBatch
-	tx.dirBatch = nil
-	b.ready = append(b.ready, tx)
-	b.outstanding--
-	if b.outstanding == 0 {
-		n.dirPropose(b.ready)
-	}
-}
-
-// dirBatchDrop removes an aborted or refused member from its batch (no-op
-// for batchless transactions); the remaining acked members still decree.
-func (n *Node) dirBatchDrop(tx *moveTxn) {
-	b := tx.dirBatch
-	if b == nil {
-		return
-	}
-	tx.dirBatch = nil
-	b.outstanding--
-	if b.outstanding == 0 {
-		n.dirPropose(b.ready)
 	}
 }

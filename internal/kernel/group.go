@@ -1,13 +1,9 @@
 // Every move is a cohort: moveGroup prepares each member exactly like a
-// single move — stack walk, conversion, two-phase transaction — and one
-// send tail puts the whole cohort on the wire. A cohort of one leaves as a
-// bare Move; a larger one rides one MoveGroup frame to the destination,
-// amortizing the per-frame wire overhead and per-message protocol cost
-// across the cohort. The group is a purely link-level batching: at the
-// destination each inner Move runs the unchanged single-object install
-// path, so per-span deduplication, structural validation, per-member
-// MoveAcks and the two-phase commit all hold member by member even when the
-// whole batch retransmits or partially fails.
+// single move, and one send tail puts the whole cohort on the wire. A
+// cohort of one leaves as a bare Move; a larger one rides one MoveGroup
+// frame, amortizing the per-frame wire and protocol cost. The destination
+// installs each inner Move by the single-object path, so deduplication,
+// validation, MoveAcks and the two-phase commit hold member by member.
 
 package kernel
 
@@ -17,22 +13,14 @@ import (
 )
 
 // moveCollector is the node's scratch for the cohort being moved: the
-// prepared members, and the lists the send tail builds from them. Like
-// moveScratch it is truncated and refilled cohort after cohort, so a
-// steady stream of moves allocates none of it.
+// prepared members' wire messages (dead once marshalled) and moves, and
+// the send tail's list of the messages. Like moveScratch it is truncated
+// and refilled cohort after cohort, so a steady stream of moves allocates
+// none of it.
 type moveCollector struct {
-	items []groupItem
+	msgs  []wire.Move
+	moves []*liveMove
 	inner []*wire.Move
-	txs   []*moveTxn
-}
-
-// groupItem is one prepared member move: its wire message (dead once
-// marshalled), transaction, span, and deferred residency-flip commit.
-type groupItem struct {
-	msg    wire.Move
-	tx     *moveTxn
-	sp     *obs.Span
-	commit func()
 }
 
 // moveGroup migrates a cohort of resident objects — a lone move is a
@@ -47,7 +35,7 @@ func (n *Node) moveGroup(objs []*Obj, dest int, fix bool) {
 	for _, o := range objs {
 		n.joinCohort(o, dest, fix)
 	}
-	if len(n.col.items) > 0 {
+	if len(n.col.moves) > 0 {
 		n.sendCohort(dest)
 	}
 }
@@ -76,8 +64,7 @@ func (n *Node) joinCohort(o *Obj, dest int, fix bool) {
 			// the object lives elsewhere now and shipping this node's
 			// stale copy would fork it — forward the request instead,
 			// exactly as a parked remote MoveReq would replay.
-			tx := o.transit
-			tx.parked = append(tx.parked, func() {
+			o.transit.Park(func() {
 				if !o.Resident {
 					n.sendMsg(o.LastKnown, &wire.MoveReq{Target: o.OID, Dest: int32(dest), Fix: fix})
 					return
@@ -106,18 +93,17 @@ func (n *Node) joinCohort(o *Obj, dest int, fix bool) {
 }
 
 // sendCohort is the one send tail of every object move: the (chaos-aware)
-// send, span accounting, each member's residency-flip commit, the
-// directory decrees and transit registration.
+// send, span accounting, each member's object becoming a proxy (chaos-off)
+// or its move going live, and the directory decrees.
 func (n *Node) sendCohort(dest int) {
 	col := &n.col
-	items := col.items
 	rec := n.cluster.Rec
-	if len(items) == 1 {
-		bytes, sendAt := n.sendMsg(dest, &items[0].msg)
-		rec.SpanSent(items[0].sp.ID, bytes, int64(sendAt))
+	if len(col.msgs) == 1 {
+		bytes, sendAt := n.sendMsg(dest, &col.msgs[0])
+		rec.SpanSent(col.moves[0].Span, bytes, int64(sendAt))
 	} else {
-		for i := range items {
-			col.inner = append(col.inner, &items[i].msg)
+		for i := range col.msgs {
+			col.inner = append(col.inner, &col.msgs[i])
 		}
 		frameBytes, sendAt := n.sendMsg(dest, &wire.MoveGroup{Inner: col.inner})
 		// Per-member span accounting: each member's span carries its own
@@ -128,47 +114,40 @@ func (n *Node) sendCohort(dest int) {
 		for i, msg := range col.inner {
 			pb := wire.PayloadSize(msg)
 			memberBytes += pb
-			rec.SpanSent(items[i].sp.ID, pb, int64(sendAt))
+			rec.SpanSent(col.moves[i].Span, pb, int64(sendAt))
 		}
-		first := &items[0]
+		first := col.moves[0]
 		rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID),
-			Kind: obs.EvMoveGroupOut, Span: first.sp.ID, Obj: uint32(first.tx.obj.OID),
-			A: uint64(len(items)), B: uint64(dest)})
+			Kind: obs.EvMoveGroupOut, Span: first.Span, Obj: uint32(first.Data.obj.OID),
+			A: uint64(len(col.moves)), B: uint64(dest)})
 		m := rec.Metrics()
 		lbl := n.labels
 		m.Add("group_moves", lbl, 1)
-		m.Add("group_move_objs", lbl, uint64(len(items)))
+		m.Add("group_move_objs", lbl, uint64(len(col.moves)))
 		m.Add("group_move_frame_bytes", lbl, uint64(frameBytes))
 		m.Add("group_move_member_bytes", lbl, uint64(memberBytes))
 	}
-	for _, it := range items {
-		it.tx.do(it.commit)
-		col.txs = append(col.txs, it.tx)
+	// Under chaos every member's move pins to the cohort's one frame (an
+	// abort's filler swap is idempotent), and its object is pinned for the
+	// collector, operations on it parking until the move resolves.
+	live := n.chaosOn()
+	for _, mv := range col.moves {
+		if !live {
+			n.becomeProxy(mv.Data.obj, dest)
+			continue
+		}
+		mv.Seq, mv.Data.obj.transit = n.link.LastSeq(dest), mv
+		n.exported[mv.Data.obj.OID] = true
+		n.armCommitTimer(mv)
 	}
 	switch {
-	case items[0].tx.live:
-		// Under chaos every member transaction pins to the cohort's single
-		// frame, the last sent to dest: per-member MoveAcks resolve the
-		// transactions independently, and an abort's filler swap is
-		// idempotent across members sharing the frame. With group
-		// decrees on, the members of a larger cohort also share one
-		// dirGroupBatch: their decrees wait for the last member's MoveAck
-		// and then go out together; otherwise each member proposes alone
-		// on its own MoveAck.
-		var batch *dirGroupBatch
-		if n.cluster.dirOn && !n.cluster.Config.DirNoGroupDecrees && len(items) > 1 {
-			batch = &dirGroupBatch{outstanding: len(items)}
-		}
-		for _, it := range items {
-			it.tx.dirBatch = batch
-			n.beginTransit(it.tx, it.sp.ID)
-		}
+	case live:
+		n.moves.Begin(col.moves, n.cluster.dirOn, !n.cluster.Config.DirNoGroupDecrees)
 	case n.cluster.dirOn:
-		// Chaos-off the commits just ran inline and delivery is certain,
-		// so the decrees are fire-and-forget.
-		n.dirPropose(col.txs)
+		// Chaos-off delivery is certain, so the decrees are fire-and-forget.
+		n.dirPropose(col.moves)
 	}
-	col.items, col.inner, col.txs = reset(col.items), reset(col.inner), reset(col.txs)
+	col.msgs, col.moves, col.inner = reset(col.msgs), reset(col.moves), reset(col.inner)
 }
 
 // recvMoveGroup installs a batched cohort: each inner Move runs the exact

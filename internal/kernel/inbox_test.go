@@ -50,7 +50,7 @@ func marshalFrom(src, dst int, p wire.Payload) []byte {
 func TestParkedMessagesSurviveInboxReuse(t *testing.T) {
 	c := quiescedCluster(t, []netsim.MachineModel{mSPARC, mVAX, mSun3}, Config{})
 	n0 := c.Nodes[0]
-	obj := &Obj{OID: oid.ForRuntime(0, 900), Resident: true, transit: &moveTxn{}}
+	obj := &Obj{OID: oid.ForRuntime(0, 900), Resident: true, transit: &liveMove{}}
 	n0.objects[obj.OID] = obj
 
 	invoke := &wire.Invoke{Target: obj.OID, OpName: "deposit", Origin: 1, CallerFrag: 0x01000007,
@@ -59,8 +59,9 @@ func TestParkedMessagesSurviveInboxReuse(t *testing.T) {
 	unfix := &wire.UnfixReq{Target: obj.OID, Refix: true, Dest: 2}
 	n0.deliverInner(1, marshalFrom(1, 0, invoke))
 	n0.deliverInner(1, marshalFrom(1, 0, unfix))
-	if got := len(obj.transit.parked); got != 2 {
-		t.Fatalf("%d operations parked, want 2", got)
+	parked := n0.moves.Close(obj.transit)
+	if len(parked) != 2 {
+		t.Fatalf("%d operations parked, want 2", len(parked))
 	}
 
 	// Same kinds, same shapes, other contents, for an object node 0 has never
@@ -82,7 +83,6 @@ func TestParkedMessagesSurviveInboxReuse(t *testing.T) {
 		}
 		forwarded = append(forwarded, m.Payload)
 	})
-	parked := obj.transit.parked
 	obj.transit, obj.Resident, obj.LastKnown = nil, false, 2
 	for _, replay := range parked {
 		replay()

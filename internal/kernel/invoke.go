@@ -40,8 +40,7 @@ func (n *Node) handleCall(f *Frag, tr *arch.Trap) {
 		// The receiver is mid-move: block and replay the dispatch once the
 		// move commits (remote path) or aborts (local path).
 		n.blockCall(f, -1, 0)
-		recv.transit.parked = append(recv.transit.parked,
-			func() { n.dispatchCall(f, recv, opName, args) })
+		recv.transit.Park(func() { n.dispatchCall(f, recv, opName, args) })
 		return
 	}
 	n.dispatchCall(f, recv, opName, args)
@@ -345,8 +344,7 @@ func (n *Node) recvInvoke(src int, p *wire.Invoke) {
 		// this handler) and re-deliver it to ourselves once the move
 		// resolves (forwarding if it committed).
 		q := p.Clone()
-		target.transit.parked = append(target.transit.parked,
-			func() { n.recvInvoke(src, q) })
+		target.transit.Park(func() { n.recvInvoke(src, q) })
 		return
 	}
 	if target.Kind == ObjArray {
@@ -413,7 +411,7 @@ func (n *Node) recvReturn(src int, p *wire.Return) {
 		// remainder piece the moved thread returned into first: deliver
 		// once the move resolves (after a commit, forwarded if it left).
 		q := keepPayload(p).(*wire.Return)
-		if !n.parkOn(p.CallerFrag, func() { n.recvReturn(src, q) }) {
+		if !n.moves.Park(p.CallerFrag, func() { n.recvReturn(src, q) }) {
 			n.tracef("node%d: return for unknown frag %08x dropped", n.ID, p.CallerFrag)
 		}
 		return
@@ -540,8 +538,7 @@ func (n *Node) recvUnfixReq(src int, p *wire.UnfixReq) {
 	}
 	if target.transit != nil {
 		q := *p // p dies with this handler
-		target.transit.parked = append(target.transit.parked,
-			func() { n.recvUnfixReq(src, &q) })
+		target.transit.Park(func() { n.recvUnfixReq(src, &q) })
 		return
 	}
 	target.Fixed = false

@@ -20,6 +20,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/codegen"
 	"repro/internal/codesrv"
+	"repro/internal/commit"
 	"repro/internal/dir"
 	"repro/internal/ir"
 	"repro/internal/netsim"
@@ -570,11 +571,10 @@ type Obj struct {
 	// how many times this node had suspected that node then (locStale).
 	LastKnown int
 	locDowns  uint32
-	// transit is the in-flight two-phase move this object is the subject of
-	// (chaos runs only): while set, the object is still resident here but
-	// operations on it park on the transaction and replay after commit or
-	// abort.
-	transit *moveTxn
+	// transit is the object's in-flight two-phase move (chaos runs only):
+	// the object stays resident, and operations on it park on the move.
+	// (Spelled out: Go 1.24's compiler fails on the liveMove alias here.)
+	transit *commit.Move[moveData]
 }
 
 // Monitor is the per-object monitor: a lock with an entry queue and

@@ -32,11 +32,7 @@ import (
 // starts when the node can begin the conversion work (its CPU timeline, not
 // the event instant: everything below happens inside one simulated event).
 func (n *Node) beginMoveSpan(o *Obj, dest int, kind string) *obs.Span {
-	start := n.CPU.FreeAt
-	if now := n.now(); now > start {
-		start = now
-	}
-	return n.cluster.Rec.BeginSpan(int64(start), int32(n.ID), int32(dest),
+	return n.cluster.Rec.BeginSpan(int64(max(n.CPU.FreeAt, n.now())), int32(n.ID), int32(dest),
 		uint32(o.OID), kind)
 }
 
@@ -177,9 +173,12 @@ func (n *Node) retryPendingMoves() {
 }
 
 // wireSlots converts o's data slots (a plain object's template slots or an
-// array's elements) for transmission.
+// array's elements) for transmission, into the node's scratch arena: the
+// Move is marshalled within the same moveGroup.
 func (n *Node) wireSlots(conv *wire.Converter, o *Obj) []wire.Value {
-	data := make([]wire.Value, o.numSlots())
+	at := len(n.mv.vals)
+	n.mv.vals = slices.Grow(n.mv.vals, o.numSlots())[:at+o.numSlots()]
+	data := n.mv.vals[at:len(n.mv.vals):len(n.mv.vals)]
 	for i := range data {
 		v, err := n.wireTempValue(conv, o.slotKind(i), n.ld32(o.slotAddr(i)))
 		if err != nil {
@@ -213,8 +212,8 @@ func (n *Node) moveImmutable(o *Obj, dest int) {
 
 // moveScratch is the node's working storage for building and installing
 // moves. Nothing in it outlives the move that filled it — what must (a
-// deferred commit operation's view of a stack, under a chaos plan) is copied
-// out — so each slice is truncated and refilled move after move and a
+// stored split step's walk of a stack, under a chaos plan) is copied out —
+// so each slice is truncated and refilled move after move and a
 // steady stream of moves allocates none of them. It grows on demand;
 // nothing is pre-sized.
 type moveScratch struct {
@@ -225,8 +224,8 @@ type moveScratch struct {
 	segs    []moveSeg
 	ids     []uint32
 	refs    []wire.Value // every shipped value, for hint collection
-	// frags, acts and vals back the outgoing Moves' Frags, Acts and the
-	// Acts' values: a cohort's members share them until moveGroup's send
+	// frags, acts and vals back the outgoing Moves' Frags, Acts, the Acts'
+	// values and Data: a cohort's members share them until moveGroup's send
 	// tail marshals them, and moveGroup empties them for the next cohort.
 	frags []wire.Fragment
 	acts  []wire.MIActivation
@@ -262,12 +261,11 @@ type moveSeg struct {
 // move to the node's cohort collector, which moveGroup's send tail sends;
 // an array moves the same way, as an object no activation has as its
 // receiver. Under a chaos plan it runs as the prepare phase of a two-phase
-// commit: marshalling is read-only and every destructive completion is
-// deferred onto the move transaction (see twophase.go); chaos-off the
-// deferred operations execute inline at exactly their historical program
-// points.
+// commit: marshalling is read-only, the stack-split steps are stored on
+// the move and its fragments are held (see twophase.go); chaos-off each
+// step applies where it is made.
 func (n *Node) movePlain(o *Obj, dest int, fix bool) {
-	tx := n.newMoveTxn(o, dest, fix)
+	move, live := &liveMove{Dest: dest, Data: moveData{obj: o, fix: fix}}, n.chaosOn()
 	n.charge(uint64(n.cluster.Costs.MigrateCycles))
 	conv := n.converterFor(dest)
 	prev := conv.Stats()
@@ -318,7 +316,7 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 		// way the arena keeps any capacity the walk grew it to).
 		mv.frames = walked[:len(mv.frames)]
 		if runs := mv.runs[runStart:]; len(runs) > 0 {
-			if fr.held || tx.live && runs[0][0] == 0 && fr.Status == FragStateBlockedCall && fr.waitNode < 0 {
+			if fr.held || live && runs[0][0] == 0 && fr.Status == FragStateBlockedCall && fr.waitNode < 0 {
 				// Another object's in-flight move holds deferred stack
 				// restructuring over this fragment, or its top would move
 				// while blocked on a local continuation (a parked
@@ -341,10 +339,7 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 	}
 	sp := n.beginMoveSpan(o, dest, kind)
 
-	// Build wire fragments and restructure local stacks. Commit operations
-	// may run long after this move's scratch has been refilled (a live
-	// transaction defers them to the destination's ack), so they capture
-	// values and copies, never the scratch slices.
+	// Build wire fragments and restructure local stacks.
 	fragStart := len(mv.frags)
 	pieceIDOf := map[*Frag]uint32{} // original fragment -> wire id of its top piece
 	for _, plan := range mv.plans {
@@ -366,8 +361,8 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 		mv.segs = segs
 		// Name a fragment for each segment. The topmost segment keeps fr's
 		// identity; others get fresh IDs. Local remainder pieces are stack
-		// surgery, so they materialize as (possibly deferred) commit
-		// operations; the ids are minted eagerly for the wire links.
+		// surgery, so they materialize as split steps; the ids are minted
+		// eagerly for the wire links.
 		ids := mv.ids[:0]
 		for si, seg := range segs {
 			if si == 0 {
@@ -377,11 +372,7 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 			id := n.mintFragID()
 			ids = append(ids, id)
 			if !seg.moved {
-				piece := slices.Clone(frames[seg.a : seg.b+1])
-				tx.do(func() { n.adoptRemainder(piece, id) })
-				if tx.live {
-					tx.pieces = append(tx.pieces, id)
-				}
+				n.split(move, splitStep{frag: fr, id: id, frames: frames[seg.a : seg.b+1]})
 			}
 		}
 		mv.ids = ids
@@ -389,23 +380,20 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 		// inherits fr's original Link — captured before any segment mutates
 		// fr.Link (the topmost unmoved segment reassigns it below).
 		origLink := fr.Link
-		linkOf := func(si int) Link {
-			switch {
-			case si == len(segs)-1:
-				return origLink
-			case segs[si+1].moved:
-				return Link{Node: int32(dest), Frag: ids[si+1]}
-			}
-			return Link{Node: int32(n.ID), Frag: ids[si+1]}
-		}
 		for si, seg := range segs {
-			lk := linkOf(si)
+			lk := origLink
+			if si < len(segs)-1 {
+				lk = Link{Node: int32(n.ID), Frag: ids[si+1]}
+				if segs[si+1].moved {
+					lk.Node = int32(dest)
+				}
+			}
 			if seg.moved {
 				wf := wire.Fragment{FragID: ids[si], LinkNode: lk.Node, LinkFrag: lk.Frag}
 				if si == 0 {
 					wf.Executing = true
 					wf.Status, wf.CondIndex = wireStatus(fr)
-					if tx.live && fr.Status == FragStateBlockedCall {
+					if live && fr.Status == FragStateBlockedCall {
 						// The call's custodian follows it: suspecting
 						// that node fails the call at its new node.
 						wf.Custody, wf.WaitNode, wf.WaitObj = true, fr.waitNode, fr.waitObj
@@ -429,10 +417,9 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 			} else if si > 0 {
 				// Interior/lower remainder: waits for the piece above to
 				// return into it. Its records are relocated and its bottom
-				// cut by the adoptRemainder commit op above, which also
-				// entered it in n.frags, blocked, under its minted id.
-				id := ids[si]
-				tx.do(func() { n.frags[id].Link = lk })
+				// cut by the adoptRemainder step above, which also entered
+				// it in n.frags, blocked, under its minted id.
+				n.split(move, splitStep{frag: fr, id: ids[si], link: lk})
 			} else {
 				// Top remainder piece: records stay in place; cut the
 				// oldest frame's caller — it now returns via Link.
@@ -441,25 +428,19 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 				if bot.kont {
 					word |= kontFlag
 				}
-				tx.do(func() {
-					fr.Link = lk
-					n.st32(retDesc, word)
-				})
+				n.split(move, splitStep{frag: fr, link: lk, retDesc: retDesc, word: word})
 			}
 		}
-		if segs[0].moved {
-			// The thread's active top leaves this node: forward late
-			// returns, and drop the local fragment.
-			tx.do(func() {
-				n.movedFrags[fr.ID] = dest
-				n.killFrag(fr)
-			})
-		}
-		if tx.live {
+		if live {
 			// Hold the fragment until the destination acknowledges the
 			// install (its wire status was captured above).
 			fr.held = true
-			tx.held = append(tx.held, fr)
+			move.Held = append(move.Held, fr.ID)
+		} else if segs[0].moved {
+			// The thread's active top leaves this node: forward late
+			// returns, and drop the local fragment.
+			n.movedFrags[fr.ID] = dest
+			n.killFrag(fr)
 		}
 	}
 	wireFrags := mv.frags[fragStart:len(mv.frags):len(mv.frags)]
@@ -468,7 +449,7 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 	mv.refs = append(mv.refs, data...)
 
 	o.Epoch++
-	sp.Frags = len(wireFrags)
+	move.Span, sp.Frags = sp.ID, len(wireFrags)
 	msg := wire.Move{
 		Object: o.OID, Epoch: o.Epoch, Fixed: fix,
 		Data: data, Frags: wireFrags, SpanID: sp.ID,
@@ -499,16 +480,7 @@ func (n *Node) movePlain(o *Obj, dest int, fix bool) {
 	msg.Hints = n.collectHints(mv.refs)
 	n.chargeConv(conv, prev)
 	n.finishMoveOut(sp, o, dest, conv, prev)
-
-	// The object becomes a remote proxy here; stale machine addresses keep
-	// resolving to it through byAddr. Under chaos this is the final commit
-	// operation: the object stays resident until the destination acks.
-	n.col.items = append(n.col.items, groupItem{msg: msg, tx: tx, sp: sp, commit: func() {
-		o.Resident = false
-		o.LastKnown, o.locDowns = dest, n.link.Downs(dest)
-		o.Mon = nil
-		n.Migrations++
-	}})
+	n.col.msgs, n.col.moves = append(n.col.msgs, msg), append(n.col.moves, move)
 }
 
 func (n *Node) mustPiece(m map[*Frag]uint32, o *Obj, f *Frag, what string) uint32 {
@@ -623,15 +595,12 @@ func (n *Node) recvMove(src int, p *wire.Move) {
 			// deliver it again once that move commits. A retransmission
 			// parks too, and its replay finds the span seen.
 			q := keepPayload(p).(*wire.Move)
-			o.transit.parked = append(o.transit.parked, func() { n.recvMove(src, q) })
+			o.transit.Park(func() { n.recvMove(src, q) })
 			return
 		}
 		n.seenSpans[p.SpanID] = true
 	}
-	respecStart := int64(n.CPU.FreeAt)
-	if now := int64(n.now()); now > respecStart {
-		respecStart = now
-	}
+	respecStart := int64(max(n.CPU.FreeAt, n.now()))
 	n.charge(uint64(n.cluster.Costs.MigrateCycles))
 	conv := n.converterFor(src)
 	prev := conv.Stats()

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/codegen"
+	"repro/internal/commit"
 	"repro/internal/dir"
 	"repro/internal/ir"
 	"repro/internal/link"
@@ -110,12 +111,10 @@ type Node struct {
 	// link is the reliable link's state toward every peer.
 	link link.Link
 	// seenSpans deduplicates Move deliveries by SpanID so an object is
-	// never installed twice; pendingCommits are this node's outbound moves
-	// awaiting a MoveAck; abortedSpans tombstones aborted move spans to
-	// detect conflicting late acks.
-	seenSpans      map[uint32]bool
-	pendingCommits map[uint32]*moveTxn
-	abortedSpans   map[uint32]bool
+	// never installed twice; moves is the two-phase commit of this node's
+	// outbound moves (twophase.go).
+	seenSpans map[uint32]bool
+	moves     commit.Machine[moveData]
 	// stalled are the protocol timers that fired while the node was down;
 	// restart re-arms them.
 	stalled []stalledTimer
@@ -203,11 +202,9 @@ func newNode(c *Cluster, id, nodes int, m netsim.MachineModel) *Node {
 		freeLists:  map[uint32][]freeBlock{},
 		labels:     obs.NodeLabels(id, spec.ID.String()),
 
-		Up:             true,
-		link:           link.New(nodes, c.Chaos),
-		seenSpans:      map[uint32]bool{},
-		pendingCommits: map[uint32]*moveTxn{},
-		abortedSpans:   map[uint32]bool{},
+		Up:        true,
+		link:      link.New(nodes, c.Chaos),
+		seenSpans: map[uint32]bool{},
 
 		dirAcc:    map[dir.Slot]dir.Acceptor{},
 		dirStore:  dir.NewStore(),

@@ -133,7 +133,7 @@ func (n *Node) failWaitersOn(peer int) {
 		if f := n.frags[id]; f.held {
 			// Ask again once the move resolves: by then the call may have
 			// left, or been answered.
-			n.parkOn(id, func() { n.failWaitersOn(peer) })
+			n.moves.Park(id, func() { n.failWaitersOn(peer) })
 		} else {
 			n.faultErr(f, ErrNodeDown, fmt.Sprintf("remote invocation lost: node %d is down", peer))
 		}

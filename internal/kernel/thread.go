@@ -75,7 +75,7 @@ type Frag struct {
 	condIndex uint16
 	// queued guards against double-enqueueing.
 	queued bool
-	// held: a live move ships the fragment's frames (moveTxn.held); it
+	// held: a live move ships the fragment's frames (liveMove.Held); it
 	// does not run, and what is delivered to it awaits the move's outcome.
 	held bool
 	// waitNode is the node a FragStateBlockedCall fragment awaits a Return
@@ -735,8 +735,7 @@ func (n *Node) handleArrayOp(f *Frag, tr *arch.Trap) {
 		// The array is mid-move: block and replay once the move resolves.
 		kind := tr.Kind
 		n.blockCall(f, -1, 0)
-		o.transit.parked = append(o.transit.parked,
-			func() { n.arrayOpOn(f, kind, elem, o, idx, val) })
+		o.transit.Park(func() { n.arrayOpOn(f, kind, elem, o, idx, val) })
 		return
 	}
 	n.arrayOpOn(f, tr.Kind, elem, o, idx, val)

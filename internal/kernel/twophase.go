@@ -1,15 +1,10 @@
-// Two-phase commit for object moves, active only under a chaos plan. The
-// source node prepares a move without destroying anything: marshalling is
-// read-only, and every destructive completion (stack restructuring,
-// fragment retirement, residency flip) is collected as a deferred commit
-// operation. The object stays resident until the destination acknowledges
-// the install with a MoveAck; only then do the deferred operations run. On
-// a negative ack, or when the Move was never delivered and the destination
-// is suspected down, the move aborts: held fragments resume, parked
-// operations replay locally, and the move is requeued for retry (degrading
-// to remote invocation if the destination stays suspect). Chaos-off, the
-// deferred operations execute inline at their historical program points, so
-// behavior and the event stream are byte-identical to previous releases.
+// Two-phase commit for object moves, active only under a chaos plan: the
+// protocol's state is internal/commit's, and this file carries out what it
+// decides. A move is prepared without destroying anything: its stack-split
+// steps are stored as data, and the object and the fragments it ships are
+// held until the destination acks the install. Commit takes the steps,
+// retires each fragment whose top left and makes the object a proxy;
+// abort undoes nothing. Chaos-off each step applies where it is made.
 
 package kernel
 
@@ -17,207 +12,155 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/commit"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
-// moveTxn is one in-flight move of one object.
-type moveTxn struct {
-	obj  *Obj
-	dest int
-	span uint32
-	seq  uint32 // the link sequence number of the frame carrying the Move to dest
-	fix  bool
-	// live: chaos is on, so destructive operations defer until commit.
-	live bool
-	// dirPending: the transaction has been handed to the directory; a
-	// duplicate positive MoveAck (the destination re-acks replayed Moves)
-	// must not open a second decree for the same slot.
-	dirPending bool
-	// commitOps are the deferred destructive completions, in program order.
-	commitOps []func()
-	// held are the fragments the move ships, which wait for its outcome.
-	held []*Frag
-	// parked operations arrived for the object mid-transit; they replay in
-	// arrival order once the move resolves (remotely after commit, locally
-	// after abort).
-	parked []func()
-	// pieces are the ids minted for the local remainder pieces commit
-	// creates: a Return to one that arrives first parks here.
-	pieces []uint32
-	// dirBatch groups this transaction with the rest of its MoveGroup
-	// cohort so the directory commits the whole cohort in shared decree
-	// rounds (nil for solo moves or when group decrees are disabled).
-	dirBatch *dirGroupBatch
+// moveData is the kernel's side of a move; a live one stores its steps.
+type moveData struct {
+	obj   *Obj
+	fix   bool
+	steps []splitStep
 }
 
-func (n *Node) newMoveTxn(o *Obj, dest int, fix bool) *moveTxn {
-	return &moveTxn{obj: o, dest: dest, fix: fix, live: n.chaosOn()}
+type liveMove = commit.Move[moveData]
+
+// splitStep is one step splitting frag's stack, as data: adopt a remainder
+// piece (frames, its walked records) under id, link remainder id to the
+// piece below, or, with id 0, cut frag's top remainder below its oldest
+// record by writing word at retDesc.
+type splitStep struct {
+	frag          *Frag
+	id            uint32
+	frames        []frameInfo
+	link          Link
+	retDesc, word uint32
 }
 
-// do runs f immediately when the transaction is not live (chaos off) —
-// preserving the historical execution order exactly — and defers it to
-// commit otherwise.
-func (tx *moveTxn) do(f func()) {
-	if tx.live {
-		tx.commitOps = append(tx.commitOps, f)
+// split takes st now, chaos-off, or stores it for mv's commit.
+func (n *Node) split(mv *liveMove, st splitStep) {
+	switch {
+	case !n.chaosOn():
+		n.takeStep(&st)
 		return
+	case st.frames != nil:
+		st.frames = slices.Clone(st.frames)
+		mv.Pieces = append(mv.Pieces, st.id)
 	}
-	f()
+	mv.Data.steps = append(mv.Data.steps, st)
 }
 
-// release lets go of the fragments the move holds, in the order it took
-// them, and requeues the ready ones (a commit operation retired the ones
-// that left: they are dead).
-func (n *Node) release(tx *moveTxn) {
-	for _, f := range tx.held {
-		f.held = false
-		if f.Status == FragStateReady {
-			n.enqueue(f)
-		}
-	}
-	tx.held = nil
-}
-
-// parkOn defers op to the outcome of the live move that holds fragment id,
-// or creates it at commit as a remainder piece, and reports whether one does.
-func (n *Node) parkOn(id uint32, op func()) bool {
-	for _, tx := range n.pendingCommits {
-		if slices.Contains(tx.pieces, id) || slices.ContainsFunc(tx.held, func(f *Frag) bool { return f.ID == id }) {
-			tx.parked = append(tx.parked, op)
-			return true
-		}
-	}
-	return false
-}
-
-// replayParked replays operations that arrived mid-transit, in order.
-func (n *Node) replayParked(tx *moveTxn) {
-	parked := tx.parked
-	tx.parked = nil
-	for _, op := range parked {
-		op()
+func (n *Node) takeStep(st *splitStep) {
+	switch {
+	case st.frames != nil:
+		n.adoptRemainder(st.frames, st.id)
+	case st.id != 0:
+		n.frags[st.id].Link = st.link
+	default:
+		st.frag.Link = st.link
+		n.st32(st.retDesc, st.word)
 	}
 }
 
-// beginTransit registers a live transaction: the object is pinned for the
-// collector, incoming operations park, and the commit timer arms.
-func (n *Node) beginTransit(tx *moveTxn, span uint32) {
-	tx.span = span
-	tx.seq = n.link.LastSeq(tx.dest)
-	tx.obj.transit = tx
-	n.exported[tx.obj.OID] = true
-	n.pendingCommits[span] = tx
-	n.armCommitTimer(tx)
+// becomeProxy makes o, moved to dest, a proxy (byAddr still resolves it).
+func (n *Node) becomeProxy(o *Obj, dest int) {
+	o.Resident = false
+	o.LastKnown, o.locDowns = dest, n.link.Downs(dest)
+	o.Mon = nil
+	n.Migrations++
 }
 
-// armCommitTimer watches one commit window. If the window closes with the
-// Move still undelivered and the destination suspected down, the move
-// aborts; an undelivered Move to a healthy-looking destination just gets
-// another window (retransmission is still working on it). Once the Move is
-// delivered the timer retires: the destination's MoveAck travels on the
-// reliable link and will arrive whenever the destination is up.
-func (n *Node) armCommitTimer(tx *moveTxn) {
+// decide carries out d: its proposal, then its verdict.
+func (n *Node) decide(d commit.Decision[moveData], reason string) {
+	n.dirPropose(d.Propose)
+	switch mv := d.Move; d.Verdict {
+	case commit.Commit:
+		n.commitMove(mv)
+	case commit.Abort:
+		n.abortMove(mv, reason)
+	case commit.Rearm:
+		n.armCommitTimer(mv)
+	case commit.Stall:
+		n.stall(stallCommit, uint64(mv.Span), func() { n.armCommitTimer(mv) })
+	}
+}
+
+func (n *Node) armCommitTimer(mv *liveMove) {
 	n.sched.At(n.cluster.Chaos.CommitWindow(), func() {
-		if _, live := n.pendingCommits[tx.span]; !live {
-			return
-		}
-		if !n.Up {
-			n.stall(stallCommit, uint64(tx.span), func() { n.armCommitTimer(tx) })
-			return
-		}
-		if n.link.Acked(tx.dest, tx.seq) {
-			return
-		}
-		if !n.link.Suspected(tx.dest) {
-			n.armCommitTimer(tx)
-			return
-		}
-		n.abortMove(tx, "timeout")
+		n.decide(n.moves.Window(mv, n.Up, n.link.Acked(mv.Dest, mv.Seq), n.link.Suspected(mv.Dest)), "timeout")
 	})
 }
 
-// recvMoveAck resolves a pending move transaction.
 func (n *Node) recvMoveAck(src int, p *wire.MoveAck) {
-	tx, ok := n.pendingCommits[p.SpanID]
-	if !ok {
-		if n.abortedSpans[p.SpanID] && p.Ok {
-			// The destination installed a Move whose transaction this node
-			// had already aborted (the original frame outlived the abort):
-			// both copies now exist.
-			n.violate(invResidency, p.Object, 0, "node %d installed aborted move span %d", src, p.SpanID)
-		}
-		return
+	d, reason := n.moves.Ack(p.SpanID, p.Ok), ""
+	if d.Verdict == commit.Violation {
+		n.violate(invResidency, p.Object, 0, "node %d installed aborted move span %d", src, p.SpanID)
+	} else if !p.Ok {
+		reason = "refused: " + p.Err
 	}
-	if p.Ok {
-		if n.cluster.dirOn {
-			// Third commit participant: record the new home in the
-			// replicated directory before releasing the object, so a
-			// post-crash locate is one shard query. Degraded decrees
-			// still commit — the forwarding chase covers staleness.
-			if tx.dirPending {
-				return // duplicate ack; a decree is already in flight
-			}
-			tx.dirPending = true
-			if tx.dirBatch != nil {
-				n.dirBatchAcked(tx)
-				return
-			}
-			n.dirPropose([]*moveTxn{tx})
-			return
-		}
-		n.commitMove(tx)
-		return
-	}
-	n.abortMove(tx, "refused: "+p.Err)
+	n.decide(d, reason)
 }
 
-// commitMove runs the deferred destructive completions and releases the
-// object: it is now resident at the destination.
-func (n *Node) commitMove(tx *moveTxn) {
-	delete(n.pendingCommits, tx.span)
-	ops := tx.commitOps
-	tx.commitOps = nil
-	for _, op := range ops {
-		op()
+// commitMove takes the move's steps fragment by fragment, retiring each
+// fragment whose top left (no step cut it), and makes the object a proxy.
+func (n *Node) commitMove(mv *liveMove) {
+	steps := mv.Data.steps
+	for _, id := range mv.Held {
+		f, left := n.frags[id], true
+		for ; len(steps) > 0 && steps[0].frag == f; steps = steps[1:] {
+			left = left && steps[0].id != 0
+			n.takeStep(&steps[0])
+		}
+		if left { // late returns to the fragment forward
+			n.movedFrags[id] = mv.Dest
+			n.killFrag(f)
+		}
 	}
-	n.release(tx)
-	tx.obj.transit = nil
-	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvMoveCommit,
-		Span: tx.span, Obj: uint32(tx.obj.OID), B: uint64(tx.dest)})
-	n.cluster.Rec.Metrics().Add("move_commits", n.labels, 1)
-	n.replayParked(tx)
+	n.becomeProxy(mv.Data.obj, mv.Dest)
+	n.settle(mv, obs.EvMoveCommit, "move_commits", "")
 }
 
-// abortMove rolls a move back: nothing destructive has happened, so the
-// object simply stays resident. Held fragments resume, parked
-// operations replay locally, and the move requeues for a later retry.
-func (n *Node) abortMove(tx *moveTxn, reason string) {
-	n.dirBatchDrop(tx)
-	delete(n.pendingCommits, tx.span)
-	n.abortedSpans[tx.span] = true
-	if !n.link.Acked(tx.dest, tx.seq) {
+// abortMove rolls a move back: the object stays resident, and the move
+// requeues for a later retry.
+func (n *Node) abortMove(mv *liveMove, reason string) {
+	o := mv.Data.obj
+	if !n.link.Acked(mv.Dest, mv.Seq) {
 		// The Move must not install at the destination, but its link
 		// sequence number must still be delivered — in-order release would
 		// otherwise stall on the gap forever. Swap the payload for a
 		// harmless same-sequence filler: a negative MoveAck for this very
 		// span, which the destination ignores.
-		noop := &wire.Msg{Src: int32(n.ID), Dst: int32(tx.dest), Seq: n.nextSeq(),
-			Payload: &wire.MoveAck{Object: tx.obj.OID, SpanID: tx.span, Epoch: tx.obj.Epoch,
-				Ok: false, Err: "aborted"}}
-		n.link.Replace(tx.dest, tx.seq, noop.Marshal(), "moveack")
+		noop := &wire.Msg{Src: int32(n.ID), Dst: int32(mv.Dest), Seq: n.nextSeq(),
+			Payload: &wire.MoveAck{Object: o.OID, SpanID: mv.Span, Epoch: o.Epoch, Err: "aborted"}}
+		n.link.Replace(mv.Dest, mv.Seq, noop.Marshal(), "moveack")
 	}
-	tx.obj.Epoch--
-	tx.obj.transit = nil
-	tx.commitOps = nil
-	n.release(tx)
-	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: obs.EvMoveAbort,
-		Span: tx.span, Obj: uint32(tx.obj.OID), B: uint64(tx.dest), Str: reason})
-	n.cluster.Rec.Metrics().Add("move_aborts", n.labels, 1)
-	n.replayParked(tx)
-	n.pendingMoves = append(n.pendingMoves, pendingMove{tx.obj.OID, tx.dest, tx.fix})
+	o.Epoch--
+	n.settle(mv, obs.EvMoveAbort, "move_aborts", reason)
+	n.pendingMoves = append(n.pendingMoves, pendingMove{o.OID, mv.Dest, mv.Data.fix})
 	n.armMoveRetry()
+}
+
+// settle ends a committed or aborted move: the object leaves transit, the
+// held fragments resume in the order the move took them (one whose top
+// left is dead), and what parked on the move replays.
+func (n *Node) settle(mv *liveMove, kind obs.Kind, metric, reason string) {
+	o := mv.Data.obj
+	o.transit = nil
+	for _, id := range mv.Held {
+		if f := n.frags[id]; f != nil {
+			if f.held = false; f.Status == FragStateReady {
+				n.enqueue(f)
+			}
+		}
+	}
+	n.cluster.Rec.Emit(obs.Event{At: int64(n.now()), Node: int32(n.ID), Kind: kind,
+		Span: mv.Span, Obj: uint32(o.OID), B: uint64(mv.Dest), Str: reason})
+	n.cluster.Rec.Metrics().Add(metric, n.labels, 1)
+	for _, op := range n.moves.Close(mv) {
+		op()
+	}
 }
 
 // armMoveRetry schedules a retryPendingMoves pass (chaos only). The timer
